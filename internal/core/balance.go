@@ -52,7 +52,7 @@ func (f *gridFabric) NodeLoad(node string) (float64, bool) {
 		}
 	}
 	if f.g.monitor != nil {
-		if _, ok := f.g.monitor.sensors[node]; ok {
+		if _, ok := f.g.monitor.forecasts[node]; ok {
 			return f.g.monitor.PredictedLoad(node), true
 		}
 	}

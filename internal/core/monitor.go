@@ -15,13 +15,25 @@ import (
 // information service carry the *predicted* load — so FindFutures ranks
 // placements by where load is going, not just where it is.
 type Monitor struct {
-	grid     *Grid
-	interval sim.Duration
-	sensors  map[string]*rps.Sensor
-	models   map[string]*rps.AR
-	running  bool
-	next     sim.EventID
-	ticks    int
+	grid      *Grid
+	interval  sim.Duration
+	forecasts map[string]*forecast
+	running   bool
+	next      sim.EventID
+	ticks     int
+}
+
+// forecast is one node's sensor, AR model, and memoized prediction.
+// The prediction is a pure function of the sensor's history, so it is
+// recomputed only when a new sample has arrived (the series' Total
+// moved), however often the placement, balancer, telemetry, and GIS
+// refresh paths ask for it in between.
+type forecast struct {
+	sensor *rps.Sensor
+	model  *rps.AR
+	buf    []float64 // reused training history
+	at     uint64    // series Total the cached load was computed at
+	load   float64
 }
 
 // StartMonitor begins sampling every compute node at the given interval
@@ -31,10 +43,9 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		return nil, fmt.Errorf("core: monitor interval %v", interval)
 	}
 	m := &Monitor{
-		grid:     g,
-		interval: interval,
-		sensors:  make(map[string]*rps.Sensor),
-		models:   make(map[string]*rps.AR),
+		grid:      g,
+		interval:  interval,
+		forecasts: make(map[string]*forecast),
 	}
 	for name, node := range g.nodes {
 		if node.gk == nil {
@@ -57,8 +68,7 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		sensor.Tee(func(at sim.Time, v float64) {
 			g.telemetry.Record("node.load_sample", v, telemetry.L("node", nodeName))
 		})
-		m.sensors[name] = sensor
-		m.models[name] = ar
+		m.forecasts[name] = &forecast{sensor: sensor, model: ar}
 		sensor.Start()
 	}
 	m.running = true
@@ -75,23 +85,31 @@ func (m *Monitor) Stop() {
 	m.running = false
 	m.grid.k.Cancel(m.next)
 	m.next = sim.EventID{}
-	for _, s := range m.sensors {
-		s.Stop()
+	for _, f := range m.forecasts {
+		f.sensor.Stop()
 	}
 }
 
 // PredictedLoad returns the current forecast for a node (falls back to
 // the last sample until the model has enough history).
 func (m *Monitor) PredictedLoad(node string) float64 {
-	sensor, ok := m.sensors[node]
+	f, ok := m.forecasts[node]
 	if !ok {
 		return 0
 	}
-	series := sensor.Series()
-	model := m.models[node]
+	series := f.sensor.Series()
+	if f.at != series.Total() {
+		f.at, f.load = series.Total(), f.predict(series)
+	}
+	return f.load
+}
+
+// predict trains the model on the series' current history.
+func (f *forecast) predict(series *rps.Series) float64 {
 	if series.Len() >= 32 {
-		if err := model.Train(series.Values()); err == nil {
-			p := model.Predict()
+		f.buf = series.AppendValues(f.buf[:0])
+		if err := f.model.Train(f.buf); err == nil {
+			p := f.model.Predict()
 			if p < 0 {
 				p = 0
 			}

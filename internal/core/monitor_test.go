@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vmgrid/internal/gis"
+	"vmgrid/internal/rps"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/trace"
 
@@ -98,5 +99,84 @@ func TestMonitorQueryLanguageIntegration(t *testing.T) {
 	}
 	if rows[0].Entries[0].Name == "" {
 		t.Error("empty winner")
+	}
+}
+
+// freshForecast is PredictedLoad without the memo: a new AR(8) trained
+// on the node's whole current history.
+func freshForecast(t *testing.T, m *Monitor, node string) float64 {
+	t.Helper()
+	series := m.forecasts[node].sensor.Series()
+	if series.Len() < 32 {
+		return series.Last()
+	}
+	ar, err := rps.NewAR(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.Train(series.Values()); err != nil {
+		t.Fatal(err)
+	}
+	return max(ar.Predict(), 0)
+}
+
+// TestPredictedLoadMemoMatchesFreshModel: the memoized forecast equals
+// a freshly trained model's both before and after each new sensor
+// sample, from the first sample, across the 32-sample training
+// threshold, and after the 512-sample ring wraps.
+func TestPredictedLoadMemoMatchesFreshModel(t *testing.T) {
+	g := testbed(t)
+	m, err := g.StartMonitor(sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	bg := &trace.Trace{Step: 7 * sim.Second, Loads: []float64{2.0, 0.3, 1.1, 3.0, 0.0, 1.7}}
+	hostos.NewLoadProcess(g.Node("compute1").Host(), "bg", bg).Start()
+
+	for step := 0; step < 600; step++ {
+		if step%5 == 0 || step > 520 {
+			for _, node := range []string{"compute1", "compute2"} {
+				want := freshForecast(t, m, node)
+				for i := 0; i < 2; i++ { // second read hits the memo
+					if got := m.PredictedLoad(node); got != want {
+						t.Fatalf("step %d %s read %d: PredictedLoad = %v, fresh model = %v", step, node, i, got, want)
+					}
+				}
+			}
+		}
+		if err := g.Kernel().RunFor(sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.forecasts["compute1"].sensor.Series().Total(); n <= 512 {
+		t.Fatalf("ring never wrapped: %d samples", n)
+	}
+}
+
+var predictedSink float64
+
+// BenchmarkPredictedLoad measures one sensor interval's forecast reads
+// on a node with a full history: a new sample arrives, then three
+// readers (VM-future refresh, telemetry scrape, balancer) ask for the
+// forecast.
+func BenchmarkPredictedLoad(b *testing.B) {
+	g := testbed(b)
+	m, err := g.StartMonitor(sim.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Stop()
+	if err := g.Kernel().RunFor(600 * sim.Second); err != nil {
+		b.Fatal(err)
+	}
+	series := m.forecasts["compute1"].sensor.Series()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		series.Add(float64(i%7) / 3)
+		for r := 0; r < 3; r++ {
+			predictedSink = m.PredictedLoad("compute1")
+		}
 	}
 }

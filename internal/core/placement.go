@@ -124,7 +124,7 @@ next:
 // it, else its live load average.
 func (g *Grid) predictedLoad(n *Node) float64 {
 	if g.monitor != nil {
-		if _, ok := g.monitor.sensors[n.name]; ok {
+		if _, ok := g.monitor.forecasts[n.name]; ok {
 			return g.monitor.PredictedLoad(n.name)
 		}
 	}

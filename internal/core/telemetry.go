@@ -142,7 +142,7 @@ func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
 		r.Record("node.load", n.host.LoadAverage(), lbl)
 		r.Record("node.slots", float64(n.slots), lbl)
 		if g.monitor != nil {
-			if _, ok := g.monitor.sensors[name]; ok {
+			if _, ok := g.monitor.forecasts[name]; ok {
 				r.Record("node.predicted_load", g.monitor.PredictedLoad(name), lbl)
 			}
 		}

@@ -59,6 +59,10 @@ type Replica struct {
 	Node string
 
 	meta map[string]stamped
+	// newest is the largest stamp in meta. Entries are only ever
+	// replaced by newer stamps and never removed (deletes install
+	// tombstones), so tracking it per install equals a full scan.
+	newest Stamp
 }
 
 // gossipEntry is one record in flight between replicas.
@@ -145,7 +149,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 		c.seq++
 		st := stamped{st: Stamp{T: now, Seq: c.seq}}
 		for _, r := range c.reps {
-			r.meta[k] = st
+			r.adopt(k, st)
 		}
 	}
 	return c, nil
@@ -222,12 +226,20 @@ func (r *Replica) install(key string, m stamped, e Entry) {
 	if cur, ok := r.meta[key]; ok && !m.st.After(cur.st) {
 		return
 	}
-	r.meta[key] = m
+	r.adopt(key, m)
 	if m.del {
 		delete(r.Svc.records, key)
 		return
 	}
 	r.Svc.records[key] = e
+}
+
+// adopt records key's new stamp, keeping newest current.
+func (r *Replica) adopt(key string, m stamped) {
+	r.meta[key] = m
+	if m.st.After(r.newest) {
+		r.newest = m.st
+	}
 }
 
 // reachable reports whether a control-plane RPC between two nodes would
@@ -359,17 +371,6 @@ func (c *Cluster) Converged() bool {
 	return true
 }
 
-// maxStamp returns the newest stamp a replica has adopted.
-func (r *Replica) maxStamp() Stamp {
-	var max Stamp
-	for _, m := range r.meta {
-		if m.st.After(max) {
-			max = m.st
-		}
-	}
-	return max
-}
-
 // Lag returns how far behind the i'th replica is, as the simulated-time
 // distance between the newest stamp anywhere in the cluster and the
 // newest stamp the replica has adopted. Zero when it has seen the
@@ -377,11 +378,11 @@ func (r *Replica) maxStamp() Stamp {
 func (c *Cluster) Lag(i int) sim.Duration {
 	var newest Stamp
 	for _, r := range c.reps {
-		if s := r.maxStamp(); s.After(newest) {
-			newest = s
+		if r.newest.After(newest) {
+			newest = r.newest
 		}
 	}
-	mine := c.reps[i].maxStamp()
+	mine := c.reps[i].newest
 	if newest.T <= mine.T {
 		return 0
 	}

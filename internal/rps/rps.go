@@ -19,6 +19,7 @@ type Series struct {
 	data  []float64
 	start int
 	n     int
+	total uint64 // samples ever added
 }
 
 // NewSeries creates a series holding at most capacity samples.
@@ -31,6 +32,7 @@ func NewSeries(capacity int) (*Series, error) {
 
 // Add appends a sample, evicting the oldest when full.
 func (s *Series) Add(v float64) {
+	s.total++
 	if s.n < len(s.data) {
 		s.data[(s.start+s.n)%len(s.data)] = v
 		s.n++
@@ -51,13 +53,23 @@ func (s *Series) Last() float64 {
 	return s.data[(s.start+s.n-1)%len(s.data)]
 }
 
+// Total returns how many samples were ever added. Unlike Len it keeps
+// counting once the ring is full, so it changes exactly when the series
+// does — the key for caching anything computed from the history.
+func (s *Series) Total() uint64 { return s.total }
+
 // Values returns the samples oldest-first (a copy).
 func (s *Series) Values() []float64 {
-	out := make([]float64, s.n)
+	return s.AppendValues(make([]float64, 0, s.n))
+}
+
+// AppendValues appends the samples oldest-first to dst, so a caller can
+// reuse one buffer across reads.
+func (s *Series) AppendValues(dst []float64) []float64 {
 	for i := 0; i < s.n; i++ {
-		out[i] = s.data[(s.start+i)%len(s.data)]
+		dst = append(dst, s.data[(s.start+i)%len(s.data)])
 	}
-	return out
+	return dst
 }
 
 // Mean returns the sample mean (0 if empty).
@@ -66,8 +78,8 @@ func (s *Series) Mean() float64 {
 		return 0
 	}
 	var sum float64
-	for _, v := range s.Values() {
-		sum += v
+	for i := 0; i < s.n; i++ {
+		sum += s.data[(s.start+i)%len(s.data)]
 	}
 	return sum / float64(s.n)
 }

@@ -36,6 +36,14 @@ func TestSeriesRingBuffer(t *testing.T) {
 	if s.Mean() != 4 {
 		t.Errorf("Mean = %v", s.Mean())
 	}
+	if s.Total() != 5 {
+		t.Errorf("Total = %d, want 5 (keeps counting past capacity)", s.Total())
+	}
+	buf := make([]float64, 1, 8)
+	got := s.AppendValues(buf[:0])
+	if &got[0] != &buf[0] || len(got) != 3 || got[0] != 3 || got[2] != 5 {
+		t.Errorf("AppendValues = %v, want [3 4 5] in the caller's buffer", got)
+	}
 }
 
 func TestSeriesValidation(t *testing.T) {

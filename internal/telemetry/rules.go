@@ -104,6 +104,7 @@ type Engine struct {
 	firings   []Firing
 	onFire    []func(Firing)
 	onResolve []func(Firing)
+	matched   []*Series // reused per-rule selection
 }
 
 func newEngine(c *Collector) *Engine {
@@ -139,7 +140,10 @@ func (e *Engine) rulesInfo() []RuleInfo {
 // eval runs every rule against the current store contents.
 func (e *Engine) eval(now sim.Time) {
 	for _, r := range e.rules {
-		for _, s := range e.c.db.Select(r.series, r.sub) {
+		// Select into a reused buffer: hooks run mid-loop and may
+		// create series, which must not shift the slice being walked.
+		e.matched = e.c.db.appendSelect(e.matched[:0], r.series, r.sub)
+		for _, s := range e.matched {
 			v, ok := r.value(s, now)
 			key := alertKey{rule: r.name, series: s.Key()}
 			if !ok || !compare(v, r.cmp, r.threshold) {
@@ -184,7 +188,7 @@ func (r *rule) value(s *Series, now sim.Time) (float64, bool) {
 		}
 		return s.Last().V, true
 	}
-	a := s.Window(since)
+	a := s.window(since, r.fn == FuncP99)
 	if a.Count == 0 {
 		return 0, false
 	}

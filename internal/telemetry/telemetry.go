@@ -10,6 +10,11 @@
 // every sample carries its sim.Time and the series is keyed by a name
 // plus a sorted label set, Prometheus-style ("node.load{node=c1}").
 //
+// Series are append-only in simulated time: every sample is stamped
+// with the recording kernel's clock, which never runs backwards, so a
+// ring's samples are sorted by At oldest-first. Windowed reads rely on
+// this and find a window's start by binary search.
+//
 // Like obs, telemetry inherits the two design rules of the simulation:
 //
 //   - Determinism. Samples are stamped with sim.Time; snapshot, export,
@@ -29,7 +34,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"vmgrid/internal/sim"
 )
@@ -49,25 +53,24 @@ type Label struct {
 // L is shorthand for building a label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// canonicalKey renders name plus sorted labels as the series identity,
-// e.g. `node.load{node=c1}`. Series with no labels key as the bare name.
-func canonicalKey(name string, labels []Label) string {
+// appendKey appends the canonical series identity — name plus sorted
+// labels, e.g. `node.load{node=c1}` — to dst. Series with no labels key
+// as the bare name.
+func appendKey(dst []byte, name string, labels []Label) []byte {
+	dst = append(dst, name...)
 	if len(labels) == 0 {
-		return name
+		return dst
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = append(dst, l.Value...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
 // Series is a bounded ring buffer of timestamped samples under one
@@ -92,6 +95,8 @@ func (s *Series) Labels() []Label { return s.labels }
 func (s *Series) Key() string { return s.key }
 
 // Add appends a sample, evicting the oldest when the ring is full.
+// Samples must arrive in non-decreasing At order (see the package
+// comment).
 func (s *Series) Add(at sim.Time, v float64) {
 	if s.n < len(s.data) {
 		s.data[(s.start+s.n)%len(s.data)] = Point{At: at, V: v}
@@ -105,21 +110,40 @@ func (s *Series) Add(at sim.Time, v float64) {
 // Len returns the number of stored samples.
 func (s *Series) Len() int { return s.n }
 
+// point returns the i'th stored sample, oldest first.
+func (s *Series) point(i int) Point { return s.data[(s.start+i)%len(s.data)] }
+
 // Last returns the most recent sample (zero Point if empty).
 func (s *Series) Last() Point {
 	if s.n == 0 {
 		return Point{}
 	}
-	return s.data[(s.start+s.n-1)%len(s.data)]
+	return s.point(s.n - 1)
 }
 
 // Points returns the samples oldest-first (a copy).
 func (s *Series) Points() []Point {
 	out := make([]Point, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.data[(s.start+i)%len(s.data)]
+	for i := range out {
+		out[i] = s.point(i)
 	}
 	return out
+}
+
+// firstSince returns the index of the oldest sample with At >= since,
+// or Len() when there is none: a binary search over the time-sorted
+// ring.
+func (s *Series) firstSince(since sim.Time) int {
+	lo, hi := 0, s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.point(mid).At < since {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Agg summarizes the samples of one window.
@@ -136,35 +160,42 @@ type Agg struct {
 // Window aggregates the samples with At >= since (min/max/mean/p99 over
 // the sliding window, plus the latest value). An empty window returns
 // the zero Agg.
-func (s *Series) Window(since sim.Time) Agg {
-	var vals []float64
+func (s *Series) Window(since sim.Time) Agg { return s.window(since, true) }
+
+// window is Window with the percentile optional: only p99 needs the
+// window's values collected and sorted, so the other aggregates cost
+// one allocation-free pass.
+func (s *Series) window(since sim.Time, p99 bool) Agg {
 	var a Agg
-	for i := 0; i < s.n; i++ {
-		p := s.data[(s.start+i)%len(s.data)]
-		if p.At < since {
-			continue
-		}
-		vals = append(vals, p.V)
-		if a.Count == 0 || p.V < a.Min {
-			a.Min = p.V
-		}
-		if a.Count == 0 || p.V > a.Max {
-			a.Max = p.V
-		}
-		a.Mean += p.V
-		a.Last = p.V
-		a.Count++
-	}
+	first := s.firstSince(since)
+	a.Count = s.n - first
 	if a.Count == 0 {
 		return a
 	}
-	a.Mean /= float64(a.Count)
-	sort.Float64s(vals)
-	rank := (99*len(vals) + 99) / 100 // nearest-rank ceil(0.99·n)
-	if rank < 1 {
-		rank = 1
+	var vals []float64
+	if p99 {
+		vals = make([]float64, 0, a.Count)
 	}
-	a.P99 = vals[rank-1]
+	for i := first; i < s.n; i++ {
+		v := s.point(i).V
+		if i == first || v < a.Min {
+			a.Min = v
+		}
+		if i == first || v > a.Max {
+			a.Max = v
+		}
+		a.Mean += v
+		a.Last = v
+		if p99 {
+			vals = append(vals, v)
+		}
+	}
+	a.Mean /= float64(a.Count)
+	if p99 {
+		sort.Float64s(vals)
+		rank := (99*len(vals) + 99) / 100 // nearest-rank ceil(0.99·n)
+		a.P99 = vals[rank-1]
+	}
 	return a
 }
 
@@ -173,20 +204,12 @@ func (s *Series) Window(since sim.Time) Agg {
 // with fewer than two samples (or no time spread) rate as 0. Meaningful
 // for cumulative counters.
 func (s *Series) Rate(since sim.Time) float64 {
-	var first, last Point
-	count := 0
-	for i := 0; i < s.n; i++ {
-		p := s.data[(s.start+i)%len(s.data)]
-		if p.At < since {
-			continue
-		}
-		if count == 0 {
-			first = p
-		}
-		last = p
-		count++
+	i := s.firstSince(since)
+	if s.n-i < 2 {
+		return 0
 	}
-	if count < 2 || last.At <= first.At {
+	first, last := s.point(i), s.Last()
+	if last.At <= first.At {
 		return 0
 	}
 	return (last.V - first.V) / last.At.Sub(first.At).Seconds()
@@ -196,11 +219,15 @@ func (s *Series) Rate(since sim.Time) float64 {
 // write and hold at most the configured history per series. Canonical
 // keys are interned: the observe path renders the key into a reused
 // scratch buffer and resolves the series through a zero-copy map
-// lookup, so recording to an existing series allocates nothing.
+// lookup, so recording to an existing series allocates nothing. Each
+// name's series are also indexed in canonical-key order, so Select
+// walks one name's series instead of sorting every key.
 type DB struct {
-	history int
-	series  map[string]*Series
-	keyBuf  []byte // scratch for canonical-key rendering
+	history  int
+	series   map[string]*Series
+	byName   map[string][]*Series // per name, in canonical-key order
+	keyBuf   []byte               // scratch for canonical-key rendering
+	labelBuf []Label              // scratch for sorting unsorted label sets
 }
 
 // NewDB creates a store keeping history samples per series.
@@ -208,18 +235,23 @@ func NewDB(history int) (*DB, error) {
 	if history <= 0 {
 		return nil, fmt.Errorf("telemetry: history %d", history)
 	}
-	return &DB{history: history, series: make(map[string]*Series)}, nil
+	return &DB{history: history, series: make(map[string]*Series), byName: make(map[string][]*Series)}, nil
 }
 
-// upsert returns (creating if needed) the series for (name, labels).
-// labels must already be sorted by key; the slice is retained.
-func (db *DB) upsert(name string, labels []Label) *Series {
-	key := canonicalKey(name, labels)
-	s := db.series[key]
-	if s == nil {
-		s = &Series{name: name, labels: labels, key: key, data: make([]Point, db.history)}
-		db.series[key] = s
+// create interns a new series under key, copying labels (already
+// sorted) so callers' label slices are never retained.
+func (db *DB) create(name, key string, labels []Label) *Series {
+	s := &Series{name: name, key: key, data: make([]Point, db.history)}
+	if len(labels) > 0 {
+		s.labels = append([]Label(nil), labels...)
 	}
+	db.series[key] = s
+	idx := db.byName[name]
+	i := sort.Search(len(idx), func(i int) bool { return idx[i].key > key })
+	idx = append(idx, nil)
+	copy(idx[i+1:], idx[i:])
+	idx[i] = s
+	db.byName[name] = idx
 	return s
 }
 
@@ -239,39 +271,28 @@ func labelsSorted(ls []Label) bool {
 // on first use. Labels are sorted by key before keying. Unlabeled
 // samples — the inline instrumentation hot path — resolve by name
 // directly; labeled samples render their canonical key into the scratch
-// buffer and intern it on first use.
+// buffer and intern it on first use. at must not precede the series'
+// newest sample.
 func (db *DB) Record(at sim.Time, name string, labels []Label, v float64) {
 	if len(labels) == 0 {
 		s := db.series[name]
 		if s == nil {
-			s = &Series{name: name, key: name, data: make([]Point, db.history)}
-			db.series[name] = s
+			s = db.create(name, name, nil)
 		}
 		s.Add(at, v)
 		return
 	}
-	sorted := labels
+	sorted := labels // never stored: keeps the caller's slice off the heap
 	if !labelsSorted(labels) {
-		sorted = append([]Label(nil), labels...)
-		sortLabels(sorted)
+		db.labelBuf = append(db.labelBuf[:0], labels...)
+		sortLabels(db.labelBuf)
+		sorted = db.labelBuf
 	}
-	buf := append(db.keyBuf[:0], name...)
-	buf = append(buf, '{')
-	for i, l := range sorted {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, l.Key...)
-		buf = append(buf, '=')
-		buf = append(buf, l.Value...)
-	}
-	buf = append(buf, '}')
+	buf := appendKey(db.keyBuf[:0], name, sorted)
 	db.keyBuf = buf
 	s := db.series[string(buf)] // zero-copy lookup: the conversion does not escape
 	if s == nil {
-		key := string(buf)
-		s = &Series{name: name, labels: sorted, key: key, data: make([]Point, db.history)}
-		db.series[key] = s
+		s = db.create(name, string(buf), sorted)
 	}
 	s.Add(at, v)
 }
@@ -296,18 +317,18 @@ func (db *DB) Keys() []string {
 // Select returns the series matching name and carrying every label of
 // sub (a subset match; empty sub matches all), in key order.
 func (db *DB) Select(name string, sub []Label) []*Series {
-	var out []*Series
-	for _, k := range db.Keys() {
-		s := db.series[k]
-		if s.name != name {
-			continue
+	return db.appendSelect(nil, name, sub)
+}
+
+// appendSelect is Select appending into dst, so a caller that reuses
+// dst selects without allocating.
+func (db *DB) appendSelect(dst []*Series, name string, sub []Label) []*Series {
+	for _, s := range db.byName[name] {
+		if labelsSubset(sub, s.labels) {
+			dst = append(dst, s)
 		}
-		if !labelsSubset(sub, s.labels) {
-			continue
-		}
-		out = append(out, s)
 	}
-	return out
+	return dst
 }
 
 // labelsSubset reports whether every label of sub appears in set.
@@ -315,7 +336,7 @@ func labelsSubset(sub, set []Label) bool {
 	for _, want := range sub {
 		found := false
 		for _, have := range set {
-			if have.Key == want.Key && have.Value == want.Value {
+			if have == want {
 				found = true
 				break
 			}

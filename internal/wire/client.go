@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -81,7 +82,7 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   net.Conn
-	reader *bufio.Scanner
+	reader *bufio.Reader
 	enc    *json.Encoder
 	nextID int64
 }
@@ -126,10 +127,34 @@ func (c *Client) ensureConn() error {
 	if err != nil {
 		return fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	c.conn, c.reader, c.enc = conn, scanner, json.NewEncoder(conn)
+	// Responses are read without a size cap: the server bounds what it
+	// accepts, but replies such as spans grow with the daemon's history.
+	c.conn, c.reader, c.enc = conn, bufio.NewReaderSize(conn, 64<<10), json.NewEncoder(conn)
 	return nil
+}
+
+// readResponse reads and decodes the next response line, dropping the
+// connection if the stream breaks. Callers hold mu.
+func (c *Client) readResponse(id int64) (Response, error) {
+	line, err := c.reader.ReadBytes('\n')
+	if err != nil && (len(line) == 0 || !errors.Is(err, io.EOF)) {
+		c.dropConn()
+		if errors.Is(err, io.EOF) {
+			return Response{}, errors.New("wire: connection closed")
+		}
+		return Response{}, fmt.Errorf("wire: recv: %w", err)
+	}
+	var resp Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return Response{}, fmt.Errorf("wire: bad response: %w", err)
+	}
+	if resp.ID != id {
+		return Response{}, fmt.Errorf("wire: response id %d for request %d", resp.ID, id)
+	}
+	if resp.Error != "" {
+		return Response{}, decodeError(resp)
+	}
+	return resp, nil
 }
 
 // dropConn discards a connection whose stream state is unknown; the
@@ -197,23 +222,9 @@ func (c *Client) Call(op string, params any, out any, opts ...CallOption) error 
 
 // recv reads and decodes the response to req. Callers hold mu.
 func (c *Client) recv(req Request, out any) error {
-	if !c.reader.Scan() {
-		err := c.reader.Err()
-		c.dropConn()
-		if err != nil {
-			return fmt.Errorf("wire: recv: %w", err)
-		}
-		return errors.New("wire: connection closed")
-	}
-	var resp Response
-	if err := json.Unmarshal(c.reader.Bytes(), &resp); err != nil {
-		return fmt.Errorf("wire: bad response: %w", err)
-	}
-	if resp.ID != req.ID {
-		return fmt.Errorf("wire: response id %d for request %d", resp.ID, req.ID)
-	}
-	if resp.Error != "" {
-		return decodeError(resp)
+	resp, err := c.readResponse(req.ID)
+	if err != nil {
+		return err
 	}
 	if out != nil {
 		if err := json.Unmarshal(resp.Data, out); err != nil {
@@ -382,23 +393,9 @@ func (c *Client) Watch(count int, everySec float64, fn func(TopInfo) error) erro
 	}
 	for {
 		_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
-		if !c.reader.Scan() {
-			err := c.reader.Err()
-			c.dropConn()
-			if err != nil {
-				return fmt.Errorf("wire: recv: %w", err)
-			}
-			return errors.New("wire: connection closed")
-		}
-		var resp Response
-		if err := json.Unmarshal(c.reader.Bytes(), &resp); err != nil {
-			return fmt.Errorf("wire: bad response: %w", err)
-		}
-		if resp.ID != req.ID {
-			return fmt.Errorf("wire: response id %d for request %d", resp.ID, req.ID)
-		}
-		if resp.Error != "" {
-			return decodeError(resp)
+		resp, err := c.readResponse(req.ID)
+		if err != nil {
+			return err
 		}
 		var frame TopInfo
 		if err := json.Unmarshal(resp.Data, &frame); err != nil {

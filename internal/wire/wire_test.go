@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"vmgrid/internal/sim"
 )
 
 // startServer spins a server on a free port and returns a connected
@@ -315,5 +319,44 @@ func TestUsageOverTCP(t *testing.T) {
 	}
 	if _, err := c.Usage("ghost"); err == nil {
 		t.Error("usage of unknown session accepted")
+	}
+}
+
+// TestSpansResponseLargerThanFourMiB: the client reads a reply of any
+// size over live TCP. A spans reply outgrows 4 MiB after a daemon has
+// served a few hundred session lifecycles; only the server caps what it
+// accepts (requests), never what it sends.
+func TestSpansResponseLargerThanFourMiB(t *testing.T) {
+	srv := NewServer(1)
+	const n = 60000
+	for i := 0; i < n; i++ {
+		srv.trace.SpanAt("session/s"+strconv.Itoa(i%250), "phase", "vm-boot", sim.Time(i), sim.Time(i+1))
+	}
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+
+	spans, err := c.Spans()
+	if err != nil {
+		t.Fatalf("spans: %v", err)
+	}
+	if len(spans) < n {
+		t.Fatalf("spans = %d, want >= %d", len(spans), n)
+	}
+	raw, err := json.Marshal(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) <= 4<<20 {
+		t.Fatalf("reply is %d bytes; the test needs one above 4 MiB", len(raw))
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after a large reply: %v", err)
 	}
 }
