@@ -11,8 +11,15 @@ import (
 type Disk struct {
 	k     *sim.Kernel
 	spec  DiskSpec
-	queue []diskReq
+	queue []diskReq // waiting requests are queue[head:]
+	head  int
 	busy  bool
+
+	// inService is the completion of the request being serviced;
+	// completeFn is d.complete, bound once so a request schedules no
+	// new closure.
+	inService  func()
+	completeFn func()
 
 	requests  uint64
 	bytesRead uint64
@@ -26,7 +33,9 @@ type diskReq struct {
 
 // NewDisk creates a disk device on the kernel.
 func NewDisk(k *sim.Kernel, spec DiskSpec) *Disk {
-	return &Disk{k: k, spec: spec}
+	d := &Disk{k: k, spec: spec}
+	d.completeFn = d.complete
+	return d
 }
 
 // Spec returns the device's static description.
@@ -40,7 +49,7 @@ func (d *Disk) BytesTransferred() uint64 { return d.bytesRead }
 
 // QueueLen returns the number of requests waiting (not counting the one
 // in service).
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return len(d.queue) - d.head }
 
 // Submit enqueues a transfer of size bytes and invokes done when it
 // completes. Each Submit pays the device's seek time.
@@ -58,6 +67,12 @@ func (d *Disk) SubmitSequential(size int64, done func()) {
 func (d *Disk) submit(req diskReq) {
 	d.requests++
 	if d.busy {
+		if len(d.queue) == cap(d.queue) && d.head > 0 {
+			// Reuse the popped prefix instead of growing the array.
+			n := copy(d.queue, d.queue[d.head:])
+			clear(d.queue[n:])
+			d.queue, d.head = d.queue[:n], 0
+		}
 		d.queue = append(d.queue, req)
 		return
 	}
@@ -75,25 +90,33 @@ func (d *Disk) serviceTime(size int64, sequential bool) sim.Duration {
 func (d *Disk) start(req diskReq) {
 	d.busy = true
 	d.bytesRead += uint64(req.size)
-	svc := d.serviceTime(req.size, req.sequential)
-	d.k.After(svc, func() {
-		d.busy = false
-		// Start the next queued request before running the completion
-		// callback: a stream that resubmits from its callback must go to
-		// the back of the line, not cut in front of waiting requests.
-		d.next()
-		if req.done != nil {
-			req.done()
-		}
-	})
+	d.inService = req.done
+	d.k.After(d.serviceTime(req.size, req.sequential), d.completeFn)
+}
+
+func (d *Disk) complete() {
+	done := d.inService
+	d.inService = nil
+	d.busy = false
+	// Start the next queued request before running the completion
+	// callback: a stream that resubmits from its callback must go to
+	// the back of the line, not cut in front of waiting requests.
+	d.next()
+	if done != nil {
+		done()
+	}
 }
 
 func (d *Disk) next() {
-	if d.busy || len(d.queue) == 0 {
+	if d.busy || d.head == len(d.queue) {
 		return
 	}
-	req := d.queue[0]
-	d.queue = d.queue[1:]
+	req := d.queue[d.head]
+	d.queue[d.head] = diskReq{}
+	d.head++
+	if d.head == len(d.queue) {
+		d.queue, d.head = d.queue[:0], 0
+	}
 	d.start(req)
 }
 

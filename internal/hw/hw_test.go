@@ -148,3 +148,60 @@ func TestReadTimeMatchesSubmit(t *testing.T) {
 		t.Errorf("ReadTime = %v, actual completion %v", got, doneAt)
 	}
 }
+
+// TestDiskSteadyStateZeroAllocs: once warm, submitting and completing
+// requests, queued ones included, allocates nothing — the completion is
+// bound once per disk and the FIFO reuses its array.
+func TestDiskSteadyStateZeroAllocs(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := NewDisk(k, DiskSpec{SeekTime: sim.Millisecond, BandwidthBps: 1e6})
+	done := func() {}
+	allocs := testing.AllocsPerRun(200, func() {
+		d.Submit(4096, done)
+		d.SubmitSequential(4096, done)
+		d.Submit(4096, done)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("submit+complete allocates %v per run, want 0", allocs)
+	}
+	if d.QueueLen() != 0 {
+		t.Fatalf("QueueLen = %d after drain", d.QueueLen())
+	}
+}
+
+// TestDiskQueueFIFOUnderSustainedLoad keeps the queue from ever draining
+// while completions resubmit, so the popped prefix must be reclaimed
+// without reordering anything.
+func TestDiskQueueFIFOUnderSustainedLoad(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := NewDisk(k, DiskSpec{SeekTime: sim.Millisecond, BandwidthBps: 1e6})
+	var order []int
+	next := 0
+	var submit func()
+	submit = func() {
+		i := next
+		next++
+		d.Submit(1000, func() {
+			order = append(order, i)
+			if next < 500 {
+				submit()
+			}
+		})
+	}
+	for i := 0; i < 5; i++ {
+		submit()
+	}
+	k.Run()
+	if len(order) != 500 {
+		t.Fatalf("%d completions, want 500", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("completion %d was request %d, want FIFO", i, v)
+		}
+	}
+	if cap(d.queue) > 16 {
+		t.Errorf("queue array grew to %d for at most 5 waiting requests", cap(d.queue))
+	}
+}

@@ -1,6 +1,6 @@
 // Package lru provides the intrusive LRU index shared by the simulation
-// data plane's block caches (the vfs proxy cache and the host OS buffer
-// cache). It replaces container/list in those hot paths: nodes are
+// data plane's caches (the vfs proxy block cache and the chunk cache).
+// It replaces container/list in those hot paths: nodes are
 // recycled through a freelist and the index map is pre-sized, so a cache
 // operating at steady state performs no allocations at all — a touch is
 // a map lookup plus four pointer writes.

@@ -283,25 +283,27 @@ func (s *Store) Copy(src, dst string, done func()) error {
 	}
 	k := s.host.Kernel()
 	cache := s.host.Cache()
-	var step func(off int64)
-	step = func(off int64) {
+	qsrc, qdst := s.qualify(src), s.qualify(dst)
+	// One chunk is in flight at a time, so the continuations share its
+	// window and are bound once per copy rather than once per chunk.
+	var off, n int64
+	var step, read, wrote func()
+	step = func() {
 		if off >= size {
 			if done != nil {
 				done()
 			}
 			return
 		}
-		n := CopyChunk
-		if off+n > size {
-			n = size - off
-		}
-		cache.Read(k, s.qualify(src), off, n, func() {
-			cache.WriteSequential(k, s.qualify(dst), off, n, func() {
-				step(off + n)
-			})
-		})
+		n = min(CopyChunk, size-off)
+		cache.Read(k, qsrc, off, n, read)
 	}
-	step(0)
+	read = func() { cache.WriteSequential(k, qdst, off, n, wrote) }
+	wrote = func() {
+		off += n
+		step()
+	}
+	step()
 	return nil
 }
 
