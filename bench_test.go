@@ -1,9 +1,9 @@
 // Package vmgrid's top-level benchmarks regenerate the paper's
-// evaluation, one benchmark per table or figure, plus the ablations
-// indexed in DESIGN.md. Each benchmark iteration runs the full
-// experiment in simulated time; the reported ns/op is host time to
-// simulate it, and the experiment benchmarks also report samples/sec —
-// simulation samples completed per host second — which is the
+// evaluation and the ablations indexed in DESIGN.md: one
+// BenchmarkExperiment/<name> per entry of experiments.Experiments. Each
+// benchmark iteration runs the full experiment in simulated time; the
+// reported ns/op is host time to simulate it, and samples/sec —
+// simulation samples completed per host second — is the
 // paper-meaningful throughput number to track across commits (the
 // paper-comparable outputs are printed in the tables via cmd/gridbench
 // and recorded in EXPERIMENTS.md).
@@ -25,58 +25,27 @@ import (
 	"vmgrid/internal/storage"
 )
 
-// fig1Samples is the per-scenario sample count the benchmarks use (the
-// paper uses 1000; 200 keeps iterations short without changing shape).
+// fig1Samples is the per-scenario sample count BenchmarkRunnerParallel
+// uses (the paper uses 1000; 200 keeps iterations short without
+// changing shape).
 const fig1Samples = 200
 
-// BenchmarkFigure1Microbenchmark regenerates Figure 1: the twelve
-// (load class × load placement × test placement) slowdown bars.
-func BenchmarkFigure1Microbenchmark(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure1(experiments.Fig1Config{
-			Seed: uint64(i + 1), Samples: fig1Samples, TaskSeconds: 1,
+// BenchmarkExperiment runs every registered experiment at its default
+// sample count, one sub-benchmark per experiment.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			samples := 0
+			for i := 0; i < b.N; i++ {
+				_, n, err := e.Run(experiments.Ctx{Seed: uint64(i + 1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				samples = n
+			}
+			reportSamplesPerSec(b, samples)
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 12 {
-			b.Fatalf("rows = %d", len(rows))
-		}
 	}
-	reportSamplesPerSec(b, 12*fig1Samples)
-}
-
-// BenchmarkTable1Macrobenchmark regenerates Table 1: SPECseis and
-// SPECclimate on physical hardware, VM with local state, and VM with
-// state over the grid virtual file system.
-func BenchmarkTable1Macrobenchmark(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(uint64(i+1), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 6 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-	reportSamplesPerSec(b, 6)
-}
-
-// BenchmarkTable2Startup regenerates Table 2: globusrun-driven VM
-// startup for reboot/restore × persistent/DiskFS/LoopbackNFS.
-func BenchmarkTable2Startup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(experiments.Table2Config{
-			Seed: uint64(i + 1), Samples: 10,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 6 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-	reportSamplesPerSec(b, 6*10)
 }
 
 // reportSamplesPerSec converts ns/op into the paper-meaningful
@@ -131,66 +100,6 @@ func BenchmarkRunnerParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStaging regenerates ablation A: staging vs on-demand
-// image transfer across working-set fractions.
-func BenchmarkAblationStaging(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationStaging(uint64(i+1), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationProxyCache regenerates ablation B: sequential boots
-// sharing a master image through the host buffer cache.
-func BenchmarkAblationProxyCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationProxyCache(uint64(i+1), 4, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationScheduling regenerates ablation C: lottery vs WFQ vs
-// stop/cont enforcement of a 70/30 split.
-func BenchmarkAblationScheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationScheduling(uint64(i+1), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationMigration regenerates ablation D: migrate vs restart
-// for an interrupted long job.
-func BenchmarkAblationMigration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMigration(uint64(i+1), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationOverlay regenerates ablation F: overlay routing
-// around a degraded direct path.
-func BenchmarkAblationOverlay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationOverlay(uint64(i+1), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPredictors regenerates ablation E: RPS predictor
-// accuracy on synthetic host load.
-func BenchmarkAblationPredictors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPredictors(uint64(i+1), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlacement measures the raw placement decision rate: one op
 // runs each built-in policy's Pick over a 64-node candidate pool (the
 // per-create / per-restore / per-balancer-tick hot path). samples/sec
@@ -221,23 +130,6 @@ func BenchmarkPlacement(b *testing.B) {
 		}
 	}
 	reportSamplesPerSec(b, len(policies))
-}
-
-// BenchmarkAblationBalance regenerates ablation I: the policy × balancer
-// sweep over the skewed burst workload (1 sample x 6 arms per op, each
-// arm a full nine-session grid run with telemetry and, in half the arms,
-// the autonomic balancer migrating live sessions).
-func BenchmarkAblationBalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBalance(uint64(i+1), 1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 6 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-	reportSamplesPerSec(b, 6)
 }
 
 // BenchmarkChunkedStage measures the content-addressed staging hot
@@ -284,37 +176,4 @@ func BenchmarkChunkedStage(b *testing.B) {
 		}
 	}
 	reportSamplesPerSec(b, 2)
-}
-
-// BenchmarkDeltaCheckpoint regenerates ablation J: the chunk-size ×
-// checkpoint-interval sweep (1 sample x 12 cells per op, each cell a
-// staged-instantiation pair plus a supervised delta-checkpointed run).
-func BenchmarkDeltaCheckpoint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationDelta(uint64(i+1), 1, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 12 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-	reportSamplesPerSec(b, 12)
-}
-
-// BenchmarkAblationPartition regenerates ablation H: the partition
-// chaos sweep with fenced failover (2 samples x 6 cells per op, every
-// run enforcing the no-lost-write / single-completion / convergence
-// invariants).
-func BenchmarkAblationPartition(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationPartition(uint64(i+1), 2, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 6 {
-			b.Fatalf("rows = %d", len(rows))
-		}
-	}
-	reportSamplesPerSec(b, 2*6)
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vmgrid/internal/experiments"
 )
 
 // captureRun executes run(args) with stdout captured and returns the
@@ -62,38 +64,47 @@ func TestCriticalPathTableByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestOutputsByteIdenticalAcrossParallelism regenerates Table 1,
-// Table 2, and Ablation A at -parallel 1 and -parallel 8 and requires
-// the tables to match the committed goldens byte for byte. This is the
-// determinism guard on the data-plane optimizations: batched reads,
-// pooled RPC calls, incremental routes, and interned telemetry keys
-// must not move a single event, so the numbers cannot drift — at any
-// worker count.
+// TestOutputsByteIdenticalAcrossParallelism runs every registered
+// experiment at -parallel 1 and -parallel 8 and requires the tables to
+// match its committed golden byte for byte. This is the determinism
+// guard on the data-plane optimizations: batched reads, pooled RPC
+// calls, incremental routes, and interned telemetry keys must not move a
+// single event, so the numbers cannot drift — at any worker count.
+//
+// An experiment's golden is testdata/<name>.golden, run at its default
+// sample count, or testdata/<name>_s<N>.golden, run at -samples N. An
+// experiment without exactly one golden fails the test.
 func TestOutputsByteIdenticalAcrossParallelism(t *testing.T) {
-	cases := []struct {
-		golden string
-		args   []string
-	}{
-		{"table1.golden", []string{"-exp", "table1"}},
-		{"table2_s2.golden", []string{"-exp", "table2", "-samples", "2"}},
-		{"ablation-staging.golden", []string{"-exp", "ablation-staging"}},
-		{"ablation-balance.golden", []string{"-exp", "ablation-balance"}},
-		{"ablation-delta.golden", []string{"-exp", "ablation-delta"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+	for _, e := range experiments.Experiments {
+		matches, err := filepath.Glob(filepath.Join("testdata", e.Name+"_s*.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join("testdata", e.Name+".golden")); err == nil {
+			matches = append(matches, filepath.Join("testdata", e.Name+".golden"))
+		}
+		if len(matches) != 1 {
+			t.Errorf("%s: want exactly one golden in testdata, found %v", e.Name, matches)
+			continue
+		}
+		golden := filepath.Base(matches[0])
+		args := []string{"-exp", e.Name}
+		if n, ok := strings.CutPrefix(strings.TrimSuffix(golden, ".golden"), e.Name+"_s"); ok {
+			args = append(args, "-samples", n)
+		}
+		t.Run(golden, func(t *testing.T) {
+			want, err := os.ReadFile(matches[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			p1 := captureRun(t, append(tc.args, "-parallel", "1")...)
-			p8 := captureRun(t, append(tc.args, "-parallel", "8")...)
+			p1 := captureRun(t, append(args, "-parallel", "1")...)
+			p8 := captureRun(t, append(args, "-parallel", "8")...)
 			if p1 != p8 {
 				t.Errorf("output differs between -parallel 1 and -parallel 8")
 			}
 			if p1 != string(want) {
 				t.Errorf("output drifted from committed golden %s:\n got %d bytes\nwant %d bytes",
-					tc.golden, len(p1), len(want))
+					golden, len(p1), len(want))
 			}
 		})
 	}

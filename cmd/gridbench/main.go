@@ -5,11 +5,16 @@
 // Usage:
 //
 //	gridbench [-exp all|fig1|table1|table2|ablation-staging|ablation-cache|
-//	           ablation-sched|ablation-migration|ablation-rps|
-//	           ablation-recovery|ablation-partition|ablation-balance|
-//	           ablation-delta]
-//	          [-seed N] [-samples N] [-parallel N] [-trace out.json]
-//	          [-telemetry out.json]
+//	           ablation-sched|ablation-migration|ablation-overlay|
+//	           ablation-rps|ablation-recovery|ablation-partition|
+//	           ablation-balance|ablation-delta]
+//	          [-seed N] [-samples N] [-parallel N] [-format text|csv]
+//	          [-trace out.json] [-telemetry out.json] [-incidents out.json]
+//	          [-pprof cpu.out] [-pprof-mem mem.out]
+//
+// The experiments and their order come from experiments.Experiments.
+// -samples overrides the sample count of the experiments that take one;
+// naming a single fixed-design experiment with -samples is an error.
 //
 // Independent simulation samples fan out across -parallel worker
 // goroutines (default: one per CPU). The tables are bit-identical for
@@ -74,6 +79,21 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	selected := experiments.Experiments
+	if *exp != "all" {
+		e, ok := experiments.Lookup(*exp)
+		if !ok {
+			names := []string{"all"}
+			for _, e := range experiments.Experiments {
+				names = append(names, e.Name)
+			}
+			return fmt.Errorf("unknown experiment %q (want one of: %s)", *exp, strings.Join(names, ", "))
+		}
+		if *samples > 0 && !e.Samples {
+			return fmt.Errorf("%s has a fixed design and takes no -samples", e.Name)
+		}
+		selected = []experiments.Experiment{e}
+	}
 	if *pprofPath != "" {
 		f, err := os.Create(*pprofPath)
 		if err != nil {
@@ -130,186 +150,16 @@ func run(args []string) error {
 	fmt.Printf("# gridbench seed=%d parallel=%d cpus=%d %s\n\n",
 		*seed, workers, runtime.NumCPU(), runtime.Version())
 
-	runners := map[string]func() error{
-		"fig1": func() error {
-			cfg := experiments.DefaultFig1Config()
-			cfg.Seed = *seed
-			cfg.Workers = workers
-			cfg.Trace = traceSet
-			cfg.Telemetry = telemetrySet
-			if *samples > 0 {
-				cfg.Samples = *samples
-			}
-			rows, err := experiments.Figure1(cfg)
-			if err != nil {
-				return err
-			}
-			emit(experiments.Figure1Table(rows))
-			return nil
-		},
-		"table1": func() error {
-			rows, err := experiments.Table1(*seed, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.Table1Table(rows))
-			return nil
-		},
-		"table2": func() error {
-			cfg := experiments.DefaultTable2Config()
-			cfg.Seed = *seed
-			cfg.Workers = workers
-			cfg.Trace = traceSet
-			cfg.Telemetry = telemetrySet
-			if *samples > 0 {
-				cfg.Samples = *samples
-			}
-			rows, err := experiments.Table2(cfg)
-			if err != nil {
-				return err
-			}
-			emit(experiments.Table2Table(rows))
-			return nil
-		},
-		"ablation-staging": func() error {
-			rows, err := experiments.AblationStaging(*seed, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.StagingTable(rows))
-			return nil
-		},
-		"ablation-cache": func() error {
-			n := 4
-			if *samples > 0 {
-				n = *samples
-			}
-			rows, err := experiments.AblationProxyCache(*seed, n, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.CacheTable(rows))
-			return nil
-		},
-		"ablation-sched": func() error {
-			rows, err := experiments.AblationScheduling(*seed, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.SchedTable(rows))
-			return nil
-		},
-		"ablation-migration": func() error {
-			rows, err := experiments.AblationMigration(*seed, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.MigrationTable(rows))
-			return nil
-		},
-		"ablation-overlay": func() error {
-			rows, err := experiments.AblationOverlay(*seed, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.OverlayTable(rows))
-			return nil
-		},
-		"ablation-recovery": func() error {
-			n := 0 // package default replicate count
-			if *samples > 0 {
-				n = *samples
-			}
-			var rows []experiments.RecoveryRow
-			var err error
-			if incidentSet != nil {
-				rows, err = experiments.AblationRecoveryIncidents(*seed, n, workers, incidentSet)
-			} else {
-				rows, err = experiments.AblationRecovery(*seed, n, workers)
-			}
-			if err != nil {
-				return err
-			}
-			emit(experiments.RecoveryTable(rows))
-			return nil
-		},
-		"ablation-partition": func() error {
-			n := 0 // package default replicate count
-			if *samples > 0 {
-				n = *samples
-			}
-			rows, err := experiments.AblationPartition(*seed, n, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.PartitionTable(rows))
-			return nil
-		},
-		"ablation-balance": func() error {
-			n := 0 // package default replicate count
-			if *samples > 0 {
-				n = *samples
-			}
-			rows, err := experiments.AblationBalance(*seed, n, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.BalanceTable(rows))
-			return nil
-		},
-		"ablation-delta": func() error {
-			n := 0 // package default replicate count
-			if *samples > 0 {
-				n = *samples
-			}
-			rows, err := experiments.AblationDelta(*seed, n, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.DeltaTable(rows))
-			return nil
-		},
-		"ablation-rps": func() error {
-			rows, err := experiments.AblationPredictors(*seed, workers)
-			if err != nil {
-				return err
-			}
-			emit(experiments.PredictorTable(rows))
-			return nil
-		},
+	ctx := experiments.Ctx{
+		Seed: *seed, Samples: *samples, Workers: workers,
+		Trace: traceSet, Telemetry: telemetrySet, Incidents: incidentSet,
 	}
-
-	if *exp == "all" {
-		for _, name := range []string{
-			"fig1", "table1", "table2",
-			"ablation-staging", "ablation-cache", "ablation-sched",
-			"ablation-migration", "ablation-overlay", "ablation-rps",
-			"ablation-recovery", "ablation-partition", "ablation-balance",
-			"ablation-delta",
-		} {
-			if err := runners[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+	for _, e := range selected {
+		t, _, err := e.Run(ctx)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		if err := writeTrace(traceSet, *tracePath, emit); err != nil {
-			return err
-		}
-		if err := writeTelemetry(telemetrySet, *telemetryPath); err != nil {
-			return err
-		}
-		return writeIncidents(incidentSet, *incidentsPath)
-	}
-	runner, ok := runners[*exp]
-	if !ok {
-		names := make([]string, 0, len(runners)+1)
-		names = append(names, "all")
-		for name := range runners {
-			names = append(names, name)
-		}
-		return fmt.Errorf("unknown experiment %q (want one of: %s)", *exp, strings.Join(names, ", "))
-	}
-	if err := runner(); err != nil {
-		return err
+		emit(t)
 	}
 	if err := writeTrace(traceSet, *tracePath, emit); err != nil {
 		return err

@@ -3,12 +3,38 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"vmgrid/internal/experiments"
 )
 
 func TestUnknownExperimentRejected(t *testing.T) {
+	const want = `unknown experiment "warp-drive" (want one of: all, fig1, table1, table2, ` +
+		`ablation-staging, ablation-cache, ablation-sched, ablation-migration, ablation-overlay, ` +
+		`ablation-rps, ablation-recovery, ablation-partition, ablation-balance, ablation-delta)`
 	err := run([]string{"-exp", "warp-drive"})
-	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
-		t.Errorf("error = %v", err)
+	if err == nil || err.Error() != want {
+		t.Errorf("error = %v\nwant %s", err, want)
+	}
+}
+
+// TestSamplesRejectedForFixedDesign: -samples on a single experiment
+// that takes no sample count must fail, naming the experiment, instead
+// of silently running the fixed design.
+func TestSamplesRejectedForFixedDesign(t *testing.T) {
+	var fixed []string
+	for _, e := range experiments.Experiments {
+		if e.Samples {
+			continue
+		}
+		fixed = append(fixed, e.Name)
+		err := run([]string{"-exp", e.Name, "-samples", "7"})
+		if err == nil || !strings.Contains(err.Error(), e.Name) {
+			t.Errorf("%s -samples 7: error = %v", e.Name, err)
+		}
+	}
+	want := "table1 ablation-staging ablation-sched ablation-migration ablation-overlay ablation-rps"
+	if got := strings.Join(fixed, " "); got != want {
+		t.Errorf("fixed-design experiments = %s, want %s", got, want)
 	}
 }
 

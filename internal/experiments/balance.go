@@ -30,6 +30,9 @@ import (
 // users feel from co-location) and the node-utilization spread (the
 // imbalance the policy left behind).
 
+// balanceSamples is the default replicate count.
+const balanceSamples = 4
+
 // BalanceRow aggregates one (policy, balancer on/off) arm.
 type BalanceRow struct {
 	// Policy is the placement policy under test.
@@ -85,7 +88,7 @@ var balancePolicies = []struct {
 // worker count.
 func AblationBalance(seed uint64, samples, workers int) ([]BalanceRow, error) {
 	if samples <= 0 {
-		samples = 4
+		samples = balanceSamples
 	}
 	arms, err := RunSamples(context.Background(), seed, samples, workers,
 		func(i int, sseed uint64) ([]balanceArm, error) {

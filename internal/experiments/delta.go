@@ -77,6 +77,8 @@ const (
 	// deltaTaskSec runs the supervised workload long enough for several
 	// steady-state checkpoints at the slowest interval.
 	deltaTaskSec = 600
+	// deltaSamples is the default replicate count per interval.
+	deltaSamples = 2
 	// deltaDirtyBps is the guest's modeled memory dirty rate: at 30 s
 	// intervals roughly 4 MB of the 64 MB image changes per checkpoint.
 	deltaDirtyBps = 128 << 10
@@ -92,7 +94,7 @@ func AblationDelta(seed uint64, samples, workers int) ([]DeltaRow, error) {
 	intervals := []sim.Duration{30 * sim.Second, 60 * sim.Second, 120 * sim.Second}
 	sizes := []int64{0, 64 << 10, 256 << 10, 1 << 20}
 	if samples <= 0 {
-		samples = 2
+		samples = deltaSamples
 	}
 	results, err := RunSamples(context.Background(), seed, len(intervals)*samples, workers,
 		func(i int, sseed uint64) ([]deltaArm, error) {

@@ -13,7 +13,7 @@ import (
 func recoveryIncidents(t *testing.T, workers int) (*obs.IncidentSet, []byte) {
 	t.Helper()
 	set := obs.NewIncidentSet()
-	if _, err := AblationRecoveryIncidents(5, 1, workers, set); err != nil {
+	if _, err := ablationRecovery(5, 1, workers, set); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

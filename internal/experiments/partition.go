@@ -73,6 +73,9 @@ type partitionArm struct {
 // enough that the Poisson partition schedule lands several cuts.
 const partitionTaskSec = 900
 
+// partitionSamples is the default replicate count per duration.
+const partitionSamples = 6
+
 // probeKind tags the acked-durability probe records ablation H writes
 // into the registry.
 const probeKind = gis.Kind("bench-probe")
@@ -87,7 +90,7 @@ func AblationPartition(seed uint64, samples, workers int) ([]PartitionRow, error
 	durations := []sim.Duration{60 * sim.Second, 180 * sim.Second}
 	counts := []int{1, 3, 5}
 	if samples <= 0 {
-		samples = 6
+		samples = partitionSamples
 	}
 	arms, err := RunSamples(context.Background(), seed, len(durations)*samples, workers,
 		func(i int, sseed uint64) ([]partitionArm, error) {

@@ -77,6 +77,9 @@ type recoveryArm struct {
 // crashes at the fast MTBF, short enough to keep the sweep cheap.
 const recoveryTaskSec = 1500
 
+// recoverySamples is the default replicate count per MTBF.
+const recoverySamples = 8
+
 // AblationRecovery sweeps checkpoint interval × failure rate. The design
 // is paired: one sample is one (MTBF, replicate) pair whose crash
 // schedule — drawn from fault.NewSeeded with the sample's seed — replays
@@ -87,23 +90,19 @@ func AblationRecovery(seed uint64, samples, workers int) ([]RecoveryRow, error) 
 	return ablationRecovery(seed, samples, workers, nil)
 }
 
-// AblationRecoveryIncidents runs the same sweep with every run's grid
-// carrying a flight recorder (flight-only tracer: causal spans feed the
-// ring and incident capture but are never retained whole). Each run's
-// incident bundles — one "recovery" incident per failover, sealed with a
-// postmortem when the failover resolves — are collected into set in
-// sample order, so the JSON export is byte-identical at any worker
+// ablationRecovery is AblationRecovery with, when set is non-nil, every
+// run's grid carrying a flight recorder (flight-only tracer: causal spans
+// feed the ring and incident capture but are never retained whole). Each
+// run's incident bundles — one "recovery" incident per failover, sealed
+// with a postmortem when the failover resolves — are collected into set
+// in sample order, so the JSON export is byte-identical at any worker
 // count. The measured rows are unchanged: recording never alters
 // simulation outcomes.
-func AblationRecoveryIncidents(seed uint64, samples, workers int, set *obs.IncidentSet) ([]RecoveryRow, error) {
-	return ablationRecovery(seed, samples, workers, set)
-}
-
 func ablationRecovery(seed uint64, samples, workers int, set *obs.IncidentSet) ([]RecoveryRow, error) {
 	mtbfs := []sim.Duration{10 * sim.Minute, 30 * sim.Minute}
 	intervals := []sim.Duration{30 * sim.Second, 60 * sim.Second, 120 * sim.Second, 240 * sim.Second}
 	if samples <= 0 {
-		samples = 8
+		samples = recoverySamples
 	}
 	type sampleOut struct {
 		arms []recoveryArm
