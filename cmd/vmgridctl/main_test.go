@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,16 +287,16 @@ func TestCtlWatchDrain(t *testing.T) {
 	}
 	defer c.Close()
 
-	frames := 0
+	var frames atomic.Int64
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- c.Watch(1_000_000, 1, func(wire.TopInfo) error {
-			frames++
+			frames.Add(1)
 			return nil
 		})
 	}()
 	// Let a few frames land, then drain the server under the stream.
-	for i := 0; i < 200 && frames == 0; i++ {
+	for i := 0; i < 200 && frames.Load() == 0; i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := srv.Close(); err != nil {
@@ -309,7 +310,7 @@ func TestCtlWatchDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("watch hung through server drain")
 	}
-	if frames == 0 {
+	if frames.Load() == 0 {
 		t.Fatal("no frames before drain")
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"errors"
+
 	"vmgrid/internal/gis"
 	"vmgrid/internal/placement"
-	"vmgrid/internal/telemetry"
 )
 
 // BalancerConfig configures the grid's autonomic load balancer: the
@@ -18,11 +19,9 @@ type BalancerConfig struct {
 	Placer placement.Placer
 }
 
-// gridFabric adapts the grid to the balancer's world view. All reads
-// flow through the observability surfaces a real deployment would have
-// — the telemetry TSDB when enabled, the RPS forecast otherwise —
-// rather than reaching into simulator internals the balancer could
-// never see.
+// gridFabric adapts the grid to the balancer's world view. Its load
+// reads go through the telemetry TSDB a real deployment would scrape,
+// rather than into simulator internals the balancer could never see.
 type gridFabric struct {
 	g      *Grid
 	placer placement.Placer
@@ -30,33 +29,20 @@ type gridFabric struct {
 
 func (f *gridFabric) Nodes() []string { return f.g.computeNodes() }
 
-// NodeLoad is the balancer's hotspot signal for one node: the
-// telemetry pipeline's predicted-load series when the collector is
-// scraping (the anticipatory signal Ablation I sweeps), then its raw
-// load series, then the monitor's live forecast, then the host's load
-// average — the best signal available in the current configuration.
+// NodeLoad is the balancer's hotspot signal for one node: the last
+// value of the TSDB's node.predicted_load series, which the scrape loop
+// copies from the monitor's forecast. ok is false until that series
+// exists.
 func (f *gridFabric) NodeLoad(node string) (float64, bool) {
 	n := f.g.nodes[node]
 	if n == nil || n.crashed || n.gk == nil {
 		return 0, false
 	}
-	if f.g.telemetry.Enabled() {
-		db := f.g.telemetry.DB()
-		for _, key := range []string{
-			"node.predicted_load{node=" + node + "}",
-			"node.load{node=" + node + "}",
-		} {
-			if s := db.Lookup(key); s != nil && s.Len() > 0 {
-				return s.Last().V, true
-			}
-		}
+	s := f.g.telemetry.DB().Lookup("node.predicted_load{node=" + node + "}")
+	if s == nil || s.Len() == 0 {
+		return 0, false
 	}
-	if f.g.monitor != nil {
-		if _, ok := f.g.monitor.forecasts[node]; ok {
-			return f.g.monitor.PredictedLoad(node), true
-		}
-	}
-	return n.host.LoadAverage(), true
+	return s.Last().V, true
 }
 
 // Sessions lists the node's movable sessions, lowest eviction priority
@@ -120,8 +106,6 @@ func (f *gridFabric) Migrate(sess, target string, done func(error)) error {
 	if s == nil {
 		return ErrBadSession
 	}
-	f.g.telemetry.Record("balancer.migrations", 1,
-		telemetry.L("session", sess), telemetry.L("target", target))
 	f.g.tracer.Metrics().Counter("core.balancer-migrations").Inc()
 	return s.MigrateFenced(target, done)
 }
@@ -130,8 +114,13 @@ func (f *gridFabric) Migrate(sess, target string, done func(error)) error {
 // per-node predicted load, detects sustained hotspots with hysteresis,
 // and relieves them with fenced live migrations (so a balancer move
 // can never race a partition failover — the epoch machinery arbitrates).
-// Call Stop on the returned balancer to halt the loop.
+// Its load signal is the telemetry pipeline's predicted-load series, so
+// it needs telemetry enabled and a running monitor. Call Stop on the
+// returned balancer to halt the loop.
 func (g *Grid) StartBalancer(cfg BalancerConfig) (*placement.Balancer, error) {
+	if !g.telemetry.Enabled() || g.monitor == nil || !g.monitor.running {
+		return nil, errors.New("core: balancer needs telemetry enabled and a running monitor")
+	}
 	fab := &gridFabric{g: g, placer: cfg.Placer}
 	b, err := placement.NewBalancer(g.k, fab, cfg.BalancerConfig)
 	if err != nil {

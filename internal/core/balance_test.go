@@ -7,6 +7,7 @@ import (
 	"vmgrid/internal/guest"
 	"vmgrid/internal/placement"
 	"vmgrid/internal/sim"
+	"vmgrid/internal/telemetry"
 )
 
 func TestCreateSessionNodeHint(t *testing.T) {
@@ -228,11 +229,28 @@ func TestMigrateFencedRefusedWithoutQuorum(t *testing.T) {
 	}
 }
 
+// startLoadSignal enables telemetry and the monitor: the balancer reads
+// the scraped node.predicted_load series.
+func startLoadSignal(t *testing.T, g *Grid) *Monitor {
+	t.Helper()
+	col, err := g.EnableTelemetry(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Start()
+	m, err := g.StartMonitor(sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestBalancerRelievesHotspotEndToEnd drives the real grid fabric: two
 // busy sessions packed on one node trip the hysteresis detector and the
 // lowest-priority one is live-migrated to the idle node.
 func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 	g := testbed(t)
+	defer startLoadSignal(t, g).Stop()
 	important := startSessionWith(t, g, WithNodeHint("compute1"), WithPriority(10))
 	cheap := startSessionWith(t, g, WithNodeHint("compute1"), WithPriority(0))
 	if important.Node().Name() != "compute1" || cheap.Node().Name() != "compute1" {
@@ -269,5 +287,29 @@ func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 	}
 	if cheap.State() != StateRunning {
 		t.Errorf("migrated session state = %q", cheap.State())
+	}
+}
+
+// TestStartBalancerNeedsLoadSignal: without telemetry and a running
+// monitor the balancer has no load input, so it refuses to start.
+func TestStartBalancerNeedsLoadSignal(t *testing.T) {
+	cfg := BalancerConfig{Placer: placement.LeastLoaded{}}
+	g := testbed(t)
+	if _, err := g.StartBalancer(cfg); err == nil {
+		t.Fatal("balancer started without telemetry or monitor")
+	}
+	if _, err := g.EnableTelemetry(telemetry.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.StartBalancer(cfg); err == nil {
+		t.Fatal("balancer started without a monitor")
+	}
+	m, err := g.StartMonitor(sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Stop()
+	if _, err := g.StartBalancer(cfg); err == nil {
+		t.Fatal("balancer started with a stopped monitor")
 	}
 }

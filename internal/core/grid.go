@@ -300,7 +300,10 @@ func (n *Node) Slots() int { return n.slots }
 func (n *Node) Crashed() bool { return n.crashed }
 
 // advertise refreshes the node's VM-future record: what it is willing
-// to instantiate right now. Crashed nodes advertise nothing.
+// to instantiate right now, and its load — the monitor's forecast when
+// one watches the node, else the load average. It is the record's only
+// writer: slot changes, reboots and monitor ticks all come through
+// here. Crashed nodes advertise nothing.
 func (n *Node) advertise() {
 	if n.role&RoleCompute == 0 || n.crashed {
 		return
@@ -312,7 +315,7 @@ func (n *Node) advertise() {
 		gis.AttrSpeed:     spec.CPU.Speed,
 		gis.AttrMemBytes:  spec.MemBytes / 2,
 		gis.AttrDiskBytes: spec.Disk.CapacityBytes,
-		gis.AttrLoad:      float64(n.host.Runnable()),
+		gis.AttrLoad:      n.grid.predictedLoad(n),
 	}, 0)
 	if err == nil || n.adRetry {
 		return

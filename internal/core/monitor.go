@@ -3,17 +3,17 @@ package core
 import (
 	"fmt"
 
-	"vmgrid/internal/gis"
 	"vmgrid/internal/rps"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/telemetry"
 )
 
 // Monitor closes the paper's adaptation loop (§3.2, application
-// perspective): per-node load sensors feed time series, predictors
-// forecast near-future load, and the VM-future advertisements in the
-// information service carry the *predicted* load — so FindFutures ranks
-// placements by where load is going, not just where it is.
+// perspective): per-node load sensors feed time series and predictors
+// forecast near-future load. While the monitor runs, every VM-future
+// advertisement (Node.advertise, the record's only writer) carries the
+// *predicted* load — so FindFutures ranks placements by where load is
+// going, not just where it is. Each tick re-advertises every compute
+// node so the records follow the forecasts.
 type Monitor struct {
 	grid      *Grid
 	interval  sim.Duration
@@ -47,7 +47,8 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		interval:  interval,
 		forecasts: make(map[string]*forecast),
 	}
-	for name, node := range g.nodes {
+	for _, name := range g.NodeNames() {
+		node := g.nodes[name]
 		if node.gk == nil {
 			continue
 		}
@@ -62,18 +63,12 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Tee every raw sensor reading into the telemetry store (no-op
-		// while telemetry is off — g.telemetry is nil-safe).
-		nodeName := name
-		sensor.Tee(func(at sim.Time, v float64) {
-			g.telemetry.Record("node.load_sample", v, telemetry.L("node", nodeName))
-		})
 		m.forecasts[name] = &forecast{sensor: sensor, model: ar}
 		sensor.Start()
 	}
 	m.running = true
-	m.tick()
 	g.monitor = m
+	m.tick()
 	return m, nil
 }
 
@@ -85,8 +80,10 @@ func (m *Monitor) Stop() {
 	m.running = false
 	m.grid.k.Cancel(m.next)
 	m.next = sim.EventID{}
-	for _, f := range m.forecasts {
-		f.sensor.Stop()
+	for _, name := range m.grid.NodeNames() {
+		if f := m.forecasts[name]; f != nil {
+			f.sensor.Stop()
+		}
 	}
 }
 
@@ -119,26 +116,16 @@ func (f *forecast) predict(series *rps.Series) float64 {
 	return series.Last()
 }
 
-// tick refreshes every compute node's VM-future record with the
-// predicted load.
+// tick re-advertises every compute node's VM future in name order, so
+// the records carry the current forecasts. advertise skips crashed
+// nodes and retries writes that miss a registry quorum.
 func (m *Monitor) tick() {
 	if !m.running {
 		return
 	}
 	m.ticks++
-	for name, node := range m.grid.nodes {
-		if node.gk == nil {
-			continue
-		}
-		spec := node.host.Spec()
-		_ = m.grid.info.Register(gis.KindVMFuture, name, map[string]any{
-			gis.AttrSite:      node.site,
-			gis.AttrSlots:     int64(node.slots),
-			gis.AttrSpeed:     spec.CPU.Speed,
-			gis.AttrMemBytes:  spec.MemBytes / 2,
-			gis.AttrDiskBytes: spec.Disk.CapacityBytes,
-			gis.AttrLoad:      m.PredictedLoad(name),
-		}, 0)
+	for _, name := range m.grid.NodeNames() {
+		m.grid.nodes[name].advertise()
 	}
 	m.next = m.grid.k.After(m.interval, m.tick)
 }

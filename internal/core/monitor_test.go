@@ -180,3 +180,81 @@ func BenchmarkPredictedLoad(b *testing.B) {
 		}
 	}
 }
+
+// crashUnderMonitor starts the monitor, crashes compute1 after a few
+// ticks, and lets ten more ticks run.
+func crashUnderMonitor(t *testing.T) (*Grid, *Monitor) {
+	t.Helper()
+	g := testbed(t)
+	m, err := g.StartMonitor(sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Kernel().RunUntil(sim.Time(5 * sim.Second))
+	if err := g.CrashNode("compute1"); err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Kernel().RunUntil(sim.Time(15 * sim.Second))
+	return g, m
+}
+
+// TestMonitorKeepsCrashedNodeUnadvertised: monitor ticks must not bring
+// a crashed node's VM future back.
+func TestMonitorKeepsCrashedNodeUnadvertised(t *testing.T) {
+	g, m := crashUnderMonitor(t)
+	defer m.Stop()
+	if e, err := g.Info().Lookup(gis.KindVMFuture, "compute1"); err == nil {
+		t.Errorf("crashed compute1 re-advertised by the monitor: %v", e.Attrs)
+	}
+	if _, err := g.Info().Lookup(gis.KindVMFuture, "compute2"); err != nil {
+		t.Errorf("live compute2 lost its VM future: %v", err)
+	}
+}
+
+// TestSessionAfterCrashUnderMonitorLandsOnLiveNode: with the monitor
+// running, a session created after a crash is placed on a live node.
+func TestSessionAfterCrashUnderMonitorLandsOnLiveNode(t *testing.T) {
+	g, m := crashUnderMonitor(t)
+	defer m.Stop()
+	s := startSession(t, g, baseConfig())
+	if got := s.Node().Name(); got != "compute2" {
+		t.Errorf("session placed on %s, want live compute2", got)
+	}
+}
+
+// TestSlotChangeKeepsForecastBetweenTicks: a slot reservation between
+// monitor ticks re-advertises the node, and the record keeps the
+// forecast as its load instead of switching to another signal.
+func TestSlotChangeKeepsForecastBetweenTicks(t *testing.T) {
+	g := testbed(t)
+	m, err := g.StartMonitor(sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	n := g.Node("compute1")
+	bg := &trace.Trace{Step: sim.Second, Loads: []float64{2.0}}
+	hostos.NewLoadProcess(n.Host(), "bg", bg).Start()
+	// Half-way between two ticks.
+	_ = g.Kernel().RunUntil(sim.Time(2*sim.Minute + sim.Second/2))
+
+	want := m.PredictedLoad("compute1")
+	if want == float64(n.Host().Runnable()) || want == n.Host().LoadAverage() {
+		t.Fatalf("forecast %v matches a raw signal (runnable %d, load %v); pick another state",
+			want, n.Host().Runnable(), n.Host().LoadAverage())
+	}
+	advertised := func(step string) {
+		t.Helper()
+		e, err := g.Info().Lookup(gis.KindVMFuture, "compute1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Float(gis.AttrLoad); got != want {
+			t.Errorf("%s: advertised load %v, want forecast %v", step, got, want)
+		}
+	}
+	release := n.reserveSlot()
+	advertised("reserve")
+	release()
+	advertised("release")
+}

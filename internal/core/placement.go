@@ -28,9 +28,8 @@ type createOptions struct {
 type CreateOption func(*createOptions)
 
 // WithPlacer selects the placement policy for this session. nil (and
-// no option at all) keeps the information service's ranking order —
-// the advertised-load-ascending order every experiment before this
-// subsystem was calibrated against.
+// no option at all) takes the first viable candidate in the
+// information service's ranking order — advertised load ascending.
 func WithPlacer(p placement.Placer) CreateOption {
 	return func(o *createOptions) { o.placer = p }
 }
@@ -143,19 +142,14 @@ func placeWith(p placement.Placer, req placement.Request, cands []placement.Cand
 	return p.Pick(req, cands)
 }
 
-// placeFor picks the compute node for a new session. Without a policy
-// or hint in play it reproduces the legacy behavior exactly — the
-// first future in ranking order, no extra filters — so the calibrated
-// experiments are byte-identical. With one, it runs the shared
-// candidate path (filtering for a locally-required image) and applies
-// the hint, then the policy.
+// placeFor picks the compute node for a new session through the
+// shared candidate path: drop futures that cannot host (filtering for
+// a locally-required image), honor the hint, then apply the policy —
+// first fit when there is none.
 func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry) (*Node, error) {
 	placer := o.placer
 	if placer == nil {
 		placer = g.defaultPlacer
-	}
-	if placer == nil && o.hint == "" {
-		return g.nodes[futures[0].Name], nil
 	}
 	image := ""
 	if cfg.Access == AccessLocal || cfg.Access == AccessLoopback {
@@ -178,10 +172,13 @@ func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry)
 		Site:        cfg.Site,
 		MinMemBytes: cfg.MemBytes,
 	}, cands)
-	if !ok {
-		return nil, fmt.Errorf("%w: no candidate for image %q site %q", ErrNoFuture, cfg.Image, cfg.Site)
+	if ok {
+		return g.nodes[name], nil
 	}
-	return g.nodes[name], nil
+	if image != "" && len(g.futureCandidates(futures, "", "")) > 0 {
+		return nil, fmt.Errorf("%w: %q not installed on any viable node (access %v)", ErrNoImage, image, cfg.Access)
+	}
+	return nil, fmt.Errorf("%w: no candidate for image %q site %q", ErrNoFuture, cfg.Image, cfg.Site)
 }
 
 // sessionBusy reports whether any supervisor has the session mid-

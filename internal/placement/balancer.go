@@ -14,10 +14,9 @@ type Fabric interface {
 	// Nodes returns the compute nodes to watch, in a deterministic
 	// (name) order. Crashed nodes are omitted.
 	Nodes() []string
-	// NodeLoad returns a node's predicted load — the telemetry TSDB's
-	// node.predicted_load series, falling back through the monitor's
-	// live forecast to the raw load average. ok is false when the node
-	// has no signal yet.
+	// NodeLoad returns a node's predicted load — in the grid, the last
+	// value of the telemetry TSDB's node.predicted_load series. ok is
+	// false when the node has no reading yet.
 	NodeLoad(node string) (load float64, ok bool)
 	// Sessions returns the names of the migratable sessions hosted on
 	// node, in eviction-preference order (lowest priority first, then

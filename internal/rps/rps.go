@@ -91,7 +91,6 @@ type Sensor struct {
 	interval sim.Duration
 	measure  func() float64
 	series   *Series
-	tee      func(at sim.Time, v float64)
 	running  bool
 	next     sim.EventID
 }
@@ -114,12 +113,6 @@ func NewSensor(k *sim.Kernel, interval sim.Duration, history int, measure func()
 
 // Series returns the sensor's backing series.
 func (s *Sensor) Series() *Series { return s.series }
-
-// Tee registers an observer invoked with every sample the sensor takes,
-// stamped with the sampling instant — the bridge that lets the
-// telemetry pipeline mirror sensor readings into its timestamped store
-// without a second measurement. At most one observer; nil disables.
-func (s *Sensor) Tee(fn func(at sim.Time, v float64)) { s.tee = fn }
 
 // Start begins sampling (first sample immediately).
 func (s *Sensor) Start() {
@@ -144,11 +137,7 @@ func (s *Sensor) tick() {
 	if !s.running {
 		return
 	}
-	v := s.measure()
-	s.series.Add(v)
-	if s.tee != nil {
-		s.tee(s.k.Now(), v)
-	}
+	s.series.Add(s.measure())
 	s.next = s.k.After(s.interval, s.tick)
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"strings"
@@ -174,5 +175,34 @@ func TestDialRetriesAreBounded(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("bounded retries took %v", elapsed)
+	}
+}
+
+// TestOverlongRequestGetsAnError: a request line past the server's cap
+// is answered with an error response before the connection closes.
+func TestOverlongRequestGetsAnError(t *testing.T) {
+	srv := NewServer(1)
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The server stops reading at the cap, so the write may fail once it
+	// hangs up; only the reply matters.
+	go func() {
+		line := append([]byte(`{"id":1,"op":"ping","params":"`), make([]byte, maxRequestBytes)...)
+		_, _ = conn.Write(append(line, '"', '}', '\n'))
+	}()
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var resp Response
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("no response to an over-long request: %v", err)
+	}
+	if !strings.Contains(resp.Error, "too large") {
+		t.Errorf("response error = %q, want a request-too-large error", resp.Error)
 	}
 }

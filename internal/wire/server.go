@@ -161,12 +161,15 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// maxRequestBytes caps one request line.
+const maxRequestBytes = 4 << 20
+
 func (s *Server) handleConn(conn net.Conn) {
 	s.trackConn(conn)
 	defer s.untrackConn(conn)
 	defer conn.Close()
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64<<10), 4<<20)
+	scanner.Buffer(make([]byte, 0, 64<<10), maxRequestBytes)
 	enc := json.NewEncoder(conn)
 	for scanner.Scan() {
 		var req Request
@@ -192,6 +195,11 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		default:
 		}
+	}
+	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
+		// The line never parsed, so its ID is unknown; answer before
+		// hanging up rather than leave the client guessing.
+		_ = enc.Encode(Response{Error: fmt.Sprintf("wire: request too large (over %d bytes)", maxRequestBytes)})
 	}
 }
 
