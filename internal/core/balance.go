@@ -81,7 +81,7 @@ func (f *gridFabric) Sessions(node string) []string {
 // reachability from the source and the front end), ranked by the
 // balancer's policy.
 func (f *gridFabric) Target(sess, from string) (string, bool) {
-	s := f.g.live[sess]
+	s := f.g.liveSession(sess)
 	if s == nil {
 		return "", false
 	}
@@ -102,7 +102,7 @@ func (f *gridFabric) Target(sess, from string) (string, bool) {
 
 // Migrate runs one fenced live migration on the balancer's behalf.
 func (f *gridFabric) Migrate(sess, target string, done func(error)) error {
-	s := f.g.live[sess]
+	s := f.g.liveSession(sess)
 	if s == nil {
 		return ErrBadSession
 	}

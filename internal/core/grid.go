@@ -16,7 +16,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"vmgrid/internal/chunk"
 	"vmgrid/internal/gis"
@@ -44,8 +45,9 @@ type Grid struct {
 	info     *gis.Service
 	registry *gram.Registry
 	nodes    map[string]*Node
+	names    []string // node names, sorted: the deterministic iteration order
 	sessions int
-	live     map[string]*Session
+	live     []*Session // live sessions, sorted by name
 	vfsRetry retry.Policy
 	tracer   *obs.Tracer
 	recorder *obs.FlightRecorder
@@ -67,7 +69,6 @@ func NewGrid(seed uint64) *Grid {
 		info:     gis.New(k),
 		registry: gram.NewRegistry(),
 		nodes:    make(map[string]*Node),
-		live:     make(map[string]*Session),
 	}
 }
 
@@ -115,12 +116,7 @@ func (g *Grid) EnableGISReplication(nodes []string, gossipEvery sim.Duration) (*
 func (g *Grid) EnableChunkedStaging(cfg chunk.Config) *chunk.Plane {
 	p := chunk.NewPlane(cfg)
 	g.chunks = p
-	names := make([]string, 0, len(g.nodes))
-	for name := range g.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range g.names {
 		g.nodes[name].store.SetChunkPlane(p)
 	}
 	return p
@@ -198,6 +194,7 @@ type Node struct {
 	// changes are the only other trigger, so without the retry a write
 	// lost to a partition would leave the record stale forever.
 	adRetry bool
+	series  *nodeSeries // telemetry handles, resolved on the first scrape
 }
 
 // NodeConfig describes a node to attach.
@@ -272,6 +269,8 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.advertise()
 	g.nodes[cfg.Name] = n
+	i, _ := slices.BinarySearch(g.names, cfg.Name)
+	g.names = slices.Insert(g.names, i, cfg.Name)
 	return n, nil
 }
 
@@ -448,8 +447,39 @@ func (g *Grid) sessionsOn(n *Node) []*Session {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// liveIndex finds the named session in the name-sorted live list:
+// its index, or where it would be inserted.
+func (g *Grid) liveIndex(name string) (int, bool) {
+	return slices.BinarySearchFunc(g.live, name, func(s *Session, name string) int {
+		return strings.Compare(s.name, name)
+	})
+}
+
+// liveSession returns the named live session, or nil.
+func (g *Grid) liveSession(name string) *Session {
+	if i, ok := g.liveIndex(name); ok {
+		return g.live[i]
+	}
+	return nil
+}
+
+// setLive enters s in the live list, replacing any session of its name.
+func (g *Grid) setLive(s *Session) {
+	if i, ok := g.liveIndex(s.name); ok {
+		g.live[i] = s
+	} else {
+		g.live = slices.Insert(g.live, i, s)
+	}
+}
+
+// dropLive removes the named session from the live list, if present.
+func (g *Grid) dropLive(name string) {
+	if i, ok := g.liveIndex(name); ok {
+		g.live = slices.Delete(g.live, i, i+1)
+	}
 }
 
 // FindImage locates image servers holding the named image, closest

@@ -37,7 +37,7 @@ func (s *Session) Shutdown() {
 	}
 	s.grid.info.Deregister(gis.KindVM, s.name)
 	s.releaseSlot()
-	delete(s.grid.live, s.name)
+	s.grid.dropLive(s.name)
 	s.state = StateDead
 	s.mark("shutdown")
 }
@@ -229,7 +229,7 @@ func (s *Session) MigrateFenced(targetName string, done func(error)) error {
 func (s *Session) adoptEpoch(old, ep int64) {
 	s.epoch = ep
 	for _, sup := range s.grid.supervisors {
-		if c := sup.charges[s.name]; c != nil {
+		if c := sup.charge(s.name); c != nil {
 			c.epoch = ep
 			if c.carried == nil {
 				c.carried = make(map[int64]bool)

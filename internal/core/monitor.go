@@ -20,6 +20,7 @@ type Monitor struct {
 	forecasts map[string]*forecast
 	running   bool
 	next      sim.EventID
+	tickFn    func() // tick, bound once so rearming allocates nothing
 	ticks     int
 }
 
@@ -47,7 +48,7 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		interval:  interval,
 		forecasts: make(map[string]*forecast),
 	}
-	for _, name := range g.NodeNames() {
+	for _, name := range g.names {
 		node := g.nodes[name]
 		if node.gk == nil {
 			continue
@@ -66,6 +67,7 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 		m.forecasts[name] = &forecast{sensor: sensor, model: ar}
 		sensor.Start()
 	}
+	m.tickFn = m.tick
 	m.running = true
 	g.monitor = m
 	m.tick()
@@ -80,7 +82,7 @@ func (m *Monitor) Stop() {
 	m.running = false
 	m.grid.k.Cancel(m.next)
 	m.next = sim.EventID{}
-	for _, name := range m.grid.NodeNames() {
+	for _, name := range m.grid.names {
 		if f := m.forecasts[name]; f != nil {
 			f.sensor.Stop()
 		}
@@ -124,10 +126,10 @@ func (m *Monitor) tick() {
 		return
 	}
 	m.ticks++
-	for _, name := range m.grid.NodeNames() {
+	for _, name := range m.grid.names {
 		m.grid.nodes[name].advertise()
 	}
-	m.next = m.grid.k.After(m.interval, m.tick)
+	m.next = m.grid.k.After(m.interval, m.tickFn)
 }
 
 // Ticks returns how many refresh rounds have run.

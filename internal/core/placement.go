@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/placement"
@@ -186,7 +185,7 @@ func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry)
 // under.
 func (g *Grid) sessionBusy(name string) bool {
 	for _, sup := range g.supervisors {
-		if c := sup.charges[name]; c != nil && (c.recovering || c.checkpointing) {
+		if c := sup.charge(name); c != nil && (c.recovering || c.checkpointing) {
 			return true
 		}
 	}
@@ -195,12 +194,11 @@ func (g *Grid) sessionBusy(name string) bool {
 
 // computeNodes returns the live compute nodes in name order.
 func (g *Grid) computeNodes() []string {
-	out := make([]string, 0, len(g.nodes))
-	for name, n := range g.nodes {
-		if n.gk != nil && !n.crashed {
+	out := make([]string, 0, len(g.names))
+	for _, name := range g.names {
+		if n := g.nodes[name]; n.gk != nil && !n.crashed {
 			out = append(out, name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }

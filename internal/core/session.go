@@ -203,6 +203,9 @@ type Session struct {
 	// by the supervisor through quorum writes (0 = never failed over or
 	// unsupervised).
 	epoch int64
+	// series holds the session's telemetry handles, resolved on its
+	// first scrape.
+	series *sessionSeries
 
 	// root is the session's causal root span (submitted→ready); sctx is
 	// its context, the parent every later span of the session's life —
@@ -476,7 +479,7 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 				s.root.End()
 				s.state = StateRunning
 				g.tracer.Metrics().Counter("core.sessions.ready").Inc()
-				g.live[s.name] = s
+				g.setLive(s)
 				_ = g.info.Register(gis.KindVM, s.name, map[string]any{
 					gis.AttrHost: s.node.name,
 					gis.AttrAddr: s.addr,
@@ -834,7 +837,7 @@ func (s *Session) fence(serverNode string) func() error {
 // given epoch.
 func (g *Grid) fenceZombies(session string, epoch int64) {
 	for _, sup := range g.supervisors {
-		if c := sup.charges[session]; c != nil {
+		if c := sup.charge(session); c != nil {
 			sup.fenceZombie(c, epoch)
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/gram"
@@ -144,6 +146,7 @@ type charge struct {
 	// lastRenew is when the lease was last refreshed (-1 before the
 	// first renewal) — the telemetry pipeline derives lease.age from it.
 	lastRenew sim.Time
+	series    *leaseSeries // telemetry handles, resolved on the first scrape
 
 	// epoch is the charge's current fencing epoch: bumped through a
 	// quorum registry write before every failover, captured by each
@@ -190,7 +193,7 @@ func (c *charge) ckptFiles(slot int) (mem, cow string) {
 type Supervisor struct {
 	g       *Grid
 	cfg     SupervisorConfig
-	charges map[string]*charge
+	charges []*charge // sorted by session name
 	stats   SupervisorStats
 }
 
@@ -201,7 +204,7 @@ func NewSupervisor(g *Grid, cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.StableNode == "" || g.nodes[cfg.StableNode] == nil {
 		return nil, fmt.Errorf("%w: stable node %q", ErrUnknownNode, cfg.StableNode)
 	}
-	sup := &Supervisor{g: g, cfg: cfg, charges: make(map[string]*charge)}
+	sup := &Supervisor{g: g, cfg: cfg}
 	g.supervisors = append(g.supervisors, sup)
 	return sup, nil
 }
@@ -236,11 +239,12 @@ func (sup *Supervisor) Adopt(s *Session, done func(error)) error {
 	if s.cow == nil {
 		return errors.New("core: supervisor requires a non-persistent (COW) session")
 	}
-	if _, dup := sup.charges[s.name]; dup {
+	i, dup := sup.chargeIndex(s.name)
+	if dup {
 		return fmt.Errorf("core: session %q already supervised", s.name)
 	}
 	c := &charge{s: s, slot: -1, lastRenew: -1}
-	sup.charges[s.name] = c
+	sup.charges = slices.Insert(sup.charges, i, c)
 	sup.renewLease(c)
 	sup.scheduleHeartbeat(c)
 	sup.checkpoint(c, func(err error) {
@@ -259,7 +263,7 @@ func (sup *Supervisor) Adopt(s *Session, done func(error)) error {
 // workload and Start is the original submission time, so only End (and
 // therefore Elapsed) reflects recovery delays.
 func (sup *Supervisor) Run(s *Session, w guest.Workload, done func(guest.TaskResult)) error {
-	c := sup.charges[s.name]
+	c := sup.charge(s.name)
 	if c == nil {
 		return fmt.Errorf("core: session %q not supervised", s.name)
 	}
@@ -277,22 +281,39 @@ func (sup *Supervisor) Run(s *Session, w guest.Workload, done func(guest.TaskRes
 // Release ends supervision without ending the session: ticks stop and
 // the lease lapses naturally.
 func (sup *Supervisor) Release(s *Session) {
-	c := sup.charges[s.name]
-	if c == nil {
+	i, ok := sup.chargeIndex(s.name)
+	if !ok {
 		return
 	}
+	c := sup.charges[i]
 	c.stopped = true
 	sup.g.k.Cancel(c.hbNext)
 	sup.g.k.Cancel(c.ckNext)
 	sup.g.info.Deregister(gis.KindLease, s.name)
-	delete(sup.charges, s.name)
+	sup.charges = slices.Delete(sup.charges, i, i+1)
 }
 
-// Stop releases every charge.
+// Stop releases every charge, in session-name order.
 func (sup *Supervisor) Stop() {
-	for _, c := range sup.charges {
-		sup.Release(c.s)
+	for len(sup.charges) > 0 {
+		sup.Release(sup.charges[0].s)
 	}
+}
+
+// chargeIndex finds the named session's charge: its index in the
+// name-sorted charge list, or where it would be inserted.
+func (sup *Supervisor) chargeIndex(name string) (int, bool) {
+	return slices.BinarySearchFunc(sup.charges, name, func(c *charge, name string) int {
+		return strings.Compare(c.s.name, name)
+	})
+}
+
+// charge returns the named session's charge, or nil when unsupervised.
+func (sup *Supervisor) charge(name string) *charge {
+	if i, ok := sup.chargeIndex(name); ok {
+		return sup.charges[i]
+	}
+	return nil
 }
 
 // renewLease refreshes the charge's lease as a write originating at

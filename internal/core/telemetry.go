@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/sim"
@@ -106,55 +106,81 @@ func (g *Grid) DefaultAlertRules(hb sim.Duration) error {
 }
 
 // NodeNames returns every node name, sorted — the deterministic scrape
-// and display order.
-func (g *Grid) NodeNames() []string {
-	names := make([]string, 0, len(g.nodes))
-	for name := range g.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+// and display order. The slice is the caller's.
+func (g *Grid) NodeNames() []string { return slices.Clone(g.names) }
+
+// LiveSessions returns the live sessions in name order. The slice is
+// the caller's.
+func (g *Grid) LiveSessions() []*Session { return slices.Clone(g.live) }
+
+// The scrape sources record through series handles held by what they
+// describe: a node's, a live session's, and a supervised charge's
+// handles are resolved on its first scrape and kept for its lifetime,
+// so they are resolved again only when a node or session appears. (A
+// handle binds its series on its first sample, so no series exists
+// earlier than a keyed Record would have made it.)
+type nodeSeries struct {
+	crashed, runnable, load, slots, predicted *telemetry.Handle
 }
 
-// LiveSessions returns the live sessions in name order.
-func (g *Grid) LiveSessions() []*Session {
-	out := make([]*Session, 0, len(g.live))
-	for _, s := range g.live {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+type sessionSeries struct {
+	slowdown, hitRate, retries, transportErrors *telemetry.Handle
+}
+
+type leaseSeries struct {
+	age, epoch *telemetry.Handle
 }
 
 func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
-	for _, name := range g.NodeNames() {
+	for _, name := range g.names {
 		n := g.nodes[name]
-		lbl := telemetry.L("node", name)
+		ts := n.series
+		if ts == nil {
+			lbl := telemetry.L("node", name)
+			ts = &nodeSeries{
+				crashed:   r.Handle("node.crashed", lbl),
+				runnable:  r.Handle("node.runnable", lbl),
+				load:      r.Handle("node.load", lbl),
+				slots:     r.Handle("node.slots", lbl),
+				predicted: r.Handle("node.predicted_load", lbl),
+			}
+			n.series = ts
+		}
 		crashed := 0.0
 		if n.crashed {
 			crashed = 1
 		}
-		r.Record("node.crashed", crashed, lbl)
+		r.Put(ts.crashed, crashed)
 		if n.crashed {
 			continue
 		}
-		r.Record("node.runnable", float64(n.host.Runnable()), lbl)
-		r.Record("node.load", n.host.LoadAverage(), lbl)
-		r.Record("node.slots", float64(n.slots), lbl)
+		r.Put(ts.runnable, float64(n.host.Runnable()))
+		r.Put(ts.load, n.host.LoadAverage())
+		r.Put(ts.slots, float64(n.slots))
 		if g.monitor != nil {
 			if _, ok := g.monitor.forecasts[name]; ok {
-				r.Record("node.predicted_load", g.monitor.PredictedLoad(name), lbl)
+				r.Put(ts.predicted, g.monitor.PredictedLoad(name))
 			}
 		}
 	}
 }
 
 func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
-	for _, s := range g.LiveSessions() {
-		lbl := telemetry.L("sess", s.name)
+	for _, s := range g.live {
+		ts := s.series
+		if ts == nil {
+			lbl := telemetry.L("sess", s.name)
+			ts = &sessionSeries{
+				slowdown:        r.Handle("session.slowdown", lbl),
+				hitRate:         r.Handle("vfs.hit_rate", lbl),
+				retries:         r.Handle("vfs.retries", lbl),
+				transportErrors: r.Handle("vfs.transport_errors", lbl),
+			}
+			s.series = ts
+		}
 		u := s.Usage()
 		if u.GuestUserSeconds > 0 {
-			r.Record("session.slowdown", u.CPUSeconds/u.GuestUserSeconds, lbl)
+			r.Put(ts.slowdown, u.CPUSeconds/u.GuestUserSeconds)
 		}
 		var hits, misses, retries, terrs uint64
 		for _, c := range []*vfs.Client{s.dataClient, s.imageClient} {
@@ -167,27 +193,27 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 			terrs += c.TransportErrors()
 		}
 		if hits+misses > 0 {
-			r.Record("vfs.hit_rate", float64(hits)/float64(hits+misses), lbl)
+			r.Put(ts.hitRate, float64(hits)/float64(hits+misses))
 		}
-		r.Record("vfs.retries", float64(retries), lbl)
-		r.Record("vfs.transport_errors", float64(terrs), lbl)
+		r.Put(ts.retries, float64(retries))
+		r.Put(ts.transportErrors, float64(terrs))
 	}
 }
 
 func (g *Grid) scrapeLeases(r *telemetry.Recorder) {
 	for _, sup := range g.supervisors {
-		names := make([]string, 0, len(sup.charges))
-		for name := range sup.charges {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := sup.charges[name]
+		for _, c := range sup.charges {
 			if c.lastRenew < 0 {
 				continue
 			}
-			r.Record("lease.age", r.At().Sub(c.lastRenew).Seconds(), telemetry.L("sess", name))
-			r.Record("session.epoch", float64(c.epoch), telemetry.L("sess", name))
+			ts := c.series
+			if ts == nil {
+				lbl := telemetry.L("sess", c.s.name)
+				ts = &leaseSeries{age: r.Handle("lease.age", lbl), epoch: r.Handle("session.epoch", lbl)}
+				c.series = ts
+			}
+			r.Put(ts.age, r.At().Sub(c.lastRenew).Seconds())
+			r.Put(ts.epoch, float64(c.epoch))
 		}
 	}
 }

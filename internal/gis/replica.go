@@ -7,7 +7,10 @@
 // possibly stale on the minority side of a partition, and marked so by
 // the read Client. Periodic anti-entropy gossip exchanges timestamped
 // last-writer-wins entries (including tombstones) over the simulated
-// network, so a healed partition reconverges to one view.
+// network, so a healed partition reconverges to one view. Each payload
+// carries only what its peer has not yet been delivered, drawn from the
+// sender's change log; its modelled wire size stays that of the full
+// state.
 package gis
 
 import (
@@ -52,17 +55,62 @@ type stamped struct {
 	del bool
 }
 
+// metaEntry is a replica's state for one key: its stamp, and the
+// change-log version at which the replica adopted it.
+type metaEntry struct {
+	stamped
+	ver uint64
+}
+
+// logEntry records that key was adopted at version ver. It is live
+// while meta[key].ver == ver; a later adoption of the key supersedes it.
+type logEntry struct {
+	key string
+	ver uint64
+}
+
 // Replica is one member of a Cluster: a Service pinned to a network
 // node, plus the per-key stamps that anti-entropy reconciles on.
+//
+// For a clustered replica, records change only through adopt (install
+// and the cluster's seeding; Service.apply runs only unreplicated), so
+// the change log sees every change and a payload built from it carries
+// everything a peer may be missing.
 type Replica struct {
 	Svc  *Service
 	Node string
 
-	meta map[string]stamped
+	meta map[string]metaEntry
 	// newest is the largest stamp in meta. Entries are only ever
 	// replaced by newer stamps and never removed (deletes install
 	// tombstones), so tracking it per install equals a full scan.
 	newest Stamp
+
+	// log holds adoptions in version order, compacted to the entries
+	// some peer may still need; ver is the last version issued.
+	log   []logEntry
+	ver   uint64
+	links []*gossipLink // to every peer, in cluster order
+}
+
+// gossipLink is the anti-entropy channel from one replica to one peer.
+// delivered is the highest log version whose payload has reached the
+// peer: every key whose current version is ≤ delivered is already held
+// there at an equal or newer stamp. It advances only when a payload
+// lands, so a payload lost to a partition is re-covered by the next
+// round.
+type gossipLink struct {
+	dst       *Replica
+	delivered uint64
+	deliver   func(payload any) // bound once per link
+}
+
+// gossipPayload is one round's delta from a replica to a peer: the
+// live log entries above the peer's watermark, as of send time.
+type gossipPayload struct {
+	entries []gossipEntry
+	from    uint64 // the watermark the entries are above
+	upTo    uint64 // the sender's log version when the payload was built
 }
 
 // gossipEntry is one record in flight between replicas.
@@ -94,6 +142,8 @@ type Cluster struct {
 	seq            uint64
 	gossipEvery    sim.Duration
 	running        bool
+	next           sim.EventID
+	tickFn         func() // tick, bound once so rearming allocates nothing
 	minorityWrites uint64
 	gossipRounds   uint64
 }
@@ -124,6 +174,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 		gossipEvery = DefaultGossipInterval
 	}
 	c := &Cluster{k: primary.k, net: net, gossipEvery: gossipEvery}
+	c.tickFn = c.tick
 	for i, n := range nodes {
 		svc := primary
 		if i > 0 {
@@ -134,8 +185,15 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 		}
 		svc.cluster = c
 		svc.home = n
-		r := &Replica{Svc: svc, Node: n, meta: make(map[string]stamped, len(primary.records))}
+		r := &Replica{Svc: svc, Node: n, meta: make(map[string]metaEntry, len(primary.records))}
 		c.reps = append(c.reps, r)
+	}
+	for _, src := range c.reps {
+		for _, dst := range c.reps {
+			if dst != src {
+				src.links = append(src.links, newGossipLink(dst))
+			}
+		}
 	}
 	// Seed identical stamps for pre-existing state so the cluster starts
 	// converged.
@@ -152,7 +210,24 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 			r.adopt(k, st)
 		}
 	}
+	// Every replica already holds the seeded state: nothing to send.
+	for _, r := range c.reps {
+		for _, l := range r.links {
+			l.delivered = r.ver
+		}
+		r.compact()
+	}
 	return c, nil
+}
+
+func newGossipLink(dst *Replica) *gossipLink {
+	l := &gossipLink{dst: dst}
+	l.deliver = func(payload any) {
+		p := payload.(*gossipPayload)
+		dst.merge(p.entries)
+		l.delivered = max(l.delivered, p.upTo)
+	}
+	return l
 }
 
 // Start begins periodic anti-entropy. Idempotent.
@@ -161,11 +236,20 @@ func (c *Cluster) Start() {
 		return
 	}
 	c.running = true
-	c.k.After(c.gossipEvery, c.tick)
+	c.next = c.k.After(c.gossipEvery, c.tickFn)
 }
 
-// Stop halts anti-entropy after the currently scheduled round.
-func (c *Cluster) Stop() { c.running = false }
+// Stop halts anti-entropy: the pending round is canceled, so a later
+// Start runs one round chain, not two. Payloads already on the wire
+// still land.
+func (c *Cluster) Stop() {
+	if !c.running {
+		return
+	}
+	c.running = false
+	c.k.Cancel(c.next)
+	c.next = sim.EventID{}
+}
 
 func (c *Cluster) tick() {
 	if !c.running {
@@ -173,50 +257,76 @@ func (c *Cluster) tick() {
 	}
 	c.gossipRounds++
 	c.gossip()
-	c.k.After(c.gossipEvery, c.tick)
+	c.next = c.k.After(c.gossipEvery, c.tickFn)
 }
 
-// gossip pushes every replica's full state to every peer it can send
-// to. Deliveries ride the simulated network: they pay latency, queue
-// for bandwidth, and are lost to partitions exactly like data traffic.
-// Full-state push keeps reconciliation trivially correct at control-
-// plane sizes (N ≤ 5, hundreds of records).
+// gossip pushes every replica's state to every peer it can send to.
+// Deliveries ride the simulated network: they pay latency, queue for
+// bandwidth, and are lost to partitions exactly like data traffic.
+//
+// A payload carries only the entries changed since the last payload
+// the peer received (see gossipLink), which is exactly what a
+// full-state push would change there: the omitted entries are already
+// held at an equal or newer stamp, and install is last-writer-wins
+// idempotent. The modelled wire size is still the full state's, so
+// network timing is that of full-state push.
 func (c *Cluster) gossip() {
 	for _, src := range c.reps {
-		var snap []gossipEntry
-		for _, dst := range c.reps {
-			if dst == src {
-				continue
+		src.compact()
+		size := int64(gossipBaseBytes + gossipPerEntryBytes*len(src.meta))
+		var p *gossipPayload
+		for _, l := range src.links {
+			// Peers at the same watermark share one payload.
+			if p == nil || l.delivered != p.from {
+				p = &gossipPayload{entries: src.changesSince(l.delivered), from: l.delivered, upTo: src.ver}
 			}
-			if snap == nil {
-				snap = src.snapshot()
-			}
-			size := int64(gossipBaseBytes + gossipPerEntryBytes*len(snap))
-			to := dst
-			_ = c.net.Send(src.Node, dst.Node, size, snap, func(payload any) {
-				to.merge(payload.([]gossipEntry))
-			})
+			_ = c.net.Send(src.Node, l.dst.Node, size, p, l.deliver)
 		}
 	}
 }
 
-// snapshot copies a replica's stamped state for transmission.
-func (r *Replica) snapshot() []gossipEntry {
-	out := make([]gossipEntry, 0, len(r.meta))
-	for k, m := range r.meta {
-		ge := gossipEntry{key: k, stamped: m}
+// changesSince returns the live log entries above version from, with
+// their current stamps and records, in log order.
+func (r *Replica) changesSince(from uint64) []gossipEntry {
+	i := sort.Search(len(r.log), func(i int) bool { return r.log[i].ver > from })
+	var out []gossipEntry
+	for _, le := range r.log[i:] {
+		m := r.meta[le.key]
+		if m.ver != le.ver {
+			continue // superseded later in the log
+		}
+		ge := gossipEntry{key: le.key, stamped: m.stamped}
 		if !m.del {
-			ge.e = r.Svc.records[k]
+			ge.e = r.Svc.records[le.key]
 		}
 		out = append(out, ge)
 	}
 	return out
 }
 
-// merge applies newer-stamped entries from a peer's snapshot. Keys are
-// independent, so application order within a snapshot cannot matter.
-func (r *Replica) merge(snap []gossipEntry) {
-	for _, ge := range snap {
+// compact drops the log entries no peer can still need: those at or
+// below every peer's delivered watermark, and those superseded by a
+// later adoption of the same key. What remains holds at most one entry
+// per key.
+func (r *Replica) compact() {
+	low := r.ver
+	for _, l := range r.links {
+		low = min(low, l.delivered)
+	}
+	kept := r.log[:0]
+	for _, le := range r.log {
+		if le.ver > low && r.meta[le.key].ver == le.ver {
+			kept = append(kept, le)
+		}
+	}
+	clear(r.log[len(kept):])
+	r.log = kept
+}
+
+// merge applies newer-stamped entries from a peer's payload. Keys are
+// independent, so application order within a payload cannot matter.
+func (r *Replica) merge(entries []gossipEntry) {
+	for _, ge := range entries {
 		r.install(ge.key, ge.stamped, ge.e)
 	}
 }
@@ -234,9 +344,16 @@ func (r *Replica) install(key string, m stamped, e Entry) {
 	r.Svc.records[key] = e
 }
 
-// adopt records key's new stamp, keeping newest current.
+// adopt records key's new stamp at the next log version, keeping newest
+// current. A log grown past twice the key count is compacted, so even a
+// peer that never receives anything cannot make it grow without bound.
 func (r *Replica) adopt(key string, m stamped) {
-	r.meta[key] = m
+	r.ver++
+	r.meta[key] = metaEntry{stamped: m, ver: r.ver}
+	r.log = append(r.log, logEntry{key: key, ver: r.ver})
+	if len(r.log) > 2*len(r.meta) {
+		r.compact()
+	}
 	if m.st.After(r.newest) {
 		r.newest = m.st
 	}
@@ -363,7 +480,7 @@ func (c *Cluster) Converged() bool {
 			return false
 		}
 		for k, m := range base.meta {
-			if got, ok := r.meta[k]; !ok || got != m {
+			if got, ok := r.meta[k]; !ok || got.stamped != m.stamped {
 				return false
 			}
 		}

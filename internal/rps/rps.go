@@ -93,6 +93,7 @@ type Sensor struct {
 	series   *Series
 	running  bool
 	next     sim.EventID
+	tickFn   func() // tick, bound once so rearming allocates nothing
 }
 
 // NewSensor creates a sensor sampling measure every interval into a
@@ -108,7 +109,9 @@ func NewSensor(k *sim.Kernel, interval sim.Duration, history int, measure func()
 	if err != nil {
 		return nil, err
 	}
-	return &Sensor{k: k, interval: interval, measure: measure, series: series}, nil
+	s := &Sensor{k: k, interval: interval, measure: measure, series: series}
+	s.tickFn = s.tick
+	return s, nil
 }
 
 // Series returns the sensor's backing series.
@@ -138,7 +141,7 @@ func (s *Sensor) tick() {
 		return
 	}
 	s.series.Add(s.measure())
-	s.next = s.k.After(s.interval, s.tick)
+	s.next = s.k.After(s.interval, s.tickFn)
 }
 
 // Predictor forecasts the next sample of a signal.
@@ -231,9 +234,15 @@ func (p *MovingMean) Observe(v float64) {
 // for host load.
 type AR struct {
 	order  int
-	coeffs []float64
+	coeffs []float64 // a[1:], the fitted coefficients
 	mean   float64
 	recent []float64 // last `order` samples, newest last
+
+	// Fit scratch, reused so a steady-state Train allocates nothing:
+	// the centred history, the autocorrelations, and the Levinson-Durbin
+	// coefficient vectors (a is the current one, next its successor).
+	dev        []float64
+	r, a, next []float64
 }
 
 // NewAR creates an AR model of the given order.
@@ -241,7 +250,14 @@ func NewAR(order int) (*AR, error) {
 	if order <= 0 {
 		return nil, fmt.Errorf("rps: AR order %d", order)
 	}
-	return &AR{order: order}, nil
+	p := &AR{
+		order: order,
+		r:     make([]float64, order+1),
+		a:     make([]float64, order+1),
+		next:  make([]float64, order+1),
+	}
+	p.coeffs = p.a[1:]
+	return p, nil
 }
 
 // Name implements Predictor.
@@ -260,25 +276,36 @@ func (p *AR) Train(history []float64) error {
 	}
 	mean /= float64(n)
 
-	// Autocorrelations r[0..order].
-	r := make([]float64, p.order+1)
-	for lag := 0; lag <= p.order; lag++ {
-		for i := lag; i < n; i++ {
-			r[lag] += (history[i] - mean) * (history[i-lag] - mean)
-		}
-		r[lag] /= float64(n)
+	// Centre the history once. Each r[lag] sums dev[i]*dev[i-lag] in
+	// ascending i: results downstream depend on these exact
+	// floating-point sums, so keep that order.
+	dev := p.dev[:0]
+	for _, v := range history {
+		dev = append(dev, v-mean)
 	}
+	p.dev = dev
+
+	// Autocorrelations r[0..order].
+	r := p.r
+	for lag := 0; lag <= p.order; lag++ {
+		var acc float64
+		for i := lag; i < n; i++ {
+			acc += dev[i] * dev[i-lag]
+		}
+		r[lag] = acc / float64(n)
+	}
+	a := p.a
+	clear(a)
+	p.mean = mean
+	p.recent = append(p.recent[:0], history[n-p.order:]...)
 	if r[0] <= 1e-12 {
-		// Constant signal: degenerate to predicting the mean.
-		p.coeffs = make([]float64, p.order)
-		p.mean = mean
-		p.recent = append(p.recent[:0], history[n-p.order:]...)
+		// Constant signal: degenerate to predicting the mean (all
+		// coefficients zero).
 		return nil
 	}
 
 	// Levinson-Durbin recursion.
-	a := make([]float64, p.order+1)
-	next := make([]float64, p.order+1)
+	next := p.next
 	e := r[0]
 	for k := 1; k <= p.order; k++ {
 		var acc float64
@@ -297,9 +324,6 @@ func (p *AR) Train(history []float64) error {
 			e = 1e-12
 		}
 	}
-	p.coeffs = a[1:]
-	p.mean = mean
-	p.recent = append(p.recent[:0], history[n-p.order:]...)
 	return nil
 }
 

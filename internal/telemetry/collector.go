@@ -50,10 +50,45 @@ func (r *Recorder) Record(name string, v float64, labels ...Label) {
 	r.db.Record(r.at, name, labels, v)
 }
 
-// registryFeed is one attached obs registry, scraped by snapshot.
+// Handle resolves a series identity once, for a source that records
+// it on every scrape (see Put).
+func (r *Recorder) Handle(name string, labels ...Label) *Handle {
+	return r.db.handle(name, labels...)
+}
+
+// Put is Record through a handle from this recorder's collector.
+func (r *Recorder) Put(h *Handle, v float64) { h.add(r.at, v) }
+
+// registryFeed is one attached obs registry, scraped by snapshot. Its
+// series handles are resolved on an instrument's first scrape: points
+// holds counters and gauges by instrument name, hists the .count and
+// .mean_sec pair of each histogram.
 type registryFeed struct {
-	src string
-	reg *obs.Registry
+	src    string
+	reg    *obs.Registry
+	points map[string]*Handle
+	hists  map[string][2]*Handle
+}
+
+// point returns the handle for a counter or gauge of this feed.
+func (f *registryFeed) point(db *DB, name string) *Handle {
+	h := f.points[name]
+	if h == nil {
+		h = db.handle(name, L("src", f.src))
+		f.points[name] = h
+	}
+	return h
+}
+
+// hist returns the .count and .mean_sec handles of a histogram.
+func (f *registryFeed) hist(db *DB, name string) [2]*Handle {
+	hs, ok := f.hists[name]
+	if !ok {
+		lbl := L("src", f.src)
+		hs = [2]*Handle{db.handle(name+".count", lbl), db.handle(name+".mean_sec", lbl)}
+		f.hists[name] = hs
+	}
+	return hs
 }
 
 // Collector owns the pipeline: registered sources and obs registries
@@ -71,11 +106,13 @@ type Collector struct {
 	db  *DB
 
 	sources []Source
-	feeds   []registryFeed
+	feeds   []*registryFeed
 	engine  *Engine
+	rec     Recorder // handed to sources, restamped per scrape
 
 	running    bool
 	next       sim.EventID
+	tickFn     func() // tick, bound once so rearming allocates nothing
 	scrapes    int
 	lastScrape sim.Time
 }
@@ -90,7 +127,8 @@ func NewCollector(k *sim.Kernel, cfg Config) (*Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Collector{k: k, cfg: cfg, db: db, lastScrape: -1}
+	c := &Collector{k: k, cfg: cfg, db: db, rec: Recorder{db: db}, lastScrape: -1}
+	c.tickFn = c.tick
 	c.engine = newEngine(c)
 	return c, nil
 }
@@ -141,7 +179,11 @@ func (c *Collector) AttachRegistry(src string, reg *obs.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
-	c.feeds = append(c.feeds, registryFeed{src: src, reg: reg})
+	c.feeds = append(c.feeds, &registryFeed{
+		src: src, reg: reg,
+		points: make(map[string]*Handle),
+		hists:  make(map[string][2]*Handle),
+	})
 }
 
 // Observe records one unlabeled sample at the current sim time — the
@@ -176,22 +218,23 @@ func (c *Collector) Scrape() {
 	}
 	c.scrapes++
 	c.lastScrape = now
-	r := &Recorder{db: c.db, at: now}
+	r := &c.rec
+	r.at = now
 	for _, src := range c.sources {
 		src(r)
 	}
 	for _, f := range c.feeds {
 		snap := f.reg.Snapshot()
-		lbl := []Label{{Key: "src", Value: f.src}}
 		for _, p := range snap.Counters {
-			c.db.Record(now, p.Name, lbl, p.Value)
+			r.Put(f.point(c.db, p.Name), p.Value)
 		}
 		for _, p := range snap.Gauges {
-			c.db.Record(now, p.Name, lbl, p.Value)
+			r.Put(f.point(c.db, p.Name), p.Value)
 		}
 		for _, p := range snap.Histograms {
-			c.db.Record(now, p.Name+".count", lbl, float64(p.Count))
-			c.db.Record(now, p.Name+".mean_sec", lbl, p.MeanSec)
+			hs := f.hist(c.db, p.Name)
+			r.Put(hs[0], float64(p.Count))
+			r.Put(hs[1], p.MeanSec)
 		}
 	}
 	c.engine.eval(now)
@@ -224,7 +267,7 @@ func (c *Collector) tick() {
 		return
 	}
 	c.Scrape()
-	c.next = c.k.After(c.cfg.Interval, c.tick)
+	c.next = c.k.After(c.cfg.Interval, c.tickFn)
 }
 
 // AddRule parses and registers an alert rule (see the package grammar

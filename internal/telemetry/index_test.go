@@ -152,3 +152,39 @@ func TestWindowAndRateMatchLinearScan(t *testing.T) {
 		}
 	}
 }
+
+// TestHandleBindsLazilyToRecordSeries: a handle creates no series until
+// its first sample, then lands in exactly the series a keyed Record of
+// the same identity reaches — whichever of the two writes first, and
+// whatever order the handle's labels came in.
+func TestHandleBindsLazilyToRecordSeries(t *testing.T) {
+	db, _ := NewDB(8)
+	h := db.handle("node.load", L("site", "nwu"), L("node", "c1"))
+	if db.Len() != 0 {
+		t.Fatalf("resolving a handle created %d series", db.Len())
+	}
+	r := &Recorder{db: db, at: 1}
+	r.Put(h, 0.5)
+	s := db.Lookup("node.load{node=c1,site=nwu}")
+	if db.Len() != 1 || s == nil || s.Len() != 1 || len(s.Labels()) != 2 {
+		t.Fatalf("first Put: keys %v", db.Keys())
+	}
+	db.Record(2, "node.load", []Label{L("node", "c1"), L("site", "nwu")}, 0.7)
+	if got := s.Points(); len(got) != 2 || got[1].V != 0.7 {
+		t.Fatalf("keyed Record after Put: points %v", got)
+	}
+
+	db.Record(3, "node.slots", []Label{L("node", "c1")}, 2)
+	h2 := db.handle("node.slots", L("node", "c1"))
+	r.at = 4
+	r.Put(h2, 1)
+	if db.Len() != 2 || db.Lookup("node.slots{node=c1}").Len() != 2 {
+		t.Fatalf("Put after keyed Record: keys %v", db.Keys())
+	}
+	if got := db.Select("node.slots", nil); len(got) != 1 {
+		t.Fatalf("Select after Put found %d series, want 1", len(got))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Put(h, 1) }); allocs != 0 {
+		t.Errorf("Put through a bound handle allocates %v times, want 0", allocs)
+	}
+}

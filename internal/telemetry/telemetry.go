@@ -297,6 +297,44 @@ func (db *DB) Record(at sim.Time, name string, labels []Label, v float64) {
 	s.Add(at, v)
 }
 
+// Handle is one (name, labels) series identity resolved once, for
+// sources that record the same series scrape after scrape: recording
+// through it renders no key and hashes no string. The series is bound
+// lazily, on the handle's first sample, so holding a handle never
+// creates a series before a keyed Record would (exports list every
+// key). A handle belongs to the DB that made it.
+type Handle struct {
+	db     *DB
+	name   string
+	key    string
+	labels []Label // sorted by key
+	s      *Series // nil until the first sample
+}
+
+// handle resolves (name, labels) into a handle. The labels are copied
+// and sorted, as Record would key them.
+func (db *DB) handle(name string, labels ...Label) *Handle {
+	h := &Handle{db: db, name: name}
+	if len(labels) > 0 {
+		h.labels = append([]Label(nil), labels...)
+		sortLabels(h.labels)
+	}
+	h.key = string(appendKey(nil, name, h.labels))
+	return h
+}
+
+// add appends a sample through the handle, binding its series — the
+// one a keyed Record of the same identity would reach — on first use.
+func (h *Handle) add(at sim.Time, v float64) {
+	if h.s == nil {
+		h.s = h.db.series[h.key]
+		if h.s == nil {
+			h.s = h.db.create(h.name, h.key, h.labels)
+		}
+	}
+	h.s.Add(at, v)
+}
+
 // Lookup returns the series with the exact canonical key, or nil.
 func (db *DB) Lookup(key string) *Series { return db.series[key] }
 
