@@ -178,7 +178,7 @@ func TestCtlReplicatedTop(t *testing.T) {
 		}
 	}
 	grid := srv.Grid()
-	if _, err := grid.EnableGISReplication([]string{"c1", "g1", "g2"}, 0); err != nil {
+	if _, err := grid.EnableGISReplication([]string{"c1", "g1", "g2"}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -55,7 +55,7 @@ func run() error {
 	lp.Start()
 
 	// The RPS loop: 1 s sensors, AR(8) forecasts, refreshed futures.
-	monitor, err := g.StartMonitor(sim.Second)
+	monitor, err := g.StartMonitor()
 	if err != nil {
 		return err
 	}

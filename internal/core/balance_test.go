@@ -7,7 +7,6 @@ import (
 	"vmgrid/internal/guest"
 	"vmgrid/internal/placement"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/telemetry"
 )
 
 func TestCreateSessionNodeHint(t *testing.T) {
@@ -233,12 +232,12 @@ func TestMigrateFencedRefusedWithoutQuorum(t *testing.T) {
 // the scraped node.predicted_load series.
 func startLoadSignal(t *testing.T, g *Grid) *Monitor {
 	t.Helper()
-	col, err := g.EnableTelemetry(telemetry.Config{})
+	col, err := g.EnableTelemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
 	col.Start()
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,13 +297,13 @@ func TestStartBalancerNeedsLoadSignal(t *testing.T) {
 	if _, err := g.StartBalancer(cfg); err == nil {
 		t.Fatal("balancer started without telemetry or monitor")
 	}
-	if _, err := g.EnableTelemetry(telemetry.Config{}); err != nil {
+	if _, err := g.EnableTelemetry(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.StartBalancer(cfg); err == nil {
 		t.Fatal("balancer started without a monitor")
 	}
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}

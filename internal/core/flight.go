@@ -15,11 +15,11 @@ import "vmgrid/internal/obs"
 // flight-only tracer is installed — spans flow through the ring with
 // bounded memory but are not retained for full-trace export; enable a
 // retaining tracer first (SetTracer) when both are wanted.
-func (g *Grid) EnableFlightRecorder(cfg obs.FlightConfig) *obs.FlightRecorder {
+func (g *Grid) EnableFlightRecorder() *obs.FlightRecorder {
 	if g.recorder != nil {
 		return g.recorder
 	}
-	g.recorder = obs.NewFlightRecorder(g.k, cfg)
+	g.recorder = obs.NewFlightRecorder(g.k)
 	if g.tracer == nil {
 		g.SetTracer(obs.NewFlightOnly(g.k))
 	} else {

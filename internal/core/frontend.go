@@ -44,23 +44,6 @@ func NewFrontEnd(g *Grid, name string) *FrontEnd {
 	return &FrontEnd{grid: g, name: name, byUser: make(map[string]*userAccount)}
 }
 
-// CreateBackend grows the pool by one: it creates a session through
-// the grid's placement path (any CreateOption — placer, node hint,
-// priority — applies) and, once running, adds it as a back-end. done
-// fires after the session has joined the pool (or with the creation
-// error).
-func (f *FrontEnd) CreateBackend(cfg SessionConfig, done func(*Session, error), opts ...CreateOption) error {
-	_, err := f.grid.CreateSession(cfg, func(s *Session, err error) {
-		if err == nil {
-			err = f.AddBackend(s)
-		}
-		if done != nil {
-			done(s, err)
-		}
-	}, opts...)
-	return err
-}
-
 // AddBackend places a running session into the pool.
 func (f *FrontEnd) AddBackend(s *Session) error {
 	if !s.State().CanRun() {

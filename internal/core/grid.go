@@ -26,8 +26,6 @@ import (
 	"vmgrid/internal/hw"
 	"vmgrid/internal/netsim"
 	"vmgrid/internal/obs"
-	"vmgrid/internal/placement"
-	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
 	"vmgrid/internal/telemetry"
@@ -48,15 +46,13 @@ type Grid struct {
 	names    []string // node names, sorted: the deterministic iteration order
 	sessions int
 	live     []*Session // live sessions, sorted by name
-	vfsRetry retry.Policy
 	tracer   *obs.Tracer
 	recorder *obs.FlightRecorder
 
-	telemetry     *telemetry.Collector
-	monitor       *Monitor
-	supervisors   []*Supervisor
-	defaultPlacer placement.Placer
-	chunks        *chunk.Plane
+	telemetry   *telemetry.Collector
+	monitor     *Monitor
+	supervisors []*Supervisor
+	chunks      *chunk.Plane
 }
 
 // NewGrid creates an empty grid fabric seeded deterministically.
@@ -72,11 +68,6 @@ func NewGrid(seed uint64) *Grid {
 	}
 }
 
-// SetVFSRetry applies a retry policy to every VFS client the grid builds
-// from now on (data mounts and on-demand image mounts), threading
-// fault tolerance through the file system layer.
-func (g *Grid) SetVFSRetry(p retry.Policy) { g.vfsRetry = p }
-
 // Kernel returns the simulation kernel.
 func (g *Grid) Kernel() *sim.Kernel { return g.k }
 
@@ -90,13 +81,13 @@ func (g *Grid) Info() *gis.Service { return g.info }
 // named nodes (which must already be attached and connected): the
 // existing registry becomes replica 0, pinned to nodes[0], and writes
 // from then on require a quorum judged from the originating node.
-// Anti-entropy gossip starts immediately at the given cadence (≤ 0 =
-// gis.DefaultGossipInterval). Call after the topology is built and
+// Anti-entropy gossip starts immediately, every
+// gis.DefaultGossipInterval. Call after the topology is built and
 // before injecting faults. With one node this degenerates to the
 // unreplicated behavior every existing experiment is calibrated
 // against.
-func (g *Grid) EnableGISReplication(nodes []string, gossipEvery sim.Duration) (*gis.Cluster, error) {
-	c, err := gis.NewCluster(g.net, g.info, nodes, gossipEvery)
+func (g *Grid) EnableGISReplication(nodes []string) (*gis.Cluster, error) {
+	c, err := gis.NewCluster(g.net, g.info, nodes, gis.DefaultGossipInterval)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"vmgrid/internal/rps"
 	"vmgrid/internal/sim"
 )
@@ -16,7 +14,6 @@ import (
 // node so the records follow the forecasts.
 type Monitor struct {
 	grid      *Grid
-	interval  sim.Duration
 	forecasts map[string]*forecast
 	running   bool
 	next      sim.EventID
@@ -37,15 +34,15 @@ type forecast struct {
 	load   float64
 }
 
-// StartMonitor begins sampling every compute node at the given interval
-// (the RPS host-load sensor cadence; 1 s matches the original toolkit).
-func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("core: monitor interval %v", interval)
-	}
+// monitorInterval is the host-load sensor and refresh cadence: 1 s, as
+// in the original RPS toolkit.
+const monitorInterval = sim.Second
+
+// StartMonitor begins sampling every compute node's load once per
+// monitorInterval and refreshing its VM future with the forecast.
+func (g *Grid) StartMonitor() (*Monitor, error) {
 	m := &Monitor{
 		grid:      g,
-		interval:  interval,
 		forecasts: make(map[string]*forecast),
 	}
 	for _, name := range g.names {
@@ -54,7 +51,7 @@ func (g *Grid) StartMonitor(interval sim.Duration) (*Monitor, error) {
 			continue
 		}
 		host := node.host
-		sensor, err := rps.NewSensor(g.k, interval, 512, func() float64 {
+		sensor, err := rps.NewSensor(g.k, monitorInterval, 512, func() float64 {
 			return host.LoadAverage()
 		})
 		if err != nil {
@@ -129,7 +126,7 @@ func (m *Monitor) tick() {
 	for _, name := range m.grid.names {
 		m.grid.nodes[name].advertise()
 	}
-	m.next = m.grid.k.After(m.interval, m.tickFn)
+	m.next = m.grid.k.After(monitorInterval, m.tickFn)
 }
 
 // Ticks returns how many refresh rounds have run.

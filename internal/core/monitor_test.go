@@ -13,7 +13,7 @@ import (
 
 func TestMonitorRefreshesPredictedLoad(t *testing.T) {
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMonitorRefreshesPredictedLoad(t *testing.T) {
 
 func TestMonitorStopHaltsTicks(t *testing.T) {
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +71,11 @@ func TestMonitorStopHaltsTicks(t *testing.T) {
 	m.Stop() // idempotent
 }
 
-func TestMonitorValidation(t *testing.T) {
-	g := testbed(t)
-	if _, err := g.StartMonitor(0); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
 func TestMonitorQueryLanguageIntegration(t *testing.T) {
 	// The monitor's records are queryable through the URGIS-style
 	// language — the paper's resource-discovery flow end to end.
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +119,7 @@ func freshForecast(t *testing.T, m *Monitor, node string) float64 {
 // threshold, and after the 512-sample ring wraps.
 func TestPredictedLoadMemoMatchesFreshModel(t *testing.T) {
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +155,7 @@ var predictedSink float64
 // forecast.
 func BenchmarkPredictedLoad(b *testing.B) {
 	g := testbed(b)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +179,7 @@ func BenchmarkPredictedLoad(b *testing.B) {
 func crashUnderMonitor(t *testing.T) (*Grid, *Monitor) {
 	t.Helper()
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +220,7 @@ func TestSessionAfterCrashUnderMonitorLandsOnLiveNode(t *testing.T) {
 // forecast as its load instead of switching to another signal.
 func TestSlotChangeKeepsForecastBetweenTicks(t *testing.T) {
 	g := testbed(t)
-	m, err := g.StartMonitor(sim.Second)
+	m, err := g.StartMonitor()
 	if err != nil {
 		t.Fatal(err)
 	}

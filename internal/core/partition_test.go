@@ -12,7 +12,7 @@ import (
 // nodes (data is the supervisor's stable node and replica home).
 func replicate(t *testing.T, g *Grid) {
 	t.Helper()
-	if _, err := g.EnableGISReplication([]string{"data", "front", "images"}, 0); err != nil {
+	if _, err := g.EnableGISReplication([]string{"data", "front", "images"}); err != nil {
 		t.Fatal(err)
 	}
 }

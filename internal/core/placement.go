@@ -20,7 +20,6 @@ type createOptions struct {
 	placer   placement.Placer
 	hint     string
 	priority int
-	fence    func() error
 }
 
 // CreateOption customizes one CreateSession call.
@@ -47,20 +46,6 @@ func WithNodeHint(node string) CreateOption {
 func WithPriority(p int) CreateOption {
 	return func(o *createOptions) { o.priority = p }
 }
-
-// WithFence threads an admission fence into the session's start-vm
-// job: the gatekeeper evaluates it immediately before instantiation
-// and rejects the job on a non-nil error. Callers that race session
-// creation against their own failover machinery use it the way the
-// supervisor fences restores.
-func WithFence(fence func() error) CreateOption {
-	return func(o *createOptions) { o.fence = fence }
-}
-
-// SetDefaultPlacer installs a grid-wide placement policy consulted by
-// every CreateSession call that does not carry its own WithPlacer.
-// nil restores the information-service ranking default.
-func (g *Grid) SetDefaultPlacer(p placement.Placer) { g.defaultPlacer = p }
 
 // biReachable reports whether a and b can currently route to each
 // other in both directions — the requirement for any control-plane
@@ -146,10 +131,6 @@ func placeWith(p placement.Placer, req placement.Request, cands []placement.Cand
 // a locally-required image), honor the hint, then apply the policy —
 // first fit when there is none.
 func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry) (*Node, error) {
-	placer := o.placer
-	if placer == nil {
-		placer = g.defaultPlacer
-	}
 	image := ""
 	if cfg.Access == AccessLocal || cfg.Access == AccessLoopback {
 		// These modes can only start where the image is installed;
@@ -165,7 +146,7 @@ func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry)
 			}
 		}
 	}
-	name, ok := placeWith(placer, placement.Request{
+	name, ok := placeWith(o.placer, placement.Request{
 		User:        cfg.User,
 		Image:       cfg.Image,
 		Site:        cfg.Site,

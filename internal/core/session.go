@@ -370,10 +370,9 @@ func (m *memBackend) Write(off, size int64, done func()) {
 // CreateSession runs the Figure 3 life cycle and delivers the ready
 // session (or the first error) to done. The returned session handle is
 // also usable immediately for inspection of progress. Options
-// customize placement and admission: WithPlacer / WithNodeHint steer
-// step 1's node choice through the shared placement path, WithPriority
-// orders balancer evictions, WithFence guards instantiation the way
-// supervisors fence restores. With no options the session places on
+// customize placement: WithPlacer / WithNodeHint steer step 1's node
+// choice through the shared placement path, and WithPriority orders
+// balancer evictions. With no options the session places on
 // the information service's first-ranked future, exactly as before the
 // placement subsystem existed.
 func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts ...CreateOption) (*Session, error) {
@@ -458,7 +457,6 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			job := gram.Job{
 				Name:   "start-vm:" + s.name,
 				User:   cfg.User,
-				Fence:  o.fence,
 				Ctx:    s.sctx,
 				RunCtx: func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(ctx, jobDone) },
 			}
@@ -865,7 +863,6 @@ func (g *Grid) vfsClient(fromNode, toNode string, s *Session) (*vfs.Client, erro
 	if lat > 5*sim.Millisecond {
 		cfg = vfs.WANConfig()
 	}
-	cfg.Retry = g.vfsRetry
 	cfg.Trace = g.tracer
 	if s != nil {
 		cfg.Fence = s.fence(toNode)

@@ -45,20 +45,6 @@ func (s State) String() string {
 	}
 }
 
-// ParseState maps a wire name back to a State.
-func ParseState(name string) (State, error) {
-	for s := StatePending; s <= StateDead; s++ {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown session state %q", name)
-}
-
-// Alive reports whether the session still holds resources somewhere
-// (anything but dead).
-func (s State) Alive() bool { return s != StateDead && s != 0 }
-
 // CanRun reports whether workloads may be submitted.
 func (s State) CanRun() bool { return s == StateRunning }
 

@@ -16,16 +16,19 @@ import (
 	"vmgrid/internal/vmm"
 )
 
+// The failure detector's timing, shared by the supervisor and the
+// stale-lease alert rule (DefaultAlertRules).
+const (
+	// heartbeatInterval is how often the supervisor refreshes a charge's
+	// lease (and, for crashed charges, polls for lease expiry).
+	heartbeatInterval = 2 * sim.Second
+	// leaseTTL is the lease lifetime per refresh; a host must miss
+	// several heartbeats before its sessions are declared failed.
+	leaseTTL = 3 * heartbeatInterval
+)
+
 // SupervisorConfig tunes the self-healing session supervisor.
 type SupervisorConfig struct {
-	// HeartbeatInterval is how often the supervisor refreshes a charge's
-	// lease (and, for crashed charges, polls for lease expiry). Default
-	// 2 s.
-	HeartbeatInterval sim.Duration
-	// LeaseTTL is the lease lifetime per refresh; a host must miss
-	// several heartbeats before its sessions are declared failed.
-	// Default 3 × HeartbeatInterval.
-	LeaseTTL sim.Duration
 	// CheckpointInterval is how often the supervisor checkpoints each
 	// charge (stop-and-copy: suspend, stage the memory image and COW
 	// diff to stable storage, resume). Default 60 s.
@@ -55,12 +58,6 @@ type SupervisorConfig struct {
 }
 
 func (c *SupervisorConfig) fill() {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 2 * sim.Second
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 3 * c.HeartbeatInterval
-	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 60 * sim.Second
 	}
@@ -328,7 +325,7 @@ func (sup *Supervisor) renewLease(c *charge) bool {
 	if err := sup.g.info.RegisterFrom(host, gis.KindLease, c.s.name, map[string]any{
 		gis.AttrHost:  host,
 		gis.AttrEpoch: c.epoch,
-	}, sup.cfg.LeaseTTL); err != nil {
+	}, leaseTTL); err != nil {
 		return false
 	}
 	c.lastRenew = sup.g.k.Now()
@@ -336,7 +333,7 @@ func (sup *Supervisor) renewLease(c *charge) bool {
 }
 
 func (sup *Supervisor) scheduleHeartbeat(c *charge) {
-	c.hbNext = sup.g.k.After(sup.cfg.HeartbeatInterval, func() { sup.heartbeat(c) })
+	c.hbNext = sup.g.k.After(heartbeatInterval, func() { sup.heartbeat(c) })
 }
 
 func (sup *Supervisor) scheduleCheckpoint(c *charge) {
@@ -617,7 +614,7 @@ func (sup *Supervisor) failover(c *charge) {
 		s.state = StateCrashed
 		c.failSpan.Note("no target available")
 		c.failSpan.End()
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 		return
 	}
 	// Fence before the new incarnation can exist: bump the session's
@@ -630,7 +627,7 @@ func (sup *Supervisor) failover(c *charge) {
 		s.state = StateCrashed
 		c.failSpan.Note("no quorum for epoch bump")
 		c.failSpan.End()
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 		return
 	}
 	c.epoch = ep
@@ -646,7 +643,7 @@ func (sup *Supervisor) failover(c *charge) {
 		release()
 		s.state = StateCrashed
 		c.failSpan.EndErr(err)
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 	}
 
 	memName, cowName := c.ckptFiles(c.slot)
@@ -786,7 +783,7 @@ func (sup *Supervisor) dispatchRestore(c *charge, target *Node, release func()) 
 		release()
 		s.state = StateCrashed
 		c.failSpan.EndErr(err)
-		sup.g.k.After(sup.cfg.LeaseTTL, func() { c.recovering = false })
+		sup.g.k.After(leaseTTL, func() { c.recovering = false })
 	}
 	front := sup.g.nodes[s.cfg.FrontEnd]
 	if front == nil || front.crashed {

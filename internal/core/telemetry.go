@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"vmgrid/internal/gis"
-	"vmgrid/internal/sim"
 	"vmgrid/internal/telemetry"
 	"vmgrid/internal/vfs"
 )
@@ -25,14 +24,11 @@ import (
 // The collector is returned for rule registration and export; it is
 // also reachable via Telemetry. Scraping only reads fabric state, so
 // enabling telemetry never changes simulation outcomes.
-func (g *Grid) EnableTelemetry(cfg telemetry.Config) (*telemetry.Collector, error) {
+func (g *Grid) EnableTelemetry() (*telemetry.Collector, error) {
 	if g.telemetry != nil {
 		return nil, fmt.Errorf("core: telemetry already enabled")
 	}
-	if cfg.Trace == nil {
-		cfg.Trace = g.tracer
-	}
-	col, err := telemetry.NewCollector(g.k, cfg)
+	col, err := telemetry.NewCollector(g.k, g.tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -69,31 +65,28 @@ func (g *Grid) EnableTelemetry(cfg telemetry.Config) (*telemetry.Collector, erro
 // and a nil collector is itself safe to use).
 func (g *Grid) Telemetry() *telemetry.Collector { return g.telemetry }
 
-// DefaultAlertRules installs the standard SLO rules against the
-// supervisor heartbeat interval hb (pass 0 for the 2 s default):
+// DefaultAlertRules installs the standard SLO rules:
 //
 //   - slowdown: mean VM slowdown over 30 s exceeds Figure 1's ≤10%
 //     virtualization budget for 30 s.
 //   - stale-lease: a session's lease has not been renewed for more than
-//     2×heartbeat — the telemetry-side shadow of the supervisor's
-//     lease-expiry failure detector (which waits for the 3×hb TTL).
+//     two supervisor heartbeats (4 s) — the telemetry-side shadow of the
+//     supervisor's lease-expiry failure detector, which waits for the
+//     three-heartbeat leaseTTL.
 //   - vfs-retry-storm: the per-session VFS retry counter grows faster
 //     than 5/s over 10 s — a flapping link or dying server.
 //   - split-brain-risk: minority-side registry writes are being
 //     rejected — some node is partitioned from the GIS quorum and its
 //     sessions are failover candidates. (The series only exists on
 //     replicated grids, so the rule is inert otherwise.)
-func (g *Grid) DefaultAlertRules(hb sim.Duration) error {
+func (g *Grid) DefaultAlertRules() error {
 	col := g.telemetry
 	if col == nil {
 		return fmt.Errorf("core: default alert rules without telemetry")
 	}
-	if hb <= 0 {
-		hb = 2 * sim.Second
-	}
 	rules := []struct{ name, expr string }{
 		{"slowdown", "mean(session.slowdown, 30s) > 1.10 for 30s"},
-		{"stale-lease", fmt.Sprintf("last(lease.age) > %g", (2 * hb).Seconds())},
+		{"stale-lease", fmt.Sprintf("last(lease.age) > %g", (2 * heartbeatInterval).Seconds())},
 		{"vfs-retry-storm", "rate(vfs.retries, 10s) > 5"},
 		{"split-brain-risk", "rate(gis.minority_writes, 10s) > 0"},
 	}

@@ -133,18 +133,18 @@ func requireSameSeries(t *testing.T, step int, got, want *telemetry.DB, points b
 func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 	g := testbed(t)
 	g.SetTracer(obs.New(g.Kernel()))
-	col, err := g.EnableTelemetry(telemetry.Config{})
+	col, err := g.EnableTelemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := telemetry.NewCollector(g.Kernel(), telemetry.Config{})
+	ref, err := telemetry.NewCollector(g.Kernel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, src := range keyedScrapes(g, g.tracer.Metrics()) {
 		ref.AddSource(src)
 	}
-	if _, err := g.StartMonitor(sim.Second); err != nil {
+	if _, err := g.StartMonitor(); err != nil {
 		t.Fatal(err)
 	}
 	sup, err := NewSupervisor(g, SupervisorConfig{StableNode: "data", CheckpointInterval: 30 * sim.Second})
@@ -230,13 +230,13 @@ func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 // lease scrapes.
 func TestScrapeNodesZeroAllocs(t *testing.T) {
 	g := testbed(t)
-	col, err := g.EnableTelemetry(telemetry.Config{})
+	col, err := g.EnableTelemetry()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rec *telemetry.Recorder
 	col.AddSource(func(r *telemetry.Recorder) { rec = r })
-	if _, err := g.StartMonitor(sim.Second); err != nil {
+	if _, err := g.StartMonitor(); err != nil {
 		t.Fatal(err)
 	}
 	s := startSession(t, g, baseConfig())

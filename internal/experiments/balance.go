@@ -11,7 +11,6 @@ import (
 	"vmgrid/internal/placement"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
-	"vmgrid/internal/telemetry"
 	"vmgrid/internal/vmm"
 )
 
@@ -168,7 +167,7 @@ func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance
 	// The telemetry pipeline supplies the balancer's load signal (the
 	// monitor's predicted-load series lands in the TSDB via the scrape
 	// loop) and the per-node utilization series the spread is read from.
-	col, err := g.EnableTelemetry(telemetry.Config{})
+	col, err := g.EnableTelemetry()
 	if err != nil {
 		return arm, err
 	}
@@ -196,7 +195,7 @@ func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance
 	}
 	// The monitor feeds the predicted-load policy and the balancer: raw
 	// 1 s load samples, AR forecasts republished into the VM futures.
-	mon, err := g.StartMonitor(sim.Second)
+	mon, err := g.StartMonitor()
 	if err != nil {
 		return arm, err
 	}

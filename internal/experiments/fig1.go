@@ -217,7 +217,7 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 		// Figure 1 has no Grid, so the scenario hosts a raw collector: the
 		// sample loop observes each task's slowdown, and the figure's ≤10%
 		// virtualization budget doubles as the SLO under test.
-		if col, err = telemetry.NewCollector(k, telemetry.Config{Trace: otr}); err != nil {
+		if col, err = telemetry.NewCollector(k, otr); err != nil {
 			return Fig1Row{}, nil, nil, err
 		}
 		if err := col.AddRule("slowdown", "mean(task.slowdown, 30s) > 1.10 for 30s"); err != nil {

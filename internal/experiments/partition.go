@@ -12,7 +12,6 @@ import (
 	"vmgrid/internal/hw"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
-	"vmgrid/internal/telemetry"
 	"vmgrid/internal/vmm"
 )
 
@@ -147,11 +146,11 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 	var arm partitionArm
 	g := core.NewGrid(seed)
 	k := g.Kernel()
-	col, err := g.EnableTelemetry(telemetry.Config{})
+	col, err := g.EnableTelemetry()
 	if err != nil {
 		return arm, err
 	}
-	if err := g.DefaultAlertRules(0); err != nil {
+	if err := g.DefaultAlertRules(); err != nil {
 		return arm, err
 	}
 	col.Start()
@@ -173,7 +172,7 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 		return arm, err
 	}
 	homes := []string{"data", "g2", "g3", "g4", "g5"}[:count]
-	cl, err := g.EnableGISReplication(homes, 0)
+	cl, err := g.EnableGISReplication(homes)
 	if err != nil {
 		return arm, err
 	}

@@ -11,7 +11,6 @@ import (
 	"vmgrid/internal/obs"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
-	"vmgrid/internal/telemetry"
 	"vmgrid/internal/vmm"
 )
 
@@ -185,7 +184,7 @@ func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (re
 	k := g.Kernel()
 	var rec *obs.FlightRecorder
 	if record {
-		rec = g.EnableFlightRecorder(obs.FlightConfig{})
+		rec = g.EnableFlightRecorder()
 	}
 	// The telemetry pipeline runs alongside the supervisor with the
 	// standard SLO rules: its stale-lease alert (2×heartbeat) is an
@@ -193,11 +192,11 @@ func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (re
 	// (3×heartbeat TTL), and the firing count per run is reported so the
 	// two detection paths cross-check each other. Scraping is read-only,
 	// so the measured recovery numbers are unchanged by it.
-	col, err := g.EnableTelemetry(telemetry.Config{})
+	col, err := g.EnableTelemetry()
 	if err != nil {
 		return arm, nil, err
 	}
-	if err := g.DefaultAlertRules(0); err != nil {
+	if err := g.DefaultAlertRules(); err != nil {
 		return arm, nil, err
 	}
 	col.Start()

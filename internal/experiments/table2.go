@@ -134,10 +134,10 @@ func table2Sample(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access 
 	var col *telemetry.Collector
 	if telemetered {
 		var err error
-		if col, err = g.EnableTelemetry(telemetry.Config{}); err != nil {
+		if col, err = g.EnableTelemetry(); err != nil {
 			return 0, nil, nil, err
 		}
-		if err := g.DefaultAlertRules(0); err != nil {
+		if err := g.DefaultAlertRules(); err != nil {
 			return 0, nil, nil, err
 		}
 		// Self-tick once per simulated second; the session-ready callback

@@ -135,30 +135,3 @@ func (in *Injector) PartitionNode(n *netsim.Network, node string, at sim.Time, o
 		in.at(at.Add(outage), "heal:"+node, func() { _ = n.SetNodeUp(node, true) })
 	}
 }
-
-// FlapLinkOneWay takes only the from->to direction of a link down at
-// time at and restores it after outage (outage ≤ 0 = stays down). The
-// reverse direction keeps flowing throughout — the asymmetric fault
-// shape that defeats naive "can I hear you" failure detectors.
-func (in *Injector) FlapLinkOneWay(n *netsim.Network, from, to string, at sim.Time, outage sim.Duration) {
-	in.at(at, "link-down:"+from+"->"+to, func() { _ = n.SetLinkDirUp(from, to, false) })
-	if outage > 0 {
-		in.at(at.Add(outage), "link-up:"+from+"->"+to, func() { _ = n.SetLinkDirUp(from, to, true) })
-	}
-}
-
-// PartitionNodeOneWay fails one direction of every link attached to
-// node at time at: outbound=true mutes it (its heartbeats vanish while
-// it still hears the grid — the canonical split-brain trigger),
-// outbound=false deafens it. Heals after outage (outage ≤ 0 =
-// permanent).
-func (in *Injector) PartitionNodeOneWay(n *netsim.Network, node string, at sim.Time, outage sim.Duration, outbound bool) {
-	dir := "in"
-	if outbound {
-		dir = "out"
-	}
-	in.at(at, "partition-"+dir+":"+node, func() { _ = n.SetNodeDirUp(node, outbound, false) })
-	if outage > 0 {
-		in.at(at.Add(outage), "heal-"+dir+":"+node, func() { _ = n.SetNodeDirUp(node, outbound, true) })
-	}
-}

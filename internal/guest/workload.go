@@ -303,9 +303,6 @@ func buildIOPlan(w Workload) []ioOp {
 // Running reports whether the task currently wants CPU.
 func (t *Task) Running() bool { return t.state == taskRunning }
 
-// Blocked reports whether the task is waiting on I/O.
-func (t *Task) Blocked() bool { return t.state == taskBlocked }
-
 // Done reports whether the task finished.
 func (t *Task) Done() bool { return t.state == taskDone }
 

@@ -29,15 +29,16 @@ const (
 	DefaultCtxSwitchCost = 60 * sim.Microsecond
 )
 
+// sharingEff is the fraction of the core left to processes while more
+// than one shares it: each quantum boundary costs a context switch.
+var sharingEff = 1 - DefaultCtxSwitchCost.Seconds()/DefaultQuantum.Seconds()
+
 // Host is one physical node running a host operating system.
 type Host struct {
 	k     *sim.Kernel
 	spec  hw.MachineSpec
 	disk  *hw.Disk
 	cache *BufferCache
-
-	quantum sim.Duration
-	ctxCost sim.Duration
 
 	procs  []*Process
 	nextID int
@@ -49,37 +50,19 @@ type Host struct {
 	scratchUncapped []int
 }
 
-// Option configures a Host.
-type Option func(*Host)
-
-// WithQuantum overrides the scheduler quantum.
-func WithQuantum(q sim.Duration) Option {
-	return func(h *Host) { h.quantum = q }
-}
-
-// WithCtxSwitchCost overrides the per-context-switch cost.
-func WithCtxSwitchCost(c sim.Duration) Option {
-	return func(h *Host) { h.ctxCost = c }
-}
-
 // New boots a host OS on the given hardware.
-func New(k *sim.Kernel, spec hw.MachineSpec, opts ...Option) (*Host, error) {
+func New(k *sim.Kernel, spec hw.MachineSpec) (*Host, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("hostos: %w", err)
 	}
 	h := &Host{
-		k:       k,
-		spec:    spec,
-		disk:    hw.NewDisk(k, spec.Disk),
-		quantum: DefaultQuantum,
-		ctxCost: DefaultCtxSwitchCost,
+		k:    k,
+		spec: spec,
+		disk: hw.NewDisk(k, spec.Disk),
 	}
 	// The buffer cache gets roughly what Linux would leave free on the
 	// paper's 512 MB host after the kernel and resident daemons.
 	h.cache = NewBufferCache(h.disk, spec.MemBytes*6/10)
-	for _, opt := range opts {
-		opt(h)
-	}
 	return h, nil
 }
 
@@ -222,11 +205,8 @@ func (h *Host) rebalance() {
 		}
 	}
 	eff := 1.0
-	if sharing > 1 && h.quantum > 0 {
-		eff = 1 - h.ctxCost.Seconds()/h.quantum.Seconds()
-		if eff < 0 {
-			eff = 0
-		}
+	if sharing > 1 {
+		eff = sharingEff
 	}
 
 	for _, p := range h.procs {

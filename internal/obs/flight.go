@@ -35,38 +35,23 @@ type FlightRecorder struct {
 	sealed  []*Incident
 	open    []*Incident
 	dropped int
-
-	cfg FlightConfig
 }
 
-// FlightConfig bounds the recorder.
-type FlightConfig struct {
-	// SpanCap is the ring capacity (default 512 completed spans).
-	SpanCap int
-	// MaxIncidents bounds retained incident bundles, open + sealed;
-	// triggers beyond it are counted in Dropped (default 16).
-	MaxIncidents int
-	// MaxCausal bounds the causal capture of one open incident; an
-	// incident that outgrows it seals early (default 4096 spans).
-	MaxCausal int
-}
-
-func (c *FlightConfig) fill() {
-	if c.SpanCap <= 0 {
-		c.SpanCap = 512
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 16
-	}
-	if c.MaxCausal <= 0 {
-		c.MaxCausal = 4096
-	}
-}
+// The recorder's memory bounds.
+const (
+	// flightSpanCap is the ring capacity in completed spans.
+	flightSpanCap = 512
+	// flightMaxIncidents bounds retained incident bundles, open +
+	// sealed; triggers beyond it are counted in Dropped.
+	flightMaxIncidents = 16
+	// flightMaxCausal bounds the causal capture of one open incident;
+	// an incident that outgrows it seals early.
+	flightMaxCausal = 4096
+)
 
 // NewFlightRecorder returns a recorder reading the given clock.
-func NewFlightRecorder(clock Clock, cfg FlightConfig) *FlightRecorder {
-	cfg.fill()
-	return &FlightRecorder{clock: clock, ring: make([]SpanRecord, 0, cfg.SpanCap), cfg: cfg}
+func NewFlightRecorder(clock Clock) *FlightRecorder {
+	return &FlightRecorder{clock: clock, ring: make([]SpanRecord, 0, flightSpanCap)}
 }
 
 // Incident is one frozen bundle: what the grid looked like when the
@@ -107,11 +92,11 @@ func (r *FlightRecorder) noteSpan(rec SpanRecord) {
 		return
 	}
 	r.seen++
-	if len(r.ring) < r.cfg.SpanCap {
+	if len(r.ring) < flightSpanCap {
 		r.ring = append(r.ring, rec)
 	} else {
 		r.ring[r.next] = rec
-		r.next = (r.next + 1) % r.cfg.SpanCap
+		r.next = (r.next + 1) % flightSpanCap
 		r.full = true
 	}
 	if len(r.open) == 0 {
@@ -124,20 +109,10 @@ func (r *FlightRecorder) noteSpan(rec SpanRecord) {
 			continue
 		}
 		inc.Causal = append(inc.Causal, rec)
-		if rec.ID == inc.Root.Span || len(inc.Causal) >= r.cfg.MaxCausal {
+		if rec.ID == inc.Root.Span || len(inc.Causal) >= flightMaxCausal {
 			r.seal(inc)
 		}
 	}
-}
-
-// NoteEvent drops a free-standing instant into the ring — fault
-// events and other non-span context a postmortem reader wants.
-func (r *FlightRecorder) NoteEvent(track, cat, name, note string) {
-	if r == nil {
-		return
-	}
-	now := r.clock.Now()
-	r.noteSpan(SpanRecord{Track: track, Cat: cat, Name: name, Start: now, End: now, Instant: true, Note: note})
 }
 
 // Snapshot returns the ring's contents oldest-first (a copy).
@@ -165,7 +140,7 @@ func (r *FlightRecorder) SpansSeen() uint64 {
 }
 
 // Dropped returns how many triggers were discarded because
-// MaxIncidents bundles already existed.
+// flightMaxIncidents bundles already existed.
 func (r *FlightRecorder) Dropped() int {
 	if r == nil {
 		return 0
@@ -191,7 +166,7 @@ func slug(s string) string {
 // newIncident allocates the bundle shell shared by Open and FreezeNow,
 // or nil when the incident budget is spent.
 func (r *FlightRecorder) newIncident(trigger, subject string) *Incident {
-	if len(r.sealed)+len(r.open) >= r.cfg.MaxIncidents {
+	if len(r.sealed)+len(r.open) >= flightMaxIncidents {
 		r.dropped++
 		return nil
 	}
@@ -225,7 +200,7 @@ func (r *FlightRecorder) FreezeNow(trigger, subject string) string {
 // Open starts an incident rooted at a live span: trace members already
 // in the ring seed the causal capture, later members append as they
 // complete, and the incident seals — computing its postmortem — when
-// the root span itself ends (or the capture hits MaxCausal). An
+// the root span itself ends (or the capture hits flightMaxCausal). An
 // invalid root degrades to FreezeNow.
 func (r *FlightRecorder) Open(trigger, subject string, root SpanContext) string {
 	if r == nil {
@@ -249,10 +224,25 @@ func (r *FlightRecorder) Open(trigger, subject string, root SpanContext) string 
 }
 
 // seal closes an open incident: compute the postmortem and move the
-// bundle to the sealed list.
+// bundle to the sealed list. An incident sealed at the causal cap has
+// no root record yet, so its postmortem covers the root as still open:
+// from its earliest known instant (the trigger or the first captured
+// member) to the seal.
 func (r *FlightRecorder) seal(inc *Incident) {
 	inc.SealedAt = r.clock.Now()
-	inc.Report = Analyze(inc.Causal, inc.Root)
+	spans := inc.Causal
+	if spans[len(spans)-1].ID != inc.Root.Span {
+		open := SpanRecord{
+			Track: inc.Subject, Cat: "incident", Name: inc.Trigger,
+			Start: inc.At, End: inc.SealedAt, Note: "root open at the causal cap",
+			Trace: inc.Root.Trace, ID: inc.Root.Span,
+		}
+		for _, s := range spans {
+			open.Start = min(open.Start, s.Start)
+		}
+		spans = append(spans[:len(spans):len(spans)], open)
+	}
+	inc.Report = Analyze(spans, inc.Root)
 	kept := r.open[:0]
 	for _, o := range r.open {
 		if o != inc {

@@ -103,31 +103,32 @@ func TestSpansReturnsCopy(t *testing.T) {
 
 func TestFlightRecorderRingBounds(t *testing.T) {
 	clk := &fakeClock{}
-	rec := NewFlightRecorder(clk, FlightConfig{SpanCap: 4})
+	rec := NewFlightRecorder(clk)
 	tr := New(clk)
 	tr.SetFlightRecorder(rec)
-	for i := 0; i < 10; i++ {
+	const n = flightSpanCap + 6
+	for i := 0; i < n; i++ {
 		clk.now++
 		tr.Instant("a", "evt", fmt.Sprintf("e%d", i))
 	}
 	snap := rec.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("ring holds %d spans, want 4", len(snap))
+	if len(snap) != flightSpanCap {
+		t.Fatalf("ring holds %d spans, want %d", len(snap), flightSpanCap)
 	}
-	// Oldest-first: the survivors are e6..e9.
+	// Oldest-first: the survivors are e6..e(n-1).
 	for i, s := range snap {
 		if want := fmt.Sprintf("e%d", 6+i); s.Name != want {
 			t.Errorf("ring[%d] = %s, want %s", i, s.Name, want)
 		}
 	}
-	if rec.SpansSeen() != 10 {
-		t.Errorf("SpansSeen = %d, want 10", rec.SpansSeen())
+	if rec.SpansSeen() != n {
+		t.Errorf("SpansSeen = %d, want %d", rec.SpansSeen(), n)
 	}
 }
 
 func TestIncidentOpenSealLifecycle(t *testing.T) {
 	clk := &fakeClock{}
-	rec := NewFlightRecorder(clk, FlightConfig{})
+	rec := NewFlightRecorder(clk)
 	tr := New(clk)
 	tr.SeedIDs(1)
 	tr.SetFlightRecorder(rec)
@@ -176,15 +177,59 @@ func TestIncidentOpenSealLifecycle(t *testing.T) {
 
 func TestIncidentBudget(t *testing.T) {
 	clk := &fakeClock{}
-	rec := NewFlightRecorder(clk, FlightConfig{MaxIncidents: 2})
-	if rec.FreezeNow("a", "x") == "" || rec.FreezeNow("b", "y") == "" {
-		t.Fatal("first two incidents rejected")
+	rec := NewFlightRecorder(clk)
+	for i := 0; i < flightMaxIncidents; i++ {
+		if rec.FreezeNow("a", fmt.Sprint(i)) == "" {
+			t.Fatalf("incident %d of %d rejected", i+1, flightMaxIncidents)
+		}
 	}
 	if got := rec.FreezeNow("c", "z"); got != "" {
 		t.Fatalf("over-budget incident accepted: %q", got)
 	}
-	if rec.Dropped() != 1 || len(rec.Incidents()) != 2 {
-		t.Fatalf("dropped=%d incidents=%d, want 1/2", rec.Dropped(), len(rec.Incidents()))
+	if rec.Dropped() != 1 || len(rec.Incidents()) != flightMaxIncidents {
+		t.Fatalf("dropped=%d incidents=%d, want 1/%d", rec.Dropped(), len(rec.Incidents()), flightMaxIncidents)
+	}
+}
+
+// TestIncidentSealsAtCausalCap: an incident whose root never ends
+// stops capturing at flightMaxCausal spans — it seals early, postmortem
+// included, instead of growing without bound.
+func TestIncidentSealsAtCausalCap(t *testing.T) {
+	clk := &fakeClock{}
+	rec := NewFlightRecorder(clk)
+	tr := NewFlightOnly(clk)
+	tr.SeedIDs(1)
+	tr.SetFlightRecorder(rec)
+	root := tr.BeginTrace("sess", "supervisor", "failover")
+	inc := rec.Incident(rec.Open("recovery", "sess", root.Context()))
+	if inc == nil {
+		t.Fatal("Open returned no incident")
+	}
+	for i := 0; i < flightMaxCausal; i++ {
+		if inc.Sealed() {
+			t.Fatalf("incident sealed after %d of %d causal spans", i, flightMaxCausal)
+		}
+		clk.now++
+		child := tr.BeginChild(root.Context(), "sess", "vmm", "restore")
+		clk.now++
+		child.End()
+	}
+	if !inc.Sealed() || inc.SealedAt != clk.now {
+		t.Fatalf("incident not sealed at the causal cap: sealedAt=%d now=%d", inc.SealedAt, clk.now)
+	}
+	if len(inc.Causal) != flightMaxCausal {
+		t.Fatalf("causal capture = %d spans, want %d", len(inc.Causal), flightMaxCausal)
+	}
+	if inc.Report == nil || inc.Report.EndUs != inc.SealedAt || len(inc.Report.Critical) == 0 {
+		t.Fatalf("early-sealed incident lacks a postmortem up to its seal: %+v", inc.Report)
+	}
+	// Sealed is final: later members of the trace and the root's own
+	// end neither grow the capture nor seal a second time.
+	child := tr.BeginChild(root.Context(), "sess", "vmm", "restore")
+	child.End()
+	root.End()
+	if len(inc.Causal) != flightMaxCausal || len(rec.Incidents()) != 1 {
+		t.Fatalf("after seal: causal=%d incidents=%d, want %d/1", len(inc.Causal), len(rec.Incidents()), flightMaxCausal)
 	}
 }
 
@@ -193,7 +238,7 @@ func TestIncidentBudget(t *testing.T) {
 // and Spans() stays nil — history lives in the recorder's ring alone.
 func TestFlightOnlyTracerBounded(t *testing.T) {
 	clk := &fakeClock{}
-	rec := NewFlightRecorder(clk, FlightConfig{SpanCap: 8})
+	rec := NewFlightRecorder(clk)
 	tr := NewFlightOnly(clk)
 	tr.SeedIDs(3)
 	tr.SetFlightRecorder(rec)
@@ -221,7 +266,7 @@ func TestFlightOnlyTracerBounded(t *testing.T) {
 func TestRecorderIndependenceUnderRace(t *testing.T) {
 	run := func(seed uint64) []byte {
 		clk := &fakeClock{}
-		rec := NewFlightRecorder(clk, FlightConfig{SpanCap: 16})
+		rec := NewFlightRecorder(clk)
 		tr := NewFlightOnly(clk)
 		tr.SeedIDs(seed)
 		tr.SetFlightRecorder(rec)
@@ -274,7 +319,7 @@ func BenchmarkFlightRecorder(b *testing.B) {
 	})
 	b.Run("flight-only", func(b *testing.B) {
 		clk := &fakeClock{}
-		rec := NewFlightRecorder(clk, FlightConfig{})
+		rec := NewFlightRecorder(clk)
 		tr := NewFlightOnly(clk)
 		tr.SeedIDs(1)
 		tr.SetFlightRecorder(rec)

@@ -54,9 +54,10 @@ type BalancerConfig struct {
 	// moved is immune for this long — with the target-load bound above,
 	// the ping-pong defense. Default 12 × Interval.
 	Cooldown sim.Duration
-	// MaxMoves bounds concurrent migrations. Default 1.
-	MaxMoves int
 }
+
+// maxMoves bounds the balancer's concurrent migrations.
+const maxMoves = 1
 
 func (c *BalancerConfig) fill() error {
 	if c.Interval <= 0 {
@@ -76,9 +77,6 @@ func (c *BalancerConfig) fill() error {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 12 * c.Interval
-	}
-	if c.MaxMoves <= 0 {
-		c.MaxMoves = 1
 	}
 	return nil
 }
@@ -192,7 +190,7 @@ func (b *Balancer) tick() {
 	})
 	for _, h := range armed {
 		b.stats.Hotspots++
-		if b.inflight >= b.cfg.MaxMoves {
+		if b.inflight >= maxMoves {
 			b.stats.Skipped++
 			continue
 		}

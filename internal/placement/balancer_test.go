@@ -270,7 +270,7 @@ func TestBalancerConfigValidation(t *testing.T) {
 	}
 	cfg := b.Config()
 	if cfg.Interval != 5*sim.Second || cfg.HotLoad != 2.0 || cfg.ClearLoad != 1.0 ||
-		cfg.Sustain != 3 || cfg.Cooldown != 60*sim.Second || cfg.MaxMoves != 1 {
+		cfg.Sustain != 3 || cfg.Cooldown != 60*sim.Second {
 		t.Errorf("defaults not filled: %+v", cfg)
 	}
 }

@@ -9,17 +9,10 @@
 // long to wait between them.
 //
 // Delays are capped-exponential: attempt n waits Backoff·2^(n-1),
-// clamped to MaxBackoff. A Jitter hook decorrelates concurrent
-// retriers; to preserve experiment reproducibility the hook must be
-// deterministic (seed it from the sim kernel's RNG, never wall clock).
+// clamped to MaxBackoff.
 package retry
 
 import "vmgrid/internal/sim"
-
-// JitterFunc perturbs a computed backoff. attempt is 1-based (the delay
-// before the second attempt has attempt == 1). Implementations must be
-// deterministic for reproducible experiments.
-type JitterFunc func(attempt int, backoff sim.Duration) sim.Duration
 
 // Policy bounds attempts and spaces them with capped exponential
 // backoff. The zero value means "defer to the caller's defaults": each
@@ -39,8 +32,6 @@ type Policy struct {
 	// MaxBackoff caps the doubling. Zero means the layer default cap,
 	// or uncapped where the layer never capped.
 	MaxBackoff sim.Duration
-	// Jitter, when non-nil, post-processes every computed delay.
-	Jitter JitterFunc `json:"-"`
 }
 
 // Attempts returns the effective attempt count: MaxAttempts, floored
@@ -54,8 +45,8 @@ func (p Policy) Attempts() int {
 
 // Delay returns the wait before retry attempt+1, where attempt is the
 // 1-based index of the attempt that just failed: Backoff·2^(attempt-1)
-// clamped to MaxBackoff, then jittered. def supplies the layer's
-// historical base backoff when Policy.Backoff is zero.
+// clamped to MaxBackoff. def supplies the layer's historical base
+// backoff when Policy.Backoff is zero.
 func (p Policy) Delay(attempt int, def sim.Duration) sim.Duration {
 	b := p.Backoff
 	if b <= 0 {
@@ -72,29 +63,9 @@ func (p Policy) Delay(attempt int, def sim.Duration) sim.Duration {
 	if p.MaxBackoff > 0 && d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	if p.Jitter != nil {
-		d = p.Jitter(attempt, d)
-	}
 	return d
 }
 
 // IsZero reports whether every tunable is unset, i.e. the policy
 // defers entirely to layer defaults.
-func (p Policy) IsZero() bool {
-	return p.MaxAttempts == 0 && p.Timeout == 0 && p.Backoff == 0 &&
-		p.MaxBackoff == 0 && p.Jitter == nil
-}
-
-// EqualJitter returns a deterministic jitter hook drawing uniformly
-// from [backoff/2, backoff] using rng — the classic "equal jitter"
-// scheme. Seed rng from the sim kernel so jittered schedules replay
-// bit-identically across runs and worker counts.
-func EqualJitter(rng func() uint64) JitterFunc {
-	return func(_ int, backoff sim.Duration) sim.Duration {
-		if backoff <= 1 {
-			return backoff
-		}
-		half := backoff / 2
-		return half + sim.Duration(rng()%uint64(backoff-half+1))
-	}
-}
+func (p Policy) IsZero() bool { return p == Policy{} }

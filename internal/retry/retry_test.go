@@ -52,33 +52,6 @@ func TestDelayUncappedWhenMaxBackoffZero(t *testing.T) {
 	}
 }
 
-func TestEqualJitterDeterministicAndBounded(t *testing.T) {
-	mk := func() JitterFunc {
-		var s uint64 = 42
-		return EqualJitter(func() uint64 { // SplitMix64 step
-			s += 0x9e3779b97f4a7c15
-			z := s
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			return z ^ (z >> 31)
-		})
-	}
-	a, b := mk(), mk()
-	p := Policy{Backoff: 100 * sim.Millisecond, MaxBackoff: sim.Second}
-	for n := 1; n <= 8; n++ {
-		base := Policy{Backoff: p.Backoff, MaxBackoff: p.MaxBackoff}.Delay(n, 0)
-		pa := Policy{Backoff: p.Backoff, MaxBackoff: p.MaxBackoff, Jitter: a}
-		pb := Policy{Backoff: p.Backoff, MaxBackoff: p.MaxBackoff, Jitter: b}
-		da, db := pa.Delay(n, 0), pb.Delay(n, 0)
-		if da != db {
-			t.Fatalf("jitter not deterministic: attempt %d: %v vs %v", n, da, db)
-		}
-		if da < base/2 || da > base {
-			t.Errorf("attempt %d: jittered delay %v outside [%v, %v]", n, da, base/2, base)
-		}
-	}
-}
-
 func TestIsZero(t *testing.T) {
 	if !(Policy{}).IsZero() {
 		t.Error("zero Policy should report IsZero")

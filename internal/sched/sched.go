@@ -102,7 +102,6 @@ func (l *Lottery) Wins() []uint64 { return append([]uint64(nil), l.wins...) }
 type WFQ struct {
 	weights []float64
 	vtime   []float64
-	runs    []uint64
 }
 
 // NewWFQ creates a WFQ scheduler with the given weights.
@@ -118,7 +117,6 @@ func NewWFQ(weights ...float64) (*WFQ, error) {
 	return &WFQ{
 		weights: append([]float64(nil), weights...),
 		vtime:   make([]float64, len(weights)),
-		runs:    make([]uint64, len(weights)),
 	}, nil
 }
 
@@ -146,12 +144,8 @@ func (w *WFQ) Next() int {
 		}
 	}
 	w.vtime[best] += 1 / w.weights[best]
-	w.runs[best]++
 	return best
 }
-
-// Runs returns how many quanta each client has received.
-func (w *WFQ) Runs() []uint64 { return append([]uint64(nil), w.runs...) }
 
 // Shares runs a scheduler for n quanta and returns the fraction of
 // quanta each client received — the enforcement-accuracy measurement of

@@ -7,28 +7,9 @@ import (
 	"vmgrid/internal/sim"
 )
 
-// Config tunes a Collector. The zero value selects the defaults noted
-// on each field.
-type Config struct {
-	// Interval is the scrape cadence when the collector self-ticks via
-	// Start. Default 1 s (the RPS sensor cadence).
-	Interval sim.Duration
-	// History is the per-series ring capacity. Default 512.
-	History int
-	// Trace, when non-nil, receives alert firings as instant events on
-	// an "alerts" track and counts them in the metrics registry, so
-	// alerts land in the Chrome trace next to the spans they explain.
-	Trace *obs.Tracer
-}
-
-func (c *Config) fill() {
-	if c.Interval <= 0 {
-		c.Interval = sim.Second
-	}
-	if c.History <= 0 {
-		c.History = 512
-	}
-}
+// scrapeInterval is the scrape cadence when the collector self-ticks
+// via Start: the RPS sensor cadence.
+const scrapeInterval = sim.Second
 
 // Source is one scrape callback: read fabric state, record samples.
 // Sources must only read simulation state — the collector promises that
@@ -101,9 +82,9 @@ func (f *registryFeed) hist(db *DB, name string) [2]*Handle {
 // self-armed tick (Start, for experiments that bound the kernel with
 // RunUntil horizons).
 type Collector struct {
-	k   *sim.Kernel
-	cfg Config
-	db  *DB
+	k     *sim.Kernel
+	trace *obs.Tracer
+	db    *DB
 
 	sources []Source
 	feeds   []*registryFeed
@@ -117,17 +98,16 @@ type Collector struct {
 	lastScrape sim.Time
 }
 
-// NewCollector creates an enabled collector on the kernel's clock.
-func NewCollector(k *sim.Kernel, cfg Config) (*Collector, error) {
+// NewCollector creates an enabled collector on the kernel's clock. A
+// non-nil tr receives alert firings as instant events on an "alerts"
+// track and counts them in its metrics registry, so alerts land in the
+// Chrome trace next to the spans they explain.
+func NewCollector(k *sim.Kernel, tr *obs.Tracer) (*Collector, error) {
 	if k == nil {
 		return nil, fmt.Errorf("telemetry: collector without a kernel")
 	}
-	cfg.fill()
-	db, err := NewDB(cfg.History)
-	if err != nil {
-		return nil, err
-	}
-	c := &Collector{k: k, cfg: cfg, db: db, rec: Recorder{db: db}, lastScrape: -1}
+	db := NewDB()
+	c := &Collector{k: k, trace: tr, db: db, rec: Recorder{db: db}, lastScrape: -1}
 	c.tickFn = c.tick
 	c.engine = newEngine(c)
 	return c, nil
@@ -150,14 +130,6 @@ func (c *Collector) Scrapes() int {
 		return 0
 	}
 	return c.scrapes
-}
-
-// Interval returns the configured scrape cadence.
-func (c *Collector) Interval() sim.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.Interval
 }
 
 // AddSource registers a scrape callback. Sources run in registration
@@ -267,7 +239,7 @@ func (c *Collector) tick() {
 		return
 	}
 	c.Scrape()
-	c.next = c.k.After(c.cfg.Interval, c.tickFn)
+	c.next = c.k.After(scrapeInterval, c.tickFn)
 }
 
 // AddRule parses and registers an alert rule (see the package grammar

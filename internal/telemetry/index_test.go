@@ -30,7 +30,7 @@ func TestSelectMatchesSortedKeyScan(t *testing.T) {
 		return ls
 	}
 	for trial := 0; trial < 50; trial++ {
-		db, _ := NewDB(4)
+		db := NewDB()
 		for i := 0; i < 1+rng.Intn(60); i++ {
 			db.Record(sim.Time(i), names[rng.Intn(len(names))], randLabels(), float64(i))
 		}
@@ -63,7 +63,7 @@ func TestSelectMatchesSortedKeyScan(t *testing.T) {
 // TestRecordCopiesLabels: a new series keeps its own copy of the label
 // set, so a caller reusing its label slice cannot rename a series.
 func TestRecordCopiesLabels(t *testing.T) {
-	db, _ := NewDB(4)
+	db := NewDB()
 	ls := []Label{L("node", "c1")}
 	db.Record(0, "load", ls, 1)
 	ls[0].Value = "c2"
@@ -125,18 +125,16 @@ func refRate(s *Series, since sim.Time) float64 {
 func TestWindowAndRateMatchLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
+		// A small ring wraps within a few samples; the DB's rings wrap
+		// the same way at seriesHistory.
 		history := 1 + rng.Intn(9)
-		db, _ := NewDB(history)
+		s := &Series{name: "x", key: "x", data: make([]Point, history)}
 		at := sim.Time(0)
 		for i := 0; i < rng.Intn(3*history+2); i++ {
 			if rng.Intn(3) > 0 { // a third of samples repeat the instant
 				at += sim.Time(rng.Intn(3) + 1)
 			}
-			db.Record(at, "x", nil, rng.Float64()*10-2)
-		}
-		s := db.Lookup("x")
-		if s == nil {
-			continue
+			s.Add(at, rng.Float64()*10-2)
 		}
 		for since := sim.Time(-1); since <= at+1; since++ {
 			if got, want := s.Window(since), refWindow(s, since); got != want {
@@ -158,7 +156,7 @@ func TestWindowAndRateMatchLinearScan(t *testing.T) {
 // the same identity reaches — whichever of the two writes first, and
 // whatever order the handle's labels came in.
 func TestHandleBindsLazilyToRecordSeries(t *testing.T) {
-	db, _ := NewDB(8)
+	db := NewDB()
 	h := db.handle("node.load", L("site", "nwu"), L("node", "c1"))
 	if db.Len() != 0 {
 		t.Fatalf("resolving a handle created %d series", db.Len())

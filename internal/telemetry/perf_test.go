@@ -11,10 +11,7 @@ import (
 // the unlabeled and the labeled (canonical-key scratch render + zero-copy
 // lookup) paths.
 func TestRecordExistingSeriesZeroAllocs(t *testing.T) {
-	db, err := NewDB(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := NewDB()
 	labels := []Label{L("node", "c1"), L("session", "s9")}
 	db.Record(0, "node.load", nil, 1)
 	db.Record(0, "node.load", labels, 1)
@@ -43,10 +40,7 @@ func TestRecordExistingSeriesZeroAllocs(t *testing.T) {
 // not change keying — unsorted label sets land in the same series as
 // their sorted spelling.
 func TestRecordUnsortedLabelsStillCanonical(t *testing.T) {
-	db, err := NewDB(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := NewDB()
 	db.Record(0, "m", []Label{L("b", "2"), L("a", "1")}, 1)
 	db.Record(1, "m", []Label{L("a", "1"), L("b", "2")}, 2)
 	if db.Len() != 1 {
@@ -65,10 +59,7 @@ func TestRecordUnsortedLabelsStillCanonical(t *testing.T) {
 // existing series: sort check, scratch key render, zero-copy lookup,
 // ring append.
 func BenchmarkTelemetryObserve(b *testing.B) {
-	db, err := NewDB(512)
-	if err != nil {
-		b.Fatal(err)
-	}
+	db := NewDB()
 	labels := []Label{L("node", "c1"), L("session", "s9")}
 	db.Record(0, "node.load", labels, 1)
 	b.ReportAllocs()
@@ -82,10 +73,7 @@ func BenchmarkTelemetryObserve(b *testing.B) {
 // existing series allocates nothing — series copy their labels on
 // creation, so the variadic label slice stays on the caller's stack.
 func TestRecorderRecordZeroAllocs(t *testing.T) {
-	db, err := NewDB(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := NewDB()
 	r := &Recorder{db: db}
 	r.Record("node.load", 1, L("node", "c1"), L("zone", "a"))
 	allocs := testing.AllocsPerRun(200, func() {
@@ -101,7 +89,7 @@ func TestRecorderRecordZeroAllocs(t *testing.T) {
 // existing series — firing or quiet — allocates nothing.
 func TestEvalZeroAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{History: 64})
+	c := newTestCollector(t, k, nil)
 	for _, r := range []struct{ name, expr string }{
 		{"slow", "mean(session.slowdown, 30s) > 1.10 for 30s"},
 		{"storm", "rate(vfs.retries, 10s) > 5"},
@@ -139,7 +127,7 @@ func TestEvalZeroAllocs(t *testing.T) {
 // with the four standard alert rules armed.
 func BenchmarkCollectorScrape(b *testing.B) {
 	k := sim.NewKernel(1)
-	c, err := NewCollector(k, Config{})
+	c, err := NewCollector(k, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -226,7 +226,7 @@ func (e *Engine) fire(r *rule, key alertKey, st *alertState, now sim.Time, v flo
 	st.firingIdx = len(e.firings)
 	f := Firing{Rule: r.name, Series: key.series, At: now, Value: v, ResolvedAt: -1}
 	e.firings = append(e.firings, f)
-	if tr := e.c.cfg.Trace; tr != nil {
+	if tr := e.c.trace; tr != nil {
 		tr.Instant("alerts", "alert", "fire: "+r.name+" "+key.series)
 		tr.Metrics().Counter("telemetry.alerts.fired").Inc()
 	}
@@ -244,7 +244,7 @@ func (e *Engine) clear(key alertKey, now sim.Time) {
 	if st.firing {
 		e.firings[st.firingIdx].ResolvedAt = now
 		f := e.firings[st.firingIdx]
-		if tr := e.c.cfg.Trace; tr != nil {
+		if tr := e.c.trace; tr != nil {
 			tr.Instant("alerts", "alert", "resolve: "+f.Rule+" "+f.Series)
 			tr.Metrics().Counter("telemetry.alerts.resolved").Inc()
 		}

@@ -32,7 +32,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 
 	"vmgrid/internal/sim"
@@ -223,25 +222,24 @@ func (s *Series) Rate(since sim.Time) float64 {
 // name's series are also indexed in canonical-key order, so Select
 // walks one name's series instead of sorting every key.
 type DB struct {
-	history  int
 	series   map[string]*Series
 	byName   map[string][]*Series // per name, in canonical-key order
 	keyBuf   []byte               // scratch for canonical-key rendering
 	labelBuf []Label              // scratch for sorting unsorted label sets
 }
 
-// NewDB creates a store keeping history samples per series.
-func NewDB(history int) (*DB, error) {
-	if history <= 0 {
-		return nil, fmt.Errorf("telemetry: history %d", history)
-	}
-	return &DB{history: history, series: make(map[string]*Series), byName: make(map[string][]*Series)}, nil
+// seriesHistory is how many samples each series keeps.
+const seriesHistory = 512
+
+// NewDB creates a store keeping seriesHistory samples per series.
+func NewDB() *DB {
+	return &DB{series: make(map[string]*Series), byName: make(map[string][]*Series)}
 }
 
 // create interns a new series under key, copying labels (already
 // sorted) so callers' label slices are never retained.
 func (db *DB) create(name, key string, labels []Label) *Series {
-	s := &Series{name: name, key: key, data: make([]Point, db.history)}
+	s := &Series{name: name, key: key, data: make([]Point, seriesHistory)}
 	if len(labels) > 0 {
 		s.labels = append([]Label(nil), labels...)
 	}

@@ -19,16 +19,14 @@ func TestCanonicalKey(t *testing.T) {
 }
 
 func TestSeriesRingEviction(t *testing.T) {
-	db, err := NewDB(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
+	db := NewDB()
+	const n = seriesHistory + 6
+	for i := 0; i < n; i++ {
 		db.Record(sim.Time(i), "x", nil, float64(i))
 	}
 	s := db.Lookup("x")
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
+	if s.Len() != seriesHistory {
+		t.Fatalf("Len = %d, want %d", s.Len(), seriesHistory)
 	}
 	pts := s.Points()
 	for i, p := range pts {
@@ -37,13 +35,13 @@ func TestSeriesRingEviction(t *testing.T) {
 			t.Fatalf("point %d = %+v, want {%d %g}", i, p, 6+i, want)
 		}
 	}
-	if last := s.Last(); last.V != 9 {
+	if last := s.Last(); last.V != n-1 {
 		t.Fatalf("Last = %+v", last)
 	}
 }
 
 func TestWindowAggregates(t *testing.T) {
-	db, _ := NewDB(128)
+	db := NewDB()
 	for i := 1; i <= 100; i++ {
 		db.Record(sim.Time(i)*sim.Time(sim.Second), "v", nil, float64(i))
 	}
@@ -73,7 +71,7 @@ func TestWindowAggregates(t *testing.T) {
 }
 
 func TestRate(t *testing.T) {
-	db, _ := NewDB(16)
+	db := NewDB()
 	// Counter rising 5/s for 4 seconds.
 	for i := 0; i <= 4; i++ {
 		db.Record(sim.Time(i)*sim.Time(sim.Second), "c", nil, float64(5*i))
@@ -90,7 +88,7 @@ func TestRate(t *testing.T) {
 }
 
 func TestSelectSubsetMatch(t *testing.T) {
-	db, _ := NewDB(8)
+	db := NewDB()
 	db.Record(0, "load", []Label{L("node", "c1")}, 1)
 	db.Record(0, "load", []Label{L("node", "c2")}, 2)
 	db.Record(0, "load", []Label{L("node", "c1"), L("zone", "a")}, 3)
@@ -111,7 +109,7 @@ func TestSelectSubsetMatch(t *testing.T) {
 }
 
 func TestLabelOrderInsensitive(t *testing.T) {
-	db, _ := NewDB(8)
+	db := NewDB()
 	db.Record(0, "x", []Label{L("b", "2"), L("a", "1")}, 1)
 	db.Record(1, "x", []Label{L("a", "1"), L("b", "2")}, 2)
 	if db.Len() != 1 {
@@ -122,9 +120,9 @@ func TestLabelOrderInsensitive(t *testing.T) {
 	}
 }
 
-func newTestCollector(t *testing.T, k *sim.Kernel, cfg Config) *Collector {
+func newTestCollector(t *testing.T, k *sim.Kernel, tr *obs.Tracer) *Collector {
 	t.Helper()
-	c, err := NewCollector(k, cfg)
+	c, err := NewCollector(k, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +131,7 @@ func newTestCollector(t *testing.T, k *sim.Kernel, cfg Config) *Collector {
 
 func TestCollectorScrapeIdempotentPerInstant(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := newTestCollector(t, k, nil)
 	calls := 0
 	c.AddSource(func(r *Recorder) {
 		calls++
@@ -155,7 +153,7 @@ func TestCollectorScrapeIdempotentPerInstant(t *testing.T) {
 
 func TestCollectorSelfTick(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{Interval: sim.Second})
+	c := newTestCollector(t, k, nil)
 	v := 0.0
 	c.AddSource(func(r *Recorder) { v++; r.Record("tick", v) })
 	c.Start()
@@ -181,7 +179,7 @@ func TestAttachRegistry(t *testing.T) {
 	reg.Gauge("depth").Set(3)
 	reg.Histogram("lat").Observe(2 * sim.Millisecond)
 
-	c := newTestCollector(t, k, Config{})
+	c := newTestCollector(t, k, nil)
 	c.AttachRegistry("grid", reg)
 	c.Scrape()
 
@@ -233,7 +231,7 @@ func BenchmarkNilObserve(b *testing.B) {
 
 func BenchmarkEnabledObserve(b *testing.B) {
 	k := sim.NewKernel(1)
-	c, err := NewCollector(k, Config{History: 256})
+	c, err := NewCollector(k, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +284,7 @@ func TestRuleParsing(t *testing.T) {
 func TestRuleFiringLifecycle(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := obs.New(k)
-	c := newTestCollector(t, k, Config{Trace: tr})
+	c := newTestCollector(t, k, tr)
 	load := 0.0
 	c.AddSource(func(r *Recorder) { r.Record("load", load, L("node", "c1")) })
 	if err := c.AddRule("hot", "last(load) > 0.9 for 2s"); err != nil {
@@ -346,7 +344,7 @@ func TestRuleFiringLifecycle(t *testing.T) {
 
 func TestRulePerSeriesStateMachines(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := newTestCollector(t, k, nil)
 	c.AddSource(func(r *Recorder) {
 		r.Record("age", 5, L("sess", "a")) // always over
 		r.Record("age", 1, L("sess", "b")) // always under
@@ -371,7 +369,7 @@ func TestRulePerSeriesStateMachines(t *testing.T) {
 
 func TestRuleRateAndWindowFuncs(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := newTestCollector(t, k, nil)
 	n := 0.0
 	c.AddSource(func(r *Recorder) {
 		n += 10 // 10/s counter growth
@@ -392,7 +390,7 @@ func TestRuleRateAndWindowFuncs(t *testing.T) {
 
 func TestDuplicateRuleRejected(t *testing.T) {
 	k := sim.NewKernel(1)
-	c := newTestCollector(t, k, Config{})
+	c := newTestCollector(t, k, nil)
 	if err := c.AddRule("r", "x > 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +412,7 @@ func TestDuplicateRuleRejected(t *testing.T) {
 func TestSetWriteJSONDeterministic(t *testing.T) {
 	build := func() *Set {
 		k := sim.NewKernel(1)
-		c, _ := NewCollector(k, Config{})
+		c, _ := NewCollector(k, nil)
 		c.AddSource(func(r *Recorder) {
 			r.Record("load", 0.5+r.At().Seconds(), L("node", "c1"))
 			r.Record("load", 0.1, L("node", "c2"))

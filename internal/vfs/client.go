@@ -30,17 +30,6 @@ var (
 // behavior: one attempt, no timeout (a lost RPC then hangs forever, so
 // any lossy transport needs a Timeout).
 
-// DefaultRetry is the policy supervised sessions thread through their
-// mounts: generous per-op timeouts so only genuinely lost RPCs reissue.
-func DefaultRetry() retry.Policy {
-	return retry.Policy{
-		MaxAttempts: 4,
-		Timeout:     5 * sim.Second,
-		Backoff:     50 * sim.Millisecond,
-		MaxBackoff:  2 * sim.Second,
-	}
-}
-
 // Config tunes a client proxy.
 type Config struct {
 	// Rsize is the maximum bytes per read RPC.

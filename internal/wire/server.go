@@ -53,11 +53,11 @@ func NewServer(seed uint64) *Server {
 	grid := core.NewGrid(seed)
 	tr := obs.New(grid.Kernel())
 	grid.SetTracer(tr)
-	grid.EnableFlightRecorder(obs.FlightConfig{})
-	if _, err := grid.EnableTelemetry(telemetry.Config{}); err != nil {
+	grid.EnableFlightRecorder()
+	if _, err := grid.EnableTelemetry(); err != nil {
 		panic(err) // fresh grid: cannot happen
 	}
-	if err := grid.DefaultAlertRules(0); err != nil {
+	if err := grid.DefaultAlertRules(); err != nil {
 		panic(err)
 	}
 	return &Server{
