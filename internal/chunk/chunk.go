@@ -1,11 +1,11 @@
 // Package chunk is the content-addressed transfer plane: VM state files
 // are split into fixed-size chunks, each named by a key that stands in
 // for a collision-free content hash. Stores keep a per-file key
-// manifest, every node keeps an LRU cache of the chunk keys whose
-// content it holds, and the staging paths (gram.Stage, the tape
-// archive, checkpoint staging) move only the chunks the destination
-// lacks — the paper's "reducing VM overheads" argument applied to the
-// state-transfer hot path.
+// manifest, every node keeps a cache of the chunk keys whose content
+// it holds (LRU-bounded when the plane caps it), and the staging paths
+// (gram.Stage, the tape archive, checkpoint staging) move only the
+// chunks the destination lacks — the paper's "reducing VM overheads"
+// argument applied to the state-transfer hot path.
 //
 // The simulation carries no real bytes, so content identity is modeled
 // rather than computed: a key is minted whenever new content comes into
@@ -119,8 +119,10 @@ func (p *Plane) CacheFor(node string) *Cache {
 	if c == nil {
 		c = &Cache{
 			capacity: p.cfg.CacheBytes,
-			lru:      lru.New[Key](1024),
 			sizes:    make(map[Key]int64, 1024),
+		}
+		if c.capacity > 0 {
+			c.lru = lru.New[Key](1024)
 		}
 		p.caches[node] = c
 	}
@@ -143,17 +145,19 @@ func (p *Plane) Stats() Stats {
 
 // Cache is one node's chunk holdings: the set of keys whose content is
 // materialized somewhere on the node (a file, or retained content-store
-// blocks after the file was deleted), LRU-bounded by bytes.
+// blocks after the file was deleted), LRU-bounded by bytes when the
+// plane sets a cap. An uncapped cache never evicts, so it keeps no
+// recency order: its key→size map is the whole index.
 type Cache struct {
 	capacity int64
 	used     int64
-	lru      *lru.Cache[Key]
+	lru      *lru.Cache[Key] // recency order; nil when uncapped
 	sizes    map[Key]int64
 	stats    Stats
 }
 
 // Len returns the number of cached keys.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return len(c.sizes) }
 
 // UsedBytes returns the bytes the cached chunks occupy.
 func (c *Cache) UsedBytes() int64 { return c.used }
@@ -171,7 +175,13 @@ func (c *Cache) Contains(k Key) bool {
 // Lookup is the staging-time membership test: a hit touches recency and
 // records size bytes saved; a miss records the forced transfer.
 func (c *Cache) Lookup(k Key, size int64) bool {
-	if c.lru.Touch(k) {
+	var hit bool
+	if c.lru != nil {
+		hit = c.lru.Touch(k)
+	} else {
+		_, hit = c.sizes[k]
+	}
+	if hit {
 		c.stats.Hits++
 		c.stats.BytesSaved += uint64(size)
 		return true
@@ -185,13 +195,18 @@ func (c *Cache) Lookup(k Key, size int64) bool {
 // existing key just refreshes recency.
 func (c *Cache) Add(k Key, size int64) {
 	if _, ok := c.sizes[k]; ok {
-		c.lru.Touch(k)
+		if c.lru != nil {
+			c.lru.Touch(k)
+		}
+		return
+	}
+	c.sizes[k] = size
+	c.used += size
+	if c.lru == nil {
 		return
 	}
 	c.lru.Insert(k)
-	c.sizes[k] = size
-	c.used += size
-	for c.capacity > 0 && c.used > c.capacity {
+	for c.used > c.capacity {
 		old, ok := c.lru.EvictOldest()
 		if !ok {
 			break

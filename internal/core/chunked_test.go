@@ -200,3 +200,37 @@ func TestMigrateBackDedup(t *testing.T) {
 		t.Errorf("state = %q after double migration", s.State())
 	}
 }
+
+// BenchmarkSupervisorCheckpoint is one supervised checkpoint on a
+// chunk-plane grid with delta suspends: suspend the VM, stage the
+// memory image and COW file into the spare slot on the stable node
+// (only missing chunks cross the wire), flip the slot. Ablation J runs
+// this path every checkpoint interval.
+func BenchmarkSupervisorCheckpoint(b *testing.B) {
+	g := testbed(b)
+	g.EnableChunkedStaging(chunk.Config{})
+	cfg := baseConfig()
+	cfg.DirtyBps = 256 << 10
+	s := startSession(b, g, cfg)
+	// An interval of years keeps the periodic checkpoint out of the loop.
+	sup := superviseSession(b, g, s, SupervisorConfig{CheckpointInterval: 100000 * sim.Hour})
+	c := sup.charge(s.Name())
+	k := g.Kernel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done := false
+		sup.checkpoint(c, func(err error) {
+			if err != nil {
+				b.Fatalf("checkpoint %d: %v", i, err)
+			}
+			done = true
+		})
+		for !done {
+			_ = k.RunFor(sim.Second)
+		}
+	}
+	if got := sup.Stats().Checkpoints; got < b.N {
+		b.Fatalf("%d checkpoints committed, want ≥ %d", got, b.N)
+	}
+}

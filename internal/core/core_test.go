@@ -68,7 +68,7 @@ func baseConfig() SessionConfig {
 	}
 }
 
-func startSession(t *testing.T, g *Grid, cfg SessionConfig) *Session {
+func startSession(t testing.TB, g *Grid, cfg SessionConfig) *Session {
 	t.Helper()
 	var sess *Session
 	var serr error

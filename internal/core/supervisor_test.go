@@ -11,7 +11,7 @@ import (
 // superviseSession adopts s under a fresh supervisor checkpointing to
 // the data server, and steps the kernel until the baseline checkpoint
 // commits.
-func superviseSession(t *testing.T, g *Grid, s *Session, cfg SupervisorConfig) *Supervisor {
+func superviseSession(t testing.TB, g *Grid, s *Session, cfg SupervisorConfig) *Supervisor {
 	t.Helper()
 	if cfg.StableNode == "" {
 		cfg.StableNode = "data"

@@ -418,42 +418,80 @@ func stageChunked(net *netsim.Network, srcNode string, src *storage.Store, file 
 func stagePipeline(net *netsim.Network, srcNode, dstNode string,
 	srcFile, dstFile *storage.LocalFile, plane *chunk.Plane, size int64,
 	keys []chunk.Key, missing []int, finish func(error)) {
-	next, inflight := 0, 0
-	failed := false
-	fail := func(err error) {
-		if !failed {
-			failed = true
-			finish(err)
+	p := &pipeline{net: net, srcNode: srcNode, dstNode: dstNode,
+		srcFile: srcFile, dstFile: dstFile, plane: plane, size: size,
+		keys: keys, missing: missing, finish: finish,
+		free: make([]*stageSlot, 0, stageWindow)}
+	for j := range p.slots {
+		sl := &p.slots[j]
+		sl.read = func() {
+			if err := p.net.Send(p.srcNode, p.dstNode, sl.n, nil, sl.deliver); err != nil {
+				p.fail(err)
+			}
 		}
+		sl.deliver = func(any) { p.dstFile.WriteChunkAs(sl.i, sl.key, sl.off, sl.n, sl.landed) }
+		sl.landed = func() {
+			p.free = append(p.free, sl)
+			p.pump()
+		}
+		p.free = append(p.free, sl)
 	}
-	var pump func()
-	landed := func() {
-		inflight--
-		pump()
+	p.pump()
+}
+
+// pipeline is one chunked stage's transfer state. Each window position
+// is a slot carrying its chunk through read, send and write; the slots'
+// continuations are bound once per stage, so moving a chunk allocates
+// nothing.
+type pipeline struct {
+	net              *netsim.Network
+	srcNode, dstNode string
+	srcFile, dstFile *storage.LocalFile
+	plane            *chunk.Plane
+	size             int64
+	keys             []chunk.Key
+	missing          []int
+	finish           func(error)
+
+	next   int // index into missing of the next chunk to launch
+	failed bool
+	slots  [stageWindow]stageSlot
+	free   []*stageSlot // slots with no chunk in flight
+}
+
+// stageSlot is one in-flight chunk: chunk i, its key and its extent.
+type stageSlot struct {
+	i      int
+	key    chunk.Key
+	off, n int64
+
+	read    func()    // source read done: put the chunk on the wire
+	deliver func(any) // chunk delivered: write it at the destination
+	landed  func()    // chunk durable: free the slot, launch the next
+}
+
+func (p *pipeline) fail(err error) {
+	if !p.failed {
+		p.failed = true
+		p.finish(err)
 	}
-	pump = func() {
-		if failed {
-			return
-		}
-		if next >= len(missing) && inflight == 0 {
-			finish(nil)
-			return
-		}
-		for inflight < stageWindow && next < len(missing) {
-			i := missing[next]
-			next++
-			inflight++
-			off, n := plane.Span(size, i)
-			key := keys[i]
-			srcFile.ReadSequential(off, n, func() {
-				sendErr := net.Send(srcNode, dstNode, n, nil, func(any) {
-					dstFile.WriteChunkAs(i, key, off, n, landed)
-				})
-				if sendErr != nil {
-					fail(sendErr)
-				}
-			})
-		}
+}
+
+func (p *pipeline) pump() {
+	if p.failed {
+		return
 	}
-	pump()
+	if p.next >= len(p.missing) && len(p.free) == stageWindow {
+		p.finish(nil)
+		return
+	}
+	for len(p.free) > 0 && p.next < len(p.missing) {
+		sl := p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+		sl.i = p.missing[p.next]
+		p.next++
+		sl.off, sl.n = p.plane.Span(p.size, sl.i)
+		sl.key = p.keys[sl.i]
+		p.srcFile.ReadSequential(sl.off, sl.n, sl.read)
+	}
 }

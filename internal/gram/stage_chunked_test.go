@@ -146,3 +146,57 @@ func TestStageChunkedDelta(t *testing.T) {
 		}
 	}
 }
+
+// stageAllocs reports the allocations of one cold chunked stage of a
+// file of the given chunk count: the source rewrites the whole file
+// first, so every chunk has a fresh key and misses at the destination.
+func stageAllocs(t *testing.T, chunks int) float64 {
+	t.Helper()
+	const cb = 64 << 10
+	g := newGrid(t)
+	plane := chunk.NewPlane(chunk.Config{ChunkBytes: cb})
+	src := storage.NewStore(g.clientH)
+	src.SetChunkPlane(plane)
+	dst := storage.NewStore(g.server)
+	dst.SetChunkPlane(plane)
+	size := int64(chunks) * cb
+	if err := src.Create("image", size); err != nil {
+		t.Fatal(err)
+	}
+	f, err := src.Open("image")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := func() {
+		f.Write(0, size, nil)
+		g.k.Run()
+		if dst.Has("copy") {
+			if err := dst.Delete("copy"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		missesBefore := plane.Stats().Misses
+		if err := Stage(g.net, "front", src, "image", "compute", dst, "copy", nil); err != nil {
+			t.Fatal(err)
+		}
+		g.k.Run()
+		if got := plane.Stats().Misses - missesBefore; got != uint64(chunks) {
+			t.Fatalf("stage missed %d chunks, want all %d", got, chunks)
+		}
+	}
+	stage()
+	return testing.AllocsPerRun(5, stage)
+}
+
+// TestStagePipelineAllocsPerChunk guards the bound-once stage window:
+// quadrupling the missing chunks adds only the growth of the manifests
+// and cache maps, not allocations per chunk moved.
+func TestStagePipelineAllocsPerChunk(t *testing.T) {
+	const small, large = 64, 256
+	a, b := stageAllocs(t, small), stageAllocs(t, large)
+	perChunk := (b - a) / (large - small)
+	t.Logf("cold stage: %v allocs at %d chunks, %v at %d (%.3f per extra chunk)", a, small, b, large, perChunk)
+	if perChunk > 0.1 {
+		t.Errorf("a cold stage allocates %.3f times per missing chunk, want none beyond map and manifest growth", perChunk)
+	}
+}

@@ -1,5 +1,7 @@
 // Package lru provides the intrusive LRU index shared by the simulation
-// data plane's caches (the vfs proxy block cache and the chunk cache).
+// data plane's caches: the vfs proxy block cache, and a chunk cache
+// given a byte cap (an uncapped chunk cache never evicts and keeps no
+// recency list).
 // It replaces container/list in those hot paths: nodes are
 // recycled through a freelist and the index map is pre-sized, so a cache
 // operating at steady state performs no allocations at all — a touch is

@@ -64,12 +64,15 @@ func (s *Series) Values() []float64 {
 }
 
 // AppendValues appends the samples oldest-first to dst, so a caller can
-// reuse one buffer across reads.
+// reuse one buffer across reads. The ring holds them as at most two
+// contiguous runs: start to the end of the buffer, then the wrap.
 func (s *Series) AppendValues(dst []float64) []float64 {
-	for i := 0; i < s.n; i++ {
-		dst = append(dst, s.data[(s.start+i)%len(s.data)])
+	end := s.start + s.n
+	if end <= len(s.data) {
+		return append(dst, s.data[s.start:end]...)
 	}
-	return dst
+	dst = append(dst, s.data[s.start:]...)
+	return append(dst, s.data[:end-len(s.data)]...)
 }
 
 // Mean returns the sample mean (0 if empty).
@@ -285,9 +288,38 @@ func (p *AR) Train(history []float64) error {
 	}
 	p.dev = dev
 
-	// Autocorrelations r[0..order].
+	// Autocorrelations r[0..order], four lags per pass over dev. Each
+	// lag keeps its own accumulator, so the four sums are independent
+	// floating-point chains, and each still adds its terms in ascending i.
 	r := p.r
-	for lag := 0; lag <= p.order; lag++ {
+	lag := 0
+	for ; lag+3 <= p.order; lag += 4 {
+		var a0, a1, a2, a3 float64
+		// Head: the i in [lag, lag+3) where the longer lags have no term.
+		for i := lag; i < lag+3; i++ {
+			a0 += dev[i] * dev[i-lag]
+			if i >= lag+1 {
+				a1 += dev[i] * dev[i-lag-1]
+			}
+			if i >= lag+2 {
+				a2 += dev[i] * dev[i-lag-2]
+			}
+		}
+		// Body: i from lag+3 on, where all four lags have a term.
+		x := dev[lag+3:]
+		y0, y1, y2, y3 := dev[3:3+len(x)], dev[2:2+len(x)], dev[1:1+len(x)], dev[:len(x)]
+		for j, d := range x {
+			a0 += d * y0[j]
+			a1 += d * y1[j]
+			a2 += d * y2[j]
+			a3 += d * y3[j]
+		}
+		r[lag] = a0 / float64(n)
+		r[lag+1] = a1 / float64(n)
+		r[lag+2] = a2 / float64(n)
+		r[lag+3] = a3 / float64(n)
+	}
+	for ; lag <= p.order; lag++ {
 		var acc float64
 		for i := lag; i < n; i++ {
 			acc += dev[i] * dev[i-lag]

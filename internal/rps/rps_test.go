@@ -248,3 +248,30 @@ func TestSeriesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendValuesMatchesModuloWalk checks the two-run ring copy against
+// a per-sample modulo walk at every fill level and wrap point.
+func TestAppendValuesMatchesModuloWalk(t *testing.T) {
+	for capacity := 1; capacity <= 6; capacity++ {
+		s, err := NewSeries(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for added := 0; added <= 3*capacity; added++ {
+			var want []float64
+			for i := 0; i < s.n; i++ {
+				want = append(want, s.data[(s.start+i)%len(s.data)])
+			}
+			got := s.AppendValues([]float64{-1})
+			if len(got) != len(want)+1 || got[0] != -1 {
+				t.Fatalf("cap %d after %d adds: AppendValues = %v, want -1 then %v", capacity, added, got, want)
+			}
+			for i := range want {
+				if got[i+1] != want[i] {
+					t.Fatalf("cap %d after %d adds: AppendValues = %v, want -1 then %v", capacity, added, got, want)
+				}
+			}
+			s.Add(float64(added + 1))
+		}
+	}
+}

@@ -47,18 +47,27 @@ type Backend interface {
 // its buffer cache.
 type Store struct {
 	host  *hostos.Host
-	files map[string]int64
+	files map[string]*file
 
 	// plane, when attached, gives every file a content-key manifest so
 	// staging paths can dedup against the node's chunk cache. nil (the
-	// default) keeps the pre-chunking behavior exactly.
-	plane  *chunk.Plane
-	chunks map[string][]chunk.Key
+	// default) keeps the pre-chunking behavior exactly. cache is this
+	// node's chunk cache, bound once when the plane is attached.
+	plane *chunk.Plane
+	cache *chunk.Cache
+}
+
+// file is one stored file: its length and, with a chunk plane attached,
+// its content-key manifest. It is held by pointer so the per-chunk paths
+// update it in place with one map lookup.
+type file struct {
+	size int64
+	keys []chunk.Key
 }
 
 // NewStore creates an empty store on h.
 func NewStore(h *hostos.Host) *Store {
-	return &Store{host: h, files: make(map[string]int64)}
+	return &Store{host: h, files: make(map[string]*file)}
 }
 
 // Host returns the owning host.
@@ -71,9 +80,9 @@ func (s *Store) Host() *hostos.Host { return s.host }
 // deterministic regardless of map layout.
 func (s *Store) SetChunkPlane(p *chunk.Plane) {
 	s.plane = p
-	s.chunks = make(map[string][]chunk.Key, len(s.files))
+	s.cache = p.CacheFor(s.host.Name())
 	for _, name := range s.Files() {
-		s.mintManifest(name)
+		s.mintManifest(s.files[name])
 	}
 }
 
@@ -83,29 +92,22 @@ func (s *Store) ChunkPlane() *chunk.Plane { return s.plane }
 // ChunkKeys returns a snapshot of the file's chunk manifest (nil when
 // no plane is attached or the file is unknown).
 func (s *Store) ChunkKeys(name string) []chunk.Key {
-	keys, ok := s.chunks[name]
-	if !ok {
+	f := s.files[name]
+	if f == nil {
 		return nil
 	}
-	return append([]chunk.Key(nil), keys...)
+	return append([]chunk.Key(nil), f.keys...)
 }
-
-// cache returns this node's chunk cache.
-func (s *Store) cache() *chunk.Cache { return s.plane.CacheFor(s.host.Name()) }
 
 // mintManifest issues fresh keys for every chunk of the file and
 // records them as held by this node.
-func (s *Store) mintManifest(name string) {
-	size := s.files[name]
-	total := s.plane.Count(size)
-	keys := make([]chunk.Key, total)
-	cache := s.cache()
-	for i := range keys {
-		_, n := s.plane.Span(size, i)
-		keys[i] = s.plane.Mint()
-		cache.Add(keys[i], n)
+func (s *Store) mintManifest(f *file) {
+	f.keys = make([]chunk.Key, s.plane.Count(f.size))
+	for i := range f.keys {
+		_, n := s.plane.Span(f.size, i)
+		f.keys[i] = s.plane.Mint()
+		s.cache.Add(f.keys[i], n)
 	}
-	s.chunks[name] = keys
 }
 
 // touchChunks re-mints the keys of every chunk overlapping a guest
@@ -113,42 +115,41 @@ func (s *Store) mintManifest(name string) {
 // gone. Chunks added by growth but outside the written range keep the
 // reserved zero key (file holes are all-zero and legitimately dedup
 // against each other).
-func (s *Store) touchChunks(name string, off, n int64) {
+func (s *Store) touchChunks(f *file, off, n int64) {
 	if s.plane == nil || n <= 0 {
 		return
 	}
-	size := s.files[name]
-	total := s.plane.Count(size)
-	keys := s.chunks[name]
-	for len(keys) < total {
-		keys = append(keys, 0)
+	total := s.plane.Count(f.size)
+	for len(f.keys) < total {
+		f.keys = append(f.keys, 0)
 	}
 	cb := s.plane.ChunkBytes()
-	cache := s.cache()
 	last := int((off + n - 1) / cb)
 	for i := int(off / cb); i <= last && i < total; i++ {
-		_, cn := s.plane.Span(size, i)
-		keys[i] = s.plane.Mint()
-		cache.Add(keys[i], cn)
+		_, cn := s.plane.Span(f.size, i)
+		f.keys[i] = s.plane.Mint()
+		s.cache.Add(f.keys[i], cn)
 	}
-	s.chunks[name] = keys
 }
 
 // adoptChunk records that chunk i of the file holds key: content copied
 // from elsewhere keeps its identity instead of minting a new one. The
 // file grows to cover the chunk. Used by the staging paths both for
-// transferred chunks and for dedup hits materialized by reference.
-func (s *Store) adoptChunk(name string, i int, key chunk.Key, off, n int64) {
-	if end := off + n; end > s.files[name] {
-		s.files[name] = end
+// transferred chunks and for dedup hits materialized by reference. A
+// chunk landing after the file was deleted (a stage abandoned while a
+// chunk was on the wire) records nothing: the name stays gone.
+func (s *Store) adoptChunk(name string, i int, key chunk.Key, off, n int64) bool {
+	f := s.files[name]
+	if f == nil {
+		return false
 	}
-	keys := s.chunks[name]
-	for len(keys) <= i {
-		keys = append(keys, 0)
+	f.size = max(f.size, off+n)
+	for len(f.keys) <= i {
+		f.keys = append(f.keys, 0)
 	}
-	keys[i] = key
-	s.chunks[name] = keys
-	s.cache().Add(key, n)
+	f.keys[i] = key
+	s.cache.Add(key, n)
+	return true
 }
 
 // AdoptChunk is adoptChunk for dedup hits: no bytes move and no I/O is
@@ -166,18 +167,16 @@ func (s *Store) CreateWithChunks(name string, size int64, keys []chunk.Key) erro
 	if err := s.Create(name, 0); err != nil {
 		return err
 	}
+	f := s.files[name]
+	f.size = size
 	if s.plane == nil {
-		s.files[name] = size
 		return nil
 	}
-	s.files[name] = size
-	adopted := append([]chunk.Key(nil), keys...)
-	cache := s.cache()
-	for i, k := range adopted {
+	f.keys = append([]chunk.Key(nil), keys...)
+	for i, k := range f.keys {
 		_, n := s.plane.Span(size, i)
-		cache.Add(k, n)
+		s.cache.Add(k, n)
 	}
-	s.chunks[name] = adopted
 	return nil
 }
 
@@ -193,9 +192,10 @@ func (s *Store) Create(name string, size int64) error {
 	if _, ok := s.files[name]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	s.files[name] = size
+	f := &file{size: size}
+	s.files[name] = f
 	if s.plane != nil {
-		s.mintManifest(name)
+		s.mintManifest(f)
 	}
 	return nil
 }
@@ -208,11 +208,11 @@ func (s *Store) Has(name string) bool {
 
 // Size returns the file's length.
 func (s *Store) Size(name string) (int64, error) {
-	sz, ok := s.files[name]
-	if !ok {
+	f := s.files[name]
+	if f == nil {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return sz, nil
+	return f.size, nil
 }
 
 // Delete removes the file and drops its cached pages. The node's chunk
@@ -223,7 +223,6 @@ func (s *Store) Delete(name string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	delete(s.files, name)
-	delete(s.chunks, name)
 	s.host.Cache().Invalidate(s.qualify(name))
 	return nil
 }
@@ -267,19 +266,21 @@ func (s *Store) OpenOrCreate(name string) (*LocalFile, error) {
 // destination must not exist. This is the explicit whole-state transfer
 // of Table 2's "Persistent" rows.
 func (s *Store) Copy(src, dst string, done func()) error {
-	size, ok := s.files[src]
-	if !ok {
+	from := s.files[src]
+	if from == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, src)
 	}
 	if _, ok := s.files[dst]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, dst)
 	}
-	s.files[dst] = size
+	size := from.size
+	to := &file{size: size}
+	s.files[dst] = to
 	if s.plane != nil {
 		// Same-node duplication: the copy's content is the source's, so
 		// the manifest carries over (every key is already in this node's
 		// cache).
-		s.chunks[dst] = append([]chunk.Key(nil), s.chunks[src]...)
+		to.keys = append([]chunk.Key(nil), from.keys...)
 	}
 	k := s.host.Kernel()
 	cache := s.host.Cache()
@@ -322,8 +323,13 @@ var _ Backend = (*LocalFile)(nil)
 // once at Open instead of concatenated per operation.
 func (f *LocalFile) Name() string { return f.qname }
 
-// Size returns the current file length.
-func (f *LocalFile) Size() int64 { return f.store.files[f.name] }
+// Size returns the current file length (0 once the file is deleted).
+func (f *LocalFile) Size() int64 {
+	if sf := f.store.files[f.name]; sf != nil {
+		return sf.size
+	}
+	return 0
+}
 
 // Read implements Backend.
 func (f *LocalFile) Read(off, size int64, done func()) {
@@ -337,19 +343,36 @@ func (f *LocalFile) ReadSequential(off, size int64, done func()) {
 
 // Write implements Backend, growing the file as needed. With a chunk
 // plane attached, the touched chunks' keys are re-minted: the content
-// changed, so its old identity no longer names it.
+// changed, so its old identity no longer names it. A write through a
+// handle whose file was deleted is dropped: it completes without
+// recreating the file.
 func (f *LocalFile) Write(off, size int64, done func()) {
-	if end := off + size; end > f.store.files[f.name] {
-		f.store.files[f.name] = end
+	sf := f.store.files[f.name]
+	if sf == nil {
+		f.dropped(done)
+		return
 	}
-	f.store.touchChunks(f.name, off, size)
+	sf.size = max(sf.size, off+size)
+	f.store.touchChunks(sf, off, size)
 	f.store.host.Cache().Write(f.store.host.Kernel(), f.Name(), off, size, done)
 }
 
 // WriteChunkAs writes chunk i's bytes [off, off+n) and records key for
 // it: a transfer landing content copied from elsewhere, which keeps its
 // identity instead of minting a new one the way a guest Write would.
+// Like Write, it is dropped when the file was deleted.
 func (f *LocalFile) WriteChunkAs(i int, key chunk.Key, off, n int64, done func()) {
-	f.store.adoptChunk(f.name, i, key, off, n)
+	if !f.store.adoptChunk(f.name, i, key, off, n) {
+		f.dropped(done)
+		return
+	}
 	f.store.host.Cache().WriteSequential(f.store.host.Kernel(), f.Name(), off, n, done)
+}
+
+// dropped completes a write to a deleted file at the current instant,
+// charging no I/O.
+func (f *LocalFile) dropped(done func()) {
+	if done != nil {
+		f.store.host.Kernel().After(0, done)
+	}
 }

@@ -18,7 +18,7 @@ type rig struct {
 	store *storage.Store
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	k := sim.NewKernel(1)
 	h, err := hostos.New(k, hw.ReferenceMachine("host"))
@@ -35,7 +35,7 @@ func newRig(t *testing.T) *rig {
 
 // newVM builds a VM with a COW disk over the installed image and a local
 // memory image — the non-persistent DiskFS configuration of Table 2.
-func (r *rig) newVM(t *testing.T, name string) *VM {
+func (r *rig) newVM(t testing.TB, name string) *VM {
 	t.Helper()
 	base, err := r.store.Open("rh72.disk")
 	if err != nil {
@@ -489,5 +489,32 @@ func TestVMIOPenaltyExceedsNative(t *testing.T) {
 	vm := r.newVM(t, "vm1")
 	if vm.IOPenalty() <= guest.NativeIOPenalty {
 		t.Error("virtual I/O not more expensive than native")
+	}
+}
+
+// BenchmarkVMSuspendRestore is one checkpoint round trip of a 128 MB
+// guest through a local memory image: a full Suspend, then a
+// Start(WarmRestore) that streams the image back in.
+func BenchmarkVMSuspendRestore(b *testing.B) {
+	r := newRig(b)
+	vm := r.newVM(b, "vm1")
+	if err := vm.Start(WarmRestore, nil); err != nil {
+		b.Fatal(err)
+	}
+	r.k.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := vm.Suspend(nil); err != nil {
+			b.Fatal(err)
+		}
+		r.k.Run()
+		if err := vm.Start(WarmRestore, nil); err != nil {
+			b.Fatal(err)
+		}
+		r.k.Run()
+	}
+	if vm.State() != StateRunning {
+		b.Fatalf("VM ended in %v, want running", vm.State())
 	}
 }
