@@ -203,55 +203,89 @@ func fig1VM(k *sim.Kernel, h *hostos.Host, name string, tr *obs.Tracer, ready fu
 }
 
 func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Class, loadOn, testOn Placement) (Fig1Row, *obs.Tracer, *telemetry.Collector, error) {
+	tb, err := newFig1Testbed(cfg, baseline, seed, load, loadOn, testOn)
+	if err != nil {
+		return Fig1Row{}, nil, nil, err
+	}
+	// Generous horizon: heavy load can triple task times. The last
+	// sample stops every background source, so the queue drains at the
+	// measurement boundary and RunUntil reports the stall well before.
+	horizon := sim.DurationOf(float64(cfg.Samples)*cfg.TaskSeconds*8 + 300)
+	_ = tb.k.RunUntil(sim.Time(horizon))
+	stat := &tb.stat
+	if stat.N() < cfg.Samples {
+		return Fig1Row{}, nil, nil, fmt.Errorf("experiments: only %d/%d samples completed", stat.N(), cfg.Samples)
+	}
+	row := Fig1Row{Load: load, LoadOn: loadOn, TestOn: testOn}
+	row.Mean, row.Std, row.Min, row.Max, row.N = stat.Mean(), stat.Stddev(), stat.Min(), stat.Max(), stat.N()
+	return row, tb.otr, tb.col, nil
+}
+
+// fig1Testbed is one Figure 1 scenario set up and waiting for its
+// kernel to run; stat collects the test task's slowdown samples.
+type fig1Testbed struct {
+	k    *sim.Kernel
+	otr  *obs.Tracer
+	col  *telemetry.Collector
+	stat sim.Stat
+}
+
+func newFig1Testbed(cfg Fig1Config, baseline float64, seed uint64, load trace.Class, loadOn, testOn Placement) (*fig1Testbed, error) {
 	// seed is the runner-derived per-scenario seed; the background trace
 	// below deliberately does NOT use it — all four placements of one
 	// load class must replay the identical trace (paired design).
 	k := sim.NewKernel(seed)
-	var otr *obs.Tracer
+	tb := &fig1Testbed{k: k}
 	if cfg.Trace != nil {
-		otr = obs.New(k)
+		tb.otr = obs.New(k)
 	}
-	var col *telemetry.Collector
 	if cfg.Telemetry != nil {
 		var err error
 		// Figure 1 has no Grid, so the scenario hosts a raw collector: the
 		// sample loop observes each task's slowdown, and the figure's ≤10%
 		// virtualization budget doubles as the SLO under test.
-		if col, err = telemetry.NewCollector(k, otr); err != nil {
-			return Fig1Row{}, nil, nil, err
+		if tb.col, err = telemetry.NewCollector(k, tb.otr); err != nil {
+			return nil, err
 		}
-		if err := col.AddRule("slowdown", "mean(task.slowdown, 30s) > 1.10 for 30s"); err != nil {
-			return Fig1Row{}, nil, nil, err
+		if err := tb.col.AddRule("slowdown", "mean(task.slowdown, 30s) > 1.10 for 30s"); err != nil {
+			return nil, err
 		}
-		col.Start()
+		tb.col.Start()
 	}
 	h, err := hostos.New(k, hw.ReferenceMachine("phys"))
 	if err != nil {
-		return Fig1Row{}, nil, nil, err
+		return nil, err
 	}
 	// All four placements of one load class replay the same trace, as
 	// the paper does — placements are compared against each other, so
 	// they must see identical background conditions.
 	tr := trace.Synthetic(load, sim.NewRNG(cfg.Seed*1000003+uint64(load)), 8*cfg.Samples+64)
 
-	var stat sim.Stat
-	row := Fig1Row{Load: load, LoadOn: loadOn, TestOn: testOn}
+	// stops ends the background load sources applyLoad started; over
+	// marks the measurement finished, after which none may start.
+	var stops []func()
+	over := false
 
 	// The test environment: a guest OS either native or inside a VM.
 	var testOS *guest.OS
 	startSampling := func() {
 		var sample func()
 		sample = func() {
-			if stat.N() >= cfg.Samples {
+			if tb.stat.N() >= cfg.Samples {
 				// Measurement over: one closing scrape, then stop the
-				// self-tick so the scenario's event queue can drain.
-				col.Scrape()
-				col.Stop()
+				// self-tick and the background load so the event queue
+				// drains here.
+				tb.col.Scrape()
+				tb.col.Stop()
+				over = true
+				for _, stop := range stops {
+					stop()
+				}
 				return
 			}
 			_, err := testOS.Run(guest.MicroTask(cfg.TaskSeconds), func(r guest.TaskResult) {
-				stat.Add(r.Elapsed().Seconds() / baseline)
-				col.Observe("task.slowdown", r.Elapsed().Seconds()/baseline)
+				tb.stat.Add(r.Elapsed().Seconds() / baseline)
+				tb.col.Observe("task.slowdown", r.Elapsed().Seconds()/baseline)
 				sample()
 			})
 			if err != nil {
@@ -262,6 +296,14 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 	}
 
 	// Apply the background load.
+	playback := func(sink func(float64)) {
+		if over {
+			return
+		}
+		pb := trace.NewPlayback(k, tr, sink)
+		pb.Start()
+		stops = append(stops, pb.Stop)
+	}
 	applyLoad := func(testVM *vmm.VM) error {
 		if load == trace.None {
 			// The paper still plots all four placements under "none";
@@ -272,17 +314,16 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 		case OnPhysical:
 			lp := hostos.NewLoadProcess(h, "bg-load", tr)
 			lp.Start()
+			stops = append(stops, lp.Stop)
 		case OnVM:
 			if testOn == OnVM {
 				// Load and test share the virtual machine.
-				pb := trace.NewPlayback(k, tr, testVM.Guest().SetBackgroundLoad)
-				pb.Start()
+				playback(testVM.Guest().SetBackgroundLoad)
 				return nil
 			}
 			// The load gets its own VM next to the physical test task.
-			return fig1VM(k, h, "loadvm", otr, func(vm *vmm.VM) {
-				pb := trace.NewPlayback(k, tr, vm.Guest().SetBackgroundLoad)
-				pb.Start()
+			return fig1VM(k, h, "loadvm", tb.otr, func(vm *vmm.VM) {
+				playback(vm.Guest().SetBackgroundLoad)
 			})
 		}
 		return nil
@@ -293,29 +334,21 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 		testOS = guest.NewOS(guest.NewNativeCPU(h.Spawn("test")))
 		testOS.MarkBooted()
 		if err := applyLoad(nil); err != nil {
-			return row, nil, nil, err
+			return nil, err
 		}
 		startSampling()
 	case OnVM:
-		if err := fig1VM(k, h, "testvm", otr, func(vm *vmm.VM) {
+		if err := fig1VM(k, h, "testvm", tb.otr, func(vm *vmm.VM) {
 			testOS = vm.Guest()
 			if err := applyLoad(vm); err != nil {
 				panic(err)
 			}
 			startSampling()
 		}); err != nil {
-			return row, nil, nil, err
+			return nil, err
 		}
 	}
-
-	// Generous horizon: heavy load can triple task times.
-	horizon := sim.DurationOf(float64(cfg.Samples)*cfg.TaskSeconds*8 + 300)
-	_ = k.RunUntil(sim.Time(horizon))
-	if stat.N() < cfg.Samples {
-		return row, nil, nil, fmt.Errorf("experiments: only %d/%d samples completed", stat.N(), cfg.Samples)
-	}
-	row.Mean, row.Std, row.Min, row.Max, row.N = stat.Mean(), stat.Stddev(), stat.Min(), stat.Max(), stat.N()
-	return row, otr, col, nil
+	return tb, nil
 }
 
 // Figure1Table renders the rows like the paper's figure (one bar each).

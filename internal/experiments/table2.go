@@ -125,42 +125,69 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 // the sample's tracer, and with telemetered set its telemetry collector
 // (nil otherwise — the free disabled paths).
 func table2Sample(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access core.ImageAccess, traced, telemetered bool) (float64, *obs.Tracer, *telemetry.Collector, error) {
-	g := core.NewGrid(seed)
-	var tr *obs.Tracer
-	if traced {
-		tr = obs.New(g.Kernel())
-		g.SetTracer(tr)
+	tb, err := newTable2Testbed(seed, mode, disk, access, traced, telemetered)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	var col *telemetry.Collector
+	// The ready callback stops every background source, so the queue
+	// drains at the measurement boundary and RunUntil reports the stall
+	// long before this horizon.
+	_ = tb.g.Kernel().RunUntil(sim.Time(2 * sim.Hour))
+	if tb.sessErr != nil {
+		return 0, nil, nil, tb.sessErr
+	}
+	if tb.ready == nil || tb.ready.EventAt("ready") < 0 {
+		return 0, nil, nil, fmt.Errorf("experiments: session never ready")
+	}
+	return tb.ready.EventAt("ready").Sub(tb.ready.EventAt("submitted")).Seconds(), tb.tr, tb.col, nil
+}
+
+// table2Testbed is one Table 2 sample set up and waiting for its kernel
+// to run: the LAN testbed, the background host noise, and the session
+// whose ready callback fills ready and sessErr.
+type table2Testbed struct {
+	g       *core.Grid
+	tr      *obs.Tracer
+	col     *telemetry.Collector
+	ready   *core.Session
+	sessErr error
+}
+
+func newTable2Testbed(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access core.ImageAccess, traced, telemetered bool) (*table2Testbed, error) {
+	g := core.NewGrid(seed)
+	tb := &table2Testbed{g: g}
+	if traced {
+		tb.tr = obs.New(g.Kernel())
+		g.SetTracer(tb.tr)
+	}
 	if telemetered {
 		var err error
-		if col, err = g.EnableTelemetry(); err != nil {
-			return 0, nil, nil, err
+		if tb.col, err = g.EnableTelemetry(); err != nil {
+			return nil, err
 		}
 		if err := g.DefaultAlertRules(); err != nil {
-			return 0, nil, nil, err
+			return nil, err
 		}
-		// Self-tick once per simulated second; the session-ready callback
-		// below takes a final scrape and stops the clock so the bounded
-		// RunUntil still drains once the startup is over.
-		col.Start()
+		// Self-tick once per simulated second until the session-ready
+		// callback below takes the final scrape and stops the clock.
+		tb.col.Start()
 	}
 	if _, err := g.AddNode(core.NodeConfig{Name: "front", Site: "lan", Role: core.RoleFrontEnd}); err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
 	compute, err := g.AddNode(core.NodeConfig{
 		Name: "compute", Site: "lan", Role: core.RoleCompute,
 		Slots: 1, DHCPPrefix: "10.0.0.",
 	})
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
 	if err := g.Net().BuildLAN("front", "compute"); err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
 	img := storage.ImageInfo{Name: "rh72", OS: "redhat-7.2", DiskBytes: 2 * hw.GB, MemBytes: 128 * hw.MB}
 	if err := compute.InstallImage(img); err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
 
 	// Background noise: the light desktop activity of a real host.
@@ -170,28 +197,22 @@ func table2Sample(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access 
 	lp := hostos.NewLoadProcess(compute.Host(), "host-noise", noise)
 	lp.Start()
 
-	var ready *core.Session
-	var sessErr error
 	_, err = g.CreateSession(core.SessionConfig{
 		User: "bench", FrontEnd: "front", Image: "rh72",
 		Mode: mode, Disk: disk, Access: access,
 	}, func(s *core.Session, err error) {
-		ready, sessErr = s, err
-		// Close out the telemetry window at the measurement boundary.
-		col.Scrape()
-		col.Stop()
+		tb.ready, tb.sessErr = s, err
+		// The measurement ends here: close out the telemetry window,
+		// then stop the noise, whose trace would otherwise loop until
+		// the horizon.
+		tb.col.Scrape()
+		tb.col.Stop()
+		lp.Stop()
 	})
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
-	_ = g.Kernel().RunUntil(sim.Time(2 * sim.Hour))
-	if sessErr != nil {
-		return 0, nil, nil, sessErr
-	}
-	if ready == nil || ready.EventAt("ready") < 0 {
-		return 0, nil, nil, fmt.Errorf("experiments: session never ready")
-	}
-	return ready.EventAt("ready").Sub(ready.EventAt("submitted")).Seconds(), tr, col, nil
+	return tb, nil
 }
 
 // Table2Table renders rows like the paper's Table 2.

@@ -287,14 +287,10 @@ func (o *OS) remove(t *Task) {
 	o.updateActivity()
 }
 
-func (o *OS) mountFor(t *Task) (storage.Backend, error) {
-	name := t.workload.Mount
-	if name == "" {
-		name = "root"
+// needMount reports an error naming task when mount is not attached.
+func (o *OS) needMount(task, mount string) error {
+	if _, ok := o.mounts[mount]; !ok {
+		return fmt.Errorf("guest: task %q: mount %q not attached", task, mount)
 	}
-	b, ok := o.mounts[name]
-	if !ok {
-		return nil, fmt.Errorf("guest: task %q: mount %q not attached", t.workload.Name, name)
-	}
-	return b, nil
+	return nil
 }

@@ -165,6 +165,98 @@ type ioOp struct {
 	write     bool
 }
 
+// ioPlan streams a workload's I/O schedule one op at a time: a
+// three-way merge of its data-read, root and data-write streams, each
+// spread evenly through the work. Each stream's thresholds strictly
+// increase, so the merge state (the next index and threshold of each
+// stream) yields the work-ordered plan without materializing it. The
+// threshold formulas are kept bitwise-identical to the historical
+// sort-based builder so existing experiment outputs do not move.
+type ioPlan struct {
+	w                          *Workload
+	dataMount                  string
+	perRead, perRoot, perWrite int64
+	ri, oi, wi                 int     // ops taken from each stream
+	rt, ot, wt                 float64 // each stream's next threshold; +Inf when spent
+
+	op   ioOp // the current op, valid while more is set
+	more bool
+}
+
+// start points the plan at w's first op.
+func (p *ioPlan) start(w *Workload) {
+	*p = ioPlan{w: w, dataMount: w.Mount}
+	if p.dataMount == "" {
+		p.dataMount = "root"
+	}
+	if w.Reads > 0 {
+		p.perRead = w.ReadBytes / int64(w.Reads)
+	}
+	if w.RootOps > 0 {
+		p.perRoot = w.RootBytes / int64(w.RootOps)
+	}
+	if w.Writes > 0 {
+		p.perWrite = w.WriteBytes / int64(w.Writes)
+	}
+	inf := math.Inf(1)
+	p.rt, p.ot, p.wt = inf, inf, inf
+	if w.Reads > 0 {
+		p.rt = w.CPUSeconds * float64(1) / float64(w.Reads+1)
+	}
+	if w.RootOps > 0 {
+		p.ot = w.CPUSeconds * (float64(1)/float64(w.RootOps+1) + 1e-9)
+	}
+	if w.Writes > 0 {
+		p.wt = w.CPUSeconds * (float64(1)/float64(w.Writes+1) + 2e-9)
+	}
+	p.advance()
+}
+
+// advance replaces the current op with the next one in work order, or
+// clears more once every stream is spent.
+func (p *ioPlan) advance() {
+	w := p.w
+	if p.ri+p.oi+p.wi == w.Reads+w.RootOps+w.Writes {
+		p.op, p.more = ioOp{}, false
+		return
+	}
+	p.more = true
+	inf := math.Inf(1)
+	switch {
+	case p.rt <= p.ot && p.rt <= p.wt:
+		p.op = ioOp{
+			threshold: p.rt, mount: p.dataMount,
+			offset: p.perRead * int64(p.ri), bytes: p.perRead,
+		}
+		p.ri++
+		p.rt = inf
+		if p.ri < w.Reads {
+			p.rt = w.CPUSeconds * float64(p.ri+1) / float64(w.Reads+1)
+		}
+	case p.ot <= p.wt:
+		p.op = ioOp{
+			threshold: p.ot, mount: "root",
+			offset: p.perRoot * int64(p.oi), bytes: p.perRoot,
+		}
+		p.oi++
+		p.ot = inf
+		if p.oi < w.RootOps {
+			p.ot = w.CPUSeconds * (float64(p.oi+1)/float64(w.RootOps+1) + 1e-9)
+		}
+	default:
+		p.op = ioOp{
+			threshold: p.wt, mount: p.dataMount,
+			offset: p.perWrite * int64(p.wi), bytes: p.perWrite,
+			write: true,
+		}
+		p.wi++
+		p.wt = inf
+		if p.wi < w.Writes {
+			p.wt = w.CPUSeconds * (float64(p.wi+1)/float64(w.Writes+1) + 2e-9)
+		}
+	}
+}
+
 // Task is a workload executing in the guest.
 type Task struct {
 	os       *OS
@@ -178,8 +270,7 @@ type Task struct {
 	ioWait     sim.Duration
 	readsDone  int
 	writesDone int
-	plan       []ioOp
-	next       int // index of the next planned I/O
+	plan       ioPlan // positioned at the next (or in-flight) I/O
 
 	// Pre-bound callbacks, created once per task. The I/O loop runs tens
 	// of thousands of times per workload; minting fresh closures for each
@@ -202,15 +293,23 @@ func (o *OS) Run(w Workload, done func(TaskResult)) (*Task, error) {
 	t.pollFn = t.pollNext
 	t.issueFn = t.issueIO
 	t.completeFn = t.completeIO
-	t.plan = buildIOPlan(w)
-	seen := make(map[string]bool, 2)
-	for _, op := range t.plan {
-		if seen[op.mount] {
-			continue
+	t.plan.start(&t.workload)
+	// Every mount the plan touches must be attached. The first op's
+	// mount goes first, so the error names the mount the plan meets
+	// first.
+	if t.plan.more {
+		if err := o.needMount(w.Name, t.plan.op.mount); err != nil {
+			return nil, err
 		}
-		seen[op.mount] = true
-		if _, ok := o.mounts[op.mount]; !ok {
-			return nil, fmt.Errorf("guest: task %q: mount %q not attached", w.Name, op.mount)
+	}
+	if w.Reads+w.Writes > 0 {
+		if err := o.needMount(w.Name, t.plan.dataMount); err != nil {
+			return nil, err
+		}
+	}
+	if w.RootOps > 0 {
+		if err := o.needMount(w.Name, "root"); err != nil {
+			return nil, err
 		}
 	}
 	t.state = taskRunning
@@ -219,83 +318,6 @@ func (o *OS) Run(w Workload, done func(TaskResult)) (*Task, error) {
 	o.updateActivity()
 	t.scheduleNextIO()
 	return t, nil
-}
-
-// buildIOPlan merges the workload's data and root I/O streams into one
-// work-ordered schedule. Each stream's thresholds strictly increase, so
-// a three-way merge into one pre-sized slice produces the sorted plan
-// directly — no append growth, no reflection-based sort. The threshold
-// formulas are kept bitwise-identical to the historical sort-based
-// builder so existing experiment outputs do not move.
-func buildIOPlan(w Workload) []ioOp {
-	total := w.Reads + w.RootOps + w.Writes
-	if total == 0 {
-		return nil
-	}
-	dataMount := w.Mount
-	if dataMount == "" {
-		dataMount = "root"
-	}
-	var perRead, perRoot, perWrite int64
-	if w.Reads > 0 {
-		perRead = w.ReadBytes / int64(w.Reads)
-	}
-	if w.RootOps > 0 {
-		perRoot = w.RootBytes / int64(w.RootOps)
-	}
-	if w.Writes > 0 {
-		perWrite = w.WriteBytes / int64(w.Writes)
-	}
-
-	plan := make([]ioOp, 0, total)
-	ri, oi, wi := 0, 0, 0
-	inf := math.Inf(1)
-	rt, ot, wt := inf, inf, inf
-	if w.Reads > 0 {
-		rt = w.CPUSeconds * float64(1) / float64(w.Reads+1)
-	}
-	if w.RootOps > 0 {
-		ot = w.CPUSeconds * (float64(1)/float64(w.RootOps+1) + 1e-9)
-	}
-	if w.Writes > 0 {
-		wt = w.CPUSeconds * (float64(1)/float64(w.Writes+1) + 2e-9)
-	}
-	for len(plan) < total {
-		switch {
-		case rt <= ot && rt <= wt:
-			plan = append(plan, ioOp{
-				threshold: rt, mount: dataMount,
-				offset: perRead * int64(ri), bytes: perRead,
-			})
-			ri++
-			rt = inf
-			if ri < w.Reads {
-				rt = w.CPUSeconds * float64(ri+1) / float64(w.Reads+1)
-			}
-		case ot <= wt:
-			plan = append(plan, ioOp{
-				threshold: ot, mount: "root",
-				offset: perRoot * int64(oi), bytes: perRoot,
-			})
-			oi++
-			ot = inf
-			if oi < w.RootOps {
-				ot = w.CPUSeconds * (float64(oi+1)/float64(w.RootOps+1) + 1e-9)
-			}
-		default:
-			plan = append(plan, ioOp{
-				threshold: wt, mount: dataMount,
-				offset: perWrite * int64(wi), bytes: perWrite,
-				write: true,
-			})
-			wi++
-			wt = inf
-			if wi < w.Writes {
-				wt = w.CPUSeconds * (float64(wi+1)/float64(w.Writes+1) + 2e-9)
-			}
-		}
-	}
-	return plan
 }
 
 // State helpers for tests and monitoring.
@@ -317,7 +339,7 @@ func (t *Task) Progress() float64 {
 // scheduleNextIO arranges for the task to block for a read when it
 // crosses the next planned I/O point.
 func (t *Task) scheduleNextIO() {
-	if t.next >= len(t.plan) {
+	if !t.plan.more {
 		return
 	}
 	t.pollNext()
@@ -326,17 +348,17 @@ func (t *Task) scheduleNextIO() {
 // pollNext watches for the work tracker crossing the next planned op's
 // threshold. Rather than polling on a timer, it predicts the crossing
 // from the current rate and re-predicts whenever it fires early. The
-// threshold is read from the plan at fire time: t.next only advances
+// threshold is read from the plan at fire time: the plan only advances
 // when an op completes, which in turn ends the poll chain, so the value
 // is the same one the chain started with.
 func (t *Task) pollNext() {
 	if t.state != taskRunning || t.tracker == nil || t.tracker.Finished() {
 		return
 	}
-	if t.next >= len(t.plan) {
+	if !t.plan.more {
 		return
 	}
-	threshold := t.plan[t.next].threshold
+	threshold := t.plan.op.threshold
 	k := t.os.Kernel()
 	consumed := t.tracker.Consumed()
 	if consumed >= threshold {
@@ -359,7 +381,7 @@ func (t *Task) pollNext() {
 
 // blockForIO parks the task and issues the next planned read.
 func (t *Task) blockForIO() {
-	op := &t.plan[t.next]
+	op := &t.plan.op
 	mount, ok := t.os.mounts[op.mount]
 	if !ok {
 		t.fail(fmt.Errorf("guest: mount %q detached mid-run", op.mount))
@@ -379,7 +401,7 @@ func (t *Task) blockForIO() {
 // issueIO hands the current planned op to its mount once the per-op
 // penalty has been charged.
 func (t *Task) issueIO() {
-	op := &t.plan[t.next]
+	op := &t.plan.op
 	if op.write {
 		t.ioMount.Write(op.offset, op.bytes, t.completeFn)
 		return
@@ -389,13 +411,12 @@ func (t *Task) issueIO() {
 
 // completeIO is the completion callback of the in-flight planned op.
 func (t *Task) completeIO() {
-	op := &t.plan[t.next]
-	if op.write {
+	if t.plan.op.write {
 		t.writesDone++
 	} else {
 		t.readsDone++
 	}
-	t.next++
+	t.plan.advance()
 	t.ioWait += t.os.Kernel().Now().Sub(t.ioStart)
 	if t.state != taskBlocked {
 		return // task was torn down while blocked

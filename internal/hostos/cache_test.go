@@ -184,7 +184,9 @@ func TestBufferCacheMatchesPageLRU(t *testing.T) {
 
 // TestBufferCacheRecreatedFile checks that a file deleted and created
 // again under the same name starts cold, and that the id it released is
-// reused without leaking the old file's pages into another file.
+// reused without leaking the old file's pages into another file. The
+// id bookkeeping itself is pinned in internal/lru
+// (TestBlocksReleaseReusesIDs).
 func TestBufferCacheRecreatedFile(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := NewBufferCache(hw.NewDisk(k, hw.ReferenceMachine("n").Disk), 16*CachePageSize)
@@ -201,14 +203,11 @@ func TestBufferCacheRecreatedFile(t *testing.T) {
 	if c.Hits() != 0 || c.Misses() != 8 {
 		t.Fatalf("hits/misses = %d/%d, want 0/8", c.Hits(), c.Misses())
 	}
-	if len(c.files) != 3 || len(c.tables) != 3 {
-		t.Fatalf("%d interned names over %d ids, want 3 over 3", len(c.files), len(c.tables))
-	}
 	for _, f := range []string{"a", "b", "c"} {
 		c.Invalidate(f)
 	}
-	if c.CachedBytes() != 0 || len(c.files) != 0 {
-		t.Fatalf("cached %d bytes over %d names after invalidating all", c.CachedBytes(), len(c.files))
+	if c.CachedBytes() != 0 {
+		t.Fatalf("cached %d bytes after invalidating all", c.CachedBytes())
 	}
 }
 

@@ -1,11 +1,11 @@
-// Package lru provides the intrusive LRU index shared by the simulation
-// data plane's caches: the vfs proxy block cache, and a chunk cache
-// given a byte cap (an uncapped chunk cache never evicts and keeps no
-// recency list).
-// It replaces container/list in those hot paths: nodes are
-// recycled through a freelist and the index map is pre-sized, so a cache
-// operating at steady state performs no allocations at all — a touch is
-// a map lookup plus four pointer writes.
+// Package lru provides the recency indexes of the simulation data
+// plane's caches. Blocks, an LRU of (file, block) pairs that hashes
+// nothing per block, backs the host buffer cache and the vfs proxy
+// block cache. Cache, an LRU set of comparable keys, has one remaining
+// user: a chunk cache given a byte cap (an uncapped chunk cache never
+// evicts and keeps no recency list). Both replace container/list in
+// those hot paths: nodes are recycled through a freelist, so a cache
+// operating at steady state performs no allocations at all.
 package lru
 
 // Cache is an LRU set of keys. It tracks recency only; byte accounting

@@ -193,6 +193,55 @@ func TestWriteChunkAsAdoptsTransferredIdentity(t *testing.T) {
 	}
 }
 
+// TestSupersededHandleWritesAreDropped: a handle opened before its file
+// was deleted and created again (a staging retry re-creating its
+// target while the failed attempt still has chunks in flight) writes
+// nothing into the new file. Both write paths complete, and the new
+// incarnation's size and manifest are untouched.
+func TestSupersededHandleWritesAreDropped(t *testing.T) {
+	k := sim.NewKernel(1)
+	p := chunk.NewPlane(chunk.Config{ChunkBytes: 1 << 20})
+	s := chunkStore(t, k, p, "n1")
+	if err := s.Create("f", 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	old, err := s.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create("f", 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	keys := s.ChunkKeys("f")
+	done := 0
+	old.WriteChunkAs(0, p.Mint(), 0, 1<<20, func() { done++ })
+	old.WriteChunkAs(2, p.Mint(), 2<<20, 1<<20, func() { done++ })
+	old.Write(0, 4<<20, func() { done++ })
+	k.Run()
+	if done != 3 {
+		t.Fatalf("%d of 3 writes through the superseded handle completed", done)
+	}
+	if sz, _ := s.Size("f"); sz != 1<<20 {
+		t.Errorf("new file size = %d, want %d", sz, 1<<20)
+	}
+	if got := s.ChunkKeys("f"); len(got) != len(keys) || got[0] != keys[0] {
+		t.Errorf("new file manifest = %v, want %v", got, keys)
+	}
+	// A handle on the new incarnation still writes.
+	cur, err := s.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur.Write(0, 2<<20, nil)
+	k.Run()
+	if sz, _ := s.Size("f"); sz != 2<<20 {
+		t.Errorf("size = %d after a write through the live handle, want %d", sz, 2<<20)
+	}
+}
+
 func TestDeleteKeepsChunkCacheEntries(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := chunk.NewPlane(chunk.Config{ChunkBytes: 1 << 20})

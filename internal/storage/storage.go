@@ -132,32 +132,29 @@ func (s *Store) touchChunks(f *file, off, n int64) {
 	}
 }
 
-// adoptChunk records that chunk i of the file holds key: content copied
-// from elsewhere keeps its identity instead of minting a new one. The
-// file grows to cover the chunk. Used by the staging paths both for
-// transferred chunks and for dedup hits materialized by reference. A
-// chunk landing after the file was deleted (a stage abandoned while a
-// chunk was on the wire) records nothing: the name stays gone.
-func (s *Store) adoptChunk(name string, i int, key chunk.Key, off, n int64) bool {
-	f := s.files[name]
-	if f == nil {
-		return false
-	}
+// adoptChunk records that chunk i of f holds key: content copied from
+// elsewhere keeps its identity instead of minting a new one. The file
+// grows to cover the chunk. Used by the staging paths both for
+// transferred chunks and for dedup hits materialized by reference.
+func (s *Store) adoptChunk(f *file, i int, key chunk.Key, off, n int64) {
 	f.size = max(f.size, off+n)
 	for len(f.keys) <= i {
 		f.keys = append(f.keys, 0)
 	}
 	f.keys[i] = key
 	s.cache.Add(key, n)
-	return true
 }
 
 // AdoptChunk is adoptChunk for dedup hits: no bytes move and no I/O is
 // charged — the node already holds the content, and materializing it
 // into the file is a copy-on-write reference. [off, off+n) is the
-// chunk's extent in the destination file.
+// chunk's extent in the destination file. A chunk adopted after the
+// file was deleted (a stage abandoned while a chunk was on the wire)
+// records nothing: the name stays gone.
 func (s *Store) AdoptChunk(name string, i int, key chunk.Key, off, n int64) {
-	s.adoptChunk(name, i, key, off, n)
+	if f := s.files[name]; f != nil {
+		s.adoptChunk(f, i, key, off, n)
+	}
 }
 
 // CreateWithChunks creates a file carrying an existing manifest (a tape
@@ -243,12 +240,15 @@ func (s *Store) qualify(name string) string {
 	return s.host.Name() + ":" + name
 }
 
-// Open returns a Backend for an existing file.
+// Open returns a Backend for an existing file. The handle is bound to
+// this incarnation of the name: once the file is deleted, writes through
+// it are dropped even if the name is created again.
 func (s *Store) Open(name string) (*LocalFile, error) {
-	if _, ok := s.files[name]; !ok {
+	f := s.files[name]
+	if f == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return &LocalFile{store: s, name: name, qname: s.qualify(name)}, nil
+	return &LocalFile{store: s, name: name, qname: s.qualify(name), file: f}, nil
 }
 
 // OpenOrCreate returns a Backend, creating a zero-length file if needed.
@@ -314,6 +314,7 @@ type LocalFile struct {
 	store *Store
 	name  string
 	qname string // host-qualified cache key, built once at Open
+	file  *file  // the incarnation opened; writes land only while it is live
 }
 
 var _ Backend = (*LocalFile)(nil)
@@ -345,29 +346,35 @@ func (f *LocalFile) ReadSequential(off, size int64, done func()) {
 // plane attached, the touched chunks' keys are re-minted: the content
 // changed, so its old identity no longer names it. A write through a
 // handle whose file was deleted is dropped: it completes without
-// recreating the file.
+// recreating the file, or touching a file created since under the same
+// name.
 func (f *LocalFile) Write(off, size int64, done func()) {
-	sf := f.store.files[f.name]
-	if sf == nil {
+	if !f.live() {
 		f.dropped(done)
 		return
 	}
-	sf.size = max(sf.size, off+size)
-	f.store.touchChunks(sf, off, size)
+	f.file.size = max(f.file.size, off+size)
+	f.store.touchChunks(f.file, off, size)
 	f.store.host.Cache().Write(f.store.host.Kernel(), f.Name(), off, size, done)
 }
 
 // WriteChunkAs writes chunk i's bytes [off, off+n) and records key for
 // it: a transfer landing content copied from elsewhere, which keeps its
 // identity instead of minting a new one the way a guest Write would.
-// Like Write, it is dropped when the file was deleted.
+// Like Write, it is dropped when the file was deleted: a late chunk of
+// an abandoned stage never lands in a re-created file's manifest.
 func (f *LocalFile) WriteChunkAs(i int, key chunk.Key, off, n int64, done func()) {
-	if !f.store.adoptChunk(f.name, i, key, off, n) {
+	if !f.live() {
 		f.dropped(done)
 		return
 	}
+	f.store.adoptChunk(f.file, i, key, off, n)
 	f.store.host.Cache().WriteSequential(f.store.host.Kernel(), f.Name(), off, n, done)
 }
+
+// live reports whether the incarnation this handle opened still holds
+// its name.
+func (f *LocalFile) live() bool { return f.store.files[f.name] == f.file }
 
 // dropped completes a write to a deleted file at the current instant,
 // charging no I/O.

@@ -128,16 +128,15 @@ func (c Config) validate() error {
 // The data plane is allocation-free at steady state: RPCs and
 // multi-span reads run through freelisted call/readOp structs whose
 // callbacks are bound once at allocation, the block cache is an
-// intrusive LRU with recycled nodes, and the miss walk reuses
-// client-owned scratch buffers. A fully cached read costs two pooled
-// kernel events and nothing else.
+// lru.Blocks keyed by the file id interned at Open, and the miss walk
+// reuses client-owned scratch buffers. A fully cached read costs two
+// pooled kernel events and nothing else.
 type Client struct {
 	k   *sim.Kernel
 	t   Transport
 	cfg Config
 
-	cache     *lru.Cache[blockKey]
-	capBlocks int
+	blocks *lru.Blocks // the block cache: CacheBytes/Rsize blocks
 
 	queue  []*call
 	qhead  int
@@ -179,11 +178,6 @@ type stalledWrite struct {
 	ack  func() // the writer's done callback (may be nil)
 }
 
-type blockKey struct {
-	file  string
-	block int64
-}
-
 // NewClient creates a proxy over transport t.
 func NewClient(k *sim.Kernel, t Transport, cfg Config) (*Client, error) {
 	if err := cfg.validate(); err != nil {
@@ -192,19 +186,17 @@ func NewClient(k *sim.Kernel, t Transport, cfg Config) (*Client, error) {
 	if cfg.WriteBack && cfg.MaxDirty == 0 {
 		cfg.MaxDirty = 4 << 20
 	}
-	capBlocks := int(cfg.CacheBytes / cfg.Rsize)
 	reg := cfg.Trace.Metrics()
 	return &Client{
-		k:         k,
-		t:         t,
-		cfg:       cfg,
-		cache:     lru.New[blockKey](capBlocks),
-		capBlocks: capBlocks,
-		fastRPC:   cfg.Retry.Attempts() <= 1 && cfg.Retry.Timeout == 0,
-		mRPCs:     reg.Counter("vfs.rpcs"),
-		mRetries:  reg.Counter("vfs.retries"),
-		mErrs:     reg.Counter("vfs.transport-errors"),
-		hRPC:      reg.Histogram("vfs.rpc-latency"),
+		k:        k,
+		t:        t,
+		cfg:      cfg,
+		blocks:   lru.NewBlocks(int(cfg.CacheBytes / cfg.Rsize)),
+		fastRPC:  cfg.Retry.Attempts() <= 1 && cfg.Retry.Timeout == 0,
+		mRPCs:    reg.Counter("vfs.rpcs"),
+		mRetries: reg.Counter("vfs.retries"),
+		mErrs:    reg.Counter("vfs.transport-errors"),
+		hRPC:     reg.Histogram("vfs.rpc-latency"),
 	}, nil
 }
 
@@ -365,7 +357,7 @@ func (l *call) settle(err error) {
 // like call. afterCostFn is the PerOpCost continuation, bound once.
 type readOp struct {
 	c           *Client
-	file        string
+	f           *RemoteFile
 	off, size   int64
 	done        func()
 	outstanding int
@@ -386,7 +378,7 @@ func (c *Client) getRead() *readOp {
 }
 
 func (c *Client) putRead(o *readOp) {
-	o.file = ""
+	o.f = nil
 	o.off, o.size = 0, 0
 	o.done = nil
 	o.outstanding = 0
@@ -459,8 +451,9 @@ func (c *Client) noteErr(err error) {
 }
 
 // Open returns a Backend for the named remote file of the given size.
+// Handles opened on one name share its cached blocks.
 func (c *Client) Open(file string, size int64) *RemoteFile {
-	return &RemoteFile{client: c, file: file, size: size}
+	return &RemoteFile{client: c, file: file, id: c.blocks.Intern(file), size: size}
 }
 
 // enqueue serializes RPC issue.
@@ -486,27 +479,12 @@ func (c *Client) callDone() {
 	next.start()
 }
 
-func (c *Client) cached(key blockKey) bool {
-	return c.cache.Touch(key)
-}
-
-func (c *Client) insert(key blockKey) {
-	if c.cfg.CacheBytes < c.cfg.Rsize {
-		return
-	}
-	if c.cache.Touch(key) {
-		return
-	}
-	for c.cache.Len() >= c.capBlocks && c.cache.Len() > 0 {
-		c.cache.EvictOldest()
-	}
-	c.cache.Insert(key)
-}
-
-// RemoteFile is a storage.Backend served by the proxy.
+// RemoteFile is a storage.Backend served by the proxy. Offsets must be
+// non-negative.
 type RemoteFile struct {
 	client *Client
 	file   string
+	id     int32 // interned name, the block cache's file index
 	size   int64
 }
 
@@ -522,13 +500,13 @@ func (f *RemoteFile) Size() int64 { return f.size }
 // missing ones (prefetch-window at a time), and complete when every
 // block is resident.
 func (f *RemoteFile) Read(off, size int64, done func()) {
-	f.client.read(f.file, off, size, done)
+	f.client.read(f, off, size, done)
 }
 
 // ReadSequential implements storage.Backend (the prefetcher already
 // exploits sequentiality).
 func (f *RemoteFile) ReadSequential(off, size int64, done func()) {
-	f.client.read(f.file, off, size, done)
+	f.client.read(f, off, size, done)
 }
 
 // noopAck stands in for a nil writer callback so the ack event can be
@@ -548,7 +526,7 @@ func (f *RemoteFile) Write(off, size int64, done func()) {
 	}
 	rsize := c.cfg.Rsize
 	for b := off / rsize; b <= (off+size-1)/rsize; b++ {
-		c.insert(blockKey{file: f.file, block: b})
+		c.blocks.Insert(f.id, b)
 	}
 	if end := off + size; end > f.size {
 		f.size = end
@@ -620,9 +598,9 @@ func (c *Client) Flush(done func()) {
 }
 
 // read satisfies [off, off+size) through the cache.
-func (c *Client) read(file string, off, size int64, done func()) {
+func (c *Client) read(f *RemoteFile, off, size int64, done func()) {
 	o := c.getRead()
-	o.file, o.off, o.size, o.done = file, off, size, done
+	o.f, o.off, o.size, o.done = f, off, size, done
 	if c.cfg.PerOpCost > 0 {
 		c.k.After(c.cfg.PerOpCost, o.afterCostFn)
 		return
@@ -637,7 +615,7 @@ func (c *Client) read(file string, off, size int64, done func()) {
 // consumed before this returns (the kernel is single-threaded), so they
 // are safe to share across every read on the client.
 func (c *Client) readAfterClientCost(o *readOp) {
-	file, off, size := o.file, o.off, o.size
+	f, off, size := o.f, o.off, o.size
 	if size <= 0 {
 		size = 1
 	}
@@ -648,7 +626,7 @@ func (c *Client) readAfterClientCost(o *readOp) {
 	// Collect the missing block runs.
 	missing := c.scratchMissing[:0]
 	for b := first; b <= last; b++ {
-		if c.cached(blockKey{file: file, block: b}) {
+		if c.blocks.Touch(f.id, b) {
 			c.hits++
 		} else {
 			c.misses++
@@ -687,11 +665,11 @@ func (c *Client) readAfterClientCost(o *readOp) {
 	for _, span := range spans {
 		startBlock, count := span[0], span[1]
 		for b := startBlock; b < startBlock+count; b++ {
-			c.insert(blockKey{file: file, block: b})
+			c.blocks.Insert(f.id, b)
 		}
 		l := c.getCall()
 		l.op = "read"
-		l.file = file
+		l.file = f.file
 		l.off = startBlock * rsize
 		l.bytes = count * rsize
 		l.owner = o

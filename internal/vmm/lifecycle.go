@@ -87,7 +87,9 @@ func (vm *VM) Start(mode StartMode, done func(error)) error {
 			vm.updateDemand()
 			vm.recompute()
 			runSpan = vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "restore")
-			vm.readMemImage(0, func() {
+			// Stream the saved memory image back in through whatever
+			// backend holds it (local file or grid virtual file system).
+			streamMemImage(vm.cfg.MemBytes, vm.cfg.MemImage.ReadSequential, func() {
 				vm.os.MarkBooted()
 				if err := vm.os.ResumeWarm(guest.DefaultResume(), finish); err != nil {
 					finish(fmt.Errorf("vmm %q: %w", vm.cfg.Name, err))
@@ -100,22 +102,22 @@ func (vm *VM) Start(mode StartMode, done func(error)) error {
 	return nil
 }
 
-// readMemImage streams the saved memory image back in, chunk by chunk,
-// through whatever backend holds it (local file or grid virtual file
-// system).
-func (vm *VM) readMemImage(off int64, done func()) {
-	size := vm.cfg.MemBytes
-	if off >= size {
-		done()
-		return
+// streamMemImage moves [0, limit) of the memory image through xfer one
+// restoreChunk at a time, then calls done. One chunk is in flight at a
+// time, so the continuation is bound once per stream, not per chunk.
+func streamMemImage(limit int64, xfer func(off, n int64, done func()), done func()) {
+	var off, n int64
+	var step func()
+	step = func() {
+		off += n
+		if off >= limit {
+			done()
+			return
+		}
+		n = min(restoreChunk, limit-off)
+		xfer(off, n, step)
 	}
-	n := restoreChunk
-	if off+n > size {
-		n = size - off
-	}
-	vm.cfg.MemImage.ReadSequential(off, n, func() {
-		vm.readMemImage(off+n, done)
-	})
+	step()
 }
 
 // Suspend checkpoints the running guest: its memory is written to the
@@ -134,7 +136,7 @@ func (vm *VM) Suspend(done func(error)) error {
 	vm.updateDemand()
 	vm.recompute() // freezes guest tasks at rate 0
 	sp := vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "suspend")
-	vm.writeMemImage(0, vm.dirtyBytes(), func() {
+	streamMemImage(vm.dirtyBytes(), vm.cfg.MemImage.Write, func() {
 		sp.End()
 		vm.imagePrimed = true
 		vm.imageSyncAt = vm.Kernel().Now()
@@ -175,20 +177,6 @@ func (vm *VM) dirtyBytes() int64 {
 		dirty = size
 	}
 	return dirty
-}
-
-func (vm *VM) writeMemImage(off, limit int64, done func()) {
-	if off >= limit {
-		done()
-		return
-	}
-	n := restoreChunk
-	if off+n > limit {
-		n = limit - off
-	}
-	vm.cfg.MemImage.Write(off, n, func() {
-		vm.writeMemImage(off+n, limit, done)
-	})
 }
 
 // Unpause resumes a suspended VM in place (no memory image read: the
