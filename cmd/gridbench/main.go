@@ -46,6 +46,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -161,94 +162,49 @@ func run(args []string) error {
 		}
 		emit(t)
 	}
-	if err := writeTrace(traceSet, *tracePath, emit); err != nil {
+	if ok, err := writeSet(*tracePath, traceSet.Len(), traceSet.WriteChrome,
+		"-trace set but the selected experiment records no traces (only fig1 and table2 do)"); err != nil {
 		return err
+	} else if ok {
+		emit(phaseTable(traceSet))
+		emit(criticalPathTable(traceSet))
+		fmt.Printf("# trace: %d samples -> %s\n", traceSet.Len(), *tracePath)
 	}
-	if err := writeTelemetry(telemetrySet, *telemetryPath); err != nil {
+	if ok, err := writeSet(*telemetryPath, telemetrySet.Len(), telemetrySet.WriteJSON,
+		"-telemetry set but the selected experiment records no telemetry (only fig1 and table2 do)"); err != nil {
 		return err
+	} else if ok {
+		fmt.Printf("# telemetry: %d samples -> %s\n", telemetrySet.Len(), *telemetryPath)
 	}
-	return writeIncidents(incidentSet, *incidentsPath)
-}
-
-// writeTrace dumps the collected trace set as Chrome trace-event JSON
-// and prints the per-phase latency decomposition plus the critical-path
-// attribution. A no-op without -trace or when the selected experiment
-// recorded nothing.
-func writeTrace(ts *obs.TraceSet, path string, emit func(*experiments.Table)) error {
-	if ts == nil {
-		return nil
-	}
-	if ts.Len() == 0 {
-		fmt.Fprintln(os.Stderr, "gridbench: -trace set but the selected experiment records no traces (only fig1 and table2 do)")
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
+	if ok, err := writeSet(*incidentsPath, incidentSet.Len(), incidentSet.WriteJSON,
+		"-incidents set but the selected experiment records no incidents (only ablation-recovery does)"); err != nil {
 		return err
+	} else if ok {
+		fmt.Printf("# incidents: %d bundles over %d runs -> %s\n", incidentSet.Total(), incidentSet.Len(), *incidentsPath)
 	}
-	if err := ts.WriteChrome(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	emit(phaseTable(ts))
-	emit(criticalPathTable(ts))
-	fmt.Printf("# trace: %d samples -> %s\n", ts.Len(), path)
 	return nil
 }
 
-// writeIncidents dumps the collected incident set as deterministic
-// JSON. A no-op without -incidents or when the selected experiment
-// recorded nothing.
-func writeIncidents(is *obs.IncidentSet, path string) error {
-	if is == nil {
-		return nil
+// writeSet writes a collected set of n entries to path with write and
+// reports whether it did. It is a no-op without the flag (empty path),
+// and prints the warning when the selected experiment recorded nothing.
+func writeSet(path string, n int, write func(io.Writer) error, warning string) (bool, error) {
+	if path == "" {
+		return false, nil
 	}
-	if is.Len() == 0 {
-		fmt.Fprintln(os.Stderr, "gridbench: -incidents set but the selected experiment records no incidents (only ablation-recovery does)")
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := is.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("# incidents: %d bundles over %d runs -> %s\n", is.Total(), is.Len(), path)
-	return nil
-}
-
-// writeTelemetry dumps the collected telemetry set as deterministic
-// JSON. A no-op without -telemetry or when the selected experiment
-// recorded nothing.
-func writeTelemetry(ts *telemetry.Set, path string) error {
-	if ts == nil {
-		return nil
-	}
-	if ts.Len() == 0 {
-		fmt.Fprintln(os.Stderr, "gridbench: -telemetry set but the selected experiment records no telemetry (only fig1 and table2 do)")
-		return nil
+	if n == 0 {
+		fmt.Fprintln(os.Stderr, "gridbench: "+warning)
+		return false, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if err := ts.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		_ = f.Close()
-		return err
+		return false, err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("# telemetry: %d samples -> %s\n", ts.Len(), path)
-	return nil
+	return true, f.Close()
 }
 
 // phaseTable aggregates the set's lifecycle spans per experiment cell:

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vmgrid/internal/core"
@@ -45,7 +44,7 @@ func AblationStaging(seed uint64, workers int) ([]StagingRow, error) {
 	}{{core.AccessStaged, "staged"}, {core.AccessOnDemand, "on-demand"}}
 	// Paired design: both arms of one fraction replay the experiment
 	// seed so the winner column compares identical randomness.
-	secs, err := RunSamples(context.Background(), seed, len(fractions)*len(arms), workers,
+	secs, err := RunSamples(seed, len(fractions)*len(arms), workers,
 		func(i int, _ uint64) (float64, error) {
 			ws, arm := fractions[i/len(arms)], arms[i%len(arms)]
 			v, err := stagingRun(seed, arm.access, ws)
@@ -67,43 +66,38 @@ func AblationStaging(seed uint64, workers int) ([]StagingRow, error) {
 }
 
 func stagingRun(seed uint64, access core.ImageAccess, workingSet float64) (float64, error) {
-	g := core.NewGrid(seed)
-	if _, err := g.AddNode(core.NodeConfig{Name: "front", Site: "a", Role: core.RoleFrontEnd}); err != nil {
+	tb := newTestbed(seed)
+	if err := tb.lan(
+		core.NodeConfig{Name: "front", Site: "a", Role: core.RoleFrontEnd},
+		core.NodeConfig{Name: "compute", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.0.0."},
+	); err != nil {
 		return 0, err
 	}
-	if _, err := g.AddNode(core.NodeConfig{Name: "compute", Site: "a", Role: core.RoleCompute,
-		Slots: 1, DHCPPrefix: "10.0.0."}); err != nil {
+	// The image server sits across the WAN from both.
+	if _, err := tb.g.AddNode(core.NodeConfig{Name: "images", Site: "b", Role: core.RoleImageServer}); err != nil {
 		return 0, err
 	}
-	if _, err := g.AddNode(core.NodeConfig{Name: "images", Site: "b", Role: core.RoleImageServer}); err != nil {
+	if err := tb.g.Net().ConnectWAN("compute", "images"); err != nil {
 		return 0, err
 	}
-	if err := g.Net().BuildLAN("front", "compute"); err != nil {
+	if err := tb.g.Net().ConnectWAN("front", "images"); err != nil {
 		return 0, err
 	}
-	if err := g.Net().ConnectWAN("compute", "images"); err != nil {
-		return 0, err
-	}
-	if err := g.Net().ConnectWAN("front", "images"); err != nil {
-		return 0, err
-	}
-	const diskBytes = 2 * hw.GB
-	img := storage.ImageInfo{Name: "rh72", OS: "rh72", DiskBytes: diskBytes, MemBytes: 128 * hw.MB}
-	if err := g.Node("images").InstallImage(img); err != nil {
+	if err := tb.install(benchImage, "images"); err != nil {
 		return 0, err
 	}
 
 	var finishedAt sim.Time = -1
-	_, err := g.CreateSession(core.SessionConfig{
-		User: "bench", FrontEnd: "front", Image: "rh72",
-		Mode: vmm.WarmRestore, Disk: core.NonPersistent, Access: access,
-	}, func(s *core.Session, err error) {
+	cfg := benchSession
+	cfg.Access = access
+	_, err := tb.g.CreateSession(cfg, func(s *core.Session, err error) {
 		if err != nil {
+			tb.fail(err)
 			return
 		}
 		// The task touches workingSet of the image through the root
 		// mount, with a little compute in between.
-		touched := int64(float64(diskBytes) * workingSet)
+		touched := int64(float64(benchImage.DiskBytes) * workingSet)
 		reads := int(touched / (256 << 10))
 		if reads < 1 {
 			reads = 1
@@ -114,14 +108,15 @@ func stagingRun(seed uint64, access core.ImageAccess, workingSet float64) (float
 			RootOps:    reads,
 			RootBytes:  touched,
 		}
-		if err := s.Run(w, func(guest.TaskResult) { finishedAt = g.Kernel().Now() }); err != nil {
-			panic(err) // setup bug
-		}
+		tb.fail(s.Run(w, func(guest.TaskResult) { finishedAt = tb.k.Now() }))
 	})
 	if err != nil {
 		return 0, err
 	}
-	_ = g.Kernel().RunUntil(sim.Time(6 * sim.Hour))
+	_ = tb.k.RunUntil(sim.Time(6 * sim.Hour))
+	if tb.err != nil {
+		return 0, tb.err
+	}
 	if finishedAt < 0 {
 		return 0, fmt.Errorf("experiments: staging run never finished")
 	}
@@ -165,7 +160,7 @@ type CacheRow struct {
 // inherently serial — the boots share one host cache, so it runs as a
 // single sample regardless of workers.
 func AblationProxyCache(seed uint64, instances, workers int) ([]CacheRow, error) {
-	rows, err := RunSamples(context.Background(), seed, 1, workers,
+	rows, err := RunSamples(seed, 1, workers,
 		func(int, uint64) ([]CacheRow, error) { return proxyCacheRun(seed, instances) })
 	if err != nil {
 		return nil, err
@@ -333,7 +328,7 @@ func AblationScheduling(seed uint64, workers int) ([]SchedRow, error) {
 		},
 		func() (SchedRow, error) { return schedStopCont(seed) },
 	}
-	return RunSamples(context.Background(), seed, len(mechanisms), workers,
+	return RunSamples(seed, len(mechanisms), workers,
 		func(i int, _ uint64) (SchedRow, error) { return mechanisms[i]() })
 }
 
@@ -432,86 +427,61 @@ type MigrationRow struct {
 // goroutines.
 func AblationMigration(seed uint64, workers int) ([]MigrationRow, error) {
 	run := func(strategy string) (float64, float64, error) {
-		g := core.NewGrid(seed)
-		mk := func(cfg core.NodeConfig) error {
-			_, err := g.AddNode(cfg)
-			return err
-		}
-		if err := mk(core.NodeConfig{Name: "front", Site: "lan", Role: core.RoleFrontEnd}); err != nil {
+		tb := newTestbed(seed)
+		if err := tb.lan(
+			core.NodeConfig{Name: "front", Site: "lan", Role: core.RoleFrontEnd},
+			core.NodeConfig{Name: "n1", Site: "lan", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.0.1."},
+			core.NodeConfig{Name: "n2", Site: "lan", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.0.2."},
+		); err != nil {
 			return 0, 0, err
 		}
-		if err := mk(core.NodeConfig{Name: "n1", Site: "lan", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.0.1."}); err != nil {
-			return 0, 0, err
-		}
-		if err := mk(core.NodeConfig{Name: "n2", Site: "lan", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.0.2."}); err != nil {
-			return 0, 0, err
-		}
-		if err := g.Net().BuildLAN("front", "n1", "n2"); err != nil {
-			return 0, 0, err
-		}
-		img := storage.ImageInfo{Name: "rh72", OS: "rh72", DiskBytes: 2 * hw.GB, MemBytes: 128 * hw.MB}
-		if err := g.Node("n1").InstallImage(img); err != nil {
-			return 0, 0, err
-		}
-		if err := g.Node("n2").InstallImage(img); err != nil {
+		if err := tb.install(benchImage, "n1", "n2"); err != nil {
 			return 0, 0, err
 		}
 
 		const jobSeconds = 600
 		var doneAt sim.Time = -1
 		var lost float64
-		_, err := g.CreateSession(core.SessionConfig{
-			User: "bench", FrontEnd: "front", Image: "rh72", Site: "lan",
-			Mode: vmm.WarmRestore, Disk: core.NonPersistent, Access: core.AccessLocal,
-		}, func(s *core.Session, err error) {
+		done := func(guest.TaskResult) { doneAt = tb.k.Now() }
+		cfg := benchSession
+		cfg.Site = "lan"
+		_, err := tb.g.CreateSession(cfg, func(s *core.Session, err error) {
 			if err != nil {
-				panic(err)
+				tb.fail(err)
+				return
 			}
-			task := guest.MicroTask(jobSeconds)
-			if err := s.Run(task, func(guest.TaskResult) { doneAt = g.Kernel().Now() }); err != nil {
-				panic(err)
+			if err := s.Run(guest.MicroTask(jobSeconds), done); err != nil {
+				tb.fail(err)
+				return
 			}
-			// Interrupt halfway through the job.
-			g.Kernel().After(300*sim.Second, func() {
+			// Interrupt halfway through the job; "keep" is the baseline.
+			tb.k.After(300*sim.Second, func() {
 				switch strategy {
-				case "keep":
-					// nothing: baseline
 				case "migrate":
-					if err := s.Migrate("n2", func(err error) {
-						if err != nil {
-							panic(err)
-						}
-					}); err != nil {
-						panic(err)
-					}
+					tb.fail(s.Migrate("n2", tb.fail))
 				case "restart":
-					progress := s.VM().Guest().UserSeconds()
-					lost = 300 - 0 // approximate: all task progress is discarded
-					_ = progress
+					// Restarting from scratch discards the 300 s the job
+					// had run.
+					lost = 300
 					s.Shutdown()
-					_, err := g.CreateSession(core.SessionConfig{
-						User: "bench", FrontEnd: "front", Image: "rh72", Site: "lan",
-						Mode: vmm.WarmRestore, Disk: core.NonPersistent, Access: core.AccessLocal,
-					}, func(s2 *core.Session, err error) {
+					_, err := tb.g.CreateSession(cfg, func(s2 *core.Session, err error) {
 						if err != nil {
-							panic(err)
+							tb.fail(err)
+							return
 						}
-						if err := s2.Run(guest.MicroTask(jobSeconds), func(guest.TaskResult) {
-							doneAt = g.Kernel().Now()
-						}); err != nil {
-							panic(err)
-						}
+						tb.fail(s2.Run(guest.MicroTask(jobSeconds), done))
 					})
-					if err != nil {
-						panic(err)
-					}
+					tb.fail(err)
 				}
 			})
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		_ = g.Kernel().RunUntil(sim.Time(6 * sim.Hour))
+		_ = tb.k.RunUntil(sim.Time(6 * sim.Hour))
+		if tb.err != nil {
+			return 0, 0, tb.err
+		}
 		if doneAt < 0 {
 			return 0, 0, fmt.Errorf("experiments: %s never finished", strategy)
 		}
@@ -519,7 +489,7 @@ func AblationMigration(seed uint64, workers int) ([]MigrationRow, error) {
 	}
 
 	strategies := []string{"keep", "migrate", "restart"}
-	return RunSamples(context.Background(), seed, len(strategies), workers,
+	return RunSamples(seed, len(strategies), workers,
 		func(i int, _ uint64) (MigrationRow, error) {
 			total, lost, err := run(strategies[i])
 			if err != nil {
@@ -561,7 +531,7 @@ type PredictorRow struct {
 func AblationPredictors(seed uint64, workers int) ([]PredictorRow, error) {
 	classes := []trace.Class{trace.Light, trace.Heavy}
 	const predictors = 3 // LAST, MEAN(500), AR(8)
-	return RunSamples(context.Background(), seed, len(classes)*predictors, workers,
+	return RunSamples(seed, len(classes)*predictors, workers,
 		func(i int, _ uint64) (PredictorRow, error) {
 			class := classes[i/predictors]
 			// The trace is paired per class (same data for all three

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -10,8 +9,6 @@ import (
 	"vmgrid/internal/hw"
 	"vmgrid/internal/placement"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/storage"
-	"vmgrid/internal/vmm"
 )
 
 // ---------------------------------------------------------------------
@@ -68,14 +65,19 @@ var balanceOffsets = []sim.Duration{
 	300 * sim.Second, 301 * sim.Second,
 }
 
-// balancePolicies are the swept placement policies, in report order.
-var balancePolicies = []struct {
-	name   string
-	placer placement.Placer
+// balanceArms are the swept placement policies, each without and with
+// the balancer, in report order.
+var balanceArms = []struct {
+	policy  string
+	placer  placement.Placer
+	balance bool
 }{
-	{"least-loaded", placement.LeastLoaded{}},
-	{"predicted-load", placement.PredictedLoad{}},
-	{"pack", placement.Pack{}},
+	{"least-loaded", placement.LeastLoaded{}, false},
+	{"least-loaded", placement.LeastLoaded{}, true},
+	{"predicted-load", placement.PredictedLoad{}, false},
+	{"predicted-load", placement.PredictedLoad{}, true},
+	{"pack", placement.Pack{}, false},
+	{"pack", placement.Pack{}, true},
 }
 
 // AblationBalance sweeps placement policy × balancer on/off over the
@@ -89,51 +91,31 @@ func AblationBalance(seed uint64, samples, workers int) ([]BalanceRow, error) {
 	if samples <= 0 {
 		samples = balanceSamples
 	}
-	arms, err := RunSamples(context.Background(), seed, samples, workers,
-		func(i int, sseed uint64) ([]balanceArm, error) {
-			// One demand vector per sample, shared by every arm.
-			rng := sim.NewRNG(sseed)
-			demands := make([]float64, len(balanceOffsets))
-			for j := range demands {
-				demands[j] = rng.Uniform(180, 420)
-			}
-			out := make([]balanceArm, 0, 2*len(balancePolicies))
-			for _, p := range balancePolicies {
-				for _, balance := range []bool{false, true} {
-					a, err := balanceRun(sseed, demands, p.placer, balance)
-					if err != nil {
-						return nil, fmt.Errorf("balance policy=%s balancer=%v sample %d: %w",
-							p.name, balance, i, err)
-					}
-					out = append(out, a)
-				}
-			}
-			return out, nil
+	results, err := sweep(seed, 1, samples, len(balanceArms), workers,
+		func(_, a int, sseed uint64) (balanceArm, error) {
+			return balanceRun(sseed, balanceArms[a].placer, balanceArms[a].balance)
 		})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]BalanceRow, 0, 2*len(balancePolicies))
-	for pi, p := range balancePolicies {
-		for bi, balance := range []bool{false, true} {
-			var pooled []float64
-			var spread float64
-			var migrations int
-			for si := 0; si < samples; si++ {
-				a := arms[si][2*pi+bi]
-				pooled = append(pooled, a.Slowdowns...)
-				spread += a.Spread
-				migrations += a.Migrations
-			}
-			rows = append(rows, BalanceRow{
-				Policy:     p.name,
-				Balancer:   balance,
-				P50:        quantile(pooled, 0.50),
-				P99:        quantile(pooled, 0.99),
-				SpreadLoad: spread / float64(samples),
-				Migrations: float64(migrations) / float64(samples),
-			})
+	rows := make([]BalanceRow, 0, len(balanceArms))
+	for ai, arm := range balanceArms {
+		var pooled []float64
+		var spread float64
+		var migrations int
+		for _, a := range results[0][ai] {
+			pooled = append(pooled, a.Slowdowns...)
+			spread += a.Spread
+			migrations += a.Migrations
 		}
+		rows = append(rows, BalanceRow{
+			Policy:     arm.policy,
+			Balancer:   arm.balance,
+			P50:        quantile(pooled, 0.50),
+			P99:        quantile(pooled, 0.99),
+			SpreadLoad: spread / float64(samples),
+			Migrations: float64(migrations) / float64(samples),
+		})
 	}
 	return rows, nil
 }
@@ -159,11 +141,17 @@ func quantile(vs []float64, q float64) float64 {
 // three compute nodes: every session is created through the policy
 // under test, runs one CPU-bound task, and (when balance is set) the
 // autonomic balancer watches predicted load and relieves sustained
-// hotspots with fenced live migrations.
-func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance bool) (balanceArm, error) {
+// hotspots with fenced live migrations. The per-task CPU demands are
+// drawn from seed, so every arm of a sample runs the same work.
+func balanceRun(seed uint64, placer placement.Placer, balance bool) (balanceArm, error) {
 	var arm balanceArm
-	g := core.NewGrid(seed)
-	k := g.Kernel()
+	rng := sim.NewRNG(seed)
+	demands := make([]float64, len(balanceOffsets))
+	for j := range demands {
+		demands[j] = rng.Uniform(180, 420)
+	}
+	tb := newTestbed(seed)
+	g, k := tb.g, tb.k
 	// The telemetry pipeline supplies the balancer's load signal (the
 	// monitor's predicted-load series lands in the TSDB via the scrape
 	// loop) and the per-node utilization series the spread is read from.
@@ -173,25 +161,19 @@ func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance
 	}
 	col.Start()
 	computes := []string{"c1", "c2", "c3"}
-	for _, cfg := range []core.NodeConfig{
-		{Name: "front", Site: "a", Role: core.RoleFrontEnd},
-		{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 4, DHCPPrefix: "10.1.0."},
-		{Name: "c2", Site: "a", Role: core.RoleCompute, Slots: 4, DHCPPrefix: "10.1.1."},
-		{Name: "c3", Site: "a", Role: core.RoleCompute, Slots: 4, DHCPPrefix: "10.1.2."},
-		{Name: "data", Site: "a", Role: core.RoleDataServer},
-	} {
-		if _, err := g.AddNode(cfg); err != nil {
-			return arm, err
-		}
-	}
-	if err := g.Net().BuildLAN("front", "c1", "c2", "c3", "data"); err != nil {
+	if err := tb.lan(
+		core.NodeConfig{Name: "front", Site: "a", Role: core.RoleFrontEnd},
+		core.NodeConfig{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 4, DHCPPrefix: "10.1.0."},
+		core.NodeConfig{Name: "c2", Site: "a", Role: core.RoleCompute, Slots: 4, DHCPPrefix: "10.1.1."},
+		core.NodeConfig{Name: "c3", Site: "a", Role: core.RoleCompute, Slots: 4, DHCPPrefix: "10.1.2."},
+		core.NodeConfig{Name: "data", Site: "a", Role: core.RoleDataServer},
+	); err != nil {
 		return arm, err
 	}
-	img := storage.ImageInfo{Name: "rh72", OS: "rh72", DiskBytes: 2 * hw.GB, MemBytes: 64 * hw.MB}
-	for _, n := range computes {
-		if err := g.Node(n).InstallImage(img); err != nil {
-			return arm, err
-		}
+	img := benchImage
+	img.MemBytes = 64 * hw.MB
+	if err := tb.install(img, computes...); err != nil {
+		return arm, err
 	}
 	// The monitor feeds the predicted-load policy and the balancer: raw
 	// 1 s load samples, AR forecasts republished into the VM futures.
@@ -223,53 +205,39 @@ func balanceRun(seed uint64, demands []float64, placer placement.Placer, balance
 
 	slowdowns := make([]float64, len(demands))
 	finished := 0
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
 	for j, offset := range balanceOffsets {
 		j, demand := j, demands[j]
 		k.After(offset, func() {
-			if _, err := g.CreateSession(core.SessionConfig{
-				User: "bench", FrontEnd: "front", Image: "rh72",
-				Mode: vmm.WarmRestore, Disk: core.NonPersistent, Access: core.AccessLocal,
-			}, func(s *core.Session, err error) {
+			if _, err := g.CreateSession(benchSession, func(s *core.Session, err error) {
 				if err != nil {
-					fail(err)
+					tb.fail(err)
 					finished++ // count it done so the run terminates
 					return
 				}
 				start := k.Now()
 				if err := s.Run(guest.MicroTask(demand), func(res guest.TaskResult) {
-					fail(res.Err)
+					tb.fail(res.Err)
 					slowdowns[j] = k.Now().Sub(start).Seconds() / demand
 					finished++
 				}); err != nil {
-					fail(err)
+					tb.fail(err)
 					finished++
 				}
 			}, core.WithPlacer(placer)); err != nil {
-				fail(err)
+				tb.fail(err)
 				finished++
 			}
 		})
 	}
 
-	// The monitor and scrape loops keep the event queue non-empty
-	// forever, so drive the kernel in bounded quanta.
-	deadline := k.Now().Add(12 * sim.Hour)
-	for finished < len(demands) && k.Now() < deadline {
-		_ = k.RunUntil(k.Now().Add(sim.Minute))
-	}
+	tb.step(12*sim.Hour, func() bool { return finished >= len(demands) })
 	if bal != nil {
 		bal.Stop()
 		arm.Migrations = bal.Stats().Migrations
 	}
 	col.Stop()
-	if firstErr != nil {
-		return arm, firstErr
+	if tb.err != nil {
+		return arm, tb.err
 	}
 	if finished < len(demands) {
 		return arm, fmt.Errorf("experiments: balance run stalled at %d/%d tasks", finished, len(demands))

@@ -39,8 +39,8 @@ func TestTable2SampleEndsAtReady(t *testing.T) {
 		// The queue drains, so Run terminates: it must stop at ready.
 		tb := build()
 		end := tb.g.Kernel().Run()
-		if tb.sessErr != nil || tb.ready == nil {
-			t.Fatalf("%v/%v: session not ready (err %v)", c.mode, c.access, tb.sessErr)
+		if tb.err != nil || tb.ready == nil {
+			t.Fatalf("%v/%v: session not ready (err %v)", c.mode, c.access, tb.err)
 		}
 		if ready := tb.ready.EventAt("ready"); end != ready {
 			t.Errorf("%v/%v: kernel ran to %v, measurement boundary is %v", c.mode, c.access, end, ready)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vmgrid/internal/chunk"
@@ -9,8 +8,6 @@ import (
 	"vmgrid/internal/guest"
 	"vmgrid/internal/hw"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/storage"
-	"vmgrid/internal/vmm"
 )
 
 // ---------------------------------------------------------------------
@@ -96,18 +93,9 @@ func AblationDelta(seed uint64, samples, workers int) ([]DeltaRow, error) {
 	if samples <= 0 {
 		samples = deltaSamples
 	}
-	results, err := RunSamples(context.Background(), seed, len(intervals)*samples, workers,
-		func(i int, sseed uint64) ([]deltaArm, error) {
-			iv := intervals[i/samples]
-			arms := make([]deltaArm, len(sizes))
-			for j, size := range sizes {
-				a, err := deltaRun(sseed, size, iv)
-				if err != nil {
-					return nil, fmt.Errorf("delta chunk=%d ckpt=%v sample %d: %w", size, iv, i, err)
-				}
-				arms[j] = a
-			}
-			return arms, nil
+	results, err := sweep(seed, len(intervals), samples, len(sizes), workers,
+		func(c, a int, sseed uint64) (deltaArm, error) {
+			return deltaRun(sseed, sizes[a], intervals[c])
 		})
 	if err != nil {
 		return nil, err
@@ -117,7 +105,7 @@ func AblationDelta(seed uint64, samples, workers int) ([]DeltaRow, error) {
 		means := make([]deltaArm, len(sizes))
 		for si := 0; si < samples; si++ {
 			for ji := range sizes {
-				a := results[ii*samples+si][ji]
+				a := results[ii][ji][si]
 				means[ji].ColdSec += a.ColdSec
 				means[ji].WarmSec += a.WarmSec
 				means[ji].ColdBytes += a.ColdBytes
@@ -169,44 +157,29 @@ func AblationDelta(seed uint64, samples, workers int) ([]DeltaRow, error) {
 // the historical whole-file transfer on every path.
 func deltaRun(seed uint64, chunkBytes int64, interval sim.Duration) (deltaArm, error) {
 	var arm deltaArm
-	g := core.NewGrid(seed)
-	k := g.Kernel()
-	net := g.Net()
-	for _, cfg := range []core.NodeConfig{
-		{Name: "front", Site: "a", Role: core.RoleFrontEnd},
-		{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 2, DHCPPrefix: "10.2.0."},
-		{Name: "data", Site: "a", Role: core.RoleDataServer},
-		{Name: "images", Site: "a", Role: core.RoleImageServer},
-	} {
-		if _, err := g.AddNode(cfg); err != nil {
-			return arm, err
-		}
-	}
-	if err := g.Net().BuildLAN("front", "c1", "data", "images"); err != nil {
+	tb := newTestbed(seed)
+	g, k, net := tb.g, tb.k, tb.g.Net()
+	if err := tb.lan(
+		core.NodeConfig{Name: "front", Site: "a", Role: core.RoleFrontEnd},
+		core.NodeConfig{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 2, DHCPPrefix: "10.2.0."},
+		core.NodeConfig{Name: "data", Site: "a", Role: core.RoleDataServer},
+		core.NodeConfig{Name: "images", Site: "a", Role: core.RoleImageServer},
+	); err != nil {
 		return arm, err
 	}
 	var plane *chunk.Plane
 	if chunkBytes > 0 {
 		plane = g.EnableChunkedStaging(chunk.Config{ChunkBytes: chunkBytes})
 	}
-	img := storage.ImageInfo{Name: "rh72", OS: "rh72", DiskBytes: deltaDiskBytes, MemBytes: deltaMemBytes}
-	if err := g.Node("images").InstallImage(img); err != nil {
+	img := benchImage
+	img.DiskBytes, img.MemBytes = deltaDiskBytes, deltaMemBytes
+	if err := tb.install(img, "images"); err != nil {
 		return arm, err
 	}
 
-	scfg := core.SessionConfig{
-		User: "bench", FrontEnd: "front", Image: "rh72",
-		Mode: vmm.WarmRestore, Disk: core.NonPersistent, Access: core.AccessStaged,
-		DirtyBps: deltaDirtyBps,
-	}
-	// Supervisor heartbeats keep the event queue non-empty, so drive the
-	// kernel in bounded quanta throughout.
-	step := func(cap sim.Duration, cond func() bool) {
-		deadline := k.Now().Add(cap)
-		for !cond() && k.Now() < deadline {
-			_ = k.RunUntil(k.Now().Add(sim.Minute))
-		}
-	}
+	scfg := benchSession
+	scfg.Access = core.AccessStaged
+	scfg.DirtyBps = deltaDirtyBps
 	instantiate := func() (*core.Session, float64, uint64, error) {
 		t0, b0 := k.Now(), net.BytesSent()
 		var sess *core.Session
@@ -221,7 +194,7 @@ func deltaRun(seed uint64, chunkBytes int64, interval sim.Duration) (deltaArm, e
 		}); err != nil {
 			return nil, 0, 0, err
 		}
-		step(6*sim.Hour, func() bool { return done })
+		tb.step(6*sim.Hour, func() bool { return done })
 		if !done || serr != nil {
 			return nil, 0, 0, fmt.Errorf("experiments: delta instantiation: done=%v err=%v", done, serr)
 		}
@@ -247,37 +220,21 @@ func deltaRun(seed uint64, chunkBytes int64, interval sim.Duration) (deltaArm, e
 	// The image lands on c1 only now — installing it earlier would make
 	// c1 its own closest "image server" and turn the staged
 	// instantiations above into loopback copies.
-	if err := g.Node("c1").InstallImage(img); err != nil {
+	if err := tb.install(img, "c1"); err != nil {
 		return arm, err
 	}
 	lcfg := scfg
 	lcfg.Access = core.AccessLocal
-	var s3 *core.Session
-	sready, serr := false, error(nil)
-	if _, err := g.CreateSession(lcfg, func(s *core.Session, err error) {
-		s3, serr, sready = s, err, true
-	}); err != nil {
+	s3, err := tb.session(lcfg, sim.Hour)
+	if err != nil {
 		return arm, err
 	}
-	step(sim.Hour, func() bool { return sready })
-	if !sready || serr != nil {
-		return arm, fmt.Errorf("experiments: delta local session: ready=%v err=%v", sready, serr)
-	}
-
-	sup, err := core.NewSupervisor(g, core.SupervisorConfig{
+	sup, err := tb.supervise(s3, core.SupervisorConfig{
 		CheckpointInterval: interval,
 		StableNode:         "data",
 	})
 	if err != nil {
 		return arm, err
-	}
-	adopted, aerr := false, error(nil)
-	if err := sup.Adopt(s3, func(err error) { aerr, adopted = err, true }); err != nil {
-		return arm, err
-	}
-	step(sim.Hour, func() bool { return adopted })
-	if !adopted || aerr != nil {
-		return arm, fmt.Errorf("experiments: delta adopt: adopted=%v err=%v", adopted, aerr)
 	}
 	// Steady state starts after the adoption baseline checkpoint: that
 	// first image is a full copy in both arms by construction.
@@ -285,28 +242,21 @@ func deltaRun(seed uint64, chunkBytes int64, interval sim.Duration) (deltaArm, e
 	bytesBase := net.BytesSent()
 
 	w := guest.Workload{Name: "churn", CPUSeconds: deltaTaskSec, Writes: 600, WriteBytes: 48 * hw.MB}
-	finished := false
-	var res guest.TaskResult
 	var statsAt core.SupervisorStats
 	var bytesAt uint64
-	if err := sup.Run(s3, w, func(r guest.TaskResult) {
-		res = r
+	t, err := runTask(sup, s3, w, func() {
 		// Snapshot at completion so checkpoints after the task is done do
 		// not leak into the cell.
 		statsAt = sup.Stats()
 		bytesAt = net.BytesSent()
-		finished = true
-	}); err != nil {
+	})
+	if err != nil {
 		return arm, err
 	}
-	step(12*sim.Hour, func() bool { return finished })
+	if _, err := tb.finish(t, 12*sim.Hour); err != nil {
+		return arm, err
+	}
 	sup.Stop()
-	if !finished {
-		return arm, fmt.Errorf("experiments: delta run never finished (state %q)", s3.State())
-	}
-	if res.Err != nil {
-		return arm, fmt.Errorf("experiments: delta task: %w", res.Err)
-	}
 	arm.Ckpts = statsAt.Checkpoints - baseStats.Checkpoints
 	arm.CkptBytes = bytesAt - bytesBase
 	arm.CkptCostSec = statsAt.CheckpointSec - baseStats.CheckpointSec

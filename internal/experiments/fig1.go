@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vmgrid/internal/guest"
@@ -117,7 +116,7 @@ func Figure1(cfg Fig1Config) ([]Fig1Row, error) {
 		tr  *obs.Tracer
 		col *telemetry.Collector
 	}
-	results, err := RunSamples(context.Background(), cfg.Seed, len(scenarios), cfg.Workers,
+	results, err := RunSamples(cfg.Seed, len(scenarios), cfg.Workers,
 		func(i int, seed uint64) (scenarioOut, error) {
 			sc := scenarios[i]
 			row, tr, col, err := fig1Scenario(cfg, baseline, seed, sc.load, sc.loadOn, sc.testOn)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"vmgrid/internal/netsim"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/vnet"
@@ -31,7 +29,7 @@ type OverlayRow struct {
 // workers goroutines.
 func AblationOverlay(seed uint64, workers int) ([]OverlayRow, error) {
 	paths := []float64{2, 5, 9, 15, 40, 120}
-	return RunSamples(context.Background(), seed, len(paths), workers,
+	return RunSamples(seed, len(paths), workers,
 		func(i int, _ uint64) (OverlayRow, error) {
 			return overlayRun(seed, paths[i])
 		})

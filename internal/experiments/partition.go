@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -11,8 +10,6 @@ import (
 	"vmgrid/internal/guest"
 	"vmgrid/internal/hw"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/storage"
-	"vmgrid/internal/vmm"
 )
 
 // ---------------------------------------------------------------------
@@ -91,18 +88,9 @@ func AblationPartition(seed uint64, samples, workers int) ([]PartitionRow, error
 	if samples <= 0 {
 		samples = partitionSamples
 	}
-	arms, err := RunSamples(context.Background(), seed, len(durations)*samples, workers,
-		func(i int, sseed uint64) ([]partitionArm, error) {
-			dur := durations[i/samples]
-			out := make([]partitionArm, len(counts))
-			for j, count := range counts {
-				a, err := partitionRun(sseed, dur, count)
-				if err != nil {
-					return nil, fmt.Errorf("partition dur=%v replicas=%d sample %d: %w", dur, count, i, err)
-				}
-				out[j] = a
-			}
-			return out, nil
+	results, err := sweep(seed, len(durations), samples, len(counts), workers,
+		func(c, a int, sseed uint64) (partitionArm, error) {
+			return partitionRun(sseed, durations[c], counts[a])
 		})
 	if err != nil {
 		return nil, err
@@ -111,8 +99,7 @@ func AblationPartition(seed uint64, samples, workers int) ([]PartitionRow, error
 	for di, dur := range durations {
 		for ji, count := range counts {
 			var sum partitionArm
-			for si := 0; si < samples; si++ {
-				a := arms[di*samples+si][ji]
+			for _, a := range results[di][ji] {
 				sum.CompletionSec += a.CompletionSec
 				sum.Failovers += a.Failovers
 				sum.Fenced += a.Fenced
@@ -144,8 +131,8 @@ func AblationPartition(seed uint64, samples, workers int) ([]PartitionRow, error
 // even when unused — so the fault schedule replays verbatim.
 func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error) {
 	var arm partitionArm
-	g := core.NewGrid(seed)
-	k := g.Kernel()
+	tb := newTestbed(seed)
+	g, k := tb.g, tb.k
 	col, err := g.EnableTelemetry()
 	if err != nil {
 		return arm, err
@@ -154,21 +141,16 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 		return arm, err
 	}
 	col.Start()
-	for _, cfg := range []core.NodeConfig{
-		{Name: "front", Site: "a", Role: core.RoleFrontEnd},
-		{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.0."},
-		{Name: "c2", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.1."},
-		{Name: "data", Site: "a", Role: core.RoleDataServer},
-		{Name: "g2", Site: "a", Role: core.RoleDataServer},
-		{Name: "g3", Site: "a", Role: core.RoleDataServer},
-		{Name: "g4", Site: "a", Role: core.RoleDataServer},
-		{Name: "g5", Site: "a", Role: core.RoleDataServer},
-	} {
-		if _, err := g.AddNode(cfg); err != nil {
-			return arm, err
-		}
-	}
-	if err := g.Net().BuildLAN("front", "c1", "c2", "data", "g2", "g3", "g4", "g5"); err != nil {
+	if err := tb.lan(
+		core.NodeConfig{Name: "front", Site: "a", Role: core.RoleFrontEnd},
+		core.NodeConfig{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.0."},
+		core.NodeConfig{Name: "c2", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.1."},
+		core.NodeConfig{Name: "data", Site: "a", Role: core.RoleDataServer},
+		core.NodeConfig{Name: "g2", Site: "a", Role: core.RoleDataServer},
+		core.NodeConfig{Name: "g3", Site: "a", Role: core.RoleDataServer},
+		core.NodeConfig{Name: "g4", Site: "a", Role: core.RoleDataServer},
+		core.NodeConfig{Name: "g5", Site: "a", Role: core.RoleDataServer},
+	); err != nil {
 		return arm, err
 	}
 	homes := []string{"data", "g2", "g3", "g4", "g5"}[:count]
@@ -176,27 +158,20 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 	if err != nil {
 		return arm, err
 	}
-	img := storage.ImageInfo{Name: "rh72", OS: "rh72", DiskBytes: 2 * hw.GB, MemBytes: 64 * hw.MB}
-	for _, n := range []string{"c1", "c2"} {
-		if err := g.Node(n).InstallImage(img); err != nil {
-			return arm, err
-		}
-	}
-
-	ready, serr := false, error(nil)
-	var sess *core.Session
-	if _, err := g.CreateSession(core.SessionConfig{
-		User: "bench", FrontEnd: "front", Image: "rh72",
-		Mode: vmm.WarmRestore, Disk: core.NonPersistent, Access: core.AccessLocal,
-	}, func(s *core.Session, err error) { sess, serr, ready = s, err, true }); err != nil {
+	img := benchImage
+	img.MemBytes = 64 * hw.MB
+	if err := tb.install(img, "c1", "c2"); err != nil {
 		return arm, err
 	}
-	_ = k.RunUntil(k.Now().Add(30 * sim.Minute))
-	if !ready || serr != nil {
-		return arm, fmt.Errorf("experiments: partition session setup: ready=%v err=%v", ready, serr)
-	}
 
-	sup, err := core.NewSupervisor(g, core.SupervisorConfig{
+	t0 := k.Now()
+	sess, err := tb.session(benchSession, 30*sim.Minute)
+	if err != nil {
+		return arm, err
+	}
+	// Supervision starts half an hour after submission, as in Ablation G.
+	_ = k.RunUntil(t0.Add(30 * sim.Minute))
+	sup, err := tb.supervise(sess, core.SupervisorConfig{
 		CheckpointInterval: 60 * sim.Second,
 		StableNode:         "data",
 		MaxRecoveries:      64,
@@ -204,29 +179,10 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 	if err != nil {
 		return arm, err
 	}
-	adopted, aerr := false, error(nil)
-	if err := sup.Adopt(sess, func(err error) { aerr, adopted = err, true }); err != nil {
-		return arm, err
-	}
-	step := func(cap sim.Duration, cond func() bool) {
-		deadline := k.Now().Add(cap)
-		for !cond() && k.Now() < deadline {
-			_ = k.RunUntil(k.Now().Add(sim.Minute))
-		}
-	}
-	step(sim.Hour, func() bool { return adopted })
-	if !adopted || aerr != nil {
-		return arm, fmt.Errorf("experiments: partition baseline checkpoint: adopted=%v err=%v", adopted, aerr)
-	}
 
-	var res guest.TaskResult
 	completions := 0
-	finished := false
-	if err := sup.Run(sess, guest.MicroTask(partitionTaskSec), func(r guest.TaskResult) {
-		res = r
-		completions++
-		finished = true
-	}); err != nil {
+	t, err := runTask(sup, sess, guest.MicroTask(partitionTaskSec), func() { completions++ })
+	if err != nil {
 		return arm, err
 	}
 
@@ -238,7 +194,7 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 	pn := 0
 	var probeTick func()
 	probeTick = func() {
-		if finished {
+		if t.done {
 			return
 		}
 		origin := "front"
@@ -271,7 +227,7 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 	for idx, at := range in.Times(12*sim.Minute, 2*sim.Hour) {
 		oneWay := idx%2 == 1
 		in.At(at, func() {
-			if finished || sess.State() != core.StateRunning {
+			if t.done || sess.State() != core.StateRunning {
 				return
 			}
 			victim := sess.Node().Name()
@@ -286,18 +242,16 @@ func partitionRun(seed uint64, dur sim.Duration, count int) (partitionArm, error
 			in.At(k.Now().Add(dur), func() { _ = g.Net().SetNodeDirUp("g2", false, true) })
 		})
 	}
-	step(24*sim.Hour, func() bool { return finished })
-	if !finished {
-		return arm, fmt.Errorf("experiments: partition run never finished (state %q)", sess.State())
-	}
-	if res.Err != nil {
-		return arm, fmt.Errorf("experiments: partition task: %w", res.Err)
+
+	res, err := tb.finish(t, 24*sim.Hour)
+	if err != nil {
+		return arm, err
 	}
 
 	// Let in-flight heals land and marooned incarnations surface, then
 	// require anti-entropy to reconverge the replicas.
 	_ = k.RunUntil(k.Now().Add(dur + 10*sim.Minute))
-	step(sim.Hour, cl.Converged)
+	tb.step(sim.Hour, cl.Converged)
 	sup.Stop()
 	col.Stop()
 

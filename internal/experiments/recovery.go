@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vmgrid/internal/core"
@@ -10,8 +9,6 @@ import (
 	"vmgrid/internal/hw"
 	"vmgrid/internal/obs"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/storage"
-	"vmgrid/internal/vmm"
 )
 
 // ---------------------------------------------------------------------
@@ -103,38 +100,27 @@ func ablationRecovery(seed uint64, samples, workers int, set *obs.IncidentSet) (
 	if samples <= 0 {
 		samples = recoverySamples
 	}
-	type sampleOut struct {
-		arms []recoveryArm
-		recs []*obs.FlightRecorder
+	type run struct {
+		arm recoveryArm
+		rec *obs.FlightRecorder
 	}
-	results, err := RunSamples(context.Background(), seed, len(mtbfs)*samples, workers,
-		func(i int, sseed uint64) (sampleOut, error) {
-			mtbf := mtbfs[i/samples]
-			out := sampleOut{
-				arms: make([]recoveryArm, len(intervals)),
-				recs: make([]*obs.FlightRecorder, len(intervals)),
-			}
-			for j, iv := range intervals {
-				a, rec, err := recoveryRun(sseed, mtbf, iv, set != nil)
-				if err != nil {
-					return sampleOut{}, fmt.Errorf("recovery mtbf=%v ckpt=%v sample %d: %w", mtbf, iv, i, err)
-				}
-				out.arms[j] = a
-				out.recs[j] = rec
-			}
-			return out, nil
+	results, err := sweep(seed, len(mtbfs), samples, len(intervals), workers,
+		func(c, a int, sseed uint64) (run, error) {
+			arm, rec, err := recoveryRun(sseed, mtbfs[c], intervals[a], set != nil)
+			return run{arm, rec}, err
 		})
 	if err != nil {
 		return nil, err
 	}
-	// RunSamples returns in sample-index order regardless of worker
-	// interleaving, so this loop fixes the incident layout.
+	// Incidents are laid out cell by cell, sample by sample, interval
+	// by interval: a fixed order, whatever the worker interleaving.
 	if set != nil {
-		for i, r := range results {
-			mtbf := mtbfs[i/samples]
-			for j, iv := range intervals {
-				set.Add(fmt.Sprintf("recovery/mtbf-%.0fs/ckpt-%.0fs/%d",
-					mtbf.Seconds(), iv.Seconds(), i%samples), r.recs[j])
+		for mi, mtbf := range mtbfs {
+			for si := 0; si < samples; si++ {
+				for ji, iv := range intervals {
+					set.Add(fmt.Sprintf("recovery/mtbf-%.0fs/ckpt-%.0fs/%d",
+						mtbf.Seconds(), iv.Seconds(), si), results[mi][ji][si].rec)
+				}
 			}
 		}
 	}
@@ -142,8 +128,8 @@ func ablationRecovery(seed uint64, samples, workers int, set *obs.IncidentSet) (
 	for mi, mtbf := range mtbfs {
 		for ji, iv := range intervals {
 			var sum recoveryArm
-			for si := 0; si < samples; si++ {
-				a := results[mi*samples+si].arms[ji]
+			for _, r := range results[mi][ji] {
+				a := r.arm
 				sum.CompletionSec += a.CompletionSec
 				sum.LostWorkSec += a.LostWorkSec
 				sum.RepairSec += a.RepairSec
@@ -180,8 +166,8 @@ func ablationRecovery(seed uint64, samples, workers int, set *obs.IncidentSet) (
 // otherwise — the zero-cost disabled path).
 func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (recoveryArm, *obs.FlightRecorder, error) {
 	var arm recoveryArm
-	g := core.NewGrid(crashSeed)
-	k := g.Kernel()
+	tb := newTestbed(crashSeed)
+	g, k := tb.g, tb.k
 	var rec *obs.FlightRecorder
 	if record {
 		rec = g.EnableFlightRecorder()
@@ -200,42 +186,31 @@ func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (re
 		return arm, nil, err
 	}
 	col.Start()
-	for _, cfg := range []core.NodeConfig{
-		{Name: "front", Site: "a", Role: core.RoleFrontEnd},
-		{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.0."},
-		{Name: "c2", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.1."},
-		{Name: "data", Site: "a", Role: core.RoleDataServer},
-	} {
-		if _, err := g.AddNode(cfg); err != nil {
-			return arm, nil, err
-		}
-	}
-	if err := g.Net().BuildLAN("front", "c1", "c2", "data"); err != nil {
+	if err := tb.lan(
+		core.NodeConfig{Name: "front", Site: "a", Role: core.RoleFrontEnd},
+		core.NodeConfig{Name: "c1", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.0."},
+		core.NodeConfig{Name: "c2", Site: "a", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.1.1."},
+		core.NodeConfig{Name: "data", Site: "a", Role: core.RoleDataServer},
+	); err != nil {
 		return arm, nil, err
 	}
 	// A modest warm image bounds the per-checkpoint staging cost so the
 	// interval sweep exercises a real overhead/recovery trade-off.
-	img := storage.ImageInfo{Name: "rh72", OS: "rh72", DiskBytes: 2 * hw.GB, MemBytes: 64 * hw.MB}
-	for _, n := range []string{"c1", "c2"} {
-		if err := g.Node(n).InstallImage(img); err != nil {
-			return arm, nil, err
-		}
-	}
-
-	ready, serr := false, error(nil)
-	var sess *core.Session
-	if _, err := g.CreateSession(core.SessionConfig{
-		User: "bench", FrontEnd: "front", Image: "rh72",
-		Mode: vmm.WarmRestore, Disk: core.NonPersistent, Access: core.AccessLocal,
-	}, func(s *core.Session, err error) { sess, serr, ready = s, err, true }); err != nil {
+	img := benchImage
+	img.MemBytes = 64 * hw.MB
+	if err := tb.install(img, "c1", "c2"); err != nil {
 		return arm, nil, err
 	}
-	_ = k.RunUntil(k.Now().Add(30 * sim.Minute))
-	if !ready || serr != nil {
-		return arm, nil, fmt.Errorf("experiments: recovery session setup: ready=%v err=%v", ready, serr)
-	}
 
-	sup, err := core.NewSupervisor(g, core.SupervisorConfig{
+	t0 := k.Now()
+	sess, err := tb.session(benchSession, 30*sim.Minute)
+	if err != nil {
+		return arm, nil, err
+	}
+	// Supervision starts half an hour after submission, wherever in
+	// that window the session came up.
+	_ = k.RunUntil(t0.Add(30 * sim.Minute))
+	sup, err := tb.supervise(sess, core.SupervisorConfig{
 		CheckpointInterval: interval,
 		StableNode:         "data",
 		// The experiment measures recovery cost, not the give-up policy:
@@ -245,29 +220,10 @@ func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (re
 	if err != nil {
 		return arm, nil, err
 	}
-	adopted, aerr := false, error(nil)
-	if err := sup.Adopt(sess, func(err error) { aerr, adopted = err, true }); err != nil {
-		return arm, nil, err
-	}
-	// Heartbeats keep the event queue non-empty forever, so drive the
-	// kernel in bounded quanta rather than draining it.
-	step := func(cap sim.Duration, cond func() bool) {
-		deadline := k.Now().Add(cap)
-		for !cond() && k.Now() < deadline {
-			_ = k.RunUntil(k.Now().Add(sim.Minute))
-		}
-	}
-	step(sim.Hour, func() bool { return adopted })
-	if !adopted || aerr != nil {
-		return arm, nil, fmt.Errorf("experiments: baseline checkpoint: adopted=%v err=%v", adopted, aerr)
-	}
 
-	var res guest.TaskResult
 	var statsAt core.SupervisorStats
 	leaseAlertsAt := 0
-	finished := false
-	if err := sup.Run(sess, guest.MicroTask(recoveryTaskSec), func(r guest.TaskResult) {
-		res = r
+	t, err := runTask(sup, sess, guest.MicroTask(recoveryTaskSec), func() {
 		// Snapshot at completion: crashes striking after the task is done
 		// must not leak into the cell's statistics.
 		statsAt = sup.Stats()
@@ -276,8 +232,8 @@ func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (re
 				leaseAlertsAt++
 			}
 		}
-		finished = true
-	}); err != nil {
+	})
+	if err != nil {
 		return arm, nil, err
 	}
 
@@ -299,15 +255,12 @@ func recoveryRun(crashSeed uint64, mtbf, interval sim.Duration, record bool) (re
 		})
 	}
 
-	step(24*sim.Hour, func() bool { return finished })
+	res, err := tb.finish(t, 24*sim.Hour)
+	if err != nil {
+		return arm, nil, err
+	}
 	sup.Stop()
 	col.Stop()
-	if !finished {
-		return arm, nil, fmt.Errorf("experiments: recovery run never finished (state %q)", sess.State())
-	}
-	if res.Err != nil {
-		return arm, nil, fmt.Errorf("experiments: recovery task: %w", res.Err)
-	}
 	return recoveryArm{
 		CompletionSec: res.Elapsed().Seconds(),
 		LostWorkSec:   statsAt.LostWorkSec,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -50,25 +49,18 @@ func SampleSeed(base uint64, i int) uint64 {
 //
 // workers <= 0 selects runtime.GOMAXPROCS(0); workers == 1 runs the
 // samples inline on the calling goroutine, which is the exact serial
-// semantics. The first error (by lowest sample index) cancels the shared
-// context so straggler samples are not started, and is returned after all
-// in-flight samples finish. A canceled ctx aborts the fan-out the same
-// way.
-func RunSamples[T any](ctx context.Context, seed uint64, n, workers int, sample func(i int, seed uint64) (T, error)) ([]T, error) {
+// semantics. The first error (by lowest sample index) stops the workers
+// from starting further samples, and is returned after all in-flight
+// samples finish.
+func RunSamples[T any](seed uint64, n, workers int, sample func(i int, seed uint64) (T, error)) ([]T, error) {
 	if n <= 0 {
-		return nil, ctx.Err()
+		return nil, nil
 	}
-	workers = DefaultWorkers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(DefaultWorkers(workers), n)
 	results := make([]T, n)
 
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			r, err := sample(i, SampleSeed(seed, i))
 			if err != nil {
 				return nil, err
@@ -78,12 +70,9 @@ func RunSamples[T any](ctx context.Context, seed uint64, n, workers int, sample 
 		return results, nil
 	}
 
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
 		next     atomic.Int64 // next sample index to claim
+		stopped  atomic.Bool  // set by the first failure
 		mu       sync.Mutex
 		firstErr error
 		errIdx   = n // lowest failing index seen so far
@@ -95,21 +84,15 @@ func RunSamples[T any](ctx context.Context, seed uint64, n, workers int, sample 
 			errIdx, firstErr = i, err
 		}
 		mu.Unlock()
-		cancel()
+		stopped.Store(true)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !stopped.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
-					return
-				}
-				// A canceled context just stops the claim loop; only real
-				// sample errors are recorded, so a straggler hitting the
-				// internal cancellation can never mask the first failure.
-				if ctx.Err() != nil {
 					return
 				}
 				r, err := sample(i, SampleSeed(seed, i))
@@ -124,9 +107,6 @@ func RunSamples[T any](ctx context.Context, seed uint64, n, workers int, sample 
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
-	}
-	if err := parent.Err(); err != nil {
-		return nil, err
 	}
 	return results, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -12,7 +11,7 @@ import (
 )
 
 func TestRunSamplesOrdersResults(t *testing.T) {
-	got, err := RunSamples(context.Background(), 1, 100, 8, func(i int, _ uint64) (int, error) {
+	got, err := RunSamples(1, 100, 8, func(i int, _ uint64) (int, error) {
 		return i * i, nil
 	})
 	if err != nil {
@@ -30,7 +29,7 @@ func TestRunSamplesSeedsMatchSerial(t *testing.T) {
 	// worker count — the parallel schedule must not leak into seeding.
 	const base = 99
 	for _, workers := range []int{1, 3, 16} {
-		seeds, err := RunSamples(context.Background(), base, 50, workers,
+		seeds, err := RunSamples(base, 50, workers,
 			func(i int, seed uint64) (uint64, error) { return seed, nil })
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +45,7 @@ func TestRunSamplesSeedsMatchSerial(t *testing.T) {
 func TestRunSamplesPropagatesFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := RunSamples(context.Background(), 1, 100, workers, func(i int, _ uint64) (int, error) {
+		_, err := RunSamples(1, 100, workers, func(i int, _ uint64) (int, error) {
 			if i == 7 {
 				return 0, fmt.Errorf("sample %d: %w", i, boom)
 			}
@@ -64,7 +63,7 @@ func TestRunSamplesErrorCancelsStragglers(t *testing.T) {
 	var ran atomic.Int64
 	release := make(chan struct{})
 	var once sync.Once
-	_, err := RunSamples(context.Background(), 1, 10_000, 2, func(i int, _ uint64) (int, error) {
+	_, err := RunSamples(1, 10_000, 2, func(i int, _ uint64) (int, error) {
 		ran.Add(1)
 		var failed error
 		once.Do(func() {
@@ -85,26 +84,65 @@ func TestRunSamplesErrorCancelsStragglers(t *testing.T) {
 	}
 }
 
-func TestRunSamplesContextCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		_, err := RunSamples(ctx, 1, 10, workers, func(i int, _ uint64) (int, error) {
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-	}
-}
-
 func TestRunSamplesEmpty(t *testing.T) {
-	got, err := RunSamples(context.Background(), 1, 0, 4, func(i int, _ uint64) (int, error) {
+	got, err := RunSamples(1, 0, 4, func(i int, _ uint64) (int, error) {
 		t.Fatal("sample ran for n=0")
 		return 0, nil
 	})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
+	}
+}
+
+// TestSweepContract pins the paired sweep: out[cell][arm] lists that
+// arm's samples in sample order, every arm of a sample runs on that
+// sample's seed, the result is equal at workers 1 and 8, and the first
+// error names its cell, arm and sample.
+func TestSweepContract(t *testing.T) {
+	const base, cells, samples, arms = 11, 3, 4, 2
+	type call struct {
+		cell, arm int
+		seed      uint64
+	}
+	run := func(workers int) [][][]call {
+		out, err := sweep(base, cells, samples, arms, workers, func(c, a int, seed uint64) (call, error) {
+			return call{c, a, seed}, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return out
+	}
+	serial := run(1)
+	for c := 0; c < cells; c++ {
+		for a := 0; a < arms; a++ {
+			if len(serial[c][a]) != samples {
+				t.Fatalf("cell %d arm %d: %d samples, want %d", c, a, len(serial[c][a]), samples)
+			}
+			for s, got := range serial[c][a] {
+				if want := (call{c, a, SampleSeed(base, c*samples+s)}); got != want {
+					t.Errorf("out[%d][%d][%d] = %+v, want %+v", c, a, s, got, want)
+				}
+			}
+		}
+	}
+	if parallel := run(8); !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("workers=8 differs from workers=1:\n%+v\n%+v", parallel, serial)
+	}
+
+	// Cell 2's arm 1 fails at samples 1 and 3: the lower sample wins.
+	boom := errors.New("boom")
+	failAt := map[uint64]bool{SampleSeed(base, 2*samples+1): true, SampleSeed(base, 2*samples+3): true}
+	for _, workers := range []int{1, 8} {
+		_, err := sweep(base, cells, samples, arms, workers, func(c, a int, seed uint64) (int, error) {
+			if c == 2 && a == 1 && failAt[seed] {
+				return 0, boom
+			}
+			return 0, nil
+		})
+		if !errors.Is(err, boom) || err.Error() != "cell 2, arm 1, sample 1: boom" {
+			t.Errorf("workers=%d: err = %v, want cell 2, arm 1, sample 1: boom", workers, err)
+		}
 	}
 }
 

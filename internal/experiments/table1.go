@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vmgrid/internal/guest"
@@ -43,7 +42,7 @@ func Table1(seed uint64, workers int) ([]Table1Row, error) {
 	// Paired design: every run replays the experiment seed so the VM rows
 	// are compared against a physical baseline that saw the identical
 	// randomness — the runner-derived per-sample seed is ignored.
-	results, err := RunSamples(context.Background(), seed, len(apps)*len(modes), workers,
+	results, err := RunSamples(seed, len(apps)*len(modes), workers,
 		func(i int, _ uint64) (guest.TaskResult, error) {
 			app, m := apps[i/len(modes)], modes[i%len(modes)]
 			res, err := table1Run(seed, app, m.mode)

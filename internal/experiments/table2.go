@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vmgrid/internal/core"
 	"vmgrid/internal/hostos"
-	"vmgrid/internal/hw"
 	"vmgrid/internal/obs"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/storage"
 	"vmgrid/internal/telemetry"
 	"vmgrid/internal/trace"
 	"vmgrid/internal/vmm"
@@ -70,47 +67,34 @@ func Table2(cfg Table2Config) ([]Table2Row, error) {
 		{vmm.WarmRestore, "Non-persistent LoopbackNFS", core.NonPersistent, core.AccessLoopback},
 	}
 
-	// Every (cell, sample) pair is an independent simulation: flatten to
-	// 6×Samples samples and fan out. Each sample builds its own grid from
-	// the runner-derived seed, so cells fill in parallel and the rows are
-	// identical at any worker count.
+	// Every (cell, sample) pair is an independent simulation with its
+	// own runner-derived seed, so cells fill in parallel and the rows
+	// are identical at any worker count.
 	type sampleOut struct {
 		v   float64
 		tr  *obs.Tracer
 		col *telemetry.Collector
 	}
-	results, err := RunSamples(context.Background(), cfg.Seed, len(cells)*cfg.Samples, cfg.Workers,
-		func(i int, seed uint64) (sampleOut, error) {
-			c := cells[i/cfg.Samples]
+	results, err := sweep(cfg.Seed, len(cells), cfg.Samples, 1, cfg.Workers,
+		func(ci, _ int, seed uint64) (sampleOut, error) {
+			c := cells[ci]
 			v, tr, col, err := table2Sample(seed, c.mode, c.disk, c.access, cfg.Trace != nil, cfg.Telemetry != nil)
-			if err != nil {
-				return sampleOut{}, fmt.Errorf("table2 %v/%s sample %d: %w", c.mode, c.label, i%cfg.Samples, err)
-			}
-			return sampleOut{v: v, tr: tr, col: col}, nil
+			return sampleOut{v: v, tr: tr, col: col}, err
 		})
 	if err != nil {
 		return nil, err
 	}
-	// RunSamples returns in sample-index order regardless of worker
-	// interleaving, so these loops fix the trace and telemetry layout.
-	if cfg.Trace != nil {
-		for i, r := range results {
-			c := cells[i/cfg.Samples]
-			cfg.Trace.Add(fmt.Sprintf("table2/VM-%s/%s/%d", c.mode, c.label, i%cfg.Samples), r.tr)
-		}
-	}
-	if cfg.Telemetry != nil {
-		for i, r := range results {
-			c := cells[i/cfg.Samples]
-			cfg.Telemetry.Add(fmt.Sprintf("table2/VM-%s/%s/%d", c.mode, c.label, i%cfg.Samples), r.col)
-		}
-	}
-
 	rows := make([]Table2Row, 0, len(cells))
 	for ci, c := range cells {
 		var stat sim.Stat
-		for _, r := range results[ci*cfg.Samples : (ci+1)*cfg.Samples] {
+		// The sweep returns each cell's samples in sample order whatever
+		// the worker interleaving, which fixes the trace and telemetry
+		// layout.
+		for si, r := range results[ci][0] {
 			stat.Add(r.v)
+			label := fmt.Sprintf("table2/VM-%s/%s/%d", c.mode, c.label, si)
+			cfg.Trace.Add(label, r.tr)
+			cfg.Telemetry.Add(label, r.col)
 		}
 		rows = append(rows, Table2Row{
 			Mode: c.mode, Config: c.label,
@@ -132,9 +116,9 @@ func table2Sample(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access 
 	// The ready callback stops every background source, so the queue
 	// drains at the measurement boundary and RunUntil reports the stall
 	// long before this horizon.
-	_ = tb.g.Kernel().RunUntil(sim.Time(2 * sim.Hour))
-	if tb.sessErr != nil {
-		return 0, nil, nil, tb.sessErr
+	_ = tb.k.RunUntil(sim.Time(2 * sim.Hour))
+	if tb.err != nil {
+		return 0, nil, nil, tb.err
 	}
 	if tb.ready == nil || tb.ready.EventAt("ready") < 0 {
 		return 0, nil, nil, fmt.Errorf("experiments: session never ready")
@@ -144,20 +128,19 @@ func table2Sample(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access 
 
 // table2Testbed is one Table 2 sample set up and waiting for its kernel
 // to run: the LAN testbed, the background host noise, and the session
-// whose ready callback fills ready and sessErr.
+// whose ready callback fills ready or the testbed error.
 type table2Testbed struct {
-	g       *core.Grid
-	tr      *obs.Tracer
-	col     *telemetry.Collector
-	ready   *core.Session
-	sessErr error
+	*testbed
+	tr    *obs.Tracer
+	col   *telemetry.Collector
+	ready *core.Session
 }
 
 func newTable2Testbed(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, access core.ImageAccess, traced, telemetered bool) (*table2Testbed, error) {
-	g := core.NewGrid(seed)
-	tb := &table2Testbed{g: g}
+	tb := &table2Testbed{testbed: newTestbed(seed)}
+	g := tb.g
 	if traced {
-		tb.tr = obs.New(g.Kernel())
+		tb.tr = obs.New(tb.k)
 		g.SetTracer(tb.tr)
 	}
 	if telemetered {
@@ -172,36 +155,30 @@ func newTable2Testbed(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, acc
 		// callback below takes the final scrape and stops the clock.
 		tb.col.Start()
 	}
-	if _, err := g.AddNode(core.NodeConfig{Name: "front", Site: "lan", Role: core.RoleFrontEnd}); err != nil {
+	if err := tb.lan(
+		core.NodeConfig{Name: "front", Site: "lan", Role: core.RoleFrontEnd},
+		core.NodeConfig{Name: "compute", Site: "lan", Role: core.RoleCompute, Slots: 1, DHCPPrefix: "10.0.0."},
+	); err != nil {
 		return nil, err
 	}
-	compute, err := g.AddNode(core.NodeConfig{
-		Name: "compute", Site: "lan", Role: core.RoleCompute,
-		Slots: 1, DHCPPrefix: "10.0.0.",
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Net().BuildLAN("front", "compute"); err != nil {
-		return nil, err
-	}
-	img := storage.ImageInfo{Name: "rh72", OS: "redhat-7.2", DiskBytes: 2 * hw.GB, MemBytes: 128 * hw.MB}
-	if err := compute.InstallImage(img); err != nil {
+	img := benchImage
+	img.OS = "redhat-7.2"
+	if err := tb.install(img, "compute"); err != nil {
 		return nil, err
 	}
 
 	// Background noise: the light desktop activity of a real host.
-	noise := trace.Generate(g.Kernel().RNG().Split(), trace.GenConfig{
+	noise := trace.Generate(tb.k.RNG().Split(), trace.GenConfig{
 		Mean: 0.05, Rho: 0.9, Sigma: 0.05, Step: sim.Second, BurstProb: 0.01, BurstShape: 2.0,
 	}, 4096)
-	lp := hostos.NewLoadProcess(compute.Host(), "host-noise", noise)
+	lp := hostos.NewLoadProcess(g.Node("compute").Host(), "host-noise", noise)
 	lp.Start()
 
-	_, err = g.CreateSession(core.SessionConfig{
-		User: "bench", FrontEnd: "front", Image: "rh72",
-		Mode: mode, Disk: disk, Access: access,
-	}, func(s *core.Session, err error) {
-		tb.ready, tb.sessErr = s, err
+	cfg := benchSession
+	cfg.Mode, cfg.Disk, cfg.Access = mode, disk, access
+	_, err := g.CreateSession(cfg, func(s *core.Session, err error) {
+		tb.ready = s
+		tb.fail(err)
 		// The measurement ends here: close out the telemetry window,
 		// then stop the noise, whose trace would otherwise loop until
 		// the horizon.
