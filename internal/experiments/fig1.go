@@ -211,6 +211,9 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 	// measurement boundary and RunUntil reports the stall well before.
 	horizon := sim.DurationOf(float64(cfg.Samples)*cfg.TaskSeconds*8 + 300)
 	_ = tb.k.RunUntil(sim.Time(horizon))
+	if tb.err != nil {
+		return Fig1Row{}, nil, nil, tb.err
+	}
 	stat := &tb.stat
 	if stat.N() < cfg.Samples {
 		return Fig1Row{}, nil, nil, fmt.Errorf("experiments: only %d/%d samples completed", stat.N(), cfg.Samples)
@@ -221,12 +224,14 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 }
 
 // fig1Testbed is one Figure 1 scenario set up and waiting for its
-// kernel to run; stat collects the test task's slowdown samples.
+// kernel to run; stat collects the test task's slowdown samples, and
+// err holds the first error a simulation callback met.
 type fig1Testbed struct {
 	k    *sim.Kernel
 	otr  *obs.Tracer
 	col  *telemetry.Collector
 	stat sim.Stat
+	err  error
 }
 
 func newFig1Testbed(cfg Fig1Config, baseline float64, seed uint64, load trace.Class, loadOn, testOn Placement) (*fig1Testbed, error) {
@@ -267,19 +272,26 @@ func newFig1Testbed(cfg Fig1Config, baseline float64, seed uint64, load trace.Cl
 
 	// The test environment: a guest OS either native or inside a VM.
 	var testOS *guest.OS
+	// end closes the measurement: one closing scrape, then stop the
+	// self-tick and the background load so the event queue drains here.
+	end := func() {
+		tb.col.Scrape()
+		tb.col.Stop()
+		over = true
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	// fail records a callback's error and ends the scenario early.
+	fail := func(err error) {
+		tb.err = err
+		end()
+	}
 	startSampling := func() {
 		var sample func()
 		sample = func() {
 			if tb.stat.N() >= cfg.Samples {
-				// Measurement over: one closing scrape, then stop the
-				// self-tick and the background load so the event queue
-				// drains here.
-				tb.col.Scrape()
-				tb.col.Stop()
-				over = true
-				for _, stop := range stops {
-					stop()
-				}
+				end()
 				return
 			}
 			_, err := testOS.Run(guest.MicroTask(cfg.TaskSeconds), func(r guest.TaskResult) {
@@ -288,7 +300,7 @@ func newFig1Testbed(cfg Fig1Config, baseline float64, seed uint64, load trace.Cl
 				sample()
 			})
 			if err != nil {
-				panic(err) // deterministic setup bug, not a runtime condition
+				fail(fmt.Errorf("experiments: test task: %w", err))
 			}
 		}
 		sample()
@@ -340,7 +352,8 @@ func newFig1Testbed(cfg Fig1Config, baseline float64, seed uint64, load trace.Cl
 		if err := fig1VM(k, h, "testvm", tb.otr, func(vm *vmm.VM) {
 			testOS = vm.Guest()
 			if err := applyLoad(vm); err != nil {
-				panic(err)
+				fail(fmt.Errorf("experiments: background load: %w", err))
+				return
 			}
 			startSampling()
 		}); err != nil {

@@ -22,7 +22,9 @@ const hitLatency = 50 * sim.Microsecond
 // shortly after it was copied fast, as in Table 2's persistent rows).
 //
 // The page index does no per-page hashing: a file name is interned to a
-// small id once per call, and pages live in an lru.Blocks. A cache at
+// small id once per call, and pages live in an lru.Blocks. A new cache
+// allocates its index page by page as pages are first cached, so a host
+// that caches little pays little whatever its capacity, and a cache at
 // steady state allocates nothing. Offsets must be non-negative.
 type BufferCache struct {
 	disk     *hw.Disk

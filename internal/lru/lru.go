@@ -1,11 +1,13 @@
 // Package lru provides the recency indexes of the simulation data
 // plane's caches. Blocks, an LRU of (file, block) pairs that hashes
 // nothing per block, backs the host buffer cache and the vfs proxy
-// block cache. Cache, an LRU set of comparable keys, has one remaining
-// user: a chunk cache given a byte cap (an uncapped chunk cache never
-// evicts and keeps no recency list). Both replace container/list in
-// those hot paths: nodes are recycled through a freelist, so a cache
-// operating at steady state performs no allocations at all.
+// block cache; it grows by fixed pages, so a cache pays only for the
+// ranges it holds blocks in, and growth never copies. Cache, an LRU set
+// of comparable keys, has one remaining user: a chunk cache given a
+// byte cap (an uncapped chunk cache never evicts and keeps no recency
+// list). Both replace container/list in those hot paths: nodes are
+// recycled, so a cache operating at steady state performs no
+// allocations at all.
 package lru
 
 // Cache is an LRU set of keys. It tracks recency only; byte accounting

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // ImageInfo describes an archived virtual machine image: a base virtual
@@ -71,17 +72,24 @@ const cowPage int64 = 64 * 1024
 // file. Discarding the diff discards the session — exactly VMware's
 // non-persistent mode, which Table 2 shows is what makes dynamic VM
 // instantiation cheap.
+//
+// The written pages are a bitmap grown on write, and reads run through
+// freelisted completion state, so a disk at steady state allocates
+// nothing per read. Offsets must be non-negative.
 type CowDisk struct {
 	base    Backend
 	diff    Backend
-	written map[int64]bool
+	written []uint64 // bit pg%64 of word pg/64 set once page pg is in the diff
+	pages   int64    // bits set in written
+
+	freeReads *cowRead
 }
 
 var _ Backend = (*CowDisk)(nil)
 
 // NewCowDisk layers a local diff file over a base image backend.
 func NewCowDisk(base, diff Backend) *CowDisk {
-	return &CowDisk{base: base, diff: diff, written: make(map[int64]bool)}
+	return &CowDisk{base: base, diff: diff}
 }
 
 // Name identifies the disk for diagnostics.
@@ -91,14 +99,17 @@ func (c *CowDisk) Name() string { return c.base.Name() + "+cow" }
 func (c *CowDisk) Size() int64 { return c.base.Size() }
 
 // DiffBytes returns how much data has been redirected to the diff file.
-func (c *CowDisk) DiffBytes() int64 { return int64(len(c.written)) * cowPage }
+func (c *CowDisk) DiffBytes() int64 { return c.pages * cowPage }
 
-// WrittenPages returns the COW page indices redirected so far — the
-// metadata that must travel with the diff file when a session migrates.
+// WrittenPages returns the COW page indices redirected so far, in
+// ascending order — the metadata that must travel with the diff file
+// when a session migrates.
 func (c *CowDisk) WrittenPages() []int64 {
-	out := make([]int64, 0, len(c.written))
-	for pg := range c.written {
-		out = append(out, pg)
+	out := make([]int64, 0, c.pages)
+	for w, word := range c.written {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int64(w)*64+int64(bits.TrailingZeros64(word)))
+		}
 	}
 	return out
 }
@@ -107,7 +118,23 @@ func (c *CowDisk) WrittenPages() []int64 {
 // path): reads of these pages will come from the diff backend.
 func (c *CowDisk) MarkWritten(pages []int64) {
 	for _, pg := range pages {
-		c.written[pg] = true
+		c.mark(pg)
+	}
+}
+
+func (c *CowDisk) isWritten(pg int64) bool {
+	w := uint64(pg / 64)
+	return w < uint64(len(c.written)) && c.written[w]&(1<<(pg%64)) != 0
+}
+
+func (c *CowDisk) mark(pg int64) {
+	w := int(pg / 64)
+	if w >= len(c.written) {
+		c.written = append(c.written, make([]uint64, w+1-len(c.written))...)
+	}
+	if bit := uint64(1) << (pg % 64); c.written[w]&bit == 0 {
+		c.written[w] |= bit
+		c.pages++
 	}
 }
 
@@ -119,6 +146,30 @@ func (c *CowDisk) Read(off, size int64, done func()) { c.read(off, size, done, f
 // ReadSequential implements Backend.
 func (c *CowDisk) ReadSequential(off, size int64, done func()) { c.read(off, size, done, true) }
 
+// cowRead is one read's completion state, pooled per disk. completeFn
+// is complete, bound once.
+type cowRead struct {
+	c           *CowDisk
+	done        func()
+	outstanding int
+	completeFn  func()
+	nextFree    *cowRead
+}
+
+func (o *cowRead) complete() {
+	o.outstanding--
+	if o.outstanding > 0 {
+		return
+	}
+	c, done := o.c, o.done
+	o.done = nil
+	o.nextFree = c.freeReads
+	c.freeReads = o
+	if done != nil {
+		done()
+	}
+}
+
 func (c *CowDisk) read(off, size int64, done func(), sequential bool) {
 	if size <= 0 {
 		size = 1
@@ -127,38 +178,42 @@ func (c *CowDisk) read(off, size int64, done func(), sequential bool) {
 	last := (off + size - 1) / cowPage
 	var diffBytes, baseBytes int64
 	for pg := first; pg <= last; pg++ {
-		if c.written[pg] {
+		if c.isWritten(pg) {
 			diffBytes += cowPage
 		} else {
 			baseBytes += cowPage
 		}
 	}
-	outstanding := 0
+	o := c.freeReads
+	if o == nil {
+		o = &cowRead{c: c}
+		o.completeFn = o.complete
+	} else {
+		c.freeReads = o.nextFree
+		o.nextFree = nil
+	}
+	o.done = done
+	o.outstanding = 0
 	if diffBytes > 0 {
-		outstanding++
+		o.outstanding++
 	}
 	if baseBytes > 0 {
-		outstanding++
-	}
-	complete := func() {
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done()
-		}
-	}
-	read := func(b Backend, n int64) {
-		if sequential {
-			b.ReadSequential(off, n, complete)
-			return
-		}
-		b.Read(off, n, complete)
+		o.outstanding++
 	}
 	if diffBytes > 0 {
-		read(c.diff, diffBytes)
+		issueRead(c.diff, off, diffBytes, o.completeFn, sequential)
 	}
 	if baseBytes > 0 {
-		read(c.base, baseBytes)
+		issueRead(c.base, off, baseBytes, o.completeFn, sequential)
 	}
+}
+
+func issueRead(b Backend, off, n int64, done func(), sequential bool) {
+	if sequential {
+		b.ReadSequential(off, n, done)
+		return
+	}
+	b.Read(off, n, done)
 }
 
 // Write sends every page to the diff file and marks it copied-on-write.
@@ -169,7 +224,7 @@ func (c *CowDisk) Write(off, size int64, done func()) {
 	first := off / cowPage
 	last := (off + size - 1) / cowPage
 	for pg := first; pg <= last; pg++ {
-		c.written[pg] = true
+		c.mark(pg)
 	}
 	c.diff.Write(off, size, done)
 }
