@@ -501,12 +501,8 @@ func printTop(info wire.TopInfo) {
 		fmt.Println(line)
 	}
 	if st := info.Staging; st != nil {
-		fmt.Printf("staging cache: hits=%d misses=%d hit-rate=%.1f%% saved=%s",
+		fmt.Printf("staging cache: hits=%d misses=%d hit-rate=%.1f%% saved=%s\n",
 			st.ChunkHits, st.ChunkMisses, st.HitRate*100, fmtBytes(st.BytesSaved))
-		if st.Evictions > 0 {
-			fmt.Printf(" evictions=%d", st.Evictions)
-		}
-		fmt.Println()
 	}
 	if len(info.Replicas) > 0 {
 		fmt.Println("gis replicas:")

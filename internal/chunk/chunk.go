@@ -2,7 +2,7 @@
 // are split into fixed-size chunks, each named by a key that stands in
 // for a collision-free content hash. Stores keep a per-file key
 // manifest, every node keeps a cache of the chunk keys whose content
-// it holds (LRU-bounded when the plane caps it), and the staging paths
+// it holds, and the staging paths
 // (gram.Stage, the tape archive, checkpoint staging) move only the
 // chunks the destination lacks — the paper's "reducing VM overheads"
 // argument applied to the state-transfer hot path.
@@ -18,8 +18,6 @@
 // holes), which every hole legitimately shares.
 package chunk
 
-import "vmgrid/internal/lru"
-
 // Key names one chunk's content. The zero Key is the all-zero chunk.
 type Key uint64
 
@@ -32,9 +30,6 @@ const DefaultChunkBytes int64 = 256 << 10
 type Config struct {
 	// ChunkBytes is the fixed chunk size (default DefaultChunkBytes).
 	ChunkBytes int64
-	// CacheBytes caps each node's chunk cache; 0 = unbounded (every
-	// chunk a node ever held stays nameable).
-	CacheBytes int64
 }
 
 // Stats aggregates chunk-cache accounting, per cache or plane-wide.
@@ -44,8 +39,6 @@ type Stats struct {
 	Hits uint64
 	// Misses counts lookups that forced a transfer.
 	Misses uint64
-	// Evictions counts cache entries dropped under byte pressure.
-	Evictions uint64
 	// BytesSaved is the payload bytes dedup kept off the wire.
 	BytesSaved uint64
 }
@@ -117,13 +110,7 @@ func (p *Plane) Span(size int64, i int) (off, n int64) {
 func (p *Plane) CacheFor(node string) *Cache {
 	c := p.caches[node]
 	if c == nil {
-		c = &Cache{
-			capacity: p.cfg.CacheBytes,
-			sizes:    make(map[Key]int64, 1024),
-		}
-		if c.capacity > 0 {
-			c.lru = lru.New[Key](1024)
-		}
+		c = &Cache{sizes: make(map[Key]int64, 1024)}
 		p.caches[node] = c
 	}
 	return c
@@ -137,7 +124,6 @@ func (p *Plane) Stats() Stats {
 		s := c.Stats()
 		out.Hits += s.Hits
 		out.Misses += s.Misses
-		out.Evictions += s.Evictions
 		out.BytesSaved += s.BytesSaved
 	}
 	return out
@@ -145,15 +131,13 @@ func (p *Plane) Stats() Stats {
 
 // Cache is one node's chunk holdings: the set of keys whose content is
 // materialized somewhere on the node (a file, or retained content-store
-// blocks after the file was deleted), LRU-bounded by bytes when the
-// plane sets a cap. An uncapped cache never evicts, so it keeps no
-// recency order: its key→size map is the whole index.
+// blocks after the file was deleted). Every chunk a node ever held
+// stays nameable — the cache never evicts, so it keeps no recency
+// order: its key→size map is the whole index.
 type Cache struct {
-	capacity int64
-	used     int64
-	lru      *lru.Cache[Key] // recency order; nil when uncapped
-	sizes    map[Key]int64
-	stats    Stats
+	used  int64
+	sizes map[Key]int64
+	stats Stats
 }
 
 // Len returns the number of cached keys.
@@ -165,23 +149,17 @@ func (c *Cache) UsedBytes() int64 { return c.used }
 // Stats returns the cache's counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Contains reports whether the key is cached, without touching recency
-// or accounting (for assertions and scrapes).
+// Contains reports whether the key is cached, without touching the
+// accounting (for assertions and scrapes).
 func (c *Cache) Contains(k Key) bool {
 	_, ok := c.sizes[k]
 	return ok
 }
 
-// Lookup is the staging-time membership test: a hit touches recency and
-// records size bytes saved; a miss records the forced transfer.
+// Lookup is the staging-time membership test: a hit records size bytes
+// saved; a miss records the forced transfer.
 func (c *Cache) Lookup(k Key, size int64) bool {
-	var hit bool
-	if c.lru != nil {
-		hit = c.lru.Touch(k)
-	} else {
-		_, hit = c.sizes[k]
-	}
-	if hit {
+	if _, hit := c.sizes[k]; hit {
 		c.stats.Hits++
 		c.stats.BytesSaved += uint64(size)
 		return true
@@ -190,29 +168,12 @@ func (c *Cache) Lookup(k Key, size int64) bool {
 	return false
 }
 
-// Add records that the node now holds the chunk, evicting the least
-// recently used entries if the byte cap is exceeded. Re-adding an
-// existing key just refreshes recency.
+// Add records that the node now holds the chunk. Re-adding a key the
+// node already holds changes nothing.
 func (c *Cache) Add(k Key, size int64) {
 	if _, ok := c.sizes[k]; ok {
-		if c.lru != nil {
-			c.lru.Touch(k)
-		}
 		return
 	}
 	c.sizes[k] = size
 	c.used += size
-	if c.lru == nil {
-		return
-	}
-	c.lru.Insert(k)
-	for c.used > c.capacity {
-		old, ok := c.lru.EvictOldest()
-		if !ok {
-			break
-		}
-		c.used -= c.sizes[old]
-		delete(c.sizes, old)
-		c.stats.Evictions++
-	}
 }

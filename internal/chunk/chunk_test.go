@@ -88,72 +88,6 @@ func TestCacheLookupAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionUnderPressure fills a byte-capped cache past its
-// limit and checks that eviction is LRU (a just-touched key survives,
-// the coldest goes), that the byte accounting never exceeds the cap,
-// and that evicted keys genuinely miss afterwards.
-func TestCacheEvictionUnderPressure(t *testing.T) {
-	p := NewPlane(Config{ChunkBytes: 100, CacheBytes: 1000})
-	c := p.CacheFor("n1")
-	keys := make([]Key, 10)
-	for i := range keys {
-		keys[i] = p.Mint()
-		c.Add(keys[i], 100)
-	}
-	if c.UsedBytes() != 1000 || c.Len() != 10 {
-		t.Fatalf("full cache = %d bytes / %d keys, want 1000 / 10", c.UsedBytes(), c.Len())
-	}
-	// Touch the oldest key so the second-oldest becomes the LRU victim.
-	if !c.Lookup(keys[0], 100) {
-		t.Fatal("resident key missed")
-	}
-	c.Add(p.Mint(), 100)
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want exactly 1", st.Evictions)
-	}
-	if c.UsedBytes() > 1000 {
-		t.Errorf("used %d bytes exceeds the 1000-byte cap", c.UsedBytes())
-	}
-	if !c.Contains(keys[0]) {
-		t.Error("recently touched key was evicted — not LRU order")
-	}
-	if c.Contains(keys[1]) {
-		t.Error("coldest key survived — not LRU order")
-	}
-	if c.Lookup(keys[1], 100) {
-		t.Error("evicted key still answers lookups")
-	}
-	// Re-adding an existing key must not double-count its bytes.
-	used := c.UsedBytes()
-	c.Add(keys[0], 100)
-	if c.UsedBytes() != used {
-		t.Errorf("re-add changed used bytes %d -> %d", used, c.UsedBytes())
-	}
-}
-
-// TestCacheOversizedChunkDoesNotWedge: a single chunk larger than the
-// whole cap flushes everything (itself included) but leaves the cache
-// consistent and usable.
-func TestCacheOversizedChunkDoesNotWedge(t *testing.T) {
-	p := NewPlane(Config{CacheBytes: 1000})
-	c := p.CacheFor("n1")
-	small := p.Mint()
-	c.Add(small, 100)
-	c.Add(p.Mint(), 5000)
-	if c.UsedBytes() < 0 {
-		t.Fatalf("used bytes went negative: %d", c.UsedBytes())
-	}
-	if c.Contains(small) {
-		t.Error("small key survived a flush that needed its bytes")
-	}
-	k := p.Mint()
-	c.Add(k, 100)
-	if !c.Contains(k) {
-		t.Error("cache unusable after oversized insert")
-	}
-}
-
 func TestPlaneStatsSumAcrossNodes(t *testing.T) {
 	p := NewPlane(Config{})
 	a, b := p.CacheFor("a"), p.CacheFor("b")

@@ -8,18 +8,17 @@ import (
 )
 
 // refCache is the chunk cache as it stood when every cache kept an
-// lru.Cache recency list, capped or not. The differential test pins the
-// set-only uncapped cache and the capped cache to it call for call.
+// lru.Cache recency list. The differential test pins the set-only
+// cache to it call for call.
 type refCache struct {
-	capacity int64
-	used     int64
-	lru      *lru.Cache[Key]
-	sizes    map[Key]int64
-	stats    Stats
+	used  int64
+	lru   *lru.Cache[Key]
+	sizes map[Key]int64
+	stats Stats
 }
 
-func newRefCache(capacity int64) *refCache {
-	return &refCache{capacity: capacity, lru: lru.New[Key](1024), sizes: make(map[Key]int64)}
+func newRefCache() *refCache {
+	return &refCache{lru: lru.New[Key](1024), sizes: make(map[Key]int64)}
 }
 
 func (c *refCache) Contains(k Key) bool {
@@ -45,59 +44,47 @@ func (c *refCache) Add(k Key, size int64) {
 	c.lru.Insert(k)
 	c.sizes[k] = size
 	c.used += size
-	for c.capacity > 0 && c.used > c.capacity {
-		old, ok := c.lru.EvictOldest()
-		if !ok {
-			break
-		}
-		c.used -= c.sizes[old]
-		delete(c.sizes, old)
-		c.stats.Evictions++
-	}
 }
 
 // TestCacheMatchesLRUReference drives the plane's cache and the
-// reference through the same random Add/Lookup/Contains sequence —
-// uncapped, capped below one chunk, and a few small caps, over several
-// seeds — and requires equal answers, Stats, Len, UsedBytes and
+// reference through the same random Add/Lookup/Contains sequence, over
+// several seeds, and requires equal answers, Stats, Len, UsedBytes and
 // membership of every key after every call.
 func TestCacheMatchesLRUReference(t *testing.T) {
 	const chunkBytes = 100
-	for _, capacity := range []int64{0, chunkBytes / 2, 250, 1000, 3000} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			p := NewPlane(Config{ChunkBytes: chunkBytes, CacheBytes: capacity})
-			got := p.CacheFor("n1")
-			want := newRefCache(capacity)
-			universe := make([]Key, 64)
-			for i := range universe {
-				universe[i] = p.Mint()
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPlane(Config{ChunkBytes: chunkBytes})
+		got := p.CacheFor("n1")
+		want := newRefCache()
+		universe := make([]Key, 64)
+		for i := range universe {
+			universe[i] = p.Mint()
+		}
+		for op := 0; op < 5000; op++ {
+			k := universe[rng.Intn(len(universe))]
+			size := int64(1 + rng.Intn(chunkBytes))
+			switch rng.Intn(3) {
+			case 0:
+				got.Add(k, size)
+				want.Add(k, size)
+			case 1:
+				if g, w := got.Lookup(k, size), want.Lookup(k, size); g != w {
+					t.Fatalf("seed %d op %d: Lookup = %v, want %v", seed, op, g, w)
+				}
+			case 2:
+				if g, w := got.Contains(k), want.Contains(k); g != w {
+					t.Fatalf("seed %d op %d: Contains = %v, want %v", seed, op, g, w)
+				}
 			}
-			for op := 0; op < 5000; op++ {
-				k := universe[rng.Intn(len(universe))]
-				size := int64(1 + rng.Intn(chunkBytes))
-				switch rng.Intn(3) {
-				case 0:
-					got.Add(k, size)
-					want.Add(k, size)
-				case 1:
-					if g, w := got.Lookup(k, size), want.Lookup(k, size); g != w {
-						t.Fatalf("cap %d seed %d op %d: Lookup = %v, want %v", capacity, seed, op, g, w)
-					}
-				case 2:
-					if g, w := got.Contains(k), want.Contains(k); g != w {
-						t.Fatalf("cap %d seed %d op %d: Contains = %v, want %v", capacity, seed, op, g, w)
-					}
-				}
-				if got.Stats() != want.stats || got.Len() != want.lru.Len() || got.UsedBytes() != want.used {
-					t.Fatalf("cap %d seed %d op %d: stats %+v len %d used %d, want %+v len %d used %d",
-						capacity, seed, op, got.Stats(), got.Len(), got.UsedBytes(),
-						want.stats, want.lru.Len(), want.used)
-				}
-				for _, u := range universe {
-					if got.Contains(u) != want.Contains(u) {
-						t.Fatalf("cap %d seed %d op %d: membership of %x differs", capacity, seed, op, u)
-					}
+			if got.Stats() != want.stats || got.Len() != want.lru.Len() || got.UsedBytes() != want.used {
+				t.Fatalf("seed %d op %d: stats %+v len %d used %d, want %+v len %d used %d",
+					seed, op, got.Stats(), got.Len(), got.UsedBytes(),
+					want.stats, want.lru.Len(), want.used)
+			}
+			for _, u := range universe {
+				if got.Contains(u) != want.Contains(u) {
+					t.Fatalf("seed %d op %d: membership of %x differs", seed, op, u)
 				}
 			}
 		}
@@ -106,24 +93,22 @@ func TestCacheMatchesLRUReference(t *testing.T) {
 
 // TestCacheWarmAddZeroAllocs: re-adding a key the node already holds —
 // every chunk a staged file adopts from a warm cache — allocates
-// nothing, capped or not.
+// nothing.
 func TestCacheWarmAddZeroAllocs(t *testing.T) {
-	for _, capacity := range []int64{0, 1 << 30} {
-		p := NewPlane(Config{CacheBytes: capacity})
-		c := p.CacheFor("n1")
-		keys := make([]Key, 256)
-		for i := range keys {
-			keys[i] = p.Mint()
-			c.Add(keys[i], DefaultChunkBytes)
+	p := NewPlane(Config{})
+	c := p.CacheFor("n1")
+	keys := make([]Key, 256)
+	for i := range keys {
+		keys[i] = p.Mint()
+		c.Add(keys[i], DefaultChunkBytes)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, k := range keys {
+			c.Add(k, DefaultChunkBytes)
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			for _, k := range keys {
-				c.Add(k, DefaultChunkBytes)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("cap %d: warm re-add allocates %v times per pass, want 0", capacity, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm re-add allocates %v times per pass, want 0", allocs)
 	}
 }
 

@@ -407,6 +407,9 @@ func TestMigrationGuards(t *testing.T) {
 	if err := s.Migrate("ghost", nil); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("migrate to unknown node = %v", err)
 	}
+	if err := s.Migrate(s.Node().Name(), nil); err == nil {
+		t.Error("migrate onto the session's own node accepted")
+	}
 	s.Shutdown()
 	if err := s.Migrate("compute2", nil); !errors.Is(err, ErrBadSession) {
 		t.Errorf("migrate dead session = %v", err)

@@ -29,11 +29,7 @@ func (s *Session) Shutdown() {
 	// for the reboot-time operator. (Shutdown of a crashed session happens
 	// when its supervisor gives up on recovery.)
 	if s.node != nil && !s.node.crashed {
-		for _, f := range []string{s.name + ".cow", s.name + ".mem", s.name + ".zeromem"} {
-			if s.node.store.Has(f) {
-				_ = s.node.store.Delete(f)
-			}
-		}
+		dropFiles(s.node.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
 	}
 	s.grid.info.Deregister(gis.KindVM, s.name)
 	s.releaseSlot()
@@ -83,11 +79,13 @@ func (s *Session) Wake(done func(error)) error {
 // Migrate moves the session to another compute node: suspend, transfer
 // the memory image and the copy-on-write diff, re-instantiate over the
 // target's copy of the base image, resume, and re-attach the network
-// and data sessions. The guest — task state included — survives.
+// and data sessions. The guest — task state included — survives. A
+// migration that fails after suspending a running guest resumes it in
+// place.
 //
-// The target must be a compute node with a free slot holding the same
-// base image (read-only base sharing is what keeps migration traffic
-// down to the working set, §3.1).
+// The target must be another compute node with a free slot holding the
+// same base image (read-only base sharing is what keeps migration
+// traffic down to the working set, §3.1).
 func (s *Session) Migrate(targetName string, done func(error)) error {
 	if !s.state.CanMigrate() || s.migrating {
 		return fmt.Errorf("%w: migrate in %q", ErrBadSession, s.state)
@@ -98,6 +96,9 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 	target := s.grid.nodes[targetName]
 	if target == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, targetName)
+	}
+	if target == s.node {
+		return fmt.Errorf("core: %s already runs on %q", s.name, targetName)
 	}
 	if target.gk == nil || target.slots <= 0 {
 		return fmt.Errorf("core: %q cannot accept a VM (no gatekeeper or slots)", targetName)
@@ -112,73 +113,58 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 	// abort instead of minting a second live incarnation.
 	gen := s.gen
 	s.migrating = true
+	suspended := false // this migration froze a running guest
 	// The migration span covers suspend, state transfer, and arrival;
 	// it parents under the session's causal root so balancer moves show
 	// up on the session's critical path.
 	msp := s.grid.tracer.BeginChild(s.sctx, s.name, "migration", "migrate:"+targetName)
 	finish := func(err error) {
 		s.migrating = false
+		if err != nil && suspended && s.gen == gen && s.state == StateRunning {
+			// Resume the guest this migration froze. Unpause refuses
+			// only a VM that is no longer suspended: nothing to resume.
+			_ = s.vm.Unpause()
+		}
 		msp.EndErr(err)
 		if done != nil {
 			done(err)
 		}
 	}
-	superseded := func() bool { return s.gen != gen || !s.state.CanMigrate() }
+	superseded := func() error {
+		if s.gen != gen || !s.state.CanMigrate() {
+			return fmt.Errorf("%w: migration superseded mid-transfer", ErrFencedEpoch)
+		}
+		return nil
+	}
 
 	transfer := func() {
-		if superseded() {
-			finish(fmt.Errorf("%w: migration superseded mid-transfer", ErrFencedEpoch))
+		if err := superseded(); err != nil {
+			finish(err)
 			return
 		}
-		src := s.node
 		// Move the session state files: memory image and COW diff.
-		memFile := s.name + ".mem"
-		diffFile := s.name + ".cow"
-		if !src.store.Has(memFile) {
-			finish(fmt.Errorf("core: migrate %s: no saved memory image", s.name))
-			return
-		}
-		stageNext := func(file string, next func(error)) {
-			if !src.store.Has(file) {
-				next(nil)
-				return
+		s.moveState(s.node, func(ext string) string { return s.name + ext }, target, func(err error) {
+			if err == nil {
+				err = superseded()
 			}
-			if err := gram.Stage(s.grid.net, src.name, src.store, file,
-				target.name, target.store, file, next); err != nil {
-				next(err)
-			}
-		}
-		stageNext(memFile, func(err error) {
 			if err != nil {
 				finish(err)
 				return
 			}
-			stageNext(diffFile, func(err error) {
-				if err != nil {
-					finish(err)
-					return
-				}
-				if superseded() {
-					finish(fmt.Errorf("%w: migration superseded mid-transfer", ErrFencedEpoch))
-					return
-				}
-				s.arrive(target, msp.Context(), finish)
-			})
+			s.arrive(target, msp.Context(), finish)
 		})
 	}
 
 	if s.state == StateRunning {
 		s.mark("migrate-suspend")
-		if err := s.vm.Suspend(func(err error) {
+		return s.vm.Suspend(func(err error) {
 			if err != nil {
 				finish(err)
 				return
 			}
+			suspended = true
 			transfer()
-		}); err != nil {
-			return err
-		}
-		return nil
+		})
 	}
 	// Already hibernated: state is on disk, transfer directly.
 	s.mark("migrate-transfer")
@@ -255,75 +241,12 @@ func (s *Session) restoreFrom(target *Node, writtenPages []int64, rctx obs.SpanC
 		finish(fmt.Errorf("%w: restore in %q", ErrBadSession, s.state))
 		return
 	}
-	info, ok := target.Image(s.cfg.Image)
-	if !ok {
-		finish(fmt.Errorf("%w: base image %q not on target %s", ErrNoImage, s.cfg.Image, target.name))
-		return
-	}
-	base, err := target.store.Open(info.DiskFile())
+	in, err := s.vmFromState(target, writtenPages, rctx)
 	if err != nil {
 		finish(err)
 		return
 	}
-	diff, err := target.store.OpenOrCreate(s.name + ".cow")
-	if err != nil {
-		finish(err)
-		return
-	}
-	cow := storage.NewCowDisk(base, diff)
-	cow.MarkWritten(writtenPages)
-
-	localMem, err := target.store.Open(s.name + ".mem")
-	if err != nil {
-		finish(err)
-		return
-	}
-	mem := &memBackend{restore: localMem, local: localMem, dirty: true}
-
-	vm, err := vmm.New(target.host, vmm.Config{
-		Name:     s.name,
-		MemBytes: s.cfg.MemBytes,
-		Disk:     cow,
-		MemImage: mem,
-		DirtyBps: s.cfg.DirtyBps,
-		Trace:    s.grid.tracer,
-		Ctx:      rctx,
-	})
-	if err != nil {
-		finish(err)
-		return
-	}
-
-	s.node = target
-	s.vm = vm
-	s.cow = cow
-	s.mem = mem
-	s.gen++ // new incarnation: fences held by the old one go stale
-
-	if err := vm.Start(vmm.WarmRestore, func(err error) {
-		if err != nil {
-			finish(err)
-			return
-		}
-		// The restore read the same file suspends will write, so the
-		// image is in sync: the next checkpoint can be a delta.
-		vm.PrimeImage()
-		if err := s.connect(); err != nil {
-			finish(err)
-			return
-		}
-		s.state = StateRunning
-		s.mark("recovered")
-		_ = s.grid.info.Register(gis.KindVM, s.name, map[string]any{
-			gis.AttrHost: s.node.name,
-			gis.AttrAddr: s.addr,
-			"user":       s.cfg.User,
-			"image":      s.cfg.Image,
-		}, 0)
-		finish(nil)
-	}); err != nil {
-		finish(err)
-	}
+	s.online(in, "recovered", nil, finish)
 }
 
 // arrive re-instantiates the session on the target node after its state
@@ -332,45 +255,13 @@ func (s *Session) restoreFrom(target *Node, writtenPages []int64, rctx obs.SpanC
 func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error)) {
 	oldNode := s.node
 	oldVM := s.vm
-	oldGuest := s.vm.Guest()
-	writtenPages := s.cow.WrittenPages()
-
-	info, _ := target.Image(s.cfg.Image)
-	base, err := target.store.Open(info.DiskFile())
-	if err != nil {
-		finish(err)
-		return
-	}
-	diff, err := target.store.OpenOrCreate(s.name + ".cow")
-	if err != nil {
-		finish(err)
-		return
-	}
-	cow := storage.NewCowDisk(base, diff)
-	cow.MarkWritten(writtenPages)
-
-	localMem, err := target.store.Open(s.name + ".mem")
-	if err != nil {
-		finish(err)
-		return
-	}
-	mem := &memBackend{restore: localMem, local: localMem, dirty: true}
-
-	vm, err := vmm.New(target.host, vmm.Config{
-		Name:     s.name,
-		MemBytes: s.cfg.MemBytes,
-		Disk:     cow,
-		MemImage: mem,
-		DirtyBps: s.cfg.DirtyBps,
-		Trace:    s.grid.tracer,
-		Ctx:      mctx,
-	})
+	in, err := s.vmFromState(target, s.cow.WrittenPages(), mctx)
 	if err != nil {
 		finish(err)
 		return
 	}
 	oldVM.PowerOff()
-	if err := vm.AdoptGuest(oldGuest); err != nil {
+	if err := in.vm.AdoptGuest(oldVM.Guest()); err != nil {
 		finish(err)
 		return
 	}
@@ -384,46 +275,123 @@ func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error))
 	}
 	s.releaseSlot()
 	s.slotRelease = newRelease
-	for _, f := range []string{s.name + ".cow", s.name + ".mem", s.name + ".zeromem"} {
-		if oldNode.store.Has(f) {
-			_ = oldNode.store.Delete(f)
+	dropFiles(oldNode.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
+	s.online(in, "migrated", func() error {
+		// The target may have crashed (or a failover superseded this
+		// incarnation) while the VM was coming up; resuming would
+		// resurrect a dead incarnation.
+		if s.vm != in.vm || s.state == StateCrashed || s.state == StateDead {
+			return fmt.Errorf("%w: migration superseded at arrival", ErrFencedEpoch)
 		}
-	}
-	s.node = target
-	s.vm = vm
-	s.cow = cow
-	s.mem = mem
-	s.gen++ // new incarnation: fences held by the old one go stale
-	myGen := s.gen
+		return nil
+	}, finish)
+}
 
-	if err := vm.Start(vmm.WarmRestore, func(err error) {
+// incarnation is a VM built over a session's state files on one node,
+// before it becomes the session's.
+type incarnation struct {
+	node *Node
+	vm   *vmm.VM
+	cow  *storage.CowDisk
+	mem  *memBackend
+}
+
+// vmFromState builds a VM for the session on target over the state
+// staged there: the COW diff <s>.cow over target's copy of the shared
+// base image (pages are the diff's written pages) and the memory image
+// <s>.mem, which later suspends overwrite in place.
+func (s *Session) vmFromState(target *Node, pages []int64, ctx obs.SpanContext) (incarnation, error) {
+	in := incarnation{node: target}
+	info, ok := target.Image(s.cfg.Image)
+	if !ok {
+		return in, fmt.Errorf("%w: base image %q not on target %s", ErrNoImage, s.cfg.Image, target.name)
+	}
+	base, err := target.store.Open(info.DiskFile())
+	if err != nil {
+		return in, err
+	}
+	diff, err := target.store.OpenOrCreate(s.name + ".cow")
+	if err != nil {
+		return in, err
+	}
+	in.cow = storage.NewCowDisk(base, diff)
+	in.cow.MarkWritten(pages)
+	localMem, err := target.store.Open(s.name + ".mem")
+	if err != nil {
+		return in, err
+	}
+	in.mem = &memBackend{restore: localMem, local: localMem, dirty: true}
+	in.vm, err = s.newVM(target, in.cow, in.mem, ctx)
+	return in, err
+}
+
+// online makes in the session's new incarnation and warm-restores it.
+// Once the VM is up — and check, when non-nil, still passes — the
+// session reconnects, runs again, marks step and is advertised.
+func (s *Session) online(in incarnation, step string, check func() error, finish func(error)) {
+	s.node, s.vm, s.cow, s.mem = in.node, in.vm, in.cow, in.mem
+	s.gen++ // new incarnation: fences held by the old one go stale
+	if err := in.vm.Start(vmm.WarmRestore, func(err error) {
+		if err == nil && check != nil {
+			err = check()
+		}
+		if err == nil {
+			// The restore read the same file suspends will write, so the
+			// image is in sync: the next suspend can be a delta.
+			in.vm.PrimeImage()
+			err = s.connect()
+		}
 		if err != nil {
 			finish(err)
 			return
 		}
-		// The target may have crashed (or a failover superseded us)
-		// while the VM was coming up; resuming would resurrect a dead
-		// incarnation.
-		if s.gen != myGen || s.state == StateCrashed || s.state == StateDead {
-			finish(fmt.Errorf("%w: migration superseded at arrival", ErrFencedEpoch))
-			return
-		}
-		// Restore source == suspend target here too: arm delta suspends.
-		vm.PrimeImage()
-		if err := s.connect(); err != nil {
-			finish(err)
-			return
-		}
 		s.state = StateRunning
-		s.mark("migrated")
-		_ = s.grid.info.Register(gis.KindVM, s.name, map[string]any{
-			gis.AttrHost: s.node.name,
-			gis.AttrAddr: s.addr,
-			"user":       s.cfg.User,
-			"image":      s.cfg.Image,
-		}, 0)
+		s.mark(step)
+		s.advertise()
 		finish(nil)
 	}); err != nil {
 		finish(err)
+	}
+}
+
+// moveState stages the session's state pair from one node's store onto
+// another's as <s>.mem and <s>.cow; srcName names each state file (by
+// its extension) in from's store. The target's stale copies go first,
+// both before either file moves: a crashed incarnation's files survive
+// its node's reboot.
+func (s *Session) moveState(from *Node, srcName func(ext string) string, to *Node, done func(error)) {
+	dropFiles(to.store, s.name+".mem", s.name+".cow")
+	stagePair(func(ext string, next func(error)) {
+		s.grid.stage(from, srcName(ext), to, s.name+ext, next)
+	}, done)
+}
+
+// stagePair moves a session's state pair with stage, one file at a
+// time: the memory image (".mem"), then the COW diff (".cow"). done
+// gets the first error, or nil once both landed.
+func stagePair(stage func(ext string, done func(error)), done func(error)) {
+	stage(".mem", func(err error) {
+		if err != nil {
+			done(err)
+			return
+		}
+		stage(".cow", done)
+	})
+}
+
+// stage copies file from one node's store into another's as asName
+// through gram.Stage; a refused stage reports through done too.
+func (g *Grid) stage(from *Node, file string, to *Node, asName string, done func(error)) {
+	if err := gram.Stage(g.net, from.name, from.store, file, to.name, to.store, asName, done); err != nil {
+		done(err)
+	}
+}
+
+// dropFiles deletes whichever of the named files st holds.
+func dropFiles(st *storage.Store, names ...string) {
+	for _, f := range names {
+		if st.Has(f) {
+			_ = st.Delete(f)
+		}
 	}
 }

@@ -478,12 +478,7 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 				s.state = StateRunning
 				g.tracer.Metrics().Counter("core.sessions.ready").Inc()
 				g.setLive(s)
-				_ = g.info.Register(gis.KindVM, s.name, map[string]any{
-					gis.AttrHost: s.node.name,
-					gis.AttrAddr: s.addr,
-					"user":       cfg.User,
-					"image":      cfg.Image,
-				}, 0)
+				s.advertise()
 				if done != nil {
 					done(s, nil)
 				}
@@ -495,6 +490,16 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 		})
 	})
 	return s, nil
+}
+
+// advertise registers the session's VM in the information service.
+func (s *Session) advertise() {
+	_ = s.grid.info.Register(gis.KindVM, s.name, map[string]any{
+		gis.AttrHost: s.node.name,
+		gis.AttrAddr: s.addr,
+		"user":       s.cfg.User,
+		"image":      s.cfg.Image,
+	}, 0)
 }
 
 func (s *Session) releaseSlot() {
@@ -556,15 +561,7 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 			return
 		}
 		s.mem = mem
-		vm, err := vmm.New(s.node.host, vmm.Config{
-			Name:     s.name,
-			MemBytes: s.cfg.MemBytes,
-			Disk:     disk,
-			MemImage: mem,
-			DirtyBps: s.cfg.DirtyBps,
-			Trace:    s.grid.tracer,
-			Ctx:      ctx,
-		})
+		vm, err := s.newVM(s.node, disk, mem, ctx)
 		if err != nil {
 			done(err)
 			return
@@ -575,6 +572,20 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 		if err := vm.Start(s.cfg.Mode, done); err != nil {
 			done(err)
 		}
+	})
+}
+
+// newVM builds the session's VM on node over the given virtual disk and
+// memory image; ctx parents the VM's boot or restore work.
+func (s *Session) newVM(node *Node, disk storage.Backend, mem *memBackend, ctx obs.SpanContext) (*vmm.VM, error) {
+	return vmm.New(node.host, vmm.Config{
+		Name:     s.name,
+		MemBytes: s.cfg.MemBytes,
+		Disk:     disk,
+		MemImage: mem,
+		DirtyBps: s.cfg.DirtyBps,
+		Trace:    s.grid.tracer,
+		Ctx:      ctx,
 	})
 }
 
@@ -592,30 +603,23 @@ func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error))
 		return
 	}
 
-	switch s.cfg.Access {
-	case AccessLocal:
-		if s.cfg.Disk == Persistent {
-			// Explicit private copy of the disk (and snapshot for warm
-			// starts) in the host's local file system.
-			diskCopy := s.name + ".disk"
-			if err := node.store.Copy(info.DiskFile(), diskCopy, func() {
-				s.copyMemIfWarm(func(restoreMem storage.Backend, err error) {
-					if err != nil {
-						yield(nil, nil, err)
-						return
-					}
-					disk, err := node.store.Open(diskCopy)
-					if err != nil {
-						yield(nil, nil, err)
-						return
-					}
-					yield(disk, &memBackend{restore: restoreMem, local: localMem}, nil)
-				})
-			}); err != nil {
-				yield(nil, nil, err)
+	switch {
+	case s.cfg.Access == AccessStaged:
+		// Whole-file staging from the image server, then run locally.
+		src := s.grid.nodes[s.imageServer]
+		s.privateCopy(func(file, asName string, done func(error)) {
+			s.grid.stage(src, file, node, asName, done)
+		}, localMem, yield)
+
+	case s.cfg.Access == AccessLocal && s.cfg.Disk == Persistent:
+		// Explicit private copy in the host's local file system.
+		s.privateCopy(func(file, asName string, done func(error)) {
+			if err := node.store.Copy(file, asName, func() { done(nil) }); err != nil {
+				done(err)
 			}
-			return
-		}
+		}, localMem, yield)
+
+	case s.cfg.Access == AccessLocal:
 		base, err := node.store.Open(info.DiskFile())
 		if err != nil {
 			yield(nil, nil, err)
@@ -623,12 +627,16 @@ func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error))
 		}
 		s.finishCow(base, s.localOrZeroMem(), localMem, yield)
 
-	case AccessLoopback:
-		tr := vfs.NewLoopbackTransport(s.grid.k, node.vfsrv)
-		lcfg := vfs.LoopbackNFSConfig()
-		lcfg.Trace = s.grid.tracer
-		lcfg.Ctx = s.sctx
-		client, err := vfs.NewClient(s.grid.k, tr, lcfg)
+	default: // AccessLoopback, AccessOnDemand: the image's files over a vfs mount
+		var client *vfs.Client
+		if s.cfg.Access == AccessLoopback {
+			lcfg := vfs.LoopbackNFSConfig()
+			lcfg.Trace = s.grid.tracer
+			lcfg.Ctx = s.sctx
+			client, err = vfs.NewClient(s.grid.k, vfs.NewLoopbackTransport(s.grid.k, node.vfsrv), lcfg)
+		} else {
+			client, err = s.grid.vfsClient(node.name, s.imageServer, s)
+		}
 		if err != nil {
 			yield(nil, nil, err)
 			return
@@ -640,51 +648,44 @@ func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error))
 			restoreMem = client.Open(info.MemFile(), info.MemBytes)
 		}
 		s.finishCow(base, restoreMem, localMem, yield)
+	}
+}
 
-	case AccessOnDemand:
-		client, err := s.grid.vfsClient(node.name, s.imageServer, s)
+// privateCopy gives the session its own copy of the image through
+// copyFile — the disk as <s>.disk, then, for a warm image, the memory
+// snapshot as <s>.memimg — and yields backends over the copies. A cold
+// image restores from an empty <s>.zeromem.
+func (s *Session) privateCopy(copyFile func(file, asName string, done func(error)),
+	localMem *storage.LocalFile, yield func(storage.Backend, *memBackend, error)) {
+	store := s.node.store
+	diskCopy, memCopy := s.name+".disk", s.name+".memimg"
+	opened := func(restoreMem storage.Backend, err error) {
+		var disk storage.Backend
+		if err == nil {
+			disk, err = store.Open(diskCopy)
+		}
 		if err != nil {
 			yield(nil, nil, err)
 			return
 		}
-		s.imageClient = client
-		base := client.Open(info.DiskFile(), info.DiskBytes)
-		var restoreMem storage.Backend = base
-		if info.Warm() {
-			restoreMem = client.Open(info.MemFile(), info.MemBytes)
-		}
-		s.finishCow(base, restoreMem, localMem, yield)
-
-	case AccessStaged:
-		// Whole-file staging from the image server, then run locally.
-		src := s.grid.nodes[s.imageServer].store
-		stageDisk := s.name + ".disk"
-		err := gram.Stage(s.grid.net, s.imageServer, src, info.DiskFile(),
-			node.name, node.store, stageDisk, func(err error) {
+		yield(disk, &memBackend{restore: restoreMem, local: localMem}, nil)
+	}
+	copyFile(s.info.DiskFile(), diskCopy, func(err error) {
+		switch {
+		case err != nil:
+			yield(nil, nil, err)
+		case !s.info.Warm():
+			opened(store.OpenOrCreate(s.name + ".zeromem"))
+		default:
+			copyFile(s.info.MemFile(), memCopy, func(err error) {
 				if err != nil {
-					yield(nil, nil, err)
+					opened(nil, err)
 					return
 				}
-				s.stageMemIfWarm(src, func(restoreMem storage.Backend, err error) {
-					if err != nil {
-						yield(nil, nil, err)
-						return
-					}
-					disk, err := node.store.Open(stageDisk)
-					if err != nil {
-						yield(nil, nil, err)
-						return
-					}
-					yield(disk, &memBackend{restore: restoreMem, local: localMem}, nil)
-				})
+				opened(store.Open(memCopy))
 			})
-		if err != nil {
-			yield(nil, nil, err)
 		}
-
-	default:
-		yield(nil, nil, fmt.Errorf("core: unhandled access %v", s.cfg.Access))
-	}
+	})
 }
 
 // finishCow wires the non-persistent (or trivially persistent-over-
@@ -711,45 +712,6 @@ func (s *Session) localOrZeroMem() storage.Backend {
 		f, _ = s.node.store.OpenOrCreate(s.name + ".zeromem")
 	}
 	return f
-}
-
-// copyMemIfWarm makes the private snapshot copy for persistent local
-// sessions.
-func (s *Session) copyMemIfWarm(yield func(storage.Backend, error)) {
-	if !s.info.Warm() {
-		f, err := s.node.store.OpenOrCreate(s.name + ".zeromem")
-		yield(f, err)
-		return
-	}
-	memCopy := s.name + ".memimg"
-	if err := s.node.store.Copy(s.info.MemFile(), memCopy, func() {
-		f, err := s.node.store.Open(memCopy)
-		yield(f, err)
-	}); err != nil {
-		yield(nil, err)
-	}
-}
-
-// stageMemIfWarm transfers the snapshot for staged sessions.
-func (s *Session) stageMemIfWarm(src *storage.Store, yield func(storage.Backend, error)) {
-	if !s.info.Warm() {
-		f, err := s.node.store.OpenOrCreate(s.name + ".zeromem")
-		yield(f, err)
-		return
-	}
-	stagedMem := s.name + ".memimg"
-	err := gram.Stage(s.grid.net, s.imageServer, src, s.info.MemFile(),
-		s.node.name, s.node.store, stagedMem, func(err error) {
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			f, openErr := s.node.store.Open(stagedMem)
-			yield(f, openErr)
-		})
-	if err != nil {
-		yield(nil, err)
-	}
 }
 
 // connect gives the VM a network identity (step 5) and attaches the

@@ -177,9 +177,10 @@ type zombieRef struct {
 	release func()
 }
 
-func (c *charge) ckptFiles(slot int) (mem, cow string) {
-	return fmt.Sprintf("%s.ckpt%d.mem", c.s.name, slot),
-		fmt.Sprintf("%s.ckpt%d.cow", c.s.name, slot)
+// ckptFile names the checkpoint slot's copy of one state file, by its
+// extension (".mem" or ".cow").
+func (c *charge) ckptFile(slot int, ext string) string {
+	return fmt.Sprintf("%s.ckpt%d%s", c.s.name, slot, ext)
 }
 
 // Supervisor gives sessions a heartbeat lease in the information
@@ -518,9 +519,7 @@ func (sup *Supervisor) stageFile(c *charge, file, asName string, done func(error
 	attempts := sup.cfg.StageRetry.Attempts()
 	var attempt func(n int)
 	attempt = func(n int) {
-		if stable.store.Has(asName) {
-			_ = stable.store.Delete(asName)
-		}
+		dropFiles(stable.store, asName)
 		retryOrFail := func(err error) {
 			if err != nil && n < attempts {
 				sup.g.tracer.Metrics().Counter("core.checkpoint-stage-retries").Inc()
@@ -531,10 +530,7 @@ func (sup *Supervisor) stageFile(c *charge, file, asName string, done func(error
 			}
 			done(err)
 		}
-		if err := gram.Stage(sup.g.net, s.node.name, s.node.store, file,
-			stable.name, stable.store, asName, retryOrFail); err != nil {
-			retryOrFail(err)
-		}
+		sup.g.stage(s.node, file, stable, asName, retryOrFail)
 	}
 	attempt(1)
 }
@@ -548,7 +544,6 @@ func (sup *Supervisor) stageFile(c *charge, file, asName string, done func(error
 // wire; without it they run back to back, as they always have.
 func (sup *Supervisor) stageCheckpoint(c *charge, slot int, done func(error)) {
 	s := c.s
-	memName, cowName := c.ckptFiles(slot)
 	if s.node.store.ChunkPlane() != nil {
 		pending := 2
 		var firstErr error
@@ -560,17 +555,13 @@ func (sup *Supervisor) stageCheckpoint(c *charge, slot int, done func(error)) {
 				done(firstErr)
 			}
 		}
-		sup.stageFile(c, s.name+".mem", memName, settle)
-		sup.stageFile(c, s.name+".cow", cowName, settle)
+		sup.stageFile(c, s.name+".mem", c.ckptFile(slot, ".mem"), settle)
+		sup.stageFile(c, s.name+".cow", c.ckptFile(slot, ".cow"), settle)
 		return
 	}
-	sup.stageFile(c, s.name+".mem", memName, func(err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		sup.stageFile(c, s.name+".cow", cowName, done)
-	})
+	stagePair(func(ext string, next func(error)) {
+		sup.stageFile(c, s.name+ext, c.ckptFile(slot, ext), next)
+	}, done)
 }
 
 // failover recovers a crashed charge: account the lost work, pick a
@@ -609,12 +600,8 @@ func (sup *Supervisor) failover(c *charge) {
 	target := sup.pickTarget(s)
 	if target == nil {
 		// Nothing can host the session right now (all candidates down or
-		// full). Back off one lease and let the heartbeat re-detect; this
-		// attempt does not count against MaxRecoveries.
-		s.state = StateCrashed
-		c.failSpan.Note("no target available")
-		c.failSpan.End()
-		sup.g.k.After(leaseTTL, func() { c.recovering = false })
+		// full). This attempt does not count against MaxRecoveries.
+		sup.backOff(c, errors.New("no target available"))
 		return
 	}
 	// Fence before the new incarnation can exist: bump the session's
@@ -624,10 +611,7 @@ func (sup *Supervisor) failover(c *charge) {
 	ep, err := sup.g.info.BumpEpochFrom(sup.cfg.StableNode, s.name)
 	if err != nil {
 		sup.stats.NoQuorumBackoffs++
-		s.state = StateCrashed
-		c.failSpan.Note("no quorum for epoch bump")
-		c.failSpan.End()
-		sup.g.k.After(leaseTTL, func() { c.recovering = false })
+		sup.backOff(c, errors.New("no quorum for epoch bump"))
 		return
 	}
 	c.epoch = ep
@@ -639,45 +623,27 @@ func (sup *Supervisor) failover(c *charge) {
 	c.recoveries++
 	release := target.reserveSlot()
 
-	abort := func(err error) {
-		release()
-		s.state = StateCrashed
-		c.failSpan.EndErr(err)
-		sup.g.k.After(leaseTTL, func() { c.recovering = false })
-	}
-
-	memName, cowName := c.ckptFiles(c.slot)
-	stable := sup.g.nodes[sup.cfg.StableNode]
-	for _, f := range []string{s.name + ".mem", s.name + ".cow"} {
-		if target.store.Has(f) {
-			_ = target.store.Delete(f)
-		}
-	}
 	stageSp := sup.g.tracer.BeginChild(c.failSpan.Context(), s.name, "supervisor", "restore-stage")
-	stageAbort := func(err error) {
-		stageSp.EndErr(err)
-		abort(err)
-	}
-	if err := gram.Stage(sup.g.net, stable.name, stable.store, memName,
-		target.name, target.store, s.name+".mem", func(err error) {
+	slot := c.slot
+	s.moveState(sup.g.nodes[sup.cfg.StableNode], func(ext string) string { return c.ckptFile(slot, ext) },
+		target, func(err error) {
+			stageSp.EndErr(err)
 			if err != nil {
-				stageAbort(err)
+				release()
+				sup.backOff(c, err)
 				return
 			}
-			if err := gram.Stage(sup.g.net, stable.name, stable.store, cowName,
-				target.name, target.store, s.name+".cow", func(err error) {
-					if err != nil {
-						stageAbort(err)
-						return
-					}
-					stageSp.End()
-					sup.dispatchRestore(c, target, release)
-				}); err != nil {
-				stageAbort(err)
-			}
-		}); err != nil {
-		stageAbort(err)
-	}
+			sup.dispatchRestore(c, target, release)
+		})
+}
+
+// backOff abandons the charge's current recovery attempt: the session
+// reads crashed again, the failover span ends with why, and the
+// heartbeat may re-detect and retry once a lease has passed.
+func (sup *Supervisor) backOff(c *charge, why error) {
+	c.s.state = StateCrashed
+	c.failSpan.EndErr(why)
+	sup.g.k.After(leaseTTL, func() { c.recovering = false })
 }
 
 // partitionFailover recovers a charge whose host is partitioned rather
@@ -781,9 +747,7 @@ func (sup *Supervisor) dispatchRestore(c *charge, target *Node, release func()) 
 	s := c.s
 	abort := func(err error) {
 		release()
-		s.state = StateCrashed
-		c.failSpan.EndErr(err)
-		sup.g.k.After(leaseTTL, func() { c.recovering = false })
+		sup.backOff(c, err)
 	}
 	front := sup.g.nodes[s.cfg.FrontEnd]
 	if front == nil || front.crashed {

@@ -3,11 +3,11 @@
 // nothing per block, backs the host buffer cache and the vfs proxy
 // block cache; it grows by fixed pages, so a cache pays only for the
 // ranges it holds blocks in, and growth never copies. Cache, an LRU set
-// of comparable keys, has one remaining user: a chunk cache given a
-// byte cap (an uncapped chunk cache never evicts and keeps no recency
-// list). Both replace container/list in those hot paths: nodes are
-// recycled, so a cache operating at steady state performs no
-// allocations at all.
+// of comparable keys, has no production user left: it stays as the
+// plain reference the differential tests of this package, hostos, vfs
+// and chunk pin the data-plane caches against. Both replace
+// container/list: nodes are recycled, so a cache operating at steady
+// state performs no allocations at all.
 package lru
 
 // Cache is an LRU set of keys. It tracks recency only; byte accounting

@@ -832,7 +832,6 @@ func (s *Server) top() TopInfo {
 			ChunkMisses: st.Misses,
 			HitRate:     st.HitRate(),
 			BytesSaved:  st.BytesSaved,
-			Evictions:   st.Evictions,
 		}
 	}
 	if cl := s.grid.Info().Cluster(); cl != nil {

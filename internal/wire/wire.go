@@ -209,7 +209,6 @@ type TopStaging struct {
 	ChunkMisses uint64  `json:"chunkMisses"`
 	HitRate     float64 `json:"hitRate"`
 	BytesSaved  uint64  `json:"bytesSaved"`
-	Evictions   uint64  `json:"evictions,omitempty"`
 }
 
 // TopReplica is one GIS replica row of a top snapshot (present only on
