@@ -227,3 +227,72 @@ func TestDoubleMigrateSequential(t *testing.T) {
 		t.Errorf("session on %s, want %s", s.Node().Name(), firstNode)
 	}
 }
+
+// TestMigrateRefusedWhileCheckpointHoldsSuspend: a migration asked for
+// while a supervisor checkpoint holds the VM suspended is refused at
+// once, without calling done — and leaves the session free: a later
+// checkpoint and a later migration both succeed.
+func TestMigrateRefusedWhileCheckpointHoldsSuspend(t *testing.T) {
+	g := testbed(t)
+	s := startSession(t, g, baseConfig())
+	// An interval of years keeps periodic checkpoints out of the way.
+	sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 100000 * sim.Hour})
+	c := sup.charge(s.Name())
+	k := g.Kernel()
+	other := "compute2"
+	if s.Node().Name() == other {
+		other = "compute1"
+	}
+
+	// Start a checkpoint and stop once its suspend has landed: the VM
+	// stays suspended while the state files stage.
+	held := false
+	sup.checkpoint(c, func(err error) {
+		if err != nil {
+			t.Errorf("holding checkpoint: %v", err)
+		}
+		held = true
+	})
+	deadline := k.Now().Add(10 * sim.Minute)
+	for s.vm.State() != vmm.StateSuspended && k.Now() < deadline {
+		_ = k.RunFor(10 * sim.Millisecond)
+	}
+	if s.vm.State() != vmm.StateSuspended || held {
+		t.Fatalf("no checkpoint holds the VM suspended (vm %v, checkpoint done %v)", s.vm.State(), held)
+	}
+	err := s.Migrate(other, func(err error) {
+		t.Errorf("done called for a refused migration: %v", err)
+	})
+	if !errors.Is(err, vmm.ErrBadState) {
+		t.Fatalf("migrate under a checkpoint suspend = %v, want vmm.ErrBadState", err)
+	}
+	stepUntil(g, 10*sim.Minute, func() bool { return held })
+	if !held {
+		t.Fatal("holding checkpoint never finished")
+	}
+
+	later := false
+	sup.checkpoint(c, func(err error) {
+		if err != nil {
+			t.Errorf("later checkpoint: %v", err)
+		}
+		later = true
+	})
+	stepUntil(g, 10*sim.Minute, func() bool { return later })
+	if !later {
+		t.Fatal("later checkpoint never finished")
+	}
+	migrated := false
+	if err := s.Migrate(other, func(err error) {
+		if err != nil {
+			t.Errorf("later migration: %v", err)
+		}
+		migrated = true
+	}); err != nil {
+		t.Fatalf("later migration refused: %v", err)
+	}
+	stepUntil(g, 20*sim.Minute, func() bool { return migrated })
+	if !migrated || s.Node().Name() != other {
+		t.Fatalf("later migration: done %v, session on %s, want %s", migrated, s.Node().Name(), other)
+	}
+}

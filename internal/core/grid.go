@@ -43,16 +43,18 @@ type Grid struct {
 	info     *gis.Service
 	registry *gram.Registry
 	nodes    map[string]*Node
-	names    []string // node names, sorted: the deterministic iteration order
+	order    []*Node // nodes sorted by name: the deterministic iteration order
 	sessions int
 	live     []*Session // live sessions, sorted by name
 	tracer   *obs.Tracer
 	recorder *obs.FlightRecorder
 
-	telemetry   *telemetry.Collector
-	monitor     *Monitor
-	supervisors []*Supervisor
-	chunks      *chunk.Plane
+	telemetry     *telemetry.Collector
+	stagingSeries *stagingSeries // telemetry handles, resolved on the first scrape
+	gisSeries     *gisSeries     // likewise
+	monitor       *Monitor
+	supervisors   []*Supervisor
+	chunks        *chunk.Plane
 }
 
 // NewGrid creates an empty grid fabric seeded deterministically.
@@ -107,8 +109,8 @@ func (g *Grid) EnableGISReplication(nodes []string) (*gis.Cluster, error) {
 func (g *Grid) EnableChunkedStaging(cfg chunk.Config) *chunk.Plane {
 	p := chunk.NewPlane(cfg)
 	g.chunks = p
-	for _, name := range g.names {
-		g.nodes[name].store.SetChunkPlane(p)
+	for _, n := range g.order {
+		n.store.SetChunkPlane(p)
 	}
 	return p
 }
@@ -160,6 +162,7 @@ type Node struct {
 	name string
 	site string
 	role Role
+	nic  *netsim.Node // the node's network attachment
 
 	host  *hostos.Host
 	store *storage.Store
@@ -184,8 +187,9 @@ type Node struct {
 	// adRetry marks a failed VM-future advertise awaiting retry. Slot
 	// changes are the only other trigger, so without the retry a write
 	// lost to a partition would leave the record stale forever.
-	adRetry bool
-	series  *nodeSeries // telemetry handles, resolved on the first scrape
+	adRetry  bool
+	series   *nodeSeries // telemetry handles, resolved on the first scrape
+	forecast *forecast   // the monitor's load forecast; nil when unwatched
 }
 
 // NodeConfig describes a node to attach.
@@ -234,7 +238,7 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 		n.store.SetChunkPlane(g.chunks)
 	}
 	n.vfsrv = vfs.NewServer(n.store)
-	g.net.AddNode(cfg.Name)
+	n.nic = g.net.AddNode(cfg.Name)
 	if cfg.Role&RoleCompute != 0 {
 		n.gk = gram.NewGatekeeper(host)
 		n.gk.SetTracer(g.tracer)
@@ -260,8 +264,8 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.advertise()
 	g.nodes[cfg.Name] = n
-	i, _ := slices.BinarySearch(g.names, cfg.Name)
-	g.names = slices.Insert(g.names, i, cfg.Name)
+	i, _ := slices.BinarySearchFunc(g.order, cfg.Name, func(n *Node, name string) int { return strings.Compare(n.name, name) })
+	g.order = slices.Insert(g.order, i, n)
 	return n, nil
 }
 

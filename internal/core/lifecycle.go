@@ -157,7 +157,7 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 
 	if s.state == StateRunning {
 		s.mark("migrate-suspend")
-		return s.vm.Suspend(func(err error) {
+		err := s.vm.Suspend(func(err error) {
 			if err != nil {
 				finish(err)
 				return
@@ -165,6 +165,14 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 			suspended = true
 			transfer()
 		})
+		if err != nil {
+			// Refused outright (a supervisor checkpoint holds the VM
+			// suspended): nothing was frozen or moved, so the session is
+			// free again and the caller, not done, hears the error.
+			s.migrating = false
+			msp.EndErr(err)
+		}
+		return err
 	}
 	// Already hibernated: state is on disk, transfer directly.
 	s.mark("migrate-transfer")

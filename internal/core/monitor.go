@@ -11,14 +11,14 @@ import (
 // advertisement (Node.advertise, the record's only writer) carries the
 // *predicted* load — so FindFutures ranks placements by where load is
 // going, not just where it is. Each tick re-advertises every compute
-// node so the records follow the forecasts.
+// node so the records follow the forecasts. Each watched node holds its
+// own forecast (Node.forecast).
 type Monitor struct {
-	grid      *Grid
-	forecasts map[string]*forecast
-	running   bool
-	next      sim.EventID
-	tickFn    func() // tick, bound once so rearming allocates nothing
-	ticks     int
+	grid    *Grid
+	running bool
+	next    sim.EventID
+	tickFn  func() // tick, bound once so rearming allocates nothing
+	ticks   int
 }
 
 // forecast is one node's sensor, AR model, and memoized prediction.
@@ -41,12 +41,8 @@ const monitorInterval = sim.Second
 // StartMonitor begins sampling every compute node's load once per
 // monitorInterval and refreshing its VM future with the forecast.
 func (g *Grid) StartMonitor() (*Monitor, error) {
-	m := &Monitor{
-		grid:      g,
-		forecasts: make(map[string]*forecast),
-	}
-	for _, name := range g.names {
-		node := g.nodes[name]
+	m := &Monitor{grid: g}
+	for _, node := range g.order {
 		if node.gk == nil {
 			continue
 		}
@@ -61,7 +57,7 @@ func (g *Grid) StartMonitor() (*Monitor, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.forecasts[name] = &forecast{sensor: sensor, model: ar}
+		node.forecast = &forecast{sensor: sensor, model: ar}
 		sensor.Start()
 	}
 	m.tickFn = m.tick
@@ -79,20 +75,26 @@ func (m *Monitor) Stop() {
 	m.running = false
 	m.grid.k.Cancel(m.next)
 	m.next = sim.EventID{}
-	for _, name := range m.grid.names {
-		if f := m.forecasts[name]; f != nil {
-			f.sensor.Stop()
+	for _, n := range m.grid.order {
+		if n.forecast != nil {
+			n.forecast.sensor.Stop()
 		}
 	}
 }
 
 // PredictedLoad returns the current forecast for a node (falls back to
-// the last sample until the model has enough history).
+// the last sample until the model has enough history), or 0 for a node
+// the monitor does not watch.
 func (m *Monitor) PredictedLoad(node string) float64 {
-	f, ok := m.forecasts[node]
-	if !ok {
-		return 0
+	if n := m.grid.nodes[node]; n != nil && n.forecast != nil {
+		return n.forecast.current()
 	}
+	return 0
+}
+
+// current returns the forecast, recomputing it only when the sensor
+// has taken a new sample since the last call.
+func (f *forecast) current() float64 {
 	series := f.sensor.Series()
 	if f.at != series.Total() {
 		f.at, f.load = series.Total(), f.predict(series)
@@ -123,8 +125,8 @@ func (m *Monitor) tick() {
 		return
 	}
 	m.ticks++
-	for _, name := range m.grid.names {
-		m.grid.nodes[name].advertise()
+	for _, n := range m.grid.order {
+		n.advertise()
 	}
 	m.next = m.grid.k.After(monitorInterval, m.tickFn)
 }

@@ -99,7 +99,7 @@ func TestMonitorQueryLanguageIntegration(t *testing.T) {
 // on the node's whole current history.
 func freshForecast(t *testing.T, m *Monitor, node string) float64 {
 	t.Helper()
-	series := m.forecasts[node].sensor.Series()
+	series := m.grid.nodes[node].forecast.sensor.Series()
 	if series.Len() < 32 {
 		return series.Last()
 	}
@@ -142,7 +142,7 @@ func TestPredictedLoadMemoMatchesFreshModel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := m.forecasts["compute1"].sensor.Series().Total(); n <= 512 {
+	if n := m.grid.nodes["compute1"].forecast.sensor.Series().Total(); n <= 512 {
 		t.Fatalf("ring never wrapped: %d samples", n)
 	}
 }
@@ -163,7 +163,7 @@ func BenchmarkPredictedLoad(b *testing.B) {
 	if err := g.Kernel().RunFor(600 * sim.Second); err != nil {
 		b.Fatal(err)
 	}
-	series := m.forecasts["compute1"].sensor.Series()
+	series := m.grid.nodes["compute1"].forecast.sensor.Series()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vmgrid/internal/gis"
+	"vmgrid/internal/netsim"
 	"vmgrid/internal/placement"
 )
 
@@ -47,30 +48,20 @@ func WithPriority(p int) CreateOption {
 	return func(o *createOptions) { o.priority = p }
 }
 
-// biReachable reports whether a and b can currently route to each
-// other in both directions — the requirement for any control-plane
-// exchange that needs a reply. Placement demands it of every probe
-// node so a half-dead candidate with a muted transmit side cannot be
-// chosen and hang the operation.
-func (g *Grid) biReachable(a, b string) bool {
-	if a == b {
-		return true
-	}
-	if _, err := g.net.Latency(a, b, 0); err != nil {
-		return false
-	}
-	if _, err := g.net.Latency(b, a, 0); err != nil {
-		return false
-	}
-	return true
-}
-
 // futureCandidates converts VM-future entries (in the information
 // service's ranking order) into placement candidates, dropping any
 // that cannot actually host right now: crashed or non-compute nodes,
 // full nodes, nodes missing a required image, the excluded node, and
-// nodes not bidirectionally reachable from every probe node.
+// nodes not bidirectionally reachable from every probe node. Two-way
+// reachability is what any control-plane exchange that needs a reply
+// requires, so a half-dead candidate with a muted transmit side cannot
+// be chosen and hang the operation.
 func (g *Grid) futureCandidates(futures []gis.Entry, image, exclude string, probes ...string) []placement.Candidate {
+	var buf [2]*netsim.Node // probes resolved once, on the stack
+	nics := buf[:0]
+	for _, p := range probes {
+		nics = append(nics, g.net.Node(p))
+	}
 	out := make([]placement.Candidate, 0, len(futures))
 next:
 	for _, e := range futures {
@@ -86,8 +77,8 @@ next:
 				continue
 			}
 		}
-		for _, p := range probes {
-			if !g.biReachable(p, e.Name) {
+		for _, p := range nics {
+			if !g.net.Reachable(p, n.nic) {
 				continue next
 			}
 		}
@@ -106,10 +97,8 @@ next:
 // predictedLoad is the node's RPS forecast when the monitor watches
 // it, else its live load average.
 func (g *Grid) predictedLoad(n *Node) float64 {
-	if g.monitor != nil {
-		if _, ok := g.monitor.forecasts[n.name]; ok {
-			return g.monitor.PredictedLoad(n.name)
-		}
+	if n.forecast != nil {
+		return n.forecast.current()
 	}
 	return n.host.LoadAverage()
 }
@@ -175,10 +164,10 @@ func (g *Grid) sessionBusy(name string) bool {
 
 // computeNodes returns the live compute nodes in name order.
 func (g *Grid) computeNodes() []string {
-	out := make([]string, 0, len(g.names))
-	for _, name := range g.names {
-		if n := g.nodes[name]; n.gk != nil && !n.crashed {
-			out = append(out, name)
+	out := make([]string, 0, len(g.order))
+	for _, n := range g.order {
+		if n.gk != nil && !n.crashed {
+			out = append(out, n.name)
 		}
 	}
 	return out

@@ -387,7 +387,7 @@ func (sup *Supervisor) heartbeat(c *charge) {
 func (sup *Supervisor) sweepZombies(c *charge) {
 	var ripe []int64
 	for _, z := range c.zombies {
-		if z.node != nil && sup.g.biReachable(sup.cfg.StableNode, z.node.name) {
+		if z.node != nil && sup.g.net.Reachable(sup.g.net.Node(sup.cfg.StableNode), z.node.nic) {
 			ripe = append(ripe, z.epoch)
 		}
 	}

@@ -100,7 +100,13 @@ func (g *Grid) DefaultAlertRules() error {
 
 // NodeNames returns every node name, sorted — the deterministic scrape
 // and display order. The slice is the caller's.
-func (g *Grid) NodeNames() []string { return slices.Clone(g.names) }
+func (g *Grid) NodeNames() []string {
+	out := make([]string, len(g.order))
+	for i, n := range g.order {
+		out[i] = n.name
+	}
+	return out
+}
 
 // LiveSessions returns the live sessions in name order. The slice is
 // the caller's.
@@ -124,12 +130,22 @@ type leaseSeries struct {
 	age, epoch *telemetry.Handle
 }
 
+// The grid-wide staging and registry series are held by the grid,
+// resolved on the first scrape that records them.
+type stagingSeries struct {
+	hits, misses, saved *telemetry.Handle
+}
+
+type gisSeries struct {
+	lag      []*telemetry.Handle // per replica, in cluster order
+	minority *telemetry.Handle
+}
+
 func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
-	for _, name := range g.names {
-		n := g.nodes[name]
+	for _, n := range g.order {
 		ts := n.series
 		if ts == nil {
-			lbl := telemetry.L("node", name)
+			lbl := telemetry.L("node", n.name)
 			ts = &nodeSeries{
 				crashed:   r.Handle("node.crashed", lbl),
 				runnable:  r.Handle("node.runnable", lbl),
@@ -150,10 +166,8 @@ func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
 		r.Put(ts.runnable, float64(n.host.Runnable()))
 		r.Put(ts.load, n.host.LoadAverage())
 		r.Put(ts.slots, float64(n.slots))
-		if g.monitor != nil {
-			if _, ok := g.monitor.forecasts[name]; ok {
-				r.Put(ts.predicted, g.monitor.PredictedLoad(name))
-			}
+		if n.forecast != nil {
+			r.Put(ts.predicted, n.forecast.current())
 		}
 	}
 }
@@ -219,10 +233,19 @@ func (g *Grid) scrapeStaging(r *telemetry.Recorder) {
 	if g.chunks == nil {
 		return
 	}
+	ts := g.stagingSeries
+	if ts == nil {
+		ts = &stagingSeries{
+			hits:   r.Handle("staging.chunk.hits"),
+			misses: r.Handle("staging.chunk.misses"),
+			saved:  r.Handle("staging.bytes_saved"),
+		}
+		g.stagingSeries = ts
+	}
 	st := g.chunks.Stats()
-	r.Record("staging.chunk.hits", float64(st.Hits))
-	r.Record("staging.chunk.misses", float64(st.Misses))
-	r.Record("staging.bytes_saved", float64(st.BytesSaved))
+	r.Put(ts.hits, float64(st.Hits))
+	r.Put(ts.misses, float64(st.Misses))
+	r.Put(ts.saved, float64(st.BytesSaved))
 }
 
 // scrapeGIS records replication health when the registry is clustered:
@@ -234,8 +257,16 @@ func (g *Grid) scrapeGIS(r *telemetry.Recorder) {
 	if cl == nil {
 		return
 	}
-	for i := 0; i < cl.Size(); i++ {
-		r.Record("gis.replica.lag", cl.Lag(i).Seconds(), telemetry.L("replica", cl.Node(i)))
+	ts := g.gisSeries
+	if ts == nil {
+		ts = &gisSeries{minority: r.Handle("gis.minority_writes")}
+		for i := 0; i < cl.Size(); i++ {
+			ts.lag = append(ts.lag, r.Handle("gis.replica.lag", telemetry.L("replica", cl.Node(i))))
+		}
+		g.gisSeries = ts
 	}
-	r.Record("gis.minority_writes", float64(cl.MinorityWrites()))
+	for i, h := range ts.lag {
+		r.Put(h, cl.Lag(i).Seconds())
+	}
+	r.Put(ts.minority, float64(cl.MinorityWrites()))
 }

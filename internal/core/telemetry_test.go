@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmgrid/internal/chunk"
 	"vmgrid/internal/guest"
 	"vmgrid/internal/obs"
 	"vmgrid/internal/sim"
@@ -13,10 +14,10 @@ import (
 	"vmgrid/internal/vfs"
 )
 
-// keyedScrapes are the node, session, lease and registry scrapes as they
-// were before the sources recorded through handles: every sample keyed
-// by name and labels, in sorted-name order. The handle equivalence test
-// runs them into a second collector as the reference.
+// keyedScrapes are the grid's scrape sources as they were before they
+// recorded through handles: every sample keyed by name and labels, in
+// sorted-name order. The handle equivalence test runs them into a
+// second collector as the reference.
 func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 	nodes := func(r *telemetry.Recorder) {
 		for _, name := range g.NodeNames() {
@@ -33,10 +34,8 @@ func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 			r.Record("node.runnable", float64(n.host.Runnable()), lbl)
 			r.Record("node.load", n.host.LoadAverage(), lbl)
 			r.Record("node.slots", float64(n.slots), lbl)
-			if g.monitor != nil {
-				if _, ok := g.monitor.forecasts[name]; ok {
-					r.Record("node.predicted_load", g.monitor.PredictedLoad(name), lbl)
-				}
+			if g.monitor != nil && n.forecast != nil {
+				r.Record("node.predicted_load", g.monitor.PredictedLoad(name), lbl)
 			}
 		}
 	}
@@ -83,6 +82,25 @@ func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 			}
 		}
 	}
+	staging := func(r *telemetry.Recorder) {
+		if g.chunks == nil {
+			return
+		}
+		st := g.chunks.Stats()
+		r.Record("staging.chunk.hits", float64(st.Hits))
+		r.Record("staging.chunk.misses", float64(st.Misses))
+		r.Record("staging.bytes_saved", float64(st.BytesSaved))
+	}
+	registry := func(r *telemetry.Recorder) {
+		cl := g.info.Cluster()
+		if cl == nil {
+			return
+		}
+		for i := 0; i < cl.Size(); i++ {
+			r.Record("gis.replica.lag", cl.Lag(i).Seconds(), telemetry.L("replica", cl.Node(i)))
+		}
+		r.Record("gis.minority_writes", float64(cl.MinorityWrites()))
+	}
 	feed := func(r *telemetry.Recorder) {
 		snap := reg.Snapshot()
 		lbl := telemetry.L("src", "grid")
@@ -97,7 +115,7 @@ func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 			r.Record(p.Name+".mean_sec", p.MeanSec, lbl)
 		}
 	}
-	return []telemetry.Source{nodes, sessions, leases, g.scrapeGIS, g.scrapeStaging, feed}
+	return []telemetry.Source{nodes, sessions, leases, registry, staging, feed}
 }
 
 // requireSameSeries fails unless two stores hold the same keys, every
@@ -127,11 +145,16 @@ func requireSameSeries(t *testing.T, step int, got, want *telemetry.DB, points b
 // sources and, at the same instants, through keyed Record in a second
 // collector, across a run where sessions start, come under supervision,
 // crash with their node, fail over, and shut down while the node
-// reboots. After every scrape the two stores must hold the same keys —
-// so no handle creates a series before its first sample — and every
-// tenth scrape (well inside the 512-sample rings) the same points.
+// reboots, on a grid with a replicated registry and a chunk plane.
+// After every scrape the two stores must hold the same keys — so no
+// handle creates a series before its first sample — and every tenth
+// scrape (well inside the 512-sample rings) the same points.
 func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 	g := testbed(t)
+	g.EnableChunkedStaging(chunk.Config{})
+	if _, err := g.EnableGISReplication([]string{"data", "front", "images"}); err != nil {
+		t.Fatal(err)
+	}
 	g.SetTracer(obs.New(g.Kernel()))
 	col, err := g.EnableTelemetry()
 	if err != nil {
@@ -217,6 +240,10 @@ func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 		"vfs.retries{sess=",
 		".count{src=grid}",
 		".mean_sec{src=grid}",
+		"gis.replica.lag{replica=images}",
+		"gis.minority_writes",
+		"staging.chunk.hits",
+		"staging.bytes_saved",
 	} {
 		if !strings.Contains(keys, want) {
 			t.Errorf("no series matching %q: the run did not cover it", want)
@@ -226,10 +253,14 @@ func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 
 // TestScrapeNodesZeroAllocs guards the steady-state node scrape: once
 // every node's handles are resolved and bound, a scrape — crashed node,
-// monitor forecasts and all — allocates nothing. So do the session and
-// lease scrapes.
+// monitor forecasts and all — allocates nothing. So do the session,
+// lease, staging and registry scrapes.
 func TestScrapeNodesZeroAllocs(t *testing.T) {
 	g := testbed(t)
+	g.EnableChunkedStaging(chunk.Config{})
+	if _, err := g.EnableGISReplication([]string{"data", "front", "images"}); err != nil {
+		t.Fatal(err)
+	}
 	col, err := g.EnableTelemetry()
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +283,8 @@ func TestScrapeNodesZeroAllocs(t *testing.T) {
 		"scrapeNodes":    g.scrapeNodes,
 		"scrapeSessions": g.scrapeSessions,
 		"scrapeLeases":   g.scrapeLeases,
+		"scrapeStaging":  g.scrapeStaging,
+		"scrapeGIS":      g.scrapeGIS,
 	} {
 		if allocs := testing.AllocsPerRun(100, func() { scrape(rec) }); allocs != 0 {
 			t.Errorf("%s allocates %v times per scrape in steady state, want 0", name, allocs)

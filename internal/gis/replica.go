@@ -79,6 +79,7 @@ type logEntry struct {
 type Replica struct {
 	Svc  *Service
 	Node string
+	at   *netsim.Node // Node, resolved once
 
 	meta map[string]metaEntry
 	// newest is the largest stamp in meta. Entries are only ever
@@ -139,6 +140,7 @@ type Cluster struct {
 	net  *netsim.Network
 	reps []*Replica
 
+	reach          []bool // write's per-replica reachability, reused
 	seq            uint64
 	gossipEvery    sim.Duration
 	running        bool
@@ -173,7 +175,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 	if gossipEvery <= 0 {
 		gossipEvery = DefaultGossipInterval
 	}
-	c := &Cluster{k: primary.k, net: net, gossipEvery: gossipEvery}
+	c := &Cluster{k: primary.k, net: net, gossipEvery: gossipEvery, reach: make([]bool, len(nodes))}
 	c.tickFn = c.tick
 	for i, n := range nodes {
 		svc := primary
@@ -185,7 +187,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 		}
 		svc.cluster = c
 		svc.home = n
-		r := &Replica{Svc: svc, Node: n, meta: make(map[string]metaEntry, len(primary.records))}
+		r := &Replica{Svc: svc, Node: n, at: net.Node(n), meta: make(map[string]metaEntry, len(primary.records))}
 		c.reps = append(c.reps, r)
 	}
 	for _, src := range c.reps {
@@ -280,7 +282,7 @@ func (c *Cluster) gossip() {
 			if p == nil || l.delivered != p.from {
 				p = &gossipPayload{entries: src.changesSince(l.delivered), from: l.delivered, upTo: src.ver}
 			}
-			_ = c.net.Send(src.Node, l.dst.Node, size, p, l.deliver)
+			_ = src.at.Send(l.dst.at, size, p, l.deliver)
 		}
 	}
 }
@@ -359,30 +361,20 @@ func (r *Replica) adopt(key string, m stamped) {
 	}
 }
 
-// reachable reports whether a control-plane RPC between two nodes would
-// complete — both the request and the reply direction must route, so
-// one-way partitions fail it.
-func (c *Cluster) reachable(a, b string) bool {
-	if a == b {
-		return true
-	}
-	if _, err := c.net.Latency(a, b, 0); err != nil {
-		return false
-	}
-	if _, err := c.net.Latency(b, a, 0); err != nil {
-		return false
-	}
-	return true
-}
-
 // write is the quorum write path behind Register/Deregister on a
 // replicated Service: judged from the originating node, applied to
 // every replica that node can currently reach, rejected fail-closed
-// with ErrNoQuorum from the minority side.
+// with ErrNoQuorum from the minority side. A replica counts as
+// reachable when a control-plane RPC to it would complete: both the
+// request and the reply direction must route, so one-way partitions
+// fail it. Reachability is judged once per replica and used for both
+// the quorum count and the apply.
 func (c *Cluster) write(origin string, kind Kind, name string, attrs map[string]any, ttl sim.Duration, del bool) error {
+	from := c.net.Node(origin)
 	reach := 0
-	for _, r := range c.reps {
-		if c.reachable(origin, r.Node) {
+	for i, r := range c.reps {
+		c.reach[i] = c.net.Reachable(from, r.at)
+		if c.reach[i] {
 			reach++
 		}
 	}
@@ -404,8 +396,8 @@ func (c *Cluster) write(origin string, kind Kind, name string, attrs map[string]
 		}
 	}
 	k := key(kind, name)
-	for _, r := range c.reps {
-		if c.reachable(origin, r.Node) {
+	for i, r := range c.reps {
+		if c.reach[i] {
 			r.install(k, m, e)
 		}
 	}
@@ -419,8 +411,9 @@ func (c *Cluster) write(origin string, kind Kind, name string, attrs map[string]
 // read always sees the latest committed epoch.
 func (c *Cluster) BumpEpoch(origin, session string) (int64, error) {
 	var cur int64
+	from := c.net.Node(origin)
 	for _, r := range c.reps {
-		if !c.reachable(origin, r.Node) {
+		if !c.net.Reachable(from, r.at) {
 			continue
 		}
 		if e := r.Svc.Epoch(session); e > cur {
@@ -445,8 +438,9 @@ func (c *Cluster) GuardAt(node, session string, token int64) func() error {
 		guards[i] = r.Svc.EpochGuard(session, token)
 	}
 	return func() error {
+		from := c.net.Node(node)
 		for i, r := range c.reps {
-			if c.reachable(node, r.Node) {
+			if c.net.Reachable(from, r.at) {
 				return guards[i]()
 			}
 		}
@@ -540,18 +534,20 @@ func (c *Cluster) ClientAt(node string, pol retry.Policy) *Client {
 // the client's node, probing at most the policy's attempt budget.
 func (cl *Client) serving() (*Replica, bool, error) {
 	attempts := cl.pol.Attempts()
+	net := cl.c.net
+	from := net.Node(cl.node)
 	for i, r := range cl.c.reps {
 		if i >= attempts {
 			break
 		}
-		if !cl.c.reachable(cl.node, r.Node) {
+		if !net.Reachable(from, r.at) {
 			continue
 		}
 		// Stale when the serving replica cannot itself assemble a
 		// quorum: committed writes may be missing from its view.
 		reach := 0
 		for _, p := range cl.c.reps {
-			if cl.c.reachable(r.Node, p.Node) {
+			if net.Reachable(r.at, p.at) {
 				reach++
 			}
 		}

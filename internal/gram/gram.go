@@ -306,8 +306,12 @@ func Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
 	if dst.Has(asName) {
 		return fmt.Errorf("gram: stage: %w: %s", storage.ErrExists, asName)
 	}
+	from, to := net.Node(srcNode), net.Node(dstNode)
+	if from == nil || to == nil {
+		return fmt.Errorf("gram: stage %q: %s->%s: unknown node", file, srcNode, dstNode)
+	}
 	if plane := src.ChunkPlane(); plane != nil && plane == dst.ChunkPlane() {
-		return stageChunked(net, srcNode, src, file, dstNode, dst, asName, size, done)
+		return stageChunked(net.Kernel(), from, src, file, to, dst, asName, size, done)
 	}
 	if err := dst.Create(asName, 0); err != nil {
 		return err
@@ -333,7 +337,7 @@ func Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
 			n = size - off
 		}
 		srcFile.ReadSequential(off, n, func() {
-			sendErr := net.Send(srcNode, dstNode, n, nil, func(any) {
+			sendErr := from.Send(to, n, nil, func(any) {
 				dstFile.Write(off, n, func() {
 					step(off + n)
 				})
@@ -350,8 +354,8 @@ func Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
 // stageChunked is the content-addressed staging path: manifest
 // negotiation, dedup against the destination's chunk cache, then a
 // double-buffered pipeline over the missing chunks.
-func stageChunked(net *netsim.Network, srcNode string, src *storage.Store, file string,
-	dstNode string, dst *storage.Store, asName string, size int64, done func(error)) error {
+func stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file string,
+	to *netsim.Node, dst *storage.Store, asName string, size int64, done func(error)) error {
 	plane := src.ChunkPlane()
 	// The manifest snapshot is taken now, synchronously: a stage
 	// launched in the same event as a suspend captures the frozen
@@ -375,14 +379,14 @@ func stageChunked(net *netsim.Network, srcNode string, src *storage.Store, file 
 		}
 	}
 	if len(keys) == 0 {
-		net.Kernel().After(0, func() { finish(nil) })
+		k.After(0, func() { finish(nil) })
 		return nil
 	}
 	cache := plane.CacheFor(dst.Host().Name())
 	// Round trip 1: the source ships the chunk manifest (8 bytes per
 	// key plus the control envelope).
 	manifestBytes := int64(len(keys))*8 + ControlMsgBytes
-	sendErr := net.Send(srcNode, dstNode, manifestBytes, nil, func(any) {
+	sendErr := from.Send(to, manifestBytes, nil, func(any) {
 		// At the destination: chunks already in the cache materialize by
 		// reference; the rest are requested back as a needed-chunk
 		// bitmap.
@@ -396,8 +400,8 @@ func stageChunked(net *netsim.Network, srcNode string, src *storage.Store, file 
 			}
 		}
 		replyBytes := int64(len(keys)+7)/8 + ControlMsgBytes
-		sendErr := net.Send(dstNode, srcNode, replyBytes, nil, func(any) {
-			stagePipeline(net, srcNode, dstNode, srcFile, dstFile, plane, size, keys, missing, finish)
+		sendErr := to.Send(from, replyBytes, nil, func(any) {
+			stagePipeline(from, to, srcFile, dstFile, plane, size, keys, missing, finish)
 		})
 		if sendErr != nil {
 			finish(sendErr)
@@ -415,17 +419,17 @@ func stageChunked(net *netsim.Network, srcNode string, src *storage.Store, file 
 // flight at once: read chunk i+1 from the source disk while chunk i is
 // on the wire or being written — the copy stays busy end to end instead
 // of serializing read, send, write.
-func stagePipeline(net *netsim.Network, srcNode, dstNode string,
+func stagePipeline(from, to *netsim.Node,
 	srcFile, dstFile *storage.LocalFile, plane *chunk.Plane, size int64,
 	keys []chunk.Key, missing []int, finish func(error)) {
-	p := &pipeline{net: net, srcNode: srcNode, dstNode: dstNode,
+	p := &pipeline{from: from, to: to,
 		srcFile: srcFile, dstFile: dstFile, plane: plane, size: size,
 		keys: keys, missing: missing, finish: finish,
 		free: make([]*stageSlot, 0, stageWindow)}
 	for j := range p.slots {
 		sl := &p.slots[j]
 		sl.read = func() {
-			if err := p.net.Send(p.srcNode, p.dstNode, sl.n, nil, sl.deliver); err != nil {
+			if err := p.from.Send(p.to, sl.n, nil, sl.deliver); err != nil {
 				p.fail(err)
 			}
 		}
@@ -444,8 +448,7 @@ func stagePipeline(net *netsim.Network, srcNode, dstNode string,
 // continuations are bound once per stage, so moving a chunk allocates
 // nothing.
 type pipeline struct {
-	net              *netsim.Network
-	srcNode, dstNode string
+	from, to         *netsim.Node
 	srcFile, dstFile *storage.LocalFile
 	plane            *chunk.Plane
 	size             int64

@@ -6,6 +6,13 @@
 // topology changes: a link failure only discards the cached routes of
 // sources whose shortest-path tree actually used that link.
 //
+// Names are resolved once. Every node gets a dense id when it is added,
+// and a source's route state is a set of id-indexed tables held on the
+// source node itself, so a message that carries its destination node
+// crosses each hop without a string lookup. Network.Send is the
+// name-resolving entry into Node.Send; callers on hot paths resolve
+// their nodes once and send between them directly.
+//
 // Two canonical topologies bracket the paper's testbed: a switched
 // 100 Mbit LAN (Table 2's "within a LAN" startup measurements) and the
 // Northwestern–Florida WAN path used by the PVFS rows of Table 1.
@@ -36,31 +43,18 @@ const (
 type Network struct {
 	k             *sim.Kernel
 	nodes         map[string]*Node
-	routes        map[string]*srcRoutes
+	byID          []*Node // every node, indexed by id (AddNode order)
 	routeComputes uint64
 	drops         uint64
 	bytesSent     uint64
 
 	freeMsgs *message
-}
-
-// srcRoutes is one source node's shortest-path state: the next-hop
-// table plus the BFS distances and tree parents that incremental
-// invalidation consults. A cached entry is only kept across a topology
-// change when a fresh BFS would provably reproduce it bit for bit.
-type srcRoutes struct {
-	next   map[string]string // dst -> first hop
-	dist   map[string]int    // node -> hop count (absent = unreachable)
-	parent map[string]string // node -> BFS tree predecessor
+	queue    []*Node // BFS scratch, reused by every route computation
 }
 
 // New creates an empty network.
 func New(k *sim.Kernel) *Network {
-	return &Network{
-		k:      k,
-		nodes:  make(map[string]*Node),
-		routes: make(map[string]*srcRoutes),
-	}
+	return &Network{k: k, nodes: make(map[string]*Node)}
 }
 
 // Kernel returns the simulation kernel.
@@ -72,15 +66,18 @@ func (n *Network) Node(name string) *Node { return n.nodes[name] }
 // Nodes returns the number of nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
 
-// AddNode creates a node. Adding an existing name returns the existing
-// node, so topology builders can be idempotent. A fresh node has no
-// links, so existing cached routes stay valid as-is.
+// AddNode creates a node with the next dense id. Adding an existing
+// name returns the existing node, so topology builders can be
+// idempotent. A fresh node has no links, so existing cached routes stay
+// valid as-is: their tables simply end before the new id, which reads
+// as unreachable.
 func (n *Network) AddNode(name string) *Node {
 	if node, ok := n.nodes[name]; ok {
 		return node
 	}
-	node := &Node{net: n, name: name, links: make(map[string]*link, 4)}
+	node := &Node{net: n, name: name, id: len(n.byID), links: make(map[string]*link, 4)}
 	n.nodes[name] = node
+	n.byID = append(n.byID, node)
 	return node
 }
 
@@ -96,9 +93,9 @@ func (n *Network) Connect(a, b string, latency sim.Duration, bandwidthBps float6
 	}
 	na.links[b] = &link{net: n, to: nb, latency: latency, bwBps: bandwidthBps}
 	nb.links[a] = &link{net: n, to: na, latency: latency, bwBps: bandwidthBps}
-	na.sortedPeers = nil
-	nb.sortedPeers = nil
-	n.invalidateEdgeUp(a, b)
+	na.sorted = nil
+	nb.sorted = nil
+	n.invalidateEdgeUp(na, nb)
 	return nil
 }
 
@@ -131,9 +128,9 @@ func (n *Network) SetLinkUp(a, b string, up bool) error {
 	la.down = !up
 	lb.down = !up
 	if up {
-		n.invalidateEdgeUp(a, b)
+		n.invalidateEdgeUp(na, nb)
 	} else {
-		n.invalidateEdgeDown(a, b)
+		n.invalidateEdgeDown(na, nb)
 	}
 	return nil
 }
@@ -145,8 +142,8 @@ func (n *Network) SetLinkUp(a, b string, up bool) error {
 // failure only discards sources whose BFS tree traversed that exact
 // directed edge.
 func (n *Network) SetLinkDirUp(from, to string, up bool) error {
-	nf := n.nodes[from]
-	if nf == nil || n.nodes[to] == nil {
+	nf, nt := n.nodes[from], n.nodes[to]
+	if nf == nil || nt == nil {
 		return fmt.Errorf("netsim: set link dir %q->%q: unknown node", from, to)
 	}
 	l := nf.links[to]
@@ -154,11 +151,7 @@ func (n *Network) SetLinkDirUp(from, to string, up bool) error {
 		return fmt.Errorf("netsim: set link dir %q->%q: no such link", from, to)
 	}
 	l.down = !up
-	if up {
-		n.invalidateDirEdgeUp(from, to)
-	} else {
-		n.invalidateDirEdgeDown(from, to)
-	}
+	n.invalidateDir(nf, nt, up)
 	return nil
 }
 
@@ -173,22 +166,17 @@ func (n *Network) SetNodeDirUp(name string, outbound, up bool) error {
 	if nd == nil {
 		return fmt.Errorf("netsim: set node dir %q: unknown node", name)
 	}
-	for peer := range nd.links {
-		var from, to string
+	for _, l := range nd.peerLinks() {
+		peer := l.to
 		if outbound {
-			nd.links[peer].down = !up
-			from, to = name, peer
-		} else {
-			if back := n.nodes[peer].links[name]; back != nil {
-				back.down = !up
-			}
-			from, to = peer, name
+			l.down = !up
+			n.invalidateDir(nd, peer, up)
+			continue
 		}
-		if up {
-			n.invalidateDirEdgeUp(from, to)
-		} else {
-			n.invalidateDirEdgeDown(from, to)
+		if back := peer.links[name]; back != nil {
+			back.down = !up
 		}
+		n.invalidateDir(peer, nd, up)
 	}
 	return nil
 }
@@ -201,16 +189,16 @@ func (n *Network) SetNodeUp(name string, up bool) error {
 	if nd == nil {
 		return fmt.Errorf("netsim: set node %q: unknown node", name)
 	}
-	for peer, l := range nd.links {
+	for _, l := range nd.peerLinks() {
 		l.down = !up
-		if back := n.nodes[peer].links[name]; back != nil {
+		if back := l.to.links[name]; back != nil {
 			back.down = !up
 		}
 	}
 	if up {
 		n.invalidateNodeUp(nd)
 	} else {
-		n.invalidateNodeDown(name)
+		n.invalidateNodeDown(nd)
 	}
 	return nil
 }
@@ -219,10 +207,10 @@ func (n *Network) SetNodeUp(name string, up bool) error {
 // tree crossed the a<->b edge. For any other source the edge was only
 // ever examined after both endpoints were visited, so a fresh BFS
 // without it walks the identical traversal.
-func (n *Network) invalidateEdgeDown(a, b string) {
-	for src, r := range n.routes {
-		if r.parent[a] == b || r.parent[b] == a {
-			delete(n.routes, src)
+func (n *Network) invalidateEdgeDown(a, b *Node) {
+	for _, src := range n.byID {
+		if src.routed && (src.parentOf(a) == b.id || src.parentOf(b) == a.id) {
+			src.routed = false
 		}
 	}
 }
@@ -233,17 +221,28 @@ func (n *Network) invalidateEdgeDown(a, b string) {
 // (the edge lives entirely outside its component), or both sit at the
 // same BFS depth (each end is already visited before the other's
 // adjacency scan reaches the new edge, so the traversal is unchanged).
-func (n *Network) invalidateEdgeUp(a, b string) {
-	for src, r := range n.routes {
-		da, oka := r.dist[a]
-		db, okb := r.dist[b]
-		if !oka && !okb {
-			continue
+func (n *Network) invalidateEdgeUp(a, b *Node) {
+	for _, src := range n.byID {
+		if src.routed && !src.keepsEdgeUp(a, b) {
+			src.routed = false
 		}
-		if oka && okb && da == db {
-			continue
-		}
-		delete(n.routes, src)
+	}
+}
+
+// keepsEdgeUp is invalidateEdgeUp's keep test for one source.
+func (nd *Node) keepsEdgeUp(a, b *Node) bool {
+	da, oka := nd.depth(a)
+	db, okb := nd.depth(b)
+	return !oka && !okb || oka && okb && da == db
+}
+
+// invalidateDir applies a from->to direction change: invalidateDirEdgeUp
+// when it comes back, invalidateDirEdgeDown when it fails.
+func (n *Network) invalidateDir(from, to *Node, up bool) {
+	if up {
+		n.invalidateDirEdgeUp(from, to)
+	} else {
+		n.invalidateDirEdgeDown(from, to)
 	}
 }
 
@@ -252,10 +251,10 @@ func (n *Network) invalidateEdgeUp(a, b string) {
 // whose BFS tree discovered to through from. Trees that crossed the
 // link the other way (parent[from] == to) traversed the still-healthy
 // to->from direction and stay valid.
-func (n *Network) invalidateDirEdgeDown(from, to string) {
-	for src, r := range n.routes {
-		if r.parent[to] == from {
-			delete(n.routes, src)
+func (n *Network) invalidateDirEdgeDown(from, to *Node) {
+	for _, src := range n.byID {
+		if src.routed && src.parentOf(to) == from.id {
+			src.routed = false
 		}
 	}
 }
@@ -266,16 +265,19 @@ func (n *Network) invalidateDirEdgeDown(from, to string) {
 // discovered at a depth ≤ from's (so the scan of from skips the edge).
 // A to exactly one hop deeper than from could tie with the edge's new
 // offer, and tie-breaking depends on scan order — invalidate.
-func (n *Network) invalidateDirEdgeUp(from, to string) {
-	for src, r := range n.routes {
-		df, okf := r.dist[from]
+func (n *Network) invalidateDirEdgeUp(from, to *Node) {
+	for _, src := range n.byID {
+		if !src.routed {
+			continue
+		}
+		df, okf := src.depth(from)
 		if !okf {
 			continue
 		}
-		if dt, okt := r.dist[to]; okt && dt <= df {
+		if dt, okt := src.depth(to); okt && dt <= df {
 			continue
 		}
-		delete(n.routes, src)
+		src.routed = false
 	}
 }
 
@@ -283,32 +285,25 @@ func (n *Network) invalidateDirEdgeUp(from, to string) {
 // the node loses its cache (the node and possibly more becomes
 // unreachable); sources that already could not reach it are untouched,
 // because every link of an unreachable node connects unreachable nodes.
-func (n *Network) invalidateNodeDown(name string) {
-	for src, r := range n.routes {
-		if _, ok := r.dist[name]; ok {
-			delete(n.routes, src)
+func (n *Network) invalidateNodeDown(nd *Node) {
+	for _, src := range n.byID {
+		if _, ok := src.depth(nd); src.routed && ok {
+			src.routed = false
 		}
 	}
 }
 
 // invalidateNodeUp applies the edge-up rule across every restored link.
 func (n *Network) invalidateNodeUp(nd *Node) {
-	for src, r := range n.routes {
-		dn, okn := r.dist[nd.name]
-		keep := true
-		for peer := range nd.links {
-			dp, okp := r.dist[peer]
-			if !okn && !okp {
-				continue
-			}
-			if okn && okp && dn == dp {
-				continue
-			}
-			keep = false
-			break
+	for _, src := range n.byID {
+		if !src.routed {
+			continue
 		}
-		if !keep {
-			delete(n.routes, src)
+		for _, l := range nd.peerLinks() {
+			if !src.keepsEdgeUp(nd, l.to) {
+				src.routed = false
+				break
+			}
 		}
 	}
 }
@@ -352,7 +347,7 @@ var ErrNoRoute = fmt.Errorf("netsim: no route")
 type message struct {
 	n       *Network
 	at      *Node // node the message is currently heading to
-	dst     string
+	dst     *Node
 	size    int64
 	payload any
 	deliver func(any)
@@ -377,7 +372,7 @@ func (n *Network) getMsg() *message {
 
 func (n *Network) putMsg(m *message) {
 	m.at = nil
-	m.dst = ""
+	m.dst = nil
 	m.size = 0
 	m.payload = nil
 	m.deliver = nil
@@ -388,7 +383,7 @@ func (n *Network) putMsg(m *message) {
 // hop runs when the message finishes crossing a link and lands at m.at.
 func (m *message) hop() {
 	n := m.n
-	if m.at.name == m.dst {
+	if m.at == m.dst {
 		n.k.After(0, m.deliverFn)
 		return
 	}
@@ -397,13 +392,12 @@ func (m *message) hop() {
 	// may be gone by arrival time: the message is dropped, exactly as a
 	// router with no route would drop it. End-to-end recovery is the
 	// caller's job (vfs per-op timeouts and retries).
-	hop, ok := n.routesFor(m.at.name).next[m.dst]
-	if !ok {
+	l := m.at.hopTo(m.dst)
+	if l == nil {
 		n.drops++
 		n.putMsg(m)
 		return
 	}
-	l := m.at.links[hop]
 	m.at = l.to
 	l.transmit(m.size, m.hopFn)
 }
@@ -418,37 +412,57 @@ func (m *message) finalDeliver() {
 
 // Send transmits size bytes from src to dst and invokes deliver with the
 // payload when the last byte arrives. Multi-hop paths pay each hop's
-// latency and queue for each hop's bandwidth.
+// latency and queue for each hop's bandwidth. It resolves both names and
+// hands over to Node.Send.
 func (n *Network) Send(src, dst string, size int64, payload any, deliver func(payload any)) error {
 	from := n.nodes[src]
 	if from == nil {
 		return fmt.Errorf("netsim: send from unknown node %q", src)
 	}
-	if n.nodes[dst] == nil {
+	to := n.nodes[dst]
+	if to == nil {
 		return fmt.Errorf("netsim: send to unknown node %q", dst)
 	}
+	return from.Send(to, size, payload, deliver)
+}
+
+// Send is Network.Send between resolved nodes of the same network —
+// the message path, which consults no name from here to delivery.
+func (nd *Node) Send(dst *Node, size int64, payload any, deliver func(payload any)) error {
+	n := nd.net
 	if size < 0 {
 		size = 0
+	}
+	var l *link
+	if nd != dst {
+		if l = nd.hopTo(dst); l == nil {
+			return fmt.Errorf("%w: %s -> %s", ErrNoRoute, nd.name, dst.name)
+		}
 	}
 	m := n.getMsg()
 	m.dst = dst
 	m.size = size
 	m.payload = payload
 	m.deliver = deliver
-	if src == dst {
+	if l == nil {
 		n.k.After(0, m.deliverFn)
 		return nil
 	}
-	hop, ok := n.routesFor(src).next[dst]
-	if !ok {
-		n.putMsg(m)
-		return fmt.Errorf("%w: %s -> %s", ErrNoRoute, src, dst)
-	}
 	n.bytesSent += uint64(size)
-	l := from.links[hop]
 	m.at = l.to
 	l.transmit(size, m.hopFn)
 	return nil
+}
+
+// Reachable reports whether a and b, nodes of n, can exchange a request
+// and its reply: each routes to the other, so a one-way partition fails
+// it. A node always reaches itself; a nil node reaches nothing. Once
+// both sources' routes are cached it is two table reads.
+func (n *Network) Reachable(a, b *Node) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	return a == b || a.hopTo(b) != nil && b.hopTo(a) != nil
 }
 
 // Latency returns the unloaded one-way latency from src to dst for a
@@ -458,83 +472,40 @@ func (n *Network) Latency(src, dst string, size int64) (sim.Duration, error) {
 	if src == dst {
 		return 0, nil
 	}
-	cur := n.nodes[src]
-	if cur == nil || n.nodes[dst] == nil {
+	cur, to := n.nodes[src], n.nodes[dst]
+	if cur == nil || to == nil {
 		return 0, fmt.Errorf("netsim: latency: unknown node")
 	}
 	var total sim.Duration
-	for cur.name != dst {
-		hop, ok := n.routesFor(cur.name).next[dst]
-		if !ok {
+	for cur != to {
+		l := cur.hopTo(to)
+		if l == nil {
 			return 0, fmt.Errorf("%w: %s -> %s", ErrNoRoute, cur.name, dst)
 		}
-		l := cur.links[hop]
 		total += l.latency + sim.DurationOf(float64(size)/l.bwBps)
 		cur = l.to
 	}
 	return total, nil
 }
 
-// routesFor returns src's next-hop table, running one BFS if the cache
-// has no valid entry. Neighbors expand in sorted name order so
-// equal-cost ties resolve identically on every rebuild — fault
-// injection recomputes routes mid-run, and route choice must not depend
-// on map iteration order.
-func (n *Network) routesFor(src string) *srcRoutes {
-	if r, ok := n.routes[src]; ok {
-		return r
-	}
-	n.routeComputes++
-	node := n.nodes[src]
-	r := &srcRoutes{
-		next:   make(map[string]string),
-		dist:   map[string]int{src: 0},
-		parent: make(map[string]string),
-	}
-	// BFS from src; record first hop, depth, and tree parent for every
-	// reachable destination.
-	type qe struct {
-		at    *Node
-		first string
-		depth int
-	}
-	var queue []qe
-	for _, peer := range node.peers() {
-		if node.links[peer].down {
-			continue
-		}
-		r.next[peer] = peer
-		r.dist[peer] = 1
-		r.parent[peer] = src
-		queue = append(queue, qe{at: n.nodes[peer], first: peer, depth: 1})
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, peer := range cur.at.peers() {
-			if cur.at.links[peer].down {
-				continue
-			}
-			if _, seen := r.dist[peer]; seen {
-				continue
-			}
-			r.next[peer] = cur.first
-			r.dist[peer] = cur.depth + 1
-			r.parent[peer] = cur.at.name
-			queue = append(queue, qe{at: n.nodes[peer], first: cur.first, depth: cur.depth + 1})
-		}
-	}
-	n.routes[src] = r
-	return r
-}
-
 // Node is a network attachment point (one per simulated machine).
 type Node struct {
 	net   *Network
 	name  string
+	id    int // dense, in AddNode order: the index into route tables
 	links map[string]*link
 
-	sortedPeers []string // cached sorted neighbor names; nil = rebuild
+	sorted []*link // cached links in sorted peer-name order; nil = rebuild
+
+	// The node's shortest-path state as a source, indexed by node id.
+	// A table is kept across a topology change only when a fresh BFS
+	// would provably reproduce it bit for bit; routed false means it
+	// must be recomputed (the slices are reused). Tables end at the
+	// last id that existed when they were computed.
+	routed bool
+	next   []*link // dst -> first-hop link (nil = no route)
+	dist   []int32 // node -> hop count (-1 = unreachable)
+	parent []int32 // node -> BFS tree predecessor (-1 = none)
 }
 
 // Name returns the node name.
@@ -543,18 +514,95 @@ func (nd *Node) Name() string { return nd.name }
 // Degree returns the number of attached links.
 func (nd *Node) Degree() int { return len(nd.links) }
 
-// peers returns the neighbor names in sorted order. The slice is cached
-// and invalidated when a link is attached.
-func (nd *Node) peers() []string {
-	if nd.sortedPeers == nil && len(nd.links) > 0 {
-		out := make([]string, 0, len(nd.links))
-		for peer := range nd.links {
-			out = append(out, peer)
+// peerLinks returns the node's links in sorted peer-name order. The
+// slice is cached and invalidated when a link is attached.
+func (nd *Node) peerLinks() []*link {
+	if nd.sorted == nil && len(nd.links) > 0 {
+		out := make([]*link, 0, len(nd.links))
+		for _, l := range nd.links {
+			out = append(out, l)
 		}
-		sort.Strings(out)
-		nd.sortedPeers = out
+		sort.Slice(out, func(i, j int) bool { return out[i].to.name < out[j].to.name })
+		nd.sorted = out
 	}
-	return nd.sortedPeers
+	return nd.sorted
+}
+
+// hopTo returns the first-hop link from nd toward dst, or nil when dst
+// is unreachable, running one BFS if nd's tables are not valid.
+func (nd *Node) hopTo(dst *Node) *link {
+	if !nd.routed {
+		nd.computeRoutes()
+	}
+	if dst.id < len(nd.next) {
+		return nd.next[dst.id]
+	}
+	return nil
+}
+
+// depth returns x's BFS depth in nd's cached tables.
+func (nd *Node) depth(x *Node) (int32, bool) {
+	if x.id < len(nd.dist) && nd.dist[x.id] >= 0 {
+		return nd.dist[x.id], true
+	}
+	return 0, false
+}
+
+// parentOf returns x's BFS tree predecessor id in nd's cached tables,
+// or -1.
+func (nd *Node) parentOf(x *Node) int {
+	if x.id < len(nd.parent) {
+		return int(nd.parent[x.id])
+	}
+	return -1
+}
+
+// computeRoutes runs one BFS from nd, recording first hop, depth, and
+// tree parent for every reachable node. Neighbors expand in sorted name
+// order so equal-cost ties resolve identically on every rebuild — fault
+// injection recomputes routes mid-run, and route choice must not depend
+// on map iteration order.
+func (nd *Node) computeRoutes() {
+	n := nd.net
+	n.routeComputes++
+	size := len(n.byID)
+	nd.next = resize(nd.next, size)
+	nd.dist = resize(nd.dist, size)
+	nd.parent = resize(nd.parent, size)
+	clear(nd.next)
+	for i := range nd.dist {
+		nd.dist[i], nd.parent[i] = -1, -1
+	}
+	nd.dist[nd.id] = 0
+	queue := append(n.queue[:0], nd)
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
+		depth := nd.dist[cur.id] + 1
+		for _, l := range cur.peerLinks() {
+			peer := l.to
+			if l.down || nd.dist[peer.id] >= 0 {
+				continue
+			}
+			first := l
+			if cur != nd {
+				first = nd.next[cur.id]
+			}
+			nd.next[peer.id] = first
+			nd.dist[peer.id] = depth
+			nd.parent[peer.id] = int32(cur.id)
+			queue = append(queue, peer)
+		}
+	}
+	n.queue = queue[:0]
+	nd.routed = true
+}
+
+// resize returns s with length size, reusing its storage when it fits.
+func resize[T any](s []T, size int) []T {
+	if cap(s) >= size {
+		return s[:size]
+	}
+	return make([]T, size)
 }
 
 // link is one direction of a connection. Transmissions serialize: the

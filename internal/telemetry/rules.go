@@ -50,7 +50,8 @@ const (
 // defaultRateWindow is the rate() window when the rule names none.
 const defaultRateWindow = 10 * sim.Second
 
-// rule is one parsed alert rule.
+// rule is one parsed alert rule, with the state machine of every
+// series it currently holds pending or firing.
 type rule struct {
 	name      string
 	expr      string
@@ -61,6 +62,8 @@ type rule struct {
 	cmp       string
 	threshold float64
 	forDur    sim.Duration
+
+	states map[*Series]*alertState
 }
 
 // RuleInfo describes a registered rule.
@@ -80,12 +83,6 @@ type Firing struct {
 	ResolvedAt sim.Time `json:"resolvedUs"`
 }
 
-// alertKey identifies one (rule, series) state machine.
-type alertKey struct {
-	rule   string
-	series string
-}
-
 // alertState tracks one (rule, series) pair: inactive -> pending (the
 // condition holds, the for-duration is running) -> firing.
 type alertState struct {
@@ -100,7 +97,6 @@ type alertState struct {
 type Engine struct {
 	c         *Collector
 	rules     []*rule
-	states    map[alertKey]*alertState
 	firings   []Firing
 	onFire    []func(Firing)
 	onResolve []func(Firing)
@@ -108,7 +104,7 @@ type Engine struct {
 }
 
 func newEngine(c *Collector) *Engine {
-	return &Engine{c: c, states: make(map[alertKey]*alertState)}
+	return &Engine{c: c}
 }
 
 func (e *Engine) addRule(name, expr string) error {
@@ -125,6 +121,7 @@ func (e *Engine) addRule(name, expr string) error {
 		return fmt.Errorf("telemetry: rule %q: %w", name, err)
 	}
 	r.name = name
+	r.states = make(map[*Series]*alertState)
 	e.rules = append(e.rules, r)
 	return nil
 }
@@ -145,15 +142,14 @@ func (e *Engine) eval(now sim.Time) {
 		e.matched = e.c.db.appendSelect(e.matched[:0], r.series, r.sub)
 		for _, s := range e.matched {
 			v, ok := r.value(s, now)
-			key := alertKey{rule: r.name, series: s.Key()}
 			if !ok || !compare(v, r.cmp, r.threshold) {
-				e.clear(key, now)
+				e.clear(r, s, now)
 				continue
 			}
-			st := e.states[key]
+			st := r.states[s]
 			if st == nil {
 				st = &alertState{}
-				e.states[key] = st
+				r.states[s] = st
 			}
 			if st.firing {
 				continue
@@ -162,7 +158,7 @@ func (e *Engine) eval(now sim.Time) {
 				st.pending, st.pendingSince = true, now
 			}
 			if now.Sub(st.pendingSince) >= r.forDur {
-				e.fire(r, key, st, now, v)
+				e.fire(r, s, st, now, v)
 			}
 		}
 	}
@@ -221,13 +217,13 @@ func compare(v float64, cmp string, threshold float64) bool {
 	return false
 }
 
-func (e *Engine) fire(r *rule, key alertKey, st *alertState, now sim.Time, v float64) {
+func (e *Engine) fire(r *rule, s *Series, st *alertState, now sim.Time, v float64) {
 	st.pending, st.firing = false, true
 	st.firingIdx = len(e.firings)
-	f := Firing{Rule: r.name, Series: key.series, At: now, Value: v, ResolvedAt: -1}
+	f := Firing{Rule: r.name, Series: s.Key(), At: now, Value: v, ResolvedAt: -1}
 	e.firings = append(e.firings, f)
 	if tr := e.c.trace; tr != nil {
-		tr.Instant("alerts", "alert", "fire: "+r.name+" "+key.series)
+		tr.Instant("alerts", "alert", "fire: "+r.name+" "+f.Series)
 		tr.Metrics().Counter("telemetry.alerts.fired").Inc()
 	}
 	for _, fn := range e.onFire {
@@ -236,8 +232,8 @@ func (e *Engine) fire(r *rule, key alertKey, st *alertState, now sim.Time, v flo
 }
 
 // clear resets a (rule, series) state, resolving its firing if active.
-func (e *Engine) clear(key alertKey, now sim.Time) {
-	st := e.states[key]
+func (e *Engine) clear(r *rule, s *Series, now sim.Time) {
+	st := r.states[s]
 	if st == nil {
 		return
 	}
@@ -252,7 +248,7 @@ func (e *Engine) clear(key alertKey, now sim.Time) {
 			fn(f)
 		}
 	}
-	delete(e.states, key)
+	delete(r.states, s)
 }
 
 // ---------------------------------------------------------------------

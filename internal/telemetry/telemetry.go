@@ -15,6 +15,13 @@
 // ring's samples are sorted by At oldest-first. Windowed reads rely on
 // this and find a window's start by binary search.
 //
+// Alert state lives with the rule and the series it watches: each rule
+// keeps the pending/firing state machine of every series it currently
+// holds pending or firing in a table keyed by *Series, so evaluating a
+// rule hashes a pointer, not a series key string. A series is never
+// removed or replaced once created, so the pointer is as stable an
+// identity as its canonical key.
+//
 // Like obs, telemetry inherits the two design rules of the simulation:
 //
 //   - Determinism. Samples are stamped with sim.Time; snapshot, export,
@@ -98,19 +105,29 @@ func (s *Series) Key() string { return s.key }
 // comment).
 func (s *Series) Add(at sim.Time, v float64) {
 	if s.n < len(s.data) {
-		s.data[(s.start+s.n)%len(s.data)] = Point{At: at, V: v}
+		s.data[s.slot(s.n)] = Point{At: at, V: v}
 		s.n++
 		return
 	}
 	s.data[s.start] = Point{At: at, V: v}
-	s.start = (s.start + 1) % len(s.data)
+	s.start = s.slot(1)
 }
 
 // Len returns the number of stored samples.
 func (s *Series) Len() int { return s.n }
 
+// slot maps the i'th position from the oldest sample (0 ≤ i ≤ len)
+// onto the ring buffer: one compare instead of a division.
+func (s *Series) slot(i int) int {
+	i += s.start
+	if i >= len(s.data) {
+		i -= len(s.data)
+	}
+	return i
+}
+
 // point returns the i'th stored sample, oldest first.
-func (s *Series) point(i int) Point { return s.data[(s.start+i)%len(s.data)] }
+func (s *Series) point(i int) Point { return s.data[s.slot(i)] }
 
 // Last returns the most recent sample (zero Point if empty).
 func (s *Series) Last() Point {

@@ -198,9 +198,8 @@ type Transport interface {
 // are pooled netCall structs: request delivery, server dispatch, and
 // reply delivery all run through callbacks bound once per pooled call.
 type NetTransport struct {
-	net    *netsim.Network
-	client string
-	server string
+	client *netsim.Node
+	server *netsim.Node
 	srv    *Server
 
 	freeCalls *netCall
@@ -212,10 +211,11 @@ var _ Transport = (*NetTransport)(nil)
 // must exist in the network, and srv's store should live on the machine
 // the server node represents.
 func NewNetTransport(net *netsim.Network, clientNode, serverNode string, srv *Server) (*NetTransport, error) {
-	if net.Node(clientNode) == nil || net.Node(serverNode) == nil {
+	client, server := net.Node(clientNode), net.Node(serverNode)
+	if client == nil || server == nil {
 		return nil, fmt.Errorf("vfs: transport %s->%s: unknown node", clientNode, serverNode)
 	}
-	return &NetTransport{net: net, client: clientNode, server: serverNode, srv: srv}, nil
+	return &NetTransport{client: client, server: server, srv: srv}, nil
 }
 
 // netCall is one RPC in flight across the network.
@@ -272,7 +272,7 @@ func (c *netCall) respond(srvErr error) {
 	if c.read {
 		replyBytes += c.size
 	}
-	if sendErr := t.net.Send(t.server, t.client, replyBytes, nil, c.replyFn); sendErr != nil {
+	if sendErr := t.server.Send(t.client, replyBytes, nil, c.replyFn); sendErr != nil {
 		done := c.done
 		t.putCall(c)
 		done(sendErr)
@@ -290,7 +290,7 @@ func (t *NetTransport) Read(file string, off, size int64, done func(error)) {
 	c := t.getCall()
 	c.read = true
 	c.file, c.off, c.size, c.done = file, off, size, done
-	if err := t.net.Send(t.client, t.server, rpcHeaderBytes, nil, c.arriveFn); err != nil {
+	if err := t.client.Send(t.server, rpcHeaderBytes, nil, c.arriveFn); err != nil {
 		t.putCall(c)
 		done(err)
 	}
@@ -300,7 +300,7 @@ func (t *NetTransport) Read(file string, off, size int64, done func(error)) {
 func (t *NetTransport) Write(file string, off, size int64, done func(error)) {
 	c := t.getCall()
 	c.file, c.off, c.size, c.done = file, off, size, done
-	if err := t.net.Send(t.client, t.server, size+rpcHeaderBytes, nil, c.arriveFn); err != nil {
+	if err := t.client.Send(t.server, size+rpcHeaderBytes, nil, c.arriveFn); err != nil {
 		t.putCall(c)
 		done(err)
 	}

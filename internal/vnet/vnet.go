@@ -81,24 +81,28 @@ const frameOverheadBytes = 90
 // notes the control connection used to launch the VM (e.g. SSH) can
 // carry it.
 type Tunnel struct {
-	net  *netsim.Network
-	a, b string
+	a, b *netsim.Node
 
 	frames uint64
 	bytes  uint64
 }
 
 // EstablishTunnel creates a tunnel between two attached nodes. It fails
-// if no route exists (you cannot tunnel over a partition).
+// unless frames can route both ways (you cannot tunnel over a
+// partition, not even a one-way one).
 func EstablishTunnel(n *netsim.Network, a, b string) (*Tunnel, error) {
-	if _, err := n.Latency(a, b, 0); err != nil {
-		return nil, fmt.Errorf("vnet: tunnel %s<->%s: %w", a, b, err)
+	na, nb := n.Node(a), n.Node(b)
+	if na == nil || nb == nil {
+		return nil, fmt.Errorf("vnet: tunnel %s<->%s: unknown node", a, b)
 	}
-	return &Tunnel{net: n, a: a, b: b}, nil
+	if !n.Reachable(na, nb) {
+		return nil, fmt.Errorf("vnet: tunnel %s<->%s: %w", a, b, netsim.ErrNoRoute)
+	}
+	return &Tunnel{a: na, b: nb}, nil
 }
 
 // Endpoints returns the tunnel's two ends.
-func (t *Tunnel) Endpoints() (string, string) { return t.a, t.b }
+func (t *Tunnel) Endpoints() (string, string) { return t.a.Name(), t.b.Name() }
 
 // Frames returns the number of frames carried.
 func (t *Tunnel) Frames() uint64 { return t.frames }
@@ -109,18 +113,17 @@ func (t *Tunnel) Bytes() uint64 { return t.bytes }
 // Send carries one frame from one end to the other. from must be one of
 // the endpoints.
 func (t *Tunnel) Send(from string, size int64, payload any, deliver func(any)) error {
-	var to string
+	src, dst := t.a, t.b
 	switch from {
-	case t.a:
-		to = t.b
-	case t.b:
-		to = t.a
+	case t.a.Name():
+	case t.b.Name():
+		src, dst = t.b, t.a
 	default:
 		return fmt.Errorf("vnet: %q is not a tunnel endpoint", from)
 	}
 	t.frames++
 	t.bytes += uint64(size)
-	return t.net.Send(from, to, size+frameOverheadBytes, payload, deliver)
+	return src.Send(dst, size+frameOverheadBytes, payload, deliver)
 }
 
 // Overlay is a self-optimizing virtual network among the VMs of one
