@@ -71,63 +71,38 @@ func run() error {
 // buildDemo assembles the standard testbed directly on the in-process
 // grid (no need to round-trip through the socket for our own setup).
 func buildDemo(srv *wire.Server) error {
-	c := fabricBuilder{srv: srv}
-	c.node(wire.AddNodeParams{Name: "front", Site: "nwu", Roles: []string{"front-end"}})
-	c.node(wire.AddNodeParams{Name: "compute1", Site: "nwu", Roles: []string{"compute"}, Slots: 2, DHCPPrefix: "10.1.0."})
-	c.node(wire.AddNodeParams{Name: "compute2", Site: "nwu", Roles: []string{"compute"}, Slots: 2, DHCPPrefix: "10.1.1."})
-	c.node(wire.AddNodeParams{Name: "data", Site: "nwu", Roles: []string{"data-server"}})
-	c.node(wire.AddNodeParams{Name: "images", Site: "ufl", Roles: []string{"image-server"}})
+	l := wire.NewLocal(srv)
+	for _, p := range []wire.AddNodeParams{
+		{Name: "front", Site: "nwu", Roles: []string{"front-end"}},
+		{Name: "compute1", Site: "nwu", Roles: []string{"compute"}, Slots: 2, DHCPPrefix: "10.1.0."},
+		{Name: "compute2", Site: "nwu", Roles: []string{"compute"}, Slots: 2, DHCPPrefix: "10.1.1."},
+		{Name: "data", Site: "nwu", Roles: []string{"data-server"}},
+		{Name: "images", Site: "ufl", Roles: []string{"image-server"}},
+	} {
+		if err := l.AddNode(p); err != nil {
+			return err
+		}
+	}
 	lan := []string{"front", "compute1", "compute2", "data"}
 	for i, a := range lan {
 		for _, b := range lan[i+1:] {
-			c.link(a, b, "lan")
+			if err := l.Connect(a, b, "lan"); err != nil {
+				return err
+			}
 		}
 	}
 	for _, a := range []string{"front", "compute1", "compute2"} {
-		c.link(a, "images", "wan")
+		if err := l.Connect(a, "images", "wan"); err != nil {
+			return err
+		}
 	}
 	for _, node := range []string{"compute1", "compute2", "images"} {
-		c.image(wire.InstallImageParams{
+		if err := l.InstallImage(wire.InstallImageParams{
 			Node: node, Name: "rh72", OS: "redhat-7.2",
 			DiskBytes: 2 * hw.GB, MemBytes: 128 * hw.MB,
-		})
+		}); err != nil {
+			return err
+		}
 	}
-	c.data(wire.CreateDataParams{Node: "data", File: "dataset", Bytes: 1 * hw.GB})
-	return c.err
+	return l.CreateData(wire.CreateDataParams{Node: "data", File: "dataset", Bytes: 1 * hw.GB})
 }
-
-// fabricBuilder threads the first error through a chain of setup calls.
-type fabricBuilder struct {
-	srv *wire.Server
-	err error
-}
-
-func (b *fabricBuilder) node(p wire.AddNodeParams) {
-	if b.err != nil {
-		return
-	}
-	b.err = clientless(b.srv).AddNode(p)
-}
-
-func (b *fabricBuilder) link(a, bn, kind string) {
-	if b.err != nil {
-		return
-	}
-	b.err = clientless(b.srv).Connect(a, bn, kind)
-}
-
-func (b *fabricBuilder) image(p wire.InstallImageParams) {
-	if b.err != nil {
-		return
-	}
-	b.err = clientless(b.srv).InstallImage(p)
-}
-
-func (b *fabricBuilder) data(p wire.CreateDataParams) {
-	if b.err != nil {
-		return
-	}
-	b.err = clientless(b.srv).CreateData(p)
-}
-
-func clientless(srv *wire.Server) *wire.Local { return wire.NewLocal(srv) }

@@ -326,8 +326,9 @@ func (k *Kernel) Run() Time {
 
 // RunUntil dispatches events until the virtual clock reaches deadline.
 // Events scheduled exactly at the deadline are dispatched. If the queue
-// drains early the clock stays at the last event time and ErrStalled is
-// returned.
+// drains early the clock still advances to deadline and ErrStalled is
+// returned. A deadline already behind the clock dispatches nothing and
+// leaves the clock alone: virtual time never runs backwards.
 func (k *Kernel) RunUntil(deadline Time) error {
 	for {
 		k.skimCanceled()
@@ -339,12 +340,13 @@ func (k *Kernel) RunUntil(deadline Time) error {
 			return nil
 		}
 		if k.queue[0].at > deadline {
-			k.now = deadline
+			k.now = max(k.now, deadline)
 			return nil
 		}
 		k.step()
 	}
 }
 
-// RunFor advances the simulation by d virtual time. See RunUntil.
+// RunFor advances the simulation by d virtual time; a negative d is a
+// no-op. See RunUntil.
 func (k *Kernel) RunFor(d Duration) error { return k.RunUntil(k.now.Add(d)) }

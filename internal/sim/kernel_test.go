@@ -368,3 +368,29 @@ func TestKernelOrderingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRunUntilPastDeadlineKeepsClock: a deadline already behind the
+// clock dispatches nothing and leaves the clock where it is, whether an
+// event is pending or not. Virtual time never runs backwards.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	k := NewKernel(1)
+	k.After(10*Second, func() {})
+	if err := k.RunUntil(Time(5 * Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(Time(1 * Second)); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != Time(5*Second) {
+		t.Errorf("RunUntil(1s) at 5s moved the clock to %v", k.Now())
+	}
+	if err := k.RunFor(-2 * Second); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != Time(5*Second) {
+		t.Errorf("RunFor(-2s) at 5s moved the clock to %v", k.Now())
+	}
+	if k.Pending() != 1 {
+		t.Errorf("pending = %d, want the 10s event still queued", k.Pending())
+	}
+}

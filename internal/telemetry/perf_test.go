@@ -124,7 +124,9 @@ func TestEvalZeroAllocs(t *testing.T) {
 
 // BenchmarkCollectorScrape measures one steady-state scrape round of a
 // grid-sized store — 8 nodes, 16 sessions, 3 GIS replicas, full rings —
-// with the four standard alert rules armed.
+// with the four standard alert rules armed. Eight sessions run slow and
+// four hold a stale lease, so each round re-evaluates twelve firing
+// alerts beside the quiet series.
 func BenchmarkCollectorScrape(b *testing.B) {
 	k := sim.NewKernel(1)
 	c, err := NewCollector(k, nil)
@@ -147,13 +149,20 @@ func BenchmarkCollectorScrape(b *testing.B) {
 			r.Record("node.slots", 2, lbl)
 			r.Record("node.predicted_load", 0.4+float64(i)/8, lbl)
 		}
-		for _, s := range sessions {
+		for i, s := range sessions {
 			lbl := L("sess", s)
-			r.Record("session.slowdown", 1.05, lbl)
+			slowdown, leaseAge := 1.05, 1.0
+			if i < 8 {
+				slowdown = 1.15
+			}
+			if i >= 12 {
+				leaseAge = 5
+			}
+			r.Record("session.slowdown", slowdown, lbl)
 			r.Record("vfs.hit_rate", 0.9, lbl)
 			r.Record("vfs.retries", x, lbl)
 			r.Record("vfs.transport_errors", 0, lbl)
-			r.Record("lease.age", 1, lbl)
+			r.Record("lease.age", leaseAge, lbl)
 			r.Record("session.epoch", 1, lbl)
 		}
 		for _, g := range replicas {
@@ -174,6 +183,24 @@ func BenchmarkCollectorScrape(b *testing.B) {
 	c.Start()
 	if err := k.RunFor(600 * sim.Second); err != nil {
 		b.Fatal(err)
+	}
+	want := map[string]bool{}
+	for i, s := range sessions {
+		if i < 8 {
+			want["slowdown session.slowdown{sess="+s+"}"] = true
+		}
+		if i >= 12 {
+			want["stale-lease lease.age{sess="+s+"}"] = true
+		}
+	}
+	active := c.Active()
+	for _, f := range active {
+		if !want[f.Rule+" "+f.Series] {
+			b.Fatalf("unexpected alert %s on %s", f.Rule, f.Series)
+		}
+	}
+	if len(active) != len(want) {
+		b.Fatalf("%d alerts firing after warm-up, want %d", len(active), len(want))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

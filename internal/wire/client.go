@@ -75,10 +75,12 @@ func WithRetry(p retry.Policy) CallOption {
 
 // Client talks to a vmgridd server over TCP. A broken connection is
 // re-dialed (with capped exponential backoff) on the next Call, so a
-// client handle survives server restarts.
+// client handle survives server restarts. A client made by NewLocal
+// dispatches to a Server in process instead.
 type Client struct {
 	addr string
 	cfg  Config
+	srv  *Server // set for an in-process client
 
 	mu     sync.Mutex
 	conn   net.Conn
@@ -105,6 +107,14 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	}
 	return c, nil
 }
+
+// Local is an in-process client for a Server: the same operations as
+// the TCP client, dispatched directly. It lets a daemon (or test)
+// compose a fabric without round-tripping through its own socket.
+type Local = Client
+
+// NewLocal wraps a server for in-process use.
+func NewLocal(srv *Server) *Local { return &Client{srv: srv} }
 
 // Close closes the connection.
 func (c *Client) Close() error {
@@ -133,28 +143,62 @@ func (c *Client) ensureConn() error {
 	return nil
 }
 
-// readResponse reads and decodes the next response line, dropping the
-// connection if the stream breaks. Callers hold mu.
-func (c *Client) readResponse(id int64) (Response, error) {
+// send writes one request, dialing first if no connection is live, and
+// returns its ID. The write and the reply's read share one deadline,
+// timeout from now. A failed write drops the connection: the request
+// never made it out whole, so it is safe to resend on a fresh one.
+// Callers hold mu.
+func (c *Client) send(op string, params json.RawMessage, timeout time.Duration) (int64, error) {
+	if err := c.ensureConn(); err != nil {
+		return 0, err
+	}
+	c.nextID++
+	deadline := time.Now().Add(timeout)
+	_ = c.conn.SetWriteDeadline(deadline)
+	if err := c.enc.Encode(Request{ID: c.nextID, Op: op, Params: params}); err != nil {
+		c.dropConn()
+		return 0, fmt.Errorf("wire: send: %w", err)
+	}
+	_ = c.conn.SetReadDeadline(deadline)
+	return c.nextID, nil
+}
+
+// readResponse reads the next response line, dropping the connection if
+// the stream breaks, and decodes it into out. more reports a streamed
+// response with further frames to follow. Callers hold mu.
+func (c *Client) readResponse(id int64, out any) (more bool, err error) {
 	line, err := c.reader.ReadBytes('\n')
 	if err != nil && (len(line) == 0 || !errors.Is(err, io.EOF)) {
 		c.dropConn()
 		if errors.Is(err, io.EOF) {
-			return Response{}, errors.New("wire: connection closed")
+			return false, errors.New("wire: connection closed")
 		}
-		return Response{}, fmt.Errorf("wire: recv: %w", err)
+		return false, fmt.Errorf("wire: recv: %w", err)
 	}
 	var resp Response
 	if err := json.Unmarshal(line, &resp); err != nil {
-		return Response{}, fmt.Errorf("wire: bad response: %w", err)
+		return false, fmt.Errorf("wire: bad response: %w", err)
 	}
 	if resp.ID != id {
-		return Response{}, fmt.Errorf("wire: response id %d for request %d", resp.ID, id)
+		return false, fmt.Errorf("wire: response id %d for request %d", resp.ID, id)
 	}
+	return resp.More, decode(resp, out)
+}
+
+// decode turns a response into its call's result: the server's error,
+// rebuilt through the code table so errors.Is matching holds on either
+// transport, or the data unmarshaled into out when out is non-nil.
+func decode(resp Response, out any) error {
 	if resp.Error != "" {
-		return Response{}, decodeError(resp)
+		return decodeError(resp)
 	}
-	return resp, nil
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(resp.Data, out); err != nil {
+		return fmt.Errorf("wire: response data: %w", err)
+	}
+	return nil
 }
 
 // dropConn discards a connection whose stream state is unknown; the
@@ -167,17 +211,12 @@ func (c *Client) dropConn() {
 }
 
 // Call performs one round trip. params may be nil. The response data is
-// unmarshaled into out when out is non-nil. Attempts that fail before
-// the request is sent (dial errors, send errors) are retried per the
-// configured retry.Policy; failures after the send are returned as-is.
-// Options adjust the deadline or policy for this call only.
+// unmarshaled into out when out is non-nil. Over TCP, attempts that fail
+// before the request is sent (dial errors, send errors) are retried per
+// the configured retry.Policy; failures after the send are returned
+// as-is. Options adjust the deadline or policy for this call only. An
+// in-process client dispatches directly and ignores them.
 func (c *Client) Call(op string, params any, out any, opts ...CallOption) error {
-	var o callOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var raw json.RawMessage
 	if params != nil {
 		b, err := json.Marshal(params)
@@ -185,6 +224,16 @@ func (c *Client) Call(op string, params any, out any, opts ...CallOption) error 
 			return fmt.Errorf("wire: params: %w", err)
 		}
 		raw = b
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.srv != nil {
+		c.nextID++
+		return decode(c.srv.dispatch(Request{ID: c.nextID, Op: op, Params: raw}), out)
+	}
+	var o callOpts
+	for _, opt := range opts {
+		opt(&o)
 	}
 	policy := c.cfg.Retry
 	if o.hasRetry {
@@ -199,39 +248,15 @@ func (c *Client) Call(op string, params any, out any, opts ...CallOption) error 
 		if attempt > 1 {
 			time.Sleep(policy.Delay(attempt-1, wireBaseBackoff).Std())
 		}
-		if err := c.ensureConn(); err != nil {
+		id, err := c.send(op, raw, callTimeout)
+		if err != nil {
 			lastErr = err
 			continue
 		}
-		c.nextID++
-		req := Request{ID: c.nextID, Op: op, Params: raw}
-		deadline := time.Now().Add(callTimeout)
-		_ = c.conn.SetWriteDeadline(deadline)
-		if err := c.enc.Encode(req); err != nil {
-			// The request never made it out whole; safe to resend on a
-			// fresh connection.
-			c.dropConn()
-			lastErr = fmt.Errorf("wire: send: %w", err)
-			continue
-		}
-		_ = c.conn.SetReadDeadline(deadline)
-		return c.recv(req, out)
-	}
-	return lastErr
-}
-
-// recv reads and decodes the response to req. Callers hold mu.
-func (c *Client) recv(req Request, out any) error {
-	resp, err := c.readResponse(req.ID)
-	if err != nil {
+		_, err = c.readResponse(id, out)
 		return err
 	}
-	if out != nil {
-		if err := json.Unmarshal(resp.Data, out); err != nil {
-			return fmt.Errorf("wire: response data: %w", err)
-		}
-	}
-	return nil
+	return lastErr
 }
 
 // Convenience wrappers for the common operations. Each forwards its
@@ -371,35 +396,28 @@ func (c *Client) Alerts(opts ...CallOption) (AlertsInfo, error) {
 // invoking fn for each as it arrives. fn returning an error stops the
 // watch early (the connection is dropped to discard the remaining
 // frames). Watch holds the client for the whole stream — other calls on
-// this client block until it finishes.
+// this client block until it finishes. An in-process client cannot
+// watch: the stream needs a connection.
 func (c *Client) Watch(count int, everySec float64, fn func(TopInfo) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConn(); err != nil {
-		return err
+	if c.srv != nil {
+		return errors.New("wire: watch needs a TCP connection")
 	}
-	c.nextID++
-	req := Request{ID: c.nextID, Op: "watch"}
 	b, err := json.Marshal(WatchParams{Count: count, EverySec: everySec})
 	if err != nil {
 		return fmt.Errorf("wire: params: %w", err)
 	}
-	req.Params = b
-	deadline := time.Now().Add(c.cfg.CallTimeout)
-	_ = c.conn.SetWriteDeadline(deadline)
-	if err := c.enc.Encode(req); err != nil {
-		c.dropConn()
-		return fmt.Errorf("wire: send: %w", err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, err := c.send("watch", b, c.cfg.CallTimeout)
+	if err != nil {
+		return err
 	}
 	for {
 		_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.CallTimeout))
-		resp, err := c.readResponse(req.ID)
+		var frame TopInfo
+		more, err := c.readResponse(id, &frame)
 		if err != nil {
 			return err
-		}
-		var frame TopInfo
-		if err := json.Unmarshal(resp.Data, &frame); err != nil {
-			return fmt.Errorf("wire: response data: %w", err)
 		}
 		if err := fn(frame); err != nil {
 			// Abandon the stream: the connection carries frames we will
@@ -407,7 +425,7 @@ func (c *Client) Watch(count int, everySec float64, fn func(TopInfo) error) erro
 			c.dropConn()
 			return err
 		}
-		if !resp.More {
+		if !more {
 			return nil
 		}
 	}

@@ -87,3 +87,17 @@ func TestLocalClientErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalWatchRefuses: watch streams over a connection, so an
+// in-process client reports that instead of dialing an empty address.
+func TestLocalWatchRefuses(t *testing.T) {
+	l := NewLocal(NewServer(1))
+	called := false
+	err := l.Watch(1, 1, func(TopInfo) error { called = true; return nil })
+	if err == nil || !strings.Contains(err.Error(), "needs a TCP connection") {
+		t.Errorf("in-process watch = %v, want a needs-TCP error", err)
+	}
+	if called {
+		t.Error("in-process watch delivered a frame")
+	}
+}

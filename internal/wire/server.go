@@ -48,7 +48,7 @@ type Server struct {
 // "top", and "alerts" ops always have data to report. The collector is
 // scraped manually after each dispatched operation (never self-ticked:
 // a standing tick would keep the kernel's queue non-empty and break the
-// "simulation idle" detection in pumpUntil).
+// "simulation idle" detection in await).
 func NewServer(seed uint64) *Server {
 	grid := core.NewGrid(seed)
 	tr := obs.New(grid.Kernel())
@@ -276,267 +276,122 @@ func (s *Server) dispatch(req Request) Response {
 	return resp
 }
 
-// pumpUntil drives the simulation until stop() reports true or the
-// virtual budget is exhausted.
-func (s *Server) pumpUntil(budget sim.Duration, stop func() bool) error {
+// await starts an asynchronous grid operation and drives the simulation
+// until the operation calls done or the virtual budget is exhausted. It
+// returns the start error, the budget or idle failure, or the error the
+// operation finished with. It is the only place an op advances virtual
+// time. Caller holds s.mu.
+func (s *Server) await(budget sim.Duration, start func(done func(error)) error) error {
+	var result error
+	finished := false
+	if err := start(func(err error) { result, finished = err, true }); err != nil {
+		return err
+	}
 	k := s.grid.Kernel()
 	deadline := k.Now().Add(budget)
-	for !stop() {
+	for !finished {
 		if k.Now() >= deadline {
 			return fmt.Errorf("wire: operation exceeded %v of virtual time", budget)
 		}
-		if err := k.RunUntil(k.Now().Add(sim.Second)); err != nil && !stop() {
-			// Queue drained with the condition unmet: nothing further
-			// can change.
+		if err := k.RunUntil(k.Now().Add(sim.Second)); err != nil && !finished {
+			// Queue drained with the operation unfinished: nothing
+			// further can change.
 			if errors.Is(err, sim.ErrStalled) {
 				return errors.New("wire: simulation idle before operation completed")
 			}
 			return err
 		}
 	}
-	return nil
+	return result
 }
 
+// session resolves a session by its wire name.
+func (s *Server) session(name string) (*core.Session, error) {
+	sess, ok := s.sessions[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownSession, name)
+	}
+	return sess, nil
+}
+
+// handle serves one request/response op through the op table and
+// marshals its result. Caller holds s.mu.
 func (s *Server) handle(op string, params json.RawMessage) (json.RawMessage, error) {
-	switch op {
-	case "ping":
-		return marshal("pong")
+	serve, ok := ops[op]
+	if !ok {
+		return nil, fmt.Errorf("wire: unknown op %q", op)
+	}
+	v, err := serve(s, params)
+	if err != nil {
+		return nil, err
+	}
+	return marshal(v)
+}
 
-	case "add-node":
-		p, err := unmarshal[AddNodeParams](params)
-		if err != nil {
-			return nil, err
-		}
-		var role core.Role
-		for _, r := range p.Roles {
-			switch r {
-			case "compute":
-				role |= core.RoleCompute
-			case "image-server":
-				role |= core.RoleImageServer
-			case "data-server":
-				role |= core.RoleDataServer
-			case "front-end":
-				role |= core.RoleFrontEnd
-			default:
-				return nil, fmt.Errorf("wire: unknown role %q", r)
-			}
-		}
-		_, err = s.grid.AddNode(core.NodeConfig{
-			Name: p.Name, Site: p.Site, Role: role,
-			Slots: p.Slots, DHCPPrefix: p.DHCPPrefix,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return marshal("ok")
+// opFunc serves one op: it decodes the params, acts on the grid and
+// returns the value the response data carries.
+type opFunc func(s *Server, params json.RawMessage) (any, error)
 
-	case "connect":
-		p, err := unmarshal[ConnectParams](params)
+// withParams adapts a handler of typed params; a missing or malformed
+// payload fails the op before the handler runs.
+func withParams[P any](f func(*Server, P) (any, error)) opFunc {
+	return func(s *Server, raw json.RawMessage) (any, error) {
+		p, err := unmarshal[P](raw)
 		if err != nil {
 			return nil, err
 		}
-		switch p.Kind {
-		case "lan", "":
-			err = s.grid.Net().ConnectLAN(p.A, p.B)
-		case "wan":
-			err = s.grid.Net().ConnectWAN(p.A, p.B)
-		default:
-			return nil, fmt.Errorf("wire: unknown link kind %q", p.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return marshal("ok")
+		return f(s, p)
+	}
+}
 
-	case "install-image":
-		p, err := unmarshal[InstallImageParams](params)
+// withSession adapts a handler of the one session a SessionRef names.
+func withSession(f func(*Server, *core.Session) (any, error)) opFunc {
+	return withParams(func(s *Server, p SessionRef) (any, error) {
+		sess, err := s.session(p.Session)
 		if err != nil {
 			return nil, err
 		}
-		node := s.grid.Node(p.Node)
-		if node == nil {
-			return nil, fmt.Errorf("wire: unknown node %q", p.Node)
-		}
-		if p.DiskBytes == 0 {
-			p.DiskBytes = 2 * hw.GB
-		}
-		if err := node.InstallImage(storage.ImageInfo{
-			Name: p.Name, OS: p.OS, DiskBytes: p.DiskBytes, MemBytes: p.MemBytes,
-		}); err != nil {
-			return nil, err
-		}
-		return marshal("ok")
+		return f(s, sess)
+	})
+}
 
-	case "create-data":
-		p, err := unmarshal[CreateDataParams](params)
-		if err != nil {
-			return nil, err
-		}
-		node := s.grid.Node(p.Node)
-		if node == nil {
-			return nil, fmt.Errorf("wire: unknown node %q", p.Node)
-		}
-		if err := node.CreateUserData(p.File, p.Bytes); err != nil {
-			return nil, err
-		}
-		return marshal("ok")
+// noParams adapts a read-only handler that takes no params and cannot
+// fail.
+func noParams(f func(*Server) any) opFunc {
+	return func(s *Server, _ json.RawMessage) (any, error) { return f(s), nil }
+}
 
-	case "new-session":
-		p, err := unmarshal[SessionParams](params)
+// ops is the op table: every request/response op by its wire name.
+// watch streams many responses, so handleConn serves it itself.
+var ops = map[string]opFunc{
+	"ping":          noParams(func(*Server) any { return "pong" }),
+	"add-node":      withParams((*Server).addNode),
+	"connect":       withParams((*Server).connect),
+	"install-image": withParams((*Server).installImage),
+	"create-data":   withParams((*Server).createData),
+	"new-session":   withParams((*Server).newSession),
+	"run":           withParams((*Server).run),
+	"migrate": withParams(func(s *Server, p MigrateParams) (any, error) {
+		sess, err := s.session(p.Session)
 		if err != nil {
 			return nil, err
 		}
-		cfg, err := sessionConfig(p)
-		if err != nil {
-			return nil, err
-		}
-		opts, err := sessionOptions(p)
-		if err != nil {
-			return nil, err
-		}
-		var sess *core.Session
-		var sessErr error
-		done := false
-		if _, err := s.grid.CreateSession(cfg, func(ss *core.Session, err error) {
-			sess, sessErr, done = ss, err, true
-		}, opts...); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(4*sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if sessErr != nil {
-			return nil, sessErr
-		}
-		s.sessions[sess.Name()] = sess
-		return marshal(sessionInfo(sess))
-
-	case "run":
-		p, err := unmarshal[RunParams](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		w := guest.Workload{
-			Name: p.Name, CPUSeconds: p.CPUSeconds,
-			PrivPerSec: p.PrivPerSec, MemVirtPerSec: p.MemVirtPerSec,
-			Reads: p.Reads, ReadBytes: p.ReadBytes, Mount: p.Mount,
-			RootOps: p.RootOps, RootBytes: p.RootBytes,
-		}
-		var res guest.TaskResult
-		done := false
-		if err := sess.Run(w, func(r guest.TaskResult) { res = r; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(100*sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		return marshal(RunResult{
-			Name:       w.Name,
-			ElapsedSec: res.Elapsed().Seconds(),
-			UserSec:    res.UserSeconds,
-			SysSec:     res.SysSeconds(),
-			Reads:      res.Reads,
-			IOWaitSec:  res.IOWait.Seconds(),
-		})
-
-	case "migrate":
-		p, err := unmarshal[MigrateParams](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		var migErr error
-		done := false
-		if err := sess.Migrate(p.Target, func(err error) { migErr = err; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(4*sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if migErr != nil {
-			return nil, migErr
-		}
-		return marshal(sessionInfo(sess))
-
-	case "hibernate":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		var hErr error
-		done := false
-		if err := sess.Hibernate(func(err error) { hErr = err; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if hErr != nil {
-			return nil, hErr
-		}
-		return marshal(sessionInfo(sess))
-
-	case "wake":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		var wErr error
-		done := false
-		if err := sess.Wake(func(err error) { wErr = err; done = true }); err != nil {
-			return nil, err
-		}
-		if err := s.pumpUntil(sim.Hour, func() bool { return done }); err != nil {
-			return nil, err
-		}
-		if wErr != nil {
-			return nil, wErr
-		}
-		return marshal(sessionInfo(sess))
-
-	case "shutdown":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
+		return s.settle(sess, 4*sim.Hour, func(done func(error)) error { return sess.Migrate(p.Target, done) })
+	}),
+	"hibernate": withSession(func(s *Server, sess *core.Session) (any, error) {
+		return s.settle(sess, sim.Hour, sess.Hibernate)
+	}),
+	"wake": withSession(func(s *Server, sess *core.Session) (any, error) {
+		return s.settle(sess, sim.Hour, sess.Wake)
+	}),
+	"shutdown": withSession(func(s *Server, sess *core.Session) (any, error) {
 		sess.Shutdown()
-		delete(s.sessions, p.Session)
-		return marshal("ok")
-
-	case "usage":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
+		delete(s.sessions, sess.Name())
+		return "ok", nil
+	}),
+	"usage": withSession(func(_ *Server, sess *core.Session) (any, error) {
 		u := sess.Usage()
-		return marshal(UsageInfo{
+		return UsageInfo{
 			Session:           sess.Name(),
 			CPUSeconds:        u.CPUSeconds,
 			GuestUserSeconds:  u.GuestUserSeconds,
@@ -545,93 +400,209 @@ func (s *Server) handle(op string, params json.RawMessage) (json.RawMessage, err
 			ImageBytesFetched: u.ImageBytesFetched,
 			DataBytesFetched:  u.DataBytesFetched,
 			WallSeconds:       u.WallSeconds,
-		})
-
-	case "query":
-		p, err := unmarshal[QueryParams](params)
-		if err != nil {
-			return nil, err
-		}
+		}, nil
+	}),
+	"trace": withSession((*Server).traceOf),
+	"query": withParams(func(s *Server, p QueryParams) (any, error) {
 		entries := s.grid.Info().Select(gis.Kind(p.Kind), nil)
 		out := make([]QueryEntry, 0, len(entries))
 		for _, e := range entries {
 			out = append(out, QueryEntry{Kind: string(e.Kind), Name: e.Name, Attrs: e.Attrs})
 		}
-		return marshal(out)
-
-	case "status":
-		return marshal(s.status())
-
-	case "top":
+		return out, nil
+	}),
+	"status": noParams(func(s *Server) any { return s.status() }),
+	"top": noParams(func(s *Server) any {
 		// Scrape first so the snapshot reflects this very instant even
 		// when no other op has run yet.
 		s.grid.Telemetry().Scrape()
-		return marshal(s.top())
-
-	case "alerts":
-		s.grid.Telemetry().Scrape()
-		col := s.grid.Telemetry()
-		info := AlertsInfo{Rules: []AlertRule{}, Firings: []AlertInfo{}}
-		for _, r := range col.Rules() {
-			info.Rules = append(info.Rules, AlertRule{Name: r.Name, Expr: r.Expr})
+		return s.top()
+	}),
+	"alerts":  noParams((*Server).alerts),
+	"metrics": noParams(func(s *Server) any { return s.trace.Metrics().Snapshot() }),
+	"spans": noParams(func(s *Server) any {
+		if spans := s.trace.Spans(); spans != nil {
+			return spans
 		}
-		for _, f := range col.Firings() {
-			info.Firings = append(info.Firings, alertInfo(f))
-		}
-		return marshal(info)
-
-	case "metrics":
-		return marshal(s.trace.Metrics().Snapshot())
-
-	case "spans":
-		spans := s.trace.Spans()
-		if spans == nil {
-			spans = []obs.SpanRecord{}
-		}
-		return marshal(spans)
-
-	case "trace":
-		p, err := unmarshal[SessionRef](params)
-		if err != nil {
-			return nil, err
-		}
-		sess, ok := s.sessions[p.Session]
-		if !ok {
-			return nil, fmt.Errorf("%w %q", ErrUnknownSession, p.Session)
-		}
-		ctx := sess.TraceContext()
-		info := TraceInfo{Session: sess.Name(), Trace: ctx.Trace.String(), Spans: []obs.SpanRecord{}}
-		if ctx.Valid() {
-			for _, sp := range s.trace.Spans() {
-				if sp.Trace == ctx.Trace {
-					info.Spans = append(info.Spans, sp)
-				}
-			}
-			info.Report = obs.Analyze(info.Spans, ctx)
-		}
-		return marshal(info)
-
-	case "incidents":
+		return []obs.SpanRecord{}
+	}),
+	"incidents": noParams(func(s *Server) any {
 		out := []IncidentInfo{}
 		for _, inc := range s.grid.Recorder().Incidents() {
 			out = append(out, incidentInfo(inc))
 		}
-		return marshal(out)
-
-	case "incident":
-		p, err := unmarshal[IncidentRef](params)
-		if err != nil {
-			return nil, err
-		}
+		return out
+	}),
+	"incident": withParams(func(s *Server, p IncidentRef) (any, error) {
 		inc := s.grid.Recorder().Incident(p.ID)
 		if inc == nil {
 			return nil, fmt.Errorf("wire: unknown incident %q", p.ID)
 		}
-		return marshal(inc)
+		return inc, nil
+	}),
+}
 
-	default:
-		return nil, fmt.Errorf("wire: unknown op %q", op)
+func (s *Server) addNode(p AddNodeParams) (any, error) {
+	var role core.Role
+	for _, r := range p.Roles {
+		switch r {
+		case "compute":
+			role |= core.RoleCompute
+		case "image-server":
+			role |= core.RoleImageServer
+		case "data-server":
+			role |= core.RoleDataServer
+		case "front-end":
+			role |= core.RoleFrontEnd
+		default:
+			return nil, fmt.Errorf("wire: unknown role %q", r)
+		}
 	}
+	if _, err := s.grid.AddNode(core.NodeConfig{
+		Name: p.Name, Site: p.Site, Role: role,
+		Slots: p.Slots, DHCPPrefix: p.DHCPPrefix,
+	}); err != nil {
+		return nil, err
+	}
+	return "ok", nil
+}
+
+func (s *Server) connect(p ConnectParams) (any, error) {
+	var err error
+	switch p.Kind {
+	case "lan", "":
+		err = s.grid.Net().ConnectLAN(p.A, p.B)
+	case "wan":
+		err = s.grid.Net().ConnectWAN(p.A, p.B)
+	default:
+		return nil, fmt.Errorf("wire: unknown link kind %q", p.Kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return "ok", nil
+}
+
+func (s *Server) installImage(p InstallImageParams) (any, error) {
+	node := s.grid.Node(p.Node)
+	if node == nil {
+		return nil, fmt.Errorf("wire: unknown node %q", p.Node)
+	}
+	if p.DiskBytes == 0 {
+		p.DiskBytes = 2 * hw.GB
+	}
+	if err := node.InstallImage(storage.ImageInfo{
+		Name: p.Name, OS: p.OS, DiskBytes: p.DiskBytes, MemBytes: p.MemBytes,
+	}); err != nil {
+		return nil, err
+	}
+	return "ok", nil
+}
+
+func (s *Server) createData(p CreateDataParams) (any, error) {
+	node := s.grid.Node(p.Node)
+	if node == nil {
+		return nil, fmt.Errorf("wire: unknown node %q", p.Node)
+	}
+	if err := node.CreateUserData(p.File, p.Bytes); err != nil {
+		return nil, err
+	}
+	return "ok", nil
+}
+
+func (s *Server) newSession(p SessionParams) (any, error) {
+	cfg, err := sessionConfig(p)
+	if err != nil {
+		return nil, err
+	}
+	opts, err := sessionOptions(p)
+	if err != nil {
+		return nil, err
+	}
+	var sess *core.Session
+	abandoned := false
+	if err := s.await(4*sim.Hour, func(done func(error)) error {
+		_, err := s.grid.CreateSession(cfg, func(ss *core.Session, err error) {
+			if err == nil && abandoned {
+				// The client was told this op failed, and the session
+				// has no wire name: shut it down rather than let it hold
+				// its slot unreachable.
+				ss.Shutdown()
+				return
+			}
+			sess = ss
+			done(err)
+		}, opts...)
+		return err
+	}); err != nil {
+		abandoned = true
+		return nil, err
+	}
+	s.sessions[sess.Name()] = sess
+	return sessionInfo(sess), nil
+}
+
+func (s *Server) run(p RunParams) (any, error) {
+	sess, err := s.session(p.Session)
+	if err != nil {
+		return nil, err
+	}
+	w := guest.Workload{
+		Name: p.Name, CPUSeconds: p.CPUSeconds,
+		PrivPerSec: p.PrivPerSec, MemVirtPerSec: p.MemVirtPerSec,
+		Reads: p.Reads, ReadBytes: p.ReadBytes, Mount: p.Mount,
+		RootOps: p.RootOps, RootBytes: p.RootBytes,
+	}
+	var res guest.TaskResult
+	if err := s.await(100*sim.Hour, func(done func(error)) error {
+		return sess.Run(w, func(r guest.TaskResult) { res = r; done(r.Err) })
+	}); err != nil {
+		return nil, err
+	}
+	return RunResult{
+		Name:       w.Name,
+		ElapsedSec: res.Elapsed().Seconds(),
+		UserSec:    res.UserSeconds,
+		SysSec:     res.SysSeconds(),
+		Reads:      res.Reads,
+		IOWaitSec:  res.IOWait.Seconds(),
+	}, nil
+}
+
+// settle waits out one life-cycle step of sess and reports the session
+// as it then stands.
+func (s *Server) settle(sess *core.Session, budget sim.Duration, start func(done func(error)) error) (any, error) {
+	if err := s.await(budget, start); err != nil {
+		return nil, err
+	}
+	return sessionInfo(sess), nil
+}
+
+func (s *Server) traceOf(sess *core.Session) (any, error) {
+	ctx := sess.TraceContext()
+	info := TraceInfo{Session: sess.Name(), Trace: ctx.Trace.String(), Spans: []obs.SpanRecord{}}
+	if ctx.Valid() {
+		for _, sp := range s.trace.Spans() {
+			if sp.Trace == ctx.Trace {
+				info.Spans = append(info.Spans, sp)
+			}
+		}
+		info.Report = obs.Analyze(info.Spans, ctx)
+	}
+	return info, nil
+}
+
+func (s *Server) alerts() any {
+	col := s.grid.Telemetry()
+	col.Scrape()
+	info := AlertsInfo{Rules: []AlertRule{}, Firings: []AlertInfo{}}
+	for _, r := range col.Rules() {
+		info.Rules = append(info.Rules, AlertRule{Name: r.Name, Expr: r.Expr})
+	}
+	for _, f := range col.Firings() {
+		info.Firings = append(info.Firings, alertInfo(f))
+	}
+	return info
 }
 
 func sessionConfig(p SessionParams) (core.SessionConfig, error) {

@@ -360,3 +360,56 @@ func TestSpansResponseLargerThanFourMiB(t *testing.T) {
 		t.Fatalf("ping after a large reply: %v", err)
 	}
 }
+
+// TestTimedOutNewSessionReleasesSlot: a new-session that exceeds its
+// virtual-time budget reports failure, so the session it was starting
+// must not come up later holding the node's only slot where no wire
+// op can reach it.
+func TestTimedOutNewSessionReleasesSlot(t *testing.T) {
+	srv := NewServer(1)
+	l := NewLocal(srv)
+	for _, p := range []AddNodeParams{
+		{Name: "front", Site: "nwu", Roles: []string{"front-end"}},
+		{Name: "compute", Site: "nwu", Roles: []string{"compute"}, Slots: 1, DHCPPrefix: "10.1.0."},
+		{Name: "images", Site: "ufl", Roles: []string{"image-server"}},
+	} {
+		if err := l.AddNode(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, link := range []ConnectParams{{A: "front", B: "compute", Kind: "lan"}, {A: "compute", B: "images", Kind: "wan"}, {A: "front", B: "images", Kind: "wan"}} {
+		if err := l.Connect(link.A, link.B, link.Kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.InstallImage(InstallImageParams{Node: "images", Name: "huge", OS: "rh", DiskBytes: 200 << 30, MemBytes: 128 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.InstallImage(InstallImageParams{Node: "compute", Name: "rh72", OS: "rh", MemBytes: 128 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := l.NewSession(SessionParams{
+		User: "slow", FrontEnd: "front", Image: "huge",
+		Mode: "reboot", Disk: "non-persistent", Access: "staged",
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeded 4h0m0s of virtual time") {
+		t.Fatalf("staging 200 GB over a WAN = %v, want the 4 h budget exceeded", err)
+	}
+	// Let the abandoned start finish in virtual time.
+	srv.mu.Lock()
+	_ = srv.Grid().Kernel().RunFor(100 * sim.Hour)
+	srv.mu.Unlock()
+	if live := len(srv.Grid().LiveSessions()); live != 0 {
+		t.Errorf("%d sessions live after their new-session failed", live)
+	}
+	info, err := l.NewSession(SessionParams{
+		User: "next", FrontEnd: "front", Image: "rh72",
+		Mode: "reboot", Disk: "non-persistent", Access: "local",
+	})
+	if err != nil {
+		t.Fatalf("second session on the freed slot: %v", err)
+	}
+	if info.Node != "compute" {
+		t.Errorf("second session on %q, want compute", info.Node)
+	}
+}
