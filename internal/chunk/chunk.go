@@ -16,6 +16,10 @@
 // dedup hits are always sound, independent re-creations of identical
 // content just miss. Key 0 is reserved for the all-zero chunk (file
 // holes), which every hole legitimately shares.
+//
+// Keys are only ever compared for equality, so the plane mints them as
+// a dense counter, and a node cache is a bitmap over the key space,
+// paged so that a cache pays only for the key ranges it touches.
 package chunk
 
 // Key names one chunk's content. The zero Key is the all-zero chunk.
@@ -71,20 +75,15 @@ func NewPlane(cfg Config) *Plane {
 // ChunkBytes returns the plane's chunk size.
 func (p *Plane) ChunkBytes() int64 { return p.cfg.ChunkBytes }
 
-// Mint issues a key for content that just came into being. Keys are
-// drawn from a splitmix64 stream over a monotonic counter: globally
-// fresh (never colliding with any previously minted key), so a minted
-// chunk matches a cache entry only through explicit propagation.
+// Mint issues a key for content that just came into being: the next
+// value of the plane's counter, starting at 1 (0 is the zero chunk).
+// Keys are globally fresh, never colliding with any previously minted
+// key, so a minted chunk matches a cache entry only through explicit
+// propagation. Consecutive mints are adjacent, which keeps a file's
+// chunks on one cache page.
 func (p *Plane) Mint() Key {
 	p.minted++
-	z := p.minted * 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	if z == 0 {
-		z = 1 // 0 is the reserved zero-chunk key
-	}
-	return Key(z)
+	return Key(p.minted)
 }
 
 // Count returns how many chunks a file of the given size spans.
@@ -110,7 +109,7 @@ func (p *Plane) Span(size int64, i int) (off, n int64) {
 func (p *Plane) CacheFor(node string) *Cache {
 	c := p.caches[node]
 	if c == nil {
-		c = &Cache{sizes: make(map[Key]int64, 1024)}
+		c = &Cache{pages: make(map[Key]*page)}
 		p.caches[node] = c
 	}
 	return c
@@ -133,15 +132,33 @@ func (p *Plane) Stats() Stats {
 // materialized somewhere on the node (a file, or retained content-store
 // blocks after the file was deleted). Every chunk a node ever held
 // stays nameable — the cache never evicts, so it keeps no recency
-// order: its key→size map is the whole index.
+// order and no per-key size: membership is one bit per key, in pages
+// of pageKeys consecutive keys, allocated on first touch. Minted keys
+// are dense, so a file's chunks share a page; any other key (a test's
+// random one, ^Key(0)) costs at most a page of its own.
 type Cache struct {
+	pages map[Key]*page // by k >> pageShift
+	n     int
 	used  int64
-	sizes map[Key]int64
 	stats Stats
 }
 
+const (
+	pageShift = 12
+	pageKeys  = 1 << pageShift
+)
+
+// page holds the membership bits of pageKeys consecutive keys.
+type page [pageKeys / 64]uint64
+
+// bit locates k's membership bit: the page (nil if never touched), the
+// word index within it, and the mask.
+func (c *Cache) bit(k Key) (*page, Key, uint64) {
+	return c.pages[k>>pageShift], k % pageKeys / 64, 1 << (k % 64)
+}
+
 // Len returns the number of cached keys.
-func (c *Cache) Len() int { return len(c.sizes) }
+func (c *Cache) Len() int { return c.n }
 
 // UsedBytes returns the bytes the cached chunks occupy.
 func (c *Cache) UsedBytes() int64 { return c.used }
@@ -152,14 +169,14 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Contains reports whether the key is cached, without touching the
 // accounting (for assertions and scrapes).
 func (c *Cache) Contains(k Key) bool {
-	_, ok := c.sizes[k]
-	return ok
+	pg, w, mask := c.bit(k)
+	return pg != nil && pg[w]&mask != 0
 }
 
 // Lookup is the staging-time membership test: a hit records size bytes
 // saved; a miss records the forced transfer.
 func (c *Cache) Lookup(k Key, size int64) bool {
-	if _, hit := c.sizes[k]; hit {
+	if c.Contains(k) {
 		c.stats.Hits++
 		c.stats.BytesSaved += uint64(size)
 		return true
@@ -171,9 +188,15 @@ func (c *Cache) Lookup(k Key, size int64) bool {
 // Add records that the node now holds the chunk. Re-adding a key the
 // node already holds changes nothing.
 func (c *Cache) Add(k Key, size int64) {
-	if _, ok := c.sizes[k]; ok {
+	pg, w, mask := c.bit(k)
+	if pg == nil {
+		pg = new(page)
+		c.pages[k>>pageShift] = pg
+	}
+	if pg[w]&mask != 0 {
 		return
 	}
-	c.sizes[k] = size
+	pg[w] |= mask
+	c.n++
 	c.used += size
 }

@@ -129,3 +129,81 @@ func BenchmarkChunkCacheAdd(b *testing.B) {
 		c.Add(keys[i&(len(keys)-1)], DefaultChunkBytes)
 	}
 }
+
+// mapCache is the chunk cache as a plain key→size map: the index the
+// paged bitmap replaced.
+type mapCache struct {
+	used  int64
+	sizes map[Key]int64
+	stats Stats
+}
+
+func (c *mapCache) Contains(k Key) bool {
+	_, ok := c.sizes[k]
+	return ok
+}
+
+func (c *mapCache) Lookup(k Key, size int64) bool {
+	if c.Contains(k) {
+		c.stats.Hits++
+		c.stats.BytesSaved += uint64(size)
+		return true
+	}
+	c.stats.Misses++
+	return false
+}
+
+func (c *mapCache) Add(k Key, size int64) {
+	if c.Contains(k) {
+		return
+	}
+	c.sizes[k] = size
+	c.used += size
+}
+
+// TestCacheMatchesMapReference drives the paged bitmap and a map
+// reference through the same random Add/Lookup sequence over a key
+// universe mixing dense minted keys, word and page edges (0, 63, 64,
+// 2048, 4095, 4096, 4097, ...), the top of the key space and random
+// 64-bit keys,
+// and requires equal answers, Len, UsedBytes, Stats and membership of
+// every key after every call.
+func TestCacheMatchesMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPlane(Config{})
+		got := p.CacheFor("n1")
+		want := &mapCache{sizes: make(map[Key]int64)}
+		universe := []Key{0, 63, 64, 2047, 2048, 4095, 4096, 4097, 4096 + 2048, 8191,
+			^Key(0), ^Key(0) - 64, ^Key(0) - 4096}
+		for i := 0; i < 40; i++ {
+			universe = append(universe, p.Mint())
+		}
+		for i := 0; i < 20; i++ {
+			universe = append(universe, Key(rng.Uint64()))
+		}
+		for op := 0; op < 5000; op++ {
+			k := universe[rng.Intn(len(universe))]
+			size := int64(1 + rng.Intn(int(DefaultChunkBytes)))
+			if rng.Intn(2) == 0 {
+				got.Add(k, size)
+				want.Add(k, size)
+			} else if g, w := got.Lookup(k, size), want.Lookup(k, size); g != w {
+				t.Fatalf("seed %d op %d: Lookup(%#x) = %v, want %v", seed, op, k, g, w)
+			}
+			if got.Len() != len(want.sizes) || got.UsedBytes() != want.used || got.Stats() != want.stats {
+				t.Fatalf("seed %d op %d: len %d used %d stats %+v, want len %d used %d stats %+v",
+					seed, op, got.Len(), got.UsedBytes(), got.Stats(),
+					len(want.sizes), want.used, want.stats)
+			}
+			for _, u := range universe {
+				if got.Contains(u) != want.Contains(u) {
+					t.Fatalf("seed %d op %d: Contains(%#x) = %v, want %v", seed, op, u, got.Contains(u), want.Contains(u))
+				}
+			}
+		}
+		if got.Len() != len(want.sizes) || got.Len() == 0 {
+			t.Fatalf("seed %d: %d keys cached at the end, reference %d", seed, got.Len(), len(want.sizes))
+		}
+	}
+}

@@ -17,7 +17,7 @@ func (r *Replica) snapshot() []gossipEntry {
 	for k, m := range r.meta {
 		ge := gossipEntry{key: k, stamped: m.stamped}
 		if !m.del {
-			ge.e = r.Svc.records[k]
+			ge.e = *r.Svc.records[k]
 		}
 		out = append(out, ge)
 	}

@@ -7,9 +7,11 @@
 package gis
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"vmgrid/internal/sim"
 )
@@ -42,7 +44,10 @@ const (
 )
 
 // Entry is one registered record. Attrs values are strings, int64s, or
-// float64s.
+// float64s. An Entry read from a standalone registry shares its Attrs
+// map with the record, which a later same-key refresh overwrites in
+// place (see Service.apply): read what you need before the next
+// Register of that record.
 type Entry struct {
 	Kind    Kind
 	Name    string
@@ -104,23 +109,24 @@ var ErrFencedEpoch = errors.New("gis: fenced epoch")
 // standalone Service (nil cluster) behaves exactly as before.
 type Service struct {
 	k       *sim.Kernel
-	records map[string]Entry
+	records map[string]*Entry // owned by this Service; reads hand out copies
 
 	cluster *Cluster // nil = unreplicated
 	home    string   // netsim node this replica is pinned to
+	keyBuf  []byte   // apply's scratch for looking a record up by key
 }
 
 // New creates an empty information service.
 func New(k *sim.Kernel) *Service {
-	return &Service{k: k, records: make(map[string]Entry)}
+	return &Service{k: k, records: make(map[string]*Entry)}
 }
 
 func key(kind Kind, name string) string { return string(kind) + "/" + name }
 
 // Register adds or refreshes a record. ttl ≤ 0 means no expiry. The
-// attribute map is copied. On a replicated registry this is a quorum
-// write originating at the replica's own node and can fail with
-// ErrNoQuorum.
+// registry never keeps the caller's attribute map. On a replicated
+// registry this is a quorum write originating at the replica's own
+// node and can fail with ErrNoQuorum.
 func (s *Service) Register(kind Kind, name string, attrs map[string]any, ttl sim.Duration) error {
 	return s.RegisterFrom(s.home, kind, name, attrs, ttl)
 }
@@ -141,17 +147,45 @@ func (s *Service) RegisterFrom(origin string, kind Kind, name string, attrs map[
 	return nil
 }
 
-// apply installs a record locally, bypassing replication.
+// apply installs a record locally, bypassing replication. It runs only
+// on a Service without a cluster, so the record's Attrs map belongs to
+// this registry alone: re-registering a record with the same attribute
+// key set — every host's VM future and every lease, once per tick —
+// overwrites the values in that map and resets Expires, allocating
+// nothing. A new record, or a changed key set, gets a fresh copy. (A
+// replicated record's map is shared by every replica and by gossip
+// payloads in flight, so Cluster.write copies on every write instead.)
 func (s *Service) apply(kind Kind, name string, attrs map[string]any, ttl sim.Duration) {
+	var expires sim.Time
+	if ttl > 0 {
+		expires = s.k.Now().Add(ttl)
+	}
+	s.keyBuf = append(append(append(s.keyBuf[:0], kind...), '/'), name...)
+	if e := s.records[string(s.keyBuf)]; e != nil && sameKeys(e.Attrs, attrs) {
+		for k, v := range attrs {
+			e.Attrs[k] = v
+		}
+		e.Expires = expires
+		return
+	}
 	cp := make(map[string]any, len(attrs))
 	for k, v := range attrs {
 		cp[k] = v
 	}
-	e := Entry{Kind: kind, Name: name, Attrs: cp}
-	if ttl > 0 {
-		e.Expires = s.k.Now().Add(ttl)
+	s.records[key(kind, name)] = &Entry{Kind: kind, Name: name, Attrs: cp, Expires: expires}
+}
+
+// sameKeys reports whether a and b hold the same key set.
+func sameKeys(a, b map[string]any) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	s.records[key(kind, name)] = e
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Deregister removes a record (idempotent). On a replicated registry a
@@ -172,17 +206,17 @@ func (s *Service) DeregisterFrom(origin string, kind Kind, name string) error {
 	return nil
 }
 
-func (s *Service) live(e Entry) bool {
+func (s *Service) live(e *Entry) bool {
 	return e.Expires == 0 || e.Expires >= s.k.Now()
 }
 
 // Lookup fetches one record.
 func (s *Service) Lookup(kind Kind, name string) (Entry, error) {
-	e, ok := s.records[key(kind, name)]
-	if !ok || !s.live(e) {
+	e := s.records[key(kind, name)]
+	if e == nil || !s.live(e) {
 		return Entry{}, fmt.Errorf("%w: %v %q", ErrNotFound, kind, name)
 	}
-	return e, nil
+	return *e, nil
 }
 
 // Select returns the live records of a kind matching pred (nil matches
@@ -193,11 +227,12 @@ func (s *Service) Select(kind Kind, pred func(Entry) bool) []Entry {
 		if e.Kind != kind || !s.live(e) {
 			continue
 		}
-		if pred == nil || pred(e) {
-			out = append(out, e)
+		if pred == nil || pred(*e) {
+			out = append(out, *e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	// Names are unique within a kind, so an unstable sort is exact.
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -286,8 +321,8 @@ const (
 // Epoch returns a session's current fencing epoch as recorded in this
 // replica's view (0 if the session has none yet).
 func (s *Service) Epoch(session string) int64 {
-	e, ok := s.records[key(KindEpoch, session)]
-	if !ok {
+	e := s.records[key(KindEpoch, session)]
+	if e == nil {
 		return 0
 	}
 	return e.Int(AttrEpoch)
@@ -303,8 +338,8 @@ func (s *Service) Epoch(session string) int64 {
 func (s *Service) EpochGuard(session string, token int64) func() error {
 	k := key(KindEpoch, session)
 	return func() error {
-		e, ok := s.records[k]
-		if !ok {
+		e := s.records[k]
+		if e == nil {
 			return nil
 		}
 		if cur, _ := e.Attrs[AttrEpoch].(int64); cur > token {
@@ -357,12 +392,11 @@ func (s *Service) FindFutures(q FutureQuery) []Entry {
 		}
 		return true
 	})
-	sort.SliceStable(out, func(i, j int) bool {
-		li, lj := out[i].Float(AttrLoad), out[j].Float(AttrLoad)
-		if li != lj {
-			return li < lj
+	slices.SortStableFunc(out, func(a, b Entry) int {
+		if la, lb := a.Float(AttrLoad), b.Float(AttrLoad); la != lb {
+			return cmp.Compare(la, lb)
 		}
-		return out[i].Float(AttrSpeed) > out[j].Float(AttrSpeed)
+		return cmp.Compare(b.Float(AttrSpeed), a.Float(AttrSpeed))
 	})
 	return out
 }

@@ -174,3 +174,113 @@ func TestEntryTypeHelpers(t *testing.T) {
 		t.Error("Str helper wrong")
 	}
 }
+
+// TestRegisterRefreshInPlace: re-registering a record with the same
+// attribute keys updates its values and expiry; a changed key set
+// replaces the attributes outright, so no stale key survives; neither
+// shares the caller's map.
+func TestRegisterRefreshInPlace(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := New(k)
+	mustRegister := func(attrs map[string]any, ttl sim.Duration) Entry {
+		t.Helper()
+		if err := s.Register(KindVMFuture, "n1", attrs, ttl); err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.Lookup(KindVMFuture, "n1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	mustRegister(map[string]any{AttrSlots: int64(4), AttrSite: "nwu"}, 10*sim.Second)
+	_ = k.RunUntil(sim.Time(5 * sim.Second))
+
+	attrs := map[string]any{AttrSlots: int64(2), AttrSite: "ufl"}
+	e := mustRegister(attrs, 20*sim.Second)
+	if e.Int(AttrSlots) != 2 || e.Str(AttrSite) != "ufl" {
+		t.Errorf("same-key refresh: attrs %v, want slots 2 site ufl", e.Attrs)
+	}
+	if want := sim.Time(25 * sim.Second); e.Expires != want {
+		t.Errorf("same-key refresh: expires %v, want %v", e.Expires, want)
+	}
+	attrs[AttrSlots] = int64(9) // caller mutation must not leak in
+	if e, _ := s.Lookup(KindVMFuture, "n1"); e.Int(AttrSlots) != 2 {
+		t.Error("refreshed record shares the caller's map")
+	}
+
+	if e := mustRegister(map[string]any{AttrSlots: int64(1), AttrSite: "ufl"}, 0); e.Expires != 0 {
+		t.Errorf("refresh with ttl 0: expires %v, want none", e.Expires)
+	}
+	_ = k.RunUntil(sim.Time(60 * sim.Second))
+	if _, err := s.Lookup(KindVMFuture, "n1"); err != nil {
+		t.Errorf("record refreshed without a ttl expired: %v", err)
+	}
+
+	// Same size, different keys: the old key must go.
+	e = mustRegister(map[string]any{AttrSlots: int64(3), AttrLoad: 0.5}, 0)
+	if _, ok := e.Attrs[AttrSite]; ok || len(e.Attrs) != 2 || e.Float(AttrLoad) != 0.5 {
+		t.Errorf("changed key set: attrs %v, want slots and load only", e.Attrs)
+	}
+	// Fewer keys.
+	e = mustRegister(map[string]any{AttrSlots: int64(0)}, 0)
+	if len(e.Attrs) != 1 || e.Int(AttrSlots) != 0 {
+		t.Errorf("shrunk key set: attrs %v, want slots only", e.Attrs)
+	}
+	// No keys.
+	if e = mustRegister(nil, 0); len(e.Attrs) != 0 {
+		t.Errorf("emptied key set: attrs %v, want none", e.Attrs)
+	}
+}
+
+// TestRegisterRefreshAllocatesNothing: refreshing a VM future with the
+// same six attribute keys, under a name too long for the compiler's
+// stack buffer, copies no map and builds no key string.
+func TestRegisterRefreshAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := New(k)
+	const name = "compute-node-with-a-long-name.example.org"
+	attrs := futureAttrs()
+	if err := s.Register(KindVMFuture, name, attrs, 10*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Register(KindVMFuture, name, attrs, 10*sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("same-key refresh allocates %v times, want 0", allocs)
+	}
+}
+
+// futureAttrs is a host's VM-future advertisement.
+func futureAttrs() map[string]any {
+	return map[string]any{
+		AttrSite:      "nwu",
+		AttrSlots:     int64(2),
+		AttrSpeed:     1.0,
+		AttrMemBytes:  int64(1 << 30),
+		AttrDiskBytes: int64(40 << 30),
+		AttrLoad:      0.25,
+	}
+}
+
+// BenchmarkRegisterRefresh is one host's per-tick VM-future refresh on
+// a standalone registry: same six keys, new values.
+func BenchmarkRegisterRefresh(b *testing.B) {
+	k := sim.NewKernel(1)
+	s := New(k)
+	attrs := futureAttrs()
+	if err := s.Register(KindVMFuture, "compute1", attrs, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		attrs[AttrSlots] = int64(i & 3)
+		if err := s.Register(KindVMFuture, "compute1", attrs, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

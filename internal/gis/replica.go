@@ -108,10 +108,18 @@ type gossipLink struct {
 
 // gossipPayload is one round's delta from a replica to a peer: the
 // live log entries above the peer's watermark, as of send time.
+//
+// Payloads come from the cluster's free list. A payload holds one
+// reference per Send that accepted it, and each delivery drops one
+// after merging, so it returns to the list only once no message
+// carries it. A payload whose sends all fail returns at once; one
+// dropped in flight keeps its reference and is left to the GC.
 type gossipPayload struct {
 	entries []gossipEntry
 	from    uint64 // the watermark the entries are above
 	upTo    uint64 // the sender's log version when the payload was built
+	refs    int
+	next    *gossipPayload // free-list link
 }
 
 // gossipEntry is one record in flight between replicas.
@@ -146,6 +154,7 @@ type Cluster struct {
 	running        bool
 	next           sim.EventID
 	tickFn         func() // tick, bound once so rearming allocates nothing
+	free           *gossipPayload
 	minorityWrites uint64
 	gossipRounds   uint64
 }
@@ -182,7 +191,8 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 		if i > 0 {
 			svc = New(primary.k)
 			for k, e := range primary.records {
-				svc.records[k] = e
+				cp := *e
+				svc.records[k] = &cp
 			}
 		}
 		svc.cluster = c
@@ -193,7 +203,7 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 	for _, src := range c.reps {
 		for _, dst := range c.reps {
 			if dst != src {
-				src.links = append(src.links, newGossipLink(dst))
+				src.links = append(src.links, c.newGossipLink(dst))
 			}
 		}
 	}
@@ -222,12 +232,14 @@ func NewCluster(net *netsim.Network, primary *Service, nodes []string, gossipEve
 	return c, nil
 }
 
-func newGossipLink(dst *Replica) *gossipLink {
+func (c *Cluster) newGossipLink(dst *Replica) *gossipLink {
 	l := &gossipLink{dst: dst}
 	l.deliver = func(payload any) {
 		p := payload.(*gossipPayload)
 		dst.merge(p.entries)
 		l.delivered = max(l.delivered, p.upTo)
+		p.refs--
+		c.recycle(p)
 	}
 	return l
 }
@@ -280,18 +292,47 @@ func (c *Cluster) gossip() {
 		for _, l := range src.links {
 			// Peers at the same watermark share one payload.
 			if p == nil || l.delivered != p.from {
-				p = &gossipPayload{entries: src.changesSince(l.delivered), from: l.delivered, upTo: src.ver}
+				c.recycle(p)
+				p = c.payload(src, l.delivered)
 			}
-			_ = src.at.Send(l.dst.at, size, p, l.deliver)
+			if src.at.Send(l.dst.at, size, p, l.deliver) == nil {
+				p.refs++
+			}
 		}
+		c.recycle(p)
 	}
 }
 
-// changesSince returns the live log entries above version from, with
-// their current stamps and records, in log order.
-func (r *Replica) changesSince(from uint64) []gossipEntry {
+// payload takes a payload from the free list (or allocates one) and
+// fills it with src's changes above the watermark from.
+func (c *Cluster) payload(src *Replica, from uint64) *gossipPayload {
+	p := c.free
+	if p == nil {
+		p = new(gossipPayload)
+	} else {
+		c.free, p.next = p.next, nil
+	}
+	p.entries = src.appendChangesSince(p.entries, from)
+	p.from, p.upTo = from, src.ver
+	return p
+}
+
+// recycle puts p back on the free list, emptied so it pins no records,
+// once no accepted Send still carries it.
+func (c *Cluster) recycle(p *gossipPayload) {
+	if p == nil || p.refs > 0 {
+		return
+	}
+	clear(p.entries)
+	p.entries = p.entries[:0]
+	p.next = c.free
+	c.free = p
+}
+
+// appendChangesSince appends the live log entries above version from,
+// with their current stamps and records, in log order.
+func (r *Replica) appendChangesSince(out []gossipEntry, from uint64) []gossipEntry {
 	i := sort.Search(len(r.log), func(i int) bool { return r.log[i].ver > from })
-	var out []gossipEntry
 	for _, le := range r.log[i:] {
 		m := r.meta[le.key]
 		if m.ver != le.ver {
@@ -299,7 +340,7 @@ func (r *Replica) changesSince(from uint64) []gossipEntry {
 		}
 		ge := gossipEntry{key: le.key, stamped: m.stamped}
 		if !m.del {
-			ge.e = r.Svc.records[le.key]
+			ge.e = *r.Svc.records[le.key]
 		}
 		out = append(out, ge)
 	}
@@ -343,7 +384,12 @@ func (r *Replica) install(key string, m stamped, e Entry) {
 		delete(r.Svc.records, key)
 		return
 	}
-	r.Svc.records[key] = e
+	if cur := r.Svc.records[key]; cur != nil {
+		*cur = e
+		return
+	}
+	cp := e
+	r.Svc.records[key] = &cp
 }
 
 // adopt records key's new stamp at the next log version, keeping newest
@@ -386,6 +432,9 @@ func (c *Cluster) write(origin string, kind Kind, name string, attrs map[string]
 	m := stamped{st: Stamp{T: c.k.Now(), Seq: c.seq, Origin: origin}, del: del}
 	var e Entry
 	if !del {
+		// Copy on write: every replica installs this one map, and gossip
+		// payloads carry it by reference, so a replicated record's Attrs
+		// are never written after this point.
 		cp := make(map[string]any, len(attrs))
 		for k, v := range attrs {
 			cp[k] = v
