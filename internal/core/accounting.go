@@ -29,12 +29,12 @@ type Usage struct {
 // Usage returns the session's metered consumption so far.
 func (s *Session) Usage() Usage {
 	u := Usage{}
-	if s.vm != nil {
-		u.CPUSeconds = s.vm.Proc().CPUSeconds()
-		u.GuestUserSeconds = s.vm.Guest().UserSeconds()
+	if vm := s.VM(); vm != nil {
+		u.CPUSeconds = vm.Proc().CPUSeconds()
+		u.GuestUserSeconds = vm.Guest().UserSeconds()
 	}
-	if s.cow != nil {
-		u.DiffBytes = s.cow.DiffBytes()
+	if s.cur != nil && s.cur.cow != nil {
+		u.DiffBytes = s.cur.cow.DiffBytes()
 	}
 	if s.imageClient != nil {
 		u.ImageBytesFetched = s.imageClient.BytesFetched()

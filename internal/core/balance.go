@@ -56,7 +56,7 @@ func (f *gridFabric) Sessions(node string) []string {
 	}
 	var out []*Session
 	for _, s := range f.g.sessionsOn(n) {
-		if !s.state.CanMigrate() || s.cow == nil || s.migrating || f.g.sessionBusy(s.name) {
+		if !s.state.CanMigrate() || s.cur.cow == nil || s.migrating || f.g.sessionBusy(s.name) {
 			continue
 		}
 		out = append(out, s)

@@ -28,6 +28,7 @@ func TestCreateSessionNodeHint(t *testing.T) {
 	if got := sess.Node().Name(); got != "compute2" {
 		t.Errorf("hinted session landed on %q, want compute2", got)
 	}
+	checkNoLeaks(t, g)
 }
 
 func TestCreateSessionPlacerSpreads(t *testing.T) {
@@ -43,6 +44,7 @@ func TestCreateSessionPlacerSpreads(t *testing.T) {
 	if s1.Node() == s2.Node() {
 		t.Errorf("least-loaded stacked both sessions on %q", s1.Node().Name())
 	}
+	checkNoLeaks(t, g)
 }
 
 func startSessionWith(t *testing.T, g *Grid, opts ...CreateOption) *Session {
@@ -95,9 +97,10 @@ func TestFencedMigrationSourceCrashOneIncarnation(t *testing.T) {
 		t.Errorf("session re-homed to the target despite the aborted migration")
 	}
 	// The aborted migration must not hold a slot on the target.
-	if got := g.Node("compute2").slots; got != 2 {
+	if got := g.Node("compute2").Slots(); got != 2 {
 		t.Errorf("target slots = %d after aborted migration, want 2", got)
 	}
+	checkNoLeaks(t, g)
 }
 
 // TestFencedMigrationTargetCrashOneIncarnation: the target dies while
@@ -131,6 +134,7 @@ func TestFencedMigrationTargetCrashOneIncarnation(t *testing.T) {
 	if s.Node() != nil && s.Node().Name() == "compute2" && s.State() == StateRunning {
 		t.Errorf("session reports live on the crashed target")
 	}
+	checkNoLeaks(t, g)
 }
 
 // TestSupervisedTaskSurvivesFencedMigration is the carried-epoch
@@ -204,6 +208,7 @@ func TestSupervisedTaskSurvivesFencedMigration(t *testing.T) {
 		t.Errorf("stats = %+v; migration must not register as a failure", st)
 	}
 	sup.Stop()
+	checkNoLeaks(t, g)
 }
 
 // TestMigrateFencedRefusedWithoutQuorum: against a replicated registry
@@ -226,6 +231,7 @@ func TestMigrateFencedRefusedWithoutQuorum(t *testing.T) {
 	if s.Node().Name() != "compute1" || s.migrating {
 		t.Errorf("refused migration moved state: node=%s migrating=%v", s.Node().Name(), s.migrating)
 	}
+	checkNoLeaks(t, g)
 }
 
 // startLoadSignal enables telemetry and the monitor: the balancer reads
@@ -287,6 +293,7 @@ func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 	if cheap.State() != StateRunning {
 		t.Errorf("migrated session state = %q", cheap.State())
 	}
+	checkNoLeaks(t, g)
 }
 
 // TestStartBalancerNeedsLoadSignal: without telemetry and a running
@@ -311,4 +318,5 @@ func TestStartBalancerNeedsLoadSignal(t *testing.T) {
 	if _, err := g.StartBalancer(cfg); err == nil {
 		t.Fatal("balancer started with a stopped monitor")
 	}
+	checkNoLeaks(t, g)
 }

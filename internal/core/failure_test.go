@@ -51,6 +51,7 @@ func TestDHCPExhaustionFallsBackToTunnel(t *testing.T) {
 	if second.Tunnel() == nil {
 		t.Error("second session did not fall back to tunneling")
 	}
+	checkNoLeaks(t, g)
 }
 
 func TestImageServerPartitionFailsOnDemandSession(t *testing.T) {
@@ -77,6 +78,7 @@ func TestImageServerPartitionFailsOnDemandSession(t *testing.T) {
 	if got == nil {
 		t.Fatal("session succeeded across a partition")
 	}
+	checkNoLeaks(t, g)
 }
 
 func TestTunnelEstablishmentFailsAcrossPartition(t *testing.T) {
@@ -122,6 +124,7 @@ func TestTunnelEstablishmentFailsAcrossPartition(t *testing.T) {
 	if got == nil {
 		t.Fatal("session established a tunnel across a partition")
 	}
+	checkNoLeaks(t, g)
 }
 
 func TestMigrateToFullNodeRejected(t *testing.T) {
@@ -146,6 +149,7 @@ func TestMigrateToFullNodeRejected(t *testing.T) {
 	if err := victim.Migrate("compute2", nil); err == nil {
 		t.Error("migrate to a full node accepted")
 	}
+	checkNoLeaks(t, g)
 }
 
 func TestHibernateDuringIOCompletesAfterWake(t *testing.T) {
@@ -182,6 +186,7 @@ func TestHibernateDuringIOCompletesAfterWake(t *testing.T) {
 	if res.Reads != 600 {
 		t.Errorf("reads = %d, want 600", res.Reads)
 	}
+	checkNoLeaks(t, g)
 }
 
 func TestDoubleMigrateSequential(t *testing.T) {
@@ -226,6 +231,7 @@ func TestDoubleMigrateSequential(t *testing.T) {
 	if s.Node().Name() != firstNode {
 		t.Errorf("session on %s, want %s", s.Node().Name(), firstNode)
 	}
+	checkNoLeaks(t, g)
 }
 
 // TestMigrateRefusedWhileCheckpointHoldsSuspend: a migration asked for
@@ -254,11 +260,11 @@ func TestMigrateRefusedWhileCheckpointHoldsSuspend(t *testing.T) {
 		held = true
 	})
 	deadline := k.Now().Add(10 * sim.Minute)
-	for s.vm.State() != vmm.StateSuspended && k.Now() < deadline {
+	for s.VM().State() != vmm.StateSuspended && k.Now() < deadline {
 		_ = k.RunFor(10 * sim.Millisecond)
 	}
-	if s.vm.State() != vmm.StateSuspended || held {
-		t.Fatalf("no checkpoint holds the VM suspended (vm %v, checkpoint done %v)", s.vm.State(), held)
+	if s.VM().State() != vmm.StateSuspended || held {
+		t.Fatalf("no checkpoint holds the VM suspended (vm %v, checkpoint done %v)", s.VM().State(), held)
 	}
 	err := s.Migrate(other, func(err error) {
 		t.Errorf("done called for a refused migration: %v", err)
@@ -295,4 +301,5 @@ func TestMigrateRefusedWhileCheckpointHoldsSuspend(t *testing.T) {
 	if !migrated || s.Node().Name() != other {
 		t.Fatalf("later migration: done %v, session on %s, want %s", migrated, s.Node().Name(), other)
 	}
+	checkNoLeaks(t, g)
 }

@@ -171,15 +171,12 @@ type Node struct {
 	dhcp  *vnet.DHCP
 
 	images map[string]storage.ImageInfo
-	slots  int
 
-	// capacity is the configured slot count, restored on reboot.
+	// capacity is the configured slot count. Each incarnation listed in
+	// incs holds one slot; the rest are free.
 	capacity int
+	incs     []*incarnation
 	crashed  bool
-	// bootEpoch counts reboots. Slot releases captured before a crash
-	// compare it: RebootNode resets slots to capacity wholesale, so a
-	// pre-crash reservation released afterwards would overcount.
-	bootEpoch int
 	// DHCP pool parameters, kept to rebuild the pool after a reboot
 	// (crash loses all leases).
 	dhcpPrefix string
@@ -225,14 +222,14 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: node %q: %w", cfg.Name, err)
 	}
 	n := &Node{
-		grid:   g,
-		name:   cfg.Name,
-		site:   cfg.Site,
-		role:   cfg.Role,
-		host:   host,
-		store:  storage.NewStore(host),
-		images: make(map[string]storage.ImageInfo),
-		slots:  cfg.Slots,
+		grid:     g,
+		name:     cfg.Name,
+		site:     cfg.Site,
+		role:     cfg.Role,
+		host:     host,
+		store:    storage.NewStore(host),
+		images:   make(map[string]storage.ImageInfo),
+		capacity: cfg.Slots,
 	}
 	if g.chunks != nil {
 		n.store.SetChunkPlane(g.chunks)
@@ -243,11 +240,10 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 		n.gk = gram.NewGatekeeper(host)
 		n.gk.SetTracer(g.tracer)
 		g.registry.Add(cfg.Name, n.gk)
-		if n.slots <= 0 {
-			n.slots = 1
+		if n.capacity <= 0 {
+			n.capacity = 1
 		}
 	}
-	n.capacity = n.slots
 	if cfg.DHCPPrefix != "" {
 		size := cfg.DHCPSize
 		if size <= 0 {
@@ -287,8 +283,9 @@ func (n *Node) VFSServer() *vfs.Server { return n.vfsrv }
 // Gatekeeper returns the node's job gatekeeper (nil unless RoleCompute).
 func (n *Node) Gatekeeper() *gram.Gatekeeper { return n.gk }
 
-// Slots returns the remaining VM capacity.
-func (n *Node) Slots() int { return n.slots }
+// Slots returns the remaining VM capacity: the slots no listed
+// incarnation holds.
+func (n *Node) Slots() int { return n.capacity - len(n.incs) }
 
 // Crashed reports whether the node is currently failed-stop.
 func (n *Node) Crashed() bool { return n.crashed }
@@ -305,7 +302,7 @@ func (n *Node) advertise() {
 	spec := n.host.Spec()
 	err := n.grid.info.RegisterFrom(n.name, gis.KindVMFuture, n.name, map[string]any{
 		gis.AttrSite:      n.site,
-		gis.AttrSlots:     int64(n.slots),
+		gis.AttrSlots:     int64(n.Slots()),
 		gis.AttrSpeed:     spec.CPU.Speed,
 		gis.AttrMemBytes:  spec.MemBytes / 2,
 		gis.AttrDiskBytes: spec.Disk.CapacityBytes,
@@ -368,8 +365,9 @@ func boolAttr(b bool) int64 {
 }
 
 // CrashNode fail-stops a node: every attached link drops out of the
-// topology, the VMs it hosts die with their in-memory guest state, its
-// VM-future advertisement disappears, and its DHCP leases are lost. The
+// topology, the VMs it hosts die with their in-memory guest state (a
+// marooned incarnation's too), its VM-future advertisement disappears,
+// and its DHCP leases are lost. The
 // node's disk store survives the crash (it is back after RebootNode),
 // but sessions that were running there lose everything since their last
 // checkpoint — recovering them is the Supervisor's job. Crashing an
@@ -388,12 +386,16 @@ func (g *Grid) CrashNode(name string) error {
 	for _, s := range g.sessionsOn(n) {
 		s.crash()
 	}
+	for _, in := range n.incs {
+		in.stop()
+	}
 	return nil
 }
 
-// RebootNode brings a crashed node back: links restore, the full slot
-// capacity is free again, and a fresh DHCP pool comes up. Sessions that
-// died in the crash do not come back by themselves.
+// RebootNode brings a crashed node back: links restore, the node lists
+// no incarnation (the full slot capacity is free again), and a fresh
+// DHCP pool comes up. Sessions that died in the crash do not come back
+// by themselves.
 func (g *Grid) RebootNode(name string) error {
 	n := g.nodes[name]
 	if n == nil {
@@ -403,34 +405,13 @@ func (g *Grid) RebootNode(name string) error {
 		return nil
 	}
 	n.crashed = false
-	n.bootEpoch++
 	_ = g.net.SetNodeUp(name, true)
 	if n.dhcpPrefix != "" {
 		n.dhcp = vnet.NewDHCP(n.dhcpPrefix, n.dhcpSize)
 	}
-	n.slots = n.capacity
+	n.incs = nil
 	n.advertise()
 	return nil
-}
-
-// reserveSlot takes a slot on n and returns a release closure that is
-// safe to call after an intervening crash/reboot cycle: reboot restores
-// full capacity, so a stale release must become a no-op instead of
-// minting an extra slot.
-func (n *Node) reserveSlot() (release func()) {
-	n.slots--
-	n.advertise()
-	boot := n.bootEpoch
-	released := false
-	return func() {
-		if released || n.crashed || n.bootEpoch != boot {
-			released = true
-			return
-		}
-		released = true
-		n.slots++
-		n.advertise()
-	}
 }
 
 // sessionsOn returns the live sessions hosted by n in name order (the
@@ -438,7 +419,7 @@ func (n *Node) reserveSlot() (release func()) {
 func (g *Grid) sessionsOn(n *Node) []*Session {
 	var out []*Session
 	for _, s := range g.live {
-		if s.node == n {
+		if s.cur.node == n {
 			out = append(out, s)
 		}
 	}

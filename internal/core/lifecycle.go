@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/gram"
 	"vmgrid/internal/obs"
 	"vmgrid/internal/storage"
 	"vmgrid/internal/vmm"
+	"vmgrid/internal/vnet"
 )
 
 // Shutdown ends the session: the VM powers off, the non-persistent diff
@@ -18,21 +20,20 @@ func (s *Session) Shutdown() {
 	if s.state == StateDead {
 		return
 	}
-	if s.vm != nil {
-		s.vm.PowerOff()
-	}
-	if s.addr != "" && s.node != nil && s.node.dhcp != nil {
-		_ = s.node.dhcp.Release(s.addr)
-		s.addr = ""
-	}
-	// A crashed node's store survives but is unreachable; leave its files
-	// for the reboot-time operator. (Shutdown of a crashed session happens
-	// when its supervisor gives up on recovery.)
-	if s.node != nil && !s.node.crashed {
-		dropFiles(s.node.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
+	in := s.cur
+	if in != nil {
+		in.stop()
+		// A crashed node's store survives but is unreachable; leave its
+		// files for the reboot-time operator. (Shutdown of a crashed
+		// session happens when its supervisor gives up on recovery.)
+		if !in.node.crashed {
+			dropFiles(in.node.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
+		}
 	}
 	s.grid.info.Deregister(gis.KindVM, s.name)
-	s.releaseSlot()
+	if in != nil {
+		in.retire()
+	}
 	s.grid.dropLive(s.name)
 	s.state = StateDead
 	s.mark("shutdown")
@@ -45,7 +46,7 @@ func (s *Session) Hibernate(done func(error)) error {
 	if !s.state.CanHibernate() {
 		return fmt.Errorf("%w: hibernate in %q", ErrBadSession, s.state)
 	}
-	if err := s.vm.Suspend(func(err error) {
+	if err := s.cur.vm.Suspend(func(err error) {
 		if err == nil {
 			s.state = StateHibernated
 			s.mark("hibernated")
@@ -65,7 +66,7 @@ func (s *Session) Wake(done func(error)) error {
 	if !s.state.CanWake() {
 		return fmt.Errorf("%w: wake in %q", ErrBadSession, s.state)
 	}
-	return s.vm.Start(vmm.WarmRestore, func(err error) {
+	return s.cur.vm.Start(vmm.WarmRestore, func(err error) {
 		if err == nil {
 			s.state = StateRunning
 			s.mark("woken")
@@ -90,28 +91,28 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 	if !s.state.CanMigrate() || s.migrating {
 		return fmt.Errorf("%w: migrate in %q", ErrBadSession, s.state)
 	}
-	if s.cow == nil {
+	in := s.cur
+	if in.cow == nil {
 		return fmt.Errorf("core: only non-persistent sessions migrate via diff transfer")
 	}
 	target := s.grid.nodes[targetName]
 	if target == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, targetName)
 	}
-	if target == s.node {
+	if target == in.node {
 		return fmt.Errorf("core: %s already runs on %q", s.name, targetName)
 	}
-	if target.gk == nil || target.slots <= 0 {
+	if target.gk == nil || target.Slots() <= 0 {
 		return fmt.Errorf("core: %q cannot accept a VM (no gatekeeper or slots)", targetName)
 	}
 	if _, ok := target.Image(s.cfg.Image); !ok {
 		return fmt.Errorf("%w: base image %q not on target %s", ErrNoImage, s.cfg.Image, targetName)
 	}
 
-	// gen pins the incarnation this migration moves. If the source
-	// crashes mid-transfer and a supervisor failover restores the
-	// session elsewhere (bumping gen), the half-done migration must
-	// abort instead of minting a second live incarnation.
-	gen := s.gen
+	// in is the incarnation this migration moves. If the source crashes
+	// mid-transfer and a supervisor failover restores the session
+	// elsewhere (a new current incarnation), the half-done migration
+	// must abort instead of minting a second live incarnation.
 	s.migrating = true
 	suspended := false // this migration froze a running guest
 	// The migration span covers suspend, state transfer, and arrival;
@@ -120,10 +121,10 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 	msp := s.grid.tracer.BeginChild(s.sctx, s.name, "migration", "migrate:"+targetName)
 	finish := func(err error) {
 		s.migrating = false
-		if err != nil && suspended && s.gen == gen && s.state == StateRunning {
+		if err != nil && suspended && s.cur == in && s.state == StateRunning {
 			// Resume the guest this migration froze. Unpause refuses
 			// only a VM that is no longer suspended: nothing to resume.
-			_ = s.vm.Unpause()
+			_ = in.vm.Unpause()
 		}
 		msp.EndErr(err)
 		if done != nil {
@@ -131,7 +132,7 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 		}
 	}
 	superseded := func() error {
-		if s.gen != gen || !s.state.CanMigrate() {
+		if s.cur != in || !s.state.CanMigrate() {
 			return fmt.Errorf("%w: migration superseded mid-transfer", ErrFencedEpoch)
 		}
 		return nil
@@ -143,7 +144,7 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 			return
 		}
 		// Move the session state files: memory image and COW diff.
-		s.moveState(s.node, func(ext string) string { return s.name + ext }, target, func(err error) {
+		s.moveState(in.node, func(ext string) string { return s.name + ext }, target, func(err error) {
 			if err == nil {
 				err = superseded()
 			}
@@ -157,7 +158,7 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 
 	if s.state == StateRunning {
 		s.mark("migrate-suspend")
-		err := s.vm.Suspend(func(err error) {
+		err := in.vm.Suspend(func(err error) {
 			if err != nil {
 				finish(err)
 				return
@@ -203,8 +204,8 @@ func (s *Session) MigrateFenced(targetName string, done func(error)) error {
 	return s.Migrate(targetName, func(err error) {
 		if err == nil && s.epoch != ep {
 			// A failover bumped past us while state was in flight; the
-			// internal generation guard should already have aborted, but
-			// never report a superseded migration as success.
+			// superseded-incarnation guard should already have aborted,
+			// but never report a superseded migration as success.
 			err = ErrFencedEpoch
 		}
 		if done != nil {
@@ -233,24 +234,21 @@ func (s *Session) adoptEpoch(old, ep int64) {
 	}
 }
 
-// restoreFrom re-instantiates a crashed session on target from a
+// restoreFrom re-instantiates a crashed session as in, an incarnation
+// whose slot the caller (the supervisor's failover) took, from a
 // checkpoint whose state files (s.name+".mem" and s.name+".cow") have
-// already been staged into target's store. Unlike arrive, there is no
-// guest to adopt — the crashed guest's post-checkpoint state is gone —
-// so the VM warm-restores with a fresh guest and the caller (the
-// supervisor) resubmits the remaining work. writtenPages is the COW
-// page list recorded at checkpoint time.
-//
-// The session must be in the "recovering" state (the supervisor's
-// failover path sets it) and the caller must have reserved a slot on
-// target.
-func (s *Session) restoreFrom(target *Node, writtenPages []int64, rctx obs.SpanContext, finish func(error)) {
+// already been staged into its node's store. Unlike arrive, there is
+// no guest to adopt — the crashed guest's post-checkpoint state is
+// gone — so the VM warm-restores with a fresh guest and the caller
+// resubmits the remaining work. writtenPages is the COW page list
+// recorded at checkpoint time. The session must be in the "recovering"
+// state (the failover path sets it).
+func (s *Session) restoreFrom(in *incarnation, writtenPages []int64, rctx obs.SpanContext, finish func(error)) {
 	if s.state != StateRecovering {
 		finish(fmt.Errorf("%w: restore in %q", ErrBadSession, s.state))
 		return
 	}
-	in, err := s.vmFromState(target, writtenPages, rctx)
-	if err != nil {
+	if err := s.vmFromState(in, writtenPages, rctx); err != nil {
 		finish(err)
 		return
 	}
@@ -261,84 +259,121 @@ func (s *Session) restoreFrom(target *Node, writtenPages []int64, rctx obs.SpanC
 // files landed there. mctx is the migration span, under which the new
 // VM's restore work parents.
 func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error)) {
-	oldNode := s.node
-	oldVM := s.vm
-	in, err := s.vmFromState(target, s.cow.WrittenPages(), mctx)
-	if err != nil {
+	old := s.cur
+	in := &incarnation{node: target}
+	if err := s.vmFromState(in, old.cow.WrittenPages(), mctx); err != nil {
 		finish(err)
 		return
 	}
-	oldVM.PowerOff()
-	if err := in.vm.AdoptGuest(oldVM.Guest()); err != nil {
+	old.stop()
+	if err := in.vm.AdoptGuest(old.vm.Guest()); err != nil {
 		finish(err)
 		return
 	}
 
-	// Hand over bookkeeping. The new slot is reserved through a release
-	// closure so a later crash of either node cannot double-free it.
-	newRelease := target.reserveSlot()
-	if s.addr != "" && oldNode.dhcp != nil {
-		_ = oldNode.dhcp.Release(s.addr)
-		s.addr = ""
-	}
-	s.releaseSlot()
-	s.slotRelease = newRelease
-	dropFiles(oldNode.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
+	// Hand over: the target's slot is taken before the old host's
+	// address and slot go back.
+	in.takeSlot()
+	old.retire()
+	dropFiles(old.node.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
 	s.online(in, "migrated", func() error {
 		// The target may have crashed (or a failover superseded this
 		// incarnation) while the VM was coming up; resuming would
 		// resurrect a dead incarnation.
-		if s.vm != in.vm || s.state == StateCrashed || s.state == StateDead {
+		if s.cur != in || s.state == StateCrashed || s.state == StateDead {
 			return fmt.Errorf("%w: migration superseded at arrival", ErrFencedEpoch)
 		}
 		return nil
 	}, finish)
 }
 
-// incarnation is a VM built over a session's state files on one node,
-// before it becomes the session's.
+// incarnation is one VM of a session on one host: the node, the VM
+// (which holds its memory image), the COW disk, and its network
+// identity. It holds one
+// of the node's slots while the node lists it. The session's current
+// incarnation is Session.cur; one a partition marooned is kept by the
+// supervisor, under the fencing epoch it ran with, until it surfaces.
+// retire is the only teardown.
 type incarnation struct {
-	node *Node
-	vm   *vmm.VM
-	cow  *storage.CowDisk
-	mem  *memBackend
+	node   *Node
+	vm     *vmm.VM
+	cow    *storage.CowDisk
+	addr   string
+	tunnel *vnet.Tunnel
+	// epoch is the fencing epoch a marooned incarnation ran under: the
+	// token that names it when it surfaces.
+	epoch int64
 }
 
-// vmFromState builds a VM for the session on target over the state
-// staged there: the COW diff <s>.cow over target's copy of the shared
-// base image (pages are the diff's written pages) and the memory image
+// takeSlot lists in on its node, where it now holds a slot, and
+// re-advertises the node.
+func (in *incarnation) takeSlot() {
+	in.node.incs = append(in.node.incs, in)
+	in.node.advertise()
+}
+
+// stop powers the VM off unless it already is.
+func (in *incarnation) stop() {
+	if in.vm != nil && in.vm.State() != vmm.StateOff {
+		in.vm.PowerOff()
+	}
+}
+
+// retire tears the incarnation down: the VM stops and, while its node
+// is up and still lists it, the address and the slot go back and the
+// node re-advertises. A crash takes the pool and the slots, and a
+// reboot lists nothing, so a stale incarnation returns nothing. Safe to
+// call again.
+func (in *incarnation) retire() {
+	in.stop()
+	n := in.node
+	i := slices.Index(n.incs, in)
+	if i < 0 || n.crashed {
+		return
+	}
+	if in.addr != "" && n.dhcp != nil {
+		_ = n.dhcp.Release(in.addr)
+		in.addr = ""
+	}
+	n.incs = slices.Delete(n.incs, i, i+1)
+	n.advertise()
+}
+
+// vmFromState builds in's VM over the session state staged on its
+// node: the COW diff <s>.cow over the node's copy of the shared base
+// image (pages are the diff's written pages) and the memory image
 // <s>.mem, which later suspends overwrite in place.
-func (s *Session) vmFromState(target *Node, pages []int64, ctx obs.SpanContext) (incarnation, error) {
-	in := incarnation{node: target}
+func (s *Session) vmFromState(in *incarnation, pages []int64, ctx obs.SpanContext) error {
+	target := in.node
 	info, ok := target.Image(s.cfg.Image)
 	if !ok {
-		return in, fmt.Errorf("%w: base image %q not on target %s", ErrNoImage, s.cfg.Image, target.name)
+		return fmt.Errorf("%w: base image %q not on target %s", ErrNoImage, s.cfg.Image, target.name)
 	}
 	base, err := target.store.Open(info.DiskFile())
 	if err != nil {
-		return in, err
+		return err
 	}
 	diff, err := target.store.OpenOrCreate(s.name + ".cow")
 	if err != nil {
-		return in, err
+		return err
 	}
 	in.cow = storage.NewCowDisk(base, diff)
 	in.cow.MarkWritten(pages)
 	localMem, err := target.store.Open(s.name + ".mem")
 	if err != nil {
-		return in, err
+		return err
 	}
-	in.mem = &memBackend{restore: localMem, local: localMem, dirty: true}
-	in.vm, err = s.newVM(target, in.cow, in.mem, ctx)
-	return in, err
+	mem := &memBackend{restore: localMem, local: localMem, dirty: true}
+	in.vm, err = s.newVM(target, in.cow, mem, ctx)
+	return err
 }
 
-// online makes in the session's new incarnation and warm-restores it.
-// Once the VM is up — and check, when non-nil, still passes — the
-// session reconnects, runs again, marks step and is advertised.
-func (s *Session) online(in incarnation, step string, check func() error, finish func(error)) {
-	s.node, s.vm, s.cow, s.mem = in.node, in.vm, in.cow, in.mem
-	s.gen++ // new incarnation: fences held by the old one go stale
+// online makes in the session's current incarnation and warm-restores
+// it; fences held by the one before go stale. Once the VM is up — and
+// check, when non-nil, still passes — the session reconnects, runs
+// again, marks step and is advertised.
+func (s *Session) online(in *incarnation, step string, check func() error, finish func(error)) {
+	s.cur = in
 	if err := in.vm.Start(vmm.WarmRestore, func(err error) {
 		if err == nil && check != nil {
 			err = check()

@@ -246,8 +246,9 @@ func TestSlotChangeKeepsForecastBetweenTicks(t *testing.T) {
 			t.Errorf("%s: advertised load %v, want forecast %v", step, got, want)
 		}
 	}
-	release := n.reserveSlot()
-	advertised("reserve")
-	release()
-	advertised("release")
+	in := &incarnation{node: n}
+	in.takeSlot()
+	advertised("take")
+	in.retire()
+	advertised("retire")
 }

@@ -6,6 +6,7 @@ import (
 
 	"vmgrid/internal/guest"
 	"vmgrid/internal/sim"
+	"vmgrid/internal/vmm"
 )
 
 // replicate spreads the testbed's registry across the control-plane
@@ -81,8 +82,8 @@ func TestPartitionFailoverFencesZombie(t *testing.T) {
 		}
 	}
 	// The fenced zombie gave back what it held on the old host.
-	if victim.slots != 2 {
-		t.Errorf("victim slots = %d, want 2 after the zombie was fenced", victim.slots)
+	if victim.Slots() != 2 {
+		t.Errorf("victim slots = %d, want 2 after the zombie was fenced", victim.Slots())
 	}
 	if victim.dhcp.Leased() != 0 {
 		t.Errorf("victim leaked %d DHCP leases", victim.dhcp.Leased())
@@ -97,6 +98,7 @@ func TestPartitionFailoverFencesZombie(t *testing.T) {
 		t.Error("no minority-side writes recorded during the partition")
 	}
 	sup.Stop()
+	checkNoLeaks(t, g)
 }
 
 // TestZombieSweepReclaimsZombieOnHeal covers the other fencing
@@ -134,13 +136,14 @@ func TestZombieSweepReclaimsZombieOnHeal(t *testing.T) {
 	if st.FencedResults != 0 {
 		t.Errorf("fenced results = %d, want 0 (the sweep killed the VM first)", st.FencedResults)
 	}
-	if victim.slots != 2 {
-		t.Errorf("victim slots = %d, want 2 after the sweep", victim.slots)
+	if victim.Slots() != 2 {
+		t.Errorf("victim slots = %d, want 2 after the sweep", victim.Slots())
 	}
 	if victim.dhcp.Leased() != 0 {
 		t.Errorf("victim leaked %d DHCP leases", victim.dhcp.Leased())
 	}
 	sup.Stop()
+	checkNoLeaks(t, g)
 }
 
 // TestMinoritySupervisorBacksOff pins the quorum on the session's side
@@ -179,6 +182,7 @@ func TestMinoritySupervisorBacksOff(t *testing.T) {
 		t.Errorf("epoch = %d, want 0 (never fenced)", s.Epoch())
 	}
 	sup.Stop()
+	checkNoLeaks(t, g)
 }
 
 // TestCrashMidFailoverSlotInvariant crashes the failover target while
@@ -219,7 +223,7 @@ func TestCrashMidFailoverSlotInvariant(t *testing.T) {
 	var tick func()
 	tick = func() {
 		for _, name := range []string{"compute1", "compute2"} {
-			if g.Node(name).slots > 2 {
+			if g.Node(name).Slots() > 2 {
 				overMint = true
 			}
 		}
@@ -242,12 +246,13 @@ func TestCrashMidFailoverSlotInvariant(t *testing.T) {
 	for _, name := range []string{"compute1", "compute2"} {
 		n := g.Node(name)
 		hosted := len(g.sessionsOn(n))
-		if n.slots != 2-hosted {
+		if n.Slots() != 2-hosted {
 			t.Errorf("%s slots = %d with %d hosted sessions, want %d",
-				name, n.slots, hosted, 2-hosted)
+				name, n.Slots(), hosted, 2-hosted)
 		}
 	}
 	sup.Stop()
+	checkNoLeaks(t, g)
 }
 
 // TestConnectFailureReleasesLease: a session whose data attachment
@@ -274,6 +279,7 @@ func TestConnectFailureReleasesLease(t *testing.T) {
 			t.Errorf("%s holds %d leases after failed connect", name, n.dhcp.Leased())
 		}
 	}
+	checkNoLeaks(t, g)
 }
 
 // TestReplicatedGridPreservesGoldenPath: with replication enabled but
@@ -300,6 +306,7 @@ func TestReplicatedGridPreservesGoldenPath(t *testing.T) {
 		if !done {
 			t.Fatal("task never finished")
 		}
+		checkNoLeaks(t, g)
 		sup.Stop()
 		return res, sup.Stats()
 	}
@@ -314,4 +321,155 @@ func TestReplicatedGridPreservesGoldenPath(t *testing.T) {
 	if errors.Is(plainRes.Err, ErrNoQuorum) {
 		t.Error("healthy fabric produced a quorum error")
 	}
+}
+
+// checkNoLeaks checks the slot and lease invariants on every live
+// compute node: its free slots plus its listed incarnations equal its
+// capacity, each listed incarnation is the current one of a live
+// session or a zombie a supervisor still holds (anything else is a
+// leaked slot), and every DHCP lease is the address of a listed
+// incarnation. Crashed nodes are skipped: the crash took their pool
+// and their slots.
+func checkNoLeaks(t *testing.T, g *Grid) {
+	t.Helper()
+	owned := make(map[*incarnation]bool)
+	for _, s := range g.live {
+		owned[s.cur] = true
+	}
+	for _, sup := range g.supervisors {
+		for _, c := range sup.charges {
+			for _, z := range c.zombies {
+				owned[z] = true
+			}
+		}
+	}
+	for _, n := range g.order {
+		if n.gk == nil || n.crashed {
+			continue
+		}
+		if free := n.Slots(); free < 0 || free+len(n.incs) != n.capacity {
+			t.Errorf("%s: %d free + %d listed slots, capacity %d", n.name, free, len(n.incs), n.capacity)
+		}
+		leases := 0
+		for _, in := range n.incs {
+			if !owned[in] {
+				t.Errorf("%s lists an incarnation nothing owns (leaked slot)", n.name)
+			}
+			if in.addr == "" {
+				continue
+			}
+			leases++
+			if n.dhcp == nil || n.dhcp.Owner(in.addr) == "" {
+				t.Errorf("%s: incarnation address %s is not leased", n.name, in.addr)
+			}
+		}
+		if n.dhcp != nil && n.dhcp.Leased() != leases {
+			t.Errorf("%s: %d DHCP leases, %d held by listed incarnations", n.name, n.dhcp.Leased(), leases)
+		}
+	}
+}
+
+// maroon runs a supervised 6000 s task, partitions its host 120 s in
+// and steps until the failover restored the session elsewhere. It
+// returns the partitioned host and the zombie's VM and address, which
+// are still live over there.
+func maroon(t *testing.T) (g *Grid, s *Session, sup *Supervisor, victim *Node, zombie *vmm.VM, addr string) {
+	t.Helper()
+	g = testbed(t)
+	replicate(t, g)
+	s = startSession(t, g, baseConfig())
+	sup = superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 30 * sim.Second})
+	if err := sup.Run(s, guest.MicroTask(6000), nil); err != nil {
+		t.Fatal(err)
+	}
+	victim, zombie, addr = s.Node(), s.VM(), s.Addr()
+	g.Kernel().After(120*sim.Second, func() { _ = g.Net().SetNodeUp(victim.name, false) })
+	stepUntil(g, sim.Hour, func() bool { return sup.Stats().Recoveries == 1 })
+	if s.State() != StateRunning || s.Node() == victim || zombie.State() != vmm.StateRunning || addr == "" {
+		t.Fatalf("setup: state %q on %s, zombie VM %v, address %q; want a failover away from a running zombie",
+			s.State(), s.Node().Name(), zombie.State(), addr)
+	}
+	return g, s, sup, victim, zombie, addr
+}
+
+// TestReleasedChargeStillFencesZombie: a session shut down while its
+// old host is partitioned away loses its charge at the next heartbeat,
+// but the marooned incarnation must still be swept once the host
+// answers — its VM off, its slot and lease back.
+func TestReleasedChargeStillFencesZombie(t *testing.T) {
+	g, s, sup, victim, zombie, _ := maroon(t)
+	s.Shutdown()
+	_ = g.Kernel().RunUntil(g.Kernel().Now().Add(10 * sim.Second))
+	if sup.charge(s.name) != nil {
+		t.Fatal("the heartbeat kept the dead session's charge")
+	}
+	if err := g.Net().SetNodeUp(victim.name, true); err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Kernel().RunUntil(g.Kernel().Now().Add(sim.Minute))
+	if zombie.State() != vmm.StateOff {
+		t.Errorf("zombie VM %v after the heal, want off", zombie.State())
+	}
+	if victim.Slots() != 2 || victim.dhcp.Leased() != 0 {
+		t.Errorf("victim has %d of 2 slots free and %d leases, want all back", victim.Slots(), victim.dhcp.Leased())
+	}
+	if st := sup.Stats(); st.ZombiesFenced != 1 {
+		t.Errorf("zombies fenced = %d, want 1", st.ZombiesFenced)
+	}
+	checkNoLeaks(t, g)
+}
+
+// TestCrashPowersOffZombie: crashing a partitioned host kills every VM
+// it runs, the marooned incarnation's included, although the session
+// now lives elsewhere.
+func TestCrashPowersOffZombie(t *testing.T) {
+	g, _, sup, victim, zombie, _ := maroon(t)
+	if err := g.CrashNode(victim.name); err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Kernel().RunUntil(g.Kernel().Now().Add(sim.Minute))
+	if zombie.State() != vmm.StateOff {
+		t.Errorf("zombie VM %v on the crashed host, want off", zombie.State())
+	}
+	if r := victim.Host().Runnable(); r != 0 {
+		t.Errorf("crashed host runs %d processes, want 0", r)
+	}
+	if err := g.RebootNode(victim.name); err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(g, sim.Minute, func() bool { return sup.Stats().ZombiesFenced == 1 })
+	if victim.Slots() != 2 {
+		t.Errorf("rebooted victim has %d of 2 slots free", victim.Slots())
+	}
+	checkNoLeaks(t, g)
+	sup.Stop()
+}
+
+// TestStaleZombieLeavesFreshLeaseAlone: a zombie whose host crashed
+// and rebooted surfaces at the next sweep. Its address came from the
+// pool the crash lost; the fresh pool may have handed the same address
+// to someone else, and fencing the zombie must not free that lease.
+func TestStaleZombieLeavesFreshLeaseAlone(t *testing.T) {
+	g, _, sup, victim, _, addr := maroon(t)
+	if err := g.CrashNode(victim.name); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RebootNode(victim.name); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := victim.dhcp.Lease("newcomer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh != addr {
+		t.Fatalf("fresh lease %s, want the zombie's old %s (the repro needs the collision)", fresh, addr)
+	}
+	stepUntil(g, sim.Minute, func() bool { return sup.Stats().ZombiesFenced == 1 })
+	if sup.Stats().ZombiesFenced != 1 {
+		t.Fatal("the sweep never fenced the zombie")
+	}
+	if owner := victim.dhcp.Owner(fresh); owner != "newcomer" || victim.dhcp.Leased() != 1 {
+		t.Errorf("fresh lease %s owned by %q (%d leased) after the fence, want newcomer's", fresh, owner, victim.dhcp.Leased())
+	}
+	sup.Stop()
 }

@@ -69,7 +69,7 @@ next:
 			continue
 		}
 		n := g.nodes[e.Name]
-		if n == nil || n.crashed || n.gk == nil || n.slots <= 0 {
+		if n == nil || n.crashed || n.gk == nil || n.Slots() <= 0 {
 			continue
 		}
 		if image != "" {
@@ -85,7 +85,7 @@ next:
 		out = append(out, placement.Candidate{
 			Node:      e.Name,
 			Site:      n.site,
-			Slots:     n.slots,
+			Slots:     n.Slots(),
 			Speed:     n.host.Spec().CPU.Speed,
 			Load:      n.host.LoadAverage(),
 			Predicted: g.predictedLoad(n),

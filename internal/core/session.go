@@ -171,14 +171,10 @@ type Session struct {
 	id   int
 	name string
 
-	node        *Node
+	// cur is the session's current incarnation, nil until placement.
+	cur         *incarnation
 	imageServer string
 	info        storage.ImageInfo
-	vm          *vmm.VM
-	cow         *storage.CowDisk
-	mem         *memBackend
-	addr        string
-	tunnel      *vnet.Tunnel
 	localUser   string
 	dataClient  *vfs.Client
 	imageClient *vfs.Client
@@ -187,18 +183,12 @@ type Session struct {
 	phaseStart  sim.Time
 	crashedAt   sim.Time
 
-	// slotRelease returns the current incarnation's compute slot; it is
-	// crash/reboot-safe (see Node.reserveSlot) and nil once released.
-	slotRelease func()
 	// priority is the balancer's eviction order (WithPriority): lower
 	// migrates first.
 	priority int
 	// migrating marks a live migration in flight; checkpoints and
 	// further migrations wait it out.
 	migrating bool
-	// gen counts incarnations: failover restores and migrations bump it,
-	// which invalidates the previous incarnation's data-plane fences.
-	gen int
 	// epoch is the fencing epoch this incarnation runs under, assigned
 	// by the supervisor through quorum writes (0 = never failed over or
 	// unsupervised).
@@ -229,17 +219,37 @@ func (s *Session) Priority() int { return s.priority }
 // Name returns the session's unique name.
 func (s *Session) Name() string { return s.name }
 
-// Node returns the compute node hosting the VM.
-func (s *Session) Node() *Node { return s.node }
+// Node returns the compute node hosting the VM (nil before placement).
+func (s *Session) Node() *Node {
+	if s.cur == nil {
+		return nil
+	}
+	return s.cur.node
+}
 
 // VM returns the underlying virtual machine.
-func (s *Session) VM() *vmm.VM { return s.vm }
+func (s *Session) VM() *vmm.VM {
+	if s.cur == nil {
+		return nil
+	}
+	return s.cur.vm
+}
 
 // Addr returns the VM's network address ("" when tunneled).
-func (s *Session) Addr() string { return s.addr }
+func (s *Session) Addr() string {
+	if s.cur == nil {
+		return ""
+	}
+	return s.cur.addr
+}
 
 // Tunnel returns the Ethernet tunnel, when the site gave no address.
-func (s *Session) Tunnel() *vnet.Tunnel { return s.tunnel }
+func (s *Session) Tunnel() *vnet.Tunnel {
+	if s.cur == nil {
+		return nil
+	}
+	return s.cur.tunnel
+}
 
 // LocalUser returns the logical-account mapping: which local identity
 // the grid user was multiplexed onto (the PUNCH logical user account
@@ -253,13 +263,35 @@ func (s *Session) ImageServer() string { return s.imageServer }
 // State returns the session's life-cycle state.
 func (s *Session) State() State { return s.state }
 
-// DataClient returns the session's user-data VFS client (nil before the
-// data session is attached) — a read-only telemetry source.
-func (s *Session) DataClient() *vfs.Client { return s.dataClient }
+// VFSCounters is what a session's VFS mounts did, summed over its
+// user-data and on-demand image clients.
+type VFSCounters struct {
+	Hits, Misses, Retries, TransportErrors uint64
+}
 
-// ImageClient returns the session's on-demand image VFS client (nil for
-// staged or locally installed images).
-func (s *Session) ImageClient() *vfs.Client { return s.imageClient }
+// HitRate is hits over block lookups; ok is false before any lookup.
+func (c VFSCounters) HitRate() (rate float64, ok bool) {
+	if c.Hits+c.Misses == 0 {
+		return 0, false
+	}
+	return float64(c.Hits) / float64(c.Hits+c.Misses), true
+}
+
+// VFSCounters returns the session's VFS counters — the one reader the
+// telemetry scrape and the daemon's top share.
+func (s *Session) VFSCounters() VFSCounters {
+	var v VFSCounters
+	for _, c := range []*vfs.Client{s.dataClient, s.imageClient} {
+		if c == nil {
+			continue
+		}
+		v.Hits += c.Hits()
+		v.Misses += c.Misses()
+		v.Retries += c.Retries()
+		v.TransportErrors += c.TransportErrors()
+	}
+	return v
+}
 
 // Events returns the life-cycle timeline.
 func (s *Session) Events() []Event {
@@ -300,10 +332,11 @@ func (s *Session) Run(w guest.Workload, done func(guest.TaskResult)) error {
 // RunTask is Run exposing the task handle, for callers that track
 // mid-flight progress (the supervisor's checkpoint accounting).
 func (s *Session) RunTask(w guest.Workload, done func(guest.TaskResult)) (*guest.Task, error) {
-	if !s.state.CanRun() || s.vm == nil {
+	vm := s.VM()
+	if !s.state.CanRun() || vm == nil {
 		return nil, fmt.Errorf("%w: run in %q", ErrBadSession, s.state)
 	}
-	return s.vm.Guest().Run(w, done)
+	return vm.Guest().Run(w, done)
 }
 
 // crash marks the session dead-in-place after its hosting node failed:
@@ -314,22 +347,19 @@ func (s *Session) crash() {
 	if s.state == StateDead || s.state == StateCrashed {
 		return
 	}
-	if s.vm != nil {
-		s.vm.PowerOff()
-	}
+	s.cur.stop()
 	s.state = StateCrashed
 	s.crashedAt = s.grid.k.Now()
 	s.grid.tracer.Metrics().Counter("core.sessions.crashed").Inc()
 	s.mark("crashed")
 	s.grid.info.Deregister(gis.KindVM, s.name)
-	s.addr = ""
-	s.tunnel = nil
+	s.cur.addr, s.cur.tunnel = "", nil
 }
 
 // Console returns an interactive handle description (a VNC display or
 // login session in a real deployment).
 func (s *Session) Console() string {
-	return fmt.Sprintf("vnc://%s/%s", s.node.name, s.name)
+	return fmt.Sprintf("vnc://%s/%s", s.cur.node.name, s.name)
 }
 
 // memBackend routes memory-image traffic: restores read from the warm
@@ -431,14 +461,14 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			fail(err)
 			return
 		}
-		s.node = node
-		s.slotRelease = s.node.reserveSlot()
+		s.cur = &incarnation{node: node}
+		s.cur.takeSlot()
 		s.mark("future-selected")
 
 		// Step 2: locate the image.
 		g.k.After(infoQueryLatency, func() {
 			if err := s.resolveImage(); err != nil {
-				s.releaseSlot()
+				s.cur.retire()
 				fail(err)
 				return
 			}
@@ -449,7 +479,7 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			// Table 2's measurement.
 			client, err := gram.NewClient(g.net, g.registry, cfg.FrontEnd, front.host)
 			if err != nil {
-				s.releaseSlot()
+				s.cur.retire()
 				fail(err)
 				return
 			}
@@ -460,9 +490,9 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 				Ctx:    s.sctx,
 				RunCtx: func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(ctx, jobDone) },
 			}
-			submitErr := client.Submit(s.node.name, job, func(err error) {
+			submitErr := client.Submit(s.cur.node.name, job, func(err error) {
 				if err != nil {
-					s.releaseSlot()
+					s.cur.retire()
 					fail(fmt.Errorf("core: start %s: %w", s.name, err))
 					return
 				}
@@ -484,7 +514,7 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 				}
 			})
 			if submitErr != nil {
-				s.releaseSlot()
+				s.cur.retire()
 				fail(submitErr)
 			}
 		})
@@ -495,37 +525,28 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 // advertise registers the session's VM in the information service.
 func (s *Session) advertise() {
 	_ = s.grid.info.Register(gis.KindVM, s.name, map[string]any{
-		gis.AttrHost: s.node.name,
-		gis.AttrAddr: s.addr,
+		gis.AttrHost: s.cur.node.name,
+		gis.AttrAddr: s.cur.addr,
 		"user":       s.cfg.User,
 		"image":      s.cfg.Image,
 	}, 0)
-}
-
-func (s *Session) releaseSlot() {
-	// The reservation closure is crash/reboot-safe: a node that crashed
-	// and rebooted since the reservation had its slot accounting reset
-	// wholesale, and the release becomes a no-op.
-	if s.slotRelease != nil {
-		s.slotRelease()
-		s.slotRelease = nil
-	}
 }
 
 // resolveImage decides where the image comes from and records its
 // metadata.
 func (s *Session) resolveImage() error {
 	cfg := s.cfg
+	node := s.cur.node
 	if cfg.Access == AccessLocal || cfg.Access == AccessLoopback {
-		info, ok := s.node.Image(cfg.Image)
+		info, ok := node.Image(cfg.Image)
 		if !ok {
 			return fmt.Errorf("%w: %q not installed on %s (access %v)",
-				ErrNoImage, cfg.Image, s.node.name, cfg.Access)
+				ErrNoImage, cfg.Image, node.name, cfg.Access)
 		}
 		s.info = info
 		return nil
 	}
-	entries := s.grid.FindImage(cfg.Image, s.node.name)
+	entries := s.grid.FindImage(cfg.Image, node.name)
 	if len(entries) == 0 {
 		return fmt.Errorf("%w: %q on any image server", ErrNoImage, cfg.Image)
 	}
@@ -560,13 +581,12 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 			done(err)
 			return
 		}
-		s.mem = mem
-		vm, err := s.newVM(s.node, disk, mem, ctx)
+		vm, err := s.newVM(s.cur.node, disk, mem, ctx)
 		if err != nil {
 			done(err)
 			return
 		}
-		s.vm = vm
+		s.cur.vm = vm
 		s.localUser = fmt.Sprintf("vmuser%02d", s.id%100)
 		s.mark("vm-starting")
 		if err := vm.Start(s.cfg.Mode, done); err != nil {
@@ -593,7 +613,7 @@ func (s *Session) newVM(node *Node, disk storage.Backend, mem *memBackend, ctx o
 // for the session's policy and access mode, charging whatever transfers
 // they imply (the persistent copy, staging) before yielding.
 func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error)) {
-	node := s.node
+	node := s.cur.node
 	info := s.info
 
 	// localMem is the session-private memory file used by suspend.
@@ -657,7 +677,7 @@ func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error))
 // image restores from an empty <s>.zeromem.
 func (s *Session) privateCopy(copyFile func(file, asName string, done func(error)),
 	localMem *storage.LocalFile, yield func(storage.Backend, *memBackend, error)) {
-	store := s.node.store
+	store := s.cur.node.store
 	diskCopy, memCopy := s.name+".disk", s.name+".memimg"
 	opened := func(restoreMem storage.Backend, err error) {
 		var disk storage.Backend
@@ -692,43 +712,43 @@ func (s *Session) privateCopy(copyFile func(file, asName string, done func(error
 // remote) copy-on-write stack.
 func (s *Session) finishCow(base, restoreMem storage.Backend, localMem *storage.LocalFile,
 	yield func(storage.Backend, *memBackend, error)) {
-	diff, err := s.node.store.OpenOrCreate(s.name + ".cow")
+	diff, err := s.cur.node.store.OpenOrCreate(s.name + ".cow")
 	if err != nil {
 		yield(nil, nil, err)
 		return
 	}
-	s.cow = storage.NewCowDisk(base, diff)
-	yield(s.cow, &memBackend{restore: restoreMem, local: localMem}, nil)
+	s.cur.cow = storage.NewCowDisk(base, diff)
+	yield(s.cur.cow, &memBackend{restore: restoreMem, local: localMem}, nil)
 }
 
 // localOrZeroMem returns the local warm-image backend for AccessLocal.
 func (s *Session) localOrZeroMem() storage.Backend {
-	if !s.info.Warm() {
-		f, _ := s.node.store.OpenOrCreate(s.name + ".zeromem")
-		return f
+	store := s.cur.node.store
+	if s.info.Warm() {
+		if f, err := store.Open(s.info.MemFile()); err == nil {
+			return f
+		}
 	}
-	f, err := s.node.store.Open(s.info.MemFile())
-	if err != nil {
-		f, _ = s.node.store.OpenOrCreate(s.name + ".zeromem")
-	}
+	f, _ := store.OpenOrCreate(s.name + ".zeromem")
 	return f
 }
 
 // connect gives the VM a network identity (step 5) and attaches the
 // user's data session.
 func (s *Session) connect() error {
+	in := s.cur
 	// Scenario 1: the site hands out addresses.
-	if s.node.dhcp != nil {
-		addr, err := s.node.dhcp.Lease(s.name)
+	if in.node.dhcp != nil {
+		addr, err := in.node.dhcp.Lease(s.name)
 		if err == nil {
-			s.addr = addr
+			in.addr = addr
 			s.mark("addr-assigned")
 			if err := s.attachData(); err != nil {
 				// Hand the fresh lease back: a failed connect leaves no
 				// address behind, so retried failovers cannot drain the
 				// pool one dead lease at a time.
-				_ = s.node.dhcp.Release(addr)
-				s.addr = ""
+				_ = in.node.dhcp.Release(addr)
+				in.addr = ""
 				return err
 			}
 			return nil
@@ -737,13 +757,13 @@ func (s *Session) connect() error {
 	}
 	// Scenario 2: tunnel to the user's network.
 	if s.cfg.HomeNode == "" {
-		return fmt.Errorf("%w: site %q", ErrNoAddress, s.node.site)
+		return fmt.Errorf("%w: site %q", ErrNoAddress, in.node.site)
 	}
-	tun, err := vnet.EstablishTunnel(s.grid.net, s.node.name, s.cfg.HomeNode)
+	tun, err := vnet.EstablishTunnel(s.grid.net, in.node.name, s.cfg.HomeNode)
 	if err != nil {
 		return err
 	}
-	s.tunnel = tun
+	in.tunnel = tun
 	s.mark("tunnel-established")
 	return s.attachData()
 }
@@ -757,31 +777,31 @@ func (s *Session) attachData() error {
 	if !dataNode.store.Has(s.cfg.DataFile) {
 		return fmt.Errorf("core: data file %q missing on %s", s.cfg.DataFile, s.cfg.DataNode)
 	}
-	client, err := s.grid.vfsClient(s.node.name, s.cfg.DataNode, s)
+	client, err := s.grid.vfsClient(s.cur.node.name, s.cfg.DataNode, s)
 	if err != nil {
 		return err
 	}
 	s.dataClient = client
 	size, _ := dataNode.store.Size(s.cfg.DataFile)
-	s.vm.Guest().Mount("data", client.Open(s.cfg.DataFile, size))
+	s.cur.vm.Guest().Mount("data", client.Open(s.cfg.DataFile, size))
 	s.mark("data-attached")
 	return nil
 }
 
-// fence builds the fencing token check for this incarnation's
+// fence builds the fencing token check for the current incarnation's
 // data-plane clients against a server at serverNode. Two layers: a
-// superseded incarnation (a failover restore or migration bumped gen)
-// is fenced unconditionally, and an operation whose epoch token the
-// server's registry view has moved past is rejected with
-// ErrFencedEpoch. Tripping either schedules zombie cleanup through the
-// session's supervisor — the self-termination path of a pre-failover
-// session that outlived its lease.
+// superseded incarnation (a failover restore or migration made another
+// one current) is fenced unconditionally, and an operation whose epoch
+// token the server's registry view has moved past is rejected with
+// ErrFencedEpoch. Tripping the second schedules zombie cleanup through
+// the session's supervisor — the self-termination path of a
+// pre-failover session that outlived its lease.
 func (s *Session) fence(serverNode string) func() error {
-	gen := s.gen
+	in := s.cur
 	token := s.epoch
 	guard := s.grid.epochGuardAt(serverNode, s.name, token)
 	return func() error {
-		if s.gen != gen {
+		if s.cur != in {
 			return ErrFencedEpoch
 		}
 		if err := guard(); err != nil {

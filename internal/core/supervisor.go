@@ -13,7 +13,6 @@ import (
 	"vmgrid/internal/placement"
 	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
-	"vmgrid/internal/vmm"
 )
 
 // The failure detector's timing, shared by the supervisor and the
@@ -49,12 +48,6 @@ type SupervisorConfig struct {
 	// the stable node and the front end) are identical to session
 	// creation and balancer target selection.
 	Placer placement.Placer
-	// StageRetry governs the checkpoint staging copies (.mem/.cow to
-	// the stable node), the same way vfs mounts and GRAM submits take a
-	// retry policy: a transient fabric failure mid-stage re-attempts
-	// with capped exponential backoff instead of abandoning the
-	// checkpoint. The zero value keeps the historical single attempt.
-	StageRetry retry.Policy
 }
 
 func (c *SupervisorConfig) fill() {
@@ -156,25 +149,13 @@ type charge struct {
 	// zombie double-completions. Failover clears the set — a new
 	// incarnation's history starts from its checkpoint.
 	carried map[int64]bool
-	// Zombie state: the resources of partitioned-away incarnations,
-	// remembered at failover time and released only when each zombie
-	// surfaces (the supervisor cannot reach through a partition to kill
-	// it). Repeated partitions can maroon several incarnations at once,
-	// so the refs form a list keyed by the fencing epoch the incarnation
-	// held — a surfacing event names its incarnation by that token, and
-	// the others keep their resources until they surface themselves.
-	zombies []zombieRef
-}
-
-// zombieRef remembers what one marooned incarnation held: the VM to
-// power off, the DHCP lease to return, the slot release closure, and
-// the fencing epoch the incarnation ran under (its identity).
-type zombieRef struct {
-	epoch   int64
-	vm      *vmm.VM
-	node    *Node
-	addr    string
-	release func()
+	// zombies are the partitioned-away incarnations, kept at failover
+	// time and retired only when each surfaces (the supervisor cannot
+	// reach through a partition to kill one). Repeated partitions can
+	// maroon several at once; a surfacing event names its incarnation by
+	// the fencing epoch it ran under, and the others keep their slots
+	// and addresses until they surface themselves.
+	zombies []*incarnation
 }
 
 // ckptFile names the checkpoint slot's copy of one state file, by its
@@ -234,7 +215,7 @@ func (sup *Supervisor) Adopt(s *Session, done func(error)) error {
 	if !s.State().CanRun() {
 		return fmt.Errorf("%w: adopt in %q", ErrBadSession, s.State())
 	}
-	if s.cow == nil {
+	if s.cur.cow == nil {
 		return errors.New("core: supervisor requires a non-persistent (COW) session")
 	}
 	i, dup := sup.chargeIndex(s.name)
@@ -276,8 +257,11 @@ func (sup *Supervisor) Run(s *Session, w guest.Workload, done func(guest.TaskRes
 	return nil
 }
 
-// Release ends supervision without ending the session: ticks stop and
-// the lease lapses naturally.
+// Release ends supervision without ending the session: lease renewals
+// and checkpoints stop and the lease lapses naturally. A charge with
+// zombies keeps its heartbeat sweep until the last one is fenced, so a
+// marooned incarnation still gives its slot and address back once its
+// host answers again.
 func (sup *Supervisor) Release(s *Session) {
 	i, ok := sup.chargeIndex(s.name)
 	if !ok {
@@ -285,13 +269,16 @@ func (sup *Supervisor) Release(s *Session) {
 	}
 	c := sup.charges[i]
 	c.stopped = true
-	sup.g.k.Cancel(c.hbNext)
+	if len(c.zombies) == 0 {
+		sup.g.k.Cancel(c.hbNext)
+	}
 	sup.g.k.Cancel(c.ckNext)
 	sup.g.info.Deregister(gis.KindLease, s.name)
 	sup.charges = slices.Delete(sup.charges, i, i+1)
 }
 
-// Stop releases every charge, in session-name order.
+// Stop releases every charge, in session-name order. Charges with
+// zombies keep sweeping them (see Release).
 func (sup *Supervisor) Stop() {
 	for len(sup.charges) > 0 {
 		sup.Release(sup.charges[0].s)
@@ -319,10 +306,7 @@ func (sup *Supervisor) charge(name string) *charge {
 // host's renewal fails closed (no quorum) even though the supervisor
 // itself is healthy — that failure is the partition detector.
 func (sup *Supervisor) renewLease(c *charge) bool {
-	host := ""
-	if c.s.node != nil {
-		host = c.s.node.name
-	}
+	host := c.s.cur.node.name
 	if err := sup.g.info.RegisterFrom(host, gis.KindLease, c.s.name, map[string]any{
 		gis.AttrHost:  host,
 		gis.AttrEpoch: c.epoch,
@@ -345,17 +329,22 @@ func (sup *Supervisor) scheduleCheckpoint(c *charge) {
 }
 
 // heartbeat is the supervisor's periodic tick for one charge: refresh
-// the lease while the host is healthy, detect expiry once it is not.
+// the lease while the host is healthy, detect expiry once it is not,
+// and sweep zombies. A released charge only sweeps.
 func (sup *Supervisor) heartbeat(c *charge) {
-	if c.stopped {
+	if c.stopped && len(c.zombies) == 0 {
 		return
 	}
 	s := c.s
-	switch s.State() {
-	case StateDead:
+	switch {
+	case c.stopped:
+		// Released with zombies left: only the sweep below runs.
+	case s.State() == StateDead:
 		sup.Release(s)
-		return
-	case StateRunning, StateHibernated:
+		if len(c.zombies) == 0 {
+			return
+		}
+	case s.State() == StateRunning, s.State() == StateHibernated:
 		if sup.renewLease(c) {
 			break
 		}
@@ -368,7 +357,7 @@ func (sup *Supervisor) heartbeat(c *charge) {
 				sup.partitionFailover(c)
 			}
 		}
-	case StateCrashed:
+	case s.State() == StateCrashed:
 		if !c.recovering {
 			if _, err := sup.view().Lookup(gis.KindLease, s.name); err != nil {
 				sup.failover(c)
@@ -387,7 +376,7 @@ func (sup *Supervisor) heartbeat(c *charge) {
 func (sup *Supervisor) sweepZombies(c *charge) {
 	var ripe []int64
 	for _, z := range c.zombies {
-		if z.node != nil && sup.g.net.Reachable(sup.g.net.Node(sup.cfg.StableNode), z.node.nic) {
+		if sup.g.net.Reachable(sup.g.net.Node(sup.cfg.StableNode), z.node.nic) {
 			ripe = append(ripe, z.epoch)
 		}
 	}
@@ -434,7 +423,7 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 		sp.EndErr(err)
 		finish(err)
 	}
-	if err := s.vm.Suspend(func(err error) {
+	if err := s.cur.vm.Suspend(func(err error) {
 		if err != nil {
 			unlock(err)
 			return
@@ -444,7 +433,7 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 		for i, t := range c.tasks {
 			snap[i] = t.progressSec()
 		}
-		pages := s.cow.WrittenPages()
+		pages := s.cur.cow.WrittenPages()
 		spare := 0
 		if c.slot == 0 {
 			spare = 1
@@ -468,7 +457,7 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 			}
 			return err
 		}
-		if s.node.store.ChunkPlane() != nil {
+		if s.cur.node.store.ChunkPlane() != nil {
 			// Pipelined checkpoint: the chunked stage snapshots both file
 			// manifests synchronously in this event (modeling a COW-
 			// protected checkpoint image), so the guest can resume now and
@@ -482,8 +471,8 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 				finish(err)
 			})
 			sup.stats.CheckpointSec += sup.g.k.Now().Sub(suspendedAt).Seconds()
-			if s.vm != nil && s.State() == StateRunning {
-				_ = s.vm.Unpause()
+			if s.State() == StateRunning {
+				_ = s.cur.vm.Unpause()
 			}
 			return
 		}
@@ -491,8 +480,8 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 			err = commit(err)
 			// The node may have crashed while we staged; only a VM still
 			// sitting suspended resumes.
-			if s.vm != nil && s.State() == StateRunning {
-				if uerr := s.vm.Unpause(); uerr != nil && err == nil {
+			if s.State() == StateRunning {
+				if uerr := s.cur.vm.Unpause(); uerr != nil && err == nil {
 					err = uerr
 				}
 			}
@@ -505,46 +494,24 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 	}
 }
 
-// stageBaseBackoff is the base delay between checkpoint-staging
-// retries when StageRetry leaves Backoff zero.
-const stageBaseBackoff = 500 * sim.Millisecond
-
 // stageFile copies one session state file into the stable store under
-// asName, retrying per cfg.StageRetry. Each attempt deletes whatever
-// partial file the previous one left, so a retry stages into a clean
-// name instead of tripping over ErrExists.
+// asName, first deleting what an abandoned earlier checkpoint left in
+// that slot, so the stage does not trip over ErrExists.
 func (sup *Supervisor) stageFile(c *charge, file, asName string, done func(error)) {
-	s := c.s
 	stable := sup.g.nodes[sup.cfg.StableNode]
-	attempts := sup.cfg.StageRetry.Attempts()
-	var attempt func(n int)
-	attempt = func(n int) {
-		dropFiles(stable.store, asName)
-		retryOrFail := func(err error) {
-			if err != nil && n < attempts {
-				sup.g.tracer.Metrics().Counter("core.checkpoint-stage-retries").Inc()
-				sup.g.k.After(sup.cfg.StageRetry.Delay(n, stageBaseBackoff), func() {
-					attempt(n + 1)
-				})
-				return
-			}
-			done(err)
-		}
-		sup.g.stage(s.node, file, stable, asName, retryOrFail)
-	}
-	attempt(1)
+	dropFiles(stable.store, asName)
+	sup.g.stage(c.s.cur.node, file, stable, asName, done)
 }
 
 // stageCheckpoint copies the session's .mem and .cow files into the
-// given checkpoint slot on the stable node, each copy under the
-// supervisor's staging retry policy. With the chunk plane enabled the
+// given checkpoint slot on the stable node. With the chunk plane enabled the
 // two copies run concurrently — their manifests snapshot in the same
 // event, so the pair is one consistent image even while the resumed
 // guest keeps dirtying the COW — and only missing chunks cross the
 // wire; without it they run back to back, as they always have.
 func (sup *Supervisor) stageCheckpoint(c *charge, slot int, done func(error)) {
 	s := c.s
-	if s.node.store.ChunkPlane() != nil {
+	if s.cur.node.store.ChunkPlane() != nil {
 		pending := 2
 		var firstErr error
 		settle := func(err error) {
@@ -621,7 +588,8 @@ func (sup *Supervisor) failover(c *charge) {
 	c.carried = nil
 
 	c.recoveries++
-	release := target.reserveSlot()
+	in := &incarnation{node: target}
+	in.takeSlot()
 
 	stageSp := sup.g.tracer.BeginChild(c.failSpan.Context(), s.name, "supervisor", "restore-stage")
 	slot := c.slot
@@ -629,11 +597,11 @@ func (sup *Supervisor) failover(c *charge) {
 		target, func(err error) {
 			stageSp.EndErr(err)
 			if err != nil {
-				release()
+				in.retire()
 				sup.backOff(c, err)
 				return
 			}
-			sup.dispatchRestore(c, target, release)
+			sup.dispatchRestore(c, in)
 		})
 }
 
@@ -651,9 +619,9 @@ func (sup *Supervisor) backOff(c *charge, why error) {
 // has expired in the supervisor's majority-side view. Unlike a crash,
 // the old incarnation is still running on the far side — so the epoch
 // is bumped first (refusing to proceed without quorum), and the old
-// incarnation's resources are remembered as zombie state, to be
-// released when it surfaces (a fence trip or a late task result)
-// rather than by reaching through the partition to kill it.
+// incarnation becomes a zombie, retired when it surfaces (a fence trip,
+// a late task result or the heartbeat sweep) rather than by reaching
+// through the partition to kill it.
 func (sup *Supervisor) partitionFailover(c *charge) {
 	s := c.s
 	old := c.epoch
@@ -667,45 +635,26 @@ func (sup *Supervisor) partitionFailover(c *charge) {
 	c.epoch = ep
 	s.epoch = ep
 	c.carried = nil
-	c.zombies = append(c.zombies, zombieRef{
-		epoch: old, vm: s.vm, node: s.node, addr: s.addr, release: s.slotRelease,
-	})
-	s.slotRelease = nil
-	s.addr = ""
+	s.cur.epoch = old
+	c.zombies = append(c.zombies, s.cur)
 	s.crashedAt = sup.g.k.Now()
 	s.state = StateCrashed
 	s.mark("partitioned")
 	sup.failover(c)
 }
 
-// fenceZombie releases what the marooned incarnation that ran under
-// the given epoch held, once it has surfaced. Other, still-unsurfaced
-// zombies keep their resources — releasing a slot out from under a VM
-// still running on the far side would mint capacity. Safe to call when
-// no zombie matches.
+// fenceZombie retires the marooned incarnation that ran under the
+// given epoch, once it has surfaced. Other, still-unsurfaced zombies
+// keep their slots and addresses — releasing a slot out from under a
+// VM still running on the far side would mint capacity. Safe to call
+// when no zombie matches.
 func (sup *Supervisor) fenceZombie(c *charge, epoch int64) {
-	kept := c.zombies[:0]
-	fenced := false
-	for _, z := range c.zombies {
-		if z.epoch != epoch {
-			kept = append(kept, z)
-			continue
-		}
-		fenced = true
-		if z.vm != nil {
-			z.vm.PowerOff()
-		}
-		if z.addr != "" && z.node != nil && !z.node.crashed && z.node.dhcp != nil {
-			_ = z.node.dhcp.Release(z.addr)
-		}
-		if z.release != nil {
-			z.release()
-		}
-	}
-	c.zombies = kept
-	if !fenced {
+	i := slices.IndexFunc(c.zombies, func(z *incarnation) bool { return z.epoch == epoch })
+	if i < 0 {
 		return
 	}
+	c.zombies[i].retire()
+	c.zombies = slices.Delete(c.zombies, i, i+1)
 	c.s.mark("fenced")
 	sup.stats.ZombiesFenced++
 	sup.g.tracer.Metrics().Counter("core.zombies-fenced").Inc()
@@ -742,11 +691,12 @@ func (sup *Supervisor) pickTarget(s *Session) *Node {
 
 // dispatchRestore submits the restore job through GRAM from the
 // session's front end and, on success, resubmits the remaining work.
-// release frees the slot reserved on target if the restore fails.
-func (sup *Supervisor) dispatchRestore(c *charge, target *Node, release func()) {
+// in is the incarnation whose slot the failover took; a failed restore
+// retires it.
+func (sup *Supervisor) dispatchRestore(c *charge, in *incarnation) {
 	s := c.s
 	abort := func(err error) {
-		release()
+		in.retire()
 		sup.backOff(c, err)
 	}
 	front := sup.g.nodes[s.cfg.FrontEnd]
@@ -775,19 +725,18 @@ func (sup *Supervisor) dispatchRestore(c *charge, target *Node, release func()) 
 		},
 		RunCtx: func(ctx obs.SpanContext, jobDone func(error)) {
 			rsp := sup.g.tracer.BeginChild(ctx, s.name, "supervisor", "restore")
-			s.restoreFrom(target, c.ckptPages, rsp.Context(), func(err error) {
+			s.restoreFrom(in, c.ckptPages, rsp.Context(), func(err error) {
 				rsp.EndErr(err)
 				jobDone(err)
 			})
 		},
 	}
 	policy := retry.Policy{MaxAttempts: 4, Backoff: 500 * sim.Millisecond, MaxBackoff: 4 * sim.Second}
-	if err := client.SubmitRetry(target.name, job, policy, func(err error) {
+	if err := client.SubmitRetry(in.node.name, job, policy, func(err error) {
 		if err != nil {
 			abort(err)
 			return
 		}
-		s.slotRelease = release
 		sup.resume(c)
 	}); err != nil {
 		abort(err)

@@ -73,6 +73,7 @@ func failoverScenario(t *testing.T) (guest.TaskResult, SupervisorStats, *Session
 		t.Fatalf("supervised task never finished; session state %q", s.State())
 	}
 	end := k.Now()
+	checkNoLeaks(t, g)
 	sup.Stop()
 	return res, sup.Stats(), s, end
 }
@@ -125,6 +126,7 @@ func TestSupervisorFailoverCostIsOnlyRecoveryTime(t *testing.T) {
 	if !baseDone || base.Err != nil {
 		t.Fatalf("baseline run failed: done=%v err=%v", baseDone, base.Err)
 	}
+	checkNoLeaks(t, g)
 	sup.Stop()
 
 	res, stats, _, _ := failoverScenario(t)
@@ -191,6 +193,7 @@ func TestSupervisorGivesUpAfterMaxRecoveries(t *testing.T) {
 	if st := sup.Stats(); st.GivenUp != 1 || st.Recoveries != 1 {
 		t.Errorf("stats = %+v, want 1 recovery then give-up", st)
 	}
+	checkNoLeaks(t, g)
 }
 
 func TestSupervisorAdoptGuards(t *testing.T) {
@@ -210,4 +213,5 @@ func TestSupervisorAdoptGuards(t *testing.T) {
 	if err := sup.Adopt(s, nil); !errors.Is(err, ErrBadSession) {
 		t.Errorf("adopt dead session = %v", err)
 	}
+	checkNoLeaks(t, g)
 }

@@ -6,7 +6,6 @@ import (
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/telemetry"
-	"vmgrid/internal/vfs"
 )
 
 // EnableTelemetry attaches a telemetry collector to the grid: every
@@ -165,7 +164,7 @@ func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
 		}
 		r.Put(ts.runnable, float64(n.host.Runnable()))
 		r.Put(ts.load, n.host.LoadAverage())
-		r.Put(ts.slots, float64(n.slots))
+		r.Put(ts.slots, float64(n.Slots()))
 		if n.forecast != nil {
 			r.Put(ts.predicted, n.forecast.current())
 		}
@@ -189,21 +188,12 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 		if u.GuestUserSeconds > 0 {
 			r.Put(ts.slowdown, u.CPUSeconds/u.GuestUserSeconds)
 		}
-		var hits, misses, retries, terrs uint64
-		for _, c := range []*vfs.Client{s.dataClient, s.imageClient} {
-			if c == nil {
-				continue
-			}
-			hits += c.Hits()
-			misses += c.Misses()
-			retries += c.Retries()
-			terrs += c.TransportErrors()
+		v := s.VFSCounters()
+		if rate, ok := v.HitRate(); ok {
+			r.Put(ts.hitRate, rate)
 		}
-		if hits+misses > 0 {
-			r.Put(ts.hitRate, float64(hits)/float64(hits+misses))
-		}
-		r.Put(ts.retries, float64(retries))
-		r.Put(ts.transportErrors, float64(terrs))
+		r.Put(ts.retries, float64(v.Retries))
+		r.Put(ts.transportErrors, float64(v.TransportErrors))
 	}
 }
 

@@ -33,7 +33,7 @@ func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 			}
 			r.Record("node.runnable", float64(n.host.Runnable()), lbl)
 			r.Record("node.load", n.host.LoadAverage(), lbl)
-			r.Record("node.slots", float64(n.slots), lbl)
+			r.Record("node.slots", float64(n.Slots()), lbl)
 			if g.monitor != nil && n.forecast != nil {
 				r.Record("node.predicted_load", g.monitor.PredictedLoad(name), lbl)
 			}

@@ -19,7 +19,6 @@ import (
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
 	"vmgrid/internal/telemetry"
-	"vmgrid/internal/vfs"
 	"vmgrid/internal/vmm"
 )
 
@@ -781,19 +780,9 @@ func (s *Server) top() TopInfo {
 		row.GuestSec = u.GuestUserSeconds
 		row.WallSeconds = u.WallSeconds
 		row.Epoch = sess.Epoch()
-		var hits, misses, retries uint64
-		for _, c := range []*vfs.Client{sess.DataClient(), sess.ImageClient()} {
-			if c == nil {
-				continue
-			}
-			hits += c.Hits()
-			misses += c.Misses()
-			retries += c.Retries()
-		}
-		if hits+misses > 0 {
-			row.VFSHitRate = float64(hits) / float64(hits+misses)
-		}
-		row.VFSRetries = retries
+		v := sess.VFSCounters()
+		row.VFSHitRate, _ = v.HitRate()
+		row.VFSRetries = v.Retries
 		info.Sessions = append(info.Sessions, row)
 	}
 	if p := s.grid.ChunkPlane(); p != nil {
