@@ -42,6 +42,18 @@ func TestTelemetrySmoke(t *testing.T) {
 	}
 }
 
+// TestTraceSmoke: Table 2 at one sample per cell writes a Chrome trace
+// JSON file with a non-empty traceEvents list.
+func TestTraceSmoke(t *testing.T) {
+	var d struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	readJSON(t, &d, "-trace", "-exp", "table2", "-samples", "1")
+	if len(d.TraceEvents) == 0 {
+		t.Fatal("trace file has no traceEvents")
+	}
+}
+
 // TestIncidentSmoke: the recovery sweep with the flight recorder on
 // freezes incident bundles, sealed bundles carry postmortem reports,
 // and some report's critical path names the supervisor's restore

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/placement"
@@ -56,18 +58,15 @@ func (f *gridFabric) Sessions(node string) []string {
 	}
 	var out []*Session
 	for _, s := range f.g.sessionsOn(n) {
-		if !s.state.CanMigrate() || s.cur.cow == nil || s.migrating || f.g.sessionBusy(s.name) {
+		c := s.charge
+		if !s.state.CanMigrate() || s.cur.cow == nil || s.migrating || c != nil && (c.recovering || c.checkpointing) {
 			continue
 		}
 		out = append(out, s)
 	}
-	// sessionsOn is already name-sorted; a stable pass by priority
+	// sessionsOn is already name-sorted; a stable sort by priority
 	// keeps the name order within each priority class.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].priority > out[j].priority; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortStableFunc(out, func(a, b *Session) int { return cmp.Compare(a.priority, b.priority) })
 	names := make([]string, len(out))
 	for i, s := range out {
 		names[i] = s.name

@@ -182,7 +182,7 @@ func BenchmarkSupervisorCheckpoint(b *testing.B) {
 	s := startSession(b, g, cfg)
 	// An interval of years keeps the periodic checkpoint out of the loop.
 	sup := superviseSession(b, g, s, SupervisorConfig{CheckpointInterval: 100000 * sim.Hour})
-	c := sup.charge(s.Name())
+	c := s.charge
 	k := g.Kernel()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -280,6 +280,44 @@ func TestSessionDataMountReachesDataServer(t *testing.T) {
 	}
 }
 
+// TestShutdownDuringStartEndsIt: a Shutdown while the start is still in
+// flight — before placement, before the image is located, inside the
+// GRAM submit and while the VM comes up — ends the start: done gets
+// ErrBadSession, the session stays dead, and no slot, address, VM or
+// registry entry is left behind.
+func TestShutdownDuringStartEndsIt(t *testing.T) {
+	for _, at := range []sim.Duration{50 * sim.Millisecond, 200 * sim.Millisecond, sim.Second, 5 * sim.Second, 10 * sim.Second} {
+		t.Run(at.String(), func(t *testing.T) {
+			g := testbed(t)
+			var derr error
+			calls := 0
+			s, err := g.CreateSession(baseConfig(), func(_ *Session, err error) { derr = err; calls++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Kernel().After(at, s.Shutdown)
+			_ = g.Kernel().RunUntil(g.Kernel().Now().Add(30 * sim.Minute))
+			if calls != 1 || !errors.Is(derr, ErrBadSession) {
+				t.Errorf("done called %d times, last with %v; want once with ErrBadSession", calls, derr)
+			}
+			if s.State() != StateDead {
+				t.Errorf("state %q after Shutdown, want dead", s.State())
+			}
+			for _, name := range []string{"compute1", "compute2"} {
+				n := g.Node(name)
+				if n.Slots() != 2 || n.host.Runnable() != 0 || n.dhcp.Leased() != 0 {
+					t.Errorf("%s: %d of 2 slots free, %d runnable, %d leases; want all idle",
+						name, n.Slots(), n.host.Runnable(), n.dhcp.Leased())
+				}
+			}
+			if _, err := g.Info().Lookup("vm", s.Name()); err == nil {
+				t.Error("VM registered after Shutdown")
+			}
+			checkNoLeaks(t, g)
+		})
+	}
+}
+
 func TestShutdownCleansUp(t *testing.T) {
 	g := testbed(t)
 	s := startSession(t, g, baseConfig())

@@ -243,7 +243,7 @@ func TestMigrateRefusedWhileCheckpointHoldsSuspend(t *testing.T) {
 	s := startSession(t, g, baseConfig())
 	// An interval of years keeps periodic checkpoints out of the way.
 	sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 100000 * sim.Hour})
-	c := sup.charge(s.Name())
+	c := s.charge
 	k := g.Kernel()
 	other := "compute2"
 	if s.Node().Name() == other {

@@ -15,14 +15,20 @@ import (
 // Shutdown ends the session: the VM powers off, the non-persistent diff
 // is discarded, the address returns to the pool, and the registry entry
 // disappears. Persistent disks stay in the node's store (they are the
-// user's state).
+// user's state). Shutting down a session still starting ends the start
+// at its next step, and CreateSession's done gets ErrBadSession.
 func (s *Session) Shutdown() {
 	if s.state == StateDead {
 		return
 	}
 	in := s.cur
 	if in != nil {
-		in.stop()
+		if s.state != StatePending {
+			// A VM still starting is left to come up: powering it off
+			// mid-start would strand the start, and CreateSession's next
+			// step retires it.
+			in.stop()
+		}
 		// A crashed node's store survives but is unreachable; leave its
 		// files for the reboot-time operator. (Shutdown of a crashed
 		// session happens when its supervisor gives up on recovery.)
@@ -32,7 +38,7 @@ func (s *Session) Shutdown() {
 	}
 	s.grid.info.Deregister(gis.KindVM, s.name)
 	if in != nil {
-		in.retire()
+		in.release()
 	}
 	s.grid.dropLive(s.name)
 	s.state = StateDead
@@ -193,14 +199,15 @@ func (s *Session) MigrateFenced(targetName string, done func(error)) error {
 	if !s.state.CanMigrate() || s.migrating {
 		return fmt.Errorf("%w: fenced migrate in %q", ErrBadSession, s.state)
 	}
-	old := s.epoch
 	qsp := s.grid.tracer.BeginChild(s.sctx, s.name, "quorum", "epoch-bump")
 	ep, err := s.grid.info.BumpEpochFrom(s.cfg.FrontEnd, s.name)
 	qsp.EndErr(err)
 	if err != nil {
 		return err
 	}
-	s.adoptEpoch(old, ep)
+	// Same incarnation, same guest: a supervised task submitted under an
+	// older epoch still completes (see charge.since).
+	s.epoch = ep
 	return s.Migrate(targetName, func(err error) {
 		if err == nil && s.epoch != ep {
 			// A failover bumped past us while state was in flight; the
@@ -212,26 +219,6 @@ func (s *Session) MigrateFenced(targetName string, done func(error)) error {
 			done(err)
 		}
 	})
-}
-
-// adoptEpoch moves the session — same incarnation, same guest — to a
-// new fencing epoch at the start of a fenced migration. Supervisors in
-// charge follow to the new epoch and remember the old one as carried:
-// results of tasks submitted under a carried epoch still belong to the
-// one true incarnation (the guest survives a migration) and must not
-// be fenced as zombie results. A real failover clears the carried set,
-// because a new incarnation's history starts from its checkpoint.
-func (s *Session) adoptEpoch(old, ep int64) {
-	s.epoch = ep
-	for _, sup := range s.grid.supervisors {
-		if c := sup.charge(s.name); c != nil {
-			c.epoch = ep
-			if c.carried == nil {
-				c.carried = make(map[int64]bool)
-			}
-			c.carried[old] = true
-		}
-	}
 }
 
 // restoreFrom re-instantiates a crashed session as in, an incarnation
@@ -289,11 +276,11 @@ func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error))
 
 // incarnation is one VM of a session on one host: the node, the VM
 // (which holds its memory image), the COW disk, and its network
-// identity. It holds one
-// of the node's slots while the node lists it. The session's current
-// incarnation is Session.cur; one a partition marooned is kept by the
-// supervisor, under the fencing epoch it ran with, until it surfaces.
-// retire is the only teardown.
+// identity. It holds one of the node's slots while the node lists it.
+// The session's current incarnation is Session.cur; one a partition
+// marooned is kept by the session's charge, under the fencing epoch it
+// ran with, until it surfaces. retire is the only teardown; Shutdown
+// of a start in flight releases first and CreateSession retires later.
 type incarnation struct {
 	node   *Node
 	vm     *vmm.VM
@@ -319,13 +306,18 @@ func (in *incarnation) stop() {
 	}
 }
 
-// retire tears the incarnation down: the VM stops and, while its node
-// is up and still lists it, the address and the slot go back and the
-// node re-advertises. A crash takes the pool and the slots, and a
-// reboot lists nothing, so a stale incarnation returns nothing. Safe to
-// call again.
+// retire tears the incarnation down: the VM stops and release gives
+// back what it holds. Safe to call again.
 func (in *incarnation) retire() {
 	in.stop()
+	in.release()
+}
+
+// release gives the address and the slot back and re-advertises the
+// node, while the node is up and still lists in. A crash takes the
+// pool and the slots, and a reboot lists nothing, so a stale
+// incarnation returns nothing.
+func (in *incarnation) release() {
 	n := in.node
 	i := slices.Index(n.incs, in)
 	if i < 0 || n.crashed {

@@ -400,7 +400,7 @@ func TestReleasedChargeStillFencesZombie(t *testing.T) {
 	g, s, sup, victim, zombie, _ := maroon(t)
 	s.Shutdown()
 	_ = g.Kernel().RunUntil(g.Kernel().Now().Add(10 * sim.Second))
-	if sup.charge(s.name) != nil {
+	if s.charge != nil {
 		t.Fatal("the heartbeat kept the dead session's charge")
 	}
 	if err := g.Net().SetNodeUp(victim.name, true); err != nil {

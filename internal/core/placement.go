@@ -150,18 +150,6 @@ func (g *Grid) placeFor(cfg SessionConfig, o createOptions, futures []gis.Entry)
 	return nil, fmt.Errorf("%w: no candidate for image %q site %q", ErrNoFuture, cfg.Image, cfg.Site)
 }
 
-// sessionBusy reports whether any supervisor has the session mid-
-// checkpoint or mid-recovery — states the balancer must not migrate
-// under.
-func (g *Grid) sessionBusy(name string) bool {
-	for _, sup := range g.supervisors {
-		if c := sup.charge(name); c != nil && (c.recovering || c.checkpointing) {
-			return true
-		}
-	}
-	return false
-}
-
 // computeNodes returns the live compute nodes in name order.
 func (g *Grid) computeNodes() []string {
 	out := make([]string, 0, len(g.order))

@@ -189,10 +189,13 @@ type Session struct {
 	// migrating marks a live migration in flight; checkpoints and
 	// further migrations wait it out.
 	migrating bool
-	// epoch is the fencing epoch this incarnation runs under, assigned
-	// by the supervisor through quorum writes (0 = never failed over or
-	// unsupervised).
+	// epoch is the session's one current fencing epoch, bumped through
+	// quorum writes by each failover and fenced migration (0 = neither
+	// ever happened).
 	epoch int64
+	// charge is the session's supervision, set by Supervisor.Adopt and
+	// cleared by Release (nil = unsupervised).
+	charge *charge
 	// series holds the session's telemetry handles, resolved on its
 	// first scrape.
 	series *sessionSeries
@@ -445,9 +448,24 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			done(s, err)
 		}
 	}
+	// overtaken ends a start that Shutdown overtook: each step checks it
+	// before going on. A VM that came up anyway stops through retire.
+	overtaken := func() bool {
+		if s.state != StateDead {
+			return false
+		}
+		if s.cur != nil {
+			s.cur.retire()
+		}
+		fail(fmt.Errorf("%w: shut down while starting", ErrBadSession))
+		return true
+	}
 
 	// Step 1: query the information service for a VM future.
 	g.k.After(infoQueryLatency, func() {
+		if overtaken() {
+			return
+		}
 		futures := g.info.FindFutures(gis.FutureQuery{
 			MinMemBytes: cfg.MemBytes,
 			Site:        cfg.Site,
@@ -467,6 +485,9 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 
 		// Step 2: locate the image.
 		g.k.After(infoQueryLatency, func() {
+			if overtaken() {
+				return
+			}
 			if err := s.resolveImage(); err != nil {
 				s.cur.retire()
 				fail(err)
@@ -491,6 +512,9 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 				RunCtx: func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(ctx, jobDone) },
 			}
 			submitErr := client.Submit(s.cur.node.name, job, func(err error) {
+				if overtaken() {
+					return
+				}
 				if err != nil {
 					s.cur.retire()
 					fail(fmt.Errorf("core: start %s: %w", s.name, err))
@@ -565,6 +589,10 @@ func (s *Session) resolveImage() error {
 // gatekeeper's handler span, so the VMM's boot/restore work parents
 // under the server side of the GRAM submit.
 func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
+	if s.state == StateDead {
+		done(fmt.Errorf("%w: shut down while starting", ErrBadSession))
+		return
+	}
 	if s.cfg.MemBytes == 0 {
 		if s.info.MemBytes > 0 {
 			s.cfg.MemBytes = s.info.MemBytes
@@ -805,21 +833,14 @@ func (s *Session) fence(serverNode string) func() error {
 			return ErrFencedEpoch
 		}
 		if err := guard(); err != nil {
-			s.grid.k.After(0, func() { s.grid.fenceZombies(s.name, token) })
+			s.grid.k.After(0, func() {
+				if c := s.charge; c != nil {
+					c.sup.fenceZombie(c, token)
+				}
+			})
 			return err
 		}
 		return nil
-	}
-}
-
-// fenceZombies asks every supervisor in charge of the named session to
-// clean up the fenced pre-failover incarnation that ran under the
-// given epoch.
-func (g *Grid) fenceZombies(session string, epoch int64) {
-	for _, sup := range g.supervisors {
-		if c := sup.charge(session); c != nil {
-			sup.fenceZombie(c, epoch)
-		}
 	}
 }
 

@@ -111,9 +111,11 @@ type supTask struct {
 	finished  bool
 }
 
-// charge is one supervised session.
+// charge is one supervised session: the session's Session.charge
+// while its supervisor sup holds it.
 type charge struct {
 	s     *Session
+	sup   *Supervisor
 	tasks []*supTask
 
 	// slot is the committed checkpoint slot (0 or 1; -1 = none). The
@@ -138,17 +140,14 @@ type charge struct {
 	lastRenew sim.Time
 	series    *leaseSeries // telemetry handles, resolved on the first scrape
 
-	// epoch is the charge's current fencing epoch: bumped through a
-	// quorum registry write before every failover, captured by each
-	// incarnation's task submissions, and compared in taskDone so a
-	// superseded incarnation's results are rejected.
-	epoch int64
-	// carried marks epochs the one true incarnation previously ran
-	// under: a fenced migration bumps the epoch but keeps the guest, so
-	// task results submitted under a carried epoch are genuine, not
-	// zombie double-completions. Failover clears the set — a new
-	// incarnation's history starts from its checkpoint.
-	carried map[int64]bool
+	// since is the fencing epoch the last failover assigned (0 before
+	// any). Each task submission captures the session's epoch, and
+	// taskDone rejects a result submitted before since: it comes from a
+	// superseded incarnation. A fenced migration bumps the session's
+	// epoch too but keeps the guest, so results submitted under the
+	// epochs it passed stay genuine — epochs only grow, so they are all
+	// at or past since.
+	since int64
 	// zombies are the partitioned-away incarnations, kept at failover
 	// time and retired only when each surfaces (the supervisor cannot
 	// reach through a partition to kill one). Repeated partitions can
@@ -218,11 +217,16 @@ func (sup *Supervisor) Adopt(s *Session, done func(error)) error {
 	if s.cur.cow == nil {
 		return errors.New("core: supervisor requires a non-persistent (COW) session")
 	}
-	i, dup := sup.chargeIndex(s.name)
-	if dup {
+	if s.charge != nil {
+		// One supervisor per session: two would each fail the session
+		// over on their own and strand each other's tasks.
 		return fmt.Errorf("core: session %q already supervised", s.name)
 	}
-	c := &charge{s: s, slot: -1, lastRenew: -1}
+	c := &charge{s: s, sup: sup, slot: -1, lastRenew: -1}
+	s.charge = c
+	i, _ := slices.BinarySearchFunc(sup.charges, s.name, func(c *charge, name string) int {
+		return strings.Compare(c.s.name, name)
+	})
 	sup.charges = slices.Insert(sup.charges, i, c)
 	sup.renewLease(c)
 	sup.scheduleHeartbeat(c)
@@ -242,12 +246,12 @@ func (sup *Supervisor) Adopt(s *Session, done func(error)) error {
 // workload and Start is the original submission time, so only End (and
 // therefore Elapsed) reflects recovery delays.
 func (sup *Supervisor) Run(s *Session, w guest.Workload, done func(guest.TaskResult)) error {
-	c := sup.charge(s.name)
-	if c == nil {
+	c := s.charge
+	if c == nil || c.sup != sup {
 		return fmt.Errorf("core: session %q not supervised", s.name)
 	}
 	t := &supTask{w: w, done: done, start: sup.g.k.Now(), remaining: w}
-	epoch := c.epoch
+	epoch := s.epoch
 	task, err := s.RunTask(w, func(res guest.TaskResult) { sup.taskDone(c, t, epoch, res) })
 	if err != nil {
 		return err
@@ -263,18 +267,18 @@ func (sup *Supervisor) Run(s *Session, w guest.Workload, done func(guest.TaskRes
 // marooned incarnation still gives its slot and address back once its
 // host answers again.
 func (sup *Supervisor) Release(s *Session) {
-	i, ok := sup.chargeIndex(s.name)
-	if !ok {
+	c := s.charge
+	if c == nil || c.sup != sup {
 		return
 	}
-	c := sup.charges[i]
+	s.charge = nil
 	c.stopped = true
 	if len(c.zombies) == 0 {
 		sup.g.k.Cancel(c.hbNext)
 	}
 	sup.g.k.Cancel(c.ckNext)
 	sup.g.info.Deregister(gis.KindLease, s.name)
-	sup.charges = slices.Delete(sup.charges, i, i+1)
+	sup.charges = slices.DeleteFunc(sup.charges, func(x *charge) bool { return x == c })
 }
 
 // Stop releases every charge, in session-name order. Charges with
@@ -285,22 +289,6 @@ func (sup *Supervisor) Stop() {
 	}
 }
 
-// chargeIndex finds the named session's charge: its index in the
-// name-sorted charge list, or where it would be inserted.
-func (sup *Supervisor) chargeIndex(name string) (int, bool) {
-	return slices.BinarySearchFunc(sup.charges, name, func(c *charge, name string) int {
-		return strings.Compare(c.s.name, name)
-	})
-}
-
-// charge returns the named session's charge, or nil when unsupervised.
-func (sup *Supervisor) charge(name string) *charge {
-	if i, ok := sup.chargeIndex(name); ok {
-		return sup.charges[i]
-	}
-	return nil
-}
-
 // renewLease refreshes the charge's lease as a write originating at
 // the session's host: against a replicated registry, a partitioned
 // host's renewal fails closed (no quorum) even though the supervisor
@@ -309,7 +297,7 @@ func (sup *Supervisor) renewLease(c *charge) bool {
 	host := c.s.cur.node.name
 	if err := sup.g.info.RegisterFrom(host, gis.KindLease, c.s.name, map[string]any{
 		gis.AttrHost:  host,
-		gis.AttrEpoch: c.epoch,
+		gis.AttrEpoch: c.s.epoch,
 	}, leaseTTL); err != nil {
 		return false
 	}
@@ -415,7 +403,7 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 	}
 	c.checkpointing = true
 	suspendedAt := sup.g.k.Now()
-	ep := c.epoch
+	ep := s.epoch
 	sp := sup.g.tracer.BeginChild(s.sctx, s.name, "supervisor", "checkpoint")
 	unlock := func(err error) {
 		c.checkpointing = false
@@ -441,7 +429,7 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 		commit := func(err error) error {
 			// A checkpoint begun before a failover must not commit: its
 			// image is the superseded incarnation's state.
-			if err == nil && c.epoch != ep {
+			if err == nil && s.epoch != ep {
 				err = ErrFencedEpoch
 			}
 			if err == nil {
@@ -581,11 +569,9 @@ func (sup *Supervisor) failover(c *charge) {
 		sup.backOff(c, errors.New("no quorum for epoch bump"))
 		return
 	}
-	c.epoch = ep
-	s.epoch = ep
-	// Migration-carried epochs died with the old incarnation; results
-	// still in flight under them are now zombie results and must fence.
-	c.carried = nil
+	// Results still in flight under any older epoch are now zombie
+	// results and must fence.
+	s.epoch, c.since = ep, ep
 
 	c.recoveries++
 	in := &incarnation{node: target}
@@ -624,7 +610,7 @@ func (sup *Supervisor) backOff(c *charge, why error) {
 // through the partition to kill it.
 func (sup *Supervisor) partitionFailover(c *charge) {
 	s := c.s
-	old := c.epoch
+	old := s.epoch
 	ep, err := sup.g.info.BumpEpochFrom(sup.cfg.StableNode, s.name)
 	if err != nil {
 		// No quorum from the stable node either: the supervisor itself
@@ -632,9 +618,7 @@ func (sup *Supervisor) partitionFailover(c *charge) {
 		sup.stats.NoQuorumBackoffs++
 		return
 	}
-	c.epoch = ep
-	s.epoch = ep
-	c.carried = nil
+	s.epoch, c.since = ep, ep
 	s.cur.epoch = old
 	c.zombies = append(c.zombies, s.cur)
 	s.crashedAt = sup.g.k.Now()
@@ -709,7 +693,7 @@ func (sup *Supervisor) dispatchRestore(c *charge, in *incarnation) {
 		abort(err)
 		return
 	}
-	ep := c.epoch
+	ep := s.epoch
 	job := gram.Job{
 		Name: "restore-vm:" + s.name,
 		User: s.cfg.User,
@@ -718,7 +702,7 @@ func (sup *Supervisor) dispatchRestore(c *charge, in *incarnation) {
 		// epoch while this dispatch sat in retry backoff, the gatekeeper
 		// rejects the stale restore instead of resurrecting a zombie.
 		Fence: func() error {
-			if c.epoch != ep {
+			if s.epoch != ep {
 				return ErrFencedEpoch
 			}
 			return nil
@@ -771,7 +755,7 @@ func (sup *Supervisor) resume(c *charge) {
 		rem.RootBytes = int64(float64(t.w.RootBytes) * frac)
 		t.remaining = rem
 		t.task = nil
-		epoch := c.epoch
+		epoch := s.epoch
 		task, err := s.RunTask(rem, func(res guest.TaskResult) { sup.taskDone(c, t, epoch, res) })
 		if err != nil {
 			// The restore raced another failure; fail the task rather
@@ -795,11 +779,12 @@ func (sup *Supervisor) resume(c *charge) {
 
 // taskDone merges an incarnation's result into the original request's
 // frame of reference and delivers it. epoch is the fencing token
-// captured when the task was submitted: a result arriving from a
-// superseded incarnation — the double-completion hazard of partition
-// failover — is rejected, and the zombie that sent it is cleaned up.
+// captured when the task was submitted: a result submitted before the
+// last failover (c.since) arrives from a superseded incarnation — the
+// double-completion hazard of partition failover — and is rejected, and
+// the zombie that sent it is cleaned up.
 func (sup *Supervisor) taskDone(c *charge, t *supTask, epoch int64, res guest.TaskResult) {
-	if epoch != c.epoch && !c.carried[epoch] {
+	if epoch < c.since {
 		sup.stats.FencedResults++
 		sup.g.tracer.Metrics().Counter("core.fenced-results").Inc()
 		sup.fenceZombie(c, epoch)

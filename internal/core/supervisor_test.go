@@ -215,3 +215,99 @@ func TestSupervisorAdoptGuards(t *testing.T) {
 	}
 	checkNoLeaks(t, g)
 }
+
+// migrateFenced runs one fenced migration of s to target and fails the
+// test unless it succeeds within an hour.
+func migrateFenced(t *testing.T, g *Grid, s *Session, target string) {
+	t.Helper()
+	var merr error
+	done := false
+	if err := s.MigrateFenced(target, func(err error) { merr, done = err, true }); err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(g, sim.Hour, func() bool { return done })
+	if !done || merr != nil {
+		t.Fatalf("fenced migration to %s: done=%v err=%v", target, done, merr)
+	}
+}
+
+// TestAdoptAfterFencedMigration: a session adopted after a fenced
+// migration took it to epoch 1 must not fence its own results when a
+// later fenced migration moves it on — the task runs in the one true
+// incarnation throughout.
+func TestAdoptAfterFencedMigration(t *testing.T) {
+	g := testbed(t)
+	s := startSession(t, g, baseConfig())
+	home := s.Node().Name()
+	away := "compute2"
+	if home == away {
+		away = "compute1"
+	}
+	migrateFenced(t, g, s, away)
+	if s.Epoch() != 1 {
+		t.Fatalf("epoch %d after one fenced migration, want 1", s.Epoch())
+	}
+	// A long interval keeps periodic checkpoints out of the migration.
+	sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 30 * sim.Minute})
+	var res guest.TaskResult
+	finished := false
+	if err := sup.Run(s, guest.MicroTask(300), func(r guest.TaskResult) { res, finished = r, true }); err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Kernel().RunUntil(g.Kernel().Now().Add(30 * sim.Second))
+	migrateFenced(t, g, s, home)
+	stepUntil(g, 3*sim.Hour, func() bool { return finished })
+	if !finished {
+		t.Fatalf("task never completed; session %q at epoch %d, %d results fenced",
+			s.State(), s.Epoch(), sup.Stats().FencedResults)
+	}
+	if res.Err != nil {
+		t.Errorf("task error: %v", res.Err)
+	}
+	if st := sup.Stats(); st.FencedResults != 0 {
+		t.Errorf("%d genuine results fenced as zombie results", st.FencedResults)
+	}
+	checkNoLeaks(t, g)
+}
+
+// TestAdoptRefusesSecondSupervisor: a session has one supervisor. A
+// second Adopt is refused (two would each fail the session over on
+// their own, and one's tasks would be lost), the first supervisor
+// recovers its task across a crash, and once it releases the session
+// another supervisor may take it.
+func TestAdoptRefusesSecondSupervisor(t *testing.T) {
+	g := testbed(t)
+	s := startSession(t, g, baseConfig())
+	sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 30 * sim.Second})
+	other, err := NewSupervisor(g, SupervisorConfig{StableNode: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Adopt(s, nil); err == nil {
+		t.Fatal("a second supervisor adopted an already supervised session")
+	}
+	if err := other.Run(s, guest.MicroTask(600), nil); err == nil {
+		t.Error("Run through a supervisor that does not hold the session was accepted")
+	}
+	var res guest.TaskResult
+	finished := false
+	if err := sup.Run(s, guest.MicroTask(600), func(r guest.TaskResult) { res, finished = r, true }); err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Kernel().RunUntil(g.Kernel().Now().Add(120 * sim.Second))
+	if err := g.CrashNode(s.Node().Name()); err != nil {
+		t.Fatal(err)
+	}
+	stepUntil(g, 2*sim.Hour, func() bool { return finished })
+	if !finished || res.Err != nil {
+		t.Fatalf("task across the crash: finished=%v err=%v", finished, res.Err)
+	}
+	if st := sup.Stats(); st.Recoveries != 1 {
+		t.Errorf("recoveries = %d, want 1", st.Recoveries)
+	}
+	checkNoLeaks(t, g)
+	sup.Release(s)
+	if err := other.Adopt(s, nil); err != nil {
+		t.Errorf("adopt after release: %v", err)
+	}
+}

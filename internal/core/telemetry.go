@@ -210,7 +210,7 @@ func (g *Grid) scrapeLeases(r *telemetry.Recorder) {
 				c.series = ts
 			}
 			r.Put(ts.age, r.At().Sub(c.lastRenew).Seconds())
-			r.Put(ts.epoch, float64(c.epoch))
+			r.Put(ts.epoch, float64(c.s.epoch))
 		}
 	}
 }

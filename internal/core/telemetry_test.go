@@ -67,18 +67,20 @@ func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 	}
 	leases := func(r *telemetry.Recorder) {
 		for _, sup := range g.supervisors {
+			byName := make(map[string]*charge)
 			var names []string
 			for _, c := range sup.charges {
+				byName[c.s.name] = c
 				names = append(names, c.s.name)
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				c := sup.charge(name)
+				c := byName[name]
 				if c.lastRenew < 0 {
 					continue
 				}
 				r.Record("lease.age", r.At().Sub(c.lastRenew).Seconds(), telemetry.L("sess", name))
-				r.Record("session.epoch", float64(c.epoch), telemetry.L("sess", name))
+				r.Record("session.epoch", float64(c.s.epoch), telemetry.L("sess", name))
 			}
 		}
 	}

@@ -519,22 +519,17 @@ func (s *Server) newSession(p SessionParams) (any, error) {
 		return nil, err
 	}
 	var sess *core.Session
-	abandoned := false
 	if err := s.await(4*sim.Hour, func(done func(error)) error {
-		_, err := s.grid.CreateSession(cfg, func(ss *core.Session, err error) {
-			if err == nil && abandoned {
-				// The client was told this op failed, and the session
-				// has no wire name: shut it down rather than let it hold
-				// its slot unreachable.
-				ss.Shutdown()
-				return
-			}
-			sess = ss
-			done(err)
-		}, opts...)
+		var err error
+		sess, err = s.grid.CreateSession(cfg, func(_ *core.Session, err error) { done(err) }, opts...)
 		return err
 	}); err != nil {
-		abandoned = true
+		if sess != nil {
+			// The client is told this op failed, and the session has no
+			// wire name: end its start now so it gives its slot back
+			// rather than come up unreachable later.
+			sess.Shutdown()
+		}
 		return nil, err
 	}
 	s.sessions[sess.Name()] = sess

@@ -413,3 +413,57 @@ func TestTimedOutNewSessionReleasesSlot(t *testing.T) {
 		t.Errorf("second session on %q, want compute", info.Node)
 	}
 }
+
+// TestTimedOutNewSessionFreesSlotAtOnce: a new-session that exceeds its
+// budget ends its start there and then, so the node's only slot is free
+// for the very next new-session — without waiting out the abandoned
+// start's WAN stage, which still runs on.
+func TestTimedOutNewSessionFreesSlotAtOnce(t *testing.T) {
+	srv := NewServer(1)
+	l := NewLocal(srv)
+	for _, p := range []AddNodeParams{
+		{Name: "front", Site: "nwu", Roles: []string{"front-end"}},
+		{Name: "compute", Site: "nwu", Roles: []string{"compute"}, Slots: 1, DHCPPrefix: "10.1.0."},
+		{Name: "images", Site: "ufl", Roles: []string{"image-server"}},
+	} {
+		if err := l.AddNode(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, link := range []ConnectParams{{A: "front", B: "compute", Kind: "lan"}, {A: "compute", B: "images", Kind: "wan"}, {A: "front", B: "images", Kind: "wan"}} {
+		if err := l.Connect(link.A, link.B, link.Kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.InstallImage(InstallImageParams{Node: "images", Name: "huge", OS: "rh", DiskBytes: 200 << 30, MemBytes: 128 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.InstallImage(InstallImageParams{Node: "compute", Name: "rh72", OS: "rh", MemBytes: 128 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.NewSession(SessionParams{
+		User: "slow", FrontEnd: "front", Image: "huge",
+		Mode: "reboot", Disk: "non-persistent", Access: "staged",
+	}); err == nil || !strings.Contains(err.Error(), "exceeded 4h0m0s of virtual time") {
+		t.Fatalf("staging 200 GB over a WAN = %v, want the 4 h budget exceeded", err)
+	}
+	info, err := l.NewSession(SessionParams{
+		User: "next", FrontEnd: "front", Image: "rh72",
+		Mode: "reboot", Disk: "non-persistent", Access: "local",
+	})
+	if err != nil {
+		t.Fatalf("second session straight after the timeout: %v", err)
+	}
+	if info.Node != "compute" {
+		t.Errorf("second session on %q, want compute", info.Node)
+	}
+	// The abandoned start's stage lands eventually; it must not bring a
+	// session up or take the slot back from the second one.
+	srv.mu.Lock()
+	_ = srv.Grid().Kernel().RunFor(100 * sim.Hour)
+	live := srv.Grid().LiveSessions()
+	srv.mu.Unlock()
+	if len(live) != 1 || live[0].Name() != info.Name {
+		t.Errorf("live sessions after the stage landed: %d, want only %s", len(live), info.Name)
+	}
+}
