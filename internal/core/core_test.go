@@ -588,6 +588,13 @@ func TestNoAddressSourceFails(t *testing.T) {
 	if !errors.Is(got, ErrNoAddress) {
 		t.Errorf("error = %v, want ErrNoAddress", got)
 	}
+	// The VM was up when the address failed: it must not keep running
+	// on the slot the failure gave back.
+	if farm := g.Node("farm"); farm.Slots() != 1 || farm.host.Runnable() != 0 {
+		t.Errorf("farm: %d of 1 slot free, %d runnable; want the VM off and its slot free",
+			farm.Slots(), farm.host.Runnable())
+	}
+	checkNoLeaks(t, g)
 }
 
 func TestAddNodeValidation(t *testing.T) {

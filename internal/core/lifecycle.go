@@ -15,20 +15,15 @@ import (
 // Shutdown ends the session: the VM powers off, the non-persistent diff
 // is discarded, the address returns to the pool, and the registry entry
 // disappears. Persistent disks stay in the node's store (they are the
-// user's state). Shutting down a session still starting ends the start
-// at its next step, and CreateSession's done gets ErrBadSession.
+// user's state). Shutting down a session still starting ends the start,
+// and CreateSession's done gets ErrBadSession.
 func (s *Session) Shutdown() {
 	if s.state == StateDead {
 		return
 	}
 	in := s.cur
 	if in != nil {
-		if s.state != StatePending {
-			// A VM still starting is left to come up: powering it off
-			// mid-start would strand the start, and CreateSession's next
-			// step retires it.
-			in.stop()
-		}
+		in.stop()
 		// A crashed node's store survives but is unreachable; leave its
 		// files for the reboot-time operator. (Shutdown of a crashed
 		// session happens when its supervisor gives up on recovery.)
@@ -38,7 +33,7 @@ func (s *Session) Shutdown() {
 	}
 	s.grid.info.Deregister(gis.KindVM, s.name)
 	if in != nil {
-		in.release()
+		in.retire()
 	}
 	s.grid.dropLive(s.name)
 	s.state = StateDead
@@ -279,8 +274,7 @@ func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error))
 // identity. It holds one of the node's slots while the node lists it.
 // The session's current incarnation is Session.cur; one a partition
 // marooned is kept by the session's charge, under the fencing epoch it
-// ran with, until it surfaces. retire is the only teardown; Shutdown
-// of a start in flight releases first and CreateSession retires later.
+// ran with, until it surfaces. retire is the only teardown.
 type incarnation struct {
 	node   *Node
 	vm     *vmm.VM
@@ -306,18 +300,13 @@ func (in *incarnation) stop() {
 	}
 }
 
-// retire tears the incarnation down: the VM stops and release gives
-// back what it holds. Safe to call again.
+// retire tears the incarnation down: the VM stops and, while its node
+// is up and still lists it, the address and the slot go back and the
+// node re-advertises. A crash takes the pool and the slots, and a
+// reboot lists nothing, so a stale incarnation returns nothing. Safe to
+// call again.
 func (in *incarnation) retire() {
 	in.stop()
-	in.release()
-}
-
-// release gives the address and the slot back and re-advertises the
-// node, while the node is up and still lists in. A crash takes the
-// pool and the slots, and a reboot lists nothing, so a stale
-// incarnation returns nothing.
-func (in *incarnation) release() {
 	n := in.node
 	i := slices.Index(n.incs, in)
 	if i < 0 || n.crashed {

@@ -448,17 +448,14 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			done(s, err)
 		}
 	}
-	// overtaken ends a start that Shutdown overtook: each step checks it
-	// before going on. A VM that came up anyway stops through retire.
+	// overtaken ends a start that Shutdown overtook, which already gave
+	// back the slot and powered the VM off: each step checks it first.
 	overtaken := func() bool {
-		if s.state != StateDead {
-			return false
+		err := s.shutDownErr()
+		if err != nil {
+			fail(err)
 		}
-		if s.cur != nil {
-			s.cur.retire()
-		}
-		fail(fmt.Errorf("%w: shut down while starting", ErrBadSession))
-		return true
+		return err != nil
 	}
 
 	// Step 1: query the information service for a VM future.
@@ -589,8 +586,8 @@ func (s *Session) resolveImage() error {
 // gatekeeper's handler span, so the VMM's boot/restore work parents
 // under the server side of the GRAM submit.
 func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
-	if s.state == StateDead {
-		done(fmt.Errorf("%w: shut down while starting", ErrBadSession))
+	if err := s.shutDownErr(); err != nil {
+		done(err)
 		return
 	}
 	if s.cfg.MemBytes == 0 {
@@ -605,6 +602,10 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 		return
 	}
 	s.buildBackends(func(disk storage.Backend, mem *memBackend, err error) {
+		if err == nil {
+			// A copy that lands after Shutdown builds no VM.
+			err = s.shutDownErr()
+		}
 		if err != nil {
 			done(err)
 			return
@@ -621,6 +622,15 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 			done(err)
 		}
 	})
+}
+
+// shutDownErr reports ErrBadSession once Shutdown overtook the session's
+// start.
+func (s *Session) shutDownErr() error {
+	if s.state == StateDead {
+		return fmt.Errorf("%w: shut down while starting", ErrBadSession)
+	}
+	return nil
 }
 
 // newVM builds the session's VM on node over the given virtual disk and

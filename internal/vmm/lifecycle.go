@@ -36,8 +36,9 @@ func (m StartMode) String() string {
 const restoreChunk int64 = 1 << 20
 
 // Start brings the VM up. done receives nil once the guest is running
-// (booted or resumed). Start returns an error immediately if the VM is
-// not freshly created or lacks the needed state files.
+// (booted or resumed), or an error if the start fails or PowerOff ends
+// it. Start returns an error immediately if the VM is not freshly
+// created or lacks the needed state files.
 func (vm *VM) Start(mode StartMode, done func(error)) error {
 	if vm.state != StateCreated && vm.state != StateOff && vm.state != StateSuspended {
 		return fmt.Errorf("%w: start in %v", ErrBadState, vm.state)
@@ -49,9 +50,16 @@ func (vm *VM) Start(mode StartMode, done func(error)) error {
 		return ErrNoMemImg
 	}
 
-	var runSpan obs.Span
+	// sp is the phase span open now. ended marks a start that finished,
+	// failed or was powered off; its pending work is then ignored.
+	var sp obs.Span
+	ended := false
 	finish := func(err error) {
-		runSpan.EndErr(err)
+		if ended {
+			return
+		}
+		ended, vm.abort = true, nil
+		sp.EndErr(err)
 		if err == nil {
 			vm.state = StateRunning
 		} else {
@@ -63,14 +71,19 @@ func (vm *VM) Start(mode StartMode, done func(error)) error {
 			done(err)
 		}
 	}
+	vm.abort = finish
 
 	// Phase 1: the monitor process itself starts up (CPU work on the
 	// host, so a loaded host starts VMs slower).
 	vm.state = StateInitializing
 	vm.updateDemand()
-	initSpan := vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "init")
+	sp = vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "init")
 	vm.proc.RunWork(vm.cost.InitWork, func() {
-		initSpan.End()
+		if ended {
+			return
+		}
+		sp.End()
+		sp = obs.Span{}
 		// Re-register the rate hook that RunWork cleared.
 		vm.proc.OnRate(func(float64) { vm.recompute() })
 		switch mode {
@@ -78,7 +91,7 @@ func (vm *VM) Start(mode StartMode, done func(error)) error {
 			vm.state = StateBooting
 			vm.updateDemand()
 			vm.recompute()
-			runSpan = vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "boot")
+			sp = vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "boot")
 			if err := vm.os.Boot(guest.DefaultBoot(), finish); err != nil {
 				finish(fmt.Errorf("vmm %q: %w", vm.cfg.Name, err))
 			}
@@ -86,10 +99,13 @@ func (vm *VM) Start(mode StartMode, done func(error)) error {
 			vm.state = StateRestoring
 			vm.updateDemand()
 			vm.recompute()
-			runSpan = vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "restore")
+			sp = vm.cfg.Trace.BeginChild(vm.cfg.Ctx, vm.cfg.Name, "vmm", "restore")
 			// Stream the saved memory image back in through whatever
 			// backend holds it (local file or grid virtual file system).
 			streamMemImage(vm.cfg.MemBytes, vm.cfg.MemImage.ReadSequential, func() {
+				if ended {
+					return
+				}
 				vm.os.MarkBooted()
 				if err := vm.os.ResumeWarm(guest.DefaultResume(), finish); err != nil {
 					finish(fmt.Errorf("vmm %q: %w", vm.cfg.Name, err))
@@ -193,8 +209,13 @@ func (vm *VM) Unpause() error {
 }
 
 // PowerOff stops the VM. Guest state is abandoned (non-persistent
-// sessions discard their COW diff at this point).
+// sessions discard their COW diff at this point). Powering off a VM
+// still starting ends the start: its done gets ErrBadState.
 func (vm *VM) PowerOff() {
+	if vm.abort != nil {
+		vm.abort(fmt.Errorf("%w: powered off while %v", ErrBadState, vm.state))
+		return
+	}
 	vm.state = StateOff
 	vm.updateDemand()
 	vm.recompute()

@@ -151,6 +151,9 @@ type VM struct {
 	os   *guest.OS
 
 	state State
+	// abort ends the start in flight with an error; nil when no start
+	// is in flight.
+	abort func(error)
 	act   guest.Activity
 	sink  func(rate float64)
 	rate  float64

@@ -393,6 +393,45 @@ func TestPowerOffStopsConsumption(t *testing.T) {
 	}
 }
 
+// TestPowerOffEndsStart: powering a VM off while it initializes, boots
+// or restores ends the start — done hears ErrBadState once, and the
+// monitor stops consuming the host.
+func TestPowerOffEndsStart(t *testing.T) {
+	for _, c := range []struct {
+		mode  StartMode
+		at    sim.Duration
+		state State
+	}{
+		{ColdBoot, sim.Second, StateInitializing},
+		{ColdBoot, 10 * sim.Second, StateBooting},
+		{WarmRestore, 4 * sim.Second, StateRestoring},
+	} {
+		t.Run(c.state.String(), func(t *testing.T) {
+			r := newRig(t)
+			vm := r.newVM(t, "vm1")
+			var got []error
+			if err := vm.Start(c.mode, func(err error) { got = append(got, err) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.k.RunUntil(sim.Time(c.at)); err != nil {
+				t.Fatal(err)
+			}
+			if vm.State() != c.state {
+				t.Fatalf("state %v at %v, want %v", vm.State(), c.at, c.state)
+			}
+			vm.PowerOff()
+			// A stalled guest boot polls on, so run to a deadline.
+			_ = r.k.RunUntil(sim.Time(10 * sim.Minute))
+			if len(got) != 1 || !errors.Is(got[0], ErrBadState) {
+				t.Errorf("done got %v, want ErrBadState once", got)
+			}
+			if vm.State() != StateOff || r.host.Runnable() != 0 {
+				t.Errorf("state %v, %d runnable after PowerOff; want off and idle", vm.State(), r.host.Runnable())
+			}
+		})
+	}
+}
+
 func TestAdoptGuestMigration(t *testing.T) {
 	// Suspend on host A, adopt the guest into a VM on host B, restore,
 	// and verify the task finishes with full work accounted.

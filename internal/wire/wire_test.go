@@ -462,8 +462,16 @@ func TestTimedOutNewSessionFreesSlotAtOnce(t *testing.T) {
 	srv.mu.Lock()
 	_ = srv.Grid().Kernel().RunFor(100 * sim.Hour)
 	live := srv.Grid().LiveSessions()
+	var procs []string
+	for _, p := range srv.Grid().Node("compute").Host().Procs() {
+		procs = append(procs, p.Name())
+	}
 	srv.mu.Unlock()
 	if len(live) != 1 || live[0].Name() != info.Name {
 		t.Errorf("live sessions after the stage landed: %d, want only %s", len(live), info.Name)
+	}
+	// Nor may it build a VM next to the second session's.
+	if len(procs) != 1 || procs[0] != "vmm:"+info.Name {
+		t.Errorf("compute processes after the stage landed: %v, want the second session's VM only", procs)
 	}
 }
