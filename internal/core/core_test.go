@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"vmgrid/internal/guest"
@@ -344,6 +347,59 @@ func TestShutdownCleansUp(t *testing.T) {
 		}
 	}
 	s.Shutdown() // idempotent
+}
+
+// TestShutdownDropsSessionFiles: Shutdown takes every file the session
+// put in its node's store — a staged copy that lands after it too —
+// except a persistent disk, which is the user's state.
+func TestShutdownDropsSessionFiles(t *testing.T) {
+	left := func(s *Session, n *Node) []string {
+		var out []string
+		for _, f := range n.Store().Files() {
+			if strings.HasPrefix(f, s.Name()+".") {
+				out = append(out, f)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	t.Run("staged", func(t *testing.T) {
+		g := testbedRemoteImages(t)
+		cfg := baseConfig()
+		cfg.Access = AccessStaged
+		s := startSession(t, g, cfg)
+		n := s.Node()
+		s.Shutdown()
+		if got := left(s, n); len(got) != 0 {
+			t.Errorf("%s lists %v after Shutdown, want none of the session's files", n.Name(), got)
+		}
+	})
+	t.Run("staged-abandoned", func(t *testing.T) {
+		g := testbedRemoteImages(t)
+		cfg := baseConfig()
+		cfg.Access = AccessStaged
+		s, err := g.CreateSession(cfg, func(*Session, error) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The 2 GB disk copy is still crossing the WAN a minute in.
+		g.Kernel().After(sim.Minute, s.Shutdown)
+		_ = g.Kernel().RunUntil(g.Kernel().Now().Add(30 * sim.Minute))
+		if got := left(s, g.Node("compute1")); len(got) != 0 {
+			t.Errorf("compute1 lists %v after the abandoned copy landed, want none of the session's files", got)
+		}
+	})
+	t.Run("persistent", func(t *testing.T) {
+		g := testbed(t)
+		cfg := baseConfig()
+		cfg.Disk = Persistent
+		s := startSession(t, g, cfg)
+		n := s.Node()
+		s.Shutdown()
+		if got, want := left(s, n), []string{s.Name() + ".disk"}; !slices.Equal(got, want) {
+			t.Errorf("%s lists %v after Shutdown, want only the persistent disk %v", n.Name(), got, want)
+		}
+	})
 }
 
 func TestHibernateAndWake(t *testing.T) {

@@ -12,11 +12,11 @@ import (
 	"vmgrid/internal/vnet"
 )
 
-// Shutdown ends the session: the VM powers off, the non-persistent diff
-// is discarded, the address returns to the pool, and the registry entry
-// disappears. Persistent disks stay in the node's store (they are the
-// user's state). Shutting down a session still starting ends the start,
-// and CreateSession's done gets ErrBadSession.
+// Shutdown ends the session: the VM powers off, the session's files
+// leave the node's store, the address returns to the pool, and the
+// registry entry disappears. A persistent disk stays in the node's
+// store (it is the user's state). Shutting down a session still
+// starting ends the start, and CreateSession's done gets ErrBadSession.
 func (s *Session) Shutdown() {
 	if s.state == StateDead {
 		return
@@ -24,12 +24,7 @@ func (s *Session) Shutdown() {
 	in := s.cur
 	if in != nil {
 		in.stop()
-		// A crashed node's store survives but is unreachable; leave its
-		// files for the reboot-time operator. (Shutdown of a crashed
-		// session happens when its supervisor gives up on recovery.)
-		if !in.node.crashed {
-			dropFiles(in.node.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
-		}
+		s.dropNodeFiles(in.node)
 	}
 	s.grid.info.Deregister(gis.KindVM, s.name)
 	if in != nil {
@@ -257,7 +252,7 @@ func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error))
 	// address and slot go back.
 	in.takeSlot()
 	old.retire()
-	dropFiles(old.node.store, s.name+".cow", s.name+".mem", s.name+".zeromem")
+	dropFiles(old.node.store, s.nodeFiles()...)
 	s.online(in, "migrated", func() error {
 		// The target may have crashed (or a failover superseded this
 		// incarnation) while the VM was coming up; resuming would
@@ -408,6 +403,29 @@ func stagePair(stage func(ext string, done func(error)), done func(error)) {
 func (g *Grid) stage(from *Node, file string, to *Node, asName string, done func(error)) {
 	if err := gram.Stage(g.net, from.name, from.store, file, to.name, to.store, asName, done); err != nil {
 		done(err)
+	}
+}
+
+// nodeFiles names the files the session keeps in its node's store: the
+// state pair <s>.cow and <s>.mem, the cold-restore placeholder
+// <s>.zeromem, the private memory-image copy <s>.memimg and, unless the
+// disk is persistent (then it is the user's state), the private disk
+// copy <s>.disk.
+func (s *Session) nodeFiles() []string {
+	names := []string{s.name + ".cow", s.name + ".mem", s.name + ".zeromem", s.name + ".memimg"}
+	if s.cfg.Disk != Persistent {
+		names = append(names, s.name+".disk")
+	}
+	return names
+}
+
+// dropNodeFiles drops the session's files from n's store unless n
+// crashed: a crashed node's store survives but is unreachable, so its
+// files are left for the reboot-time operator. (Shutdown of a crashed
+// session happens when its supervisor gives up on recovery.)
+func (s *Session) dropNodeFiles(n *Node) {
+	if !n.crashed {
+		dropFiles(n.store, s.nodeFiles()...)
 	}
 }
 

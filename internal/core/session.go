@@ -602,9 +602,13 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 		return
 	}
 	s.buildBackends(func(disk storage.Backend, mem *memBackend, err error) {
-		if err == nil {
-			// A copy that lands after Shutdown builds no VM.
-			err = s.shutDownErr()
+		if dead := s.shutDownErr(); dead != nil {
+			// A copy that lands after Shutdown builds no VM, and what
+			// the start put in the store goes as Shutdown's files did.
+			s.dropNodeFiles(s.cur.node)
+			if err == nil {
+				err = dead
+			}
 		}
 		if err != nil {
 			done(err)

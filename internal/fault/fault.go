@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"vmgrid/internal/netsim"
-	"vmgrid/internal/obs"
 	"vmgrid/internal/sim"
 )
 
@@ -30,9 +29,8 @@ type Crasher interface {
 // flows from its private RNG stream, so the schedule is a pure function
 // of the seed.
 type Injector struct {
-	k     *sim.Kernel
-	rng   *sim.RNG
-	trace *obs.Tracer
+	k   *sim.Kernel
+	rng *sim.RNG
 
 	scheduled int
 	fired     int
@@ -55,10 +53,6 @@ func NewSeeded(k *sim.Kernel, seed uint64) *Injector {
 // RNG exposes the injector's stream for custom fault distributions.
 func (in *Injector) RNG() *sim.RNG { return in.rng }
 
-// SetTracer records an instant per fired fault plus scheduled/fired
-// counters into tr. A nil tracer (the default) disables tracing.
-func (in *Injector) SetTracer(tr *obs.Tracer) { in.trace = tr }
-
 // Scheduled returns how many fault events have been scheduled.
 func (in *Injector) Scheduled() int { return in.scheduled }
 
@@ -68,18 +62,9 @@ func (in *Injector) Fired() int { return in.fired }
 // At schedules fn as a fault event at absolute time t (immediately if t
 // is not in the future).
 func (in *Injector) At(t sim.Time, fn func()) {
-	in.at(t, "fault", fn)
-}
-
-// at schedules fn and, when tracing, marks its firing with an instant
-// named name on the shared "fault" track.
-func (in *Injector) at(t sim.Time, name string, fn func()) {
 	in.scheduled++
-	in.trace.Metrics().Counter("fault.scheduled").Inc()
 	run := func() {
 		in.fired++
-		in.trace.Metrics().Counter("fault.fired").Inc()
-		in.trace.Instant("fault", "fault", name)
 		fn()
 	}
 	if t <= in.k.Now() {
@@ -112,26 +97,26 @@ func (in *Injector) Times(mtbf, horizon sim.Duration) []sim.Time {
 // CrashReboot schedules a fail-stop crash of node at time at, followed
 // by a reboot after outage (outage ≤ 0 = the node never comes back).
 func (in *Injector) CrashReboot(c Crasher, node string, at sim.Time, outage sim.Duration) {
-	in.at(at, "crash:"+node, func() { _ = c.CrashNode(node) })
+	in.At(at, func() { _ = c.CrashNode(node) })
 	if outage > 0 {
-		in.at(at.Add(outage), "reboot:"+node, func() { _ = c.RebootNode(node) })
+		in.At(at.Add(outage), func() { _ = c.RebootNode(node) })
 	}
 }
 
 // FlapLink takes the a<->b link down at time at and restores it after
 // outage (outage ≤ 0 = the link stays down).
 func (in *Injector) FlapLink(n *netsim.Network, a, b string, at sim.Time, outage sim.Duration) {
-	in.at(at, "link-down:"+a+"<->"+b, func() { _ = n.SetLinkUp(a, b, false) })
+	in.At(at, func() { _ = n.SetLinkUp(a, b, false) })
 	if outage > 0 {
-		in.at(at.Add(outage), "link-up:"+a+"<->"+b, func() { _ = n.SetLinkUp(a, b, true) })
+		in.At(at.Add(outage), func() { _ = n.SetLinkUp(a, b, true) })
 	}
 }
 
 // PartitionNode isolates a node — every attached link fails — at time
 // at, healing after outage (outage ≤ 0 = permanent).
 func (in *Injector) PartitionNode(n *netsim.Network, node string, at sim.Time, outage sim.Duration) {
-	in.at(at, "partition:"+node, func() { _ = n.SetNodeUp(node, false) })
+	in.At(at, func() { _ = n.SetNodeUp(node, false) })
 	if outage > 0 {
-		in.at(at.Add(outage), "heal:"+node, func() { _ = n.SetNodeUp(node, true) })
+		in.At(at.Add(outage), func() { _ = n.SetNodeUp(node, true) })
 	}
 }

@@ -35,6 +35,9 @@ type CPU interface {
 	// provider (device virtualization cost for a VM, bare syscall and
 	// driver cost natively).
 	IOPenalty() sim.Duration
+	// Off reports whether the provider is powered off: it delivers no
+	// work until it starts again.
+	Off() bool
 }
 
 // Activity is what the guest reports to its CPU provider.
@@ -130,6 +133,10 @@ func (n *NativeCPU) Rate() float64 { return n.rate }
 
 // IOPenalty implements CPU.
 func (n *NativeCPU) IOPenalty() sim.Duration { return NativeIOPenalty }
+
+// Off implements CPU: a physical machine is never powered off under
+// its guest.
+func (n *NativeCPU) Off() bool { return false }
 
 func (n *NativeCPU) recompute() {
 	// Useful work rate: the host rate discounted by the native cost of
@@ -262,7 +269,8 @@ func (o *OS) updateActivity() {
 
 // redistribute splits the delivered guest rate among runnable tasks and
 // the background load by processor sharing: with n tasks and load u,
-// each task gets rate/(n+u).
+// each task gets rate/(n+u). A task parked on a powered-off CPU polls
+// again once work is delivered.
 func (o *OS) redistribute(rate float64) {
 	runnable := o.Runnable()
 	if runnable == 0 {
@@ -272,6 +280,10 @@ func (o *OS) redistribute(rate float64) {
 	for _, t := range o.tasks {
 		if t.state == taskRunning && t.tracker != nil {
 			t.tracker.SetRate(per)
+			if t.parked && per > 0 {
+				t.parked = false
+				o.Kernel().After(0, t.pollFn)
+			}
 		}
 	}
 }

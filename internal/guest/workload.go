@@ -271,6 +271,7 @@ type Task struct {
 	readsDone  int
 	writesDone int
 	plan       ioPlan // positioned at the next (or in-flight) I/O
+	parked     bool   // stalled on a powered-off CPU, with no poll armed
 
 	// Pre-bound callbacks, created once per task. The I/O loop runs tens
 	// of thousands of times per workload; minting fresh closures for each
@@ -365,14 +366,17 @@ func (t *Task) pollNext() {
 		t.blockForIO()
 		return
 	}
-	rate := t.tracker.Rate()
 	var wait sim.Duration
-	if rate > 0 {
-		wait = sim.DurationOf((threshold - consumed) / rate)
-		if wait < sim.Microsecond {
-			wait = sim.Microsecond
-		}
-	} else {
+	switch rate := t.tracker.Rate(); {
+	case rate > 0:
+		wait = max(sim.DurationOf((threshold-consumed)/rate), sim.Microsecond)
+	case t.os.cpu.Off():
+		// Powered off (shut down or crashed; a migrated guest asks the VM
+		// that adopted it): nothing changes until the CPU starts again,
+		// and the rate it then delivers re-arms the poll.
+		t.parked = true
+		return
+	default:
 		// Stalled (VM suspended or preempted): check again in a while.
 		wait = 100 * sim.Millisecond
 	}

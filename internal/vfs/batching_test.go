@@ -233,3 +233,52 @@ func BenchmarkVFSReadMiss(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkVFSRoundTrip measures one RPC end to end over a real Server:
+// the client's issue, the request hop, the server's CPU cost and storage
+// op, the reply hop and the client's settle. read-miss runs with caching
+// off, so every read is one fetch RPC; write-back drains one buffered
+// write per op.
+func BenchmarkVFSRoundTrip(b *testing.B) {
+	for _, tc := range []struct {
+		name            string
+		loopback, write bool
+	}{
+		{"net/read-miss", false, false},
+		{"net/write-back", false, true},
+		{"loopback/read-miss", true, false},
+		{"loopback/write-back", true, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			w := newWorld(b, false)
+			var tr Transport = NewLoopbackTransport(w.k, w.server)
+			if !tc.loopback {
+				nt, err := NewNetTransport(w.net, "client", "server", w.server)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr = nt
+			}
+			c, err := NewClient(w.k, tr, Config{Rsize: 16 << 10, Prefetch: 64 << 10, WriteBack: tc.write})
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := c.Open("data", 1<<30)
+			op := func() { f.Read(0, 64<<10, nil) }
+			if tc.write {
+				op = func() { f.Write(0, 64<<10, nil) }
+			}
+			op()
+			w.k.Run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+				w.k.Run()
+			}
+			if c.RemoteOps() != uint64(b.N)+1 {
+				b.Fatalf("%d RPCs for %d ops, want one each", c.RemoteOps(), b.N+1)
+			}
+		})
+	}
+}

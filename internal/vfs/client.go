@@ -142,12 +142,6 @@ type Client struct {
 	qhead  int
 	inCall bool
 
-	// fastRPC is set when the retry policy is a single attempt with no
-	// timeout: the RPC then settles exactly once and the pooled call can
-	// carry the span/latency accounting itself, skipping the
-	// closure-per-attempt transact machinery.
-	fastRPC bool
-
 	hits, misses, remoteOps uint64
 	bytesFetched            uint64
 	transportErrs           uint64
@@ -192,7 +186,6 @@ func NewClient(k *sim.Kernel, t Transport, cfg Config) (*Client, error) {
 		t:        t,
 		cfg:      cfg,
 		blocks:   lru.NewBlocks(int(cfg.CacheBytes / cfg.Rsize)),
-		fastRPC:  cfg.Retry.Attempts() <= 1 && cfg.Retry.Timeout == 0,
 		mRPCs:    reg.Counter("vfs.rpcs"),
 		mRetries: reg.Counter("vfs.retries"),
 		mErrs:    reg.Counter("vfs.transport-errors"),
@@ -233,6 +226,13 @@ const vfsBaseBackoff = 10 * sim.Millisecond
 // RPC issues with zero allocations. Exactly one of the three completion
 // shapes applies: owner != nil (read span), wb (write-back drain), or
 // neither (write-through, wdone fires after the ack).
+//
+// Every attempt of the RPC runs through attempt and ends in reply; the
+// retry policy decides there whether to reissue. Without a timeout an
+// attempt ends only when its reply arrives, so the bound replyFn is its
+// completion. With one, a reply can arrive after its attempt timed out
+// — even after the call settled and went back to the freelist — so each
+// timed attempt completes through its own token instead.
 type call struct {
 	c          *Client
 	op         string
@@ -244,23 +244,23 @@ type call struct {
 	wbSize int64
 	wdone  func() // write-through ack
 
-	// fast-path attempt state (unused when the retry policy engages)
-	fast  bool
+	// the current attempt
+	n     int // 1-based
 	sp    obs.Span
 	began sim.Time
 
-	issueFn  func(func(error)) // bound to issue
-	settleFn func(error)       // bound to settle
-	startFn  func()            // bound to start; what the queue runs
-	nextFree *call
+	replyFn   func(error) // bound to reply: an untimed attempt's completion
+	attemptFn func()      // bound to attempt: a reissue after backoff
+	startFn   func()      // bound to start; what the queue runs
+	nextFree  *call
 }
 
 func (c *Client) getCall() *call {
 	l := c.freeCalls
 	if l == nil {
 		l = &call{c: c}
-		l.issueFn = l.issue
-		l.settleFn = l.settle
+		l.replyFn = l.reply
+		l.attemptFn = l.attempt
 		l.startFn = l.start
 		return l
 	}
@@ -275,7 +275,7 @@ func (c *Client) putCall(l *call) {
 	l.owner = nil
 	l.wb, l.wbSize = false, 0
 	l.wdone = nil
-	l.fast = false
+	l.n = 0
 	l.sp = obs.Span{}
 	l.began = 0
 	l.nextFree = c.freeCalls
@@ -296,33 +296,81 @@ func (l *call) start() {
 	if l.op == "read" {
 		c.bytesFetched += uint64(l.bytes)
 	}
-	if !c.fastRPC {
-		c.transact(l.op, l.issueFn, l.settleFn)
-		return
-	}
-	l.fast = true
+	l.attempt()
+}
+
+// attempt issues the RPC's next attempt under its own span.
+func (l *call) attempt() {
+	c := l.c
+	l.n++
 	l.sp = c.cfg.Trace.BeginChild(c.cfg.Ctx, "vfs", "rpc", l.op)
 	l.began = c.k.Now()
-	l.issue(l.settleFn)
-}
-
-// issue fires the transport RPC with cb as the attempt's completion.
-func (l *call) issue(cb func(error)) {
+	done := l.replyFn
+	if d := c.cfg.Retry.Timeout; d > 0 {
+		tok := &token{l: l}
+		tok.timer = c.k.After(d, tok.timeout)
+		done = tok.reply
+	}
 	if l.op == "read" {
-		l.c.t.Read(l.file, l.off, l.bytes, cb)
+		c.t.Read(l.file, l.off, l.bytes, done)
 		return
 	}
-	l.c.t.Write(l.file, l.off, l.bytes, cb)
+	c.t.Write(l.file, l.off, l.bytes, done)
 }
 
-// settle finishes the RPC: once per call on the fast path, or once from
-// transact after the retry policy resolves.
+// reply ends the current attempt with err and settles the call, unless
+// the retry policy reissues it. A server NAK is a definitive reply, not
+// a lost message: retrying cannot change the answer. Once no attempts
+// remain, the last error is wrapped in ErrUnavailable.
+func (l *call) reply(err error) {
+	c := l.c
+	l.sp.EndErr(err)
+	c.hRPC.Observe(c.k.Now().Sub(l.began))
+	if err != nil && !errors.Is(err, ErrUnknownFile) {
+		p := c.cfg.Retry
+		attempts := p.Attempts()
+		if l.n < attempts {
+			c.retries++
+			c.mRetries.Inc()
+			c.k.After(p.Delay(l.n, vfsBaseBackoff), l.attemptFn)
+			return
+		}
+		if attempts > 1 {
+			err = fmt.Errorf("%w: %w (after %d attempts)", ErrUnavailable, err, l.n)
+		}
+	}
+	l.settle(err)
+}
+
+// token is one timed attempt: the first of its reply and its timeout
+// ends the attempt, and whichever comes second is ignored.
+type token struct {
+	l     *call
+	timer sim.EventID
+	ended bool
+}
+
+func (t *token) reply(err error) {
+	if t.ended {
+		return // a late reply after the timeout
+	}
+	t.ended = true
+	t.l.c.k.Cancel(t.timer)
+	t.l.reply(err)
+}
+
+func (t *token) timeout() {
+	if t.ended {
+		return
+	}
+	t.ended = true
+	t.l.reply(fmt.Errorf("%w after %v", ErrTimeout, t.l.c.cfg.Retry.Timeout))
+}
+
+// settle finishes the RPC once: after its last attempt, or when the
+// fence refuses it before the first.
 func (l *call) settle(err error) {
 	c := l.c
-	if l.fast {
-		l.sp.EndErr(err)
-		c.hRPC.Observe(c.k.Now().Sub(l.began))
-	}
 	c.noteErr(err)
 	switch {
 	case l.owner != nil:
@@ -387,60 +435,6 @@ func (c *Client) putRead(o *readOp) {
 }
 
 func (o *readOp) afterCost() { o.c.readAfterClientCost(o) }
-
-// transact issues one RPC through the retry policy. issue is invoked
-// once per attempt with that attempt's completion callback; done
-// receives nil on success, or the final error — wrapped in
-// ErrUnavailable when the policy was exhausted — once no attempts
-// remain. Late replies from timed-out attempts are ignored. op labels
-// the RPC's trace span ("read"/"write").
-func (c *Client) transact(op string, issue func(done func(error)), done func(error)) {
-	p := c.cfg.Retry
-	attempts := p.Attempts()
-	var attempt func(n int)
-	attempt = func(n int) {
-		settled := false
-		var timer sim.EventID
-		sp := c.cfg.Trace.BeginChild(c.cfg.Ctx, "vfs", "rpc", op)
-		start := c.k.Now()
-		finish := func(err error) {
-			if settled {
-				return // late reply after timeout, or stale timer
-			}
-			settled = true
-			c.k.Cancel(timer)
-			sp.EndErr(err)
-			c.hRPC.Observe(c.k.Now().Sub(start))
-			if err == nil {
-				done(nil)
-				return
-			}
-			// A server NAK is a definitive reply, not a lost message:
-			// retrying cannot change the answer.
-			if errors.Is(err, ErrUnknownFile) {
-				done(err)
-				return
-			}
-			if n >= attempts {
-				if attempts > 1 {
-					err = fmt.Errorf("%w: %w (after %d attempts)", ErrUnavailable, err, n)
-				}
-				done(err)
-				return
-			}
-			c.retries++
-			c.mRetries.Inc()
-			c.k.After(p.Delay(n, vfsBaseBackoff), func() { attempt(n + 1) })
-		}
-		if p.Timeout > 0 {
-			timer = c.k.After(p.Timeout, func() {
-				finish(fmt.Errorf("%w after %v", ErrTimeout, p.Timeout))
-			})
-		}
-		issue(finish)
-	}
-	attempt(1)
-}
 
 func (c *Client) noteErr(err error) {
 	if err != nil {

@@ -5,17 +5,21 @@ import (
 	"fmt"
 	"testing"
 
+	"vmgrid/internal/obs"
 	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 )
 
 // scriptedTransport loses, NAKs, or serves RPC attempts per script:
 // the first drops attempts never complete, the next naks attempts reply
-// ErrUnknownFile, and everything after succeeds after latency.
+// ErrUnknownFile, the next slow attempts succeed only after slowBy, and
+// everything after succeeds after latency.
 type scriptedTransport struct {
 	k       *sim.Kernel
 	drops   int
 	naks    int
+	slow    int
+	slowBy  sim.Duration
 	latency sim.Duration
 
 	calls int
@@ -30,6 +34,8 @@ func (t *scriptedTransport) issue(done func(error)) {
 		// Lost: no reply ever.
 	case t.calls <= t.drops+t.naks:
 		t.k.After(t.latency, func() { done(fmt.Errorf("%w: scripted", ErrUnknownFile)) })
+	case t.calls <= t.drops+t.naks+t.slow:
+		t.k.After(t.slowBy, func() { done(nil) })
 	default:
 		t.k.After(t.latency, func() { done(nil) })
 	}
@@ -171,5 +177,59 @@ func TestWriteThroughRetries(t *testing.T) {
 	}
 	if c.TransportErrors() != 0 {
 		t.Errorf("TransportErrors() = %d, want 0 after recovery", c.TransportErrors())
+	}
+}
+
+// TestLateReplyAfterTimeoutIsDropped: attempt 1 replies only after
+// twice the timeout, by when attempt 2 has completed the read and a
+// second read has reused the pooled call. The stale reply must settle
+// neither read, and each attempt gets one span.
+func TestLateReplyAfterTimeoutIsDropped(t *testing.T) {
+	k := sim.NewKernel(1)
+	const timeout = 100 * sim.Millisecond
+	tr := &scriptedTransport{k: k, slow: 1, slowBy: 2 * timeout, latency: 60 * sim.Millisecond}
+	tracer := obs.New(k)
+	c, err := NewClient(k, tr, Config{
+		Rsize: 32 << 10, Prefetch: 32 << 10, CacheBytes: 1 << 20, Trace: tracer,
+		Retry: retry.Policy{MaxAttempts: 3, Timeout: timeout, Backoff: 10 * sim.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := c.Open("data", 1<<30)
+	var first, second []sim.Time
+	f.Read(0, 1024, func() {
+		first = append(first, k.Now())
+		if c.Retries() != 1 || c.RemoteOps() != 1 {
+			t.Errorf("first read done with Retries()=%d RemoteOps()=%d, want 1 and 1", c.Retries(), c.RemoteOps())
+		}
+		// Issued while attempt 1's reply is still in flight.
+		f.Read(512<<10, 1024, func() { second = append(second, k.Now()) })
+	})
+	k.Run()
+	// Attempt 1 at 0 times out at 100 ms; attempt 2 at 110 ms replies at
+	// 170 ms; the second read's RPC at 170 ms replies at 230 ms. The
+	// stale reply lands at 200 ms.
+	if want := sim.Time(170 * sim.Millisecond); len(first) != 1 || first[0] != want {
+		t.Errorf("first read completed at %v, want once at %v", first, want)
+	}
+	if want := sim.Time(230 * sim.Millisecond); len(second) != 1 || second[0] != want {
+		t.Errorf("second read completed at %v, want once at %v", second, want)
+	}
+	if tr.calls != 3 || c.Retries() != 1 || c.RemoteOps() != 2 || c.TransportErrors() != 0 {
+		t.Errorf("attempts=%d Retries()=%d RemoteOps()=%d TransportErrors()=%d, want 3, 1, 2, 0",
+			tr.calls, c.Retries(), c.RemoteOps(), c.TransportErrors())
+	}
+	var spans []obs.SpanRecord
+	for _, sp := range tracer.Spans() {
+		if sp.Track == "vfs" && sp.Cat == "rpc" {
+			spans = append(spans, sp)
+		}
+	}
+	if len(spans) != 3 {
+		t.Fatalf("%d vfs/rpc spans, want one per attempt (3): %+v", len(spans), spans)
+	}
+	if spans[0].End != sim.Time(timeout) || spans[0].Note == "" {
+		t.Errorf("attempt 1 span %+v, want ended by the timeout at %v with its error", spans[0], timeout)
 	}
 }

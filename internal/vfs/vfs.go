@@ -27,30 +27,35 @@ import (
 // server does not export.
 var ErrUnknownFile = errors.New("vfs: unknown file")
 
-// rpcHeaderBytes approximates the on-wire size of request/response
-// framing (RPC + NFS + TCP headers).
-const rpcHeaderBytes = 160
+const (
+	// rpcHeaderBytes approximates the on-wire size of request/response
+	// framing (RPC + NFS + TCP headers).
+	rpcHeaderBytes = 160
+	// serverCPU is the server-side CPU cost of fielding one RPC.
+	serverCPU = 150 * sim.Microsecond
+	// loopbackStack is the one-way traversal of the local RPC stack.
+	loopbackStack = sim.Millisecond
+)
 
-// Server exports a store's files to clients. Request dispatch is pooled:
-// each RPC runs through a freelisted srvOp whose stage callbacks are
-// bound once, and file handles are cached per name, so serving a
-// steady-state read performs no allocations.
+// Server exports a store's files to clients. Every RPC, from either
+// transport, runs through one pooled rpc record whose stage callbacks
+// are bound once, and file handles are cached per name, so serving a
+// steady-state RPC performs no allocations.
 type Server struct {
 	store *storage.Store
-	// procCost is the server-side CPU cost of fielding one RPC.
-	procCost sim.Duration
-	ops      uint64
+	k     *sim.Kernel
+	ops   uint64
 
 	handles map[string]*storage.LocalFile
-	freeOps *srvOp
+	free    *rpc
 }
 
 // NewServer exports all files of store.
 func NewServer(store *storage.Store) *Server {
 	return &Server{
-		store:    store,
-		procCost: 150 * sim.Microsecond,
-		handles:  make(map[string]*storage.LocalFile),
+		store:   store,
+		k:       store.Host().Kernel(),
+		handles: make(map[string]*storage.LocalFile),
 	}
 }
 
@@ -60,15 +65,22 @@ func (s *Server) Store() *storage.Store { return s.store }
 // Ops returns the number of RPCs served.
 func (s *Server) Ops() uint64 { return s.ops }
 
-// openCached returns a (possibly cached) handle for an exported file.
-// The existence check runs on every call, so a cached handle never
-// outlives a Delete; a handle cached before a Delete/re-Create pair is
-// still valid because LocalFile resolves its size through the store.
-func (s *Server) openCached(file string) (*storage.LocalFile, error) {
+// open returns a (possibly cached) handle for an exported file; create
+// (the write path) creates the file on first reference. The existence
+// check runs on every call, so a cached handle never outlives a Delete;
+// a handle cached before a Delete/re-Create pair is still valid because
+// LocalFile resolves its size through the store.
+func (s *Server) open(file string, create bool) (*storage.LocalFile, error) {
 	if f, ok := s.handles[file]; ok && s.store.Has(file) {
 		return f, nil
 	}
-	f, err := s.store.Open(file)
+	var f *storage.LocalFile
+	var err error
+	if create {
+		f, err = s.store.OpenOrCreate(file)
+	} else if f, err = s.store.Open(file); err != nil {
+		err = fmt.Errorf("%w: %s", ErrUnknownFile, file)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -76,113 +88,102 @@ func (s *Server) openCached(file string) (*storage.LocalFile, error) {
 	return f, nil
 }
 
-// srvOp is one in-flight RPC on the server, pooled on a freelist with
-// its stage callbacks bound at allocation.
-type srvOp struct {
+// rpc is one RPC in flight from a transport through the server and
+// back, pooled on the server's freelist.
+type rpc struct {
 	s         *Server
-	f         *storage.LocalFile
-	off, size int64
+	net       *NetTransport // the request's network path; nil on the loopback
 	write     bool
-	respond   func(error)
-	err       error
+	file      string
+	off, size int64
+	done      func(error)
 
-	procFn   func() // after procCost: issue the storage op
-	ioDoneFn func() // storage op complete: respond(nil)
-	failFn   func() // after procCost on a lookup error: respond(err)
-	nextFree *srvOp
+	f   *storage.LocalFile
+	err error // the server's answer, or the reply hop's send error
+
+	arriveFn  func(any) // request delivered over the network: serve
+	serveFn   func()    // request through the loopback stack: serve
+	procFn    func()    // CPU cost charged: the storage op
+	replyFn   func()    // storage op complete: the reply hop
+	deliverFn func(any) // reply delivered over the network: complete
+	finishFn  func()    // reply through the loopback stack: complete
+	nextFree  *rpc
 }
 
-func (s *Server) getOp() *srvOp {
-	op := s.freeOps
-	if op == nil {
-		op = &srvOp{s: s}
-		op.procFn = op.proc
-		op.ioDoneFn = op.ioDone
-		op.failFn = op.fail
-		return op
+// get takes an rpc record off the freelist (binding a new one's stage
+// callbacks) and loads it with the request.
+func (s *Server) get(write bool, file string, off, size int64, done func(error)) *rpc {
+	r := s.free
+	if r == nil {
+		r = &rpc{s: s}
+		r.arriveFn = func(any) { r.serve() }
+		r.serveFn = r.serve
+		r.procFn = r.proc
+		r.replyFn = r.reply
+		r.deliverFn = func(any) { r.finish() }
+		r.finishFn = r.finish
+	} else {
+		s.free = r.nextFree
+		r.nextFree = nil
 	}
-	s.freeOps = op.nextFree
-	op.nextFree = nil
-	return op
+	r.write, r.file, r.off, r.size, r.done = write, file, off, size, done
+	return r
 }
 
-func (s *Server) putOp(op *srvOp) {
-	op.f = nil
-	op.off, op.size = 0, 0
-	op.write = false
-	op.respond = nil
-	op.err = nil
-	op.nextFree = s.freeOps
-	s.freeOps = op
+func (s *Server) put(r *rpc) {
+	r.net = nil
+	r.file = ""
+	r.done = nil
+	r.f, r.err = nil, nil
+	r.nextFree = s.free
+	s.free = r
 }
 
-func (op *srvOp) proc() {
-	if op.write {
-		op.f.Write(op.off, op.size, op.ioDoneFn)
-		return
-	}
-	op.f.Read(op.off, op.size, op.ioDoneFn)
-}
-
-func (op *srvOp) ioDone() {
-	respond := op.respond
-	op.s.putOp(op)
-	respond(nil)
-}
-
-func (op *srvOp) fail() {
-	respond, err := op.respond, op.err
-	op.s.putOp(op)
-	respond(err)
-}
-
-// handleRead services one read RPC: check the export, fetch the range
-// from the server's disk (sequential, as the kernel readahead would),
-// and respond.
-func (s *Server) handleRead(file string, off, size int64, respond func(err error)) {
+// serve fields the request at the server: check the export, then
+// charge the server's CPU cost.
+func (r *rpc) serve() {
+	s := r.s
 	s.ops++
-	k := s.store.Host().Kernel()
-	op := s.getOp()
-	op.off, op.size, op.respond = off, size, respond
-	f, err := s.openCached(file)
-	if err != nil {
-		op.err = fmt.Errorf("%w: %s", ErrUnknownFile, file)
-		k.After(s.procCost, op.failFn)
-		return
-	}
-	op.f = f
-	k.After(s.procCost, op.procFn)
+	r.f, r.err = s.open(r.file, r.write)
+	s.k.After(serverCPU, r.procFn)
 }
 
-// handleWrite services one write RPC.
-func (s *Server) handleWrite(file string, off, size int64, respond func(err error)) {
-	s.ops++
-	k := s.store.Host().Kernel()
-	op := s.getOp()
-	op.off, op.size, op.respond = off, size, respond
-	op.write = true
-	f, err := s.openOrCreateCached(file)
-	if err != nil {
-		op.err = err
-		k.After(s.procCost, op.failFn)
-		return
+// proc runs the storage op — a read is sequential, as the kernel
+// readahead would make it — or replies with the lookup error.
+func (r *rpc) proc() {
+	switch {
+	case r.err != nil:
+		r.reply()
+	case r.write:
+		r.f.Write(r.off, r.size, r.replyFn)
+	default:
+		r.f.Read(r.off, r.size, r.replyFn)
 	}
-	op.f = f
-	k.After(s.procCost, op.procFn)
 }
 
-// openOrCreateCached is openCached for the write path, creating the
-// file on first reference as OpenOrCreate did.
-func (s *Server) openOrCreateCached(file string) (*storage.LocalFile, error) {
-	if f, ok := s.handles[file]; ok && s.store.Has(file) {
-		return f, nil
+// reply carries the answer back: a read's data crosses the wire with
+// its header, a write's ack is the header alone.
+func (r *rpc) reply() {
+	t := r.net
+	if t == nil {
+		r.s.k.After(loopbackStack, r.finishFn)
+		return
 	}
-	f, err := s.store.OpenOrCreate(file)
-	if err != nil {
-		return nil, err
+	bytes := int64(rpcHeaderBytes)
+	if !r.write {
+		bytes += r.size
 	}
-	s.handles[file] = f
-	return f, nil
+	if err := t.server.Send(t.client, bytes, nil, r.deliverFn); err != nil {
+		r.err = err
+		r.finish()
+	}
+}
+
+// finish completes the RPC at the client.
+func (r *rpc) finish() {
+	done, err := r.done, r.err
+	r.s.put(r)
+	done(err)
 }
 
 // Transport carries RPCs from a client proxy to a server.
@@ -194,15 +195,12 @@ type Transport interface {
 	Write(file string, off, size int64, done func(error))
 }
 
-// NetTransport carries RPCs across a simulated network. In-flight RPCs
-// are pooled netCall structs: request delivery, server dispatch, and
-// reply delivery all run through callbacks bound once per pooled call.
+// NetTransport carries RPCs across a simulated network: the request and
+// the reply each cross it as one message.
 type NetTransport struct {
 	client *netsim.Node
 	server *netsim.Node
 	srv    *Server
-
-	freeCalls *netCall
 }
 
 var _ Transport = (*NetTransport)(nil)
@@ -218,91 +216,22 @@ func NewNetTransport(net *netsim.Network, clientNode, serverNode string, srv *Se
 	return &NetTransport{client: client, server: server, srv: srv}, nil
 }
 
-// netCall is one RPC in flight across the network.
-type netCall struct {
-	t         *NetTransport
-	read      bool
-	file      string
-	off, size int64
-	done      func(error)
-	srvErr    error
-
-	arriveFn  func(any)   // request delivered: dispatch to the server
-	respondFn func(error) // server responded: send the reply
-	replyFn   func(any)   // reply delivered: complete the RPC
-	nextFree  *netCall
-}
-
-func (t *NetTransport) getCall() *netCall {
-	c := t.freeCalls
-	if c == nil {
-		c = &netCall{t: t}
-		c.arriveFn = c.arrive
-		c.respondFn = c.respond
-		c.replyFn = c.reply
-		return c
-	}
-	t.freeCalls = c.nextFree
-	c.nextFree = nil
-	return c
-}
-
-func (t *NetTransport) putCall(c *netCall) {
-	c.read = false
-	c.file = ""
-	c.off, c.size = 0, 0
-	c.done = nil
-	c.srvErr = nil
-	c.nextFree = t.freeCalls
-	t.freeCalls = c
-}
-
-func (c *netCall) arrive(any) {
-	if c.read {
-		c.t.srv.handleRead(c.file, c.off, c.size, c.respondFn)
-		return
-	}
-	c.t.srv.handleWrite(c.file, c.off, c.size, c.respondFn)
-}
-
-func (c *netCall) respond(srvErr error) {
-	c.srvErr = srvErr
-	t := c.t
-	replyBytes := int64(rpcHeaderBytes)
-	if c.read {
-		replyBytes += c.size
-	}
-	if sendErr := t.server.Send(t.client, replyBytes, nil, c.replyFn); sendErr != nil {
-		done := c.done
-		t.putCall(c)
-		done(sendErr)
-	}
-}
-
-func (c *netCall) reply(any) {
-	done, err := c.done, c.srvErr
-	c.t.putCall(c)
-	done(err)
-}
-
 // Read implements Transport.
 func (t *NetTransport) Read(file string, off, size int64, done func(error)) {
-	c := t.getCall()
-	c.read = true
-	c.file, c.off, c.size, c.done = file, off, size, done
-	if err := t.client.Send(t.server, rpcHeaderBytes, nil, c.arriveFn); err != nil {
-		t.putCall(c)
-		done(err)
-	}
+	t.send(t.srv.get(false, file, off, size, done), rpcHeaderBytes)
 }
 
 // Write implements Transport.
 func (t *NetTransport) Write(file string, off, size int64, done func(error)) {
-	c := t.getCall()
-	c.file, c.off, c.size, c.done = file, off, size, done
-	if err := t.client.Send(t.server, size+rpcHeaderBytes, nil, c.arriveFn); err != nil {
-		t.putCall(c)
-		done(err)
+	t.send(t.srv.get(true, file, off, size, done), size+rpcHeaderBytes)
+}
+
+// send puts r's request of the given size on the wire.
+func (t *NetTransport) send(r *rpc, bytes int64) {
+	r.net = t
+	if err := t.client.Send(t.server, bytes, nil, r.arriveFn); err != nil {
+		r.err = err
+		r.finish()
 	}
 }
 
@@ -313,88 +242,21 @@ func (t *NetTransport) Write(file string, off, size int64, done func(error)) {
 type LoopbackTransport struct {
 	k   *sim.Kernel
 	srv *Server
-	// StackLatency is the one-way stack traversal cost.
-	StackLatency sim.Duration
-
-	freeCalls *loopCall
 }
 
 var _ Transport = (*LoopbackTransport)(nil)
 
 // NewLoopbackTransport wraps srv behind a local RPC stack.
 func NewLoopbackTransport(k *sim.Kernel, srv *Server) *LoopbackTransport {
-	return &LoopbackTransport{k: k, srv: srv, StackLatency: sim.Millisecond}
-}
-
-// loopCall is one RPC crossing the loopback stack, pooled like netCall.
-type loopCall struct {
-	t         *LoopbackTransport
-	read      bool
-	file      string
-	off, size int64
-	done      func(error)
-	srvErr    error
-
-	sendFn    func()      // after the client-side stack: dispatch
-	respondFn func(error) // server responded: cross back
-	replyFn   func()      // after the server-side stack: complete
-	nextFree  *loopCall
-}
-
-func (t *LoopbackTransport) getCall() *loopCall {
-	c := t.freeCalls
-	if c == nil {
-		c = &loopCall{t: t}
-		c.sendFn = c.send
-		c.respondFn = c.respond
-		c.replyFn = c.reply
-		return c
-	}
-	t.freeCalls = c.nextFree
-	c.nextFree = nil
-	return c
-}
-
-func (t *LoopbackTransport) putCall(c *loopCall) {
-	c.read = false
-	c.file = ""
-	c.off, c.size = 0, 0
-	c.done = nil
-	c.srvErr = nil
-	c.nextFree = t.freeCalls
-	t.freeCalls = c
-}
-
-func (c *loopCall) send() {
-	if c.read {
-		c.t.srv.handleRead(c.file, c.off, c.size, c.respondFn)
-		return
-	}
-	c.t.srv.handleWrite(c.file, c.off, c.size, c.respondFn)
-}
-
-func (c *loopCall) respond(err error) {
-	c.srvErr = err
-	c.t.k.After(c.t.StackLatency, c.replyFn)
-}
-
-func (c *loopCall) reply() {
-	done, err := c.done, c.srvErr
-	c.t.putCall(c)
-	done(err)
+	return &LoopbackTransport{k: k, srv: srv}
 }
 
 // Read implements Transport.
 func (t *LoopbackTransport) Read(file string, off, size int64, done func(error)) {
-	c := t.getCall()
-	c.read = true
-	c.file, c.off, c.size, c.done = file, off, size, done
-	t.k.After(t.StackLatency, c.sendFn)
+	t.k.After(loopbackStack, t.srv.get(false, file, off, size, done).serveFn)
 }
 
 // Write implements Transport.
 func (t *LoopbackTransport) Write(file string, off, size int64, done func(error)) {
-	c := t.getCall()
-	c.file, c.off, c.size, c.done = file, off, size, done
-	t.k.After(t.StackLatency, c.sendFn)
+	t.k.After(loopbackStack, t.srv.get(true, file, off, size, done).serveFn)
 }

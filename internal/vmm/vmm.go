@@ -228,6 +228,9 @@ func (vm *VM) IOPenalty() sim.Duration {
 	return guest.NativeIOPenalty + vm.cost.IOExtra
 }
 
+// Off implements guest.CPU.
+func (vm *VM) Off() bool { return vm.state == StateOff }
+
 // SetActivity implements guest.CPU.
 func (vm *VM) SetActivity(a guest.Activity) {
 	vm.act = a

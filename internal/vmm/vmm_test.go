@@ -420,8 +420,12 @@ func TestPowerOffEndsStart(t *testing.T) {
 				t.Fatalf("state %v at %v, want %v", vm.State(), c.at, c.state)
 			}
 			vm.PowerOff()
-			// A stalled guest boot polls on, so run to a deadline.
+			// Run to a deadline: a guest task that kept polling the
+			// powered-off VM would never let the kernel drain.
 			_ = r.k.RunUntil(sim.Time(10 * sim.Minute))
+			if n := r.k.Pending(); n != 0 {
+				t.Errorf("%d events pending after PowerOff, want the kernel drained", n)
+			}
 			if len(got) != 1 || !errors.Is(got[0], ErrBadState) {
 				t.Errorf("done got %v, want ErrBadState once", got)
 			}
@@ -429,6 +433,44 @@ func TestPowerOffEndsStart(t *testing.T) {
 				t.Errorf("state %v, %d runnable after PowerOff; want off and idle", vm.State(), r.host.Runnable())
 			}
 		})
+	}
+}
+
+// TestPowerOffParksGuestTask: a guest task on a powered-off VM stops
+// polling, so the kernel drains, and it picks up where it stopped once
+// the VM starts again.
+func TestPowerOffParksGuestTask(t *testing.T) {
+	r := newRig(t)
+	vm := r.newVM(t, "vm1")
+	w := guest.Workload{Name: "io", CPUSeconds: 30, PrivPerSec: 1000, Reads: 200, ReadBytes: 50 << 20, Mount: "root"}
+	var res []guest.TaskResult
+	if err := vm.Start(WarmRestore, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.Guest().Run(w, func(r guest.TaskResult) { res = append(res, r) }); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.k.RunUntil(sim.Time(20 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if vm.Guest().Tasks() != 1 {
+		t.Fatalf("%d guest tasks at 20 s, want the workload running", vm.Guest().Tasks())
+	}
+	vm.PowerOff()
+	_ = r.k.RunUntil(sim.Time(10 * sim.Minute))
+	if n := r.k.Pending(); n != 0 || len(res) != 0 {
+		t.Fatalf("%d events pending, %d results after PowerOff; want drained and unfinished", n, len(res))
+	}
+	if err := vm.Start(WarmRestore, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.k.Run()
+	if len(res) != 1 || res[0].Err != nil || res[0].Reads != w.Reads || res[0].UserSeconds != w.CPUSeconds {
+		t.Errorf("after restart got %+v, want the workload finished once with all %d reads", res, w.Reads)
 	}
 }
 

@@ -127,7 +127,7 @@ func protocolStream(t *testing.T, call func(op string, params, out any) error) [
 // protocolDigest is the SHA-256 of the scripted stream. It pins every
 // response byte, error text and error code of the protocol: a change
 // that moves it changes what clients see.
-const protocolDigest = "a743b47031b6fbff28c1faff6a141e1f8c4b53c9a6a8bbdd5ba8e34bb675d4c8"
+const protocolDigest = "5760f63a4e27f5f1961370b461f77784fc985a680abbb8dade87382987701ffa"
 
 // TestProtocolStreamPinned runs the same script in process and over
 // TCP against two seed-1 servers. The two response streams must be
