@@ -148,8 +148,8 @@ func (r *rpc) serve() {
 	s.k.After(serverCPU, r.procFn)
 }
 
-// proc runs the storage op — a read is sequential, as the kernel
-// readahead would make it — or replies with the lookup error.
+// proc runs the storage op on the server's disk, or replies with the
+// lookup error.
 func (r *rpc) proc() {
 	switch {
 	case r.err != nil:
