@@ -382,11 +382,29 @@ func TestShutdownDropsSessionFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The 2 GB disk copy is still crossing the WAN a minute in.
-		g.Kernel().After(sim.Minute, s.Shutdown)
+		// The 2 GB disk copy is still crossing the WAN a minute in. It
+		// lands after Shutdown, so the warm image's memory snapshot must
+		// never be sent, nor <s>.memimg be created.
+		memimg := false
+		var watch func()
+		watch = func() {
+			memimg = memimg || g.Node("compute1").Store().Has(s.Name()+".memimg")
+			g.Kernel().After(sim.Second, watch)
+		}
+		g.Kernel().After(sim.Minute, func() {
+			s.Shutdown()
+			watch()
+		})
 		_ = g.Kernel().RunUntil(g.Kernel().Now().Add(30 * sim.Minute))
 		if got := left(s, g.Node("compute1")); len(got) != 0 {
 			t.Errorf("compute1 lists %v after the abandoned copy landed, want none of the session's files", got)
+		}
+		if memimg {
+			t.Errorf("compute1 created %s after Shutdown", s.Name()+".memimg")
+		}
+		info, _ := g.Node("images").Image(cfg.Image)
+		if sent, image := g.Net().BytesSent(), uint64(info.DiskBytes+info.MemBytes); sent >= image {
+			t.Errorf("network carried %d bytes, want fewer than the disk and memory image (%d): the memory image was sent after Shutdown", sent, image)
 		}
 	})
 	t.Run("persistent", func(t *testing.T) {

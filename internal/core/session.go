@@ -716,7 +716,8 @@ func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error))
 // privateCopy gives the session its own copy of the image through
 // copyFile — the disk as <s>.disk, then, for a warm image, the memory
 // snapshot as <s>.memimg — and yields backends over the copies. A cold
-// image restores from an empty <s>.zeromem.
+// image restores from an empty <s>.zeromem. A disk copy that lands
+// after Shutdown ends the start there: the memory image is not copied.
 func (s *Session) privateCopy(copyFile func(file, asName string, done func(error)),
 	localMem *storage.LocalFile, yield func(storage.Backend, *memBackend, error)) {
 	store := s.cur.node.store
@@ -733,6 +734,9 @@ func (s *Session) privateCopy(copyFile func(file, asName string, done func(error
 		yield(disk, &memBackend{restore: restoreMem, local: localMem}, nil)
 	}
 	copyFile(s.info.DiskFile(), diskCopy, func(err error) {
+		if err == nil {
+			err = s.shutDownErr()
+		}
 		switch {
 		case err != nil:
 			yield(nil, nil, err)

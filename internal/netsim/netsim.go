@@ -343,7 +343,9 @@ var ErrNoRoute = fmt.Errorf("netsim: no route")
 
 // message is one in-flight transfer, pooled on the network freelist so
 // multi-hop forwarding schedules no per-hop closures: the hop callback
-// is bound once when the struct is first allocated.
+// is bound once when the struct is first allocated. A remote message
+// costs one kernel event per link it crosses, and its handler runs
+// inside the last of them.
 type message struct {
 	n       *Network
 	at      *Node // node the message is currently heading to
@@ -353,7 +355,7 @@ type message struct {
 	deliver func(any)
 
 	hopFn     func() // bound to hop: arrival at the next store-and-forward point
-	deliverFn func() // bound to finalDeliver: the zero-delay local delivery event
+	deliverFn func() // bound to finalDeliver: the zero-delay event of a self-send
 	nextFree  *message
 }
 
@@ -381,10 +383,13 @@ func (n *Network) putMsg(m *message) {
 }
 
 // hop runs when the message finishes crossing a link and lands at m.at.
+// At the destination it delivers at once: the handler runs at the
+// arrival instant, inside this event, so it precedes every event queued
+// for that instant after this hop was.
 func (m *message) hop() {
 	n := m.n
 	if m.at == m.dst {
-		n.k.After(0, m.deliverFn)
+		m.finalDeliver()
 		return
 	}
 	// The route is re-consulted at every store-and-forward hop. If a
@@ -445,6 +450,8 @@ func (nd *Node) Send(dst *Node, size int64, payload any, deliver func(payload an
 	m.payload = payload
 	m.deliver = deliver
 	if l == nil {
+		// A self-send is deferred: the caller's code after Send runs
+		// before the handler does.
 		n.k.After(0, m.deliverFn)
 		return nil
 	}

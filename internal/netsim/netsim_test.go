@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,6 +45,93 @@ func TestSendToSelfIsImmediate(t *testing.T) {
 	if !delivered || k.Now() != 0 {
 		t.Errorf("self-send delivered=%v at %v", delivered, k.Now())
 	}
+}
+
+// TestDeliveryRunsInsideArrivalHop pins when a handler runs. A remote
+// message's handler runs inside the event of its last hop: at the
+// arrival instant, ahead of an event queued for that instant after the
+// send, and with one kernel event per link crossed. A self-send is the
+// exception: its handler is deferred to a zero-delay event, so the
+// caller's code after Send runs first.
+func TestDeliveryRunsInsideArrivalHop(t *testing.T) {
+	k := sim.NewKernel(1)
+	n := New(k)
+	for _, name := range []string{"a", "b", "c"} {
+		n.AddNode(name)
+	}
+	if err := n.ConnectLAN("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ConnectLAN("b", "c"); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("before-same-instant-peer", func(t *testing.T) {
+		arrival, err := n.Latency("a", "b", 1<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := k.Now().Add(arrival)
+		var order []string
+		if err := n.Send("a", "b", 1<<10, nil, func(any) {
+			if k.Now() != at {
+				t.Errorf("handler ran at %v, want the arrival instant %v", k.Now(), at)
+			}
+			order = append(order, "handler")
+		}); err != nil {
+			t.Fatal(err)
+		}
+		k.At(at, func() { order = append(order, "peer") })
+		k.Run()
+		if want := []string{"handler", "peer"}; !slices.Equal(order, want) {
+			t.Errorf("order = %v, want %v", order, want)
+		}
+	})
+
+	for _, tc := range []struct {
+		dst  string
+		hops uint64
+	}{{"b", 1}, {"c", 2}} {
+		t.Run("events-a-"+tc.dst, func(t *testing.T) {
+			before := k.Dispatched()
+			delivered := false
+			if err := n.Send("a", tc.dst, 1<<10, nil, func(any) { delivered = true }); err != nil {
+				t.Fatal(err)
+			}
+			k.Run()
+			if !delivered {
+				t.Fatal("not delivered")
+			}
+			if got := k.Dispatched() - before; got != tc.hops {
+				t.Errorf("a->%s dispatched %d events, want %d (one per hop)", tc.dst, got, tc.hops)
+			}
+		})
+	}
+
+	t.Run("self-send-deferred", func(t *testing.T) {
+		now, before := k.Now(), k.Dispatched()
+		delivered := false
+		if err := n.Send("a", "a", 1<<10, nil, func(any) {
+			if k.Now() != now {
+				t.Errorf("self-send handler ran at %v, want %v", k.Now(), now)
+			}
+			delivered = true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if delivered {
+			t.Fatal("self-send handler ran inside Send")
+		}
+		if err := k.RunUntil(now); err != nil {
+			t.Fatal(err)
+		}
+		if !delivered {
+			t.Fatal("self-send handler did not run at Now")
+		}
+		if got := k.Dispatched() - before; got != 1 {
+			t.Errorf("self-send dispatched %d events, want 1", got)
+		}
+	})
 }
 
 func TestSendErrors(t *testing.T) {
