@@ -3,14 +3,14 @@
 // for a collision-free content hash. Stores keep a per-file key
 // manifest, every node keeps a cache of the chunk keys whose content
 // it holds, and the staging paths
-// (gram.Stage, the tape archive, checkpoint staging) move only the
-// chunks the destination lacks — the paper's "reducing VM overheads"
+// (gram.Stage: session staging, checkpoints, failover restores and
+// migrations) move only the chunks the destination lacks — the paper's "reducing VM overheads"
 // argument applied to the state-transfer hot path.
 //
 // The simulation carries no real bytes, so content identity is modeled
 // rather than computed: a key is minted whenever new content comes into
 // being (file creation, a guest write dirtying a chunk) and propagated
-// whenever content is copied (Store.Copy, staging, tape recall). Two
+// whenever content is copied (Store.Copy, staging). Two
 // chunks share a key exactly when one was copied from the other, which
 // is the conservative under-approximation of a real content hash:
 // dedup hits are always sound, independent re-creations of identical

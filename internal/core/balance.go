@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 
-	"vmgrid/internal/gis"
 	"vmgrid/internal/placement"
 )
 
@@ -48,9 +47,9 @@ func (f *gridFabric) NodeLoad(node string) (float64, bool) {
 }
 
 // Sessions lists the node's movable sessions, lowest eviction priority
-// first (name-ordered within a priority). Sessions mid-migration,
-// mid-checkpoint, or mid-recovery are not offered: the balancer must
-// never contend with the supervisor for the same incarnation.
+// first (name-ordered within a priority). Sessions with an op in flight
+// (a migration, checkpoint or recovery) are not offered: the balancer
+// must never contend with the supervisor for the same incarnation.
 func (f *gridFabric) Sessions(node string) []string {
 	n := f.g.nodes[node]
 	if n == nil {
@@ -58,8 +57,7 @@ func (f *gridFabric) Sessions(node string) []string {
 	}
 	var out []*Session
 	for _, s := range f.g.sessionsOn(n) {
-		c := s.charge
-		if !s.state.CanMigrate() || s.cur.cow == nil || s.migrating || c != nil && (c.recovering || c.checkpointing) {
+		if !s.state.CanMigrate() || s.cur.cow == nil || s.op != nil {
 			continue
 		}
 		out = append(out, s)
@@ -84,19 +82,7 @@ func (f *gridFabric) Target(sess, from string) (string, bool) {
 	if s == nil {
 		return "", false
 	}
-	futures := f.g.info.FindFutures(gis.FutureQuery{
-		MinMemBytes: s.cfg.MemBytes,
-		Site:        s.cfg.Site,
-	})
-	cands := f.g.futureCandidates(futures, s.cfg.Image, from, from, s.cfg.FrontEnd)
-	return placeWith(f.placer, placement.Request{
-		Session:     sess,
-		User:        s.cfg.User,
-		Image:       s.cfg.Image,
-		Site:        s.cfg.Site,
-		MinMemBytes: s.cfg.MemBytes,
-		Exclude:     from,
-	}, cands)
+	return f.g.placeSession(f.g.info, f.placer, s, from, from, s.cfg.FrontEnd)
 }
 
 // Migrate runs one fenced live migration on the balancer's behalf.

@@ -228,8 +228,8 @@ func TestMigrateFencedRefusedWithoutQuorum(t *testing.T) {
 	if !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("err = %v, want ErrNoQuorum", err)
 	}
-	if s.Node().Name() != "compute1" || s.migrating {
-		t.Errorf("refused migration moved state: node=%s migrating=%v", s.Node().Name(), s.migrating)
+	if s.Node().Name() != "compute1" || s.op != nil {
+		t.Errorf("refused migration moved state: node=%s op in flight=%v", s.Node().Name(), s.op != nil)
 	}
 	checkNoLeaks(t, g)
 }

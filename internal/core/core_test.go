@@ -349,20 +349,23 @@ func TestShutdownCleansUp(t *testing.T) {
 	s.Shutdown() // idempotent
 }
 
-// TestShutdownDropsSessionFiles: Shutdown takes every file the session
-// put in its node's store — a staged copy that lands after it too —
-// except a persistent disk, which is the user's state.
-func TestShutdownDropsSessionFiles(t *testing.T) {
-	left := func(s *Session, n *Node) []string {
-		var out []string
-		for _, f := range n.Store().Files() {
-			if strings.HasPrefix(f, s.Name()+".") {
-				out = append(out, f)
-			}
+// left lists the session's files in n's store, sorted.
+func left(s *Session, n *Node) []string {
+	var out []string
+	for _, f := range n.Store().Files() {
+		if strings.HasPrefix(f, s.Name()+".") {
+			out = append(out, f)
 		}
-		sort.Strings(out)
-		return out
 	}
+	sort.Strings(out)
+	return out
+}
+
+// TestShutdownDropsSessionFiles: Shutdown takes every file the session
+// put in its node's store, and a staged copy still crossing the WAN
+// stops where it is, except a persistent disk, which is the user's
+// state.
+func TestShutdownDropsSessionFiles(t *testing.T) {
 	t.Run("staged", func(t *testing.T) {
 		g := testbedRemoteImages(t)
 		cfg := baseConfig()
@@ -382,29 +385,20 @@ func TestShutdownDropsSessionFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The 2 GB disk copy is still crossing the WAN a minute in. It
-		// lands after Shutdown, so the warm image's memory snapshot must
-		// never be sent, nor <s>.memimg be created.
-		memimg := false
-		var watch func()
-		watch = func() {
-			memimg = memimg || g.Node("compute1").Store().Has(s.Name()+".memimg")
-			g.Kernel().After(sim.Second, watch)
-		}
+		// The 2 GB disk copy is still crossing the WAN a minute in:
+		// Shutdown cancels it there, and neither the rest of the disk
+		// nor the warm image's memory snapshot is sent.
+		var sent uint64
 		g.Kernel().After(sim.Minute, func() {
 			s.Shutdown()
-			watch()
+			sent = g.Net().BytesSent()
 		})
 		_ = g.Kernel().RunUntil(g.Kernel().Now().Add(30 * sim.Minute))
 		if got := left(s, g.Node("compute1")); len(got) != 0 {
-			t.Errorf("compute1 lists %v after the abandoned copy landed, want none of the session's files", got)
+			t.Errorf("compute1 lists %v after Shutdown, want none of the session's files", got)
 		}
-		if memimg {
-			t.Errorf("compute1 created %s after Shutdown", s.Name()+".memimg")
-		}
-		info, _ := g.Node("images").Image(cfg.Image)
-		if sent, image := g.Net().BytesSent(), uint64(info.DiskBytes+info.MemBytes); sent >= image {
-			t.Errorf("network carried %d bytes, want fewer than the disk and memory image (%d): the memory image was sent after Shutdown", sent, image)
+		if after := g.Net().BytesSent() - sent; after >= 2<<20 {
+			t.Errorf("network carried %d bytes after Shutdown, want under 2 MiB: the stage ran on", after)
 		}
 	})
 	t.Run("persistent", func(t *testing.T) {
@@ -418,6 +412,45 @@ func TestShutdownDropsSessionFiles(t *testing.T) {
 			t.Errorf("%s lists %v after Shutdown, want only the persistent disk %v", n.Name(), got, want)
 		}
 	})
+}
+
+// TestShutdownDuringMigration: a Shutdown while a migration's memory
+// image is crossing to the target cancels the migration there: its
+// done fires once with an error, neither compute node keeps a file of
+// the session, and the network carries almost nothing more.
+func TestShutdownDuringMigration(t *testing.T) {
+	g := testbed(t)
+	s := startSession(t, g, baseConfig())
+	k := g.Kernel()
+	if err := s.Run(guest.MicroTask(600), func(guest.TaskResult) {}); err != nil {
+		t.Fatal(err)
+	}
+	_ = k.RunFor(60 * sim.Second)
+	other := "compute2"
+	if s.Node().Name() == other {
+		other = "compute1"
+	}
+	calls := 0
+	var merr error
+	if err := s.Migrate(other, func(err error) { calls, merr = calls+1, err }); err != nil {
+		t.Fatal(err)
+	}
+	_ = k.RunFor(10 * sim.Second)
+	s.Shutdown()
+	sent := g.Net().BytesSent()
+	_ = k.RunUntil(k.Now().Add(30 * sim.Minute))
+	if calls != 1 || merr == nil {
+		t.Errorf("migrate done called %d times, last with %v; want once with an error", calls, merr)
+	}
+	for _, name := range []string{"compute1", "compute2"} {
+		if got := left(s, g.Node(name)); len(got) != 0 {
+			t.Errorf("%s lists %v after Shutdown, want none of the session's files", name, got)
+		}
+	}
+	if after := g.Net().BytesSent() - sent; after >= 2<<20 {
+		t.Errorf("network carried %d bytes after Shutdown, want under 2 MiB: the migration's stage ran on", after)
+	}
+	checkNoLeaks(t, g)
 }
 
 func TestHibernateAndWake(t *testing.T) {

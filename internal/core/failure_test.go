@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"vmgrid/internal/chunk"
 	"vmgrid/internal/guest"
 	"vmgrid/internal/hw"
 	"vmgrid/internal/sim"
@@ -235,71 +236,90 @@ func TestDoubleMigrateSequential(t *testing.T) {
 }
 
 // TestMigrateRefusedWhileCheckpointHoldsSuspend: a migration asked for
-// while a supervisor checkpoint holds the VM suspended is refused at
-// once, without calling done — and leaves the session free: a later
-// checkpoint and a later migration both succeed.
+// while a supervisor checkpoint is in flight is refused at once with
+// ErrBadSession, without calling done: whether the checkpoint holds the
+// VM suspended while its files stage, or (with the chunk plane) has
+// resumed the guest and drains its chunks behind it. The session stays
+// free: a later checkpoint and a later migration both succeed.
 func TestMigrateRefusedWhileCheckpointHoldsSuspend(t *testing.T) {
-	g := testbed(t)
-	s := startSession(t, g, baseConfig())
-	// An interval of years keeps periodic checkpoints out of the way.
-	sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 100000 * sim.Hour})
-	c := s.charge
-	k := g.Kernel()
-	other := "compute2"
-	if s.Node().Name() == other {
-		other = "compute1"
-	}
+	for _, tc := range []struct {
+		name    string
+		chunked bool
+	}{{"whole-file", false}, {"chunked", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := testbed(t)
+			if tc.chunked {
+				g.EnableChunkedStaging(chunk.Config{})
+			}
+			s := startSession(t, g, baseConfig())
+			// An interval of years keeps periodic checkpoints out of the way.
+			sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 100000 * sim.Hour})
+			c := s.charge
+			k := g.Kernel()
+			other := "compute2"
+			if s.Node().Name() == other {
+				other = "compute1"
+			}
 
-	// Start a checkpoint and stop once its suspend has landed: the VM
-	// stays suspended while the state files stage.
-	held := false
-	sup.checkpoint(c, func(err error) {
-		if err != nil {
-			t.Errorf("holding checkpoint: %v", err)
-		}
-		held = true
-	})
-	deadline := k.Now().Add(10 * sim.Minute)
-	for s.VM().State() != vmm.StateSuspended && k.Now() < deadline {
-		_ = k.RunFor(10 * sim.Millisecond)
-	}
-	if s.VM().State() != vmm.StateSuspended || held {
-		t.Fatalf("no checkpoint holds the VM suspended (vm %v, checkpoint done %v)", s.VM().State(), held)
-	}
-	err := s.Migrate(other, func(err error) {
-		t.Errorf("done called for a refused migration: %v", err)
-	})
-	if !errors.Is(err, vmm.ErrBadState) {
-		t.Fatalf("migrate under a checkpoint suspend = %v, want vmm.ErrBadState", err)
-	}
-	stepUntil(g, 10*sim.Minute, func() bool { return held })
-	if !held {
-		t.Fatal("holding checkpoint never finished")
-	}
+			// Start a checkpoint and stop once its suspend has landed: the
+			// whole-file checkpoint holds the VM suspended while the state
+			// files stage, the chunked one has resumed it.
+			held := false
+			sup.checkpoint(c, func(err error) {
+				if err != nil {
+					t.Errorf("holding checkpoint: %v", err)
+				}
+				held = true
+			})
+			want := vmm.StateSuspended
+			if tc.chunked {
+				want = vmm.StateRunning
+			}
+			froze := false
+			deadline := k.Now().Add(10 * sim.Minute)
+			for !(froze && s.VM().State() == want) && k.Now() < deadline {
+				_ = k.RunFor(10 * sim.Millisecond)
+				froze = froze || s.VM().State() != vmm.StateRunning
+			}
+			if s.VM().State() != want || held {
+				t.Fatalf("no checkpoint in flight with the VM %v (vm %v, checkpoint done %v)", want, s.VM().State(), held)
+			}
+			err := s.Migrate(other, func(err error) {
+				t.Errorf("done called for a refused migration: %v", err)
+			})
+			if !errors.Is(err, ErrBadSession) {
+				t.Fatalf("migrate during a checkpoint = %v, want ErrBadSession", err)
+			}
+			stepUntil(g, 10*sim.Minute, func() bool { return held })
+			if !held {
+				t.Fatal("holding checkpoint never finished")
+			}
 
-	later := false
-	sup.checkpoint(c, func(err error) {
-		if err != nil {
-			t.Errorf("later checkpoint: %v", err)
-		}
-		later = true
-	})
-	stepUntil(g, 10*sim.Minute, func() bool { return later })
-	if !later {
-		t.Fatal("later checkpoint never finished")
+			later := false
+			sup.checkpoint(c, func(err error) {
+				if err != nil {
+					t.Errorf("later checkpoint: %v", err)
+				}
+				later = true
+			})
+			stepUntil(g, 10*sim.Minute, func() bool { return later })
+			if !later {
+				t.Fatal("later checkpoint never finished")
+			}
+			migrated := false
+			if err := s.Migrate(other, func(err error) {
+				if err != nil {
+					t.Errorf("later migration: %v", err)
+				}
+				migrated = true
+			}); err != nil {
+				t.Fatalf("later migration refused: %v", err)
+			}
+			stepUntil(g, 20*sim.Minute, func() bool { return migrated })
+			if !migrated || s.Node().Name() != other {
+				t.Fatalf("later migration: done %v, session on %s, want %s", migrated, s.Node().Name(), other)
+			}
+			checkNoLeaks(t, g)
+		})
 	}
-	migrated := false
-	if err := s.Migrate(other, func(err error) {
-		if err != nil {
-			t.Errorf("later migration: %v", err)
-		}
-		migrated = true
-	}); err != nil {
-		t.Fatalf("later migration refused: %v", err)
-	}
-	stepUntil(g, 20*sim.Minute, func() bool { return migrated })
-	if !migrated || s.Node().Name() != other {
-		t.Fatalf("later migration: done %v, session on %s, want %s", migrated, s.Node().Name(), other)
-	}
-	checkNoLeaks(t, g)
 }

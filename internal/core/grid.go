@@ -99,8 +99,8 @@ func (g *Grid) EnableGISReplication(nodes []string) (*gis.Cluster, error) {
 
 // EnableChunkedStaging attaches a content-addressed chunk plane to
 // every node store (present and future): staging paths — session
-// creation, checkpoint staging, failover restores, fenced migrations,
-// tape traffic — then move only the chunks the destination does not
+// creation, checkpoint staging, failover restores, fenced migrations —
+// then move only the chunks the destination does not
 // already hold, and supervised checkpoints overlap their copy window
 // with guest compute. Existing files get manifests in sorted node and
 // file order, so enabling the plane is deterministic. Call once, after

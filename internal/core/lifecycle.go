@@ -1,26 +1,97 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"vmgrid/internal/gis"
 	"vmgrid/internal/gram"
 	"vmgrid/internal/obs"
+	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
 	"vmgrid/internal/vmm"
 	"vmgrid/internal/vnet"
 )
 
+// op is the one operation a session has in flight (Session.op): its
+// start, a migration, a supervisor checkpoint or a failover. Entry
+// points refuse to begin one while another is in flight. A failover
+// supersedes the op it finds: that op's continuations run on, but end
+// only their own record. Shutdown cancels it.
+type op struct {
+	kind opKind
+	xfer gram.Transfer // the op's stages: a cancel reaches the one in flight
+	// wait is a start's pending step, and abort ends the start when a
+	// cancel lands there (nil once the start is past its steps).
+	wait  sim.EventID
+	abort func(error)
+}
+
+type opKind int
+
+const (
+	opStart opKind = iota + 1
+	opMigrate
+	opCheckpoint
+	opFailover
+)
+
+// errShutDown is what an operation that Shutdown cancelled reports.
+var errShutDown = fmt.Errorf("%w: shut down", ErrBadSession)
+
+// is reports whether o is an op of the given kind (false for no op).
+func (o *op) is(kind opKind) bool { return o != nil && o.kind == kind }
+
+// cancel stops o, if any, where it stands: its stage in flight sends
+// nothing more and fails, and a pending start step never runs (the
+// start ends at once).
+func (o *op) cancel(k *sim.Kernel) {
+	if o == nil {
+		return
+	}
+	o.xfer.Cancel()
+	k.Cancel(o.wait)
+	if o.abort != nil {
+		o.abort(errShutDown)
+	}
+}
+
+// begin makes a new op of the given kind the session's op in flight.
+func (s *Session) begin(kind opKind) *op {
+	o := &op{kind: kind}
+	s.op = o
+	return o
+}
+
+// end ends o if it is still the session's op.
+func (s *Session) end(o *op) {
+	if s.op == o {
+		s.op = nil
+	}
+}
+
+// opErr reports errShutDown once o is no longer the session's op: the
+// check for a continuation a cancel cannot reach, such as a GRAM reply
+// already on the wire.
+func (s *Session) opErr(o *op) error {
+	if s.op != o {
+		return errShutDown
+	}
+	return nil
+}
+
 // Shutdown ends the session: the VM powers off, the session's files
 // leave the node's store, the address returns to the pool, and the
 // registry entry disappears. A persistent disk stays in the node's
-// store (it is the user's state). Shutting down a session still
-// starting ends the start, and CreateSession's done gets ErrBadSession.
+// store (it is the user's state). The op in flight is cancelled: a
+// start ends and CreateSession's done gets ErrBadSession.
 func (s *Session) Shutdown() {
 	if s.state == StateDead {
 		return
 	}
+	o := s.op
+	s.op = nil
 	in := s.cur
 	if in != nil {
 		in.stop()
@@ -33,6 +104,7 @@ func (s *Session) Shutdown() {
 	s.grid.dropLive(s.name)
 	s.state = StateDead
 	s.mark("shutdown")
+	o.cancel(s.grid.k)
 }
 
 // Hibernate checkpoints the session: the guest freezes and its memory
@@ -42,7 +114,7 @@ func (s *Session) Hibernate(done func(error)) error {
 	if !s.state.CanHibernate() {
 		return fmt.Errorf("%w: hibernate in %q", ErrBadSession, s.state)
 	}
-	if err := s.cur.vm.Suspend(func(err error) {
+	return s.cur.vm.Suspend(func(err error) {
 		if err == nil {
 			s.state = StateHibernated
 			s.mark("hibernated")
@@ -50,10 +122,7 @@ func (s *Session) Hibernate(done func(error)) error {
 		if done != nil {
 			done(err)
 		}
-	}); err != nil {
-		return err
-	}
-	return nil
+	})
 }
 
 // Wake resumes a hibernated session in place, re-reading the saved
@@ -84,7 +153,7 @@ func (s *Session) Wake(done func(error)) error {
 // same base image (read-only base sharing is what keeps migration
 // traffic down to the working set, §3.1).
 func (s *Session) Migrate(targetName string, done func(error)) error {
-	if !s.state.CanMigrate() || s.migrating {
+	if !s.state.CanMigrate() || s.op != nil {
 		return fmt.Errorf("%w: migrate in %q", ErrBadSession, s.state)
 	}
 	in := s.cur
@@ -109,14 +178,18 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 	// mid-transfer and a supervisor failover restores the session
 	// elsewhere (a new current incarnation), the half-done migration
 	// must abort instead of minting a second live incarnation.
-	s.migrating = true
+	o := s.begin(opMigrate)
 	suspended := false // this migration froze a running guest
 	// The migration span covers suspend, state transfer, and arrival;
 	// it parents under the session's causal root so balancer moves show
 	// up on the session's critical path.
 	msp := s.grid.tracer.BeginChild(s.sctx, s.name, "migration", "migrate:"+targetName)
 	finish := func(err error) {
-		s.migrating = false
+		s.end(o)
+		if errors.Is(err, gram.ErrCancelled) {
+			// Shutdown cancelled the move: what landed on the target goes.
+			s.dropNodeFiles(target)
+		}
 		if err != nil && suspended && s.cur == in && s.state == StateRunning {
 			// Resume the guest this migration froze. Unpause refuses
 			// only a VM that is no longer suspended: nothing to resume.
@@ -140,7 +213,7 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 			return
 		}
 		// Move the session state files: memory image and COW diff.
-		s.moveState(in.node, func(ext string) string { return s.name + ext }, target, func(err error) {
+		s.moveState(o, in.node, func(ext string) string { return s.name + ext }, target, func(err error) {
 			if err == nil {
 				err = superseded()
 			}
@@ -148,7 +221,7 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 				finish(err)
 				return
 			}
-			s.arrive(target, msp.Context(), finish)
+			s.arrive(o, target, msp.Context(), finish)
 		})
 	}
 
@@ -163,10 +236,10 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 			transfer()
 		})
 		if err != nil {
-			// Refused outright (a supervisor checkpoint holds the VM
-			// suspended): nothing was frozen or moved, so the session is
-			// free again and the caller, not done, hears the error.
-			s.migrating = false
+			// Refused outright: nothing was frozen or moved, so the
+			// session is free again and the caller, not done, hears the
+			// error.
+			s.end(o)
 			msp.EndErr(err)
 		}
 		return err
@@ -186,7 +259,7 @@ func (s *Session) Migrate(targetName string, done func(error)) error {
 // live incarnation. Returns ErrNoQuorum without moving anything when
 // the front end sits on the minority side of a partition.
 func (s *Session) MigrateFenced(targetName string, done func(error)) error {
-	if !s.state.CanMigrate() || s.migrating {
+	if !s.state.CanMigrate() || s.op != nil {
 		return fmt.Errorf("%w: fenced migrate in %q", ErrBadSession, s.state)
 	}
 	qsp := s.grid.tracer.BeginChild(s.sctx, s.name, "quorum", "epoch-bump")
@@ -196,46 +269,17 @@ func (s *Session) MigrateFenced(targetName string, done func(error)) error {
 		return err
 	}
 	// Same incarnation, same guest: a supervised task submitted under an
-	// older epoch still completes (see charge.since).
+	// older epoch still completes (see charge.since). A failover that
+	// bumps past ep supersedes the migration's op, which the migration
+	// checks before it resumes the guest.
 	s.epoch = ep
-	return s.Migrate(targetName, func(err error) {
-		if err == nil && s.epoch != ep {
-			// A failover bumped past us while state was in flight; the
-			// superseded-incarnation guard should already have aborted,
-			// but never report a superseded migration as success.
-			err = ErrFencedEpoch
-		}
-		if done != nil {
-			done(err)
-		}
-	})
+	return s.Migrate(targetName, done)
 }
 
-// restoreFrom re-instantiates a crashed session as in, an incarnation
-// whose slot the caller (the supervisor's failover) took, from a
-// checkpoint whose state files (s.name+".mem" and s.name+".cow") have
-// already been staged into its node's store. Unlike arrive, there is
-// no guest to adopt — the crashed guest's post-checkpoint state is
-// gone — so the VM warm-restores with a fresh guest and the caller
-// resubmits the remaining work. writtenPages is the COW page list
-// recorded at checkpoint time. The session must be in the "recovering"
-// state (the failover path sets it).
-func (s *Session) restoreFrom(in *incarnation, writtenPages []int64, rctx obs.SpanContext, finish func(error)) {
-	if s.state != StateRecovering {
-		finish(fmt.Errorf("%w: restore in %q", ErrBadSession, s.state))
-		return
-	}
-	if err := s.vmFromState(in, writtenPages, rctx); err != nil {
-		finish(err)
-		return
-	}
-	s.online(in, "recovered", nil, finish)
-}
-
-// arrive re-instantiates the session on the target node after its state
-// files landed there. mctx is the migration span, under which the new
-// VM's restore work parents.
-func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error)) {
+// arrive re-instantiates the session on the target node after the
+// migration o's state files landed there. mctx is the migration span,
+// under which the new VM's restore work parents.
+func (s *Session) arrive(o *op, target *Node, mctx obs.SpanContext, finish func(error)) {
 	old := s.cur
 	in := &incarnation{node: target}
 	if err := s.vmFromState(in, old.cow.WrittenPages(), mctx); err != nil {
@@ -254,10 +298,10 @@ func (s *Session) arrive(target *Node, mctx obs.SpanContext, finish func(error))
 	old.retire()
 	dropFiles(old.node.store, s.nodeFiles()...)
 	s.online(in, "migrated", func() error {
-		// The target may have crashed (or a failover superseded this
-		// incarnation) while the VM was coming up; resuming would
-		// resurrect a dead incarnation.
-		if s.cur != in || s.state == StateCrashed || s.state == StateDead {
+		// A failover may have superseded the migration while the VM was
+		// coming up (a crash or Shutdown ends the VM's start instead):
+		// resuming would resurrect a dead incarnation.
+		if s.op != o {
 			return fmt.Errorf("%w: migration superseded at arrival", ErrFencedEpoch)
 		}
 		return nil
@@ -374,14 +418,14 @@ func (s *Session) online(in *incarnation, step string, check func() error, finis
 }
 
 // moveState stages the session's state pair from one node's store onto
-// another's as <s>.mem and <s>.cow; srcName names each state file (by
-// its extension) in from's store. The target's stale copies go first,
-// both before either file moves: a crashed incarnation's files survive
-// its node's reboot.
-func (s *Session) moveState(from *Node, srcName func(ext string) string, to *Node, done func(error)) {
+// another's as <s>.mem and <s>.cow for o; srcName names each state file
+// (by its extension) in from's store. The target's stale copies go
+// first, both before either file moves: a crashed incarnation's files
+// survive its node's reboot.
+func (s *Session) moveState(o *op, from *Node, srcName func(ext string) string, to *Node, done func(error)) {
 	dropFiles(to.store, s.name+".mem", s.name+".cow")
 	stagePair(func(ext string, next func(error)) {
-		s.grid.stage(from, srcName(ext), to, s.name+ext, next)
+		s.grid.stage(&o.xfer, from, srcName(ext), to, s.name+ext, next)
 	}, done)
 }
 
@@ -398,10 +442,10 @@ func stagePair(stage func(ext string, done func(error)), done func(error)) {
 	})
 }
 
-// stage copies file from one node's store into another's as asName
-// through gram.Stage; a refused stage reports through done too.
-func (g *Grid) stage(from *Node, file string, to *Node, asName string, done func(error)) {
-	if err := gram.Stage(g.net, from.name, from.store, file, to.name, to.store, asName, done); err != nil {
+// stage copies file from one node's store into another's as asName, one
+// of t's stages; a refused stage reports through done too.
+func (g *Grid) stage(t *gram.Transfer, from *Node, file string, to *Node, asName string, done func(error)) {
+	if err := t.Stage(g.net, from.name, from.store, file, to.name, to.store, asName, done); err != nil {
 		done(err)
 	}
 }

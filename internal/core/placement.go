@@ -115,6 +115,22 @@ func placeWith(p placement.Placer, req placement.Request, cands []placement.Cand
 	return p.Pick(req, cands)
 }
 
+// placeSession picks a node for an existing session from the VM
+// futures that view lists: the candidates that hold its base image,
+// have a free slot, are not exclude and are two-way reachable from
+// every probe node, ranked by p (nil keeps the registry's order).
+func (g *Grid) placeSession(view *gis.Service, p placement.Placer, s *Session, exclude string, probes ...string) (string, bool) {
+	futures := view.FindFutures(gis.FutureQuery{MinMemBytes: s.cfg.MemBytes, Site: s.cfg.Site})
+	return placeWith(p, placement.Request{
+		Session:     s.name,
+		User:        s.cfg.User,
+		Image:       s.cfg.Image,
+		Site:        s.cfg.Site,
+		MinMemBytes: s.cfg.MemBytes,
+		Exclude:     exclude,
+	}, g.futureCandidates(futures, s.cfg.Image, exclude, probes...))
+}
+
 // placeFor picks the compute node for a new session through the
 // shared candidate path: drop futures that cannot host (filtering for
 // a locally-required image), honor the hint, then apply the policy —

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -186,9 +187,8 @@ type Session struct {
 	// priority is the balancer's eviction order (WithPriority): lower
 	// migrates first.
 	priority int
-	// migrating marks a live migration in flight; checkpoints and
-	// further migrations wait it out.
-	migrating bool
+	// op is the operation in flight (nil = none).
+	op *op
 	// epoch is the session's one current fencing epoch, bumped through
 	// quorum writes by each failover and fenced migration (0 = neither
 	// ever happened).
@@ -379,12 +379,7 @@ type memBackend struct {
 var _ storage.Backend = (*memBackend)(nil)
 
 func (m *memBackend) Name() string { return "session-mem" }
-func (m *memBackend) Size() int64 {
-	if m.dirty {
-		return m.local.Size()
-	}
-	return m.restore.Size()
-}
+func (m *memBackend) Size() int64  { return m.src().Size() }
 func (m *memBackend) src() storage.Backend {
 	if m.dirty {
 		return m.local
@@ -440,7 +435,12 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 	s.sctx = s.root.Context()
 	s.mark("submitted")
 
+	start := s.begin(opStart)
 	fail := func(err error) {
+		if s.cur != nil {
+			s.cur.retire()
+		}
+		s.end(start)
 		s.state = StateDead
 		g.tracer.Metrics().Counter("core.sessions.failed").Inc()
 		s.root.EndErr(err)
@@ -448,21 +448,10 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			done(s, err)
 		}
 	}
-	// overtaken ends a start that Shutdown overtook, which already gave
-	// back the slot and powered the VM off: each step checks it first.
-	overtaken := func() bool {
-		err := s.shutDownErr()
-		if err != nil {
-			fail(err)
-		}
-		return err != nil
-	}
+	start.abort = fail
 
 	// Step 1: query the information service for a VM future.
-	g.k.After(infoQueryLatency, func() {
-		if overtaken() {
-			return
-		}
+	start.wait = g.k.After(infoQueryLatency, func() {
 		futures := g.info.FindFutures(gis.FutureQuery{
 			MinMemBytes: cfg.MemBytes,
 			Site:        cfg.Site,
@@ -481,12 +470,10 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 		s.mark("future-selected")
 
 		// Step 2: locate the image.
-		g.k.After(infoQueryLatency, func() {
-			if overtaken() {
-				return
-			}
+		start.wait = g.k.After(infoQueryLatency, func() {
+			// Past the steps: the job's fence and its reply take over.
+			start.abort = nil
 			if err := s.resolveImage(); err != nil {
-				s.cur.retire()
 				fail(err)
 				return
 			}
@@ -497,23 +484,23 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			// Table 2's measurement.
 			client, err := gram.NewClient(g.net, g.registry, cfg.FrontEnd, front.host)
 			if err != nil {
-				s.cur.retire()
 				fail(err)
 				return
 			}
 			client.SetTracer(g.tracer)
 			job := gram.Job{
-				Name:   "start-vm:" + s.name,
-				User:   cfg.User,
-				Ctx:    s.sctx,
-				RunCtx: func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(ctx, jobDone) },
+				Name: "start-vm:" + s.name,
+				User: cfg.User,
+				Ctx:  s.sctx,
+				// A job that reaches the gatekeeper after Shutdown does not run.
+				Fence:  func() error { return s.opErr(start) },
+				RunCtx: func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(start, ctx, jobDone) },
 			}
 			submitErr := client.Submit(s.cur.node.name, job, func(err error) {
-				if overtaken() {
-					return
-				}
+				// A cancelled start fails with errShutDown, whatever the
+				// job reported.
+				err = cmp.Or(s.opErr(start), err)
 				if err != nil {
-					s.cur.retire()
 					fail(fmt.Errorf("core: start %s: %w", s.name, err))
 					return
 				}
@@ -524,6 +511,7 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 					fail(err)
 					return
 				}
+				s.end(start)
 				s.mark("ready")
 				s.root.End()
 				s.state = StateRunning
@@ -535,7 +523,6 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 				}
 			})
 			if submitErr != nil {
-				s.cur.retire()
 				fail(submitErr)
 			}
 		})
@@ -581,15 +568,11 @@ func (s *Session) resolveImage() error {
 	return nil
 }
 
-// instantiate performs steps 3-4 on the compute node: build the state
-// backends per policy, then create and start the VM. ctx is the
-// gatekeeper's handler span, so the VMM's boot/restore work parents
-// under the server side of the GRAM submit.
-func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
-	if err := s.shutDownErr(); err != nil {
-		done(err)
-		return
-	}
+// instantiate performs steps 3-4 of the start o on the compute node:
+// build the state backends per policy, then create and start the VM.
+// ctx is the gatekeeper's handler span, so the VMM's boot/restore work
+// parents under the server side of the GRAM submit.
+func (s *Session) instantiate(o *op, ctx obs.SpanContext, done func(error)) {
 	if s.cfg.MemBytes == 0 {
 		if s.info.MemBytes > 0 {
 			s.cfg.MemBytes = s.info.MemBytes
@@ -601,15 +584,7 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 		done(fmt.Errorf("core: image %q has no memory snapshot to restore", s.info.Name))
 		return
 	}
-	s.buildBackends(func(disk storage.Backend, mem *memBackend, err error) {
-		if dead := s.shutDownErr(); dead != nil {
-			// A copy that lands after Shutdown builds no VM, and what
-			// the start put in the store goes as Shutdown's files did.
-			s.dropNodeFiles(s.cur.node)
-			if err == nil {
-				err = dead
-			}
-		}
+	s.buildBackends(o, func(disk storage.Backend, mem *memBackend, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -628,15 +603,6 @@ func (s *Session) instantiate(ctx obs.SpanContext, done func(error)) {
 	})
 }
 
-// shutDownErr reports ErrBadSession once Shutdown overtook the session's
-// start.
-func (s *Session) shutDownErr() error {
-	if s.state == StateDead {
-		return fmt.Errorf("%w: shut down while starting", ErrBadSession)
-	}
-	return nil
-}
-
 // newVM builds the session's VM on node over the given virtual disk and
 // memory image; ctx parents the VM's boot or restore work.
 func (s *Session) newVM(node *Node, disk storage.Backend, mem *memBackend, ctx obs.SpanContext) (*vmm.VM, error) {
@@ -653,8 +619,8 @@ func (s *Session) newVM(node *Node, disk storage.Backend, mem *memBackend, ctx o
 
 // buildBackends constructs the virtual disk and memory-image backends
 // for the session's policy and access mode, charging whatever transfers
-// they imply (the persistent copy, staging) before yielding.
-func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error)) {
+// they imply (the persistent copy, staging, both o's) before yielding.
+func (s *Session) buildBackends(o *op, yield func(storage.Backend, *memBackend, error)) {
 	node := s.cur.node
 	info := s.info
 
@@ -670,13 +636,14 @@ func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error))
 		// Whole-file staging from the image server, then run locally.
 		src := s.grid.nodes[s.imageServer]
 		s.privateCopy(func(file, asName string, done func(error)) {
-			s.grid.stage(src, file, node, asName, done)
+			s.grid.stage(&o.xfer, src, file, node, asName, done)
 		}, localMem, yield)
 
 	case s.cfg.Access == AccessLocal && s.cfg.Disk == Persistent:
-		// Explicit private copy in the host's local file system.
+		// Explicit private copy in the host's local file system. It
+		// cannot be cancelled, so a copy that lands asks the op.
 		s.privateCopy(func(file, asName string, done func(error)) {
-			if err := node.store.Copy(file, asName, func() { done(nil) }); err != nil {
+			if err := node.store.Copy(file, asName, func() { done(s.opErr(o)) }); err != nil {
 				done(err)
 			}
 		}, localMem, yield)
@@ -716,8 +683,8 @@ func (s *Session) buildBackends(yield func(storage.Backend, *memBackend, error))
 // privateCopy gives the session its own copy of the image through
 // copyFile — the disk as <s>.disk, then, for a warm image, the memory
 // snapshot as <s>.memimg — and yields backends over the copies. A cold
-// image restores from an empty <s>.zeromem. A disk copy that lands
-// after Shutdown ends the start there: the memory image is not copied.
+// image restores from an empty <s>.zeromem. A failed disk copy (one
+// Shutdown cancelled too) ends the start there.
 func (s *Session) privateCopy(copyFile func(file, asName string, done func(error)),
 	localMem *storage.LocalFile, yield func(storage.Backend, *memBackend, error)) {
 	store := s.cur.node.store
@@ -734,9 +701,6 @@ func (s *Session) privateCopy(copyFile func(file, asName string, done func(error
 		yield(disk, &memBackend{restore: restoreMem, local: localMem}, nil)
 	}
 	copyFile(s.info.DiskFile(), diskCopy, func(err error) {
-		if err == nil {
-			err = s.shutDownErr()
-		}
 		switch {
 		case err != nil:
 			yield(nil, nil, err)

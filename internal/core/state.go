@@ -59,7 +59,3 @@ func (s State) CanHibernate() bool { return s == StateRunning }
 
 // CanWake reports whether Wake is valid.
 func (s State) CanWake() bool { return s == StateHibernated }
-
-// Failed reports whether the hosting node failed (crashed or mid-
-// recovery).
-func (s State) Failed() bool { return s == StateCrashed || s == StateRecovering }

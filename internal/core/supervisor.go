@@ -124,11 +124,9 @@ type charge struct {
 	slot      int
 	ckptPages []int64
 
-	hbNext        sim.EventID
-	ckNext        sim.EventID
-	checkpointing bool
-	recovering    bool
-	failSpan      obs.Span
+	hbNext   sim.EventID
+	ckNext   sim.EventID
+	failSpan obs.Span
 	// lossAccounted marks that the current crash's lost work has been
 	// charged to the stats; failover retries (no target available yet)
 	// must not count the same crash again.
@@ -333,23 +331,19 @@ func (sup *Supervisor) heartbeat(c *charge) {
 			return
 		}
 	case s.State() == StateRunning, s.State() == StateHibernated:
-		if sup.renewLease(c) {
+		if sup.renewLease(c) || s.op.is(opFailover) {
 			break
 		}
 		// The host cannot reach a registry quorum: it is on the minority
 		// side of a partition. Once the lease expires in the supervisor's
 		// (majority-side) view, fail over — with fencing, because unlike a
 		// crash the old incarnation is still running over there.
-		if !c.recovering {
-			if _, err := sup.view().Lookup(gis.KindLease, s.name); err != nil {
-				sup.partitionFailover(c)
-			}
+		if _, err := sup.view().Lookup(gis.KindLease, s.name); err != nil {
+			sup.partitionFailover(c)
 		}
-	case s.State() == StateCrashed:
-		if !c.recovering {
-			if _, err := sup.view().Lookup(gis.KindLease, s.name); err != nil {
-				sup.failover(c)
-			}
+	case s.State() == StateCrashed && !s.op.is(opFailover):
+		if _, err := sup.view().Lookup(gis.KindLease, s.name); err != nil {
+			sup.failover(c)
 		}
 	}
 	sup.sweepZombies(c)
@@ -373,6 +367,14 @@ func (sup *Supervisor) sweepZombies(c *charge) {
 	}
 }
 
+// fail ends the task with err, crediting userSec of progress.
+func (t *supTask) fail(end sim.Time, userSec float64, err error) {
+	t.finished = true
+	if t.done != nil {
+		t.done(guest.TaskResult{Workload: t.w, Start: t.start, End: end, UserSeconds: userSec, Err: err})
+	}
+}
+
 // progressSec returns a task's absolute user progress right now, in
 // reference CPU-seconds of the original workload.
 func (t *supTask) progressSec() float64 {
@@ -391,29 +393,30 @@ func (t *supTask) progressSec() float64 {
 // node, flip the slot, resume. A crash mid-checkpoint leaves the
 // previous slot intact.
 func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
+	s := c.s
+	if c.stopped || s.op != nil || !s.State().CanRun() {
+		if done != nil {
+			done(fmt.Errorf("%w: checkpoint in %q", ErrBadSession, s.State()))
+		}
+		return
+	}
+	o := s.begin(opCheckpoint)
+	suspendedAt := sup.g.k.Now()
+	ep := s.epoch
+	sp := sup.g.tracer.BeginChild(s.sctx, s.name, "supervisor", "checkpoint")
+	// frozen charges the time since the suspend as checkpoint overhead.
+	frozen := func() { sup.stats.CheckpointSec += sup.g.k.Now().Sub(suspendedAt).Seconds() }
 	finish := func(err error) {
+		s.end(o)
+		sp.EndErr(err)
 		if done != nil {
 			done(err)
 		}
 	}
-	s := c.s
-	if c.stopped || c.recovering || c.checkpointing || s.migrating || !s.State().CanRun() {
-		finish(fmt.Errorf("%w: checkpoint in %q", ErrBadSession, s.State()))
-		return
-	}
-	c.checkpointing = true
-	suspendedAt := sup.g.k.Now()
-	ep := s.epoch
-	sp := sup.g.tracer.BeginChild(s.sctx, s.name, "supervisor", "checkpoint")
-	unlock := func(err error) {
-		c.checkpointing = false
-		sup.stats.CheckpointSec += sup.g.k.Now().Sub(suspendedAt).Seconds()
-		sp.EndErr(err)
-		finish(err)
-	}
 	if err := s.cur.vm.Suspend(func(err error) {
 		if err != nil {
-			unlock(err)
+			frozen()
+			finish(err)
 			return
 		}
 		// Progress and disk state are now frozen; snapshot both.
@@ -452,19 +455,14 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 			// compute while the chunks drain to stable storage in the
 			// background. Only the frozen window counts as checkpoint
 			// overhead; the slot still flips only when staging commits.
-			sup.stageCheckpoint(c, spare, func(err error) {
-				err = commit(err)
-				c.checkpointing = false
-				sp.EndErr(err)
-				finish(err)
-			})
-			sup.stats.CheckpointSec += sup.g.k.Now().Sub(suspendedAt).Seconds()
+			sup.stageCheckpoint(c, o, spare, func(err error) { finish(commit(err)) })
+			frozen()
 			if s.State() == StateRunning {
 				_ = s.cur.vm.Unpause()
 			}
 			return
 		}
-		sup.stageCheckpoint(c, spare, func(err error) {
+		sup.stageCheckpoint(c, o, spare, func(err error) {
 			err = commit(err)
 			// The node may have crashed while we staged; only a VM still
 			// sitting suspended resumes.
@@ -473,22 +471,22 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 					err = uerr
 				}
 			}
-			unlock(err)
+			frozen()
+			finish(err)
 		})
 	}); err != nil {
-		c.checkpointing = false
-		sp.EndErr(err)
 		finish(err)
 	}
 }
 
 // stageFile copies one session state file into the stable store under
-// asName, first deleting what an abandoned earlier checkpoint left in
-// that slot, so the stage does not trip over ErrExists.
-func (sup *Supervisor) stageFile(c *charge, file, asName string, done func(error)) {
+// asName for the checkpoint o, first deleting what an abandoned earlier
+// checkpoint left in that slot, so the stage does not trip over
+// ErrExists.
+func (sup *Supervisor) stageFile(c *charge, o *op, file, asName string, done func(error)) {
 	stable := sup.g.nodes[sup.cfg.StableNode]
 	dropFiles(stable.store, asName)
-	sup.g.stage(c.s.cur.node, file, stable, asName, done)
+	sup.g.stage(&o.xfer, c.s.cur.node, file, stable, asName, done)
 }
 
 // stageCheckpoint copies the session's .mem and .cow files into the
@@ -497,7 +495,7 @@ func (sup *Supervisor) stageFile(c *charge, file, asName string, done func(error
 // event, so the pair is one consistent image even while the resumed
 // guest keeps dirtying the COW — and only missing chunks cross the
 // wire; without it they run back to back, as they always have.
-func (sup *Supervisor) stageCheckpoint(c *charge, slot int, done func(error)) {
+func (sup *Supervisor) stageCheckpoint(c *charge, o *op, slot int, done func(error)) {
 	s := c.s
 	if s.cur.node.store.ChunkPlane() != nil {
 		pending := 2
@@ -510,12 +508,12 @@ func (sup *Supervisor) stageCheckpoint(c *charge, slot int, done func(error)) {
 				done(firstErr)
 			}
 		}
-		sup.stageFile(c, s.name+".mem", c.ckptFile(slot, ".mem"), settle)
-		sup.stageFile(c, s.name+".cow", c.ckptFile(slot, ".cow"), settle)
+		sup.stageFile(c, o, s.name+".mem", c.ckptFile(slot, ".mem"), settle)
+		sup.stageFile(c, o, s.name+".cow", c.ckptFile(slot, ".cow"), settle)
 		return
 	}
 	stagePair(func(ext string, next func(error)) {
-		sup.stageFile(c, s.name+ext, c.ckptFile(slot, ext), next)
+		sup.stageFile(c, o, s.name+ext, c.ckptFile(slot, ext), next)
 	}, done)
 }
 
@@ -542,8 +540,10 @@ func (sup *Supervisor) failover(c *charge) {
 		sup.giveUp(c)
 		return
 	}
-	c.recovering = true
-	c.checkpointing = false // a checkpoint in flight died with the node
+	// The failover supersedes whatever op the failure overtook, which
+	// runs on: a checkpoint's commit fails its epoch check, a migration
+	// its supersede check.
+	o := s.begin(opFailover)
 	s.state = StateRecovering
 	s.mark("recovering")
 	c.failSpan = sup.g.tracer.BeginChild(s.sctx, s.name, "supervisor", "failover")
@@ -556,7 +556,7 @@ func (sup *Supervisor) failover(c *charge) {
 	if target == nil {
 		// Nothing can host the session right now (all candidates down or
 		// full). This attempt does not count against MaxRecoveries.
-		sup.backOff(c, errors.New("no target available"))
+		sup.backOff(c, o, nil, errors.New("no target available"))
 		return
 	}
 	// Fence before the new incarnation can exist: bump the session's
@@ -566,7 +566,7 @@ func (sup *Supervisor) failover(c *charge) {
 	ep, err := sup.g.info.BumpEpochFrom(sup.cfg.StableNode, s.name)
 	if err != nil {
 		sup.stats.NoQuorumBackoffs++
-		sup.backOff(c, errors.New("no quorum for epoch bump"))
+		sup.backOff(c, o, nil, errors.New("no quorum for epoch bump"))
 		return
 	}
 	// Results still in flight under any older epoch are now zombie
@@ -579,25 +579,36 @@ func (sup *Supervisor) failover(c *charge) {
 
 	stageSp := sup.g.tracer.BeginChild(c.failSpan.Context(), s.name, "supervisor", "restore-stage")
 	slot := c.slot
-	s.moveState(sup.g.nodes[sup.cfg.StableNode], func(ext string) string { return c.ckptFile(slot, ext) },
+	s.moveState(o, sup.g.nodes[sup.cfg.StableNode], func(ext string) string { return c.ckptFile(slot, ext) },
 		target, func(err error) {
 			stageSp.EndErr(err)
 			if err != nil {
-				in.retire()
-				sup.backOff(c, err)
+				sup.backOff(c, o, in, err)
 				return
 			}
-			sup.dispatchRestore(c, in)
+			sup.dispatchRestore(c, o, in)
 		})
 }
 
-// backOff abandons the charge's current recovery attempt: the session
-// reads crashed again, the failover span ends with why, and the
-// heartbeat may re-detect and retry once a lease has passed.
-func (sup *Supervisor) backOff(c *charge, why error) {
-	c.s.state = StateCrashed
+// backOff abandons the charge's failover o and retires in, the
+// incarnation o took a slot for (nil if none yet): the session reads
+// crashed again, the failover span ends with why, and o ends once a
+// lease has passed, so the heartbeat may re-detect and retry. If
+// Shutdown cancelled o, the session stays dead instead, and what o
+// staged onto in's node goes.
+func (sup *Supervisor) backOff(c *charge, o *op, in *incarnation, why error) {
+	s := c.s
+	if in != nil {
+		in.retire()
+	}
+	switch {
+	case s.op == o:
+		s.state = StateCrashed
+	case in != nil:
+		s.dropNodeFiles(in.node)
+	}
 	c.failSpan.EndErr(why)
-	sup.g.k.After(leaseTTL, func() { c.recovering = false })
+	sup.g.k.After(leaseTTL, func() { s.end(o) })
 }
 
 // partitionFailover recovers a charge whose host is partitioned rather
@@ -654,19 +665,7 @@ func (sup *Supervisor) fenceZombie(c *charge, epoch int64) {
 // muted transmit side would swallow the replies and hang the failover.
 // cfg.Placer then ranks what survives; nil keeps registry order.
 func (sup *Supervisor) pickTarget(s *Session) *Node {
-	futures := sup.view().FindFutures(gis.FutureQuery{
-		MinMemBytes: s.cfg.MemBytes,
-		Site:        s.cfg.Site,
-	})
-	cands := sup.g.futureCandidates(futures, s.cfg.Image, "",
-		sup.cfg.StableNode, s.cfg.FrontEnd)
-	name, ok := placeWith(sup.cfg.Placer, placement.Request{
-		Session:     s.name,
-		User:        s.cfg.User,
-		Image:       s.cfg.Image,
-		Site:        s.cfg.Site,
-		MinMemBytes: s.cfg.MemBytes,
-	}, cands)
+	name, ok := sup.g.placeSession(sup.view(), sup.cfg.Placer, s, "", sup.cfg.StableNode, s.cfg.FrontEnd)
 	if !ok {
 		return nil
 	}
@@ -675,14 +674,11 @@ func (sup *Supervisor) pickTarget(s *Session) *Node {
 
 // dispatchRestore submits the restore job through GRAM from the
 // session's front end and, on success, resubmits the remaining work.
-// in is the incarnation whose slot the failover took; a failed restore
-// retires it.
-func (sup *Supervisor) dispatchRestore(c *charge, in *incarnation) {
+// in is the incarnation whose slot the failover o took; a failed
+// restore retires it.
+func (sup *Supervisor) dispatchRestore(c *charge, o *op, in *incarnation) {
 	s := c.s
-	abort := func(err error) {
-		in.retire()
-		sup.backOff(c, err)
-	}
+	abort := func(err error) { sup.backOff(c, o, in, err) }
 	front := sup.g.nodes[s.cfg.FrontEnd]
 	if front == nil || front.crashed {
 		abort(fmt.Errorf("%w: front end %q", ErrUnknownNode, s.cfg.FrontEnd))
@@ -700,19 +696,28 @@ func (sup *Supervisor) dispatchRestore(c *charge, in *incarnation) {
 		Ctx:  c.failSpan.Context(),
 		// The fencing token rides the job: if a newer failover bumped the
 		// epoch while this dispatch sat in retry backoff, the gatekeeper
-		// rejects the stale restore instead of resurrecting a zombie.
+		// rejects the stale restore instead of resurrecting a zombie. Nor
+		// does a restore run once Shutdown cancelled the failover.
 		Fence: func() error {
 			if s.epoch != ep {
 				return ErrFencedEpoch
 			}
-			return nil
+			return s.opErr(o)
 		},
+		// The restore warm-starts in's VM over the staged checkpoint with
+		// a fresh guest (the crashed one's later state is gone); resume
+		// then resubmits the remaining work.
 		RunCtx: func(ctx obs.SpanContext, jobDone func(error)) {
 			rsp := sup.g.tracer.BeginChild(ctx, s.name, "supervisor", "restore")
-			s.restoreFrom(in, c.ckptPages, rsp.Context(), func(err error) {
+			finish := func(err error) {
 				rsp.EndErr(err)
 				jobDone(err)
-			})
+			}
+			if err := s.vmFromState(in, c.ckptPages, rsp.Context()); err != nil {
+				finish(err)
+				return
+			}
+			s.online(in, "recovered", nil, finish)
 		},
 	}
 	policy := retry.Policy{MaxAttempts: 4, Backoff: 500 * sim.Millisecond, MaxBackoff: 4 * sim.Second}
@@ -721,15 +726,16 @@ func (sup *Supervisor) dispatchRestore(c *charge, in *incarnation) {
 			abort(err)
 			return
 		}
-		sup.resume(c)
+		sup.resume(c, o)
 	}); err != nil {
 		abort(err)
 	}
 }
 
-// resume restarts the unfinished work of a freshly restored charge from
-// its checkpointed progress and re-arms the lease and ticks.
-func (sup *Supervisor) resume(c *charge) {
+// resume restarts the unfinished work of a charge the failover o
+// restored, from its checkpointed progress, ends o and re-arms the
+// lease.
+func (sup *Supervisor) resume(c *charge, o *op) {
 	s := c.s
 	now := sup.g.k.Now()
 	sup.stats.Recoveries++
@@ -760,19 +766,12 @@ func (sup *Supervisor) resume(c *charge) {
 		if err != nil {
 			// The restore raced another failure; fail the task rather
 			// than lose it silently.
-			t.finished = true
-			if t.done != nil {
-				t.done(guest.TaskResult{
-					Workload: t.w, Start: t.start, End: now,
-					UserSeconds: t.baseSec,
-					Err:         fmt.Errorf("%w: resubmit: %v", ErrLeaseExpired, err),
-				})
-			}
+			t.fail(now, t.baseSec, fmt.Errorf("%w: resubmit: %v", ErrLeaseExpired, err))
 			continue
 		}
 		t.task = task
 	}
-	c.recovering = false
+	s.end(o)
 	c.lossAccounted = false
 	_ = sup.renewLease(c)
 }
@@ -809,16 +808,8 @@ func (sup *Supervisor) giveUp(c *charge) {
 	now := sup.g.k.Now()
 	sup.stats.GivenUp++
 	for _, t := range c.tasks {
-		if t.finished {
-			continue
-		}
-		t.finished = true
-		if t.done != nil {
-			t.done(guest.TaskResult{
-				Workload: t.w, Start: t.start, End: now,
-				UserSeconds: t.ckptSec,
-				Err:         fmt.Errorf("%w: %s", ErrLeaseExpired, s.name),
-			})
+		if !t.finished {
+			t.fail(now, t.ckptSec, fmt.Errorf("%w: %s", ErrLeaseExpired, s.name))
 		}
 	}
 	sup.Release(s)

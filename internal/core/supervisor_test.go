@@ -6,6 +6,7 @@ import (
 
 	"vmgrid/internal/guest"
 	"vmgrid/internal/sim"
+	"vmgrid/internal/vmm"
 )
 
 // superviseSession adopts s under a fresh supervisor checkpointing to
@@ -47,9 +48,10 @@ func stepUntil(g *Grid, cap sim.Duration, cond func() bool) {
 }
 
 // failoverScenario runs one supervised 600 s task with the hosting node
-// crashing 120 s in, and returns the merged result, the stats, and the
-// session.
-func failoverScenario(t *testing.T) (guest.TaskResult, SupervisorStats, *Session, sim.Time) {
+// crashing 120 s in (and rebooting at 420 s), and returns the merged
+// result, the stats, and the session. poll, when non-nil, runs every
+// 50 ms after the crash until it returns true.
+func failoverScenario(t *testing.T, poll func(g *Grid, s *Session) bool) (guest.TaskResult, SupervisorStats, *Session, sim.Time) {
 	t.Helper()
 	g := testbed(t)
 	s := startSession(t, g, baseConfig())
@@ -67,6 +69,15 @@ func failoverScenario(t *testing.T) (guest.TaskResult, SupervisorStats, *Session
 	victim := s.Node().Name()
 	k.After(120*sim.Second, func() { _ = g.CrashNode(victim) })
 	k.After(420*sim.Second, func() { _ = g.RebootNode(victim) })
+	if poll != nil {
+		var tick func()
+		tick = func() {
+			if !poll(g, s) {
+				k.After(50*sim.Millisecond, tick)
+			}
+		}
+		k.After(120*sim.Second, tick)
+	}
 
 	stepUntil(g, 2*sim.Hour, func() bool { return finished })
 	if !finished {
@@ -79,7 +90,7 @@ func failoverScenario(t *testing.T) (guest.TaskResult, SupervisorStats, *Session
 }
 
 func TestSupervisorFailoverCompletesWork(t *testing.T) {
-	res, stats, s, _ := failoverScenario(t)
+	res, stats, s, _ := failoverScenario(t, nil)
 
 	if res.Err != nil {
 		t.Fatalf("task error: %v", res.Err)
@@ -109,6 +120,79 @@ func TestSupervisorFailoverCompletesWork(t *testing.T) {
 	}
 }
 
+// TestCrashMidRestoreFailsOverAgain: the restore target crashing while
+// the failover's VM restores there ends that attempt (the crash powers
+// the restoring VM off, which ends its start) instead of hanging it; a
+// later failover, once the first host is back, finishes the work.
+func TestCrashMidRestoreFailsOverAgain(t *testing.T) {
+	var target string
+	res, stats, _, _ := failoverScenario(t, func(g *Grid, s *Session) bool {
+		if vm, n := s.VM(), s.Node(); vm != nil && vm.State() == vmm.StateRestoring && !n.Crashed() {
+			target = n.Name()
+			_ = g.CrashNode(target)
+		}
+		return target != ""
+	})
+	if target == "" {
+		t.Fatal("no failover restore to crash")
+	}
+	if res.Err != nil || res.UserSeconds != 600 {
+		t.Errorf("task: UserSeconds %v, error %v; want the full 600 s", res.UserSeconds, res.Err)
+	}
+	if stats.Recoveries != 1 {
+		t.Errorf("recoveries = %d, want 1 (the restore on %s failed)", stats.Recoveries, target)
+	}
+}
+
+// TestShutdownDuringFailover: a Shutdown while a failover restages the
+// checkpoint, dispatches the restore or restores the VM cancels the
+// failover there. The session stays dead (backing off does not make it
+// crashed again, so no later failover revives it), the restore target
+// keeps no file of the session, and nothing leaks.
+func TestShutdownDuringFailover(t *testing.T) {
+	// Failover starts once the lease expires, 6 s after the crash: the
+	// memory image restages for ~15 s, the restore job dispatches for
+	// ~1.3 s, and the VM initializes and restores for ~6 s.
+	for _, after := range []sim.Duration{0, 5 * sim.Second, 15200 * sim.Millisecond, 16 * sim.Second, 19 * sim.Second} {
+		t.Run(after.String(), func(t *testing.T) {
+			g := testbed(t)
+			s := startSession(t, g, baseConfig())
+			sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 30 * sim.Second})
+			if err := sup.Run(s, guest.MicroTask(600), func(guest.TaskResult) {}); err != nil {
+				t.Fatal(err)
+			}
+			k := g.Kernel()
+			victim := s.Node().Name()
+			target := "compute2"
+			if victim == target {
+				target = "compute1"
+			}
+			k.After(120*sim.Second, func() { _ = g.CrashNode(victim) })
+			deadline := k.Now().Add(10 * sim.Minute)
+			for s.State() != StateRecovering && k.Now() < deadline {
+				_ = k.RunFor(10 * sim.Millisecond)
+			}
+			if s.State() != StateRecovering {
+				t.Fatalf("no failover began (state %q)", s.State())
+			}
+			_ = k.RunFor(after)
+			s.Shutdown()
+			revived := false
+			for end := k.Now().Add(10 * sim.Minute); k.Now() < end; {
+				_ = k.RunFor(sim.Second)
+				revived = revived || s.State() != StateDead
+			}
+			if revived {
+				t.Errorf("session left the dead state after Shutdown (now %q)", s.State())
+			}
+			if got := left(s, g.Node(target)); len(got) != 0 {
+				t.Errorf("%s lists %v after Shutdown, want none of the session's files", target, got)
+			}
+			checkNoLeaks(t, g)
+		})
+	}
+}
+
 func TestSupervisorFailoverCostIsOnlyRecoveryTime(t *testing.T) {
 	// Failure-free supervised baseline.
 	g := testbed(t)
@@ -129,7 +213,7 @@ func TestSupervisorFailoverCostIsOnlyRecoveryTime(t *testing.T) {
 	checkNoLeaks(t, g)
 	sup.Stop()
 
-	res, stats, _, _ := failoverScenario(t)
+	res, stats, _, _ := failoverScenario(t, nil)
 	overhead := res.Elapsed().Seconds() - base.Elapsed().Seconds()
 	modeled := stats.LostWorkSec + stats.RepairSec
 	if overhead <= 0 {
@@ -146,8 +230,8 @@ func TestSupervisorFailoverCostIsOnlyRecoveryTime(t *testing.T) {
 }
 
 func TestSupervisorFailoverDeterminism(t *testing.T) {
-	res1, stats1, _, end1 := failoverScenario(t)
-	res2, stats2, _, end2 := failoverScenario(t)
+	res1, stats1, _, end1 := failoverScenario(t, nil)
+	res2, stats2, _, end2 := failoverScenario(t, nil)
 	if res1 != res2 {
 		t.Errorf("results differ across identical runs:\n  %+v\n  %+v", res1, res2)
 	}

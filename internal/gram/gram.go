@@ -43,6 +43,8 @@ var (
 	// ran and resubmitting is safe. Failures after dispatch — a lost
 	// completion notification — are NOT wrapped: the job may have run.
 	ErrUnavailable = errors.New("gram: gatekeeper unavailable")
+	// ErrCancelled is what a stage whose Transfer was cancelled reports.
+	ErrCancelled = errors.New("gram: stage cancelled")
 )
 
 // Job is the unit of dispatch: middleware-visible work that eventually
@@ -284,6 +286,36 @@ const stageChunk int64 = 1 << 20
 // on the wire or landing on the destination disk.
 const stageWindow = 2
 
+// Stage copies file as Transfer.Stage does, under a Transfer of its own
+// that nothing cancels.
+func Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
+	dstNode string, dst *storage.Store, asName string, done func(error)) error {
+	return new(Transfer).Stage(net, srcNode, src, file, dstNode, dst, asName, done)
+}
+
+// Transfer is the handle on the stages one operation runs: Cancel
+// reaches whichever of them is in flight. The zero value is ready.
+type Transfer struct{ cancelled bool }
+
+// Cancel stops every stage of t, running or still to come. A cancelled
+// stage sends nothing more: it deletes its destination file and reports
+// ErrCancelled to its done. What is already on the wire still lands
+// (and is dropped).
+func (t *Transfer) Cancel() { t.cancelled = true }
+
+// halted reports whether t was cancelled and, if so, ends a stage into
+// dstFile: the file goes and done hears ErrCancelled.
+func (t *Transfer) halted(dstFile *storage.LocalFile, done func(error)) bool {
+	if !t.cancelled {
+		return false
+	}
+	dstFile.Delete()
+	if done != nil {
+		done(ErrCancelled)
+	}
+	return true
+}
+
 // Stage copies a whole file between stores across the network — the
 // GASS/GridFTP file-staging model the paper contrasts with on-demand
 // virtual file systems: the entire file moves before work starts,
@@ -296,9 +328,14 @@ const stageWindow = 2
 // destination already holds materialize by copy-on-write reference,
 // free of I/O. The staged file's manifest is adopted from the source,
 // so identity propagates with the content. Without a shared plane the
-// pre-chunking whole-file path runs unchanged.
-func Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
+// pre-chunking whole-file path runs unchanged. Either path checks t
+// before it sends: the whole-file loop before each 1 MiB step and its
+// send, the chunked one before each message and each chunk.
+func (t *Transfer) Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
 	dstNode string, dst *storage.Store, asName string, done func(error)) error {
+	if t.cancelled {
+		return fmt.Errorf("gram: stage %q: %w", file, ErrCancelled)
+	}
 	size, err := src.Size(file)
 	if err != nil {
 		return fmt.Errorf("gram: stage %q: %w", file, err)
@@ -311,7 +348,7 @@ func Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
 		return fmt.Errorf("gram: stage %q: %s->%s: unknown node", file, srcNode, dstNode)
 	}
 	if plane := src.ChunkPlane(); plane != nil && plane == dst.ChunkPlane() {
-		return stageChunked(net.Kernel(), from, src, file, to, dst, asName, size, done)
+		return t.stageChunked(net.Kernel(), from, src, file, to, dst, asName, size, done)
 	}
 	if err := dst.Create(asName, 0); err != nil {
 		return err
@@ -324,37 +361,44 @@ func Stage(net *netsim.Network, srcNode string, src *storage.Store, file string,
 	if err != nil {
 		return err
 	}
-	var step func(off int64)
-	step = func(off int64) {
+	// One step is in flight at a time, so its continuations share the
+	// window and are bound once per stage rather than once per step.
+	var off, n int64
+	var step, read, wrote func()
+	step = func() {
+		if t.halted(dstFile, done) {
+			return
+		}
 		if off >= size {
 			if done != nil {
 				done(nil)
 			}
 			return
 		}
-		n := stageChunk
-		if off+n > size {
-			n = size - off
-		}
-		srcFile.ReadSequential(off, n, func() {
-			sendErr := from.Send(to, n, nil, func(any) {
-				dstFile.Write(off, n, func() {
-					step(off + n)
-				})
-			})
-			if sendErr != nil && done != nil {
-				done(sendErr)
-			}
-		})
+		n = min(stageChunk, size-off)
+		srcFile.ReadSequential(off, n, read)
 	}
-	step(0)
+	deliver := func(any) { dstFile.Write(off, n, wrote) }
+	read = func() {
+		if t.halted(dstFile, done) {
+			return
+		}
+		if err := from.Send(to, n, nil, deliver); err != nil && done != nil {
+			done(err)
+		}
+	}
+	wrote = func() {
+		off += n
+		step()
+	}
+	step()
 	return nil
 }
 
 // stageChunked is the content-addressed staging path: manifest
 // negotiation, dedup against the destination's chunk cache, then a
 // double-buffered pipeline over the missing chunks.
-func stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file string,
+func (t *Transfer) stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file string,
 	to *netsim.Node, dst *storage.Store, asName string, size int64, done func(error)) error {
 	plane := src.ChunkPlane()
 	// The manifest snapshot is taken now, synchronously: a stage
@@ -379,7 +423,11 @@ func stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file str
 		}
 	}
 	if len(keys) == 0 {
-		k.After(0, func() { finish(nil) })
+		k.After(0, func() {
+			if !t.halted(dstFile, finish) {
+				finish(nil)
+			}
+		})
 		return nil
 	}
 	cache := plane.CacheFor(dst.Host().Name())
@@ -387,6 +435,9 @@ func stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file str
 	// key plus the control envelope).
 	manifestBytes := int64(len(keys))*8 + ControlMsgBytes
 	sendErr := from.Send(to, manifestBytes, nil, func(any) {
+		if t.halted(dstFile, finish) {
+			return
+		}
 		// At the destination: chunks already in the cache materialize by
 		// reference; the rest are requested back as a needed-chunk
 		// bitmap.
@@ -401,7 +452,10 @@ func stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file str
 		}
 		replyBytes := int64(len(keys)+7)/8 + ControlMsgBytes
 		sendErr := to.Send(from, replyBytes, nil, func(any) {
-			stagePipeline(from, to, srcFile, dstFile, plane, size, keys, missing, finish)
+			if t.halted(dstFile, finish) {
+				return
+			}
+			t.stagePipeline(from, to, srcFile, dstFile, plane, size, keys, missing, finish)
 		})
 		if sendErr != nil {
 			finish(sendErr)
@@ -419,16 +473,19 @@ func stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file str
 // flight at once: read chunk i+1 from the source disk while chunk i is
 // on the wire or being written — the copy stays busy end to end instead
 // of serializing read, send, write.
-func stagePipeline(from, to *netsim.Node,
+func (t *Transfer) stagePipeline(from, to *netsim.Node,
 	srcFile, dstFile *storage.LocalFile, plane *chunk.Plane, size int64,
 	keys []chunk.Key, missing []int, finish func(error)) {
-	p := &pipeline{from: from, to: to,
+	p := &pipeline{t: t, from: from, to: to,
 		srcFile: srcFile, dstFile: dstFile, plane: plane, size: size,
 		keys: keys, missing: missing, finish: finish,
 		free: make([]*stageSlot, 0, stageWindow)}
 	for j := range p.slots {
 		sl := &p.slots[j]
 		sl.read = func() {
+			if p.halted() {
+				return
+			}
 			if err := p.from.Send(p.to, sl.n, nil, sl.deliver); err != nil {
 				p.fail(err)
 			}
@@ -448,6 +505,7 @@ func stagePipeline(from, to *netsim.Node,
 // continuations are bound once per stage, so moving a chunk allocates
 // nothing.
 type pipeline struct {
+	t                *Transfer
 	from, to         *netsim.Node
 	srcFile, dstFile *storage.LocalFile
 	plane            *chunk.Plane
@@ -480,8 +538,18 @@ func (p *pipeline) fail(err error) {
 	}
 }
 
+// halted reports whether the stage is over: failed, or cancelled, which
+// ends it through fail with its destination file deleted.
+func (p *pipeline) halted() bool {
+	if !p.failed && p.t.cancelled {
+		p.dstFile.Delete()
+		p.fail(ErrCancelled)
+	}
+	return p.failed
+}
+
 func (p *pipeline) pump() {
-	if p.failed {
+	if p.halted() {
 		return
 	}
 	if p.next >= len(p.missing) && len(p.free) == stageWindow {

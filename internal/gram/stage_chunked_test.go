@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"errors"
 	"testing"
 
 	"vmgrid/internal/chunk"
@@ -198,5 +199,59 @@ func TestStagePipelineAllocsPerChunk(t *testing.T) {
 	t.Logf("cold stage: %v allocs at %d chunks, %v at %d (%.3f per extra chunk)", a, small, b, large, perChunk)
 	if perChunk > 0.1 {
 		t.Errorf("a cold stage allocates %.3f times per missing chunk, want none beyond map and manifest growth", perChunk)
+	}
+}
+
+// TestTransferCancel cancels a 64 MB stage a second in, on the
+// whole-file path and on the chunked one: done hears ErrCancelled once,
+// at most the chunks already under way still cross the wire, the
+// destination file is gone, and a later stage of the same Transfer is
+// refused.
+func TestTransferCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		chunked bool
+	}{{"whole-file", false}, {"chunked", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGrid(t)
+			src := storage.NewStore(g.clientH)
+			dst := storage.NewStore(g.server)
+			if tc.chunked {
+				plane := chunk.NewPlane(chunk.Config{ChunkBytes: 1 << 20})
+				src.SetChunkPlane(plane)
+				dst.SetChunkPlane(plane)
+			}
+			if err := src.Create("image", 64<<20); err != nil {
+				t.Fatal(err)
+			}
+			var xfer Transfer
+			calls := 0
+			var got error
+			if err := xfer.Stage(g.net, "front", src, "image", "compute", dst, "copy", func(err error) {
+				calls, got = calls+1, err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var sent uint64
+			g.k.After(sim.Second, func() {
+				xfer.Cancel()
+				sent = g.net.BytesSent()
+			})
+			g.k.Run()
+			if calls != 1 || !errors.Is(got, ErrCancelled) {
+				t.Errorf("done called %d times, last with %v; want once with ErrCancelled", calls, got)
+			}
+			// The whole-file loop has one chunk in flight, the chunked
+			// pipeline two.
+			if after := g.net.BytesSent() - sent; after > 2<<20 {
+				t.Errorf("%d bytes crossed after Cancel, want at most the chunks under way", after)
+			}
+			if dst.Has("copy") {
+				t.Error("cancelled stage left its destination file")
+			}
+			if err := xfer.Stage(g.net, "front", src, "image", "compute", dst, "again", nil); !errors.Is(err, ErrCancelled) || dst.Has("again") {
+				t.Errorf("stage of a cancelled Transfer = %v, want ErrCancelled and no file", err)
+			}
+		})
 	}
 }

@@ -263,95 +263,3 @@ func TestDeleteKeepsChunkCacheEntries(t *testing.T) {
 		}
 	}
 }
-
-// TestArchiveDedupAcrossCopies: archiving a second, mostly-identical
-// file streams only its delta to tape, and a recall to a node that
-// still caches the chunks streams (nearly) nothing.
-func TestArchiveDedupAcrossCopies(t *testing.T) {
-	k := sim.NewKernel(1)
-	p := chunk.NewPlane(chunk.Config{ChunkBytes: 1 << 20})
-	s := chunkStore(t, k, p, "n1")
-	a := NewArchive(k)
-	const size = 64 << 20
-	if err := s.Create("v1", size); err != nil {
-		t.Fatal(err)
-	}
-	copied := false
-	if err := s.Copy("v1", "v2", func() { copied = true }); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if !copied {
-		t.Fatal("copy never completed")
-	}
-	// v2 diverges by one chunk.
-	f, err := s.Open("v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(0, 4096, nil)
-	k.Run()
-
-	archive := func(name string) sim.Duration {
-		t.Helper()
-		start := k.Now()
-		var end sim.Time = -1
-		if err := a.Store(s, name, func(err error) {
-			if err != nil {
-				t.Errorf("store %s: %v", name, err)
-			}
-			end = k.Now()
-		}); err != nil {
-			t.Fatal(err)
-		}
-		k.Run()
-		if end < 0 {
-			t.Fatalf("archiving %s never completed", name)
-		}
-		return end.Sub(start)
-	}
-	full := archive("v1")
-	delta := archive("v2")
-	// v2 shares all but one 1 MiB chunk with v1, already on tape: its
-	// stream is ~1/64 of the full one (the 45 s mount dominates both).
-	wantMax := sim.DurationOf(TapeMountLatency.Seconds() + 2*float64(1<<20)/TapeBandwidthBps)
-	if delta > wantMax {
-		t.Errorf("delta archive took %.1fs, want ≤ %.1fs (mount + one chunk)",
-			delta.Seconds(), wantMax.Seconds())
-	}
-	if full <= delta {
-		t.Errorf("full archive (%.1fs) not slower than delta (%.1fs)",
-			full.Seconds(), delta.Seconds())
-	}
-
-	// The node still caches every chunk (delete keeps content), so the
-	// recall materializes by reference: mount latency only.
-	hitsBefore := p.Stats().Hits
-	start := k.Now()
-	var recallAt sim.Time = -1
-	if err := a.Recall(s, "v2", func(err error) {
-		if err != nil {
-			t.Errorf("recall: %v", err)
-		}
-		recallAt = k.Now()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if recallAt < 0 {
-		t.Fatal("recall never completed")
-	}
-	elapsed := recallAt.Sub(start).Seconds()
-	if slack := TapeMountLatency.Seconds() + 2; elapsed > slack {
-		t.Errorf("warm recall took %.1fs, want ~mount latency (≤ %.1fs)", elapsed, slack)
-	}
-	if p.Stats().Hits == hitsBefore {
-		t.Error("warm recall recorded no cache hits")
-	}
-	if sz, _ := s.Size("v2"); sz != size {
-		t.Errorf("recalled size = %d, want %d", sz, size)
-	}
-	if keys := s.ChunkKeys("v2"); len(keys) != p.Count(size) {
-		t.Errorf("recalled manifest = %d keys, want %d", len(keys), p.Count(size))
-	}
-}

@@ -157,9 +157,9 @@ func (s *Store) AdoptChunk(name string, i int, key chunk.Key, off, n int64) {
 	}
 }
 
-// CreateWithChunks creates a file carrying an existing manifest (a tape
-// recall landing content whose identity is known), seeding the node
-// cache with every key.
+// CreateWithChunks creates a file carrying an existing manifest
+// (content whose identity is known, landing from elsewhere), seeding
+// the node cache with every key.
 func (s *Store) CreateWithChunks(name string, size int64, keys []chunk.Key) error {
 	if err := s.Create(name, 0); err != nil {
 		return err
@@ -370,6 +370,14 @@ func (f *LocalFile) WriteChunkAs(i int, key chunk.Key, off, n int64, done func()
 	}
 	f.store.adoptChunk(f.file, i, key, off, n)
 	f.store.host.Cache().WriteSequential(f.store.host.Kernel(), f.Name(), off, n, done)
+}
+
+// Delete deletes the file this handle opened, unless it is already gone
+// or its name now holds a file created since.
+func (f *LocalFile) Delete() {
+	if f.live() {
+		_ = f.store.Delete(f.name)
+	}
 }
 
 // live reports whether the incarnation this handle opened still holds

@@ -526,8 +526,8 @@ func (s *Server) newSession(p SessionParams) (any, error) {
 	}); err != nil {
 		if sess != nil {
 			// The client is told this op failed, and the session has no
-			// wire name: end its start now so it gives its slot back
-			// rather than come up unreachable later.
+			// wire name: cancel its start now, so it gives its slot back
+			// and its stage stops, rather than come up unreachable later.
 			sess.Shutdown()
 		}
 		return nil, err

@@ -364,7 +364,7 @@ func TestSpansResponseLargerThanFourMiB(t *testing.T) {
 // TestTimedOutNewSessionReleasesSlot: a new-session that exceeds its
 // virtual-time budget reports failure, so the session it was starting
 // must not come up later holding the node's only slot where no wire
-// op can reach it.
+// op can reach it, nor its stage keep the WAN.
 func TestTimedOutNewSessionReleasesSlot(t *testing.T) {
 	srv := NewServer(1)
 	l := NewLocal(srv)
@@ -395,10 +395,16 @@ func TestTimedOutNewSessionReleasesSlot(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exceeded 4h0m0s of virtual time") {
 		t.Fatalf("staging 200 GB over a WAN = %v, want the 4 h budget exceeded", err)
 	}
-	// Let the abandoned start finish in virtual time.
+	// The timeout cancelled the start: given virtual time, its WAN stage
+	// sends almost nothing more and the session never comes up.
 	srv.mu.Lock()
+	sent := srv.Grid().Net().BytesSent()
 	_ = srv.Grid().Kernel().RunFor(100 * sim.Hour)
+	after := srv.Grid().Net().BytesSent() - sent
 	srv.mu.Unlock()
+	if after >= 2<<20 {
+		t.Errorf("network carried %d bytes after the timed-out new-session, want under 2 MiB: its stage ran on", after)
+	}
 	if live := len(srv.Grid().LiveSessions()); live != 0 {
 		t.Errorf("%d sessions live after their new-session failed", live)
 	}
@@ -417,7 +423,7 @@ func TestTimedOutNewSessionReleasesSlot(t *testing.T) {
 // TestTimedOutNewSessionFreesSlotAtOnce: a new-session that exceeds its
 // budget ends its start there and then, so the node's only slot is free
 // for the very next new-session — without waiting out the abandoned
-// start's WAN stage, which still runs on.
+// start's WAN stage, which the timeout cancelled.
 func TestTimedOutNewSessionFreesSlotAtOnce(t *testing.T) {
 	srv := NewServer(1)
 	l := NewLocal(srv)
