@@ -32,18 +32,14 @@ func (f *gridFabric) Nodes() []string { return f.g.computeNodes() }
 
 // NodeLoad is the balancer's hotspot signal for one node: the last
 // value of the TSDB's node.predicted_load series, which the scrape loop
-// copies from the monitor's forecast. ok is false until that series
-// exists.
+// copies from the monitor's forecast, read through the node's own
+// series handle. ok is false until that series holds a sample.
 func (f *gridFabric) NodeLoad(node string) (float64, bool) {
 	n := f.g.nodes[node]
 	if n == nil || n.crashed || n.gk == nil {
 		return 0, false
 	}
-	s := f.g.telemetry.DB().Lookup("node.predicted_load{node=" + node + "}")
-	if s == nil || s.Len() == 0 {
-		return 0, false
-	}
-	return s.Last().V, true
+	return n.PredictedLoad()
 }
 
 // Sessions lists the node's movable sessions, lowest eviction priority
@@ -106,6 +102,7 @@ func (g *Grid) StartBalancer(cfg BalancerConfig) (*placement.Balancer, error) {
 	if !g.telemetry.Enabled() || g.monitor == nil || !g.monitor.running {
 		return nil, errors.New("core: balancer needs telemetry enabled and a running monitor")
 	}
+	g.telemetry.Want("node.predicted_load")
 	fab := &gridFabric{g: g, placer: cfg.Placer}
 	b, err := placement.NewBalancer(g.k, fab, cfg.BalancerConfig)
 	if err != nil {

@@ -50,8 +50,9 @@ type Grid struct {
 	recorder *obs.FlightRecorder
 
 	telemetry     *telemetry.Collector
-	stagingSeries *stagingSeries // telemetry handles, resolved on the first scrape
-	gisSeries     *gisSeries     // likewise
+	families      *scrapeFamilies // the scrape sources' series families
+	stagingSeries *stagingSeries  // telemetry handles, resolved on the first scrape
+	gisSeries     *gisSeries      // likewise
 	monitor       *Monitor
 	supervisors   []*Supervisor
 	chunks        *chunk.Plane
@@ -289,6 +290,17 @@ func (n *Node) Slots() int { return n.capacity - len(n.incs) }
 
 // Crashed reports whether the node is currently failed-stop.
 func (n *Node) Crashed() bool { return n.crashed }
+
+// PredictedLoad returns the last sample of the node's
+// node.predicted_load telemetry series, which the scrape copies from
+// the monitor's forecast. ok is false until that series holds a sample,
+// which needs a running monitor and a Collector.Want of the name.
+func (n *Node) PredictedLoad() (float64, bool) {
+	if n.series == nil {
+		return 0, false
+	}
+	return n.series.predicted.Last()
+}
 
 // advertise refreshes the node's VM-future record: what it is willing
 // to instantiate right now, and its load — the monitor's forecast when

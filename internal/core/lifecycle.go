@@ -84,8 +84,9 @@ func (s *Session) opErr(o *op) error {
 // Shutdown ends the session: the VM powers off, the session's files
 // leave the node's store, the address returns to the pool, and the
 // registry entry disappears. A persistent disk stays in the node's
-// store (it is the user's state). The op in flight is cancelled: a
-// start ends and CreateSession's done gets ErrBadSession.
+// store (it is the user's state). A supervised session's checkpoint
+// slots leave the stable node. The op in flight is cancelled: a start
+// ends and CreateSession's done gets ErrBadSession.
 func (s *Session) Shutdown() {
 	if s.state == StateDead {
 		return
@@ -96,6 +97,9 @@ func (s *Session) Shutdown() {
 	if in != nil {
 		in.stop()
 		s.dropNodeFiles(in.node)
+	}
+	if c := s.charge; c != nil {
+		c.dropCheckpoints()
 	}
 	s.grid.info.Deregister(gis.KindVM, s.name)
 	if in != nil {

@@ -161,6 +161,18 @@ func (c *charge) ckptFile(slot int, ext string) string {
 	return fmt.Sprintf("%s.ckpt%d%s", c.s.name, slot, ext)
 }
 
+// dropCheckpoints drops both checkpoint slots from the stable node
+// unless it crashed (as dropNodeFiles spares a crashed node's store).
+func (c *charge) dropCheckpoints() {
+	stable := c.sup.g.nodes[c.sup.cfg.StableNode]
+	if stable.crashed {
+		return
+	}
+	for slot := 0; slot < 2; slot++ {
+		dropFiles(stable.store, c.ckptFile(slot, ".mem"), c.ckptFile(slot, ".cow"))
+	}
+}
+
 // Supervisor gives sessions a heartbeat lease in the information
 // service (soft state as the failure detector), periodic memory-image
 // checkpoints to stable storage, and automatic re-instantiation on a
@@ -260,10 +272,11 @@ func (sup *Supervisor) Run(s *Session, w guest.Workload, done func(guest.TaskRes
 }
 
 // Release ends supervision without ending the session: lease renewals
-// and checkpoints stop and the lease lapses naturally. A charge with
-// zombies keeps its heartbeat sweep until the last one is fenced, so a
-// marooned incarnation still gives its slot and address back once its
-// host answers again.
+// and checkpoints stop and the lease lapses naturally. The checkpoint
+// slots stay on the stable node. A charge with zombies keeps its
+// heartbeat sweep until the last one is fenced, so a marooned
+// incarnation still gives its slot and address back once its host
+// answers again.
 func (sup *Supervisor) Release(s *Session) {
 	c := s.charge
 	if c == nil || c.sup != sup {
@@ -814,4 +827,5 @@ func (sup *Supervisor) giveUp(c *charge) {
 	}
 	sup.Release(s)
 	s.Shutdown()
+	c.dropCheckpoints()
 }

@@ -395,3 +395,59 @@ func TestAdoptRefusesSecondSupervisor(t *testing.T) {
 		t.Errorf("adopt after release: %v", err)
 	}
 }
+
+// TestShutdownDropsCheckpoints: Shutdown of a supervised session takes
+// its checkpoint slots off the stable node, whether it lands between
+// checkpoints or while one is staging into the spare slot; Release
+// alone keeps them.
+func TestShutdownDropsCheckpoints(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		staging bool // shut down once a checkpoint stage has begun
+		release bool // Release instead of Shutdown
+	}{
+		{name: "between-checkpoints"},
+		{name: "mid-checkpoint", staging: true},
+		{name: "release", release: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := testbed(t)
+			s := startSession(t, g, baseConfig())
+			sup := superviseSession(t, g, s, SupervisorConfig{CheckpointInterval: 30 * sim.Second})
+			if err := sup.Run(s, guest.MicroTask(6000), nil); err != nil {
+				t.Fatal(err)
+			}
+			k := g.Kernel()
+			data := g.Node("data")
+			_ = k.RunFor(95 * sim.Second)
+			if tc.staging {
+				// Step until the next checkpoint has suspended the VM
+				// and is staging its image into the spare slot.
+				staging := func() bool { return s.op.is(opCheckpoint) && s.cur.vm.State() == vmm.StateSuspended }
+				for i := 0; i < 10000 && !staging(); i++ {
+					_ = k.RunFor(10 * sim.Millisecond)
+				}
+				if !staging() {
+					t.Fatal("no checkpoint staging to shut down during")
+				}
+			}
+			if got := left(s, data); len(got) == 0 {
+				t.Fatal("no checkpoint on the stable node before the Shutdown")
+			}
+			if tc.release {
+				sup.Release(s)
+			} else {
+				s.Shutdown()
+			}
+			_ = k.RunUntil(k.Now().Add(10 * sim.Minute))
+			got := left(s, data)
+			if tc.release && len(got) == 0 {
+				t.Error("Release dropped the checkpoint slots")
+			}
+			if !tc.release && len(got) != 0 {
+				t.Errorf("data lists %v 10 min after Shutdown, want no checkpoint", got)
+			}
+			checkNoLeaks(t, g)
+		})
+	}
+}

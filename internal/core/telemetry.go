@@ -17,6 +17,8 @@ import (
 // standard SLO rules (see DefaultAlertRules) are installed, and alert
 // firings are mirrored into GIS soft state as KindAlert entries so
 // middleware discovers SLO violations the way it discovers hosts.
+// Only the families someone reads are scraped: the rules' series, what
+// callers declare with Collector.Want, or everything after WantAll.
 //
 // Call EnableTelemetry after SetTracer (the tracer registry is captured
 // here); supervisors and the monitor may be created before or after.
@@ -32,6 +34,7 @@ func (g *Grid) EnableTelemetry() (*telemetry.Collector, error) {
 		return nil, err
 	}
 	g.telemetry = col
+	g.families = newScrapeFamilies(col)
 
 	col.AddSource(g.scrapeNodes)
 	col.AddSource(g.scrapeSessions)
@@ -111,6 +114,39 @@ func (g *Grid) NodeNames() []string {
 // the caller's.
 func (g *Grid) LiveSessions() []*Session { return slices.Clone(g.live) }
 
+// scrapeFamilies are the series families the grid's sources record,
+// resolved once. Each source asks its families once per scrape whether
+// anyone reads them — a rule, a Collector.Want, an export — and
+// computes and records only those.
+type scrapeFamilies struct {
+	crashed, runnable, load, slots, predicted   telemetry.Family
+	slowdown, hitRate, retries, transportErrors telemetry.Family
+	leaseAge, epoch                             telemetry.Family
+	hits, misses, saved                         telemetry.Family
+	lag, minority                               telemetry.Family
+}
+
+func newScrapeFamilies(col *telemetry.Collector) *scrapeFamilies {
+	return &scrapeFamilies{
+		crashed:         col.Family("node.crashed"),
+		runnable:        col.Family("node.runnable"),
+		load:            col.Family("node.load"),
+		slots:           col.Family("node.slots"),
+		predicted:       col.Family("node.predicted_load"),
+		slowdown:        col.Family("session.slowdown"),
+		hitRate:         col.Family("vfs.hit_rate"),
+		retries:         col.Family("vfs.retries"),
+		transportErrors: col.Family("vfs.transport_errors"),
+		leaseAge:        col.Family("lease.age"),
+		epoch:           col.Family("session.epoch"),
+		hits:            col.Family("staging.chunk.hits"),
+		misses:          col.Family("staging.chunk.misses"),
+		saved:           col.Family("staging.bytes_saved"),
+		lag:             col.Family("gis.replica.lag"),
+		minority:        col.Family("gis.minority_writes"),
+	}
+}
+
 // The scrape sources record through series handles held by what they
 // describe: a node's, a live session's, and a supervised charge's
 // handles are resolved on its first scrape and kept for its lifetime,
@@ -141,6 +177,12 @@ type gisSeries struct {
 }
 
 func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
+	f := g.families
+	crashed, runnable, load := f.crashed.Wanted(), f.runnable.Wanted(), f.load.Wanted()
+	slots, predicted := f.slots.Wanted(), f.predicted.Wanted()
+	if !crashed && !runnable && !load && !slots && !predicted {
+		return
+	}
 	for _, n := range g.order {
 		ts := n.series
 		if ts == nil {
@@ -154,24 +196,39 @@ func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
 			}
 			n.series = ts
 		}
-		crashed := 0.0
-		if n.crashed {
-			crashed = 1
+		if crashed {
+			v := 0.0
+			if n.crashed {
+				v = 1
+			}
+			r.Put(ts.crashed, v)
 		}
-		r.Put(ts.crashed, crashed)
 		if n.crashed {
 			continue
 		}
-		r.Put(ts.runnable, float64(n.host.Runnable()))
-		r.Put(ts.load, n.host.LoadAverage())
-		r.Put(ts.slots, float64(n.Slots()))
-		if n.forecast != nil {
+		if runnable {
+			r.Put(ts.runnable, float64(n.host.Runnable()))
+		}
+		if load {
+			r.Put(ts.load, n.host.LoadAverage())
+		}
+		if slots {
+			r.Put(ts.slots, float64(n.Slots()))
+		}
+		if predicted && n.forecast != nil {
 			r.Put(ts.predicted, n.forecast.current())
 		}
 	}
 }
 
 func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
+	f := g.families
+	slowdown, hitRate := f.slowdown.Wanted(), f.hitRate.Wanted()
+	retries, transportErrors := f.retries.Wanted(), f.transportErrors.Wanted()
+	counters := hitRate || retries || transportErrors
+	if !slowdown && !counters {
+		return
+	}
 	for _, s := range g.live {
 		ts := s.series
 		if ts == nil {
@@ -184,20 +241,32 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 			}
 			s.series = ts
 		}
-		u := s.Usage()
-		if u.GuestUserSeconds > 0 {
-			r.Put(ts.slowdown, u.CPUSeconds/u.GuestUserSeconds)
+		if slowdown {
+			if u := s.Usage(); u.GuestUserSeconds > 0 {
+				r.Put(ts.slowdown, u.CPUSeconds/u.GuestUserSeconds)
+			}
+		}
+		if !counters {
+			continue
 		}
 		v := s.VFSCounters()
-		if rate, ok := v.HitRate(); ok {
+		if rate, ok := v.HitRate(); ok && hitRate {
 			r.Put(ts.hitRate, rate)
 		}
-		r.Put(ts.retries, float64(v.Retries))
-		r.Put(ts.transportErrors, float64(v.TransportErrors))
+		if retries {
+			r.Put(ts.retries, float64(v.Retries))
+		}
+		if transportErrors {
+			r.Put(ts.transportErrors, float64(v.TransportErrors))
+		}
 	}
 }
 
 func (g *Grid) scrapeLeases(r *telemetry.Recorder) {
+	age, epoch := g.families.leaseAge.Wanted(), g.families.epoch.Wanted()
+	if !age && !epoch {
+		return
+	}
 	for _, sup := range g.supervisors {
 		for _, c := range sup.charges {
 			if c.lastRenew < 0 {
@@ -209,8 +278,12 @@ func (g *Grid) scrapeLeases(r *telemetry.Recorder) {
 				ts = &leaseSeries{age: r.Handle("lease.age", lbl), epoch: r.Handle("session.epoch", lbl)}
 				c.series = ts
 			}
-			r.Put(ts.age, r.At().Sub(c.lastRenew).Seconds())
-			r.Put(ts.epoch, float64(c.s.epoch))
+			if age {
+				r.Put(ts.age, r.At().Sub(c.lastRenew).Seconds())
+			}
+			if epoch {
+				r.Put(ts.epoch, float64(c.s.epoch))
+			}
 		}
 	}
 }
@@ -223,6 +296,11 @@ func (g *Grid) scrapeStaging(r *telemetry.Recorder) {
 	if g.chunks == nil {
 		return
 	}
+	f := g.families
+	hits, misses, saved := f.hits.Wanted(), f.misses.Wanted(), f.saved.Wanted()
+	if !hits && !misses && !saved {
+		return
+	}
 	ts := g.stagingSeries
 	if ts == nil {
 		ts = &stagingSeries{
@@ -233,9 +311,15 @@ func (g *Grid) scrapeStaging(r *telemetry.Recorder) {
 		g.stagingSeries = ts
 	}
 	st := g.chunks.Stats()
-	r.Put(ts.hits, float64(st.Hits))
-	r.Put(ts.misses, float64(st.Misses))
-	r.Put(ts.saved, float64(st.BytesSaved))
+	if hits {
+		r.Put(ts.hits, float64(st.Hits))
+	}
+	if misses {
+		r.Put(ts.misses, float64(st.Misses))
+	}
+	if saved {
+		r.Put(ts.saved, float64(st.BytesSaved))
+	}
 }
 
 // scrapeGIS records replication health when the registry is clustered:
@@ -247,6 +331,10 @@ func (g *Grid) scrapeGIS(r *telemetry.Recorder) {
 	if cl == nil {
 		return
 	}
+	lag, minority := g.families.lag.Wanted(), g.families.minority.Wanted()
+	if !lag && !minority {
+		return
+	}
 	ts := g.gisSeries
 	if ts == nil {
 		ts = &gisSeries{minority: r.Handle("gis.minority_writes")}
@@ -255,8 +343,12 @@ func (g *Grid) scrapeGIS(r *telemetry.Recorder) {
 		}
 		g.gisSeries = ts
 	}
-	for i, h := range ts.lag {
-		r.Put(h, cl.Lag(i).Seconds())
+	if lag {
+		for i, h := range ts.lag {
+			r.Put(h, cl.Lag(i).Seconds())
+		}
 	}
-	r.Put(ts.minority, float64(cl.MinorityWrites()))
+	if minority {
+		r.Put(ts.minority, float64(cl.MinorityWrites()))
+	}
 }

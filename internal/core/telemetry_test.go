@@ -166,6 +166,9 @@ func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both stores keep every series, as an export does.
+	col.WantAll()
+	ref.WantAll()
 	for _, src := range keyedScrapes(g, g.tracer.Metrics()) {
 		ref.AddSource(src)
 	}
@@ -267,6 +270,7 @@ func TestScrapeNodesZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	col.WantAll() // every family scraped and bound
 	var rec *telemetry.Recorder
 	col.AddSource(func(r *telemetry.Recorder) { rec = r })
 	if _, err := g.StartMonitor(); err != nil {

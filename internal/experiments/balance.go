@@ -159,6 +159,7 @@ func balanceRun(seed uint64, placer placement.Placer, balance bool) (balanceArm,
 	if err != nil {
 		return arm, err
 	}
+	col.Want("node.load") // the spread below
 	col.Start()
 	computes := []string{"c1", "c2", "c3"}
 	if err := tb.lan(

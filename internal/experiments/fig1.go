@@ -254,6 +254,7 @@ func newFig1Testbed(cfg Fig1Config, baseline float64, seed uint64, load trace.Cl
 		if err := tb.col.AddRule("slowdown", "mean(task.slowdown, 30s) > 1.10 for 30s"); err != nil {
 			return nil, err
 		}
+		tb.col.WantAll() // the scenario is exported whole
 		tb.col.Start()
 	}
 	h, err := hostos.New(k, hw.ReferenceMachine("phys"))

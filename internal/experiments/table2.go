@@ -151,6 +151,7 @@ func newTable2Testbed(seed uint64, mode vmm.StartMode, disk core.DiskPolicy, acc
 		if err := g.DefaultAlertRules(); err != nil {
 			return nil, err
 		}
+		tb.col.WantAll() // the sample is exported whole
 		// Self-tick once per simulated second until the session-ready
 		// callback below takes the final scrape and stops the clock.
 		tb.col.Start()

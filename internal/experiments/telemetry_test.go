@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"vmgrid/internal/core"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/telemetry"
 )
@@ -105,4 +108,54 @@ func TestRecoveryLeaseAlertsTrackCrashes(t *testing.T) {
 		return // one crashing schedule is enough
 	}
 	t.Fatal("no seed in 1..4 produced a crash; fault injection inert")
+}
+
+// TestAblationSeriesOnlyWhatIsRead pins what the G, H and I ablations
+// store: only the series someone reads. G and H arm the four standard
+// rules, so their stores hold exactly the rules' families; I has no
+// rules, and stores only the balancer's node.predicted_load and the
+// spread's node.load. A source family that came back on unread would
+// change these counts.
+func TestAblationSeriesOnlyWhatIsRead(t *testing.T) {
+	for _, tc := range []struct {
+		exp  string
+		want map[string]int // series per family, over every run at -samples 1
+	}{
+		// Eight runs, one session each; no registry is replicated.
+		{"ablation-recovery", map[string]int{"lease.age": 8, "session.slowdown": 8, "vfs.retries": 8}},
+		// Six runs, one session and one replicated registry each.
+		{"ablation-partition", map[string]int{
+			"gis.minority_writes": 6, "lease.age": 6, "session.slowdown": 6, "vfs.retries": 6}},
+		// Six runs of five nodes; three run the balancer over three
+		// compute nodes.
+		{"ablation-balance", map[string]int{"node.load": 30, "node.predicted_load": 9}},
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			var mu sync.Mutex
+			var grids []*core.Grid
+			testbedMade = func(g *core.Grid) {
+				mu.Lock()
+				grids = append(grids, g)
+				mu.Unlock()
+			}
+			defer func() { testbedMade = nil }()
+			e, ok := Lookup(tc.exp)
+			if !ok {
+				t.Fatalf("no experiment %q", tc.exp)
+			}
+			if _, _, err := e.Run(Ctx{Seed: 1, Samples: 1, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int{}
+			for _, g := range grids {
+				db := g.Telemetry().DB()
+				for _, key := range db.Keys() {
+					got[db.Lookup(key).Name()]++
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("series per family %v, want %v", got, tc.want)
+			}
+		})
+	}
 }

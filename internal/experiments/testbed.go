@@ -43,8 +43,16 @@ type testbed struct {
 // enabled between this and lan.
 func newTestbed(seed uint64) *testbed {
 	g := core.NewGrid(seed)
+	if testbedMade != nil {
+		testbedMade(g)
+	}
 	return &testbed{g: g, k: g.Kernel()}
 }
+
+// testbedMade, when set, sees every grid newTestbed creates, so a test
+// can inspect what a run left in it (its telemetry store). Runs may
+// call it from several goroutines at once.
+var testbedMade func(*core.Grid)
 
 // lan attaches nodes in order and joins them on one LAN.
 func (tb *testbed) lan(nodes ...core.NodeConfig) error {

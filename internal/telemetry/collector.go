@@ -96,6 +96,10 @@ type Collector struct {
 	tickFn     func() // tick, bound once so rearming allocates nothing
 	scrapes    int
 	lastScrape sim.Time
+
+	// Wants made once scraping has started, applied by the next scrape.
+	pending    []string
+	pendingAll bool
 }
 
 // NewCollector creates an enabled collector on the kernel's clock. A
@@ -106,7 +110,7 @@ func NewCollector(k *sim.Kernel, tr *obs.Tracer) (*Collector, error) {
 	if k == nil {
 		return nil, fmt.Errorf("telemetry: collector without a kernel")
 	}
-	db := NewDB()
+	db := newDB(false)
 	c := &Collector{k: k, trace: tr, db: db, rec: Recorder{db: db}, lastScrape: -1}
 	c.tickFn = c.tick
 	c.engine = newEngine(c)
@@ -130,6 +134,55 @@ func (c *Collector) Scrapes() int {
 		return 0
 	}
 	return c.scrapes
+}
+
+// Want declares a reader of the series family name: from then on its
+// samples are kept. A collector keeps only the families someone wants —
+// a rule's series (AddRule declares it), a name a code reader calls
+// Want for, or everything after WantAll — so a series no one reads is
+// never born. A Want made after scraping has started takes effect at
+// the next scrape, so a family's series all start at a scrape instant.
+func (c *Collector) Want(name string) {
+	if c == nil {
+		return
+	}
+	if c.scrapes == 0 {
+		c.db.want(name)
+		return
+	}
+	c.pending = append(c.pending, name)
+}
+
+// WantAll declares a reader of every series — an export, which lists
+// the whole store. It takes effect as Want does.
+func (c *Collector) WantAll() {
+	if c == nil {
+		return
+	}
+	if c.scrapes == 0 {
+		c.db.wantAll()
+		return
+	}
+	c.pendingAll = true
+}
+
+// Family is one series name resolved once, for a source that asks on
+// every scrape whether anyone reads it (a pointer load, not a lookup).
+// The zero Family is never wanted.
+type Family struct{ f *family }
+
+// Wanted reports whether anyone reads the family. A source asks once
+// per family per scrape and computes nothing for a family no one
+// wants: its samples would be dropped anyway.
+func (f Family) Wanted() bool { return f.f != nil && f.f.wanted }
+
+// Family resolves the series family name (the zero Family on a nil
+// collector).
+func (c *Collector) Family(name string) Family {
+	if c == nil {
+		return Family{}
+	}
+	return Family{c.db.family(name)}
 }
 
 // AddSource registers a scrape callback. Sources run in registration
@@ -190,6 +243,14 @@ func (c *Collector) Scrape() {
 	}
 	c.scrapes++
 	c.lastScrape = now
+	if c.pendingAll {
+		c.db.wantAll()
+		c.pendingAll = false
+	}
+	for _, name := range c.pending {
+		c.db.want(name)
+	}
+	c.pending = c.pending[:0]
 	r := &c.rec
 	r.at = now
 	for _, src := range c.sources {
@@ -243,8 +304,8 @@ func (c *Collector) tick() {
 }
 
 // AddRule parses and registers an alert rule (see the package grammar
-// in rules.go). Rules evaluate after every scrape in registration
-// order.
+// in rules.go) and declares its series name wanted. Rules evaluate
+// after every scrape in registration order.
 func (c *Collector) AddRule(name, expr string) error {
 	if c == nil {
 		return fmt.Errorf("telemetry: add rule %q on nil collector", name)

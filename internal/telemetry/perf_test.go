@@ -126,12 +126,22 @@ func TestEvalZeroAllocs(t *testing.T) {
 // grid-sized store — 8 nodes, 16 sessions, 3 GIS replicas, full rings —
 // with the four standard alert rules armed. Eight sessions run slow and
 // four hold a stale lease, so each round re-evaluates twelve firing
-// alerts beside the quiet series.
+// alerts beside the quiet series. The export case keeps every series,
+// as an export does; readers-only keeps just the rules' series, so the
+// source skips the families no one reads.
 func BenchmarkCollectorScrape(b *testing.B) {
+	b.Run("export", func(b *testing.B) { benchCollectorScrape(b, true) })
+	b.Run("readers-only", func(b *testing.B) { benchCollectorScrape(b, false) })
+}
+
+func benchCollectorScrape(b *testing.B, export bool) {
 	k := sim.NewKernel(1)
 	c, err := NewCollector(k, nil)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if export {
+		c.WantAll()
 	}
 	nodes := []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}
 	sessions := make([]string, 16)
@@ -139,16 +149,41 @@ func BenchmarkCollectorScrape(b *testing.B) {
 		sessions[i] = "s" + string(rune('a'+i))
 	}
 	replicas := []string{"g0", "g1", "g2"}
+	// The source asks once per family per scrape, as the grid's do.
+	fam := func(names ...string) []Family {
+		out := make([]Family, len(names))
+		for i, n := range names {
+			out[i] = c.Family(n)
+		}
+		return out
+	}
+	nodeFams := fam("node.crashed", "node.runnable", "node.load", "node.slots", "node.predicted_load")
+	sessFams := fam("session.slowdown", "vfs.hit_rate", "vfs.retries", "vfs.transport_errors", "lease.age", "session.epoch")
+	gisFams := fam("gis.replica.lag", "gis.minority_writes")
 	c.AddSource(func(r *Recorder) {
 		x := r.At().Seconds()
+		crashed, runnable, load := nodeFams[0].Wanted(), nodeFams[1].Wanted(), nodeFams[2].Wanted()
+		slots, predicted := nodeFams[3].Wanted(), nodeFams[4].Wanted()
 		for i, n := range nodes {
 			lbl := L("node", n)
-			r.Record("node.crashed", 0, lbl)
-			r.Record("node.runnable", float64(i%3), lbl)
-			r.Record("node.load", 0.5+float64(i)/8, lbl)
-			r.Record("node.slots", 2, lbl)
-			r.Record("node.predicted_load", 0.4+float64(i)/8, lbl)
+			if crashed {
+				r.Record("node.crashed", 0, lbl)
+			}
+			if runnable {
+				r.Record("node.runnable", float64(i%3), lbl)
+			}
+			if load {
+				r.Record("node.load", 0.5+float64(i)/8, lbl)
+			}
+			if slots {
+				r.Record("node.slots", 2, lbl)
+			}
+			if predicted {
+				r.Record("node.predicted_load", 0.4+float64(i)/8, lbl)
+			}
 		}
+		slow, hitRate, retries := sessFams[0].Wanted(), sessFams[1].Wanted(), sessFams[2].Wanted()
+		errs, age, epoch := sessFams[3].Wanted(), sessFams[4].Wanted(), sessFams[5].Wanted()
 		for i, s := range sessions {
 			lbl := L("sess", s)
 			slowdown, leaseAge := 1.05, 1.0
@@ -158,17 +193,33 @@ func BenchmarkCollectorScrape(b *testing.B) {
 			if i >= 12 {
 				leaseAge = 5
 			}
-			r.Record("session.slowdown", slowdown, lbl)
-			r.Record("vfs.hit_rate", 0.9, lbl)
-			r.Record("vfs.retries", x, lbl)
-			r.Record("vfs.transport_errors", 0, lbl)
-			r.Record("lease.age", leaseAge, lbl)
-			r.Record("session.epoch", 1, lbl)
+			if slow {
+				r.Record("session.slowdown", slowdown, lbl)
+			}
+			if hitRate {
+				r.Record("vfs.hit_rate", 0.9, lbl)
+			}
+			if retries {
+				r.Record("vfs.retries", x, lbl)
+			}
+			if errs {
+				r.Record("vfs.transport_errors", 0, lbl)
+			}
+			if age {
+				r.Record("lease.age", leaseAge, lbl)
+			}
+			if epoch {
+				r.Record("session.epoch", 1, lbl)
+			}
 		}
-		for _, g := range replicas {
-			r.Record("gis.replica.lag", 0, L("replica", g))
+		if gisFams[0].Wanted() {
+			for _, g := range replicas {
+				r.Record("gis.replica.lag", 0, L("replica", g))
+			}
 		}
-		r.Record("gis.minority_writes", 0)
+		if gisFams[1].Wanted() {
+			r.Record("gis.minority_writes", 0)
+		}
 	})
 	for _, r := range []struct{ name, expr string }{
 		{"slowdown", "mean(session.slowdown, 30s) > 1.10 for 30s"},
@@ -201,6 +252,13 @@ func BenchmarkCollectorScrape(b *testing.B) {
 	}
 	if len(active) != len(want) {
 		b.Fatalf("%d alerts firing after warm-up, want %d", len(active), len(want))
+	}
+	series := 8*5 + 16*6 + 3 + 1
+	if !export {
+		series = 16*3 + 1 // session.slowdown, lease.age, vfs.retries, gis.minority_writes
+	}
+	if n := c.DB().Len(); n != series {
+		b.Fatalf("%d series after warm-up, want %d", n, series)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

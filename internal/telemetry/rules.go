@@ -50,8 +50,8 @@ const (
 // defaultRateWindow is the rate() window when the rule names none.
 const defaultRateWindow = 10 * sim.Second
 
-// rule is one parsed alert rule, with the state machine of every
-// series it currently holds pending or firing.
+// rule is one parsed alert rule, with the series it selects and the
+// state machine of every series it currently holds pending or firing.
 type rule struct {
 	name      string
 	expr      string
@@ -63,7 +63,25 @@ type rule struct {
 	threshold float64
 	forDur    sim.Duration
 
+	// bound holds every series the selector matches, in canonical-key
+	// order: DB.create appends each one as it is born. late holds those
+	// born while the rule's own pass runs (by a hook), which join bound
+	// when the pass ends, so the pass never sees a series it did not
+	// start with.
+	bound   []*Series
+	late    []*Series
+	walking bool
+
 	states map[*Series]*alertState
+}
+
+// bind adds a newly created series to the rule's selection.
+func (r *rule) bind(s *Series) {
+	if r.walking {
+		r.late = append(r.late, s)
+		return
+	}
+	r.bound = insertByKey(r.bound, s)
 }
 
 // RuleInfo describes a registered rule.
@@ -100,7 +118,6 @@ type Engine struct {
 	firings   []Firing
 	onFire    []func(Firing)
 	onResolve []func(Firing)
-	matched   []*Series // reused per-rule selection
 }
 
 func newEngine(c *Collector) *Engine {
@@ -123,6 +140,8 @@ func (e *Engine) addRule(name, expr string) error {
 	r.name = name
 	r.states = make(map[*Series]*alertState)
 	e.rules = append(e.rules, r)
+	e.c.db.bindRule(r)
+	e.c.Want(r.series)
 	return nil
 }
 
@@ -134,33 +153,43 @@ func (e *Engine) rulesInfo() []RuleInfo {
 	return out
 }
 
-// eval runs every rule against the current store contents.
+// eval runs every rule against the series bound to it.
 func (e *Engine) eval(now sim.Time) {
 	for _, r := range e.rules {
-		// Select into a reused buffer: hooks run mid-loop and may
-		// create series, which must not shift the slice being walked.
-		e.matched = e.c.db.appendSelect(e.matched[:0], r.series, r.sub)
-		for _, s := range e.matched {
-			v, ok := r.value(s, now)
-			if !ok || !compare(v, r.cmp, r.threshold) {
-				e.clear(r, s, now)
-				continue
-			}
-			st := r.states[s]
-			if st == nil {
-				st = &alertState{}
-				r.states[s] = st
-			}
-			if st.firing {
-				continue
-			}
-			if !st.pending {
-				st.pending, st.pendingSince = true, now
-			}
-			if now.Sub(st.pendingSince) >= r.forDur {
-				e.fire(r, s, st, now, v)
-			}
+		// Hooks run mid-loop and may create series; while walking, the
+		// rule parks its new ones in late, so bound does not shift.
+		r.walking = true
+		for _, s := range r.bound {
+			e.evalSeries(r, s, now)
 		}
+		r.walking = false
+		for _, s := range r.late {
+			r.bound = insertByKey(r.bound, s)
+		}
+		r.late = r.late[:0]
+	}
+}
+
+// evalSeries steps one (rule, series) state machine.
+func (e *Engine) evalSeries(r *rule, s *Series, now sim.Time) {
+	v, ok := r.value(s, now)
+	if !ok || !compare(v, r.cmp, r.threshold) {
+		e.clear(r, s, now)
+		return
+	}
+	st := r.states[s]
+	if st == nil {
+		st = &alertState{}
+		r.states[s] = st
+	}
+	if st.firing {
+		return
+	}
+	if !st.pending {
+		st.pending, st.pendingSince = true, now
+	}
+	if now.Sub(st.pendingSince) >= r.forDur {
+		e.fire(r, s, st, now, v)
 	}
 }
 

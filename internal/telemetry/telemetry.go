@@ -15,6 +15,19 @@
 // ring's samples are sorted by At oldest-first. Windowed reads rely on
 // this and find a window's start by binary search.
 //
+// A series exists only if someone reads it. Readers declare the
+// families (series names) they read: AddRule declares its rule's name,
+// a code reader calls Collector.Want, and an export calls WantAll. A
+// source asks once per family per scrape whether the family is wanted
+// and computes nothing for one that is not; a write to an unwanted name
+// is dropped before any series is born.
+//
+// Rules are bound to their series once, when the series is born:
+// DB.create, the one place a series is created, appends it to every
+// rule whose name and label subset it matches, keeping each rule's
+// list in canonical-key order, so evaluation walks those lists instead
+// of re-selecting on every scrape.
+//
 // Alert state lives with the rule and the series it watches: each rule
 // keeps the pending/firing state machine of every series it currently
 // holds pending or firing in a table keyed by *Series, so evaluating a
@@ -235,39 +248,95 @@ func (s *Series) Rate(since sim.Time) float64 {
 // write and hold at most the configured history per series. Canonical
 // keys are interned: the observe path renders the key into a reused
 // scratch buffer and resolves the series through a zero-copy map
-// lookup, so recording to an existing series allocates nothing. Each
-// name's series are also indexed in canonical-key order, so Select
-// walks one name's series instead of sorting every key.
+// lookup, so recording to an existing series allocates nothing.
+//
+// Series are grouped by name into families. A family records whether
+// anyone reads it, its series in canonical-key order (so Select walks
+// one name's series instead of sorting every key), and the rules that
+// select it. A write to a family no one wants is dropped before a
+// series is born, and create binds each new series to its rules.
 type DB struct {
 	series   map[string]*Series
-	byName   map[string][]*Series // per name, in canonical-key order
-	keyBuf   []byte               // scratch for canonical-key rendering
-	labelBuf []Label              // scratch for sorting unsorted label sets
+	fams     map[string]*family
+	all      bool    // every family is wanted: an export, or a bare store
+	keyBuf   []byte  // scratch for canonical-key rendering
+	labelBuf []Label // scratch for sorting unsorted label sets
+}
+
+// family is one series name's readers and series.
+type family struct {
+	wanted bool
+	series []*Series // in canonical-key order
+	rules  []*rule   // rules selecting this name, in registration order
 }
 
 // seriesHistory is how many samples each series keeps.
 const seriesHistory = 512
 
-// NewDB creates a store keeping seriesHistory samples per series.
-func NewDB() *DB {
-	return &DB{series: make(map[string]*Series), byName: make(map[string][]*Series)}
+// NewDB creates a store keeping seriesHistory samples per series. A
+// bare store keeps every series written to it; a Collector's store
+// keeps only the families its readers want (see Collector.Want).
+func NewDB() *DB { return newDB(true) }
+
+func newDB(all bool) *DB {
+	return &DB{series: make(map[string]*Series), fams: make(map[string]*family), all: all}
+}
+
+// family returns the family of name, creating it on first use.
+func (db *DB) family(name string) *family {
+	f := db.fams[name]
+	if f == nil {
+		f = &family{wanted: db.all}
+		db.fams[name] = f
+	}
+	return f
+}
+
+// wants reports whether samples of name are kept.
+func (db *DB) wants(name string) bool {
+	if f := db.fams[name]; f != nil {
+		return f.wanted
+	}
+	return db.all
+}
+
+// want marks name's family wanted.
+func (db *DB) want(name string) { db.family(name).wanted = true }
+
+// wantAll marks every family, present and future, wanted.
+func (db *DB) wantAll() {
+	db.all = true
+	for _, f := range db.fams {
+		f.wanted = true
+	}
 }
 
 // create interns a new series under key, copying labels (already
-// sorted) so callers' label slices are never retained.
-func (db *DB) create(name, key string, labels []Label) *Series {
+// sorted) so callers' label slices are never retained. It is the one
+// place a series is born, so it is also where the series is bound to
+// every rule whose selector it matches.
+func (db *DB) create(f *family, name, key string, labels []Label) *Series {
 	s := &Series{name: name, key: key, data: make([]Point, seriesHistory)}
 	if len(labels) > 0 {
 		s.labels = append([]Label(nil), labels...)
 	}
 	db.series[key] = s
-	idx := db.byName[name]
-	i := sort.Search(len(idx), func(i int) bool { return idx[i].key > key })
+	f.series = insertByKey(f.series, s)
+	for _, r := range f.rules {
+		if labelsSubset(r.sub, s.labels) {
+			r.bind(s)
+		}
+	}
+	return s
+}
+
+// insertByKey inserts s into idx, which is in canonical-key order.
+func insertByKey(idx []*Series, s *Series) []*Series {
+	i := sort.Search(len(idx), func(i int) bool { return idx[i].key > s.key })
 	idx = append(idx, nil)
 	copy(idx[i+1:], idx[i:])
 	idx[i] = s
-	db.byName[name] = idx
-	return s
+	return idx
 }
 
 // labelsSorted reports whether ls is sorted by key — the manual loop
@@ -283,16 +352,20 @@ func labelsSorted(ls []Label) bool {
 }
 
 // Record appends a sample to the series for (name, labels), creating it
-// on first use. Labels are sorted by key before keying. Unlabeled
-// samples — the inline instrumentation hot path — resolve by name
-// directly; labeled samples render their canonical key into the scratch
-// buffer and intern it on first use. at must not precede the series'
-// newest sample.
+// on first use if name is wanted (a sample of an unwanted name is
+// dropped). Labels are sorted by key before keying. Unlabeled samples —
+// the inline instrumentation hot path — resolve by name directly;
+// labeled samples render their canonical key into the scratch buffer
+// and intern it on first use. at must not precede the series' newest
+// sample.
 func (db *DB) Record(at sim.Time, name string, labels []Label, v float64) {
 	if len(labels) == 0 {
 		s := db.series[name]
 		if s == nil {
-			s = db.create(name, name, nil)
+			if !db.wants(name) {
+				return
+			}
+			s = db.create(db.family(name), name, name, nil)
 		}
 		s.Add(at, v)
 		return
@@ -307,7 +380,10 @@ func (db *DB) Record(at sim.Time, name string, labels []Label, v float64) {
 	db.keyBuf = buf
 	s := db.series[string(buf)] // zero-copy lookup: the conversion does not escape
 	if s == nil {
-		s = db.create(name, string(buf), sorted)
+		if !db.wants(name) {
+			return
+		}
+		s = db.create(db.family(name), name, string(buf), sorted)
 	}
 	s.Add(at, v)
 }
@@ -315,21 +391,23 @@ func (db *DB) Record(at sim.Time, name string, labels []Label, v float64) {
 // Handle is one (name, labels) series identity resolved once, for
 // sources that record the same series scrape after scrape: recording
 // through it renders no key and hashes no string. The series is bound
-// lazily, on the handle's first sample, so holding a handle never
-// creates a series before a keyed Record would (exports list every
-// key). A handle belongs to the DB that made it.
+// lazily, on the handle's first sample of a wanted name, so holding a
+// handle never creates a series before a keyed Record would (exports
+// list every key), and a handle of a name no one wants never creates
+// one. A handle belongs to the DB that made it.
 type Handle struct {
 	db     *DB
+	fam    *family
 	name   string
 	key    string
 	labels []Label // sorted by key
-	s      *Series // nil until the first sample
+	s      *Series // nil until the first wanted sample
 }
 
 // handle resolves (name, labels) into a handle. The labels are copied
 // and sorted, as Record would key them.
 func (db *DB) handle(name string, labels ...Label) *Handle {
-	h := &Handle{db: db, name: name}
+	h := &Handle{db: db, fam: db.family(name), name: name}
 	if len(labels) > 0 {
 		h.labels = append([]Label(nil), labels...)
 		sortLabels(h.labels)
@@ -340,14 +418,27 @@ func (db *DB) handle(name string, labels ...Label) *Handle {
 
 // add appends a sample through the handle, binding its series — the
 // one a keyed Record of the same identity would reach — on first use.
+// A sample of an unwanted name costs the one test.
 func (h *Handle) add(at sim.Time, v float64) {
+	if !h.fam.wanted {
+		return
+	}
 	if h.s == nil {
 		h.s = h.db.series[h.key]
 		if h.s == nil {
-			h.s = h.db.create(h.name, h.key, h.labels)
+			h.s = h.db.create(h.fam, h.name, h.key, h.labels)
 		}
 	}
 	h.s.Add(at, v)
+}
+
+// Last returns the handle's most recent sample; ok is false until its
+// series holds one.
+func (h *Handle) Last() (v float64, ok bool) {
+	if h == nil || h.s == nil || h.s.n == 0 {
+		return 0, false
+	}
+	return h.s.Last().V, true
 }
 
 // Lookup returns the series with the exact canonical key, or nil.
@@ -376,12 +467,24 @@ func (db *DB) Select(name string, sub []Label) []*Series {
 // appendSelect is Select appending into dst, so a caller that reuses
 // dst selects without allocating.
 func (db *DB) appendSelect(dst []*Series, name string, sub []Label) []*Series {
-	for _, s := range db.byName[name] {
+	f := db.fams[name]
+	if f == nil {
+		return dst
+	}
+	for _, s := range f.series {
 		if labelsSubset(sub, s.labels) {
 			dst = append(dst, s)
 		}
 	}
 	return dst
+}
+
+// bindRule attaches r to its family: every existing series it selects
+// now, every later one as create makes it.
+func (db *DB) bindRule(r *rule) {
+	f := db.family(r.series)
+	f.rules = append(f.rules, r)
+	r.bound = db.appendSelect(r.bound[:0], r.series, r.sub)
 }
 
 // labelsSubset reports whether every label of sub appears in set.

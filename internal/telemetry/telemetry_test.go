@@ -156,6 +156,7 @@ func TestCollectorSelfTick(t *testing.T) {
 	c := newTestCollector(t, k, nil)
 	v := 0.0
 	c.AddSource(func(r *Recorder) { v++; r.Record("tick", v) })
+	c.Want("tick")
 	c.Start()
 	if err := k.RunUntil(sim.Time(0).Add(5*sim.Second + sim.Millisecond)); err != nil && err != sim.ErrStalled {
 		t.Fatal(err)
@@ -180,6 +181,7 @@ func TestAttachRegistry(t *testing.T) {
 	reg.Histogram("lat").Observe(2 * sim.Millisecond)
 
 	c := newTestCollector(t, k, nil)
+	c.WantAll()
 	c.AttachRegistry("grid", reg)
 	c.Scrape()
 

@@ -53,9 +53,14 @@ func NewServer(seed uint64) *Server {
 	tr := obs.New(grid.Kernel())
 	grid.SetTracer(tr)
 	grid.EnableFlightRecorder()
-	if _, err := grid.EnableTelemetry(); err != nil {
+	col, err := grid.EnableTelemetry()
+	if err != nil {
 		panic(err) // fresh grid: cannot happen
 	}
+	// The daemon keeps every series, as an export does; top reads the
+	// nodes' predicted load.
+	col.WantAll()
+	col.Want("node.predicted_load")
 	if err := grid.DefaultAlertRules(); err != nil {
 		panic(err)
 	}
@@ -750,11 +755,7 @@ func (s *Server) top() TopInfo {
 			row.Runnable = n.Host().Runnable()
 			row.Load = n.Host().LoadAverage()
 		}
-		if db := s.grid.Telemetry().DB(); db != nil {
-			if sr := db.Lookup("node.predicted_load{node=" + name + "}"); sr != nil && sr.Len() > 0 {
-				row.PredictedLoad = sr.Last().V
-			}
-		}
+		row.PredictedLoad, _ = n.PredictedLoad()
 		info.Nodes = append(info.Nodes, row)
 	}
 	var sessNames []string
