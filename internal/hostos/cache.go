@@ -21,11 +21,13 @@ const hitLatency = 50 * sim.Microsecond
 // the written pages become cached (this is what makes a VM image read
 // shortly after it was copied fast, as in Table 2's persistent rows).
 //
-// The page index does no per-page hashing: a file name is interned to a
-// small id once per call, and pages live in an lru.Blocks. A new cache
-// allocates its index page by page as pages are first cached, so a host
-// that caches little pays little whatever its capacity, and a cache at
-// steady state allocates nothing. Offsets must be non-negative.
+// The page index does no hashing per call: a file name is interned to a
+// small id once, with Intern, by whoever creates the file, every read
+// and write carries that id, and pages live in an lru.Blocks. A new
+// cache allocates its index page by page as pages are first cached, so
+// a host that caches little pays little whatever its capacity, and a
+// cache at steady state allocates nothing. Offsets must be
+// non-negative.
 type BufferCache struct {
 	disk     *hw.Disk
 	capacity int64 // bytes
@@ -65,19 +67,23 @@ func pageRange(off, size int64) (first, last int64) {
 	return off / CachePageSize, (off + size - 1) / CachePageSize
 }
 
+// Intern returns file's id, assigning one on first use. Read, Write and
+// their sequential forms take the id; it stays file's until Invalidate
+// releases it.
+func (c *BufferCache) Intern(file string) int32 { return c.pages.Intern(file) }
+
 // caching reports whether the cache can hold a page at all; a smaller
 // cache never inserts, so every read misses.
 func (c *BufferCache) caching() bool { return c.capacity >= CachePageSize }
 
-// fetch walks [off, off+size) of file, counting hits and misses and
+// fetch walks [off, off+size) of file id, counting hits and misses and
 // caching the missed pages; it returns the bytes the device must supply.
-func (c *BufferCache) fetch(file string, off, size int64) (missing int64) {
+func (c *BufferCache) fetch(id int32, off, size int64) (missing int64) {
 	first, last := pageRange(off, size)
 	if !c.caching() {
 		c.misses += uint64(last - first + 1)
 		return (last - first + 1) * CachePageSize
 	}
-	id := c.pages.Intern(file)
 	for pg := first; pg <= last; pg++ {
 		if c.pages.Touch(id, pg) {
 			c.hits++
@@ -90,12 +96,12 @@ func (c *BufferCache) fetch(file string, off, size int64) (missing int64) {
 	return missing
 }
 
-// Read fetches [off, off+size) of file through the cache and invokes
+// Read fetches [off, off+size) of file id through the cache and invokes
 // done when the data is available. Missing pages are fetched from the
 // device in a single request; fully cached reads complete after a memory
 // copy latency.
-func (c *BufferCache) Read(k *sim.Kernel, file string, off, size int64, done func()) {
-	missing := c.fetch(file, off, size)
+func (c *BufferCache) Read(k *sim.Kernel, id int32, off, size int64, done func()) {
+	missing := c.fetch(id, off, size)
 	if missing == 0 {
 		k.After(hitLatency, done)
 		return
@@ -105,8 +111,8 @@ func (c *BufferCache) Read(k *sim.Kernel, file string, off, size int64, done fun
 
 // ReadSequential is Read for streaming access patterns: device fetches
 // skip the per-request seek, as the host readahead would arrange.
-func (c *BufferCache) ReadSequential(k *sim.Kernel, file string, off, size int64, done func()) {
-	missing := c.fetch(file, off, size)
+func (c *BufferCache) ReadSequential(k *sim.Kernel, id int32, off, size int64, done func()) {
+	missing := c.fetch(id, off, size)
 	if missing == 0 {
 		k.After(hitLatency, done)
 		return
@@ -114,22 +120,21 @@ func (c *BufferCache) ReadSequential(k *sim.Kernel, file string, off, size int64
 	c.disk.SubmitSequential(missing, done)
 }
 
-// Write stores [off, off+size) of file through the cache (write-through)
+// Write stores [off, off+size) of file id through the cache (write-through)
 // and invokes done when the device has absorbed the data. The written
 // pages become resident.
-func (c *BufferCache) Write(k *sim.Kernel, file string, off, size int64, done func()) {
-	c.write(k, file, off, size, done, false)
+func (c *BufferCache) Write(k *sim.Kernel, id int32, off, size int64, done func()) {
+	c.write(k, id, off, size, done, false)
 }
 
 // WriteSequential is Write without the per-request seek charge, for
 // streaming writers creating fresh files (e.g. image copies).
-func (c *BufferCache) WriteSequential(k *sim.Kernel, file string, off, size int64, done func()) {
-	c.write(k, file, off, size, done, true)
+func (c *BufferCache) WriteSequential(k *sim.Kernel, id int32, off, size int64, done func()) {
+	c.write(k, id, off, size, done, true)
 }
 
-func (c *BufferCache) write(k *sim.Kernel, file string, off, size int64, done func(), sequential bool) {
+func (c *BufferCache) write(k *sim.Kernel, id int32, off, size int64, done func(), sequential bool) {
 	if c.caching() {
-		id := c.pages.Intern(file)
 		first, last := pageRange(off, size)
 		for pg := first; pg <= last; pg++ {
 			c.pages.Insert(id, pg)
@@ -148,5 +153,6 @@ func (c *BufferCache) write(k *sim.Kernel, file string, off, size int64, done fu
 
 // Invalidate drops all cached pages of file (e.g. when it is deleted)
 // and releases its interned id, so a long-lived host that creates and
-// deletes files does not grow the index.
+// deletes files does not grow the index. The next Intern of file
+// starts it cold.
 func (c *BufferCache) Invalidate(file string) { c.pages.Release(file) }

@@ -149,19 +149,19 @@ func TestBufferCacheMatchesPageLRU(t *testing.T) {
 					switch rng.Intn(9) {
 					case 0, 1:
 						op = "Read"
-						g = observe(kGot, dGot, func() { got.Read(kGot, file, off, size, nil) })
+						g = observe(kGot, dGot, func() { got.Read(kGot, got.Intern(file), off, size, nil) })
 						w = observe(kWant, dWant, func() { want.read(kWant, file, off, size, false) })
 					case 2, 3:
 						op = "ReadSequential"
-						g = observe(kGot, dGot, func() { got.ReadSequential(kGot, file, off, size, nil) })
+						g = observe(kGot, dGot, func() { got.ReadSequential(kGot, got.Intern(file), off, size, nil) })
 						w = observe(kWant, dWant, func() { want.read(kWant, file, off, size, true) })
 					case 4, 5:
 						op = "Write"
-						g = observe(kGot, dGot, func() { got.Write(kGot, file, off, size, nil) })
+						g = observe(kGot, dGot, func() { got.Write(kGot, got.Intern(file), off, size, nil) })
 						w = observe(kWant, dWant, func() { want.write(kWant, file, off, size, false) })
 					case 6, 7:
 						op = "WriteSequential"
-						g = observe(kGot, dGot, func() { got.WriteSequential(kGot, file, off, size, nil) })
+						g = observe(kGot, dGot, func() { got.WriteSequential(kGot, got.Intern(file), off, size, nil) })
 						w = observe(kWant, dWant, func() { want.write(kWant, file, off, size, true) })
 					default:
 						op = "Invalidate"
@@ -190,15 +190,15 @@ func TestBufferCacheMatchesPageLRU(t *testing.T) {
 func TestBufferCacheRecreatedFile(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := NewBufferCache(hw.NewDisk(k, hw.ReferenceMachine("n").Disk), 16*CachePageSize)
-	c.Write(k, "a", 0, 4*CachePageSize, nil)
-	c.Write(k, "b", 0, 2*CachePageSize, nil)
+	c.Write(k, c.Intern("a"), 0, 4*CachePageSize, nil)
+	c.Write(k, c.Intern("b"), 0, 2*CachePageSize, nil)
 	k.Run()
 	c.Invalidate("a")
 	if c.CachedBytes() != 2*CachePageSize {
 		t.Fatalf("cached %d after invalidate, want 2 pages", c.CachedBytes())
 	}
-	c.Read(k, "c", 0, 4*CachePageSize, nil) // takes a's released id
-	c.Read(k, "a", 0, 4*CachePageSize, nil) // recreated: cold again
+	c.Read(k, c.Intern("c"), 0, 4*CachePageSize, nil) // takes a's released id
+	c.Read(k, c.Intern("a"), 0, 4*CachePageSize, nil) // recreated: cold again
 	k.Run()
 	if c.Hits() != 0 || c.Misses() != 8 {
 		t.Fatalf("hits/misses = %d/%d, want 0/8", c.Hits(), c.Misses())
@@ -218,27 +218,28 @@ func TestBufferCacheSteadyStateZeroAllocs(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := NewBufferCache(hw.NewDisk(k, hw.ReferenceMachine("n").Disk), 8*CachePageSize)
 	done := func() {}
+	hot, cold, out := c.Intern("hot"), c.Intern("cold"), c.Intern("out")
 	// Warm every page table this test touches to its full length.
 	for pg := int64(0); pg < 32; pg++ {
-		c.Write(k, "cold", pg*CachePageSize, CachePageSize, done)
-		c.Write(k, "out", pg*CachePageSize, CachePageSize, done)
+		c.Write(k, cold, pg*CachePageSize, CachePageSize, done)
+		c.Write(k, out, pg*CachePageSize, CachePageSize, done)
 	}
-	c.Write(k, "hot", 0, CachePageSize, done)
+	c.Write(k, hot, 0, CachePageSize, done)
 	k.Run()
 
 	hit := testing.AllocsPerRun(200, func() {
-		c.Read(k, "hot", 0, CachePageSize, done)
+		c.Read(k, hot, 0, CachePageSize, done)
 		k.Run()
 	})
 	var pg int64
 	miss := testing.AllocsPerRun(200, func() {
 		pg = (pg + 1) % 32
-		c.Read(k, "cold", pg*CachePageSize, CachePageSize, done)
+		c.Read(k, cold, pg*CachePageSize, CachePageSize, done)
 		k.Run()
 	})
 	write := testing.AllocsPerRun(200, func() {
 		pg = (pg + 1) % 32
-		c.WriteSequential(k, "out", pg*CachePageSize, 2*CachePageSize, done)
+		c.WriteSequential(k, out, pg*CachePageSize, 2*CachePageSize, done)
 		k.Run()
 	})
 	if hit != 0 || miss != 0 || write != 0 {
@@ -256,16 +257,17 @@ func BenchmarkBufferCacheCopy(b *testing.B) {
 	k := sim.NewKernel(1)
 	c := NewBufferCache(hw.NewDisk(k, hw.ReferenceMachine("n").Disk), 256*CachePageSize)
 	const chunks = 512 // src+dst span 8x the cache
+	src, dst := c.Intern("n:src"), c.Intern("n:dst")
 	for i := int64(0); i < chunks; i++ {
-		c.WriteSequential(k, "n:src", i*chunk, chunk, nil)
+		c.WriteSequential(k, src, i*chunk, chunk, nil)
 	}
 	k.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := int64(i%chunks) * chunk
-		c.Read(k, "n:src", off, chunk, nil)
-		c.WriteSequential(k, "n:dst", off, chunk, nil)
+		c.Read(k, src, off, chunk, nil)
+		c.WriteSequential(k, dst, off, chunk, nil)
 		k.Run()
 	}
 }

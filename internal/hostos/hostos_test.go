@@ -257,9 +257,9 @@ func TestBufferCacheHitAndMiss(t *testing.T) {
 	h := newHost(t, k)
 	c := h.Cache()
 	var first, second sim.Time
-	c.Read(k, "img", 0, 128*1024, func() { first = k.Now() })
+	c.Read(k, c.Intern("img"), 0, 128*1024, func() { first = k.Now() })
 	k.Run()
-	c.Read(k, "img", 0, 128*1024, func() { second = k.Now() })
+	c.Read(k, c.Intern("img"), 0, 128*1024, func() { second = k.Now() })
 	k.Run()
 	if c.Misses() == 0 {
 		t.Fatal("first read recorded no misses")
@@ -278,11 +278,11 @@ func TestBufferCacheWriteMakesResident(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newHost(t, k)
 	c := h.Cache()
-	c.WriteSequential(k, "copy", 0, 1<<20, nil)
+	c.WriteSequential(k, c.Intern("copy"), 0, 1<<20, nil)
 	k.Run()
 	start := k.Now()
 	var doneAt sim.Time
-	c.Read(k, "copy", 0, 1<<20, func() { doneAt = k.Now() })
+	c.Read(k, c.Intern("copy"), 0, 1<<20, func() { doneAt = k.Now() })
 	k.Run()
 	if doneAt.Sub(start) > sim.Millisecond {
 		t.Errorf("read-after-write took %v, want cache hit", doneAt.Sub(start))
@@ -294,7 +294,7 @@ func TestBufferCacheEviction(t *testing.T) {
 	disk := hw.NewDisk(k, hw.ReferenceMachine("n").Disk)
 	c := NewBufferCache(disk, 4*CachePageSize)
 	for i := int64(0); i < 8; i++ {
-		c.Write(k, "f", i*CachePageSize, CachePageSize, nil)
+		c.Write(k, c.Intern("f"), i*CachePageSize, CachePageSize, nil)
 	}
 	k.Run()
 	if c.CachedBytes() > c.Capacity() {
@@ -302,7 +302,7 @@ func TestBufferCacheEviction(t *testing.T) {
 	}
 	// The earliest pages must have been evicted.
 	before := c.Misses()
-	c.Read(k, "f", 0, CachePageSize, nil)
+	c.Read(k, c.Intern("f"), 0, CachePageSize, nil)
 	k.Run()
 	if c.Misses() == before {
 		t.Error("evicted page served as hit")
@@ -313,18 +313,18 @@ func TestBufferCacheInvalidate(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := newHost(t, k)
 	c := h.Cache()
-	c.Write(k, "a", 0, CachePageSize, nil)
-	c.Write(k, "b", 0, CachePageSize, nil)
+	c.Write(k, c.Intern("a"), 0, CachePageSize, nil)
+	c.Write(k, c.Intern("b"), 0, CachePageSize, nil)
 	k.Run()
 	c.Invalidate("a")
 	before := c.Misses()
-	c.Read(k, "a", 0, CachePageSize, nil)
+	c.Read(k, c.Intern("a"), 0, CachePageSize, nil)
 	k.Run()
 	if c.Misses() == before {
 		t.Error("invalidated page served as hit")
 	}
 	hitsBefore := c.Hits()
-	c.Read(k, "b", 0, CachePageSize, nil)
+	c.Read(k, c.Intern("b"), 0, CachePageSize, nil)
 	k.Run()
 	if c.Hits() == hitsBefore {
 		t.Error("unrelated file was invalidated too")
@@ -335,8 +335,8 @@ func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
 	k := sim.NewKernel(1)
 	disk := hw.NewDisk(k, hw.ReferenceMachine("n").Disk)
 	c := NewBufferCache(disk, 0)
-	c.Read(k, "f", 0, CachePageSize, nil)
-	c.Read(k, "f", 0, CachePageSize, nil)
+	c.Read(k, c.Intern("f"), 0, CachePageSize, nil)
+	c.Read(k, c.Intern("f"), 0, CachePageSize, nil)
 	k.Run()
 	if c.Hits() != 0 {
 		t.Errorf("zero-capacity cache recorded %d hits", c.Hits())

@@ -1,5 +1,10 @@
 package lru
 
+import (
+	"fmt"
+	"math"
+)
+
 // Page geometry. Node n lives in node page n>>nodePageShift, slot
 // n&nodePageMask; block b of a file lives in the table page covering
 // b>>tablePageShift, slot b&tablePageMask.
@@ -29,8 +34,9 @@ const (
 // cached. NewBlocks allocates no page, and a set at steady state
 // allocates nothing.
 //
-// Block indexes must be non-negative. The zero value is not usable;
-// call NewBlocks.
+// Block indexes must lie in [0, math.MaxUint32]: a node stores its
+// block in 32 bits, which keeps it at 16 bytes. The zero value is not
+// usable; call NewBlocks.
 type Blocks struct {
 	cap int
 
@@ -49,7 +55,7 @@ type Blocks struct {
 }
 
 type blockNode struct {
-	block      int64
+	block      uint32
 	file       int32
 	prev, next int32
 }
@@ -115,7 +121,11 @@ func (c *Blocks) Touch(id int32, b int64) bool {
 
 // Insert caches block b of file id at the front (or just touches it if
 // already cached), evicting least recently used blocks to make room.
+// It panics on a block index outside [0, math.MaxUint32].
 func (c *Blocks) Insert(id int32, b int64) {
+	if uint64(b) > math.MaxUint32 {
+		panic(fmt.Sprintf("lru: block index %d outside [0, %d]", b, uint32(math.MaxUint32)))
+	}
 	if c.cap < 1 {
 		return
 	}
@@ -151,7 +161,7 @@ func (c *Blocks) Insert(id int32, b int64) {
 		}
 	}
 	nd := c.node(n)
-	nd.file, nd.block = id, b
+	nd.file, nd.block = id, uint32(b)
 	c.pushFront(n, nd)
 	r.slots[b&tablePageMask] = n
 	r.live++
@@ -217,7 +227,7 @@ func (c *Blocks) evictOldest() int32 {
 	n := c.tail
 	nd := c.node(n)
 	t := &c.tables[nd.file]
-	r := &t.pages[nd.block>>tablePageShift-t.base]
+	r := &t.pages[int64(nd.block>>tablePageShift)-t.base]
 	r.slots[nd.block&tablePageMask] = 0
 	if r.live--; r.live == 0 {
 		c.freePages = append(c.freePages, r.slots)

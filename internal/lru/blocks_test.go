@@ -2,6 +2,7 @@ package lru
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -22,7 +23,7 @@ func (c *Blocks) order(out []refBlock) []refBlock {
 		names[id] = name
 	}
 	for n := c.tail; n != 0; n = c.node(n).prev {
-		out = append(out, refBlock{names[c.node(n).file], c.node(n).block})
+		out = append(out, refBlock{names[c.node(n).file], int64(c.node(n).block)})
 	}
 	return out
 }
@@ -197,5 +198,33 @@ func TestBlocksReleaseReusesIDs(t *testing.T) {
 	}
 	if c.Len() != 0 || len(c.files) != 0 {
 		t.Fatalf("%d blocks over %d names after releasing all", c.Len(), len(c.files))
+	}
+}
+
+// TestBlocksBlockRange: a node is 16 bytes because it stores its block
+// in 32 bits, so Insert takes every index up to math.MaxUint32 and
+// panics past it, or on a negative one, instead of truncating.
+func TestBlocksBlockRange(t *testing.T) {
+	if n := unsafe.Sizeof(blockNode{}); n != 16 {
+		t.Errorf("blockNode is %d bytes, want 16", n)
+	}
+	c := NewBlocks(4)
+	id := c.Intern("f")
+	c.Insert(id, math.MaxUint32)
+	if !c.Touch(id, math.MaxUint32) {
+		t.Error("block math.MaxUint32 not cached after Insert")
+	}
+	for _, b := range []int64{math.MaxUint32 + 1, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%d) did not panic", b)
+				}
+			}()
+			c.Insert(id, b)
+		}()
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d after the rejected inserts, want 1", c.Len())
 	}
 }

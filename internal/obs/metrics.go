@@ -121,6 +121,10 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
+// IsSet reports whether the gauge has been set (false on nil). A
+// snapshot lists only set gauges.
+func (g *Gauge) IsSet() bool { return g != nil && g.set }
+
 // Observe records one duration.
 func (h *Histogram) Observe(d sim.Duration) {
 	if h == nil {
@@ -137,6 +141,53 @@ func (h *Histogram) Observe(d sim.Duration) {
 	if d > h.max {
 		h.max = d
 	}
+}
+
+// Count returns how many durations were observed (0 on nil).
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count
+}
+
+// MeanSec returns the mean observed duration in seconds (0 on nil or
+// before the first observation).
+func (h *Histogram) MeanSec() float64 {
+	if h == nil || h.count == 0 {
+		return 0
+	}
+	return h.sum.Seconds() / float64(h.count)
+}
+
+// Len returns how many instruments the registry holds, gauges never set
+// included (0 on nil). It changes only when an instrument is created,
+// so a reader that resolves the instruments once knows when to look
+// again.
+func (r *Registry) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.counters) + len(r.gauges) + len(r.hists)
+}
+
+// Names returns the names of the registry's counters, gauges (set or
+// not) and histograms, each sorted: for a reader that resolves the
+// instruments once and then reads them on every poll.
+func (r *Registry) Names() (counters, gauges, hists []string) {
+	if r == nil {
+		return nil, nil, nil
+	}
+	return sortedNames(r.counters), sortedNames(r.gauges), sortedNames(r.hists)
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // histBucket maps a duration to its decade bucket index. Bucket 0
@@ -198,16 +249,13 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	for name, h := range r.hists {
-		p := HistogramPoint{
-			Name:   name,
-			Count:  h.count,
-			SumSec: h.sum.Seconds(),
-			MaxSec: h.max.Seconds(),
-		}
-		if h.count > 0 {
-			p.MeanSec = h.sum.Seconds() / float64(h.count)
-		}
-		s.Histograms = append(s.Histograms, p)
+		s.Histograms = append(s.Histograms, HistogramPoint{
+			Name:    name,
+			Count:   h.count,
+			SumSec:  h.sum.Seconds(),
+			MeanSec: h.MeanSec(),
+			MaxSec:  h.max.Seconds(),
+		})
 	}
 	// Typed comparators: scrape-driven snapshots run often enough that
 	// sort.Slice's reflective swapper shows up in profiles. Names are

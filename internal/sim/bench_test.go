@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkKernelDispatch measures raw event throughput of the
 // simulation core — the budget every higher-level model spends from.
@@ -10,6 +13,31 @@ func BenchmarkKernelDispatch(b *testing.B) {
 	var fire func()
 	n := 0
 	fire = func() {
+		n++
+		if n < b.N {
+			k.After(1, fire)
+		}
+	}
+	k.After(1, fire)
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkKernelDispatchGC is BenchmarkKernelDispatch with a heap that
+// keeps the collector busy, at GOMAXPROCS(1) as perfbench runs each
+// pass: every event allocates 64 B and stores the pointer into a
+// 4096-slot ring, so GC cycles start every few thousand events and the
+// kernel's heap operations run with write barriers on until each mark
+// phase ends. It allocates by design; ns/op is the record.
+func BenchmarkKernelDispatchGC(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := NewKernel(1)
+	ring := make([]*[64]byte, 4096)
+	b.ReportAllocs()
+	var fire func()
+	n := 0
+	fire = func() {
+		ring[n%len(ring)] = new([64]byte)
 		n++
 		if n < b.N {
 			k.After(1, fire)

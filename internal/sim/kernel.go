@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 )
 
@@ -291,8 +292,22 @@ func (k *Kernel) skimCanceled() {
 	}
 }
 
+// yieldEvery is how many dispatched events pass between the dispatch
+// loop's calls to runtime.Gosched. The loop otherwise never reaches a
+// scheduling point, so at GOMAXPROCS(1) a GC cycle's fractional mark
+// worker cannot run until the runtime preempts the loop, about 10 ms
+// later, and write barriers stay on the whole time: every heap
+// operation pays them for a mark phase that needs a fraction of a
+// millisecond of work. Yielding this often ends a pending mark phase
+// within microseconds, at a cost of one Gosched per 1024 events. It
+// cannot change event order: a kernel runs on one goroutine, and the
+// yield only lets other goroutines run. A power of two, so the test is
+// a mask.
+const yieldEvery = 1024
+
 // step dispatches the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event was dispatched.
+// timestamp, and yields the goroutine every yieldEvery events. It
+// reports whether an event was dispatched.
 func (k *Kernel) step() bool {
 	for len(k.queue) > 0 {
 		ev := k.popMin()
@@ -308,6 +323,9 @@ func (k *Kernel) step() bool {
 		// Recycle before running fn: a cancel of this id during fn sees a
 		// stale generation, and fn is free to schedule into the slot.
 		k.recycle(ev)
+		if k.dispatched%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 		if fn != nil {
 			fn()
 		}

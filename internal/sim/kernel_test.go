@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -392,5 +394,43 @@ func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
 	}
 	if k.Pending() != 1 {
 		t.Errorf("pending = %d, want the 10s event still queued", k.Pending())
+	}
+}
+
+// TestKernelYields: at GOMAXPROCS(1), a goroutine made runnable before
+// Run gets the processor at the loop's first or second yield, both
+// under Run and under RunUntil. Without the yield it would wait for the
+// runtime to preempt the loop, and so would a GC cycle's mark worker.
+// Gosched does not choose who runs next: one scheduling round in 61
+// serves the global run queue first, where the yielding goroutine
+// itself waits, and the goroutine then runs at the next yield.
+func TestKernelYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, until := range []bool{false, true} {
+		k := NewKernel(1)
+		var ran atomic.Bool
+		var seenAt uint64
+		var fire func()
+		fire = func() {
+			if seenAt == 0 && ran.Load() {
+				seenAt = k.Dispatched()
+			}
+			if k.Dispatched() < 4*yieldEvery {
+				k.After(1, fire)
+			}
+		}
+		k.After(1, fire)
+		go ran.Store(true)
+		if until {
+			if err := k.RunUntil(Time(8 * yieldEvery)); !errors.Is(err, ErrStalled) {
+				t.Fatalf("RunUntil = %v, want ErrStalled", err)
+			}
+		} else {
+			k.Run()
+		}
+		if seenAt == 0 || seenAt > 2*yieldEvery+1 {
+			t.Errorf("RunUntil=%v: goroutine first seen at event %d of %d, want by event %d",
+				until, seenAt, k.Dispatched(), 2*yieldEvery+1)
+		}
 	}
 }

@@ -57,12 +57,35 @@ type Store struct {
 	cache *chunk.Cache
 }
 
-// file is one stored file: its length and, with a chunk plane attached,
-// its content-key manifest. It is held by pointer so the per-chunk paths
-// update it in place with one map lookup.
+// file is one incarnation of a stored file: its length, its
+// host-qualified name with that name's buffer-cache id, and, with a
+// chunk plane attached, its content-key manifest. It is held by pointer
+// so the per-chunk paths update it in place with one map lookup, and so
+// a handle can tell whether its incarnation still holds the name.
 type file struct {
-	size int64
-	keys []chunk.Key
+	size    int64
+	keys    []chunk.Key
+	qname   string // host-qualified name, the buffer-cache key
+	id      int32  // qname's buffer-cache id, interned at creation
+	deleted bool   // Delete removed it, releasing id
+}
+
+// newFile makes an incarnation of name and interns its qualified name
+// in the host's buffer cache, once, so its reads and writes carry the id
+// instead of looking the name up per operation.
+func (s *Store) newFile(name string, size int64) *file {
+	q := s.qualify(name)
+	return &file{size: size, qname: q, id: s.host.Cache().Intern(q)}
+}
+
+// cacheID returns the buffer-cache id for I/O on f. A deleted
+// incarnation released its id with its pages, so I/O through a stale
+// handle resolves the name afresh, as a by-name cache call would.
+func (s *Store) cacheID(f *file) int32 {
+	if f.deleted {
+		return s.host.Cache().Intern(f.qname)
+	}
+	return f.id
 }
 
 // NewStore creates an empty store on h.
@@ -189,7 +212,7 @@ func (s *Store) Create(name string, size int64) error {
 	if _, ok := s.files[name]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	f := &file{size: size}
+	f := s.newFile(name, size)
 	s.files[name] = f
 	if s.plane != nil {
 		s.mintManifest(f)
@@ -216,11 +239,13 @@ func (s *Store) Size(name string) (int64, error) {
 // cache keeps the file's keys: the content blocks outlive the name in
 // the content store, which is what makes cross-session dedup work.
 func (s *Store) Delete(name string) error {
-	if _, ok := s.files[name]; !ok {
+	f := s.files[name]
+	if f == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	delete(s.files, name)
-	s.host.Cache().Invalidate(s.qualify(name))
+	f.deleted = true
+	s.host.Cache().Invalidate(f.qname)
 	return nil
 }
 
@@ -248,7 +273,7 @@ func (s *Store) Open(name string) (*LocalFile, error) {
 	if f == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return &LocalFile{store: s, name: name, qname: s.qualify(name), file: f}, nil
+	return &LocalFile{store: s, name: name, file: f}, nil
 }
 
 // OpenOrCreate returns a Backend, creating a zero-length file if needed.
@@ -274,7 +299,7 @@ func (s *Store) Copy(src, dst string, done func()) error {
 		return fmt.Errorf("%w: %s", ErrExists, dst)
 	}
 	size := from.size
-	to := &file{size: size}
+	to := s.newFile(dst, size)
 	s.files[dst] = to
 	if s.plane != nil {
 		// Same-node duplication: the copy's content is the source's, so
@@ -284,7 +309,6 @@ func (s *Store) Copy(src, dst string, done func()) error {
 	}
 	k := s.host.Kernel()
 	cache := s.host.Cache()
-	qsrc, qdst := s.qualify(src), s.qualify(dst)
 	// One chunk is in flight at a time, so the continuations share its
 	// window and are bound once per copy rather than once per chunk.
 	var off, n int64
@@ -297,9 +321,9 @@ func (s *Store) Copy(src, dst string, done func()) error {
 			return
 		}
 		n = min(CopyChunk, size-off)
-		cache.Read(k, qsrc, off, n, read)
+		cache.Read(k, s.cacheID(from), off, n, read)
 	}
-	read = func() { cache.WriteSequential(k, qdst, off, n, wrote) }
+	read = func() { cache.WriteSequential(k, s.cacheID(to), off, n, wrote) }
 	wrote = func() {
 		off += n
 		step()
@@ -313,16 +337,14 @@ func (s *Store) Copy(src, dst string, done func()) error {
 type LocalFile struct {
 	store *Store
 	name  string
-	qname string // host-qualified cache key, built once at Open
-	file  *file  // the incarnation opened; writes land only while it is live
+	file  *file // the incarnation opened; writes land only while it is live
 }
 
 var _ Backend = (*LocalFile)(nil)
 
-// Name returns the file name qualified by its host. The qualified form
-// doubles as the buffer-cache key of every Read/Write, so it is built
-// once at Open instead of concatenated per operation.
-func (f *LocalFile) Name() string { return f.qname }
+// Name returns the file name qualified by its host, the file's
+// buffer-cache key.
+func (f *LocalFile) Name() string { return f.file.qname }
 
 // Size returns the current file length (0 once the file is deleted).
 func (f *LocalFile) Size() int64 {
@@ -334,12 +356,12 @@ func (f *LocalFile) Size() int64 {
 
 // Read implements Backend.
 func (f *LocalFile) Read(off, size int64, done func()) {
-	f.store.host.Cache().Read(f.store.host.Kernel(), f.Name(), off, size, done)
+	f.store.host.Cache().Read(f.store.host.Kernel(), f.store.cacheID(f.file), off, size, done)
 }
 
 // ReadSequential implements Backend.
 func (f *LocalFile) ReadSequential(off, size int64, done func()) {
-	f.store.host.Cache().ReadSequential(f.store.host.Kernel(), f.Name(), off, size, done)
+	f.store.host.Cache().ReadSequential(f.store.host.Kernel(), f.store.cacheID(f.file), off, size, done)
 }
 
 // Write implements Backend, growing the file as needed. With a chunk
@@ -355,7 +377,7 @@ func (f *LocalFile) Write(off, size int64, done func()) {
 	}
 	f.file.size = max(f.file.size, off+size)
 	f.store.touchChunks(f.file, off, size)
-	f.store.host.Cache().Write(f.store.host.Kernel(), f.Name(), off, size, done)
+	f.store.host.Cache().Write(f.store.host.Kernel(), f.file.id, off, size, done)
 }
 
 // WriteChunkAs writes chunk i's bytes [off, off+n) and records key for
@@ -369,7 +391,7 @@ func (f *LocalFile) WriteChunkAs(i int, key chunk.Key, off, n int64, done func()
 		return
 	}
 	f.store.adoptChunk(f.file, i, key, off, n)
-	f.store.host.Cache().WriteSequential(f.store.host.Kernel(), f.Name(), off, n, done)
+	f.store.host.Cache().WriteSequential(f.store.host.Kernel(), f.file.id, off, n, done)
 }
 
 // Delete deletes the file this handle opened, unless it is already gone
@@ -382,7 +404,7 @@ func (f *LocalFile) Delete() {
 
 // live reports whether the incarnation this handle opened still holds
 // its name.
-func (f *LocalFile) live() bool { return f.store.files[f.name] == f.file }
+func (f *LocalFile) live() bool { return !f.file.deleted }
 
 // dropped completes a write to a deleted file at the current instant,
 // charging no I/O.

@@ -178,6 +178,48 @@ func TestCopyWarmsCache(t *testing.T) {
 	}
 }
 
+// TestStaleHandleReadsByName: a read through a handle whose file was
+// deleted resolves the name afresh, as a by-name buffer-cache call
+// does. It never hits the pages of a file that took the deleted file's
+// released cache id, and it does hit those of a file created since
+// under the same name.
+func TestStaleHandleReadsByName(t *testing.T) {
+	k := sim.NewKernel(1)
+	s := newStore(t, k)
+	c := s.Host().Cache()
+	const pages = 4
+	create := func(name string) *LocalFile {
+		t.Helper()
+		f, err := s.OpenOrCreate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(0, pages*hostos.CachePageSize, nil)
+		k.Run()
+		return f
+	}
+	readHits := func(f *LocalFile) uint64 {
+		before := c.Hits()
+		f.Read(0, pages*hostos.CachePageSize, nil)
+		k.Run()
+		return c.Hits() - before
+	}
+	stale := create("a")
+	if err := s.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if b := create("b"); b.file.id != stale.file.id {
+		t.Fatalf("b has cache id %d, want a's released id %d", b.file.id, stale.file.id)
+	}
+	if n := readHits(stale); n != 0 {
+		t.Errorf("read through the deleted handle hit %d of b's pages, want 0", n)
+	}
+	create("a")
+	if n := readHits(stale); n != pages {
+		t.Errorf("read through the deleted handle hit %d pages of the recreated a, want %d", n, pages)
+	}
+}
+
 func TestImageInfo(t *testing.T) {
 	img := ImageInfo{Name: "rh72", OS: "redhat-7.2", DiskBytes: 2 * hw.GB, MemBytes: 128 * hw.MB}
 	if err := img.Validate(); err != nil {

@@ -40,36 +40,88 @@ func (r *Recorder) Handle(name string, labels ...Label) *Handle {
 // Put is Record through a handle from this recorder's collector.
 func (r *Recorder) Put(h *Handle, v float64) { h.add(r.at, v) }
 
-// registryFeed is one attached obs registry, scraped by snapshot. Its
-// series handles are resolved on an instrument's first scrape: points
-// holds counters and gauges by instrument name, hists the .count and
-// .mean_sec pair of each histogram.
+// registryFeed is one attached obs registry. Its instruments and their
+// series handles are resolved once, again only when the registry gains
+// an instrument, and each scrape reads the instruments through them in
+// the order a name-sorted Registry.Snapshot lists them: counters,
+// gauges, then histograms, each by name. A sample of a family no one
+// wants costs its handle's one test, so a feed no one reads stores and
+// allocates nothing.
 type registryFeed struct {
-	src    string
-	reg    *obs.Registry
-	points map[string]*Handle
-	hists  map[string][2]*Handle
+	src      string
+	reg      *obs.Registry
+	resolved int // reg.Len() when the entries below were resolved
+	counters []counterEntry
+	gauges   []gaugeEntry
+	hists    []histEntry
+	handles  map[string]*Handle // by series name
 }
 
-// point returns the handle for a counter or gauge of this feed.
-func (f *registryFeed) point(db *DB, name string) *Handle {
-	h := f.points[name]
+type counterEntry struct {
+	c *obs.Counter
+	h *Handle
+}
+
+type gaugeEntry struct {
+	g *obs.Gauge
+	h *Handle
+}
+
+// histEntry is a histogram with its .count and .mean_sec handles.
+type histEntry struct {
+	hist *obs.Histogram
+	h    [2]*Handle
+}
+
+// resolve lists the registry's instruments in snapshot order. A
+// series name seen before keeps its handle, and so the series the
+// handle has bound.
+func (f *registryFeed) resolve(db *DB) {
+	counters, gauges, hists := f.reg.Names()
+	f.counters = f.counters[:0]
+	for _, name := range counters {
+		f.counters = append(f.counters, counterEntry{f.reg.Counter(name), f.handle(db, name)})
+	}
+	f.gauges = f.gauges[:0]
+	for _, name := range gauges {
+		f.gauges = append(f.gauges, gaugeEntry{f.reg.Gauge(name), f.handle(db, name)})
+	}
+	f.hists = f.hists[:0]
+	for _, name := range hists {
+		hs := [2]*Handle{f.handle(db, name+".count"), f.handle(db, name+".mean_sec")}
+		f.hists = append(f.hists, histEntry{f.reg.Histogram(name), hs})
+	}
+	f.resolved = f.reg.Len()
+}
+
+// handle returns the feed's handle for the series name.
+func (f *registryFeed) handle(db *DB, name string) *Handle {
+	h := f.handles[name]
 	if h == nil {
 		h = db.handle(name, L("src", f.src))
-		f.points[name] = h
+		f.handles[name] = h
 	}
 	return h
 }
 
-// hist returns the .count and .mean_sec handles of a histogram.
-func (f *registryFeed) hist(db *DB, name string) [2]*Handle {
-	hs, ok := f.hists[name]
-	if !ok {
-		lbl := L("src", f.src)
-		hs = [2]*Handle{db.handle(name+".count", lbl), db.handle(name+".mean_sec", lbl)}
-		f.hists[name] = hs
+// scrape records the feed's instruments: counters, set gauges, then
+// each histogram's count and mean.
+func (f *registryFeed) scrape(db *DB, r *Recorder) {
+	if f.reg.Len() != f.resolved {
+		f.resolve(db)
 	}
-	return hs
+	for _, e := range f.counters {
+		r.Put(e.h, e.c.Value())
+	}
+	for _, e := range f.gauges {
+		if e.g.IsSet() {
+			r.Put(e.h, e.g.Value())
+		}
+	}
+	for _, e := range f.hists {
+		r.Put(e.h[0], float64(e.hist.Count()))
+		r.Put(e.h[1], e.hist.MeanSec())
+	}
 }
 
 // Collector owns the pipeline: registered sources and obs registries
@@ -198,17 +250,13 @@ func (c *Collector) AddSource(fn Source) {
 // AttachRegistry scrapes an obs metrics registry on every round:
 // counters and gauges become series named after the instrument with a
 // src label; histograms contribute <name>.count and <name>.mean_sec.
-// Snapshot order is name-sorted, so the resulting series set is
-// deterministic.
+// Instruments are read in name-sorted snapshot order, so the resulting
+// series set is deterministic.
 func (c *Collector) AttachRegistry(src string, reg *obs.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
-	c.feeds = append(c.feeds, &registryFeed{
-		src: src, reg: reg,
-		points: make(map[string]*Handle),
-		hists:  make(map[string][2]*Handle),
-	})
+	c.feeds = append(c.feeds, &registryFeed{src: src, reg: reg, handles: make(map[string]*Handle)})
 }
 
 // Observe records one unlabeled sample at the current sim time — the
@@ -257,18 +305,7 @@ func (c *Collector) Scrape() {
 		src(r)
 	}
 	for _, f := range c.feeds {
-		snap := f.reg.Snapshot()
-		for _, p := range snap.Counters {
-			r.Put(f.point(c.db, p.Name), p.Value)
-		}
-		for _, p := range snap.Gauges {
-			r.Put(f.point(c.db, p.Name), p.Value)
-		}
-		for _, p := range snap.Histograms {
-			hs := f.hist(c.db, p.Name)
-			r.Put(hs[0], float64(p.Count))
-			r.Put(hs[1], p.MeanSec)
-		}
+		f.scrape(c.db, r)
 	}
 	c.engine.eval(now)
 }

@@ -219,6 +219,44 @@ func TestUnwantedNameCreatesNoSeries(t *testing.T) {
 	}
 }
 
+// TestUnreadRegistryFeedFree: an attached registry whose families no
+// one wants costs a scrape nothing, neither a series nor an allocation.
+// Once read, the feed stores every instrument, including one created,
+// and a gauge first set, after the feed was resolved.
+func TestUnreadRegistryFeedFree(t *testing.T) {
+	k := sim.NewKernel(1)
+	reg := obs.NewRegistry()
+	for i := 0; i < 4; i++ {
+		reg.Counter(fmt.Sprintf("ops%d", i)).Add(float64(i))
+		reg.Histogram(fmt.Sprintf("lat%d", i)).Observe(sim.Duration(i) * sim.Millisecond)
+	}
+	reg.Gauge("depth")
+	c := newTestCollector(t, k, nil)
+	c.AttachRegistry("grid", reg)
+	scrape := func() {
+		_ = k.RunFor(sim.Second)
+		c.Scrape()
+	}
+	if allocs := testing.AllocsPerRun(100, scrape); allocs != 0 {
+		t.Errorf("scraping an unread feed allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := c.DB().Len(); n != 0 {
+		t.Fatalf("%d series stored with no reader", n)
+	}
+	c.WantAll()
+	reg.Counter("late").Inc()
+	reg.Gauge("depth").Set(2)
+	scrape()
+	if n := c.DB().Len(); n != 4+2*4+2 {
+		t.Fatalf("%d series after WantAll, want 14: %v", n, c.DB().Keys())
+	}
+	for key, want := range map[string]float64{"late{src=grid}": 1, "depth{src=grid}": 2, "lat3.mean_sec{src=grid}": 0.003} {
+		if s := c.DB().Lookup(key); s == nil || s.Last().V != want {
+			t.Errorf("%s: %+v, want last %v", key, s, want)
+		}
+	}
+}
+
 // TestWantMidRunStartsAtNextScrape: a Want made between scrapes, or by
 // a source inside one, takes effect at the next scrape, so the series
 // starts at a scrape instant and a write in between is dropped.
