@@ -49,7 +49,8 @@ func BenchmarkKernelDispatchGC(b *testing.B) {
 }
 
 // BenchmarkKernelScheduleCancel measures churn: schedule + cancel pairs,
-// the pattern WorkTracker rate changes produce.
+// the pattern WorkTracker rate changes produce. The cancel empties the
+// heap again, so every pair reuses one recycled event.
 func BenchmarkKernelScheduleCancel(b *testing.B) {
 	k := NewKernel(1)
 	b.ReportAllocs()
@@ -61,8 +62,9 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 
 // BenchmarkKernelCancelReschedule measures the cancel-then-reschedule
 // pattern against a pool of live events — what WorkTracker produces on a
-// contended host. Lazy deletion makes the cancel O(1) instead of a heap
-// removal, and the freelist makes the reschedule allocation-free.
+// contended host. Each cancel is a heap removal among 64 live events,
+// more than any simulation keeps pending, so this is the removal's worst
+// case; the freelist makes the reschedule allocation-free.
 func BenchmarkKernelCancelReschedule(b *testing.B) {
 	k := NewKernel(1)
 	const live = 64

@@ -68,14 +68,15 @@ var ErrStalled = errors.New("sim: event queue drained before deadline")
 // event is a scheduled callback. seq breaks ties between events scheduled
 // for the same instant so dispatch order is deterministic (FIFO per instant).
 // Events are recycled through the kernel's freelist; gen distinguishes the
-// current occupant from stale EventIDs that refer to a previous use.
+// current occupant from stale EventIDs that refer to a previous use. index
+// is the event's slot in the heap, -1 when it is not queued.
 type event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	gen      uint64
-	owner    *Kernel
-	canceled bool
+	at    Time
+	seq   uint64
+	fn    func()
+	gen   uint64
+	owner *Kernel
+	index int
 }
 
 // EventID identifies a scheduled event so it can be canceled. The zero
@@ -98,18 +99,18 @@ func (id EventID) Valid() bool { return id.ev != nil }
 // internal/experiments' sample runner) — nothing here is shared.
 type Kernel struct {
 	now        Time
-	queue      []*event // binary min-heap on (at, seq)
+	queue      []*event // binary min-heap on (at, seq); pending events only
 	seq        uint64
 	rng        *RNG
 	dispatched uint64
-	live       int      // scheduled events that are neither canceled nor fired
-	ncanceled  int      // canceled events still occupying heap slots
 	free       []*event // recycled events; single-threaded, so no sync.Pool
 }
 
-// initialQueueCap pre-sizes the event heap and freelist: even small models
-// (a host, a VM, a few trackers) keep tens of events in flight, and growing
-// the backing array during the hot loop shows up in profiles.
+// initialQueueCap pre-sizes the event heap. The heap holds only pending
+// events, so its length is the number in flight: at seed 1 at most 3 in a
+// Figure 1, Table 1 or Table 2 sample and at most 43 in the grid
+// ablations. A capacity that covers them keeps append from growing the
+// backing array in the hot loop.
 const initialQueueCap = 128
 
 // NewKernel returns a kernel with the clock at zero and randomness seeded
@@ -127,9 +128,8 @@ func (k *Kernel) Now() Time { return k.now }
 // RNG returns the kernel's deterministic random number generator.
 func (k *Kernel) RNG() *RNG { return k.rng }
 
-// Pending returns the number of events waiting to be dispatched. Canceled
-// events still occupying queue slots are not counted.
-func (k *Kernel) Pending() int { return k.live }
+// Pending returns the number of events waiting to be dispatched.
+func (k *Kernel) Pending() int { return len(k.queue) }
 
 // Dispatched returns the total number of events executed so far.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
@@ -143,16 +143,15 @@ func (k *Kernel) alloc() *event {
 		k.free = k.free[:n-1]
 		return ev
 	}
-	return &event{owner: k}
+	return &event{owner: k, index: -1}
 }
 
-// recycle retires an event (fired or discarded after cancel) to the
-// freelist. Bumping gen invalidates every outstanding EventID for it, and
-// dropping fn releases the closure for GC.
+// recycle retires an event (fired or canceled) to the freelist. Bumping
+// gen invalidates every outstanding EventID for it, and dropping fn
+// releases the closure for GC.
 func (k *Kernel) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.canceled = false
 	k.free = append(k.free, ev)
 }
 
@@ -164,19 +163,23 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// up restores the heap property from leaf i toward the root.
+// up restores the heap property from node i toward the root. It and down
+// keep each moved event's index equal to its slot.
 func (k *Kernel) up(i int) {
 	q := k.queue
 	ev := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(ev, q[parent]) {
+		p := q[parent]
+		if !eventLess(ev, p) {
 			break
 		}
-		q[i] = q[parent]
+		q[i] = p
+		p.index = i
 		i = parent
 	}
 	q[i] = ev
+	ev.index = i
 }
 
 // down restores the heap property from node i toward the leaves.
@@ -192,25 +195,35 @@ func (k *Kernel) down(i int) {
 		if r := child + 1; r < n && eventLess(q[r], q[child]) {
 			child = r
 		}
-		if !eventLess(q[child], ev) {
+		c := q[child]
+		if !eventLess(c, ev) {
 			break
 		}
-		q[i] = q[child]
+		q[i] = c
+		c.index = i
 		i = child
 	}
 	q[i] = ev
+	ev.index = i
 }
 
-// popMin removes and returns the heap root.
-func (k *Kernel) popMin() *event {
+// remove takes the event in slot i out of the heap: the last slot's event
+// moves into slot i and sifts whichever way restores the heap property.
+func (k *Kernel) remove(i int) *event {
 	q := k.queue
 	n := len(q) - 1
-	ev := q[0]
-	q[0] = q[n]
+	ev := q[i]
+	ev.index = -1
+	last := q[n]
 	q[n] = nil
 	k.queue = q[:n]
-	if n > 0 {
-		k.down(0)
+	if i < n {
+		q[i] = last
+		if i > 0 && eventLess(last, q[(i-1)/2]) {
+			k.up(i)
+		} else {
+			k.down(i)
+		}
 	}
 	return ev
 }
@@ -227,7 +240,6 @@ func (k *Kernel) At(at Time, fn func()) EventID {
 	ev.seq = k.seq
 	ev.fn = fn
 	k.seq++
-	k.live++
 	k.queue = append(k.queue, ev)
 	k.up(len(k.queue) - 1)
 	return EventID{ev: ev, gen: ev.gen}
@@ -244,52 +256,15 @@ func (k *Kernel) After(d Duration, fn func()) EventID {
 // Cancel prevents a scheduled event from firing. Canceling an event that
 // already fired, an invalid id, a stale id whose event was recycled, or an
 // id minted by a different kernel is a no-op, so callers can cancel
-// unconditionally during teardown. Cancel is O(1): the event is marked and
-// lazily dropped when it surfaces at the head of the queue (the common
-// cancel-then-reschedule pattern never pays heap-removal churn).
+// unconditionally during teardown. Cancel removes the event from the heap
+// at once, in O(log n), and recycles it, so the heap holds only pending
+// events and a cancel-then-reschedule reuses the same event.
 func (k *Kernel) Cancel(id EventID) {
 	ev := id.ev
-	if ev == nil || ev.owner != k || ev.gen != id.gen || ev.canceled {
+	if ev == nil || ev.owner != k || ev.gen != id.gen || ev.index < 0 {
 		return
 	}
-	ev.canceled = true
-	k.live--
-	k.ncanceled++
-	// If canceled tombstones dominate the heap, sweep them out so memory
-	// and per-op log factors track the live event count, not churn.
-	if k.ncanceled > 64 && k.ncanceled > len(k.queue)/2 {
-		k.compact()
-	}
-}
-
-// compact removes all canceled events from the heap in one pass and
-// re-heapifies. Amortized O(1) per cancel given the trigger threshold.
-func (k *Kernel) compact() {
-	q := k.queue[:0]
-	for _, ev := range k.queue {
-		if ev.canceled {
-			k.recycle(ev)
-		} else {
-			q = append(q, ev)
-		}
-	}
-	for i := len(q); i < len(k.queue); i++ {
-		k.queue[i] = nil
-	}
-	k.queue = q
-	k.ncanceled = 0
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		k.down(i)
-	}
-}
-
-// skimCanceled discards canceled events sitting at the head of the queue so
-// the root, if any, is live.
-func (k *Kernel) skimCanceled() {
-	for len(k.queue) > 0 && k.queue[0].canceled {
-		k.ncanceled--
-		k.recycle(k.popMin())
-	}
+	k.recycle(k.remove(ev.index))
 }
 
 // yieldEvery is how many dispatched events pass between the dispatch
@@ -309,29 +284,23 @@ const yieldEvery = 1024
 // timestamp, and yields the goroutine every yieldEvery events. It
 // reports whether an event was dispatched.
 func (k *Kernel) step() bool {
-	for len(k.queue) > 0 {
-		ev := k.popMin()
-		if ev.canceled {
-			k.ncanceled--
-			k.recycle(ev)
-			continue
-		}
-		k.now = ev.at
-		k.dispatched++
-		k.live--
-		fn := ev.fn
-		// Recycle before running fn: a cancel of this id during fn sees a
-		// stale generation, and fn is free to schedule into the slot.
-		k.recycle(ev)
-		if k.dispatched%yieldEvery == 0 {
-			runtime.Gosched()
-		}
-		if fn != nil {
-			fn()
-		}
-		return true
+	if len(k.queue) == 0 {
+		return false
 	}
-	return false
+	ev := k.remove(0)
+	k.now = ev.at
+	k.dispatched++
+	fn := ev.fn
+	// Recycle before running fn: a cancel of this id during fn sees a
+	// stale generation, and fn is free to schedule into the slot.
+	k.recycle(ev)
+	if k.dispatched%yieldEvery == 0 {
+		runtime.Gosched()
+	}
+	if fn != nil {
+		fn()
+	}
+	return true
 }
 
 // Run dispatches events until the queue is empty and returns the final
@@ -349,7 +318,6 @@ func (k *Kernel) Run() Time {
 // leaves the clock alone: virtual time never runs backwards.
 func (k *Kernel) RunUntil(deadline Time) error {
 	for {
-		k.skimCanceled()
 		if len(k.queue) == 0 {
 			if k.now < deadline {
 				k.now = deadline

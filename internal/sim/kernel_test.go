@@ -170,9 +170,9 @@ func TestKernelCancelForeignKernelNoOp(t *testing.T) {
 }
 
 func TestKernelPendingUnderLazyDelete(t *testing.T) {
-	// Cancel is lazy (tombstones stay queued until they surface or are
-	// compacted); Pending must count live events only, and double-cancel
-	// must not double-decrement.
+	// Cancel takes the event out of the queue at once; Pending counts the
+	// events still to fire, and a double cancel must not take out a
+	// second one.
 	k := NewKernel(1)
 	var ids []EventID
 	for i := 0; i < 10; i++ {
@@ -201,14 +201,18 @@ func TestKernelPendingUnderLazyDelete(t *testing.T) {
 }
 
 func TestKernelCancelCompaction(t *testing.T) {
-	// Mass cancellation must not leave the queue full of tombstones:
-	// schedule-and-cancel churn keeps memory bounded via compaction, and
-	// the surviving events still fire in order.
+	// Mass cancellation must not leave canceled events in the queue:
+	// schedule-and-cancel churn keeps the heap at its live size and
+	// reuses one recycled event, and the surviving events still fire in
+	// order.
 	k := NewKernel(1)
 	var keep []int
 	for round := 0; round < 1000; round++ {
 		id := k.At(Time(round*10+1), nil)
 		k.Cancel(id)
+	}
+	if len(k.queue) != 0 || len(k.free) != 1 {
+		t.Fatalf("after churn: %d queued, %d free; want 0 queued, 1 free", len(k.queue), len(k.free))
 	}
 	for i := 0; i < 5; i++ {
 		i := i
@@ -226,7 +230,7 @@ func TestKernelCancelCompaction(t *testing.T) {
 }
 
 func TestRunUntilAllCanceledStalls(t *testing.T) {
-	// RunUntil must not treat a queue of tombstones as pending work.
+	// A canceled event is not pending work: RunUntil stalls.
 	k := NewKernel(1)
 	id := k.At(10, func() {})
 	k.Cancel(id)
