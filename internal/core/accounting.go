@@ -65,20 +65,3 @@ func (u Usage) String() string {
 		u.DiffBytes>>10, u.ImageBytesFetched>>10, u.DataBytesFetched>>10, u.WallSeconds)
 	return b.String()
 }
-
-// AccountingReport summarizes all sessions a provider has hosted on one
-// grid (live and dead sessions the caller retained).
-func AccountingReport(sessions []*Session) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-10s %-12s %-12s %-8s\n", "session", "user", "cpu (s)", "work (s)", "eff")
-	var totalCPU, totalWork float64
-	for _, s := range sessions {
-		u := s.Usage()
-		totalCPU += u.CPUSeconds
-		totalWork += u.GuestUserSeconds
-		fmt.Fprintf(&b, "%-20s %-10s %-12.1f %-12.1f %-8.2f\n",
-			s.Name(), s.cfg.User, u.CPUSeconds, u.GuestUserSeconds, u.Efficiency())
-	}
-	fmt.Fprintf(&b, "%-20s %-10s %-12.1f %-12.1f\n", "TOTAL", "", totalCPU, totalWork)
-	return b.String()
-}

@@ -81,21 +81,6 @@ func TestUsageDiffBytesGrowWithWrites(t *testing.T) {
 	_ = s.Usage().DiffBytes
 }
 
-func TestAccountingReport(t *testing.T) {
-	g := testbed(t)
-	var sessions []*Session
-	for i := 0; i < 2; i++ {
-		cfg := baseConfig()
-		sessions = append(sessions, startSession(t, g, cfg))
-	}
-	report := AccountingReport(sessions)
-	for _, want := range []string{"sess-1-alice", "sess-2-alice", "TOTAL", "alice"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-}
-
 func TestIdleSessionAccruesAlmostNothing(t *testing.T) {
 	g := testbed(t)
 	s := startSession(t, g, baseConfig())

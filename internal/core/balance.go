@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"errors"
-	"slices"
 
 	"vmgrid/internal/placement"
 )
@@ -42,8 +40,8 @@ func (f *gridFabric) NodeLoad(node string) (float64, bool) {
 	return n.PredictedLoad()
 }
 
-// Sessions lists the node's movable sessions, lowest eviction priority
-// first (name-ordered within a priority). Sessions with an op in flight
+// Sessions lists the node's movable sessions in name order, the
+// balancer's eviction order. Sessions with an op in flight
 // (a migration, checkpoint or recovery) are not offered: the balancer
 // must never contend with the supervisor for the same incarnation.
 func (f *gridFabric) Sessions(node string) []string {
@@ -51,19 +49,12 @@ func (f *gridFabric) Sessions(node string) []string {
 	if n == nil {
 		return nil
 	}
-	var out []*Session
+	var names []string
 	for _, s := range f.g.sessionsOn(n) {
 		if !s.state.CanMigrate() || s.cur.cow == nil || s.op != nil {
 			continue
 		}
-		out = append(out, s)
-	}
-	// sessionsOn is already name-sorted; a stable sort by priority
-	// keeps the name order within each priority class.
-	slices.SortStableFunc(out, func(a, b *Session) int { return cmp.Compare(a.priority, b.priority) })
-	names := make([]string, len(out))
-	for i, s := range out {
-		names[i] = s.name
+		names = append(names, s.name)
 	}
 	return names
 }

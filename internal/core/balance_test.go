@@ -252,17 +252,21 @@ func startLoadSignal(t *testing.T, g *Grid) *Monitor {
 
 // TestBalancerRelievesHotspotEndToEnd drives the real grid fabric: two
 // busy sessions packed on one node trip the hysteresis detector and the
-// lowest-priority one is live-migrated to the idle node.
+// one first in name order (the eviction order) is live-migrated to the
+// idle node.
 func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 	g := testbed(t)
 	defer startLoadSignal(t, g).Stop()
-	important := startSessionWith(t, g, WithNodeHint("compute1"), WithPriority(10))
-	cheap := startSessionWith(t, g, WithNodeHint("compute1"), WithPriority(0))
-	if important.Node().Name() != "compute1" || cheap.Node().Name() != "compute1" {
-		t.Fatalf("setup: sessions on %s/%s, want both on compute1",
-			important.Node().Name(), cheap.Node().Name())
+	mover := startSessionWith(t, g, WithNodeHint("compute1"))
+	stayer := startSessionWith(t, g, WithNodeHint("compute1"))
+	if mover.Name() >= stayer.Name() {
+		t.Fatalf("setup: %s does not sort before %s", mover.Name(), stayer.Name())
 	}
-	for _, s := range []*Session{important, cheap} {
+	if mover.Node().Name() != "compute1" || stayer.Node().Name() != "compute1" {
+		t.Fatalf("setup: sessions on %s/%s, want both on compute1",
+			mover.Node().Name(), stayer.Node().Name())
+	}
+	for _, s := range []*Session{mover, stayer} {
 		if err := s.Run(guest.MicroTask(1800), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -277,21 +281,21 @@ func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepUntil(g, 10*sim.Minute, func() bool {
-		return cheap.Node().Name() == "compute2" || important.Node().Name() == "compute2"
+		return mover.Node().Name() == "compute2" || stayer.Node().Name() == "compute2"
 	})
 	bal.Stop()
 	if got := bal.Stats().Migrations; got < 1 {
 		t.Fatalf("balancer migrations = %d, want >= 1 (stats %+v)", got, bal.Stats())
 	}
-	if got := cheap.Node().Name(); got != "compute2" {
-		t.Errorf("relieved session on %q, want the low-priority one on compute2 (important on %q)",
-			got, important.Node().Name())
+	if got := mover.Node().Name(); got != "compute2" {
+		t.Errorf("relieved session on %q, want the first by name on compute2 (other on %q)",
+			got, stayer.Node().Name())
 	}
-	if got := important.Node().Name(); got != "compute1" {
-		t.Errorf("high-priority session migrated (now on %q); eviction order ignored priority", got)
+	if got := stayer.Node().Name(); got != "compute1" {
+		t.Errorf("second session by name migrated (now on %q); eviction order ignored names", got)
 	}
-	if cheap.State() != StateRunning {
-		t.Errorf("migrated session state = %q", cheap.State())
+	if mover.State() != StateRunning {
+		t.Errorf("migrated session state = %q", mover.State())
 	}
 	checkNoLeaks(t, g)
 }

@@ -18,9 +18,8 @@ import (
 
 // createOptions collects the functional options of CreateSession.
 type createOptions struct {
-	placer   placement.Placer
-	hint     string
-	priority int
+	placer placement.Placer
+	hint   string
 }
 
 // CreateOption customizes one CreateSession call.
@@ -39,13 +38,6 @@ func WithPlacer(p placement.Placer) CreateOption {
 // preference, not a pin.
 func WithNodeHint(node string) CreateOption {
 	return func(o *createOptions) { o.hint = node }
-}
-
-// WithPriority sets the session's eviction priority. The balancer
-// relieves hotspots lowest-priority-first, so a high-priority session
-// migrates only after its lower-priority neighbors. Default 0.
-func WithPriority(p int) CreateOption {
-	return func(o *createOptions) { o.priority = p }
 }
 
 // futureCandidates converts VM-future entries (in the information

@@ -184,9 +184,6 @@ type Session struct {
 	phaseStart  sim.Time
 	crashedAt   sim.Time
 
-	// priority is the balancer's eviction order (WithPriority): lower
-	// migrates first.
-	priority int
 	// op is the operation in flight (nil = none).
 	op *op
 	// epoch is the session's one current fencing epoch, bumped through
@@ -215,9 +212,6 @@ func (s *Session) TraceContext() obs.SpanContext { return s.sctx }
 
 // Epoch returns the session's current fencing epoch.
 func (s *Session) Epoch() int64 { return s.epoch }
-
-// Priority returns the session's eviction priority (WithPriority).
-func (s *Session) Priority() int { return s.priority }
 
 // Name returns the session's unique name.
 func (s *Session) Name() string { return s.name }
@@ -399,10 +393,8 @@ func (m *memBackend) Write(off, size int64, done func()) {
 // session (or the first error) to done. The returned session handle is
 // also usable immediately for inspection of progress. Options
 // customize placement: WithPlacer / WithNodeHint steer step 1's node
-// choice through the shared placement path, and WithPriority orders
-// balancer evictions. With no options the session places on
-// the information service's first-ranked future, exactly as before the
-// placement subsystem existed.
+// choice through the shared placement path. With no options the
+// session places on the information service's first-ranked future.
 func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts ...CreateOption) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -420,12 +412,11 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 	}
 	g.sessions++
 	s := &Session{
-		grid:     g,
-		cfg:      cfg,
-		id:       g.sessions,
-		name:     fmt.Sprintf("sess-%d-%s", g.sessions, cfg.User),
-		state:    StatePending,
-		priority: o.priority,
+		grid:  g,
+		cfg:   cfg,
+		id:    g.sessions,
+		name:  fmt.Sprintf("sess-%d-%s", g.sessions, cfg.User),
+		state: StatePending,
 	}
 	g.tracer.Metrics().Counter("core.sessions.submitted").Inc()
 	// The session's causal root: every span of its life cycle — phases,

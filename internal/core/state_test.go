@@ -28,7 +28,7 @@ func migrateAndWait(t *testing.T, g *Grid, s *Session, target string) error {
 	if err := s.Migrate(target, func(err error) { merr, finished = err, true }); err != nil {
 		return err
 	}
-	stepUntil(g, time60m(), func() bool { return finished })
+	stepUntil(g, sim.Hour, func() bool { return finished })
 	if !finished {
 		t.Fatalf("migration to %s never reported", target)
 	}
@@ -46,13 +46,13 @@ func TestMigrateBackToRebootedHost(t *testing.T) {
 	if err := g.CrashNode(first); err != nil {
 		t.Fatal(err)
 	}
-	stepUntil(g, time60m(), func() bool { return s.State() == StateRunning })
+	stepUntil(g, sim.Hour, func() bool { return s.State() == StateRunning })
 	if s.State() != StateRunning || s.Node().Name() == first {
 		t.Fatalf("failover did not move the session: state %q on %s", s.State(), s.Node().Name())
 	}
 	// Stop checkpointing so the migration below does not race one.
 	sup.Stop()
-	stepUntil(g, time60m(), func() bool { return s.VM().State() == vmm.StateRunning })
+	stepUntil(g, sim.Hour, func() bool { return s.VM().State() == vmm.StateRunning })
 	if err := g.RebootNode(first); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMigrateBackToRebootedHost(t *testing.T) {
 	if err := s.Run(guest.MicroTask(10), func(r guest.TaskResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
-	stepUntil(g, time60m(), func() bool { return res.UserSeconds > 0 })
+	stepUntil(g, sim.Hour, func() bool { return res.UserSeconds > 0 })
 	if res.UserSeconds != 10 || res.Err != nil {
 		t.Fatalf("task after migrating back: %+v", res)
 	}
@@ -92,7 +92,7 @@ func TestFailedMigrationResumesSource(t *testing.T) {
 	if err := g.Net().SetNodeUp(target, false); err != nil {
 		t.Fatal(err)
 	}
-	stepUntil(g, time60m(), func() bool { return finished })
+	stepUntil(g, sim.Hour, func() bool { return finished })
 	if !finished || merr == nil {
 		t.Fatalf("migration to an unreachable node: finished %v, err %v", finished, merr)
 	}
@@ -103,7 +103,7 @@ func TestFailedMigrationResumesSource(t *testing.T) {
 	if err := s.Run(guest.MicroTask(10), func(r guest.TaskResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
-	stepUntil(g, time60m(), func() bool { return res.UserSeconds > 0 })
+	stepUntil(g, sim.Hour, func() bool { return res.UserSeconds > 0 })
 	if res.UserSeconds != 10 || res.Err != nil {
 		t.Fatalf("task after failed migration never finished: %+v", res)
 	}
@@ -119,7 +119,7 @@ func TestFailedHibernatedMigrationStaysHibernated(t *testing.T) {
 	if err := s.Hibernate(func(err error) { hibernated = err == nil }); err != nil {
 		t.Fatal(err)
 	}
-	stepUntil(g, time60m(), func() bool { return hibernated })
+	stepUntil(g, sim.Hour, func() bool { return hibernated })
 	if err := g.Net().SetNodeUp(target, false); err != nil {
 		t.Fatal(err)
 	}

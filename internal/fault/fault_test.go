@@ -3,23 +3,8 @@ package fault
 import (
 	"testing"
 
-	"vmgrid/internal/netsim"
 	"vmgrid/internal/sim"
 )
-
-type fakeCrasher struct {
-	log []string
-}
-
-func (f *fakeCrasher) CrashNode(name string) error {
-	f.log = append(f.log, "crash:"+name)
-	return nil
-}
-
-func (f *fakeCrasher) RebootNode(name string) error {
-	f.log = append(f.log, "reboot:"+name)
-	return nil
-}
 
 func TestTimesDeterministicPerSeed(t *testing.T) {
 	k1 := sim.NewKernel(1)
@@ -62,86 +47,13 @@ func TestTimesDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestCrashRebootOrdering(t *testing.T) {
-	k := sim.NewKernel(1)
-	in := New(k)
-	var fc fakeCrasher
-	in.CrashReboot(&fc, "n1", k.Now().Add(10*sim.Second), 5*sim.Second)
-	in.CrashReboot(&fc, "n2", k.Now().Add(12*sim.Second), 0) // never reboots
-	_ = k.RunUntil(k.Now().Add(sim.Minute))
-	want := []string{"crash:n1", "crash:n2", "reboot:n1"}
-	if len(fc.log) != len(want) {
-		t.Fatalf("log = %v, want %v", fc.log, want)
-	}
-	for i := range want {
-		if fc.log[i] != want[i] {
-			t.Fatalf("log = %v, want %v", fc.log, want)
-		}
-	}
-	if in.Scheduled() != 3 || in.Fired() != 3 {
-		t.Errorf("scheduled/fired = %d/%d, want 3/3", in.Scheduled(), in.Fired())
-	}
-}
-
 func TestAtPastTimeFiresImmediately(t *testing.T) {
 	k := sim.NewKernel(1)
-	in := New(k)
+	in := NewSeeded(k, 1)
 	fired := false
 	in.At(k.Now(), func() { fired = true })
 	_ = k.RunUntil(k.Now().Add(sim.Second))
 	if !fired {
 		t.Error("fault at now never fired")
-	}
-}
-
-func TestFlapLinkPartitionsAndHeals(t *testing.T) {
-	k := sim.NewKernel(1)
-	n := netsim.New(k)
-	n.AddNode("a")
-	n.AddNode("b")
-	if err := n.ConnectLAN("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	in := New(k)
-	in.FlapLink(n, "a", "b", k.Now().Add(sim.Second), 2*sim.Second)
-
-	reachable := func() bool {
-		_, err := n.Latency("a", "b", 1024)
-		return err == nil
-	}
-	if !reachable() {
-		t.Fatal("link down before the flap")
-	}
-	_ = k.RunUntil(k.Now().Add(1500 * sim.Millisecond))
-	if reachable() {
-		t.Error("link still up mid-flap")
-	}
-	_ = k.RunUntil(k.Now().Add(2 * sim.Second))
-	if !reachable() {
-		t.Error("link never healed")
-	}
-}
-
-func TestPartitionNodeIsolates(t *testing.T) {
-	k := sim.NewKernel(1)
-	n := netsim.New(k)
-	for _, name := range []string{"a", "b", "c"} {
-		n.AddNode(name)
-	}
-	if err := n.ConnectLAN("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.ConnectLAN("b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	in := New(k)
-	in.PartitionNode(n, "b", k.Now().Add(sim.Second), 2*sim.Second)
-	_ = k.RunUntil(k.Now().Add(1500 * sim.Millisecond))
-	if _, err := n.Latency("a", "c", 1024); err == nil {
-		t.Error("a→c path survived b's partition")
-	}
-	_ = k.RunUntil(k.Now().Add(2 * sim.Second))
-	if _, err := n.Latency("a", "c", 1024); err != nil {
-		t.Errorf("a→c never healed: %v", err)
 	}
 }

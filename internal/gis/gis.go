@@ -236,18 +236,6 @@ func (s *Service) Select(kind Kind, pred func(Entry) bool) []Entry {
 	return out
 }
 
-// SelectBounded is Select returning at most limit results — the paper's
-// model of queries that "are non-deterministic and return partial
-// results in a bounded amount of time". (In the deterministic simulation
-// the subset is the name-ordered prefix.)
-func (s *Service) SelectBounded(kind Kind, pred func(Entry) bool, limit int) []Entry {
-	out := s.Select(kind, pred)
-	if limit >= 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
 // Join returns pairs (a, b) of live records with a of kindA, b of kindB,
 // and on(a, b) true — the relational query with joins the paper argues
 // resource discovery needs (e.g. "VM futures on hosts whose image server
@@ -264,19 +252,6 @@ func (s *Service) Join(kindA, kindB Kind, on func(a, b Entry) bool) [][2]Entry {
 		}
 	}
 	return out
-}
-
-// Expire removes expired entries eagerly (they are also filtered lazily
-// on read). Returns how many were dropped.
-func (s *Service) Expire() int {
-	n := 0
-	for k, e := range s.records {
-		if !s.live(e) {
-			delete(s.records, k)
-			n++
-		}
-	}
-	return n
 }
 
 // Len returns the number of live records.

@@ -19,9 +19,9 @@ type Fabric interface {
 	// false when the node has no reading yet.
 	NodeLoad(node string) (load float64, ok bool)
 	// Sessions returns the names of the migratable sessions hosted on
-	// node, in eviction-preference order (lowest priority first, then
-	// name). Sessions that are mid-checkpoint, mid-recovery, or
-	// already migrating are omitted.
+	// node, in eviction-preference order (name order in the grid).
+	// Sessions that are mid-checkpoint, mid-recovery, or already
+	// migrating are omitted.
 	Sessions(node string) []string
 	// Target picks a destination for migrating sess off from, through
 	// the same placement code path the supervisor's failover uses. ok

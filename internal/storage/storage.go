@@ -78,14 +78,21 @@ func (s *Store) newFile(name string, size int64) *file {
 	return &file{size: size, qname: q, id: s.host.Cache().Intern(q)}
 }
 
-// cacheID returns the buffer-cache id for I/O on f. A deleted
-// incarnation released its id with its pages, so I/O through a stale
-// handle resolves the name afresh, as a by-name cache call would.
-func (s *Store) cacheID(f *file) int32 {
-	if f.deleted {
-		return s.host.Cache().Intern(f.qname)
+// read charges a read of [off, off+n) of f. A deleted incarnation
+// released its buffer-cache id with its pages, so a read through a
+// stale handle bypasses the cache: the device is charged for the whole
+// range and no page is cached under a name no file holds.
+func (s *Store) read(f *file, off, n int64, sequential bool, done func()) {
+	switch {
+	case f.deleted && sequential:
+		s.host.Disk().SubmitSequential(n, done)
+	case f.deleted:
+		s.host.Disk().Submit(n, done)
+	case sequential:
+		s.host.Cache().ReadSequential(s.host.Kernel(), f.id, off, n, done)
+	default:
+		s.host.Cache().Read(s.host.Kernel(), f.id, off, n, done)
 	}
-	return f.id
 }
 
 // NewStore creates an empty store on h.
@@ -310,7 +317,9 @@ func (s *Store) Copy(src, dst string, done func()) error {
 	k := s.host.Kernel()
 	cache := s.host.Cache()
 	// One chunk is in flight at a time, so the continuations share its
-	// window and are bound once per copy rather than once per chunk.
+	// window and are bound once per copy rather than once per chunk. A
+	// destination deleted mid-copy, like a deleted source, bypasses the
+	// cache (see read).
 	var off, n int64
 	var step, read, wrote func()
 	step = func() {
@@ -321,9 +330,15 @@ func (s *Store) Copy(src, dst string, done func()) error {
 			return
 		}
 		n = min(CopyChunk, size-off)
-		cache.Read(k, s.cacheID(from), off, n, read)
+		s.read(from, off, n, false, read)
 	}
-	read = func() { cache.WriteSequential(k, s.cacheID(to), off, n, wrote) }
+	read = func() {
+		if to.deleted {
+			s.host.Disk().SubmitSequential(n, wrote)
+			return
+		}
+		cache.WriteSequential(k, to.id, off, n, wrote)
+	}
 	wrote = func() {
 		off += n
 		step()
@@ -356,12 +371,12 @@ func (f *LocalFile) Size() int64 {
 
 // Read implements Backend.
 func (f *LocalFile) Read(off, size int64, done func()) {
-	f.store.host.Cache().Read(f.store.host.Kernel(), f.store.cacheID(f.file), off, size, done)
+	f.store.read(f.file, off, size, false, done)
 }
 
 // ReadSequential implements Backend.
 func (f *LocalFile) ReadSequential(off, size int64, done func()) {
-	f.store.host.Cache().ReadSequential(f.store.host.Kernel(), f.store.cacheID(f.file), off, size, done)
+	f.store.read(f.file, off, size, true, done)
 }
 
 // Write implements Backend, growing the file as needed. With a chunk

@@ -179,30 +179,41 @@ func TestCopyWarmsCache(t *testing.T) {
 }
 
 // TestStaleHandleReadsByName: a read through a handle whose file was
-// deleted resolves the name afresh, as a by-name buffer-cache call
-// does. It never hits the pages of a file that took the deleted file's
-// released cache id, and it does hit those of a file created since
-// under the same name.
+// deleted bypasses the buffer cache. The device is charged for the whole
+// range, and the read neither hits nor caches any page: not those of a
+// file that took the deleted file's released cache id, and not those of
+// a file created since under the same name.
 func TestStaleHandleReadsByName(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newStore(t, k)
 	c := s.Host().Cache()
+	disk := s.Host().Disk()
 	const pages = 4
+	const size = pages * hostos.CachePageSize
 	create := func(name string) *LocalFile {
 		t.Helper()
 		f, err := s.OpenOrCreate(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Write(0, pages*hostos.CachePageSize, nil)
+		f.Write(0, size, nil)
 		k.Run()
 		return f
 	}
-	readHits := func(f *LocalFile) uint64 {
-		before := c.Hits()
-		f.Read(0, pages*hostos.CachePageSize, nil)
+	staleRead := func(f *LocalFile, what string) {
+		t.Helper()
+		hits, cached, moved := c.Hits(), c.CachedBytes(), disk.BytesTransferred()
+		f.Read(0, size, nil)
 		k.Run()
-		return c.Hits() - before
+		if n := c.Hits() - hits; n != 0 {
+			t.Errorf("read through the deleted handle hit %d pages of %s, want 0", n, what)
+		}
+		if n := c.CachedBytes() - cached; n != 0 {
+			t.Errorf("read through the deleted handle cached %d bytes, want 0", n)
+		}
+		if n := disk.BytesTransferred() - moved; n != uint64(size) {
+			t.Errorf("read through the deleted handle moved %d device bytes, want %d", n, size)
+		}
 	}
 	stale := create("a")
 	if err := s.Delete("a"); err != nil {
@@ -211,13 +222,9 @@ func TestStaleHandleReadsByName(t *testing.T) {
 	if b := create("b"); b.file.id != stale.file.id {
 		t.Fatalf("b has cache id %d, want a's released id %d", b.file.id, stale.file.id)
 	}
-	if n := readHits(stale); n != 0 {
-		t.Errorf("read through the deleted handle hit %d of b's pages, want 0", n)
-	}
+	staleRead(stale, "b")
 	create("a")
-	if n := readHits(stale); n != pages {
-		t.Errorf("read through the deleted handle hit %d pages of the recreated a, want %d", n, pages)
-	}
+	staleRead(stale, "the recreated a")
 }
 
 func TestImageInfo(t *testing.T) {

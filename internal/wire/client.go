@@ -51,28 +51,6 @@ func (c *Config) fill() {
 	}
 }
 
-// CallOption tunes one Call (and every convenience wrapper built on
-// it) without touching the client's Config.
-type CallOption func(*callOpts)
-
-type callOpts struct {
-	deadline time.Duration
-	policy   retry.Policy
-	hasRetry bool
-}
-
-// WithDeadline overrides the per-attempt CallTimeout for this call.
-func WithDeadline(d time.Duration) CallOption {
-	return func(o *callOpts) { o.deadline = d }
-}
-
-// WithRetry overrides the retry policy for this call (e.g. a single
-// attempt for a probe, or a patient schedule for a just-restarted
-// server).
-func WithRetry(p retry.Policy) CallOption {
-	return func(o *callOpts) { o.policy, o.hasRetry = p, true }
-}
-
 // Client talks to a vmgridd server over TCP. A broken connection is
 // re-dialed (with capped exponential backoff) on the next Call, so a
 // client handle survives server restarts. A client made by NewLocal
@@ -214,9 +192,8 @@ func (c *Client) dropConn() {
 // unmarshaled into out when out is non-nil. Over TCP, attempts that fail
 // before the request is sent (dial errors, send errors) are retried per
 // the configured retry.Policy; failures after the send are returned
-// as-is. Options adjust the deadline or policy for this call only. An
-// in-process client dispatches directly and ignores them.
-func (c *Client) Call(op string, params any, out any, opts ...CallOption) error {
+// as-is. An in-process client dispatches directly.
+func (c *Client) Call(op string, params any, out any) error {
 	var raw json.RawMessage
 	if params != nil {
 		b, err := json.Marshal(params)
@@ -231,24 +208,12 @@ func (c *Client) Call(op string, params any, out any, opts ...CallOption) error 
 		c.nextID++
 		return decode(c.srv.dispatch(Request{ID: c.nextID, Op: op, Params: raw}), out)
 	}
-	var o callOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	policy := c.cfg.Retry
-	if o.hasRetry {
-		policy = o.policy
-	}
-	callTimeout := c.cfg.CallTimeout
-	if o.deadline > 0 {
-		callTimeout = o.deadline
-	}
 	var lastErr error
-	for attempt := 1; attempt <= policy.Attempts(); attempt++ {
+	for attempt := 1; attempt <= c.cfg.Retry.Attempts(); attempt++ {
 		if attempt > 1 {
-			time.Sleep(policy.Delay(attempt-1, wireBaseBackoff).Std())
+			time.Sleep(c.cfg.Retry.Delay(attempt-1, wireBaseBackoff).Std())
 		}
-		id, err := c.send(op, raw, callTimeout)
+		id, err := c.send(op, raw, c.cfg.CallTimeout)
 		if err != nil {
 			lastErr = err
 			continue
@@ -259,136 +224,135 @@ func (c *Client) Call(op string, params any, out any, opts ...CallOption) error 
 	return lastErr
 }
 
-// Convenience wrappers for the common operations. Each forwards its
-// CallOptions to Call.
+// Convenience wrappers for the common operations.
 
 // AddNode attaches a node to the served grid.
-func (c *Client) AddNode(p AddNodeParams, opts ...CallOption) error {
-	return c.Call("add-node", p, nil, opts...)
+func (c *Client) AddNode(p AddNodeParams) error {
+	return c.Call("add-node", p, nil)
 }
 
 // Connect links two nodes.
-func (c *Client) Connect(a, b, kind string, opts ...CallOption) error {
-	return c.Call("connect", ConnectParams{A: a, B: b, Kind: kind}, nil, opts...)
+func (c *Client) Connect(a, b, kind string) error {
+	return c.Call("connect", ConnectParams{A: a, B: b, Kind: kind}, nil)
 }
 
 // InstallImage installs an image on a node.
-func (c *Client) InstallImage(p InstallImageParams, opts ...CallOption) error {
-	return c.Call("install-image", p, nil, opts...)
+func (c *Client) InstallImage(p InstallImageParams) error {
+	return c.Call("install-image", p, nil)
 }
 
 // CreateData provisions user data on a node.
-func (c *Client) CreateData(p CreateDataParams, opts ...CallOption) error {
-	return c.Call("create-data", p, nil, opts...)
+func (c *Client) CreateData(p CreateDataParams) error {
+	return c.Call("create-data", p, nil)
 }
 
 // NewSession starts a VM session and waits for it to be ready.
-func (c *Client) NewSession(p SessionParams, opts ...CallOption) (SessionInfo, error) {
+func (c *Client) NewSession(p SessionParams) (SessionInfo, error) {
 	var info SessionInfo
-	err := c.Call("new-session", p, &info, opts...)
+	err := c.Call("new-session", p, &info)
 	return info, err
 }
 
 // Run executes a workload in a session and waits for completion.
-func (c *Client) Run(p RunParams, opts ...CallOption) (RunResult, error) {
+func (c *Client) Run(p RunParams) (RunResult, error) {
 	var res RunResult
-	err := c.Call("run", p, &res, opts...)
+	err := c.Call("run", p, &res)
 	return res, err
 }
 
 // Migrate moves a session to another node.
-func (c *Client) Migrate(session, target string, opts ...CallOption) (SessionInfo, error) {
+func (c *Client) Migrate(session, target string) (SessionInfo, error) {
 	var info SessionInfo
-	err := c.Call("migrate", MigrateParams{Session: session, Target: target}, &info, opts...)
+	err := c.Call("migrate", MigrateParams{Session: session, Target: target}, &info)
 	return info, err
 }
 
 // Hibernate checkpoints a session.
-func (c *Client) Hibernate(session string, opts ...CallOption) (SessionInfo, error) {
+func (c *Client) Hibernate(session string) (SessionInfo, error) {
 	var info SessionInfo
-	err := c.Call("hibernate", SessionRef{Session: session}, &info, opts...)
+	err := c.Call("hibernate", SessionRef{Session: session}, &info)
 	return info, err
 }
 
 // Wake resumes a hibernated session.
-func (c *Client) Wake(session string, opts ...CallOption) (SessionInfo, error) {
+func (c *Client) Wake(session string) (SessionInfo, error) {
 	var info SessionInfo
-	err := c.Call("wake", SessionRef{Session: session}, &info, opts...)
+	err := c.Call("wake", SessionRef{Session: session}, &info)
 	return info, err
 }
 
 // Shutdown ends a session.
-func (c *Client) Shutdown(session string, opts ...CallOption) error {
-	return c.Call("shutdown", SessionRef{Session: session}, nil, opts...)
+func (c *Client) Shutdown(session string) error {
+	return c.Call("shutdown", SessionRef{Session: session}, nil)
 }
 
 // Usage fetches a session's metered consumption.
-func (c *Client) Usage(session string, opts ...CallOption) (UsageInfo, error) {
+func (c *Client) Usage(session string) (UsageInfo, error) {
 	var u UsageInfo
-	err := c.Call("usage", SessionRef{Session: session}, &u, opts...)
+	err := c.Call("usage", SessionRef{Session: session}, &u)
 	return u, err
 }
 
 // Query lists information-service records of a kind.
-func (c *Client) Query(kind string, opts ...CallOption) ([]QueryEntry, error) {
+func (c *Client) Query(kind string) ([]QueryEntry, error) {
 	var entries []QueryEntry
-	err := c.Call("query", QueryParams{Kind: kind}, &entries, opts...)
+	err := c.Call("query", QueryParams{Kind: kind}, &entries)
 	return entries, err
 }
 
 // Status fetches the fabric summary.
-func (c *Client) Status(opts ...CallOption) (StatusInfo, error) {
+func (c *Client) Status() (StatusInfo, error) {
 	var st StatusInfo
-	err := c.Call("status", nil, &st, opts...)
+	err := c.Call("status", nil, &st)
 	return st, err
 }
 
 // Metrics fetches the served grid's metrics snapshot.
-func (c *Client) Metrics(opts ...CallOption) (obs.Snapshot, error) {
+func (c *Client) Metrics() (obs.Snapshot, error) {
 	var snap obs.Snapshot
-	err := c.Call("metrics", nil, &snap, opts...)
+	err := c.Call("metrics", nil, &snap)
 	return snap, err
 }
 
 // Spans fetches the served grid's recorded spans.
-func (c *Client) Spans(opts ...CallOption) ([]obs.SpanRecord, error) {
+func (c *Client) Spans() ([]obs.SpanRecord, error) {
 	var spans []obs.SpanRecord
-	err := c.Call("spans", nil, &spans, opts...)
+	err := c.Call("spans", nil, &spans)
 	return spans, err
 }
 
 // Trace fetches one session's causal tree and postmortem report.
-func (c *Client) Trace(session string, opts ...CallOption) (TraceInfo, error) {
+func (c *Client) Trace(session string) (TraceInfo, error) {
 	var info TraceInfo
-	err := c.Call("trace", SessionRef{Session: session}, &info, opts...)
+	err := c.Call("trace", SessionRef{Session: session}, &info)
 	return info, err
 }
 
 // Incidents lists the flight recorder's incident bundles.
-func (c *Client) Incidents(opts ...CallOption) ([]IncidentInfo, error) {
+func (c *Client) Incidents() ([]IncidentInfo, error) {
 	var rows []IncidentInfo
-	err := c.Call("incidents", nil, &rows, opts...)
+	err := c.Call("incidents", nil, &rows)
 	return rows, err
 }
 
 // Incident fetches one full incident bundle by id.
-func (c *Client) Incident(id string, opts ...CallOption) (obs.Incident, error) {
+func (c *Client) Incident(id string) (obs.Incident, error) {
 	var inc obs.Incident
-	err := c.Call("incident", IncidentRef{ID: id}, &inc, opts...)
+	err := c.Call("incident", IncidentRef{ID: id}, &inc)
 	return inc, err
 }
 
 // Top fetches one scrape-fresh grid snapshot.
-func (c *Client) Top(opts ...CallOption) (TopInfo, error) {
+func (c *Client) Top() (TopInfo, error) {
 	var info TopInfo
-	err := c.Call("top", nil, &info, opts...)
+	err := c.Call("top", nil, &info)
 	return info, err
 }
 
 // Alerts fetches the rule set and full alert firing log.
-func (c *Client) Alerts(opts ...CallOption) (AlertsInfo, error) {
+func (c *Client) Alerts() (AlertsInfo, error) {
 	var info AlertsInfo
-	err := c.Call("alerts", nil, &info, opts...)
+	err := c.Call("alerts", nil, &info)
 	return info, err
 }
 
@@ -432,9 +396,9 @@ func (c *Client) Watch(count int, everySec float64, fn func(TopInfo) error) erro
 }
 
 // Ping checks liveness.
-func (c *Client) Ping(opts ...CallOption) error {
+func (c *Client) Ping() error {
 	var pong string
-	if err := c.Call("ping", nil, &pong, opts...); err != nil {
+	if err := c.Call("ping", nil, &pong); err != nil {
 		return err
 	}
 	if pong != "pong" {

@@ -193,15 +193,21 @@ func TestTraceAndIncidentOps(t *testing.T) {
 	}
 }
 
-// TestCallOptions exercises WithDeadline and WithRetry pass-through on
-// both the success path and a fast-fail probe against a dead server.
+// TestCallOptions exercises the per-client Config that governs every
+// Call: an explicit CallTimeout and Retry on the success path, and a
+// single-attempt Retry as a fast-fail probe against a dead server.
 func TestCallOptions(t *testing.T) {
 	c := startServer(t)
-	if err := c.Ping(WithDeadline(10*time.Second), WithRetry(retry.Policy{MaxAttempts: 2})); err != nil {
+	live, err := DialConfig(c.addr, Config{CallTimeout: 10 * time.Second, Retry: retry.Policy{MaxAttempts: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if err := live.Ping(); err != nil {
 		t.Fatal(err)
 	}
 
-	dead, err := Dial(c.addr)
+	dead, err := DialConfig(c.addr, Config{Retry: retry.Policy{MaxAttempts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +215,7 @@ func TestCallOptions(t *testing.T) {
 	// Simulate a vanished server: point at a port nothing listens on.
 	dead.addr = "127.0.0.1:1"
 	start := time.Now()
-	if err := dead.Ping(WithRetry(retry.Policy{MaxAttempts: 1})); err == nil {
+	if err := dead.Ping(); err == nil {
 		t.Error("ping of dead server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
