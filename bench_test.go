@@ -72,7 +72,7 @@ func BenchmarkRunnerParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("fig1/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rows, err := experiments.Figure1(experiments.Fig1Config{
-					Seed: 1, Samples: fig1Samples, TaskSeconds: 1, Workers: workers,
+					Seed: 1, Samples: fig1Samples, Workers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -6,24 +6,11 @@ import (
 	"vmgrid/internal/placement"
 )
 
-// BalancerConfig configures the grid's autonomic load balancer: the
-// generic hysteresis knobs plus the placement policy used to rank
-// migration targets.
-type BalancerConfig struct {
-	placement.BalancerConfig
-	// Placer ranks migration-target candidates; nil keeps the
-	// information service's ranking (first viable future). The same
-	// shared candidate path serves session creation and supervisor
-	// restores, so the viability filters cannot drift apart.
-	Placer placement.Placer
-}
-
 // gridFabric adapts the grid to the balancer's world view. Its load
 // reads go through the telemetry TSDB a real deployment would scrape,
 // rather than into simulator internals the balancer could never see.
 type gridFabric struct {
-	g      *Grid
-	placer placement.Placer
+	g *Grid
 }
 
 func (f *gridFabric) Nodes() []string { return f.g.computeNodes() }
@@ -62,14 +49,14 @@ func (f *gridFabric) Sessions(node string) []string {
 // Target picks where the session should land, through the grid's
 // shared placement path: same candidate filters as session creation
 // and supervisor restores (image present, free slot, bidirectional
-// reachability from the source and the front end), ranked by the
-// balancer's policy.
+// reachability from the source and the front end), ranked least-loaded
+// first.
 func (f *gridFabric) Target(sess, from string) (string, bool) {
 	s := f.g.liveSession(sess)
 	if s == nil {
 		return "", false
 	}
-	return f.g.placeSession(f.g.info, f.placer, s, from, from, s.cfg.FrontEnd)
+	return f.g.placeSession(f.g.info, placement.LeastLoaded{}, s, from, from, s.cfg.FrontEnd)
 }
 
 // Migrate runs one fenced live migration on the balancer's behalf.
@@ -89,16 +76,12 @@ func (f *gridFabric) Migrate(sess, target string, done func(error)) error {
 // Its load signal is the telemetry pipeline's predicted-load series, so
 // it needs telemetry enabled and a running monitor. Call Stop on the
 // returned balancer to halt the loop.
-func (g *Grid) StartBalancer(cfg BalancerConfig) (*placement.Balancer, error) {
+func (g *Grid) StartBalancer() (*placement.Balancer, error) {
 	if !g.telemetry.Enabled() || g.monitor == nil || !g.monitor.running {
 		return nil, errors.New("core: balancer needs telemetry enabled and a running monitor")
 	}
 	g.telemetry.Want("node.predicted_load")
-	fab := &gridFabric{g: g, placer: cfg.Placer}
-	b, err := placement.NewBalancer(g.k, fab, cfg.BalancerConfig)
-	if err != nil {
-		return nil, err
-	}
+	b := placement.NewBalancer(g.k, &gridFabric{g: g})
 	b.Start()
 	return b, nil
 }

@@ -251,12 +251,17 @@ func startLoadSignal(t *testing.T, g *Grid) *Monitor {
 }
 
 // TestBalancerRelievesHotspotEndToEnd drives the real grid fabric: two
-// busy sessions packed on one node trip the hysteresis detector and the
-// one first in name order (the eviction order) is live-migrated to the
-// idle node.
+// busy sessions packed on one node, beside a busy host process, trip
+// the hysteresis detector and the session first in name order (the
+// eviction order) is live-migrated to the idle node.
 func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 	g := testbed(t)
 	defer startLoadSignal(t, g).Stop()
+	// The two sessions load compute1 to about 2; a host process
+	// competing for the CPU pushes it to about 3, past the hot mark.
+	bg := g.Node("compute1").Host().Spawn("bg")
+	bg.SetLoad(1)
+	defer bg.Exit()
 	mover := startSessionWith(t, g, WithNodeHint("compute1"))
 	stayer := startSessionWith(t, g, WithNodeHint("compute1"))
 	if mover.Name() >= stayer.Name() {
@@ -271,12 +276,7 @@ func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bal, err := g.StartBalancer(BalancerConfig{
-		BalancerConfig: placement.BalancerConfig{
-			Interval: 5 * sim.Second, HotLoad: 1.5, ClearLoad: 0.75, Sustain: 2,
-		},
-		Placer: placement.LeastLoaded{},
-	})
+	bal, err := g.StartBalancer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,15 +303,14 @@ func TestBalancerRelievesHotspotEndToEnd(t *testing.T) {
 // TestStartBalancerNeedsLoadSignal: without telemetry and a running
 // monitor the balancer has no load input, so it refuses to start.
 func TestStartBalancerNeedsLoadSignal(t *testing.T) {
-	cfg := BalancerConfig{Placer: placement.LeastLoaded{}}
 	g := testbed(t)
-	if _, err := g.StartBalancer(cfg); err == nil {
+	if _, err := g.StartBalancer(); err == nil {
 		t.Fatal("balancer started without telemetry or monitor")
 	}
 	if _, err := g.EnableTelemetry(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.StartBalancer(cfg); err == nil {
+	if _, err := g.StartBalancer(); err == nil {
 		t.Fatal("balancer started without a monitor")
 	}
 	m, err := g.StartMonitor()
@@ -319,7 +318,7 @@ func TestStartBalancerNeedsLoadSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Stop()
-	if _, err := g.StartBalancer(cfg); err == nil {
+	if _, err := g.StartBalancer(); err == nil {
 		t.Fatal("balancer started with a stopped monitor")
 	}
 	checkNoLeaks(t, g)

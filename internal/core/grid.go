@@ -195,7 +195,6 @@ type NodeConfig struct {
 	Name string
 	Site string
 	Role Role
-	Spec hw.MachineSpec
 	// Slots is how many concurrent VMs a compute node offers.
 	Slots int
 	// DHCPPrefix, when set, gives the node a pool of addresses for VM
@@ -215,10 +214,8 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 	if _, dup := g.nodes[cfg.Name]; dup {
 		return nil, fmt.Errorf("core: duplicate node %q", cfg.Name)
 	}
-	if cfg.Spec.Name == "" {
-		cfg.Spec = hw.ReferenceMachine(cfg.Name)
-	}
-	host, err := hostos.New(g.k, cfg.Spec)
+	spec := hw.ReferenceMachine(cfg.Name)
+	host, err := hostos.New(g.k, spec)
 	if err != nil {
 		return nil, fmt.Errorf("core: node %q: %w", cfg.Name, err)
 	}
@@ -255,7 +252,7 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 	}
 	if err := g.info.Register(gis.KindHost, cfg.Name, map[string]any{
 		gis.AttrSite:  cfg.Site,
-		gis.AttrSpeed: cfg.Spec.CPU.Speed,
+		gis.AttrSpeed: spec.CPU.Speed,
 	}, 0); err != nil {
 		return nil, err
 	}

@@ -484,8 +484,8 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 				User: cfg.User,
 				Ctx:  s.sctx,
 				// A job that reaches the gatekeeper after Shutdown does not run.
-				Fence:  func() error { return s.opErr(start) },
-				RunCtx: func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(start, ctx, jobDone) },
+				Fence: func() error { return s.opErr(start) },
+				Run:   func(ctx obs.SpanContext, jobDone func(error)) { s.instantiate(start, ctx, jobDone) },
 			}
 			submitErr := client.Submit(s.cur.node.name, job, func(err error) {
 				// A cancelled start fails with errShutDown, whatever the

@@ -10,7 +10,6 @@ import (
 	"vmgrid/internal/gram"
 	"vmgrid/internal/guest"
 	"vmgrid/internal/obs"
-	"vmgrid/internal/placement"
 	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 )
@@ -40,14 +39,6 @@ type SupervisorConfig struct {
 	// gives up and fails the session's tasks with ErrLeaseExpired.
 	// Default 8.
 	MaxRecoveries int
-	// Placer ranks restore-target candidates. nil keeps the information
-	// service's ranking (first viable future) — the behavior every
-	// recovery experiment was calibrated against. The candidate list is
-	// built by the grid's shared placement path either way, so the
-	// viability filters (image, slots, bidirectional reachability from
-	// the stable node and the front end) are identical to session
-	// creation and balancer target selection.
-	Placer placement.Placer
 }
 
 func (c *SupervisorConfig) fill() {
@@ -676,9 +667,11 @@ func (sup *Supervisor) fenceZombie(c *charge, epoch int64) {
 // and the front end (restore dispatch and its result) — a partitioned
 // host still advertises a stale future, and a half-dead node with a
 // muted transmit side would swallow the replies and hang the failover.
-// cfg.Placer then ranks what survives; nil keeps registry order.
+// The first survivor in the registry's ranking (advertised load
+// ascending) wins, the order every recovery experiment was calibrated
+// against.
 func (sup *Supervisor) pickTarget(s *Session) *Node {
-	name, ok := sup.g.placeSession(sup.view(), sup.cfg.Placer, s, "", sup.cfg.StableNode, s.cfg.FrontEnd)
+	name, ok := sup.g.placeSession(sup.view(), nil, s, "", sup.cfg.StableNode, s.cfg.FrontEnd)
 	if !ok {
 		return nil
 	}
@@ -720,7 +713,7 @@ func (sup *Supervisor) dispatchRestore(c *charge, o *op, in *incarnation) {
 		// The restore warm-starts in's VM over the staged checkpoint with
 		// a fresh guest (the crashed one's later state is gone); resume
 		// then resubmits the remaining work.
-		RunCtx: func(ctx obs.SpanContext, jobDone func(error)) {
+		Run: func(ctx obs.SpanContext, jobDone func(error)) {
 			rsp := sup.g.tracer.BeginChild(ctx, s.name, "supervisor", "restore")
 			finish := func(err error) {
 				rsp.EndErr(err)

@@ -344,11 +344,11 @@ func schedStopCont(seed uint64) (SchedRow, error) {
 	}
 	procA := h.Spawn("vm-a")
 	procB := h.Spawn("vm-b")
-	modA, err := sched.NewModulator(k, procA, target, 200*sim.Millisecond)
+	modA, err := sched.NewModulator(k, procA, target)
 	if err != nil {
 		return SchedRow{}, err
 	}
-	modB, err := sched.NewModulator(k, procB, 1-target, 200*sim.Millisecond)
+	modB, err := sched.NewModulator(k, procB, 1-target)
 	if err != nil {
 		return SchedRow{}, err
 	}

@@ -186,18 +186,7 @@ func balanceRun(seed uint64, placer placement.Placer, balance bool) (balanceArm,
 
 	var bal *placement.Balancer
 	if balance {
-		bal, err = g.StartBalancer(core.BalancerConfig{
-			BalancerConfig: placement.BalancerConfig{
-				Interval:  5 * sim.Second,
-				HotLoad:   2.5,
-				ClearLoad: 1.2,
-				Sustain:   3,
-				Cooldown:  90 * sim.Second,
-			},
-			// Relief always goes to the coolest viable node, whatever
-			// policy caused the hotspot.
-			Placer: placement.LeastLoaded{},
-		})
+		bal, err = g.StartBalancer()
 		if err != nil {
 			return arm, err
 		}

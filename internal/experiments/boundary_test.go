@@ -52,13 +52,13 @@ func TestTable2SampleEndsAtReady(t *testing.T) {
 // background load with the last sample, so its kernel drains at that
 // sample's completion instead of replaying the load until the horizon.
 func TestFig1ScenarioEndsAtLastSample(t *testing.T) {
-	cfg := Fig1Config{Seed: 2, Samples: 20, TaskSeconds: 1,
+	cfg := Fig1Config{Seed: 2, Samples: 20,
 		Trace: &obs.TraceSet{}, Telemetry: &telemetry.Set{}}
 	baseline, err := fig1Baseline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon := sim.Time(sim.DurationOf(float64(cfg.Samples)*cfg.TaskSeconds*8 + 300))
+	horizon := sim.Time(sim.DurationOf(float64(cfg.Samples)*fig1TaskSeconds*8 + 300))
 	for _, p := range [][2]Placement{
 		{OnPhysical, OnPhysical}, {OnPhysical, OnVM}, {OnVM, OnPhysical}, {OnVM, OnVM},
 	} {
@@ -94,7 +94,7 @@ func TestFig1ScenarioEndsAtLastSample(t *testing.T) {
 // before a separate load VM has finished restoring, that VM's load
 // never starts, so the queue still drains.
 func TestFig1LoadVMAfterMeasurementStaysIdle(t *testing.T) {
-	cfg := Fig1Config{Seed: 2, Samples: 2, TaskSeconds: 1}
+	cfg := Fig1Config{Seed: 2, Samples: 2}
 	baseline, err := fig1Baseline(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFigure1ShapeHolds(t *testing.T) {
-	rows, err := Figure1(Fig1Config{Seed: 1, Samples: 120, TaskSeconds: 1})
+	rows, err := Figure1(Fig1Config{Seed: 1, Samples: 120})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,15 @@ func (p Placement) String() string {
 	}
 }
 
+// fig1TaskSeconds is the CPU work of one test task sample.
+const fig1TaskSeconds = 1.0
+
 // Fig1Config parameterizes the microbenchmark.
 type Fig1Config struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Samples per scenario (the paper uses 1000).
 	Samples int
-	// TaskSeconds is the CPU work of one test task sample.
-	TaskSeconds float64
 	// Workers bounds the goroutines running scenarios concurrently;
 	// <= 0 means one per CPU. Output is identical for every value.
 	Workers int
@@ -60,7 +61,7 @@ type Fig1Config struct {
 
 // DefaultFig1Config matches the paper's setup.
 func DefaultFig1Config() Fig1Config {
-	return Fig1Config{Seed: 1, Samples: 1000, TaskSeconds: 1}
+	return Fig1Config{Seed: 1, Samples: 1000}
 }
 
 // Fig1Row is one of the twelve bars: mean ± stddev of test-task slowdown.
@@ -88,9 +89,6 @@ func (r Fig1Row) Scenario() string {
 func Figure1(cfg Fig1Config) ([]Fig1Row, error) {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 1000
-	}
-	if cfg.TaskSeconds <= 0 {
-		cfg.TaskSeconds = 1
 	}
 
 	baseline, err := fig1Baseline(cfg)
@@ -151,7 +149,7 @@ func fig1Baseline(cfg Fig1Config) (float64, error) {
 	os := guest.NewOS(guest.NewNativeCPU(h.Spawn("test")))
 	os.MarkBooted()
 	var elapsed float64
-	if _, err := os.Run(guest.MicroTask(cfg.TaskSeconds), func(r guest.TaskResult) {
+	if _, err := os.Run(guest.MicroTask(fig1TaskSeconds), func(r guest.TaskResult) {
 		elapsed = r.Elapsed().Seconds()
 	}); err != nil {
 		return 0, err
@@ -209,7 +207,7 @@ func fig1Scenario(cfg Fig1Config, baseline float64, seed uint64, load trace.Clas
 	// Generous horizon: heavy load can triple task times. The last
 	// sample stops every background source, so the queue drains at the
 	// measurement boundary and RunUntil reports the stall well before.
-	horizon := sim.DurationOf(float64(cfg.Samples)*cfg.TaskSeconds*8 + 300)
+	horizon := sim.DurationOf(float64(cfg.Samples)*fig1TaskSeconds*8 + 300)
 	_ = tb.k.RunUntil(sim.Time(horizon))
 	if tb.err != nil {
 		return Fig1Row{}, nil, nil, tb.err
@@ -295,7 +293,7 @@ func newFig1Testbed(cfg Fig1Config, baseline float64, seed uint64, load trace.Cl
 				end()
 				return
 			}
-			_, err := testOS.Run(guest.MicroTask(cfg.TaskSeconds), func(r guest.TaskResult) {
+			_, err := testOS.Run(guest.MicroTask(fig1TaskSeconds), func(r guest.TaskResult) {
 				tb.stat.Add(r.Elapsed().Seconds() / baseline)
 				tb.col.Observe("task.slowdown", r.Elapsed().Seconds()/baseline)
 				sample()

@@ -199,7 +199,7 @@ func assertWorkerInvariant[T any](t *testing.T, name string, run func(workers in
 
 func TestFigure1WorkerInvariant(t *testing.T) {
 	assertWorkerInvariant(t, "fig1", func(workers int) ([]Fig1Row, error) {
-		return Figure1(Fig1Config{Seed: 3, Samples: 40, TaskSeconds: 1, Workers: workers})
+		return Figure1(Fig1Config{Seed: 3, Samples: 40, Workers: workers})
 	})
 }
 

@@ -57,7 +57,7 @@ func TestTable2TelemetryDeterministicAcrossWorkers(t *testing.T) {
 func TestFig1TelemetryDeterministicAcrossWorkers(t *testing.T) {
 	export := func(workers int) string {
 		set := telemetry.NewSet()
-		cfg := Fig1Config{Seed: 3, Samples: 20, TaskSeconds: 0.5, Workers: workers, Telemetry: set}
+		cfg := Fig1Config{Seed: 3, Samples: 20, Workers: workers, Telemetry: set}
 		if _, err := Figure1(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestTable2TraceDeterministicAcrossWorkers(t *testing.T) {
 func TestFig1TraceDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []byte {
 		ts := obs.NewTraceSet()
-		cfg := Fig1Config{Seed: 3, Samples: 3, TaskSeconds: 1, Workers: workers, Trace: ts}
+		cfg := Fig1Config{Seed: 3, Samples: 3, Workers: workers, Trace: ts}
 		if _, err := Figure1(cfg); err != nil {
 			t.Fatal(err)
 		}

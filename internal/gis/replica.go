@@ -3,9 +3,10 @@
 // restage query), so this file makes it partition-tolerant. A Cluster
 // pins N Service replicas to distinct netsim nodes; writes take effect
 // only when the originating node can reach a majority of replicas
-// (quorum, fail-closed), while reads always come from a local replica —
-// possibly stale on the minority side of a partition, and marked so by
-// the read Client. Periodic anti-entropy gossip exchanges timestamped
+// (quorum, fail-closed), while a read asks one replica without a
+// quorum — the replica a reader is pinned to, or for an epoch guard the
+// first one in reach (GuardAt) — so it may be stale on the minority
+// side of a partition. Periodic anti-entropy gossip exchanges timestamped
 // last-writer-wins entries (including tombstones) over the simulated
 // network, so a healed partition reconverges to one view. Each payload
 // carries only what its peer has not yet been delivered, drawn from the
@@ -14,18 +15,12 @@
 package gis
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"vmgrid/internal/netsim"
-	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 )
-
-// ErrUnreachable is returned by Client reads when no replica can be
-// reached from the reader's node within the retry budget.
-var ErrUnreachable = errors.New("gis: no reachable replica")
 
 // Stamp totally orders writes for last-writer-wins reconciliation:
 // simulated time first, then a cluster-wide sequence number, then the
@@ -556,91 +551,3 @@ func (s *Service) Cluster() *Cluster { return s.cluster }
 // Home returns the netsim node a replicated Service is pinned to (""
 // for a standalone registry).
 func (s *Service) Home() string { return s.home }
-
-// Client is a node's read-side view of the replicated registry: reads
-// fail over across replicas in pinned order under the shared
-// retry.Policy vocabulary, and are marked stale when the replica that
-// served them sits on the minority side of a partition (it may be
-// missing committed writes).
-type Client struct {
-	c    *Cluster
-	node string
-	pol  retry.Policy
-}
-
-// ClientAt creates a read client anchored at a netsim node. The
-// policy's attempt budget bounds how many replicas a read probes before
-// giving up with ErrUnreachable; zero-value policy probes every
-// replica once.
-func (c *Cluster) ClientAt(node string, pol retry.Policy) *Client {
-	if pol.MaxAttempts < 1 {
-		pol.MaxAttempts = len(c.reps)
-	}
-	return &Client{c: c, node: node, pol: pol}
-}
-
-// serving picks the replica a read uses: the first one reachable from
-// the client's node, probing at most the policy's attempt budget.
-func (cl *Client) serving() (*Replica, bool, error) {
-	attempts := cl.pol.Attempts()
-	net := cl.c.net
-	from := net.Node(cl.node)
-	for i, r := range cl.c.reps {
-		if i >= attempts {
-			break
-		}
-		if !net.Reachable(from, r.at) {
-			continue
-		}
-		// Stale when the serving replica cannot itself assemble a
-		// quorum: committed writes may be missing from its view.
-		reach := 0
-		for _, p := range cl.c.reps {
-			if net.Reachable(r.at, p.at) {
-				reach++
-			}
-		}
-		return r, 2*reach <= len(cl.c.reps), nil
-	}
-	return nil, false, fmt.Errorf("%w: from %s (tried %d)", ErrUnreachable, cl.node, min(attempts, len(cl.c.reps)))
-}
-
-// Lookup fetches one record from the first reachable replica. stale
-// reports minority-side service.
-func (cl *Client) Lookup(kind Kind, name string) (e Entry, stale bool, err error) {
-	r, stale, err := cl.serving()
-	if err != nil {
-		return Entry{}, false, err
-	}
-	e, err = r.Svc.Lookup(kind, name)
-	return e, stale, err
-}
-
-// Select lists matching records from the first reachable replica.
-func (cl *Client) Select(kind Kind, pred func(Entry) bool) (out []Entry, stale bool, err error) {
-	r, stale, err := cl.serving()
-	if err != nil {
-		return nil, false, err
-	}
-	return r.Svc.Select(kind, pred), stale, nil
-}
-
-// FindFutures runs the VM-future query against the first reachable
-// replica — the failover-time restage query stays answerable as long
-// as any replica is in reach.
-func (cl *Client) FindFutures(q FutureQuery) (out []Entry, stale bool, err error) {
-	r, stale, err := cl.serving()
-	if err != nil {
-		return nil, false, err
-	}
-	return r.Svc.FindFutures(q), stale, nil
-}
-
-// Epoch reads a session's epoch from the first reachable replica.
-func (cl *Client) Epoch(session string) (int64, bool, error) {
-	r, stale, err := cl.serving()
-	if err != nil {
-		return 0, false, err
-	}
-	return r.Svc.Epoch(session), stale, nil
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vmgrid/internal/netsim"
-	"vmgrid/internal/retry"
 	"vmgrid/internal/sim"
 )
 
@@ -52,9 +51,8 @@ func TestClusterOfOneDegenerates(t *testing.T) {
 	if !c.Converged() {
 		t.Error("cluster of one not converged")
 	}
-	cl := c.ClientAt("g0", retry.Policy{})
-	if _, stale, err := cl.Lookup(KindHost, "h1"); err != nil || stale {
-		t.Errorf("lookup: stale=%v err=%v", stale, err)
+	if _, err := c.Replica(0).Lookup(KindHost, "h1"); err != nil {
+		t.Errorf("lookup: %v", err)
 	}
 }
 
@@ -80,11 +78,10 @@ func TestClusterOfTwoSplitFailsClosed(t *testing.T) {
 	if got := c.MinorityWrites(); got != 2 {
 		t.Errorf("MinorityWrites = %d, want 2", got)
 	}
-	// Reads still serve from either side, stale-marked.
-	for _, node := range []string{"g0", "g1"} {
-		cl := c.ClientAt(node, retry.Policy{})
-		if _, stale, err := cl.Lookup(KindHost, "pre"); err != nil || !stale {
-			t.Errorf("read at %s during split: stale=%v err=%v, want stale pre-split record", node, stale, err)
+	// Reads still serve from either side.
+	for i := 0; i < c.Size(); i++ {
+		if _, err := c.Replica(i).Lookup(KindHost, "pre"); err != nil {
+			t.Errorf("read at %s during split: %v, want the pre-split record", c.Node(i), err)
 		}
 	}
 	// Heal: writes flow again and both replicas converge.
@@ -136,12 +133,12 @@ func TestClusterOfFiveTwoConcurrentPartitions(t *testing.T) {
 			t.Errorf("write from %s: err %v, want ErrNoQuorum", origin, err)
 		}
 	}
-	// Minority replicas serve their pre-partition view, stale-marked.
-	cl3 := c.ClientAt("g3", retry.Policy{})
-	if _, stale, err := cl3.Lookup(KindHost, "doomed"); err != nil || !stale {
-		t.Errorf("g3 read during isolation: stale=%v err=%v, want stale hit", stale, err)
+	// Minority replicas serve their pre-partition view.
+	g3 := c.Replica(3)
+	if _, err := g3.Lookup(KindHost, "doomed"); err != nil {
+		t.Errorf("g3 read during isolation: %v, want the pre-partition record", err)
 	}
-	if _, _, err := cl3.Lookup(KindHost, "boom"); !errors.Is(err, ErrNotFound) {
+	if _, err := g3.Lookup(KindHost, "boom"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("g3 sees majority-era write during isolation: %v", err)
 	}
 
@@ -173,44 +170,6 @@ func TestClusterOfFiveTwoConcurrentPartitions(t *testing.T) {
 		if _, err := c.Replica(i).Lookup(KindHost, "boom"); err != nil {
 			t.Errorf("replica %d missing majority write after heal: %v", i, err)
 		}
-	}
-}
-
-// TestClientFailoverAcrossReplicas: a reader whose nearest replicas are
-// unreachable fails over down the pinned order; the retry budget bounds
-// the probes.
-func TestClientFailoverAcrossReplicas(t *testing.T) {
-	k := sim.NewKernel(1)
-	nodes := []string{"g0", "g1", "g2"}
-	net, svc, c := lanCluster(t, k, 3, append(nodes, "reader")...)
-
-	if err := svc.Register(KindHost, "h", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Isolate g0 and g1 entirely: only g2 remains in the reader's reach.
-	if err := net.SetNodeUp("g0", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetNodeUp("g1", false); err != nil {
-		t.Fatal(err)
-	}
-	// The read fails over to g2 and is stale-marked: g2 alone is a
-	// minority of three.
-	cl := c.ClientAt("reader", retry.Policy{})
-	if _, stale, err := cl.Lookup(KindHost, "h"); err != nil || !stale {
-		t.Fatalf("failover read: stale=%v err=%v, want stale minority hit", stale, err)
-	}
-	// A one-attempt budget only probes g0 and gives up.
-	one := c.ClientAt("reader", retry.Policy{MaxAttempts: 1})
-	if _, _, err := one.Lookup(KindHost, "h"); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("budgeted read: err %v, want ErrUnreachable", err)
-	}
-	// Fully cut off: even the full budget fails.
-	if err := net.SetNodeUp("reader", false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cl.Lookup(KindHost, "h"); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("cut-off read: err %v, want ErrUnreachable", err)
 	}
 }
 

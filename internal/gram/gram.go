@@ -54,12 +54,10 @@ type Job struct {
 	Name string
 	// User is the grid identity submitting the job.
 	User string
-	// Run performs the work; it must invoke done(err) exactly once.
-	Run func(done func(err error))
-	// RunCtx, when set, is used instead of Run: it additionally receives
-	// the gatekeeper's handler-span context, so work done on the far
+	// Run performs the work; it must invoke done(err) exactly once. ctx
+	// is the gatekeeper's handler-span context, so work done on the far
 	// side of the submit parents under the server-side span of the RPC.
-	RunCtx func(ctx obs.SpanContext, done func(err error))
+	Run func(ctx obs.SpanContext, done func(err error))
 	// Ctx is the submitter's span context. The client's submit span
 	// parents under it, and the gatekeeper's handler span re-parents
 	// under the submit span — the trace crosses the wire with the job.
@@ -71,17 +69,6 @@ type Job struct {
 	// through it so a restore dispatched before a newer failover cannot
 	// execute against a superseded epoch.
 	Fence func() error
-}
-
-// body returns the job's work function, bridging Run and RunCtx.
-func (j Job) body() func(ctx obs.SpanContext, done func(error)) {
-	if j.RunCtx != nil {
-		return j.RunCtx
-	}
-	if j.Run == nil {
-		return nil
-	}
-	return func(_ obs.SpanContext, done func(error)) { j.Run(done) }
 }
 
 // Gatekeeper accepts jobs at one host, the way a Globus gatekeeper plus
@@ -121,8 +108,7 @@ func (g *Gatekeeper) Revoke(user string) { delete(g.authorized, user) }
 // loaded machine authenticates slowly, part of Table 2's variance), then
 // execute. done receives the job's error.
 func (g *Gatekeeper) Submit(job Job, done func(error)) error {
-	body := job.body()
-	if body == nil {
+	if job.Run == nil {
 		return fmt.Errorf("gram: job %q with no body", job.Name)
 	}
 	if len(g.authorized) > 0 && !g.authorized[job.User] {
@@ -145,7 +131,7 @@ func (g *Gatekeeper) Submit(job Job, done func(error)) error {
 				return
 			}
 		}
-		body(hsp.Context(), func(err error) {
+		job.Run(hsp.Context(), func(err error) {
 			hsp.EndErr(err)
 			if done != nil {
 				done(err)

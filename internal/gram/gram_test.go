@@ -7,6 +7,7 @@ import (
 	"vmgrid/internal/hostos"
 	"vmgrid/internal/hw"
 	"vmgrid/internal/netsim"
+	"vmgrid/internal/obs"
 	"vmgrid/internal/sim"
 	"vmgrid/internal/storage"
 )
@@ -51,7 +52,7 @@ func TestSubmitRunsJob(t *testing.T) {
 	job := Job{
 		Name: "noop",
 		User: "alice",
-		Run: func(done func(error)) {
+		Run: func(_ obs.SpanContext, done func(error)) {
 			ran = true
 			done(nil)
 		},
@@ -80,7 +81,7 @@ func TestSubmitRunsJob(t *testing.T) {
 
 func TestSubmitErrors(t *testing.T) {
 	g := newGrid(t)
-	if err := g.client.Submit("nowhere", Job{Name: "x", Run: func(done func(error)) { done(nil) }}, nil); !errors.Is(err, ErrNoGatekeeper) {
+	if err := g.client.Submit("nowhere", Job{Name: "x", Run: func(_ obs.SpanContext, done func(error)) { done(nil) }}, nil); !errors.Is(err, ErrNoGatekeeper) {
 		t.Errorf("submit to unknown node = %v", err)
 	}
 	gk := g.registry.At("compute")
@@ -95,11 +96,11 @@ func TestGridmapAuthorization(t *testing.T) {
 	gk.Authorize("alice")
 
 	var aliceErr, malloryErr error = errSentinel, errSentinel
-	okJob := Job{Name: "j", User: "alice", Run: func(done func(error)) { done(nil) }}
+	okJob := Job{Name: "j", User: "alice", Run: func(_ obs.SpanContext, done func(error)) { done(nil) }}
 	if err := g.client.Submit("compute", okJob, func(err error) { aliceErr = err }); err != nil {
 		t.Fatal(err)
 	}
-	badJob := Job{Name: "j2", User: "mallory", Run: func(done func(error)) { done(nil) }}
+	badJob := Job{Name: "j2", User: "mallory", Run: func(_ obs.SpanContext, done func(error)) { done(nil) }}
 	if err := g.client.Submit("compute", badJob, func(err error) { malloryErr = err }); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestJobErrorPropagates(t *testing.T) {
 	g := newGrid(t)
 	boom := errors.New("disk on fire")
 	var got error
-	job := Job{Name: "failing", Run: func(done func(error)) { done(boom) }}
+	job := Job{Name: "failing", Run: func(_ obs.SpanContext, done func(error)) { done(boom) }}
 	if err := g.client.Submit("compute", job, func(err error) { got = err }); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestJobErrorPropagates(t *testing.T) {
 func TestLoadedHostSlowsControlPath(t *testing.T) {
 	idle := newGrid(t)
 	var idleAt sim.Time
-	_ = idle.client.Submit("compute", Job{Name: "j", Run: func(done func(error)) { done(nil) }},
+	_ = idle.client.Submit("compute", Job{Name: "j", Run: func(_ obs.SpanContext, done func(error)) { done(nil) }},
 		func(error) { idleAt = idle.k.Now() })
 	idle.k.Run()
 
@@ -152,7 +153,7 @@ func TestLoadedHostSlowsControlPath(t *testing.T) {
 	hog := busy.server.Spawn("hog")
 	hog.SetDemand(1)
 	var busyAt sim.Time
-	_ = busy.client.Submit("compute", Job{Name: "j", Run: func(done func(error)) { done(nil) }},
+	_ = busy.client.Submit("compute", Job{Name: "j", Run: func(_ obs.SpanContext, done func(error)) { done(nil) }},
 		func(error) { busyAt = busy.k.Now() })
 	_ = busy.k.RunUntil(sim.Time(sim.Minute))
 	if busyAt <= idleAt {

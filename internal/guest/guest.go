@@ -269,8 +269,8 @@ func (o *OS) updateActivity() {
 
 // redistribute splits the delivered guest rate among runnable tasks and
 // the background load by processor sharing: with n tasks and load u,
-// each task gets rate/(n+u). A task parked on a powered-off CPU polls
-// again once work is delivered.
+// each task gets rate/(n+u). A parked task polls again once work is
+// delivered.
 func (o *OS) redistribute(rate float64) {
 	runnable := o.Runnable()
 	if runnable == 0 {

@@ -271,7 +271,7 @@ type Task struct {
 	readsDone  int
 	writesDone int
 	plan       ioPlan // positioned at the next (or in-flight) I/O
-	parked     bool   // stalled on a powered-off CPU, with no poll armed
+	parked     bool   // no poll armed: the CPU is off, or the crossing is past the clock's end
 
 	// Pre-bound callbacks, created once per task. The I/O loop runs tens
 	// of thousands of times per workload; minting fresh closures for each
@@ -369,7 +369,15 @@ func (t *Task) pollNext() {
 	var wait sim.Duration
 	switch rate := t.tracker.Rate(); {
 	case rate > 0:
-		wait = max(sim.DurationOf((threshold-consumed)/rate), sim.Microsecond)
+		// sim.DurationOf, with the range checked before the conversion:
+		// a crossing later than the clock can hold never comes at this
+		// rate, so the task parks until the next rate re-arms the poll.
+		us := math.Round((threshold - consumed) / rate * float64(sim.Second))
+		if !(us < float64(math.MaxInt64-int64(k.Now()))) {
+			t.parked = true
+			return
+		}
+		wait = max(sim.Duration(us), sim.Microsecond)
 	case t.os.cpu.Off():
 		// Powered off (shut down or crashed; a migrated guest asks the VM
 		// that adopted it): nothing changes until the CPU starts again,

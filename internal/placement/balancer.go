@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"fmt"
 	"sort"
 
 	"vmgrid/internal/sim"
@@ -24,68 +23,46 @@ type Fabric interface {
 	// migrating are omitted.
 	Sessions(node string) []string
 	// Target picks a destination for migrating sess off from, through
-	// the same placement code path the supervisor's failover uses. ok
-	// is false when nothing can host the session.
+	// the same placement code path the supervisor's failover uses,
+	// ranked by LeastLoaded: relief goes to the coolest viable node,
+	// whatever policy caused the hotspot. ok is false when nothing can
+	// host the session.
 	Target(sess, from string) (target string, ok bool)
 	// Migrate starts a fenced live migration; done fires with its
 	// outcome.
 	Migrate(sess, target string, done func(error)) error
 }
 
-// BalancerConfig tunes hotspot detection and migration pacing.
-type BalancerConfig struct {
-	// Interval is the watch cadence. Default 5 s.
-	Interval sim.Duration
-	// HotLoad is the predicted load at or above which a node counts as
-	// hot. Default 2.0.
-	HotLoad float64
-	// ClearLoad is the predicted load at or below which a node's hot
-	// streak resets. Between ClearLoad and HotLoad the streak holds —
+// The balancer's settings. They are Ablation I's values, the only ones
+// the adaptation loop runs with.
+const (
+	// interval is the watch cadence.
+	interval = 5 * sim.Second
+	// hotLoad is the predicted load at or above which a node counts as
+	// hot.
+	hotLoad = 2.5
+	// clearLoad is the predicted load at or below which a node's hot
+	// streak resets. Between clearLoad and hotLoad the streak holds —
 	// the hysteresis band that keeps oscillating load from repeatedly
 	// re-arming the detector. A migration target must also sit at or
-	// below ClearLoad, so a move never creates the next hotspot.
-	// Default half of HotLoad.
-	ClearLoad float64
-	// Sustain is how many consecutive hot ticks arm a migration: a
-	// hotspot must persist Sustain × Interval before the balancer acts.
-	// Default 3.
-	Sustain int
-	// Cooldown is the per-session re-migration holdoff. A session just
+	// below clearLoad, so a move never creates the next hotspot.
+	clearLoad = 1.2
+	// sustain is how many consecutive hot ticks arm a migration: a
+	// hotspot must persist sustain × interval before the balancer acts.
+	sustain = 3
+	// cooldown is the per-session re-migration holdoff. A session just
 	// moved is immune for this long — with the target-load bound above,
-	// the ping-pong defense. Default 12 × Interval.
-	Cooldown sim.Duration
-}
-
-// maxMoves bounds the balancer's concurrent migrations.
-const maxMoves = 1
-
-func (c *BalancerConfig) fill() error {
-	if c.Interval <= 0 {
-		c.Interval = 5 * sim.Second
-	}
-	if c.HotLoad <= 0 {
-		c.HotLoad = 2.0
-	}
-	if c.ClearLoad <= 0 {
-		c.ClearLoad = c.HotLoad / 2
-	}
-	if c.ClearLoad > c.HotLoad {
-		return fmt.Errorf("placement: ClearLoad %.2f above HotLoad %.2f", c.ClearLoad, c.HotLoad)
-	}
-	if c.Sustain <= 0 {
-		c.Sustain = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 12 * c.Interval
-	}
-	return nil
-}
+	// the ping-pong defense.
+	cooldown = 90 * sim.Second
+	// maxMoves bounds the balancer's concurrent migrations.
+	maxMoves = 1
+)
 
 // BalancerStats counts what the balancer saw and did.
 type BalancerStats struct {
 	// Ticks is how many watch rounds ran.
 	Ticks int
-	// Hotspots is how many armed hotspots (sustained past Sustain)
+	// Hotspots is how many armed hotspots (sustained past sustain)
 	// the balancer considered acting on.
 	Hotspots int
 	// Migrations is how many migrations completed successfully.
@@ -98,16 +75,15 @@ type BalancerStats struct {
 	Skipped int
 }
 
-// Balancer is the autonomic load-balancing loop: every Interval it
+// Balancer is the autonomic load-balancing loop: every interval it
 // reads each node's predicted load, arms hotspots that stay hot for
-// Sustain consecutive ticks, and live-migrates one session at a time
+// sustain consecutive ticks, and live-migrates one session at a time
 // off the hottest node to wherever the placement path says — fenced
 // through the epoch machinery so a balancer move can never race a
 // partition failover.
 type Balancer struct {
 	k   *sim.Kernel
 	fab Fabric
-	cfg BalancerConfig
 
 	running  bool
 	next     sim.EventID
@@ -118,19 +94,13 @@ type Balancer struct {
 }
 
 // NewBalancer builds a balancer over the fabric. Start arms it.
-func NewBalancer(k *sim.Kernel, fab Fabric, cfg BalancerConfig) (*Balancer, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
+func NewBalancer(k *sim.Kernel, fab Fabric) *Balancer {
 	return &Balancer{
-		k: k, fab: fab, cfg: cfg,
+		k: k, fab: fab,
 		streak: make(map[string]int),
 		cool:   make(map[string]sim.Time),
-	}, nil
+	}
 }
-
-// Config returns the filled configuration.
-func (b *Balancer) Config() BalancerConfig { return b.cfg }
 
 // Stats returns a snapshot of the counters.
 func (b *Balancer) Stats() BalancerStats { return b.stats }
@@ -172,13 +142,13 @@ func (b *Balancer) tick() {
 			continue
 		}
 		switch {
-		case load >= b.cfg.HotLoad:
+		case load >= hotLoad:
 			b.streak[node]++
-		case load <= b.cfg.ClearLoad:
+		case load <= clearLoad:
 			b.streak[node] = 0
 			// Between the thresholds the streak holds: hysteresis.
 		}
-		if b.streak[node] >= b.cfg.Sustain {
+		if b.streak[node] >= sustain {
 			armed = append(armed, hotspot{node, load})
 		}
 	}
@@ -198,12 +168,12 @@ func (b *Balancer) tick() {
 			b.stats.Skipped++
 		}
 	}
-	b.next = b.k.After(b.cfg.Interval, b.tick)
+	b.next = b.k.After(interval, b.tick)
 }
 
 // relieve migrates one session off a hot node. It picks the first
 // victim not in cooldown, asks the placement path for a target, and
-// refuses targets above ClearLoad — moving load onto a warm node would
+// refuses targets above clearLoad — moving load onto a warm node would
 // only relocate the hotspot.
 func (b *Balancer) relieve(node string) bool {
 	now := b.k.Now()
@@ -215,13 +185,13 @@ func (b *Balancer) relieve(node string) bool {
 		if !ok || target == node {
 			continue
 		}
-		if tl, ok := b.fab.NodeLoad(target); ok && tl > b.cfg.ClearLoad {
+		if tl, ok := b.fab.NodeLoad(target); ok && tl > clearLoad {
 			continue
 		}
 		// Re-detect from scratch after the move lands rather than
 		// stacking migrations off one reading.
 		b.streak[node] = 0
-		b.cool[sess] = now.Add(b.cfg.Cooldown)
+		b.cool[sess] = now.Add(cooldown)
 		b.inflight++
 		err := b.fab.Migrate(sess, target, func(err error) {
 			b.inflight--

@@ -59,15 +59,14 @@ func (f *fakeFabric) Migrate(sess, target string, done func(error)) error {
 
 func constLoad(v float64) func() float64 { return func() float64 { return v } }
 
-func newTestBalancer(t *testing.T, fab *fakeFabric, cfg BalancerConfig) (*sim.Kernel, *Balancer) {
-	t.Helper()
+func newTestBalancer(fab *fakeFabric) (*sim.Kernel, *Balancer) {
 	k := sim.NewKernel(1)
-	b, err := NewBalancer(k, fab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k, b
+	return k, NewBalancer(k, fab)
 }
+
+// at is the instant halfway between the balancer's n'th and n+1'th
+// ticks (the first tick, n = 0, runs at t = 0).
+func at(n int) sim.Time { return sim.Time(sim.Duration(n)*interval + interval/2) }
 
 func TestBalancerMigratesSustainedHotspot(t *testing.T) {
 	fab := &fakeFabric{
@@ -79,18 +78,16 @@ func TestBalancerMigratesSustainedHotspot(t *testing.T) {
 		},
 		target: "c2",
 	}
-	k, b := newTestBalancer(t, fab, BalancerConfig{
-		Interval: sim.Second, HotLoad: 2.0, ClearLoad: 1.0, Sustain: 3,
-	})
+	k, b := newTestBalancer(fab)
 	b.Start()
 
-	// Two ticks (t=0, t=1s): streak below Sustain, nothing moves.
-	_ = k.RunUntil(sim.Time(1500 * sim.Millisecond))
+	// Two ticks (t=0, t=5s): streak below sustain, nothing moves.
+	_ = k.RunUntil(at(1))
 	if len(fab.moves) != 0 {
-		t.Fatalf("balancer moved before Sustain ticks: %v", fab.moves)
+		t.Fatalf("balancer moved before sustain ticks: %v", fab.moves)
 	}
 	// Third tick arms the hotspot.
-	_ = k.RunUntil(sim.Time(2500 * sim.Millisecond))
+	_ = k.RunUntil(at(2))
 	if len(fab.moves) != 1 || fab.moves[0] != "sess-1:c1->c2" {
 		t.Fatalf("moves = %v, want [sess-1:c1->c2]", fab.moves)
 	}
@@ -103,18 +100,18 @@ func TestBalancerMigratesSustainedHotspot(t *testing.T) {
 // TestBalancerHysteresisNoPingPong: load that oscillates hot → clear →
 // hot (a bursty node that keeps draining) must never arm a migration —
 // every clear reading resets the streak, so no burst shorter than
-// Sustain can trigger a move.
+// sustain can trigger a move.
 func TestBalancerHysteresisNoPingPong(t *testing.T) {
 	tick := 0
 	fab := &fakeFabric{
 		nodes: []string{"c1", "c2"},
 		loads: map[string]func() float64{
-			// Alternates 2.5 (hot), 0.5 (clear), 2.5, 0.5, ... — never two
+			// Alternates 3.0 (hot), 0.5 (clear), 3.0, 0.5, ... — never two
 			// consecutive hot readings.
 			"c1": func() float64 {
 				tick++
 				if tick%2 == 1 {
-					return 2.5
+					return 3.0
 				}
 				return 0.5
 			},
@@ -123,11 +120,9 @@ func TestBalancerHysteresisNoPingPong(t *testing.T) {
 		sessions: map[string][]string{"c1": {"sess-1"}, "c2": {}},
 		target:   "c2",
 	}
-	k, b := newTestBalancer(t, fab, BalancerConfig{
-		Interval: sim.Second, HotLoad: 2.0, ClearLoad: 1.0, Sustain: 2,
-	})
+	k, b := newTestBalancer(fab)
 	b.Start()
-	_ = k.RunUntil(sim.Time(30 * sim.Second))
+	_ = k.RunUntil(at(30))
 	if len(fab.moves) != 0 {
 		t.Fatalf("oscillating load migrated anyway: %v", fab.moves)
 	}
@@ -135,39 +130,37 @@ func TestBalancerHysteresisNoPingPong(t *testing.T) {
 }
 
 // TestBalancerBandHoldsStreak: dips into the hysteresis band (between
-// ClearLoad and HotLoad) hold the hot streak rather than resetting it —
-// a node hovering around HotLoad is still a persistent hotspot and is
+// clearLoad and hotLoad) hold the hot streak rather than resetting it —
+// a node hovering around hotLoad is still a persistent hotspot and is
 // eventually relieved, just slower.
 func TestBalancerBandHoldsStreak(t *testing.T) {
 	tick := 0
 	fab := &fakeFabric{
 		nodes: []string{"c1", "c2"},
 		loads: map[string]func() float64{
-			// Alternates 2.5 (hot), 1.5 (band), ... — hot half the time,
+			// Alternates 3.0 (hot), 1.8 (band), ... — hot half the time,
 			// never clear.
 			"c1": func() float64 {
 				tick++
 				if tick%2 == 1 {
-					return 2.5
+					return 3.0
 				}
-				return 1.5
+				return 1.8
 			},
 			"c2": constLoad(0.2),
 		},
 		sessions: map[string][]string{"c1": {"sess-1"}, "c2": {}},
 		target:   "c2",
 	}
-	k, b := newTestBalancer(t, fab, BalancerConfig{
-		Interval: sim.Second, HotLoad: 2.0, ClearLoad: 1.0, Sustain: 3,
-	})
+	k, b := newTestBalancer(fab)
 	b.Start()
 	// Hot readings land on ticks 1, 3, 5; the streak holds through the
-	// band dips, so the third hot reading (tick 5, t=4s) arms the move.
-	_ = k.RunUntil(sim.Time(3500 * sim.Millisecond))
+	// band dips, so the third hot reading (tick 5, t=20s) arms the move.
+	_ = k.RunUntil(at(3))
 	if len(fab.moves) != 0 {
 		t.Fatalf("moved before three hot readings accumulated: %v", fab.moves)
 	}
-	_ = k.RunUntil(sim.Time(4500 * sim.Millisecond))
+	_ = k.RunUntil(at(4))
 	if len(fab.moves) != 1 {
 		t.Fatalf("band dips reset the streak; hovering hotspot never relieved: %v", fab.moves)
 	}
@@ -175,23 +168,21 @@ func TestBalancerBandHoldsStreak(t *testing.T) {
 }
 
 // TestBalancerCooldownBlocksReMigration: after a session moves, it is
-// immune for Cooldown even if its new home immediately runs hot.
+// immune for cooldown even if its new home immediately runs hot.
 func TestBalancerCooldownBlocksReMigration(t *testing.T) {
 	fab := &fakeFabric{
 		nodes: []string{"c1", "c2"},
 		// Both sides look permanently hot except the current target —
 		// Target() always offers the other node, so without cooldown the
-		// session would bounce every Sustain ticks.
+		// session would bounce every sustain ticks.
 		loads:    map[string]func() float64{"c1": constLoad(3.0), "c2": constLoad(0.5)},
 		sessions: map[string][]string{"c1": {"sess-1"}, "c2": {}},
 		target:   "c2",
 	}
-	k, b := newTestBalancer(t, fab, BalancerConfig{
-		Interval: sim.Second, HotLoad: 2.0, ClearLoad: 1.0, Sustain: 2,
-		Cooldown: 60 * sim.Second,
-	})
+	k, b := newTestBalancer(fab)
 	b.Start()
-	_ = k.RunUntil(sim.Time(2 * sim.Second))
+	// The move lands on the third tick, t=10s.
+	_ = k.RunUntil(at(2))
 	if len(fab.moves) != 1 {
 		t.Fatalf("setup move missing: %v", fab.moves)
 	}
@@ -199,19 +190,21 @@ func TestBalancerCooldownBlocksReMigration(t *testing.T) {
 	fab.loads["c2"] = constLoad(3.0)
 	fab.loads["c1"] = constLoad(0.5)
 	fab.target = "c1"
-	_ = k.RunUntil(sim.Time(50 * sim.Second))
+	// c2 arms on the tick at t=25s, but the session is immune until
+	// t=100s.
+	_ = k.RunUntil(at(19))
 	if len(fab.moves) != 1 {
 		t.Fatalf("session ping-ponged inside cooldown: %v", fab.moves)
 	}
 	// Past the cooldown the (still hot) node may shed it again.
-	_ = k.RunUntil(sim.Time(90 * sim.Second))
+	_ = k.RunUntil(at(20))
 	if len(fab.moves) != 2 {
 		t.Fatalf("session stuck after cooldown expired: %v", fab.moves)
 	}
 	b.Stop()
 }
 
-// TestBalancerRefusesWarmTarget: a target above ClearLoad is refused —
+// TestBalancerRefusesWarmTarget: a target above clearLoad is refused —
 // moving the session there would just relocate the hotspot.
 func TestBalancerRefusesWarmTarget(t *testing.T) {
 	fab := &fakeFabric{
@@ -220,11 +213,9 @@ func TestBalancerRefusesWarmTarget(t *testing.T) {
 		sessions: map[string][]string{"c1": {"sess-1"}, "c2": {}},
 		target:   "c2",
 	}
-	k, b := newTestBalancer(t, fab, BalancerConfig{
-		Interval: sim.Second, HotLoad: 2.0, ClearLoad: 1.0, Sustain: 2,
-	})
+	k, b := newTestBalancer(fab)
 	b.Start()
-	_ = k.RunUntil(sim.Time(10 * sim.Second))
+	_ = k.RunUntil(at(10))
 	if len(fab.moves) != 0 {
 		t.Fatalf("balancer moved onto a warm target: %v", fab.moves)
 	}
@@ -242,11 +233,9 @@ func TestBalancerCountsFailedMigrations(t *testing.T) {
 		target:   "c2",
 		failNext: errFake,
 	}
-	k, b := newTestBalancer(t, fab, BalancerConfig{
-		Interval: sim.Second, HotLoad: 2.0, ClearLoad: 1.0, Sustain: 1,
-	})
+	k, b := newTestBalancer(fab)
 	b.Start()
-	_ = k.RunUntil(sim.Time(500 * sim.Millisecond))
+	_ = k.RunUntil(at(2))
 	if st := b.Stats(); st.Failed != 1 || st.Migrations != 0 {
 		t.Errorf("stats = %+v, want 1 failed / 0 migrations", st)
 	}
@@ -259,18 +248,37 @@ type errFakeType struct{}
 
 func (errFakeType) Error() string { return "fake migration failure" }
 
-func TestBalancerConfigValidation(t *testing.T) {
-	k := sim.NewKernel(1)
-	if _, err := NewBalancer(k, &fakeFabric{}, BalancerConfig{HotLoad: 1, ClearLoad: 2}); err == nil {
-		t.Error("ClearLoad above HotLoad accepted")
+// TestBalancerThresholdEdges: a reading exactly at hotLoad counts as
+// hot, one exactly at clearLoad resets the streak, and a target exactly
+// at clearLoad is acceptable.
+func TestBalancerThresholdEdges(t *testing.T) {
+	tick := 0
+	fab := &fakeFabric{
+		nodes: []string{"c1", "c2"},
+		loads: map[string]func() float64{
+			// hot, hot, clear, then hot from tick 4 on: the clear reading
+			// restarts the count, so only the sixth tick arms.
+			"c1": func() float64 {
+				tick++
+				if tick == 3 {
+					return clearLoad
+				}
+				return hotLoad
+			},
+			"c2": constLoad(clearLoad),
+		},
+		sessions: map[string][]string{"c1": {"sess-1"}, "c2": {}},
+		target:   "c2",
 	}
-	b, err := NewBalancer(k, &fakeFabric{}, BalancerConfig{})
-	if err != nil {
-		t.Fatal(err)
+	k, b := newTestBalancer(fab)
+	b.Start()
+	_ = k.RunUntil(at(4))
+	if len(fab.moves) != 0 {
+		t.Fatalf("a reading at clearLoad did not reset the streak: %v", fab.moves)
 	}
-	cfg := b.Config()
-	if cfg.Interval != 5*sim.Second || cfg.HotLoad != 2.0 || cfg.ClearLoad != 1.0 ||
-		cfg.Sustain != 3 || cfg.Cooldown != 60*sim.Second {
-		t.Errorf("defaults not filled: %+v", cfg)
+	_ = k.RunUntil(at(5))
+	if len(fab.moves) != 1 || fab.moves[0] != "sess-1:c1->c2" {
+		t.Fatalf("moves = %v, want [sess-1:c1->c2] onto the target at clearLoad", fab.moves)
 	}
+	b.Stop()
 }

@@ -189,7 +189,7 @@ func Compile(k *sim.Kernel, h *hostos.Host, p Policy) (*Enforcement, error) {
 		case RuleWeight:
 			proc.SetWeight(r.Value)
 		case RuleLimit:
-			m, err := NewModulator(k, proc, r.Value, 200*sim.Millisecond)
+			m, err := NewModulator(k, proc, r.Value)
 			if err != nil {
 				e.Release()
 				return nil, err

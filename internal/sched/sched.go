@@ -168,26 +168,26 @@ func Shares(s QuantumScheduler, n int) []float64 {
 // Linux scheduler, using SIGSTOP/SIGCONT signal delivery". It is coarse
 // (period-granular) but needs no kernel support.
 type Modulator struct {
-	k      *sim.Kernel
-	proc   *hostos.Process
-	period sim.Duration
-	share  float64
+	k     *sim.Kernel
+	proc  *hostos.Process
+	share float64
 
 	running bool
 	stopped bool
 	next    sim.EventID
 }
 
+// modulatorPeriod is the duty cycle's length: the process runs for
+// share of each period and is stopped for the rest.
+const modulatorPeriod = 200 * sim.Millisecond
+
 // NewModulator prepares (but does not start) duty-cycling proc to the
 // given share of each period.
-func NewModulator(k *sim.Kernel, proc *hostos.Process, share float64, period sim.Duration) (*Modulator, error) {
+func NewModulator(k *sim.Kernel, proc *hostos.Process, share float64) (*Modulator, error) {
 	if share < 0 || share > 1 {
 		return nil, fmt.Errorf("sched: modulator share %v", share)
 	}
-	if period <= 0 {
-		return nil, fmt.Errorf("sched: modulator period %v", period)
-	}
-	return &Modulator{k: k, proc: proc, period: period, share: share}, nil
+	return &Modulator{k: k, proc: proc, share: share}, nil
 }
 
 // Share returns the enforced share.
@@ -229,20 +229,20 @@ func (m *Modulator) tick() {
 	if !m.running {
 		return
 	}
-	runFor := sim.Duration(float64(m.period) * m.share)
-	stopFor := m.period - runFor
+	runFor := sim.Duration(float64(modulatorPeriod) * m.share)
+	stopFor := modulatorPeriod - runFor
 	if m.stopped {
 		m.proc.Cont()
 		m.stopped = false
 	}
 	if stopFor <= 0 {
-		m.next = m.k.After(m.period, m.tick)
+		m.next = m.k.After(modulatorPeriod, m.tick)
 		return
 	}
 	if runFor <= 0 {
 		m.proc.Stop()
 		m.stopped = true
-		m.next = m.k.After(m.period, m.tick)
+		m.next = m.k.After(modulatorPeriod, m.tick)
 		return
 	}
 	m.next = m.k.After(runFor, func() {

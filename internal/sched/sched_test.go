@@ -141,7 +141,7 @@ func TestModulatorEnforcesShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := h.Spawn("vm")
-	m, err := NewModulator(k, proc, 0.4, 200*sim.Millisecond)
+	m, err := NewModulator(k, proc, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestModulatorExtremes(t *testing.T) {
 	k := sim.NewKernel(1)
 	h, _ := hostos.New(k, hw.ReferenceMachine("n"))
 	full := h.Spawn("full")
-	m1, err := NewModulator(k, full, 1.0, 100*sim.Millisecond)
+	m1, err := NewModulator(k, full, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestModulatorExtremes(t *testing.T) {
 	m1.Stop()
 
 	zero := h.Spawn("zero")
-	m0, err := NewModulator(k, zero, 0, 100*sim.Millisecond)
+	m0, err := NewModulator(k, zero, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +206,10 @@ func TestModulatorValidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	h, _ := hostos.New(k, hw.ReferenceMachine("n"))
 	p := h.Spawn("x")
-	if _, err := NewModulator(k, p, 1.5, sim.Second); err == nil {
+	if _, err := NewModulator(k, p, 1.5); err == nil {
 		t.Error("share > 1 accepted")
 	}
-	if _, err := NewModulator(k, p, 0.5, 0); err == nil {
-		t.Error("zero period accepted")
-	}
-	m, _ := NewModulator(k, p, 0.5, sim.Second)
+	m, _ := NewModulator(k, p, 0.5)
 	if err := m.SetShare(-0.1); err == nil {
 		t.Error("negative SetShare accepted")
 	}

@@ -73,7 +73,10 @@ func (w *WorkTracker) reconcile() {
 }
 
 // SetRate changes the drain rate effective immediately. A rate of zero
-// stalls the work. Negative rates panic.
+// stalls the work. Negative rates panic. Work whose completion instant
+// lies beyond the last time the virtual clock can hold schedules no
+// completion: it drains but never finishes, as if stalled, until a
+// later rate brings the instant within reach.
 func (w *WorkTracker) SetRate(rate float64) {
 	if rate < 0 {
 		panic(fmt.Sprintf("sim: WorkTracker rate %v < 0", rate))
@@ -88,11 +91,13 @@ func (w *WorkTracker) SetRate(rate float64) {
 	if rate <= 0 {
 		return
 	}
-	eta := DurationOf(w.remaining / rate)
-	if eta < 0 {
-		eta = 0
+	// DurationOf(w.remaining / rate), with the range checked before the
+	// conversion: a float beyond int64 converts to an arbitrary value.
+	eta := math.Round(w.remaining / rate * float64(Second))
+	if !(eta < float64(math.MaxInt64-int64(w.k.Now()))) {
+		return
 	}
-	w.pending = w.k.After(eta, w.completeFn)
+	w.pending = w.k.After(Duration(eta), w.completeFn)
 }
 
 // Abort cancels the work without running the completion callback.

@@ -59,6 +59,30 @@ func TestWorkTrackerStall(t *testing.T) {
 	}
 }
 
+// TestWorkTrackerBeyondClockRange: work whose completion instant lies
+// past the last time the clock can hold must not finish at once; it
+// waits as a stalled tracker does, and completes on time once a faster
+// rate brings the instant within reach.
+func TestWorkTrackerBeyondClockRange(t *testing.T) {
+	k := NewKernel(1)
+	var doneAt Time = -1
+	w := NewWorkTracker(k, 1e13, func() { doneAt = k.Now() })
+	w.SetRate(1) // 1e13 s: past the clock's ~9.2e12 s range
+	if k.Pending() != 0 {
+		t.Fatalf("%d events scheduled for a completion the clock cannot hold", k.Pending())
+	}
+	k.At(Time(10*Second), func() { w.SetRate(1e6) })
+	k.Run()
+	if doneAt < 0 {
+		t.Fatal("work never finished after the rate rose")
+	}
+	// 10 units drained in the first 10 s; the rest takes (1e13-10)/1e6 s.
+	want := Time(10 * Second).Add(DurationOf((1e13 - 10) / 1e6))
+	if doneAt != want {
+		t.Errorf("completion at %v, want %v", doneAt, want)
+	}
+}
+
 func TestWorkTrackerAbort(t *testing.T) {
 	k := NewKernel(1)
 	done := false

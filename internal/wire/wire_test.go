@@ -481,3 +481,39 @@ func TestTimedOutNewSessionFreesSlotAtOnce(t *testing.T) {
 		t.Errorf("compute processes after the stage landed: %v, want the second session's VM only", procs)
 	}
 }
+
+// TestRunBeyondClockRange: work longer than the virtual clock can hold
+// (the clock ends near 9.2e12 s) must not finish at once, with or
+// without guest I/O along the way. Its completion, like a stalled
+// task's, is never scheduled. The runs share one session, so each
+// later task splits the CPU with those still draining.
+func TestRunBeyondClockRange(t *testing.T) {
+	c := startServer(t)
+	buildFabric(t, c)
+	info, err := c.NewSession(SessionParams{
+		User: "alice", FrontEnd: "front", Image: "rh72",
+		Mode: "restore", Disk: "non-persistent", Access: "local",
+		DataNode: "data", DataFile: "dataset",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const idle = "simulation idle before operation completed"
+	for _, tc := range []struct {
+		p    RunParams
+		want string
+	}{
+		// Nothing is left to happen on this otherwise quiet grid.
+		{RunParams{Session: info.Name, Name: "cpu", CPUSeconds: 1e13}, idle},
+		// The one I/O, halfway through, also lies past the clock's end.
+		{RunParams{Session: info.Name, Name: "far-io", CPUSeconds: 1e14, RootOps: 1}, idle},
+		// The first of ten I/Os is in range, but far past the budget.
+		{RunParams{Session: info.Name, Name: "io", CPUSeconds: 1e13, RootOps: 10},
+			"exceeded 100h0m0s of virtual time"},
+	} {
+		res, err := c.Run(tc.p)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run = %+v, %v; want %q", tc.p.Name, res, err, tc.want)
+		}
+	}
+}
