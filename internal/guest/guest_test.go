@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -327,5 +328,66 @@ func TestNegativeWritesRejected(t *testing.T) {
 	bad := Workload{Name: "x", CPUSeconds: 1, Writes: -1}
 	if err := bad.Validate(); err == nil {
 		t.Error("negative writes accepted")
+	}
+}
+
+// TestCancel: cancelling a task, while it computes or while it is
+// blocked on a read, runs its done callback once, with ErrCanceled, and
+// gives the other task the whole CPU from then on; a late read
+// completion, a pending poll and a second Cancel change nothing.
+func TestCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		victim Workload
+	}{
+		{"running", MicroTask(100)},
+		// Its one read falls due after 1 s of its work, 2 s into the
+		// run; uncancelled, it would then share the CPU again.
+		{"blocked", Workload{Name: "io", CPUSeconds: 2, PrivPerSec: 300, MemVirtPerSec: 200,
+			Reads: 1, ReadBytes: 1 << 20, Mount: "root"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newNativeFixture(t)
+			calls := 0
+			var got error
+			victim, err := f.os.Run(tc.victim, func(r TaskResult) { calls++; got = r.Err })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var otherEnd sim.Time
+			if _, err := f.os.Run(MicroTask(5), func(r TaskResult) { otherEnd = r.End }); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.k.RunUntil(sim.Time(2 * sim.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "blocked" {
+				for victim.Running() {
+					if err := f.k.RunFor(sim.Millisecond); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if victim.Done() || victim.Running() != (tc.name == "running") {
+				t.Fatalf("victim done %v, running %v before Cancel", victim.Done(), victim.Running())
+			}
+			victim.Cancel()
+			victim.Cancel()
+			if calls != 1 || !errors.Is(got, ErrCanceled) || !victim.Done() {
+				t.Fatalf("after Cancel: %d done calls, err %v, done %v; want 1, ErrCanceled, true", calls, got, victim.Done())
+			}
+			if f.os.Tasks() != 1 || f.os.Runnable() != 1 {
+				t.Fatalf("%d tasks, %d runnable after Cancel; want 1, 1", f.os.Tasks(), f.os.Runnable())
+			}
+			f.k.Run()
+			if calls != 1 {
+				t.Errorf("done ran %d times", calls)
+			}
+			// Half the CPU for 2 s, then all of it: 1 + 4 s of work end
+			// near 6 s (alone after 2 s) rather than 7 or 10 s.
+			if math.Abs(otherEnd.Seconds()-6) > 0.05 {
+				t.Errorf("other task ended at %.3f s, want ~6 s", otherEnd.Seconds())
+			}
+		})
 	}
 }

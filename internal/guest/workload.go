@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -131,6 +132,9 @@ type TaskResult struct {
 	// Err is non-nil if the task failed (e.g. missing mount).
 	Err error
 }
+
+// ErrCanceled is the error of a task ended by Cancel.
+var ErrCanceled = errors.New("guest: task canceled")
 
 // Elapsed returns the wall-clock (virtual) run time.
 func (r TaskResult) Elapsed() sim.Duration { return r.End.Sub(r.Start) }
@@ -329,6 +333,16 @@ func (t *Task) Running() bool { return t.state == taskRunning }
 // Done reports whether the task finished.
 func (t *Task) Done() bool { return t.state == taskDone }
 
+// Cancel ends an unfinished task: it stops taking CPU, and done runs
+// once, with ErrCanceled. An I/O it has in flight still completes at
+// its mount, but the task ignores the completion, as it does a pending
+// poll. Cancel on a finished task does nothing.
+func (t *Task) Cancel() {
+	if t.state != taskDone {
+		t.fail(ErrCanceled)
+	}
+}
+
 // Progress returns the fraction of user work completed.
 func (t *Task) Progress() float64 {
 	if t.tracker == nil {
@@ -413,6 +427,9 @@ func (t *Task) blockForIO() {
 // issueIO hands the current planned op to its mount once the per-op
 // penalty has been charged.
 func (t *Task) issueIO() {
+	if t.state != taskBlocked {
+		return // canceled during the penalty
+	}
 	op := &t.plan.op
 	if op.write {
 		t.ioMount.Write(op.offset, op.bytes, t.completeFn)
@@ -431,7 +448,7 @@ func (t *Task) completeIO() {
 	t.plan.advance()
 	t.ioWait += t.os.Kernel().Now().Sub(t.ioStart)
 	if t.state != taskBlocked {
-		return // task was torn down while blocked
+		return // canceled while blocked
 	}
 	t.state = taskRunning
 	t.os.updateActivity()

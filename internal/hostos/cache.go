@@ -72,28 +72,16 @@ func pageRange(off, size int64) (first, last int64) {
 // releases it.
 func (c *BufferCache) Intern(file string) int32 { return c.pages.Intern(file) }
 
-// caching reports whether the cache can hold a page at all; a smaller
-// cache never inserts, so every read misses.
-func (c *BufferCache) caching() bool { return c.capacity >= CachePageSize }
-
 // fetch walks [off, off+size) of file id, counting hits and misses and
-// caching the missed pages; it returns the bytes the device must supply.
+// caching the missed pages, with one range call; it returns the bytes
+// the device must supply.
 func (c *BufferCache) fetch(id int32, off, size int64) (missing int64) {
 	first, last := pageRange(off, size)
-	if !c.caching() {
-		c.misses += uint64(last - first + 1)
-		return (last - first + 1) * CachePageSize
-	}
-	for pg := first; pg <= last; pg++ {
-		if c.pages.Touch(id, pg) {
-			c.hits++
-			continue
-		}
-		c.misses++
-		missing += CachePageSize
-		c.pages.Insert(id, pg)
-	}
-	return missing
+	hits := int64(c.pages.InsertRange(id, first, last))
+	misses := last - first + 1 - hits
+	c.hits += uint64(hits)
+	c.misses += uint64(misses)
+	return misses * CachePageSize
 }
 
 // Read fetches [off, off+size) of file id through the cache and invokes
@@ -134,12 +122,8 @@ func (c *BufferCache) WriteSequential(k *sim.Kernel, id int32, off, size int64, 
 }
 
 func (c *BufferCache) write(k *sim.Kernel, id int32, off, size int64, done func(), sequential bool) {
-	if c.caching() {
-		first, last := pageRange(off, size)
-		for pg := first; pg <= last; pg++ {
-			c.pages.Insert(id, pg)
-		}
-	}
+	first, last := pageRange(off, size)
+	c.pages.InsertRange(id, first, last)
 	if size <= 0 {
 		k.After(hitLatency, done)
 		return

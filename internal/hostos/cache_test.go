@@ -3,6 +3,7 @@ package hostos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmgrid/internal/hw"
@@ -175,6 +176,96 @@ func TestBufferCacheMatchesPageLRU(t *testing.T) {
 						t.Fatalf("op %d %s(%s, %d, %d): hits/misses/cached %d/%d/%d, want %d/%d/%d",
 							i, op, file, off, size, got.Hits(), got.Misses(), got.CachedBytes(),
 							want.hits, want.misses, want.used)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBufferCacheStreamsMatchPageLRU is TestBufferCacheMatchesPageLRU
+// for the streams the simulator makes: Store.Copy's alternating 2-page
+// source reads and destination writes, 16-page stage writes, 1-page
+// random reads, and invalidations that end a stream. After every call
+// it requires the reference's hits, misses and device traffic, and its
+// resident pages in its recency order.
+func TestBufferCacheStreamsMatchPageLRU(t *testing.T) {
+	const ps = CachePageSize
+	files := []string{"n1:img", "n1:copy", "n1:stage", "n1:rand"}
+	spec := hw.ReferenceMachine("n").Disk
+	for _, capacity := range []int64{0, 3 * ps, 17 * ps, 64*ps + ps/2, 300 * ps} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("cap=%d/seed=%d", capacity/ps, seed), func(t *testing.T) {
+				kGot, kWant := sim.NewKernel(1), sim.NewKernel(1)
+				dGot, dWant := hw.NewDisk(kGot, spec), hw.NewDisk(kWant, spec)
+				got, want := NewBufferCache(dGot, capacity), newRefPageCache(dWant, capacity)
+				copyAt, stageAt := int64(0), int64(0)
+				copyRead := false // the chunk at copyAt is read, to be written
+				rng := rand.New(rand.NewSource(seed))
+				var g, w []refPageKey
+				for i := 0; i < 2000; i++ {
+					var op string
+					var gObs, wObs diskObs
+					call := func(name, file string, off, size int64, read, seq bool) {
+						op = fmt.Sprintf("%s(%s, %d, %d)", name, file, off/ps, size/ps)
+						id := got.Intern(file)
+						if read {
+							gObs = observe(kGot, dGot, func() { got.Read(kGot, id, off, size, nil) })
+							wObs = observe(kWant, dWant, func() { want.read(kWant, file, off, size, false) })
+						} else {
+							gObs = observe(kGot, dGot, func() { got.WriteSequential(kGot, id, off, size, nil) })
+							wObs = observe(kWant, dWant, func() { want.write(kWant, file, off, size, true) })
+						}
+					}
+					switch r := rng.Intn(20); {
+					case r < 12: // one Store.Copy chunk: read the source, write the copy
+						if !copyRead {
+							call("Read", files[0], copyAt, 2*ps, true, false)
+						} else {
+							call("WriteSequential", files[1], copyAt, 2*ps, false, true)
+							copyAt += 2 * ps
+						}
+						copyRead = !copyRead
+					case r < 15:
+						call("WriteSequential", files[2], stageAt, 16*ps, false, true)
+						stageAt += 16 * ps
+					case r < 19:
+						f := files[rng.Intn(len(files))]
+						call("Read", f, rng.Int63n(400)*ps, ps, true, false)
+					default:
+						f := files[rng.Intn(len(files))]
+						op = "Invalidate(" + f + ")"
+						got.Invalidate(f)
+						want.invalidate(f)
+						switch f {
+						case files[0], files[1]:
+							copyAt, copyRead = 0, false
+						case files[2]:
+							stageAt = 0
+						}
+					}
+					if gObs != wObs {
+						t.Fatalf("op %d %s: device %+v, want %+v", i, op, gObs, wObs)
+					}
+					if got.Hits() != want.hits || got.Misses() != want.misses {
+						t.Fatalf("op %d %s: hits/misses %d/%d, want %d/%d", i, op, got.Hits(), got.Misses(), want.hits, want.misses)
+					}
+					names := map[int32]string{}
+					for _, f := range files {
+						names[got.Intern(f)] = f
+					}
+					g, w = g[:0], w[:0]
+					got.pages.Runs(func(id int32, first, last int64) {
+						for pg := first; pg <= last; pg++ {
+							g = append(g, refPageKey{names[id], pg})
+						}
+					})
+					want.pages.Filter(func(k refPageKey) bool {
+						w = append(w, k)
+						return false
+					})
+					if !slices.Equal(g, w) {
+						t.Fatalf("op %d %s: %d resident pages %v, want %d %v", i, op, len(g), g, len(w), w)
 					}
 				}
 			})

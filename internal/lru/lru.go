@@ -1,7 +1,9 @@
 // Package lru provides the recency indexes of the simulation data
 // plane's caches. Blocks, an LRU of (file, block) pairs that hashes
 // nothing per block, backs the host buffer cache and the vfs proxy
-// block cache; it grows by fixed pages, so a cache pays only for the
+// block cache; it keeps its recency order as runs of blocks and takes
+// range calls, so a sequential stream pays per run rather than per
+// block, and it grows by fixed pages, so a cache pays only for the
 // ranges it holds blocks in, and growth never copies. Cache, an LRU set
 // of comparable keys, has no production user left: it stays as the
 // plain reference the differential tests of this package, hostos, vfs

@@ -519,9 +519,7 @@ func (f *RemoteFile) Write(off, size int64, done func()) {
 		size = 1
 	}
 	rsize := c.cfg.Rsize
-	for b := off / rsize; b <= (off+size-1)/rsize; b++ {
-		c.blocks.Insert(f.id, b)
-	}
+	c.blocks.InsertRange(f.id, off/rsize, (off+size-1)/rsize)
 	if end := off + size; end > f.size {
 		f.size = end
 	}
@@ -618,16 +616,10 @@ func (c *Client) readAfterClientCost(o *readOp) {
 	last := (off + size - 1) / rsize
 
 	// Collect the missing block runs.
-	missing := c.scratchMissing[:0]
-	for b := first; b <= last; b++ {
-		if c.blocks.Touch(f.id, b) {
-			c.hits++
-		} else {
-			c.misses++
-			missing = append(missing, b)
-		}
-	}
+	missing := c.blocks.TouchRange(f.id, first, last, c.scratchMissing[:0])
 	c.scratchMissing = missing
+	c.hits += uint64(last - first + 1 - int64(len(missing)))
+	c.misses += uint64(len(missing))
 	if len(missing) == 0 {
 		done := o.done
 		c.putRead(o)
@@ -658,9 +650,7 @@ func (c *Client) readAfterClientCost(o *readOp) {
 	o.outstanding = len(spans)
 	for _, span := range spans {
 		startBlock, count := span[0], span[1]
-		for b := startBlock; b < startBlock+count; b++ {
-			c.blocks.Insert(f.id, b)
-		}
+		c.blocks.InsertRange(f.id, startBlock, startBlock+count-1)
 		l := c.getCall()
 		l.op = "read"
 		l.file = f.file

@@ -553,9 +553,17 @@ func (s *Server) run(p RunParams) (any, error) {
 		RootOps: p.RootOps, RootBytes: p.RootBytes,
 	}
 	var res guest.TaskResult
+	var task *guest.Task
 	if err := s.await(100*sim.Hour, func(done func(error)) error {
-		return sess.Run(w, func(r guest.TaskResult) { res = r; done(r.Err) })
+		var err error
+		task, err = sess.RunTask(w, func(r guest.TaskResult) { res = r; done(r.Err) })
+		return err
 	}); err != nil {
+		// A task the budget or an idle simulation gave up on would
+		// otherwise drain on, sharing the CPU with every later run.
+		if task != nil {
+			task.Cancel()
+		}
 		return nil, err
 	}
 	return RunResult{

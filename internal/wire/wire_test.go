@@ -485,8 +485,9 @@ func TestTimedOutNewSessionFreesSlotAtOnce(t *testing.T) {
 // TestRunBeyondClockRange: work longer than the virtual clock can hold
 // (the clock ends near 9.2e12 s) must not finish at once, with or
 // without guest I/O along the way. Its completion, like a stalled
-// task's, is never scheduled. The runs share one session, so each
-// later task splits the CPU with those still draining.
+// task's, is never scheduled. A run that fails cancels its task, so a
+// 10 s run in the same session takes as long after the failed runs as
+// before them.
 func TestRunBeyondClockRange(t *testing.T) {
 	c := startServer(t)
 	buildFabric(t, c)
@@ -495,6 +496,11 @@ func TestRunBeyondClockRange(t *testing.T) {
 		Mode: "restore", Disk: "non-persistent", Access: "local",
 		DataNode: "data", DataFile: "dataset",
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := RunParams{Session: info.Name, Name: "ref", CPUSeconds: 10}
+	before, err := c.Run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,5 +521,12 @@ func TestRunBeyondClockRange(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: run = %+v, %v; want %q", tc.p.Name, res, err, tc.want)
 		}
+	}
+	after, err := c.Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.ElapsedSec != before.ElapsedSec {
+		t.Errorf("10 s run took %v s after the failed runs, %v s before", after.ElapsedSec, before.ElapsedSec)
 	}
 }
