@@ -50,9 +50,8 @@ type Grid struct {
 	recorder *obs.FlightRecorder
 
 	telemetry     *telemetry.Collector
-	families      *scrapeFamilies // the scrape sources' series families
-	stagingSeries *stagingSeries  // telemetry handles, resolved on the first scrape
-	gisSeries     *gisSeries      // likewise
+	stagingSeries *stagingSeries // telemetry handles, resolved on the first scrape
+	gisSeries     *gisSeries     // likewise
 	monitor       *Monitor
 	supervisors   []*Supervisor
 	chunks        *chunk.Plane

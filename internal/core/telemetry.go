@@ -17,7 +17,7 @@ import (
 // standard SLO rules (see DefaultAlertRules) are installed, and alert
 // firings are mirrored into GIS soft state as KindAlert entries so
 // middleware discovers SLO violations the way it discovers hosts.
-// Only the families someone reads are scraped: the rules' series, what
+// Only the series someone reads are scraped: the rules' series, what
 // callers declare with Collector.Want, or everything after WantAll.
 //
 // Call EnableTelemetry after SetTracer (the tracer registry is captured
@@ -34,7 +34,6 @@ func (g *Grid) EnableTelemetry() (*telemetry.Collector, error) {
 		return nil, err
 	}
 	g.telemetry = col
-	g.families = newScrapeFamilies(col)
 
 	col.AddSource(g.scrapeNodes)
 	col.AddSource(g.scrapeSessions)
@@ -114,45 +113,16 @@ func (g *Grid) NodeNames() []string {
 // the caller's.
 func (g *Grid) LiveSessions() []*Session { return slices.Clone(g.live) }
 
-// scrapeFamilies are the series families the grid's sources record,
-// resolved once. Each source asks its families once per scrape whether
-// anyone reads them — a rule, a Collector.Want, an export — and
-// computes and records only those.
-type scrapeFamilies struct {
-	crashed, runnable, load, slots, predicted   telemetry.Family
-	slowdown, hitRate, retries, transportErrors telemetry.Family
-	leaseAge, epoch                             telemetry.Family
-	hits, misses, saved                         telemetry.Family
-	lag, minority                               telemetry.Family
-}
-
-func newScrapeFamilies(col *telemetry.Collector) *scrapeFamilies {
-	return &scrapeFamilies{
-		crashed:         col.Family("node.crashed"),
-		runnable:        col.Family("node.runnable"),
-		load:            col.Family("node.load"),
-		slots:           col.Family("node.slots"),
-		predicted:       col.Family("node.predicted_load"),
-		slowdown:        col.Family("session.slowdown"),
-		hitRate:         col.Family("vfs.hit_rate"),
-		retries:         col.Family("vfs.retries"),
-		transportErrors: col.Family("vfs.transport_errors"),
-		leaseAge:        col.Family("lease.age"),
-		epoch:           col.Family("session.epoch"),
-		hits:            col.Family("staging.chunk.hits"),
-		misses:          col.Family("staging.chunk.misses"),
-		saved:           col.Family("staging.bytes_saved"),
-		lag:             col.Family("gis.replica.lag"),
-		minority:        col.Family("gis.minority_writes"),
-	}
-}
-
 // The scrape sources record through series handles held by what they
 // describe: a node's, a live session's, and a supervised charge's
 // handles are resolved on its first scrape and kept for its lifetime,
 // so they are resolved again only when a node or session appears. (A
 // handle binds its series on its first sample, so no series exists
-// earlier than a keyed Record would have made it.)
+// earlier than a keyed Record would have made it.) A source asks each
+// handle whether anyone reads its name (Handle.Wanted) and computes
+// only what is read. Every handle of one name gives the same answer,
+// so a source whose first handles are all unwanted records nothing and
+// stops there.
 type nodeSeries struct {
 	crashed, runnable, load, slots, predicted *telemetry.Handle
 }
@@ -176,13 +146,17 @@ type gisSeries struct {
 	minority *telemetry.Handle
 }
 
-func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
-	f := g.families
-	crashed, runnable, load := f.crashed.Wanted(), f.runnable.Wanted(), f.load.Wanted()
-	slots, predicted := f.slots.Wanted(), f.predicted.Wanted()
-	if !crashed && !runnable && !load && !slots && !predicted {
-		return
+// anyWanted reports whether anyone reads one of hs.
+func anyWanted(hs ...*telemetry.Handle) bool {
+	for _, h := range hs {
+		if h.Wanted() {
+			return true
+		}
 	}
+	return false
+}
+
+func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
 	for _, n := range g.order {
 		ts := n.series
 		if ts == nil {
@@ -196,7 +170,10 @@ func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
 			}
 			n.series = ts
 		}
-		if crashed {
+		if !anyWanted(ts.crashed, ts.runnable, ts.load, ts.slots, ts.predicted) {
+			return
+		}
+		if ts.crashed.Wanted() {
 			v := 0.0
 			if n.crashed {
 				v = 1
@@ -206,29 +183,22 @@ func (g *Grid) scrapeNodes(r *telemetry.Recorder) {
 		if n.crashed {
 			continue
 		}
-		if runnable {
+		if ts.runnable.Wanted() {
 			r.Put(ts.runnable, float64(n.host.Runnable()))
 		}
-		if load {
+		if ts.load.Wanted() {
 			r.Put(ts.load, n.host.LoadAverage())
 		}
-		if slots {
+		if ts.slots.Wanted() {
 			r.Put(ts.slots, float64(n.Slots()))
 		}
-		if predicted && n.forecast != nil {
+		if ts.predicted.Wanted() && n.forecast != nil {
 			r.Put(ts.predicted, n.forecast.current())
 		}
 	}
 }
 
 func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
-	f := g.families
-	slowdown, hitRate := f.slowdown.Wanted(), f.hitRate.Wanted()
-	retries, transportErrors := f.retries.Wanted(), f.transportErrors.Wanted()
-	counters := hitRate || retries || transportErrors
-	if !slowdown && !counters {
-		return
-	}
 	for _, s := range g.live {
 		ts := s.series
 		if ts == nil {
@@ -241,6 +211,10 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 			}
 			s.series = ts
 		}
+		slowdown, counters := ts.slowdown.Wanted(), anyWanted(ts.hitRate, ts.retries, ts.transportErrors)
+		if !slowdown && !counters {
+			return
+		}
 		if slowdown {
 			if u := s.Usage(); u.GuestUserSeconds > 0 {
 				r.Put(ts.slowdown, u.CPUSeconds/u.GuestUserSeconds)
@@ -250,23 +224,19 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 			continue
 		}
 		v := s.VFSCounters()
-		if rate, ok := v.HitRate(); ok && hitRate {
+		if rate, ok := v.HitRate(); ok && ts.hitRate.Wanted() {
 			r.Put(ts.hitRate, rate)
 		}
-		if retries {
+		if ts.retries.Wanted() {
 			r.Put(ts.retries, float64(v.Retries))
 		}
-		if transportErrors {
+		if ts.transportErrors.Wanted() {
 			r.Put(ts.transportErrors, float64(v.TransportErrors))
 		}
 	}
 }
 
 func (g *Grid) scrapeLeases(r *telemetry.Recorder) {
-	age, epoch := g.families.leaseAge.Wanted(), g.families.epoch.Wanted()
-	if !age && !epoch {
-		return
-	}
 	for _, sup := range g.supervisors {
 		for _, c := range sup.charges {
 			if c.lastRenew < 0 {
@@ -278,10 +248,13 @@ func (g *Grid) scrapeLeases(r *telemetry.Recorder) {
 				ts = &leaseSeries{age: r.Handle("lease.age", lbl), epoch: r.Handle("session.epoch", lbl)}
 				c.series = ts
 			}
-			if age {
+			if !anyWanted(ts.age, ts.epoch) {
+				return
+			}
+			if ts.age.Wanted() {
 				r.Put(ts.age, r.At().Sub(c.lastRenew).Seconds())
 			}
-			if epoch {
+			if ts.epoch.Wanted() {
 				r.Put(ts.epoch, float64(c.s.epoch))
 			}
 		}
@@ -296,11 +269,6 @@ func (g *Grid) scrapeStaging(r *telemetry.Recorder) {
 	if g.chunks == nil {
 		return
 	}
-	f := g.families
-	hits, misses, saved := f.hits.Wanted(), f.misses.Wanted(), f.saved.Wanted()
-	if !hits && !misses && !saved {
-		return
-	}
 	ts := g.stagingSeries
 	if ts == nil {
 		ts = &stagingSeries{
@@ -310,14 +278,17 @@ func (g *Grid) scrapeStaging(r *telemetry.Recorder) {
 		}
 		g.stagingSeries = ts
 	}
+	if !anyWanted(ts.hits, ts.misses, ts.saved) {
+		return
+	}
 	st := g.chunks.Stats()
-	if hits {
+	if ts.hits.Wanted() {
 		r.Put(ts.hits, float64(st.Hits))
 	}
-	if misses {
+	if ts.misses.Wanted() {
 		r.Put(ts.misses, float64(st.Misses))
 	}
-	if saved {
+	if ts.saved.Wanted() {
 		r.Put(ts.saved, float64(st.BytesSaved))
 	}
 }
@@ -331,10 +302,6 @@ func (g *Grid) scrapeGIS(r *telemetry.Recorder) {
 	if cl == nil {
 		return
 	}
-	lag, minority := g.families.lag.Wanted(), g.families.minority.Wanted()
-	if !lag && !minority {
-		return
-	}
 	ts := g.gisSeries
 	if ts == nil {
 		ts = &gisSeries{minority: r.Handle("gis.minority_writes")}
@@ -343,12 +310,12 @@ func (g *Grid) scrapeGIS(r *telemetry.Recorder) {
 		}
 		g.gisSeries = ts
 	}
-	if lag {
-		for i, h := range ts.lag {
+	for i, h := range ts.lag {
+		if h.Wanted() {
 			r.Put(h, cl.Lag(i).Seconds())
 		}
 	}
-	if minority {
+	if ts.minority.Wanted() {
 		r.Put(ts.minority, float64(cl.MinorityWrites()))
 	}
 }

@@ -38,15 +38,17 @@ const (
 // Memory is paid only for what is cached, and growth never copies.
 // Runs live in a pointer-free node slab made of fixed pages, allocated
 // one at a time as runs are needed. Each file's block table (block →
-// run) has two levels: a directory spanning the file's lowest to
-// highest touched 1024-block range, and a table page for each range
-// that holds a cached block. A slot names the run holding its block
-// only while the block is cached: eviction leaves slots as they are, so
-// a lookup checks the named run's file and range (find). A page whose
-// last block is evicted or released goes, zeroed, onto a free list that
-// later inserts reuse, so a file streamed through the cache holds pages
-// only where it is cached, and a reused page names no stale runs. NewBlocks allocates no page, and a set at steady state
-// allocates nothing.
+// run) has two levels: a directory spanning the lowest to highest
+// 1024-block range the file touched since it last held no cached
+// block, and a table page for each range that holds a cached block. A
+// slot names the run holding its block only while the block is cached:
+// eviction leaves slots as they are, so a lookup checks the named run's
+// file and range (find). A page whose last block is evicted or released
+// goes, zeroed, onto a free list that later inserts reuse, so a file
+// streamed through the cache holds pages only where it is cached, and a
+// reused page names no stale runs. When a file's last page goes, its
+// directory is emptied (see reset). NewBlocks allocates no page, and a
+// set at steady state allocates nothing.
 //
 // Block indexes must lie in [0, math.MaxUint32]: a run stores its
 // first block in 32 bits, which keeps it at 20 bytes. The zero value is
@@ -92,10 +94,28 @@ func (r *run) end() int64 { return int64(r.first) + int64(r.count) }
 type tablePage [tablePageSize]int32
 
 // table is one file's block directory: pages[i] covers table page
-// base+i.
+// base+i, and held of them have a page.
 type table struct {
 	base  int64
 	pages []tableRef
+	held  int
+}
+
+// dirKeep is the largest directory, in entries, whose array a file
+// keeps once it holds no cached block: 1024 entries (16 KB) span 1<<20
+// blocks, a whole image at any block size in use, so a file that is
+// cached again does not regrow it. A larger, sparse one is dropped.
+const dirKeep = 1024
+
+// reset empties t's directory, which holds no page, so a file whose
+// blocks have all gone keeps no directory spanning where they were.
+func (t *table) reset() {
+	t.base, t.held = 0, 0
+	if cap(t.pages) > dirKeep {
+		t.pages = nil
+	} else {
+		t.pages = t.pages[:0]
+	}
 }
 
 // tableRef is one directory entry: its page, nil while none of the
@@ -313,6 +333,7 @@ func (c *Blocks) add(id int32, first, count int64, n int32) {
 		r := &t.pages[i]
 		if r.slots == nil {
 			r.slots = c.newPage()
+			t.held++
 		}
 		lo := first & tablePageMask
 		k := min(count, tablePageSize-lo)
@@ -334,18 +355,23 @@ func (c *Blocks) forget(id int32, first, count int64) {
 	t := &c.tables[id]
 	for end := first + count; first < end; {
 		k := min(end, (first|tablePageMask)+1) - first
-		c.unref(&t.pages[first>>tablePageShift-t.base], k)
+		c.unref(t, first>>tablePageShift, k)
 		first += k
 	}
 }
 
-// unref takes k evicted blocks out of r's live count, freeing its page
-// when they were its last.
-func (c *Blocks) unref(r *tableRef, k int64) {
+// unref takes k evicted blocks out of the live count of t's table page
+// p, freeing the page when they were its last, and resetting t's
+// directory when that page was the file's last.
+func (c *Blocks) unref(t *table, p, k int64) {
+	r := &t.pages[p-t.base]
 	if r.live -= int32(k); r.live == 0 {
 		*r.slots = tablePage{}
 		c.freePages = append(c.freePages, r.slots)
 		r.slots = nil
+		if t.held--; t.held == 0 {
+			t.reset()
+		}
 	}
 }
 
@@ -410,8 +436,7 @@ func (c *Blocks) evict(k int) {
 		take := min(k, int(nd.count))
 		if first := int64(nd.first); first&tablePageMask+int64(take) <= tablePageSize {
 			// One table page, the common case: forget without its loop.
-			t := &c.tables[nd.file]
-			c.unref(&t.pages[first>>tablePageShift-t.base], int64(take))
+			c.unref(&c.tables[nd.file], first>>tablePageShift, int64(take))
 		} else {
 			c.forget(nd.file, first, int64(take))
 		}
@@ -524,7 +549,7 @@ func (c *Blocks) Release(file string) {
 		c.freePages = append(c.freePages, r.slots)
 		*r = tableRef{}
 	}
-	t.pages = t.pages[:0]
+	t.reset()
 	c.noteHead()
 	delete(c.files, file)
 	c.freeFiles = append(c.freeFiles, id)

@@ -53,6 +53,15 @@ func checkPages(t *testing.T, c *Blocks, live *[][]int32) {
 		}
 	}
 	for id, tb := range c.tables {
+		pages := 0
+		for _, r := range tb.pages {
+			if r.slots != nil {
+				pages++
+			}
+		}
+		if pages != tb.held || pages == 0 && len(tb.pages) != 0 {
+			t.Fatalf("file %d: %d of %d directory entries hold a page, %d counted", id, pages, len(tb.pages), tb.held)
+		}
 		for i, r := range tb.pages {
 			if want := (*live)[id][i]; r.live != want || (r.slots != nil) != (want > 0) {
 				t.Fatalf("file %d table page %d: live %d, held %v; %d blocks cached", id, tb.base+int64(i), r.live, r.slots != nil, want)
@@ -387,6 +396,32 @@ func TestBlocksReleaseReusesIDs(t *testing.T) {
 	}
 	if c.Len() != 0 || len(c.files) != 0 {
 		t.Fatalf("%d blocks over %d names after releasing all", c.Len(), len(c.files))
+	}
+}
+
+// TestBlocksDirectoryEmptiesWithFile: a file cached near block 0 and
+// near block 1<<24 spans a 16,385-entry directory; once eviction takes
+// both blocks, the file keeps its id but not the directory, so a long-
+// lived file pays nothing for blocks it no longer caches.
+func TestBlocksDirectoryEmptiesWithFile(t *testing.T) {
+	c := NewBlocks(2)
+	id, other := c.Intern("f"), c.Intern("g")
+	c.InsertRange(id, 0, 0)
+	c.InsertRange(id, 1<<24, 1<<24)
+	if n := len(c.tables[id].pages); n != 1<<14+1 {
+		t.Fatalf("directory spans %d entries, want %d", n, 1<<14+1)
+	}
+	c.InsertRange(other, 0, 1)
+	if tb := c.tables[id]; len(tb.pages) > 1 || cap(tb.pages) > dirKeep {
+		t.Fatalf("after evicting both blocks the directory holds %d entries over a %d-entry array, want at most 1 over %d",
+			len(tb.pages), cap(tb.pages), dirKeep)
+	}
+	if got := c.Intern("f"); got != id {
+		t.Errorf("f's id moved from %d to %d", id, got)
+	}
+	c.InsertRange(id, 5, 5)
+	if len(c.TouchRange(id, 5, 5, nil)) != 0 || len(c.TouchRange(id, 0, 0, nil)) != 1 {
+		t.Error("a file cached again after its directory emptied finds the wrong blocks")
 	}
 }
 

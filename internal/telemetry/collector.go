@@ -218,25 +218,6 @@ func (c *Collector) WantAll() {
 	c.pendingAll = true
 }
 
-// Family is one series name resolved once, for a source that asks on
-// every scrape whether anyone reads it (a pointer load, not a lookup).
-// The zero Family is never wanted.
-type Family struct{ f *family }
-
-// Wanted reports whether anyone reads the family. A source asks once
-// per family per scrape and computes nothing for a family no one
-// wants: its samples would be dropped anyway.
-func (f Family) Wanted() bool { return f.f != nil && f.f.wanted }
-
-// Family resolves the series family name (the zero Family on a nil
-// collector).
-func (c *Collector) Family(name string) Family {
-	if c == nil {
-		return Family{}
-	}
-	return Family{c.db.family(name)}
-}
-
 // AddSource registers a scrape callback. Sources run in registration
 // order on every scrape — registration order is part of the
 // deterministic contract, so register sources in a fixed order.

@@ -128,7 +128,7 @@ func TestEvalZeroAllocs(t *testing.T) {
 // four hold a stale lease, so each round re-evaluates twelve firing
 // alerts beside the quiet series. The export case keeps every series,
 // as an export does; readers-only keeps just the rules' series, so the
-// source skips the families no one reads.
+// source skips the handles no one reads.
 func BenchmarkCollectorScrape(b *testing.B) {
 	b.Run("export", func(b *testing.B) { benchCollectorScrape(b, true) })
 	b.Run("readers-only", func(b *testing.B) { benchCollectorScrape(b, false) })
@@ -149,43 +149,43 @@ func benchCollectorScrape(b *testing.B, export bool) {
 		sessions[i] = "s" + string(rune('a'+i))
 	}
 	replicas := []string{"g0", "g1", "g2"}
-	// The source asks once per family per scrape, as the grid's do.
-	fam := func(names ...string) []Family {
-		out := make([]Family, len(names))
+	// Each node's, session's and replica's handles are resolved on the
+	// first scrape, and the source asks a handle before it computes a
+	// value, as the grid's sources do.
+	handles := func(r *Recorder, lbl Label, names ...string) []*Handle {
+		hs := make([]*Handle, len(names))
 		for i, n := range names {
-			out[i] = c.Family(n)
+			hs[i] = r.Handle(n, lbl)
 		}
-		return out
+		return hs
 	}
-	nodeFams := fam("node.crashed", "node.runnable", "node.load", "node.slots", "node.predicted_load")
-	sessFams := fam("session.slowdown", "vfs.hit_rate", "vfs.retries", "vfs.transport_errors", "lease.age", "session.epoch")
-	gisFams := fam("gis.replica.lag", "gis.minority_writes")
+	var nodeHs, sessHs [][]*Handle
+	var lagHs []*Handle
+	var minority *Handle
 	c.AddSource(func(r *Recorder) {
+		if nodeHs == nil {
+			for _, n := range nodes {
+				nodeHs = append(nodeHs, handles(r, L("node", n),
+					"node.crashed", "node.runnable", "node.load", "node.slots", "node.predicted_load"))
+			}
+			for _, s := range sessions {
+				sessHs = append(sessHs, handles(r, L("sess", s),
+					"session.slowdown", "vfs.hit_rate", "vfs.retries", "vfs.transport_errors", "lease.age", "session.epoch"))
+			}
+			for _, g := range replicas {
+				lagHs = append(lagHs, r.Handle("gis.replica.lag", L("replica", g)))
+			}
+			minority = r.Handle("gis.minority_writes")
+		}
 		x := r.At().Seconds()
-		crashed, runnable, load := nodeFams[0].Wanted(), nodeFams[1].Wanted(), nodeFams[2].Wanted()
-		slots, predicted := nodeFams[3].Wanted(), nodeFams[4].Wanted()
-		for i, n := range nodes {
-			lbl := L("node", n)
-			if crashed {
-				r.Record("node.crashed", 0, lbl)
-			}
-			if runnable {
-				r.Record("node.runnable", float64(i%3), lbl)
-			}
-			if load {
-				r.Record("node.load", 0.5+float64(i)/8, lbl)
-			}
-			if slots {
-				r.Record("node.slots", 2, lbl)
-			}
-			if predicted {
-				r.Record("node.predicted_load", 0.4+float64(i)/8, lbl)
+		for i, hs := range nodeHs {
+			for j, v := range [...]float64{0, float64(i % 3), 0.5 + float64(i)/8, 2, 0.4 + float64(i)/8} {
+				if hs[j].Wanted() {
+					r.Put(hs[j], v)
+				}
 			}
 		}
-		slow, hitRate, retries := sessFams[0].Wanted(), sessFams[1].Wanted(), sessFams[2].Wanted()
-		errs, age, epoch := sessFams[3].Wanted(), sessFams[4].Wanted(), sessFams[5].Wanted()
-		for i, s := range sessions {
-			lbl := L("sess", s)
+		for i, hs := range sessHs {
 			slowdown, leaseAge := 1.05, 1.0
 			if i < 8 {
 				slowdown = 1.15
@@ -193,32 +193,19 @@ func benchCollectorScrape(b *testing.B, export bool) {
 			if i >= 12 {
 				leaseAge = 5
 			}
-			if slow {
-				r.Record("session.slowdown", slowdown, lbl)
-			}
-			if hitRate {
-				r.Record("vfs.hit_rate", 0.9, lbl)
-			}
-			if retries {
-				r.Record("vfs.retries", x, lbl)
-			}
-			if errs {
-				r.Record("vfs.transport_errors", 0, lbl)
-			}
-			if age {
-				r.Record("lease.age", leaseAge, lbl)
-			}
-			if epoch {
-				r.Record("session.epoch", 1, lbl)
+			for j, v := range [...]float64{slowdown, 0.9, x, 0, leaseAge, 1} {
+				if hs[j].Wanted() {
+					r.Put(hs[j], v)
+				}
 			}
 		}
-		if gisFams[0].Wanted() {
-			for _, g := range replicas {
-				r.Record("gis.replica.lag", 0, L("replica", g))
+		for _, h := range lagHs {
+			if h.Wanted() {
+				r.Put(h, 0)
 			}
 		}
-		if gisFams[1].Wanted() {
-			r.Record("gis.minority_writes", 0)
+		if minority.Wanted() {
+			r.Put(minority, 0)
 		}
 	})
 	for _, r := range []struct{ name, expr string }{

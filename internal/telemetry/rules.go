@@ -11,18 +11,16 @@ import (
 // Alert rules are declarative threshold + for-duration conditions over
 // the stored series, in a grammar small enough to read in full:
 //
-//	rule     := expr cmp number [ "for" duration ]
-//	expr     := func "(" selector [ "," duration ] ")" | selector
-//	func     := "mean" | "min" | "max" | "p99" | "rate" | "last"
-//	selector := name [ "{" key "=" value { "," key "=" value } "}" ]
-//	cmp      := ">" | ">=" | "<" | "<="
+//	rule     := expr ">" number [ "for" duration ]
+//	expr     := func "(" name [ "," duration ] ")" | name
+//	func     := "mean" | "rate" | "last"
 //	duration := float unit, unit in us|ms|s|m|h
 //
-// A bare selector means last(selector). The function's duration is the
-// sliding window (default: the whole retained history; rate defaults to
-// 10 s). A selector without labels matches every series of that name —
-// the rule tracks an independent state machine per matching series, so
-// `last(lease.age) > 4 for 4s` watches every session's lease at once.
+// A bare name means last(name). The function's duration is the sliding
+// window (default: the whole retained history; rate defaults to 10 s).
+// A rule matches every series of its name — it tracks an independent
+// state machine per series, so `last(lease.age) > 4` watches every
+// session's lease at once.
 //
 // Examples:
 //
@@ -40,9 +38,6 @@ type RuleFunc string
 // Rule aggregation functions.
 const (
 	FuncMean RuleFunc = "mean"
-	FuncMin  RuleFunc = "min"
-	FuncMax  RuleFunc = "max"
-	FuncP99  RuleFunc = "p99"
 	FuncRate RuleFunc = "rate"
 	FuncLast RuleFunc = "last"
 )
@@ -57,17 +52,15 @@ type rule struct {
 	expr      string
 	fn        RuleFunc
 	series    string
-	sub       []Label
 	window    sim.Duration // 0 = whole retained history
-	cmp       string
 	threshold float64
 	forDur    sim.Duration
 
-	// bound holds every series the selector matches, in canonical-key
-	// order: DB.create appends each one as it is born. late holds those
-	// born while the rule's own pass runs (by a hook), which join bound
-	// when the pass ends, so the pass never sees a series it did not
-	// start with.
+	// bound holds every series of the name, in canonical-key order:
+	// DB.create appends each one as it is born. late holds those born
+	// while the rule's own pass runs (by a hook), which join bound when
+	// the pass ends, so the pass never sees a series it did not start
+	// with.
 	bound   []*Series
 	late    []*Series
 	walking bool
@@ -173,7 +166,7 @@ func (e *Engine) eval(now sim.Time) {
 // evalSeries steps one (rule, series) state machine.
 func (e *Engine) evalSeries(r *rule, s *Series, now sim.Time) {
 	v, ok := r.value(s, now)
-	if !ok || !compare(v, r.cmp, r.threshold) {
+	if !ok || !(v > r.threshold) {
 		e.clear(r, s, now)
 		return
 	}
@@ -203,47 +196,24 @@ func (r *rule) value(s *Series, now sim.Time) (float64, bool) {
 		}
 		return s.Rate(now.Add(-w)), true
 	}
-	since := sim.Time(0)
-	if r.window > 0 {
-		since = now.Add(-r.window)
-	}
 	if r.fn == FuncLast && r.window <= 0 {
 		if s.Len() == 0 {
 			return 0, false
 		}
 		return s.Last().V, true
 	}
-	a := s.window(since, r.fn == FuncP99)
+	since := sim.Time(0)
+	if r.window > 0 {
+		since = now.Add(-r.window)
+	}
+	a := s.Window(since)
 	if a.Count == 0 {
 		return 0, false
 	}
-	switch r.fn {
-	case FuncMean:
+	if r.fn == FuncMean {
 		return a.Mean, true
-	case FuncMin:
-		return a.Min, true
-	case FuncMax:
-		return a.Max, true
-	case FuncP99:
-		return a.P99, true
-	case FuncLast:
-		return a.Last, true
 	}
-	return 0, false
-}
-
-func compare(v float64, cmp string, threshold float64) bool {
-	switch cmp {
-	case ">":
-		return v > threshold
-	case ">=":
-		return v >= threshold
-	case "<":
-		return v < threshold
-	case "<=":
-		return v <= threshold
-	}
-	return false
+	return a.Last, true
 }
 
 func (e *Engine) fire(r *rule, s *Series, st *alertState, now sim.Time, v float64) {
@@ -325,49 +295,14 @@ func (sc *scanner) peek() byte {
 	return sc.s[sc.pos]
 }
 
-// selector parses name[{k=v,...}], returning sorted labels.
-func (sc *scanner) selector() (string, []Label, error) {
+// name parses a series name.
+func (sc *scanner) name() (string, error) {
 	sc.ws()
 	name := sc.ident()
 	if name == "" {
-		return "", nil, fmt.Errorf("expected series name at offset %d of %q", sc.pos, sc.s)
+		return "", fmt.Errorf("expected series name at offset %d of %q", sc.pos, sc.s)
 	}
-	if sc.peek() != '{' {
-		return name, nil, nil
-	}
-	sc.pos++
-	var labels []Label
-	for {
-		sc.ws()
-		key := sc.ident()
-		if key == "" {
-			return "", nil, fmt.Errorf("expected label key at offset %d of %q", sc.pos, sc.s)
-		}
-		if err := sc.expect('='); err != nil {
-			return "", nil, err
-		}
-		sc.ws()
-		val := sc.ident()
-		labels = append(labels, Label{Key: key, Value: val})
-		switch sc.peek() {
-		case ',':
-			sc.pos++
-		case '}':
-			sc.pos++
-			sortLabels(labels)
-			return name, labels, nil
-		default:
-			return "", nil, fmt.Errorf("expected ',' or '}' at offset %d of %q", sc.pos, sc.s)
-		}
-	}
-}
-
-func sortLabels(labels []Label) {
-	for i := 1; i < len(labels); i++ {
-		for j := i; j > 0 && labels[j].Key < labels[j-1].Key; j-- {
-			labels[j], labels[j-1] = labels[j-1], labels[j]
-		}
-	}
+	return name, nil
 }
 
 // duration parses float+unit (us, ms, s, m, h) into sim.Duration.
@@ -423,87 +358,52 @@ func (sc *scanner) number() (float64, error) {
 	return v, nil
 }
 
-func (sc *scanner) cmp() (string, error) {
-	sc.ws()
-	if sc.pos < len(sc.s) && (sc.s[sc.pos] == '>' || sc.s[sc.pos] == '<') {
-		op := sc.s[sc.pos : sc.pos+1]
-		sc.pos++
-		if sc.pos < len(sc.s) && sc.s[sc.pos] == '=' {
-			op += "="
-			sc.pos++
-		}
-		return op, nil
-	}
-	return "", fmt.Errorf("expected comparison at offset %d of %q", sc.pos, sc.s)
-}
-
 func parseRule(expr string) (*rule, error) {
 	sc := &scanner{s: expr}
 	r := &rule{expr: strings.TrimSpace(expr), fn: FuncLast}
 
-	sc.ws()
-	start := sc.pos
-	head := sc.ident()
-	if head == "" {
-		return nil, fmt.Errorf("expected expression in %q", expr)
+	name, err := sc.name()
+	if err != nil {
+		return nil, err
 	}
 	if sc.peek() == '(' {
-		switch RuleFunc(head) {
-		case FuncMean, FuncMin, FuncMax, FuncP99, FuncRate, FuncLast:
-			r.fn = RuleFunc(head)
+		switch RuleFunc(name) {
+		case FuncMean, FuncRate, FuncLast:
+			r.fn = RuleFunc(name)
 		default:
-			return nil, fmt.Errorf("unknown function %q in %q", head, expr)
+			return nil, fmt.Errorf("unknown function %q in %q", name, expr)
 		}
 		sc.pos++ // consume '('
-		name, labels, err := sc.selector()
-		if err != nil {
+		if name, err = sc.name(); err != nil {
 			return nil, err
 		}
-		r.series, r.sub = name, labels
 		if sc.peek() == ',' {
 			sc.pos++
-			w, err := sc.duration()
-			if err != nil {
+			if r.window, err = sc.duration(); err != nil {
 				return nil, err
 			}
-			r.window = w
 		}
 		if err := sc.expect(')'); err != nil {
 			return nil, err
 		}
-	} else {
-		// Bare selector: rewind and parse it whole (head may be the full
-		// name already, but a label block could follow).
-		sc.pos = start
-		name, labels, err := sc.selector()
-		if err != nil {
-			return nil, err
-		}
-		r.series, r.sub = name, labels
 	}
+	r.series = name
 
-	op, err := sc.cmp()
-	if err != nil {
+	if err := sc.expect('>'); err != nil {
 		return nil, err
 	}
-	r.cmp = op
-	threshold, err := sc.number()
-	if err != nil {
+	if r.threshold, err = sc.number(); err != nil {
 		return nil, err
 	}
-	r.threshold = threshold
 
 	sc.ws()
 	if sc.pos < len(sc.s) {
-		kw := sc.ident()
-		if kw != "for" {
+		if kw := sc.ident(); kw != "for" {
 			return nil, fmt.Errorf("expected 'for' at offset %d of %q", sc.pos, expr)
 		}
-		d, err := sc.duration()
-		if err != nil {
+		if r.forDur, err = sc.duration(); err != nil {
 			return nil, err
 		}
-		r.forDur = d
 	}
 	sc.ws()
 	if sc.pos < len(sc.s) {

@@ -18,15 +18,15 @@
 // A series exists only if someone reads it. Readers declare the
 // families (series names) they read: AddRule declares its rule's name,
 // a code reader calls Collector.Want, and an export calls WantAll. A
-// source asks once per family per scrape whether the family is wanted
-// and computes nothing for one that is not; a write to an unwanted name
-// is dropped before any series is born.
+// source asks the handle it records through whether its name is wanted
+// (Handle.Wanted) and computes nothing for one that is not; a write to
+// an unwanted name is dropped before any series is born.
 //
 // Rules are bound to their series once, when the series is born:
 // DB.create, the one place a series is created, appends it to every
-// rule whose name and label subset it matches, keeping each rule's
-// list in canonical-key order, so evaluation walks those lists instead
-// of re-selecting on every scrape.
+// rule that selects its name, keeping each rule's list in
+// canonical-key order, so evaluation walks those lists instead of
+// re-selecting on every scrape.
 //
 // Alert state lives with the rule and the series it watches: each rule
 // keeps the pending/firing state machine of every series it currently
@@ -178,53 +178,26 @@ func (s *Series) firstSince(since sim.Time) int {
 // Agg summarizes the samples of one window.
 type Agg struct {
 	Count int
-	Min   float64
-	Max   float64
 	Mean  float64
 	Last  float64
-	// P99 is the nearest-rank 99th percentile of the window.
-	P99 float64
 }
 
-// Window aggregates the samples with At >= since (min/max/mean/p99 over
-// the sliding window, plus the latest value). An empty window returns
-// the zero Agg.
-func (s *Series) Window(since sim.Time) Agg { return s.window(since, true) }
-
-// window is Window with the percentile optional: only p99 needs the
-// window's values collected and sorted, so the other aggregates cost
-// one allocation-free pass.
-func (s *Series) window(since sim.Time, p99 bool) Agg {
+// Window aggregates the samples with At >= since: their count, mean
+// and latest value, in one allocation-free pass. An empty window
+// returns the zero Agg.
+func (s *Series) Window(since sim.Time) Agg {
 	var a Agg
 	first := s.firstSince(since)
 	a.Count = s.n - first
 	if a.Count == 0 {
 		return a
 	}
-	var vals []float64
-	if p99 {
-		vals = make([]float64, 0, a.Count)
-	}
 	for i := first; i < s.n; i++ {
 		v := s.point(i).V
-		if i == first || v < a.Min {
-			a.Min = v
-		}
-		if i == first || v > a.Max {
-			a.Max = v
-		}
 		a.Mean += v
 		a.Last = v
-		if p99 {
-			vals = append(vals, v)
-		}
 	}
 	a.Mean /= float64(a.Count)
-	if p99 {
-		sort.Float64s(vals)
-		rank := (99*len(vals) + 99) / 100 // nearest-rank ceil(0.99·n)
-		a.P99 = vals[rank-1]
-	}
 	return a
 }
 
@@ -314,7 +287,7 @@ func (db *DB) wantAll() {
 // create interns a new series under key, copying labels (already
 // sorted) so callers' label slices are never retained. It is the one
 // place a series is born, so it is also where the series is bound to
-// every rule whose selector it matches.
+// every rule that selects its name.
 func (db *DB) create(f *family, name, key string, labels []Label) *Series {
 	s := &Series{name: name, key: key, data: make([]Point, seriesHistory)}
 	if len(labels) > 0 {
@@ -323,9 +296,7 @@ func (db *DB) create(f *family, name, key string, labels []Label) *Series {
 	db.series[key] = s
 	f.series = insertByKey(f.series, s)
 	for _, r := range f.rules {
-		if labelsSubset(r.sub, s.labels) {
-			r.bind(s)
-		}
+		r.bind(s)
 	}
 	return s
 }
@@ -349,6 +320,14 @@ func labelsSorted(ls []Label) bool {
 		}
 	}
 	return true
+}
+
+func sortLabels(labels []Label) {
+	for i := 1; i < len(labels); i++ {
+		for j := i; j > 0 && labels[j].Key < labels[j-1].Key; j-- {
+			labels[j], labels[j-1] = labels[j-1], labels[j]
+		}
+	}
 }
 
 // Record appends a sample to the series for (name, labels), creating it
@@ -416,6 +395,12 @@ func (db *DB) handle(name string, labels ...Label) *Handle {
 	return h
 }
 
+// Wanted reports whether anyone reads the handle's series name. A
+// source asks before it computes a value and records nothing for a
+// name no one wants: its samples would be dropped anyway. Every handle
+// of one name gives the same answer.
+func (h *Handle) Wanted() bool { return h.fam.wanted }
+
 // add appends a sample through the handle, binding its series — the
 // one a keyed Record of the same identity would reach — on first use.
 // A sample of an unwanted name costs the one test.
@@ -458,48 +443,18 @@ func (db *DB) Keys() []string {
 	return keys
 }
 
-// Select returns the series matching name and carrying every label of
-// sub (a subset match; empty sub matches all), in key order.
-func (db *DB) Select(name string, sub []Label) []*Series {
-	return db.appendSelect(nil, name, sub)
+// Select returns the series of name, in key order.
+func (db *DB) Select(name string) []*Series {
+	if f := db.fams[name]; f != nil {
+		return append([]*Series(nil), f.series...)
+	}
+	return nil
 }
 
-// appendSelect is Select appending into dst, so a caller that reuses
-// dst selects without allocating.
-func (db *DB) appendSelect(dst []*Series, name string, sub []Label) []*Series {
-	f := db.fams[name]
-	if f == nil {
-		return dst
-	}
-	for _, s := range f.series {
-		if labelsSubset(sub, s.labels) {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
-
-// bindRule attaches r to its family: every existing series it selects
+// bindRule attaches r to its family: every existing series of the name
 // now, every later one as create makes it.
 func (db *DB) bindRule(r *rule) {
 	f := db.family(r.series)
 	f.rules = append(f.rules, r)
-	r.bound = db.appendSelect(r.bound[:0], r.series, r.sub)
-}
-
-// labelsSubset reports whether every label of sub appears in set.
-func labelsSubset(sub, set []Label) bool {
-	for _, want := range sub {
-		found := false
-		for _, have := range set {
-			if have == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	r.bound = append(r.bound[:0], f.series...)
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"vmgrid/internal/obs"
@@ -48,19 +49,13 @@ func TestWindowAggregates(t *testing.T) {
 	s := db.Lookup("v")
 
 	a := s.Window(0)
-	if a.Count != 100 || a.Min != 1 || a.Max != 100 || a.Last != 100 {
+	if a.Count != 100 || a.Mean != 50.5 || a.Last != 100 {
 		t.Fatalf("full window = %+v", a)
-	}
-	if a.Mean != 50.5 {
-		t.Fatalf("mean = %g", a.Mean)
-	}
-	if a.P99 != 99 { // nearest-rank ceil(0.99*100) = 99th value
-		t.Fatalf("p99 = %g", a.P99)
 	}
 
 	// Sliding window: last 10 samples only.
 	a = s.Window(sim.Time(91) * sim.Time(sim.Second))
-	if a.Count != 10 || a.Min != 91 || a.Max != 100 {
+	if a.Count != 10 || a.Mean != 95.5 || a.Last != 100 {
 		t.Fatalf("sliding window = %+v", a)
 	}
 
@@ -87,24 +82,23 @@ func TestRate(t *testing.T) {
 	}
 }
 
-func TestSelectSubsetMatch(t *testing.T) {
+func TestSelectByNameInKeyOrder(t *testing.T) {
 	db := NewDB()
-	db.Record(0, "load", []Label{L("node", "c1")}, 1)
 	db.Record(0, "load", []Label{L("node", "c2")}, 2)
+	db.Record(0, "load", []Label{L("node", "c1")}, 1)
 	db.Record(0, "load", []Label{L("node", "c1"), L("zone", "a")}, 3)
 	db.Record(0, "other", nil, 4)
 
-	all := db.Select("load", nil)
+	all := db.Select("load")
 	if len(all) != 3 {
-		t.Fatalf("Select all = %d series", len(all))
+		t.Fatalf("Select = %d series", len(all))
 	}
 	// Key order: ',' sorts before '}', so the two-label series leads.
 	if all[0].Key() != "load{node=c1,zone=a}" || all[1].Key() != "load{node=c1}" || all[2].Key() != "load{node=c2}" {
 		t.Fatalf("key order: %q, %q, %q", all[0].Key(), all[1].Key(), all[2].Key())
 	}
-	c1 := db.Select("load", []Label{L("node", "c1")})
-	if len(c1) != 2 {
-		t.Fatalf("Select node=c1 = %d series", len(c1))
+	if got := db.Select("missing"); len(got) != 0 {
+		t.Fatalf("Select of an unwritten name = %d series", len(got))
 	}
 }
 
@@ -249,10 +243,10 @@ func TestRuleParsing(t *testing.T) {
 		"mean(session.slowdown, 30s) > 1.10 for 30s",
 		"last(lease.age) > 4",
 		"rate(vfs.retries, 10s) > 5",
-		"p99(rpc.lat{node=c1}, 500ms) >= 0.25",
-		"min(x) < -1 for 1.5s",
-		"node.load{node=c1,zone=a} <= 0.9",
-		"max(q, 2m) > 10 for 1h",
+		"last(rpc.lat, 500ms) > 0.25",
+		"mean(x) > -1 for 1.5s",
+		"node.load > 0.9",
+		"rate(q, 2m) > 10 for 1h",
 	}
 	for _, expr := range good {
 		if _, err := parseRule(expr); err != nil {
@@ -267,16 +261,70 @@ func TestRuleParsing(t *testing.T) {
 		"x > 1 for",            // missing duration
 		"x > 1 for 30d",        // bad unit
 		"x > 1 banana",         // trailing garbage
-		"mean(x{a=}) > 1",      // empty label value is fine? -> value "" parses; keep out
-		"> 1",                  // no selector
+		"> 1",                  // no name
 		"x = 1",                // bad cmp
 		"x > 1 for 30s extra",  // trailing after for
+		"mean(x{a=}) > 1",      // label block
 		"mean(x{a 1, b=2}) >1", // malformed labels
+		"mean(, 30s) > 1",      // no name inside the call
 	}
 	for _, expr := range bad {
-		if expr == "mean(x{a=}) > 1" {
-			continue // empty label value is tolerated by the grammar
+		if _, err := parseRule(expr); err == nil {
+			t.Errorf("parseRule(%q) succeeded, want error", expr)
 		}
+	}
+}
+
+// TestRuleGrammar: every rule the grid arms parses to what it says and
+// is reported back byte for byte (the daemon's alerts op lists them),
+// and every form outside the grammar is rejected.
+func TestRuleGrammar(t *testing.T) {
+	production := []struct {
+		expr      string
+		fn        RuleFunc
+		series    string
+		window    sim.Duration
+		threshold float64
+		forDur    sim.Duration
+	}{
+		// core.DefaultAlertRules
+		{"mean(session.slowdown, 30s) > 1.10 for 30s", FuncMean, "session.slowdown", 30 * sim.Second, 1.10, 30 * sim.Second},
+		{"last(lease.age) > 4", FuncLast, "lease.age", 0, 4, 0},
+		{"rate(vfs.retries, 10s) > 5", FuncRate, "vfs.retries", 10 * sim.Second, 5, 0},
+		{"rate(gis.minority_writes, 10s) > 0", FuncRate, "gis.minority_writes", 10 * sim.Second, 0, 0},
+		// experiments' Figure 1
+		{"mean(task.slowdown, 30s) > 1.10 for 30s", FuncMean, "task.slowdown", 30 * sim.Second, 1.10, 30 * sim.Second},
+		// a bare name means last
+		{"node.load > 0.9", FuncLast, "node.load", 0, 0.9, 0},
+	}
+	c := newTestCollector(t, sim.NewKernel(1), nil)
+	for i, p := range production {
+		r, err := parseRule(p.expr)
+		if err != nil {
+			t.Fatalf("parseRule(%q) = %v", p.expr, err)
+		}
+		if r.fn != p.fn || r.series != p.series || r.window != p.window || r.threshold != p.threshold || r.forDur != p.forDur {
+			t.Errorf("parseRule(%q) = %s(%s, %v) > %g for %v", p.expr, r.fn, r.series, r.window, r.threshold, r.forDur)
+		}
+		if err := c.AddRule(fmt.Sprintf("r%d", i), p.expr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, info := range c.Rules() {
+		if info.Expr != production[i].expr {
+			t.Errorf("Rules()[%d].Expr = %q, want %q", i, info.Expr, production[i].expr)
+		}
+	}
+	for _, expr := range []string{
+		"p99(x) > 1",
+		"min(x, 2s) > 1",
+		"max(x) > 1",
+		"mean(x{a=b}) > 1",
+		"x{a=b} > 1",
+		"x < 1",
+		"x >= 1",
+		"x <= 1",
+	} {
 		if _, err := parseRule(expr); err == nil {
 			t.Errorf("parseRule(%q) succeeded, want error", expr)
 		}

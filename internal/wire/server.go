@@ -57,10 +57,9 @@ func NewServer(seed uint64) *Server {
 	if err != nil {
 		panic(err) // fresh grid: cannot happen
 	}
-	// The daemon keeps every series, as an export does; top reads the
-	// nodes' predicted load.
+	// The daemon keeps every series, as an export does, so top finds
+	// the nodes' predicted load among them.
 	col.WantAll()
-	col.Want("node.predicted_load")
 	if err := grid.DefaultAlertRules(); err != nil {
 		panic(err)
 	}
