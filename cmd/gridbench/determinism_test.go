@@ -64,11 +64,29 @@ func TestCriticalPathTableByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestCriticalPathTableNamesRootlessCells: Figure 1 starts its VMs
+// outside a grid session, so its traces hold no session root. The
+// critical-path table says so for each of its cells instead of printing
+// a header with no rows, while table2's cells, which all have roots,
+// get no such row.
+func TestCriticalPathTableNamesRootlessCells(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	out := captureRun(t, "-exp", "fig1", "-trace", trace)
+	_, paths, _ := strings.Cut(out, "Critical-path attribution")
+	if got := strings.Count(paths, "no session root"); got != 12 {
+		t.Errorf("fig1 critical-path table has %d no-root rows, want one per cell (12):\n%s", got, paths)
+	}
+	out = captureRun(t, "-exp", "table2", "-samples", "1", "-trace", trace)
+	if strings.Contains(out, "no session root") {
+		t.Errorf("table2 has a cell without a session root:\n%s", out)
+	}
+}
+
 // TestOutputsByteIdenticalAcrossParallelism runs every registered
 // experiment at -parallel 1 and -parallel 8 and requires the tables to
 // match its committed golden byte for byte. This is the determinism
 // guard on the data-plane optimizations: batched reads, pooled RPC
-// calls, incremental routes, and interned telemetry keys must not move a
+// calls, cached routes, and interned telemetry keys must not move a
 // single event, so the numbers cannot drift — at any worker count.
 //
 // An experiment's golden is testdata/<name>.golden, run at its default

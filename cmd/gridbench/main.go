@@ -261,10 +261,12 @@ func phaseTable(ts *obs.TraceSet) *experiments.Table {
 
 // criticalPathTable runs the postmortem analyzer over every recorded
 // sample: each session root's causal tree is walked deepest-cover, and
-// the resulting attributions are summed per experiment cell. Entries are
-// visited in Add order and attributions are pre-sorted by the analyzer,
-// so the rows — like every gridbench table — are identical at any
-// -parallel value.
+// the resulting attributions are summed per experiment cell. A cell
+// whose samples hold no session root (Figure 1 starts its VMs outside
+// a grid session) gets one row that says so, after the attributed
+// rows. Entries are visited in Add order and attributions are
+// pre-sorted by the analyzer, so the rows — like every gridbench
+// table — are identical at any -parallel value.
 func criticalPathTable(ts *obs.TraceSet) *experiments.Table {
 	t := &experiments.Table{
 		Title:  "Critical-path attribution (simulated seconds)",
@@ -278,7 +280,7 @@ func criticalPathTable(ts *obs.TraceSet) *experiments.Table {
 		self sim.Duration
 	}
 	var rows []row
-	total := map[string]sim.Duration{}
+	total := map[string]sim.Duration{} // has a key for each cell with a root
 	for _, e := range ts.Entries() {
 		spans := e.Tracer.Spans()
 		cell := cellOf(e.Label)
@@ -310,6 +312,13 @@ func criticalPathTable(ts *obs.TraceSet) *experiments.Table {
 			fmt.Sprintf("%.3f", r.self.Seconds()),
 			fmt.Sprintf("%.1f%%", share*100),
 		})
+	}
+	for _, e := range ts.Entries() {
+		cell := cellOf(e.Label)
+		if _, rooted := total[cell]; !rooted {
+			total[cell] = 0 // one row per cell
+			t.Rows = append(t.Rows, []string{cell, "-", "-", "no session root", "-", "-"})
+		}
 	}
 	return t
 }

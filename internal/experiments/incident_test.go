@@ -91,22 +91,3 @@ func TestRecoveryIncidentPostmortem(t *testing.T) {
 		t.Errorf("%d stale-lease alerts fired but no alert incident was frozen", arm.LeaseAlerts)
 	}
 }
-
-// TestRecoveryIncidentsDoNotPerturbResults: recording is read-only —
-// the measured rows with recorders on must equal the rows without.
-func TestRecoveryIncidentsDoNotPerturbResults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paired recovery runs in -short mode")
-	}
-	plain, _, err := recoveryRun(2, 10*sim.Minute, 120*sim.Second, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded, _, err := recoveryRun(2, 10*sim.Minute, 120*sim.Second, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != recorded {
-		t.Fatalf("flight recording changed measured results:\nplain    %+v\nrecorded %+v", plain, recorded)
-	}
-}

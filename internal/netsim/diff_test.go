@@ -9,15 +9,15 @@ import (
 	"vmgrid/internal/sim"
 )
 
-// refNet is a reference router keyed by node name: per-source next-hop,
-// depth and tree-parent maps, the sorted-name BFS, and the incremental
-// invalidation rules, written out plainly. The differential test drives
-// it and a Network through the same topology changes and requires the
-// two to agree on every route, every latency, every in-flight drop and
-// every BFS they run.
+// refNet is a reference router keyed by node name: per-source next-hop
+// maps, the sorted-name BFS, and the invalidation rule (any topology
+// change drops every cached route), written out plainly. The
+// differential test drives it and a Network through the same topology
+// changes and requires the two to agree on every route, every latency,
+// every in-flight drop and every BFS they run.
 type refNet struct {
 	links    map[string]map[string]*refLink // from -> to
-	routes   map[string]*refRoutes
+	routes   map[string]map[string]string   // src -> dst -> first hop
 	computes uint64
 }
 
@@ -27,14 +27,8 @@ type refLink struct {
 	down    bool
 }
 
-type refRoutes struct {
-	next   map[string]string
-	dist   map[string]int
-	parent map[string]string
-}
-
 func newRefNet() *refNet {
-	return &refNet{links: make(map[string]map[string]*refLink), routes: make(map[string]*refRoutes)}
+	return &refNet{links: make(map[string]map[string]*refLink), routes: make(map[string]map[string]string)}
 }
 
 func (r *refNet) addNode(name string) {
@@ -46,7 +40,7 @@ func (r *refNet) addNode(name string) {
 func (r *refNet) connect(a, b string, lat sim.Duration, bw float64) {
 	r.links[a][b] = &refLink{latency: lat, bwBps: bw}
 	r.links[b][a] = &refLink{latency: lat, bwBps: bw}
-	r.edgeUp(a, b)
+	clear(r.routes)
 }
 
 func (r *refNet) peers(name string) []string {
@@ -59,115 +53,53 @@ func (r *refNet) peers(name string) []string {
 }
 
 // bfs is one shortest-path computation from src over the live links.
-func (r *refNet) bfs(src string) *refRoutes {
-	rt := &refRoutes{next: map[string]string{}, dist: map[string]int{src: 0}, parent: map[string]string{}}
+func (r *refNet) bfs(src string) map[string]string {
+	next := map[string]string{}
+	seen := map[string]bool{src: true}
 	queue := []string{src}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, p := range r.peers(cur) {
-			if r.links[cur][p].down {
+			if r.links[cur][p].down || seen[p] {
 				continue
 			}
-			if _, seen := rt.dist[p]; seen {
-				continue
-			}
+			seen[p] = true
 			if cur == src {
-				rt.next[p] = p
+				next[p] = p
 			} else {
-				rt.next[p] = rt.next[cur]
+				next[p] = next[cur]
 			}
-			rt.dist[p] = rt.dist[cur] + 1
-			rt.parent[p] = cur
 			queue = append(queue, p)
 		}
 	}
-	return rt
+	return next
 }
 
-func (r *refNet) routesFor(src string) *refRoutes {
-	if rt, ok := r.routes[src]; ok {
-		return rt
+func (r *refNet) routesFor(src string) map[string]string {
+	if next, ok := r.routes[src]; ok {
+		return next
 	}
 	r.computes++
-	rt := r.bfs(src)
-	r.routes[src] = rt
-	return rt
-}
-
-func (r *refNet) edgeDown(a, b string) {
-	for src, rt := range r.routes {
-		if rt.parent[a] == b || rt.parent[b] == a {
-			delete(r.routes, src)
-		}
-	}
-}
-
-func (r *refNet) edgeUp(a, b string) {
-	for src, rt := range r.routes {
-		da, oka := rt.dist[a]
-		db, okb := rt.dist[b]
-		if !oka && !okb || oka && okb && da == db {
-			continue
-		}
-		delete(r.routes, src)
-	}
-}
-
-func (r *refNet) dirDown(from, to string) {
-	for src, rt := range r.routes {
-		if rt.parent[to] == from {
-			delete(r.routes, src)
-		}
-	}
-}
-
-func (r *refNet) dirUp(from, to string) {
-	for src, rt := range r.routes {
-		df, okf := rt.dist[from]
-		if !okf {
-			continue
-		}
-		if dt, okt := rt.dist[to]; okt && dt <= df {
-			continue
-		}
-		delete(r.routes, src)
-	}
+	next := r.bfs(src)
+	r.routes[src] = next
+	return next
 }
 
 func (r *refNet) setLinkUp(a, b string, up bool) {
 	r.links[a][b].down, r.links[b][a].down = !up, !up
-	if up {
-		r.edgeUp(a, b)
-	} else {
-		r.edgeDown(a, b)
-	}
-}
-
-func (r *refNet) setLinkDirUp(from, to string, up bool) {
-	r.links[from][to].down = !up
-	if up {
-		r.dirUp(from, to)
-	} else {
-		r.dirDown(from, to)
-	}
+	clear(r.routes)
 }
 
 func (r *refNet) setNodeDirUp(name string, outbound, up bool) {
 	for peer, l := range r.links[name] {
-		from, to := peer, name
 		if outbound {
 			l.down = !up
-			from, to = name, peer
 		} else {
 			r.links[peer][name].down = !up
 		}
-		if up {
-			r.dirUp(from, to)
-		} else {
-			r.dirDown(from, to)
-		}
 	}
+	clear(r.routes)
 }
 
 func (r *refNet) setNodeUp(name string, up bool) {
@@ -175,43 +107,27 @@ func (r *refNet) setNodeUp(name string, up bool) {
 		l.down = !up
 		r.links[peer][name].down = !up
 	}
-	for src, rt := range r.routes {
-		dn, okn := rt.dist[name]
-		if !up {
-			if okn {
-				delete(r.routes, src)
-			}
-			continue
-		}
-		for peer := range r.links[name] {
-			dp, okp := rt.dist[peer]
-			if !okn && !okp || okn && okp && dn == dp {
-				continue
-			}
-			delete(r.routes, src)
-			break
-		}
-	}
+	clear(r.routes)
 }
 
-func (r *refNet) nextHop(src, dst string) string { return r.routesFor(src).next[dst] }
+func (r *refNet) nextHop(src, dst string) string { return r.routesFor(src)[dst] }
 
 func (r *refNet) reachable(a, b string) bool {
 	if a == b {
 		return true
 	}
-	_, ab := r.routesFor(a).next[b]
+	_, ab := r.routesFor(a)[b]
 	if !ab {
 		return false
 	}
-	_, ba := r.routesFor(b).next[a]
+	_, ba := r.routesFor(b)[a]
 	return ba
 }
 
 func (r *refNet) latency(src, dst string, size int64) (sim.Duration, bool) {
 	var total sim.Duration
 	for cur := src; cur != dst; {
-		hop, ok := r.routesFor(cur).next[dst]
+		hop, ok := r.routesFor(cur)[dst]
 		if !ok {
 			return 0, false
 		}
@@ -227,7 +143,7 @@ func (r *refNet) latency(src, dst string, size int64) (sim.Duration, bool) {
 // does, and reports whether it arrives.
 func (r *refNet) deliver(hop, dst string) bool {
 	for cur := hop; cur != dst; {
-		next, ok := r.routesFor(cur).next[dst]
+		next, ok := r.routesFor(cur)[dst]
 		if !ok {
 			return false
 		}
@@ -246,8 +162,7 @@ func nextHopName(n *Network, src, dst string) string {
 }
 
 // TestRouterMatchesMapReference drives seeded random topologies through
-// link flaps, one-way link failures, node-direction failures, node
-// crashes and heals, and nodes added after routes were computed. Each
+// link flaps, node-direction failures, node crashes and heals, and nodes added after routes were computed. Each
 // step first puts messages on the wire, so the change lands while they
 // are in flight. After every step the id-indexed router and the map
 // reference must agree, for every (src, dst) pair, on the next hop
@@ -325,7 +240,7 @@ func diffRun(t *testing.T, seed int64) int {
 		}
 
 		var what string
-		switch op := rng.Intn(6); op {
+		switch op := rng.Intn(5); op {
 		case 0, 1:
 			e := edges[rng.Intn(len(edges))]
 			up := rng.Intn(2) == 0
@@ -335,18 +250,6 @@ func diffRun(t *testing.T, seed int64) int {
 			}
 			ref.setLinkUp(e.a, e.b, up)
 		case 2:
-			e := edges[rng.Intn(len(edges))]
-			from, to := e.a, e.b
-			if rng.Intn(2) == 0 {
-				from, to = to, from
-			}
-			up := rng.Intn(2) == 0
-			what = fmt.Sprintf("link %s->%s up=%v", from, to, up)
-			if err := n.SetLinkDirUp(from, to, up); err != nil {
-				t.Fatal(err)
-			}
-			ref.setLinkDirUp(from, to, up)
-		case 3:
 			name := names[rng.Intn(len(names))]
 			outbound, up := rng.Intn(2) == 0, rng.Intn(2) == 0
 			what = fmt.Sprintf("node %s outbound=%v up=%v", name, outbound, up)
@@ -354,7 +257,7 @@ func diffRun(t *testing.T, seed int64) int {
 				t.Fatal(err)
 			}
 			ref.setNodeDirUp(name, outbound, up)
-		case 4:
+		case 3:
 			name := names[rng.Intn(len(names))]
 			up := rng.Intn(3) > 0
 			what = fmt.Sprintf("node %s up=%v", name, up)
@@ -362,7 +265,7 @@ func diffRun(t *testing.T, seed int64) int {
 				t.Fatal(err)
 			}
 			ref.setNodeUp(name, up)
-		case 5:
+		case 4:
 			name := fmt.Sprintf("x%02d", step)
 			what = "add " + name
 			add(name)
@@ -391,9 +294,9 @@ func diffRun(t *testing.T, seed int64) int {
 			fresh := ref.bfs(src)
 			for _, dst := range names {
 				got, want := nextHopName(n, src, dst), ref.nextHop(src, dst)
-				if got != want || want != fresh.next[dst] {
+				if got != want || want != fresh[dst] {
 					t.Fatalf("step %d (%s): next hop %s->%s = %q, reference %q, fresh BFS %q",
-						step, what, src, dst, got, want, fresh.next[dst])
+						step, what, src, dst, got, want, fresh[dst])
 				}
 				a, b := n.Node(src), n.Node(dst)
 				if got, want := n.Reachable(a, b), ref.reachable(src, dst); got != want {

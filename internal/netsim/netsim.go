@@ -2,14 +2,15 @@
 // connected by links with latency and bandwidth. Messages queue FIFO per
 // link direction, so concurrent transfers contend for bandwidth the way
 // they do on a real wire. Routing is shortest-path by hop count,
-// computed lazily per source node and invalidated incrementally when the
-// topology changes: a link failure only discards the cached routes of
-// sources whose shortest-path tree actually used that link.
+// computed lazily per source node. Any topology change drops every
+// cached route, and each source's next send runs one BFS: the grid's
+// fabrics have a handful of nodes, so a finer rule would save almost
+// nothing.
 //
 // Names are resolved once. Every node gets a dense id when it is added,
-// and a source's route state is a set of id-indexed tables held on the
-// source node itself, so a message that carries its destination node
-// crosses each hop without a string lookup. Network.Send is the
+// and a source's route state is one id-indexed next-hop table held on
+// the source node itself, so a message that carries its destination
+// node crosses each hop without a string lookup. Network.Send is the
 // name-resolving entry into Node.Send; callers on hot paths resolve
 // their nodes once and send between them directly.
 //
@@ -63,9 +64,6 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // Node returns the named node, or nil.
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return len(n.nodes) }
-
 // AddNode creates a node with the next dense id. Adding an existing
 // name returns the existing node, so topology builders can be
 // idempotent. A fresh node has no links, so existing cached routes stay
@@ -95,7 +93,7 @@ func (n *Network) Connect(a, b string, latency sim.Duration, bandwidthBps float6
 	nb.links[a] = &link{net: n, to: na, latency: latency, bwBps: bandwidthBps}
 	na.sorted = nil
 	nb.sorted = nil
-	n.invalidateEdgeUp(na, nb)
+	n.invalidate()
 	return nil
 }
 
@@ -110,12 +108,11 @@ func (n *Network) ConnectWAN(a, b string) error {
 }
 
 // SetLinkUp marks the a<->b link up or down (failure injection). Routing
-// recomputes around down links immediately: the affected next-hop caches
-// are invalidated, so partitions take effect mid-simulation. Messages
-// already queued on the link still cross it (store-and-forward), but if
-// their onward route vanished by arrival time they are dropped and
-// counted in Drops. Only sources whose routing actually depends on the
-// flapped link pay a recompute; see RouteComputes.
+// recomputes around down links immediately: every cached route is
+// dropped, so partitions take effect mid-simulation. Messages already
+// queued on the link still cross it (store-and-forward), but if their
+// onward route vanished by arrival time they are dropped and counted in
+// Drops.
 func (n *Network) SetLinkUp(a, b string, up bool) error {
 	na, nb := n.nodes[a], n.nodes[b]
 	if na == nil || nb == nil {
@@ -127,31 +124,7 @@ func (n *Network) SetLinkUp(a, b string, up bool) error {
 	}
 	la.down = !up
 	lb.down = !up
-	if up {
-		n.invalidateEdgeUp(na, nb)
-	} else {
-		n.invalidateEdgeDown(na, nb)
-	}
-	return nil
-}
-
-// SetLinkDirUp marks only the from->to direction of a link up or down —
-// the asymmetric failure shape (half-duplex breakage, unidirectional
-// firewall drops) where from's traffic toward to is lost while to can
-// still reach from. Route invalidation is direction-aware: a one-way
-// failure only discards sources whose BFS tree traversed that exact
-// directed edge.
-func (n *Network) SetLinkDirUp(from, to string, up bool) error {
-	nf, nt := n.nodes[from], n.nodes[to]
-	if nf == nil || nt == nil {
-		return fmt.Errorf("netsim: set link dir %q->%q: unknown node", from, to)
-	}
-	l := nf.links[to]
-	if l == nil {
-		return fmt.Errorf("netsim: set link dir %q->%q: no such link", from, to)
-	}
-	l.down = !up
-	n.invalidateDir(nf, nt, up)
+	n.invalidate()
 	return nil
 }
 
@@ -167,23 +140,20 @@ func (n *Network) SetNodeDirUp(name string, outbound, up bool) error {
 		return fmt.Errorf("netsim: set node dir %q: unknown node", name)
 	}
 	for _, l := range nd.peerLinks() {
-		peer := l.to
 		if outbound {
 			l.down = !up
-			n.invalidateDir(nd, peer, up)
-			continue
-		}
-		if back := peer.links[name]; back != nil {
+		} else if back := l.to.links[name]; back != nil {
 			back.down = !up
 		}
-		n.invalidateDir(peer, nd, up)
 	}
+	n.invalidate()
 	return nil
 }
 
 // SetNodeUp fails (or restores) every link attached to a node at once —
 // the network face of a fail-stop node crash. Restoring brings all the
 // node's links up, including any that were downed individually before.
+// Like every topology change, it drops every cached route.
 func (n *Network) SetNodeUp(name string, up bool) error {
 	nd := n.nodes[name]
 	if nd == nil {
@@ -195,116 +165,15 @@ func (n *Network) SetNodeUp(name string, up bool) error {
 			back.down = !up
 		}
 	}
-	if up {
-		n.invalidateNodeUp(nd)
-	} else {
-		n.invalidateNodeDown(nd)
-	}
+	n.invalidate()
 	return nil
 }
 
-// invalidateEdgeDown discards cached routes of every source whose BFS
-// tree crossed the a<->b edge. For any other source the edge was only
-// ever examined after both endpoints were visited, so a fresh BFS
-// without it walks the identical traversal.
-func (n *Network) invalidateEdgeDown(a, b *Node) {
+// invalidate drops every source's cached routes after a topology
+// change; each source's next send runs one BFS.
+func (n *Network) invalidate() {
 	for _, src := range n.byID {
-		if src.routed && (src.parentOf(a) == b.id || src.parentOf(b) == a.id) {
-			src.routed = false
-		}
-	}
-}
-
-// invalidateEdgeUp discards cached routes that a new (or restored)
-// a<->b edge could change. A source keeps its cache only when the fresh
-// BFS provably matches: either both endpoints are unreachable from it
-// (the edge lives entirely outside its component), or both sit at the
-// same BFS depth (each end is already visited before the other's
-// adjacency scan reaches the new edge, so the traversal is unchanged).
-func (n *Network) invalidateEdgeUp(a, b *Node) {
-	for _, src := range n.byID {
-		if src.routed && !src.keepsEdgeUp(a, b) {
-			src.routed = false
-		}
-	}
-}
-
-// keepsEdgeUp is invalidateEdgeUp's keep test for one source.
-func (nd *Node) keepsEdgeUp(a, b *Node) bool {
-	da, oka := nd.depth(a)
-	db, okb := nd.depth(b)
-	return !oka && !okb || oka && okb && da == db
-}
-
-// invalidateDir applies a from->to direction change: invalidateDirEdgeUp
-// when it comes back, invalidateDirEdgeDown when it fails.
-func (n *Network) invalidateDir(from, to *Node, up bool) {
-	if up {
-		n.invalidateDirEdgeUp(from, to)
-	} else {
-		n.invalidateDirEdgeDown(from, to)
-	}
-}
-
-// invalidateDirEdgeDown is the one-direction refinement of
-// invalidateEdgeDown: a failed from->to direction only affects sources
-// whose BFS tree discovered to through from. Trees that crossed the
-// link the other way (parent[from] == to) traversed the still-healthy
-// to->from direction and stay valid.
-func (n *Network) invalidateDirEdgeDown(from, to *Node) {
-	for _, src := range n.byID {
-		if src.routed && src.parentOf(to) == from.id {
-			src.routed = false
-		}
-	}
-}
-
-// invalidateDirEdgeUp keeps a source's cache across a restored from->to
-// direction only when a fresh BFS provably reproduces it: either from
-// is unreachable (its adjacency is never scanned), or to was already
-// discovered at a depth ≤ from's (so the scan of from skips the edge).
-// A to exactly one hop deeper than from could tie with the edge's new
-// offer, and tie-breaking depends on scan order — invalidate.
-func (n *Network) invalidateDirEdgeUp(from, to *Node) {
-	for _, src := range n.byID {
-		if !src.routed {
-			continue
-		}
-		df, okf := src.depth(from)
-		if !okf {
-			continue
-		}
-		if dt, okt := src.depth(to); okt && dt <= df {
-			continue
-		}
 		src.routed = false
-	}
-}
-
-// invalidateNodeDown handles a node crash: any source that could reach
-// the node loses its cache (the node and possibly more becomes
-// unreachable); sources that already could not reach it are untouched,
-// because every link of an unreachable node connects unreachable nodes.
-func (n *Network) invalidateNodeDown(nd *Node) {
-	for _, src := range n.byID {
-		if _, ok := src.depth(nd); src.routed && ok {
-			src.routed = false
-		}
-	}
-}
-
-// invalidateNodeUp applies the edge-up rule across every restored link.
-func (n *Network) invalidateNodeUp(nd *Node) {
-	for _, src := range n.byID {
-		if !src.routed {
-			continue
-		}
-		for _, l := range nd.peerLinks() {
-			if !src.keepsEdgeUp(nd, l.to) {
-				src.routed = false
-				break
-			}
-		}
 	}
 }
 
@@ -317,9 +186,8 @@ func (n *Network) Drops() uint64 { return n.drops }
 // measure the staging experiments compare against full-copy baselines.
 func (n *Network) BytesSent() uint64 { return n.bytesSent }
 
-// RouteComputes returns how many per-source BFS computations have run.
-// Fault-injection tests assert on this: flapping a link must not
-// recompute routes for sources whose paths never touched it.
+// RouteComputes returns how many per-source BFS computations have run:
+// at most one per source between two topology changes.
 func (n *Network) RouteComputes() uint64 { return n.routeComputes }
 
 // BuildLAN creates the named nodes (if needed) and joins them through an
@@ -473,8 +341,10 @@ func (n *Network) Reachable(a, b *Node) bool {
 }
 
 // Latency returns the unloaded one-way latency from src to dst for a
-// message of the given size, or an error if unreachable. Useful for
-// analytic assertions.
+// message of the given size, or an error if unreachable: the sum of
+// each hop's latency and serialization time along the current route,
+// with no queueing. The vnet overlay picks relays by it, the grid ranks
+// servers by it, and a vfs mount picks its LAN or WAN profile from it.
 func (n *Network) Latency(src, dst string, size int64) (sim.Duration, error) {
 	if src == dst {
 		return 0, nil
@@ -504,22 +374,16 @@ type Node struct {
 
 	sorted []*link // cached links in sorted peer-name order; nil = rebuild
 
-	// The node's shortest-path state as a source, indexed by node id.
-	// A table is kept across a topology change only when a fresh BFS
-	// would provably reproduce it bit for bit; routed false means it
-	// must be recomputed (the slices are reused). Tables end at the
-	// last id that existed when they were computed.
+	// The node's routes as a source: the first-hop link toward each
+	// node id, nil for no route. routed false means the table must be
+	// recomputed (its storage is reused). It ends at the last id that
+	// existed when it was computed.
 	routed bool
-	next   []*link // dst -> first-hop link (nil = no route)
-	dist   []int32 // node -> hop count (-1 = unreachable)
-	parent []int32 // node -> BFS tree predecessor (-1 = none)
+	next   []*link
 }
 
 // Name returns the node name.
 func (nd *Node) Name() string { return nd.name }
-
-// Degree returns the number of attached links.
-func (nd *Node) Degree() int { return len(nd.links) }
 
 // peerLinks returns the node's links in sorted peer-name order. The
 // slice is cached and invalidated when a link is attached.
@@ -536,7 +400,7 @@ func (nd *Node) peerLinks() []*link {
 }
 
 // hopTo returns the first-hop link from nd toward dst, or nil when dst
-// is unreachable, running one BFS if nd's tables are not valid.
+// is unreachable, running one BFS if nd's table is not valid.
 func (nd *Node) hopTo(dst *Node) *link {
 	if !nd.routed {
 		nd.computeRoutes()
@@ -547,47 +411,22 @@ func (nd *Node) hopTo(dst *Node) *link {
 	return nil
 }
 
-// depth returns x's BFS depth in nd's cached tables.
-func (nd *Node) depth(x *Node) (int32, bool) {
-	if x.id < len(nd.dist) && nd.dist[x.id] >= 0 {
-		return nd.dist[x.id], true
-	}
-	return 0, false
-}
-
-// parentOf returns x's BFS tree predecessor id in nd's cached tables,
-// or -1.
-func (nd *Node) parentOf(x *Node) int {
-	if x.id < len(nd.parent) {
-		return int(nd.parent[x.id])
-	}
-	return -1
-}
-
-// computeRoutes runs one BFS from nd, recording first hop, depth, and
-// tree parent for every reachable node. Neighbors expand in sorted name
-// order so equal-cost ties resolve identically on every rebuild — fault
-// injection recomputes routes mid-run, and route choice must not depend
-// on map iteration order.
+// computeRoutes runs one BFS from nd, recording the first hop toward
+// every reachable node; a node is visited once it has a first hop.
+// Neighbors expand in sorted name order so equal-cost ties resolve
+// identically on every rebuild — fault injection recomputes routes
+// mid-run, and route choice must not depend on map iteration order.
 func (nd *Node) computeRoutes() {
 	n := nd.net
 	n.routeComputes++
-	size := len(n.byID)
-	nd.next = resize(nd.next, size)
-	nd.dist = resize(nd.dist, size)
-	nd.parent = resize(nd.parent, size)
+	nd.next = resize(nd.next, len(n.byID))
 	clear(nd.next)
-	for i := range nd.dist {
-		nd.dist[i], nd.parent[i] = -1, -1
-	}
-	nd.dist[nd.id] = 0
 	queue := append(n.queue[:0], nd)
 	for i := 0; i < len(queue); i++ {
 		cur := queue[i]
-		depth := nd.dist[cur.id] + 1
 		for _, l := range cur.peerLinks() {
 			peer := l.to
-			if l.down || nd.dist[peer.id] >= 0 {
+			if l.down || peer == nd || nd.next[peer.id] != nil {
 				continue
 			}
 			first := l
@@ -595,8 +434,6 @@ func (nd *Node) computeRoutes() {
 				first = nd.next[cur.id]
 			}
 			nd.next[peer.id] = first
-			nd.dist[peer.id] = depth
-			nd.parent[peer.id] = int32(cur.id)
 			queue = append(queue, peer)
 		}
 	}

@@ -241,8 +241,8 @@ func TestAddNodeIdempotent(t *testing.T) {
 	if a1 != a2 {
 		t.Error("AddNode created a duplicate")
 	}
-	if n.Nodes() != 1 {
-		t.Errorf("Nodes() = %d", n.Nodes())
+	if len(n.nodes) != 1 || len(n.byID) != 1 {
+		t.Errorf("%d named nodes, %d ids; want 1 each", len(n.nodes), len(n.byID))
 	}
 }
 
@@ -253,7 +253,7 @@ func TestBuildLANFullMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a", "b", "c", "d"} {
-		if got := n.Node(name).Degree(); got != 3 {
+		if got := len(n.Node(name).links); got != 3 {
 			t.Errorf("node %s degree = %d, want 3", name, got)
 		}
 	}
