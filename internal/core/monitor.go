@@ -29,8 +29,7 @@ type Monitor struct {
 type forecast struct {
 	sensor *rps.Sensor
 	model  *rps.AR
-	buf    []float64 // reused training history
-	at     uint64    // series Total the cached load was computed at
+	at     uint64 // series Total the cached load was computed at
 	load   float64
 }
 
@@ -67,6 +66,9 @@ func (g *Grid) StartMonitor() (*Monitor, error) {
 	return m, nil
 }
 
+// Monitor returns the grid's load monitor, or nil before StartMonitor.
+func (g *Grid) Monitor() *Monitor { return g.monitor }
+
 // Stop halts sampling and prediction.
 func (m *Monitor) Stop() {
 	if !m.running {
@@ -102,11 +104,11 @@ func (f *forecast) current() float64 {
 	return f.load
 }
 
-// predict trains the model on the series' current history.
+// predict trains the model on the series' current history, read in
+// place from its window.
 func (f *forecast) predict(series *rps.Series) float64 {
 	if series.Len() >= 32 {
-		f.buf = series.AppendValues(f.buf[:0])
-		if err := f.model.Train(f.buf); err == nil {
+		if err := f.model.Train(series.Window()); err == nil {
 			p := f.model.Predict()
 			if p < 0 {
 				p = 0

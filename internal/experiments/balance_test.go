@@ -3,6 +3,9 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"vmgrid/internal/core"
+	"vmgrid/internal/sim"
 )
 
 // TestAblationBalanceImprovesTail is the ablation's headline claim: on
@@ -67,6 +70,51 @@ func TestAblationBalanceParallelInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(w1, w8) {
 		t.Errorf("rows differ between workers=1 and workers=8:\n%+v\n%+v", w1, w8)
+	}
+}
+
+// TestForecastReadsDoNotPerturbBalance: reading a forecast is a pure
+// read. A reader that asks the monitor for every compute node's
+// PredictedLoad half a second after each tick leaves Ablation I's table
+// and its balancer migration count byte-identical to a run without it.
+func TestForecastReadsDoNotPerturbBalance(t *testing.T) {
+	run := func() (string, float64) {
+		t.Helper()
+		rows, err := AblationBalance(1, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var migrations float64
+		for _, r := range rows {
+			migrations += r.Migrations
+		}
+		return BalanceTable(rows).String(), migrations
+	}
+	plain, plainMoves := run()
+
+	reads := 0
+	testbedMade = func(g *core.Grid) {
+		k := g.Kernel()
+		var poll func()
+		poll = func() {
+			if mon := g.Monitor(); mon != nil {
+				for _, node := range []string{"c1", "c2", "c3"} {
+					_ = mon.PredictedLoad(node)
+					reads++
+				}
+			}
+			k.After(sim.Second, poll)
+		}
+		k.After(sim.Second/2, poll)
+	}
+	defer func() { testbedMade = nil }()
+	read, readMoves := run()
+	if reads == 0 {
+		t.Fatal("the reader never read a forecast")
+	}
+	if read != plain || readMoves != plainMoves {
+		t.Fatalf("forecast reads changed Ablation I (%v migrations, want %v):\nplain\n%s\nread\n%s",
+			readMoves, plainMoves, plain, read)
 	}
 }
 

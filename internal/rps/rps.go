@@ -14,9 +14,12 @@ import (
 	"vmgrid/internal/sim"
 )
 
-// Series is a bounded ring buffer of measurements.
+// Series is a bounded ring buffer of measurements, kept contiguous: the
+// backing array holds two copies of the ring, each sample written at its
+// slot i and again at i+capacity, so the history oldest-first is always
+// the one run data[start:start+n] and reading it copies nothing.
 type Series struct {
-	data  []float64
+	data  []float64 // 2×capacity; data[i+capacity] mirrors data[i]
 	start int
 	n     int
 	total uint64 // samples ever added
@@ -27,19 +30,20 @@ func NewSeries(capacity int) (*Series, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("rps: series capacity %d", capacity)
 	}
-	return &Series{data: make([]float64, capacity)}, nil
+	return &Series{data: make([]float64, 2*capacity)}, nil
 }
 
 // Add appends a sample, evicting the oldest when full.
 func (s *Series) Add(v float64) {
 	s.total++
-	if s.n < len(s.data) {
-		s.data[(s.start+s.n)%len(s.data)] = v
+	capacity := len(s.data) / 2
+	slot := (s.start + s.n) % capacity
+	if s.n < capacity {
 		s.n++
-		return
+	} else {
+		s.start = (s.start + 1) % capacity
 	}
-	s.data[s.start] = v
-	s.start = (s.start + 1) % len(s.data)
+	s.data[slot], s.data[slot+capacity] = v, v
 }
 
 // Len returns the number of stored samples.
@@ -50,7 +54,7 @@ func (s *Series) Last() float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return s.data[(s.start+s.n-1)%len(s.data)]
+	return s.data[s.start+s.n-1]
 }
 
 // Total returns how many samples were ever added. Unlike Len it keeps
@@ -58,21 +62,17 @@ func (s *Series) Last() float64 {
 // does — the key for caching anything computed from the history.
 func (s *Series) Total() uint64 { return s.total }
 
-// Values returns the samples oldest-first (a copy).
-func (s *Series) Values() []float64 {
-	return s.AppendValues(make([]float64, 0, s.n))
+// Window returns the samples oldest-first as a view of the ring itself:
+// valid until the next Add, and not to be written. Its capacity ends at
+// its length, so appending to it copies rather than overwrites the ring.
+func (s *Series) Window() []float64 {
+	end := s.start + s.n
+	return s.data[s.start:end:end]
 }
 
-// AppendValues appends the samples oldest-first to dst, so a caller can
-// reuse one buffer across reads. The ring holds them as at most two
-// contiguous runs: start to the end of the buffer, then the wrap.
-func (s *Series) AppendValues(dst []float64) []float64 {
-	end := s.start + s.n
-	if end <= len(s.data) {
-		return append(dst, s.data[s.start:end]...)
-	}
-	dst = append(dst, s.data[s.start:]...)
-	return append(dst, s.data[:end-len(s.data)]...)
+// Values returns the samples oldest-first (a copy).
+func (s *Series) Values() []float64 {
+	return append(make([]float64, 0, s.n), s.Window()...)
 }
 
 // Mean returns the sample mean (0 if empty).
@@ -81,8 +81,8 @@ func (s *Series) Mean() float64 {
 		return 0
 	}
 	var sum float64
-	for i := 0; i < s.n; i++ {
-		sum += s.data[(s.start+i)%len(s.data)]
+	for _, v := range s.Window() {
+		sum += v
 	}
 	return sum / float64(s.n)
 }
@@ -235,6 +235,11 @@ func (p *MovingMean) Observe(v float64) {
 // AR is an autoregressive model AR(p) fit by the Yule-Walker equations
 // (Levinson-Durbin recursion) — the workhorse model of the RPS toolkit
 // for host load.
+//
+// Every product is converted with float64(...) before it is added: the
+// conversion rounds it, which forbids the compiler from fusing the pair
+// into one multiply-add on the architectures that have one, so a fit
+// gives the same bits everywhere.
 type AR struct {
 	order  int
 	coeffs []float64 // a[1:], the fitted coefficients
@@ -267,7 +272,8 @@ func NewAR(order int) (*AR, error) {
 func (p *AR) Name() string { return fmt.Sprintf("AR(%d)", p.order) }
 
 // Train implements Predictor: fit coefficients by Levinson-Durbin on the
-// sample autocorrelations.
+// sample autocorrelations. It only reads history, which may be a
+// series' live Window.
 func (p *AR) Train(history []float64) error {
 	if len(history) < p.order*2+1 {
 		return fmt.Errorf("rps: AR(%d) needs ≥ %d samples, got %d", p.order, p.order*2+1, len(history))
@@ -279,52 +285,21 @@ func (p *AR) Train(history []float64) error {
 	}
 	mean /= float64(n)
 
-	// Centre the history once. Each r[lag] sums dev[i]*dev[i-lag] in
-	// ascending i: results downstream depend on these exact
-	// floating-point sums, so keep that order.
-	dev := p.dev[:0]
-	for _, v := range history {
-		dev = append(dev, v-mean)
+	// Centre the history once. The buffer at least doubles when it
+	// grows, so a monitor whose window fills one sample at a time
+	// reallocates it a logarithmic number of times.
+	if cap(p.dev) < n {
+		p.dev = make([]float64, max(n, 2*cap(p.dev)))
 	}
-	p.dev = dev
+	dev := p.dev[:n]
+	for i, v := range history {
+		dev[i] = v - mean
+	}
 
-	// Autocorrelations r[0..order], four lags per pass over dev. Each
-	// lag keeps its own accumulator, so the four sums are independent
-	// floating-point chains, and each still adds its terms in ascending i.
 	r := p.r
-	lag := 0
-	for ; lag+3 <= p.order; lag += 4 {
-		var a0, a1, a2, a3 float64
-		// Head: the i in [lag, lag+3) where the longer lags have no term.
-		for i := lag; i < lag+3; i++ {
-			a0 += dev[i] * dev[i-lag]
-			if i >= lag+1 {
-				a1 += dev[i] * dev[i-lag-1]
-			}
-			if i >= lag+2 {
-				a2 += dev[i] * dev[i-lag-2]
-			}
-		}
-		// Body: i from lag+3 on, where all four lags have a term.
-		x := dev[lag+3:]
-		y0, y1, y2, y3 := dev[3:3+len(x)], dev[2:2+len(x)], dev[1:1+len(x)], dev[:len(x)]
-		for j, d := range x {
-			a0 += d * y0[j]
-			a1 += d * y1[j]
-			a2 += d * y2[j]
-			a3 += d * y3[j]
-		}
-		r[lag] = a0 / float64(n)
-		r[lag+1] = a1 / float64(n)
-		r[lag+2] = a2 / float64(n)
-		r[lag+3] = a3 / float64(n)
-	}
-	for ; lag <= p.order; lag++ {
-		var acc float64
-		for i := lag; i < n; i++ {
-			acc += dev[i] * dev[i-lag]
-		}
-		r[lag] = acc / float64(n)
+	autocorr(dev, r)
+	for lag := range r {
+		r[lag] /= float64(n)
 	}
 	a := p.a
 	clear(a)
@@ -342,21 +317,36 @@ func (p *AR) Train(history []float64) error {
 	for k := 1; k <= p.order; k++ {
 		var acc float64
 		for j := 1; j < k; j++ {
-			acc += a[j] * r[k-j]
+			acc += float64(a[j] * r[k-j])
 		}
 		lambda := (r[k] - acc) / e
 		copy(next, a)
 		for j := 1; j < k; j++ {
-			next[j] = a[j] - lambda*a[k-j]
+			next[j] = a[j] - float64(lambda*a[k-j])
 		}
 		next[k] = lambda
 		copy(a, next)
-		e *= 1 - lambda*lambda
+		e *= 1 - float64(lambda*lambda)
 		if e <= 0 {
 			e = 1e-12
 		}
 	}
 	return nil
+}
+
+// autocorrPortable sets r[lag] to the sum of dev[i]*dev[i-lag] over i
+// from lag up, for every lag below len(r), in one pass over dev. Each
+// lag's sum is its own floating-point chain that adds its terms in
+// ascending i, each product rounded before the add: results downstream
+// depend on these exact sums. It is the reference the amd64 kernel is
+// tested against and the fit on every other architecture and order.
+func autocorrPortable(dev, r []float64) {
+	clear(r)
+	for i, d := range dev {
+		for lag := range r[:min(i+1, len(r))] {
+			r[lag] += float64(d * dev[i-lag])
+		}
+	}
 }
 
 // Predict implements Predictor.
@@ -366,7 +356,7 @@ func (p *AR) Predict() float64 {
 	}
 	pred := p.mean
 	for j := 0; j < p.order; j++ {
-		pred += p.coeffs[j] * (p.recent[len(p.recent)-1-j] - p.mean)
+		pred += float64(p.coeffs[j] * (p.recent[len(p.recent)-1-j] - p.mean))
 	}
 	return pred
 }
@@ -401,7 +391,7 @@ func Evaluate(p Predictor, data []float64, train int) (Eval, error) {
 	for i := train; i < len(data); i++ {
 		pred := p.Predict()
 		err := pred - data[i]
-		mse += err * err
+		mse += float64(err * err)
 		mae += math.Abs(err)
 		p.Observe(data[i])
 		n++

@@ -39,10 +39,9 @@ func TestSeriesRingBuffer(t *testing.T) {
 	if s.Total() != 5 {
 		t.Errorf("Total = %d, want 5 (keeps counting past capacity)", s.Total())
 	}
-	buf := make([]float64, 1, 8)
-	got := s.AppendValues(buf[:0])
-	if &got[0] != &buf[0] || len(got) != 3 || got[0] != 3 || got[2] != 5 {
-		t.Errorf("AppendValues = %v, want [3 4 5] in the caller's buffer", got)
+	w := s.Window()
+	if len(w) != 3 || cap(w) != 3 || w[0] != 3 || w[2] != 5 {
+		t.Errorf("Window = %v (cap %d), want [3 4 5] capped at its length", w, cap(w))
 	}
 }
 
@@ -249,29 +248,45 @@ func TestSeriesProperty(t *testing.T) {
 	}
 }
 
-// TestAppendValuesMatchesModuloWalk checks the two-run ring copy against
-// a per-sample modulo walk at every fill level and wrap point.
-func TestAppendValuesMatchesModuloWalk(t *testing.T) {
-	for capacity := 1; capacity <= 6; capacity++ {
+// TestSeriesWindowMatchesSliceModel drives a series and a plain slice
+// holding the last capacity samples with the same adds, past several
+// wrap-arounds, and requires Window, Values, Last and Mean to agree with
+// the model after every add (Mean bit for bit: both sum oldest-first).
+func TestSeriesWindowMatchesSliceModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 512} {
 		s, err := NewSeries(capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for added := 0; added <= 3*capacity; added++ {
-			var want []float64
-			for i := 0; i < s.n; i++ {
-				want = append(want, s.data[(s.start+i)%len(s.data)])
+		rng := sim.NewRNG(uint64(capacity))
+		var model []float64
+		for added := 1; added <= 3*capacity+2; added++ {
+			v := rng.Normal(1, 0.7)
+			s.Add(v)
+			model = append(model, v)
+			if len(model) > capacity {
+				model = model[1:]
 			}
-			got := s.AppendValues([]float64{-1})
-			if len(got) != len(want)+1 || got[0] != -1 {
-				t.Fatalf("cap %d after %d adds: AppendValues = %v, want -1 then %v", capacity, added, got, want)
+			var sum float64
+			for _, m := range model {
+				sum += m
 			}
-			for i := range want {
-				if got[i+1] != want[i] {
-					t.Fatalf("cap %d after %d adds: AppendValues = %v, want -1 then %v", capacity, added, got, want)
+			w, vals := s.Window(), s.Values()
+			if len(w) != len(model) || len(vals) != len(model) || s.Len() != len(model) {
+				t.Fatalf("cap %d after %d adds: Window %d, Values %d, Len %d samples, want %d",
+					capacity, added, len(w), len(vals), s.Len(), len(model))
+			}
+			for i := range model {
+				if w[i] != model[i] || vals[i] != model[i] {
+					t.Fatalf("cap %d after %d adds: Window %v, Values %v, want %v", capacity, added, w, vals, model)
 				}
 			}
-			s.Add(float64(added + 1))
+			if s.Last() != model[len(model)-1] {
+				t.Fatalf("cap %d after %d adds: Last %v, want %v", capacity, added, s.Last(), model[len(model)-1])
+			}
+			if want := sum / float64(len(model)); math.Float64bits(s.Mean()) != math.Float64bits(want) {
+				t.Fatalf("cap %d after %d adds: Mean %v, want %v", capacity, added, s.Mean(), want)
+			}
 		}
 	}
 }
