@@ -35,7 +35,7 @@ func TestTraceAndTelemetryDigests(t *testing.T) {
 			args: []string{"-exp", "table2", "-samples", "2"},
 			files: []file{
 				{"-trace", "f46f58d69f92fddc4bd2b5fc270c7bd0305d354177160ba89906cb5815b835c1"},
-				{"-telemetry", "7b43402e6d28e5c28e3d1028f816eeba01fedc5fd4a2f9449035bffa1639979f"},
+				{"-telemetry", "02c85207bd4eb9a7c1f331cfc563b4bab6d0745517f887b023e3b0ccd52ca0e5"},
 			},
 		},
 		{

@@ -492,9 +492,6 @@ func printTop(info wire.TopInfo) {
 		if s.VFSHitRate > 0 {
 			line += fmt.Sprintf(" vfs-hit=%.1f%%", s.VFSHitRate*100)
 		}
-		if s.VFSRetries > 0 {
-			line += fmt.Sprintf(" vfs-retries=%d", s.VFSRetries)
-		}
 		if s.Epoch > 0 {
 			line += fmt.Sprintf(" epoch=%d", s.Epoch)
 		}

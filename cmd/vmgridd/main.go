@@ -17,7 +17,7 @@
 //
 // The served grid is traced and telemetered from birth: the metrics,
 // spans, top, alerts, and watch wire ops always have data, and the
-// standard SLO rules (slowdown, stale-lease, vfs-retry-storm) are
+// standard SLO rules (slowdown, stale-lease, split-brain-risk) are
 // armed. Drive the dashboard with `vmgridctl top` / `vmgridctl alerts`.
 package main
 

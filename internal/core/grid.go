@@ -274,12 +274,6 @@ func (n *Node) Host() *hostos.Host { return n.host }
 // Store returns the node's local file store.
 func (n *Node) Store() *storage.Store { return n.store }
 
-// VFSServer returns the node's virtual-file-system export.
-func (n *Node) VFSServer() *vfs.Server { return n.vfsrv }
-
-// Gatekeeper returns the node's job gatekeeper (nil unless RoleCompute).
-func (n *Node) Gatekeeper() *gram.Gatekeeper { return n.gk }
-
 // Slots returns the remaining VM capacity: the slots no listed
 // incarnation holds.
 func (n *Node) Slots() int { return n.capacity - len(n.incs) }

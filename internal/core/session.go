@@ -263,7 +263,7 @@ func (s *Session) State() State { return s.state }
 // VFSCounters is what a session's VFS mounts did, summed over its
 // user-data and on-demand image clients.
 type VFSCounters struct {
-	Hits, Misses, Retries, TransportErrors uint64
+	Hits, Misses, TransportErrors uint64
 }
 
 // HitRate is hits over block lookups; ok is false before any lookup.
@@ -284,7 +284,6 @@ func (s *Session) VFSCounters() VFSCounters {
 		}
 		v.Hits += c.Hits()
 		v.Misses += c.Misses()
-		v.Retries += c.Retries()
 		v.TransportErrors += c.TransportErrors()
 	}
 	return v
@@ -481,7 +480,6 @@ func (g *Grid) CreateSession(cfg SessionConfig, done func(*Session, error), opts
 			client.SetTracer(g.tracer)
 			job := gram.Job{
 				Name: "start-vm:" + s.name,
-				User: cfg.User,
 				Ctx:  s.sctx,
 				// A job that reaches the gatekeeper after Shutdown does not run.
 				Fence: func() error { return s.opErr(start) },

@@ -698,7 +698,6 @@ func (sup *Supervisor) dispatchRestore(c *charge, o *op, in *incarnation) {
 	ep := s.epoch
 	job := gram.Job{
 		Name: "restore-vm:" + s.name,
-		User: s.cfg.User,
 		Ctx:  c.failSpan.Context(),
 		// The fencing token rides the job: if a newer failover bumped the
 		// epoch while this dispatch sat in retry backoff, the gatekeeper

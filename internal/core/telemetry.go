@@ -74,8 +74,6 @@ func (g *Grid) Telemetry() *telemetry.Collector { return g.telemetry }
 //     two supervisor heartbeats (4 s) — the telemetry-side shadow of the
 //     supervisor's lease-expiry failure detector, which waits for the
 //     three-heartbeat leaseTTL.
-//   - vfs-retry-storm: the per-session VFS retry counter grows faster
-//     than 5/s over 10 s — a flapping link or dying server.
 //   - split-brain-risk: minority-side registry writes are being
 //     rejected — some node is partitioned from the GIS quorum and its
 //     sessions are failover candidates. (The series only exists on
@@ -88,7 +86,6 @@ func (g *Grid) DefaultAlertRules() error {
 	rules := []struct{ name, expr string }{
 		{"slowdown", "mean(session.slowdown, 30s) > 1.10 for 30s"},
 		{"stale-lease", fmt.Sprintf("last(lease.age) > %g", (2 * heartbeatInterval).Seconds())},
-		{"vfs-retry-storm", "rate(vfs.retries, 10s) > 5"},
 		{"split-brain-risk", "rate(gis.minority_writes, 10s) > 0"},
 	}
 	for _, r := range rules {
@@ -128,7 +125,7 @@ type nodeSeries struct {
 }
 
 type sessionSeries struct {
-	slowdown, hitRate, retries, transportErrors *telemetry.Handle
+	slowdown, hitRate, transportErrors *telemetry.Handle
 }
 
 type leaseSeries struct {
@@ -206,12 +203,11 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 			ts = &sessionSeries{
 				slowdown:        r.Handle("session.slowdown", lbl),
 				hitRate:         r.Handle("vfs.hit_rate", lbl),
-				retries:         r.Handle("vfs.retries", lbl),
 				transportErrors: r.Handle("vfs.transport_errors", lbl),
 			}
 			s.series = ts
 		}
-		slowdown, counters := ts.slowdown.Wanted(), anyWanted(ts.hitRate, ts.retries, ts.transportErrors)
+		slowdown, counters := ts.slowdown.Wanted(), anyWanted(ts.hitRate, ts.transportErrors)
 		if !slowdown && !counters {
 			return
 		}
@@ -226,9 +222,6 @@ func (g *Grid) scrapeSessions(r *telemetry.Recorder) {
 		v := s.VFSCounters()
 		if rate, ok := v.HitRate(); ok && ts.hitRate.Wanted() {
 			r.Put(ts.hitRate, rate)
-		}
-		if ts.retries.Wanted() {
-			r.Put(ts.retries, float64(v.Retries))
 		}
 		if ts.transportErrors.Wanted() {
 			r.Put(ts.transportErrors, float64(v.TransportErrors))

@@ -48,20 +48,18 @@ func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 			if u.GuestUserSeconds > 0 {
 				r.Record("session.slowdown", u.CPUSeconds/u.GuestUserSeconds, lbl)
 			}
-			var hits, misses, retries, terrs uint64
+			var hits, misses, terrs uint64
 			for _, c := range []*vfs.Client{s.dataClient, s.imageClient} {
 				if c == nil {
 					continue
 				}
 				hits += c.Hits()
 				misses += c.Misses()
-				retries += c.Retries()
 				terrs += c.TransportErrors()
 			}
 			if hits+misses > 0 {
 				r.Record("vfs.hit_rate", float64(hits)/float64(hits+misses), lbl)
 			}
-			r.Record("vfs.retries", float64(retries), lbl)
 			r.Record("vfs.transport_errors", float64(terrs), lbl)
 		}
 	}
@@ -242,7 +240,7 @@ func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 		"node.predicted_load{node=compute1}",
 		"lease.age{sess=",
 		"session.slowdown{sess=",
-		"vfs.retries{sess=",
+		"vfs.transport_errors{sess=",
 		".count{src=grid}",
 		".mean_sec{src=grid}",
 		"gis.replica.lag{replica=images}",

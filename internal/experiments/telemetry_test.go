@@ -111,7 +111,7 @@ func TestRecoveryLeaseAlertsTrackCrashes(t *testing.T) {
 }
 
 // TestAblationSeriesOnlyWhatIsRead pins what the G, H and I ablations
-// store: only the series someone reads. G and H arm the four standard
+// store: only the series someone reads. G and H arm the three standard
 // rules, so their stores hold exactly the rules' families; I has no
 // rules, and stores only the balancer's node.predicted_load and the
 // spread's node.load. A source family that came back on unread would
@@ -122,10 +122,10 @@ func TestAblationSeriesOnlyWhatIsRead(t *testing.T) {
 		want map[string]int // series per family, over every run at -samples 1
 	}{
 		// Eight runs, one session each; no registry is replicated.
-		{"ablation-recovery", map[string]int{"lease.age": 8, "session.slowdown": 8, "vfs.retries": 8}},
+		{"ablation-recovery", map[string]int{"lease.age": 8, "session.slowdown": 8}},
 		// Six runs, one session and one replicated registry each.
 		{"ablation-partition", map[string]int{
-			"gis.minority_writes": 6, "lease.age": 6, "session.slowdown": 6, "vfs.retries": 6}},
+			"gis.minority_writes": 6, "lease.age": 6, "session.slowdown": 6}},
 		// Six runs of five nodes; three run the balancer over three
 		// compute nodes.
 		{"ablation-balance", map[string]int{"node.load": 30, "node.predicted_load": 9}},

@@ -213,26 +213,32 @@ func TestDeltaGossipMatchesFullState(t *testing.T) {
 // may not keep ticking beside the new one.
 func TestClusterRestartRunsOneGossipLoop(t *testing.T) {
 	k := sim.NewKernel(1)
-	_, _, c := lanCluster(t, k, 3, "g0", "g1", "g2")
+	net, _, c := lanCluster(t, k, 3, "g0", "g1", "g2")
+	// Nothing is written, so every round sends the same bytes: each
+	// replica's full-state size to each peer.
+	var perRound uint64
+	for _, r := range c.reps {
+		perRound += uint64(len(r.links) * (gossipBaseBytes + gossipPerEntryBytes*len(r.meta)))
+	}
 	c.Start()
 	if err := k.RunFor(2500 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	c.Stop()
 	c.Start()
-	before := c.GossipRounds()
+	before := net.BytesSent()
 	if err := k.RunFor(10300 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.GossipRounds() - before; got != 10 {
-		t.Errorf("%d rounds in the 10 s after a restart, want 10", got)
+	if got := net.BytesSent() - before; got != 10*perRound {
+		t.Errorf("%d gossip bytes in the 10 s after a restart, want 10 rounds of %d", got, perRound)
 	}
 	c.Stop()
 	if err := k.RunFor(5 * sim.Second); err != nil && err != sim.ErrStalled {
 		t.Fatal(err)
 	}
-	if got := c.GossipRounds() - before; got != 10 {
-		t.Errorf("%d rounds after Stop, want none beyond the 10", got-10)
+	if got := net.BytesSent() - before; got != 10*perRound {
+		t.Errorf("%d gossip bytes after Stop, want none beyond the 10 rounds' %d", got, 10*perRound)
 	}
 }
 

@@ -151,7 +151,6 @@ type Cluster struct {
 	tickFn         func() // tick, bound once so rearming allocates nothing
 	free           *gossipPayload
 	minorityWrites uint64
-	gossipRounds   uint64
 }
 
 // NewCluster replicates primary across the named netsim nodes (which
@@ -264,7 +263,6 @@ func (c *Cluster) tick() {
 	if !c.running {
 		return
 	}
-	c.gossipRounds++
 	c.gossip()
 	c.next = c.k.After(c.gossipEvery, c.tickFn)
 }
@@ -506,9 +504,6 @@ func (c *Cluster) Node(i int) string { return c.reps[i].Node }
 // view, the raw signal behind the split-brain-risk alert.
 func (c *Cluster) MinorityWrites() uint64 { return c.minorityWrites }
 
-// GossipRounds counts completed anti-entropy rounds.
-func (c *Cluster) GossipRounds() uint64 { return c.gossipRounds }
-
 // Converged reports whether every replica holds the identical stamped
 // view — the post-heal invariant the chaos sweep asserts.
 func (c *Cluster) Converged() bool {
@@ -547,7 +542,3 @@ func (c *Cluster) Lag(i int) sim.Duration {
 // Cluster returns the cluster a replicated Service belongs to (nil for
 // a standalone registry).
 func (s *Service) Cluster() *Cluster { return s.cluster }
-
-// Home returns the netsim node a replicated Service is pinned to (""
-// for a standalone registry).
-func (s *Service) Home() string { return s.home }

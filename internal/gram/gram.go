@@ -37,7 +37,6 @@ const (
 // Errors callers match with errors.Is.
 var (
 	ErrNoGatekeeper = errors.New("gram: no gatekeeper at node")
-	ErrDenied       = errors.New("gram: authorization denied")
 	// ErrUnavailable wraps failures that occurred before the job was
 	// dispatched (the gatekeeper could not be reached), so the job never
 	// ran and resubmitting is safe. Failures after dispatch — a lost
@@ -52,8 +51,6 @@ var (
 type Job struct {
 	// Name labels the job (e.g. "start-vm:rh72").
 	Name string
-	// User is the grid identity submitting the job.
-	User string
 	// Run performs the work; it must invoke done(err) exactly once. ctx
 	// is the gatekeeper's handler-span context, so work done on the far
 	// side of the submit parents under the server-side span of the RPC.
@@ -74,16 +71,13 @@ type Job struct {
 // Gatekeeper accepts jobs at one host, the way a Globus gatekeeper plus
 // job manager would.
 type Gatekeeper struct {
-	host *hostos.Host
-	// authorized is the gridmap: which users may submit (empty = all).
-	authorized map[string]bool
-	accepted   uint64
-	trace      *obs.Tracer
+	host  *hostos.Host
+	trace *obs.Tracer
 }
 
 // NewGatekeeper starts a gatekeeper on host.
 func NewGatekeeper(host *hostos.Host) *Gatekeeper {
-	return &Gatekeeper{host: host, authorized: make(map[string]bool)}
+	return &Gatekeeper{host: host}
 }
 
 // Host returns the gatekeeper's machine.
@@ -94,16 +88,6 @@ func (g *Gatekeeper) Host() *hostos.Host { return g.host }
 // carries one. A nil tracer (the default) disables tracing.
 func (g *Gatekeeper) SetTracer(tr *obs.Tracer) { g.trace = tr }
 
-// Accepted returns the number of jobs accepted so far.
-func (g *Gatekeeper) Accepted() uint64 { return g.accepted }
-
-// Authorize adds a user to the gridmap. With no authorized users at all,
-// the gatekeeper is open (convenient for single-tenant tests).
-func (g *Gatekeeper) Authorize(user string) { g.authorized[user] = true }
-
-// Revoke removes a user.
-func (g *Gatekeeper) Revoke(user string) { delete(g.authorized, user) }
-
 // Submit runs a job locally: authenticate (CPU work on the host — a
 // loaded machine authenticates slowly, part of Table 2's variance), then
 // execute. done receives the job's error.
@@ -111,10 +95,6 @@ func (g *Gatekeeper) Submit(job Job, done func(error)) error {
 	if job.Run == nil {
 		return fmt.Errorf("gram: job %q with no body", job.Name)
 	}
-	if len(g.authorized) > 0 && !g.authorized[job.User] {
-		return fmt.Errorf("%w: user %q", ErrDenied, job.User)
-	}
-	g.accepted++
 	// The handler span re-parents under the submitter's context: the
 	// client RPC span on one node, the server-side dispatch on another,
 	// one causal tree across the wire.

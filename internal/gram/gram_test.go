@@ -51,7 +51,6 @@ func TestSubmitRunsJob(t *testing.T) {
 	var doneAt sim.Time = -1
 	job := Job{
 		Name: "noop",
-		User: "alice",
 		Run: func(_ obs.SpanContext, done func(error)) {
 			ran = true
 			done(nil)
@@ -74,9 +73,6 @@ func TestSubmitRunsJob(t *testing.T) {
 	if doneAt < sim.Time(sim.Second) || doneAt > sim.Time(5*sim.Second) {
 		t.Errorf("control path took %v, want ~1-3s (globusrun envelope)", doneAt)
 	}
-	if g.registry.At("compute").Accepted() != 1 {
-		t.Error("gatekeeper did not count the job")
-	}
 }
 
 func TestSubmitErrors(t *testing.T) {
@@ -89,44 +85,6 @@ func TestSubmitErrors(t *testing.T) {
 		t.Error("bodyless job accepted")
 	}
 }
-
-func TestGridmapAuthorization(t *testing.T) {
-	g := newGrid(t)
-	gk := g.registry.At("compute")
-	gk.Authorize("alice")
-
-	var aliceErr, malloryErr error = errSentinel, errSentinel
-	okJob := Job{Name: "j", User: "alice", Run: func(_ obs.SpanContext, done func(error)) { done(nil) }}
-	if err := g.client.Submit("compute", okJob, func(err error) { aliceErr = err }); err != nil {
-		t.Fatal(err)
-	}
-	badJob := Job{Name: "j2", User: "mallory", Run: func(_ obs.SpanContext, done func(error)) { done(nil) }}
-	if err := g.client.Submit("compute", badJob, func(err error) { malloryErr = err }); err != nil {
-		t.Fatal(err)
-	}
-	g.k.Run()
-	if aliceErr != nil {
-		t.Errorf("authorized user rejected: %v", aliceErr)
-	}
-	if !errors.Is(malloryErr, ErrDenied) {
-		t.Errorf("unauthorized user result = %v, want ErrDenied", malloryErr)
-	}
-
-	// Keep bob authorized so the gridmap stays closed after the revoke
-	// (an empty gridmap means an open gatekeeper by convention).
-	gk.Authorize("bob")
-	gk.Revoke("alice")
-	var afterRevoke error
-	if err := g.client.Submit("compute", okJob, func(err error) { afterRevoke = err }); err != nil {
-		t.Fatal(err)
-	}
-	g.k.Run()
-	if !errors.Is(afterRevoke, ErrDenied) {
-		t.Errorf("revoked user result = %v", afterRevoke)
-	}
-}
-
-var errSentinel = errors.New("sentinel")
 
 func TestJobErrorPropagates(t *testing.T) {
 	g := newGrid(t)

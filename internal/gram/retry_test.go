@@ -18,7 +18,7 @@ func TestSubmitUnreachableIsUnavailable(t *testing.T) {
 	var got error
 	done := false
 	if err := g.client.Submit("compute", Job{
-		Name: "x", User: "u", Run: func(_ obs.SpanContext, d func(error)) { d(nil) },
+		Name: "x", Run: func(_ obs.SpanContext, d func(error)) { d(nil) },
 	}, func(err error) { got = err; done = true }); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSubmitRetrySucceedsAfterHeal(t *testing.T) {
 	var got error
 	done := false
 	err := g.client.SubmitRetry("compute", Job{
-		Name: "x", User: "u", Run: func(_ obs.SpanContext, d func(error)) { ran = true; d(nil) },
+		Name: "x", Run: func(_ obs.SpanContext, d func(error)) { ran = true; d(nil) },
 	}, retry.Policy{MaxAttempts: 6, Backoff: sim.Second}, func(err error) {
 		got = err
 		done = true
@@ -71,7 +71,7 @@ func TestSubmitRetryExhaustionKeepsUnavailable(t *testing.T) {
 	var got error
 	done := false
 	err := g.client.SubmitRetry("compute", Job{
-		Name: "x", User: "u", Run: func(_ obs.SpanContext, d func(error)) { d(nil) },
+		Name: "x", Run: func(_ obs.SpanContext, d func(error)) { d(nil) },
 	}, retry.Policy{MaxAttempts: 3, Backoff: 100 * sim.Millisecond}, func(err error) {
 		got = err
 		done = true
@@ -95,7 +95,7 @@ func TestSubmitRetryDoesNotReplayJobFailures(t *testing.T) {
 	var got error
 	done := false
 	err := g.client.SubmitRetry("compute", Job{
-		Name: "x", User: "u", Run: func(_ obs.SpanContext, d func(error)) {
+		Name: "x", Run: func(_ obs.SpanContext, d func(error)) {
 			attempts++
 			d(jobErr)
 		},

@@ -240,9 +240,6 @@ func (o *OS) SetBackgroundLoad(u float64) {
 	o.updateActivity()
 }
 
-// BackgroundLoad returns the current guest-internal load.
-func (o *OS) BackgroundLoad() float64 { return o.bgLoad }
-
 // updateActivity tells the CPU provider about the current task mix.
 func (o *OS) updateActivity() {
 	runnable := 0

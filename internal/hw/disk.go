@@ -38,9 +38,6 @@ func NewDisk(k *sim.Kernel, spec DiskSpec) *Disk {
 	return d
 }
 
-// Spec returns the device's static description.
-func (d *Disk) Spec() DiskSpec { return d.spec }
-
 // Requests returns the number of requests completed or in flight.
 func (d *Disk) Requests() uint64 { return d.requests }
 

@@ -1,12 +1,11 @@
 // Package retry is the single retry/backoff vocabulary of the
-// middleware. Historically vfs, gram, and the wire client each grew a
-// private retry policy with the same shape and slightly different
-// defaults; Policy unifies them. The per-layer semantics — what is
-// retried, and what a failed attempt even means — stay with the layer:
-// vfs retries timed-out RPCs, gram replays only pre-dispatch rejections,
-// the wire client resends only requests that never reached the server.
-// Policy owns the part they genuinely share: how many attempts, and how
-// long to wait between them.
+// middleware, shared by gram and the wire client. The per-layer
+// semantics — what is retried, and what a failed attempt even means —
+// stay with the layer: gram replays only pre-dispatch rejections, the
+// wire client resends only requests that never reached the server.
+// Policy owns the part they share: how many attempts, and how long to
+// wait between them. (A vfs RPC has one attempt: the grid file system's
+// proxy is a soft mount that counts a failure and moves on.)
 //
 // Delays are capped-exponential: attempt n waits Backoff·2^(n-1),
 // clamped to MaxBackoff.
@@ -23,9 +22,6 @@ type Policy struct {
 	// Values below 1 mean one attempt (no retries) unless the layer
 	// documents a different default.
 	MaxAttempts int
-	// Timeout bounds one attempt, for layers that time out individual
-	// attempts (vfs RPCs). Zero disables per-attempt timeouts.
-	Timeout sim.Duration
 	// Backoff is the delay before the second attempt; it doubles per
 	// subsequent attempt. Zero selects the layer default.
 	Backoff sim.Duration
@@ -65,7 +61,3 @@ func (p Policy) Delay(attempt int, def sim.Duration) sim.Duration {
 	}
 	return d
 }
-
-// IsZero reports whether every tunable is unset, i.e. the policy
-// defers entirely to layer defaults.
-func (p Policy) IsZero() bool { return p == Policy{} }

@@ -51,12 +51,3 @@ func TestDelayUncappedWhenMaxBackoffZero(t *testing.T) {
 		t.Errorf("Delay(5) = %v, want 16s", got)
 	}
 }
-
-func TestIsZero(t *testing.T) {
-	if !(Policy{}).IsZero() {
-		t.Error("zero Policy should report IsZero")
-	}
-	if (Policy{MaxAttempts: 1}).IsZero() {
-		t.Error("non-zero Policy should not report IsZero")
-	}
-}

@@ -45,8 +45,12 @@ func ExampleNewLottery() {
 		fmt.Println(err)
 		return
 	}
-	shares := sched.Shares(lot, 100000)
-	fmt.Printf("client A ~%.0f%%, client B ~%.0f%%\n", shares[0]*100, shares[1]*100)
+	const quanta = 100000
+	wins := make([]int, lot.Clients())
+	for i := 0; i < quanta; i++ {
+		wins[lot.Next()]++
+	}
+	fmt.Printf("client A ~%.0f%%, client B ~%.0f%%\n", 100*float64(wins[0])/quanta, 100*float64(wins[1])/quanta)
 	// Output:
 	// client A ~75%, client B ~25%
 }

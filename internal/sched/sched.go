@@ -34,7 +34,6 @@ type Lottery struct {
 	rng     *sim.RNG
 	tickets []float64
 	total   float64
-	wins    []uint64
 }
 
 // NewLottery creates a lottery scheduler with the given ticket counts.
@@ -42,7 +41,7 @@ func NewLottery(rng *sim.RNG, tickets ...float64) (*Lottery, error) {
 	if len(tickets) == 0 {
 		return nil, fmt.Errorf("sched: lottery with no clients")
 	}
-	l := &Lottery{rng: rng, tickets: append([]float64(nil), tickets...), wins: make([]uint64, len(tickets))}
+	l := &Lottery{rng: rng, tickets: append([]float64(nil), tickets...)}
 	for i, t := range tickets {
 		if t < 0 {
 			return nil, fmt.Errorf("sched: client %d holds %v tickets", i, t)
@@ -78,22 +77,17 @@ func (l *Lottery) Next() int {
 	for i, t := range l.tickets {
 		acc += t
 		if draw < acc {
-			l.wins[i]++
 			return i
 		}
 	}
 	// Floating-point edge: last client with tickets wins.
 	for i := len(l.tickets) - 1; i >= 0; i-- {
 		if l.tickets[i] > 0 {
-			l.wins[i]++
 			return i
 		}
 	}
 	return 0
 }
-
-// Wins returns how many quanta each client has won.
-func (l *Lottery) Wins() []uint64 { return append([]uint64(nil), l.wins...) }
 
 // WFQ is weighted fair queueing adapted to CPU quanta: each client has a
 // virtual time advanced by quantum/weight when it runs; the client with
@@ -145,21 +139,6 @@ func (w *WFQ) Next() int {
 	}
 	w.vtime[best] += 1 / w.weights[best]
 	return best
-}
-
-// Shares runs a scheduler for n quanta and returns the fraction of
-// quanta each client received — the enforcement-accuracy measurement of
-// the scheduling ablation.
-func Shares(s QuantumScheduler, n int) []float64 {
-	counts := make([]int, s.Clients())
-	for i := 0; i < n; i++ {
-		counts[s.Next()]++
-	}
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c) / float64(n)
-	}
-	return out
 }
 
 // Modulator enforces a CPU share on an unmodified host scheduler by

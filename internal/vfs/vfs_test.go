@@ -54,6 +54,34 @@ func newWorld(t testing.TB, wan bool) *world {
 	}
 }
 
+// counting wraps a Transport and counts the RPCs a client issues
+// through it: one transport call per RPC, since an RPC has one attempt.
+type counting struct {
+	Transport
+	rpcs uint64
+}
+
+func (t *counting) Read(file string, off, size int64, done func(error)) {
+	t.rpcs++
+	t.Transport.Read(file, off, size, done)
+}
+
+func (t *counting) Write(file string, off, size int64, done func(error)) {
+	t.rpcs++
+	t.Transport.Write(file, off, size, done)
+}
+
+// dial connects the client node to the world's server over the network,
+// counting RPCs.
+func (w *world) dial(t testing.TB) *counting {
+	t.Helper()
+	tr, err := NewNetTransport(w.net, "client", "server", w.server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &counting{Transport: tr}
+}
+
 func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{LoopbackNFSConfig(), LANConfig(), WANConfig()} {
 		if err := cfg.validate(); err != nil {
@@ -75,10 +103,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRemoteReadOverLAN(t *testing.T) {
 	w := newWorld(t, false)
-	tr, err := NewNetTransport(w.net, "client", "server", w.server)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := w.dial(t)
 	c, err := NewClient(w.k, tr, LANConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -95,24 +120,24 @@ func TestRemoteReadOverLAN(t *testing.T) {
 	if doneAt > sim.Time(100*sim.Millisecond) || doneAt < sim.Time(sim.Millisecond) {
 		t.Errorf("LAN read took %v", doneAt)
 	}
-	if c.RemoteOps() == 0 || c.Misses() == 0 {
+	if tr.rpcs == 0 || c.Misses() == 0 {
 		t.Error("no remote activity recorded")
 	}
 }
 
 func TestCacheHitOnSecondRead(t *testing.T) {
 	w := newWorld(t, false)
-	tr, _ := NewNetTransport(w.net, "client", "server", w.server)
+	tr := w.dial(t)
 	c, _ := NewClient(w.k, tr, LANConfig())
 	f := c.Open("data", 1<<30)
 	f.Read(0, 64<<10, nil)
 	w.k.Run()
-	opsBefore := c.RemoteOps()
+	opsBefore := tr.rpcs
 	var start = w.k.Now()
 	var doneAt sim.Time
 	f.Read(0, 64<<10, func() { doneAt = w.k.Now() })
 	w.k.Run()
-	if c.RemoteOps() != opsBefore {
+	if tr.rpcs != opsBefore {
 		t.Error("cached read went remote")
 	}
 	// A hit pays only the per-op client cost, never a round trip.
@@ -128,7 +153,7 @@ func TestPrefetchReducesRoundTrips(t *testing.T) {
 	// Sequential small reads with a 192 KB prefetch window must issue
 	// roughly size/window RPCs, not size/rsize.
 	w := newWorld(t, true)
-	tr, _ := NewNetTransport(w.net, "client", "server", w.server)
+	tr := w.dial(t)
 	c, _ := NewClient(w.k, tr, WANConfig())
 	f := c.Open("data", 1<<30)
 
@@ -149,22 +174,22 @@ func TestPrefetchReducesRoundTrips(t *testing.T) {
 		t.Fatal("sequential scan never finished")
 	}
 	wantOps := uint64(total / (192 << 10))
-	if ops := c.RemoteOps(); ops < wantOps || ops > wantOps*2 {
-		t.Errorf("RemoteOps = %d for 4 MB scan, want ~%d (prefetch)", ops, wantOps)
+	if ops := tr.rpcs; ops < wantOps || ops > wantOps*2 {
+		t.Errorf("%d RPCs for 4 MB scan, want ~%d (prefetch)", ops, wantOps)
 	}
 }
 
 func TestZeroCacheClientRefetches(t *testing.T) {
 	w := newWorld(t, false)
-	tr := NewLoopbackTransport(w.k, w.server)
+	tr := &counting{Transport: NewLoopbackTransport(w.k, w.server)}
 	c, _ := NewClient(w.k, tr, Config{Rsize: 16 << 10, Prefetch: 16 << 10, CacheBytes: 0})
 	f := c.Open("data", 1<<30)
 	f.Read(0, 16<<10, nil)
 	w.k.Run()
-	ops := c.RemoteOps()
+	ops := tr.rpcs
 	f.Read(0, 16<<10, nil)
 	w.k.Run()
-	if c.RemoteOps() == ops {
+	if tr.rpcs == ops {
 		t.Error("client cached despite CacheBytes=0")
 	}
 }
@@ -223,7 +248,7 @@ func TestUnknownFileStillCompletes(t *testing.T) {
 
 func TestRemoteWriteThrough(t *testing.T) {
 	w := newWorld(t, false)
-	tr, _ := NewNetTransport(w.net, "client", "server", w.server)
+	tr := w.dial(t)
 	c, _ := NewClient(w.k, tr, LANConfig())
 	f := c.Open("scratch", 0)
 	var doneAt sim.Time = -1
@@ -239,10 +264,10 @@ func TestRemoteWriteThrough(t *testing.T) {
 		t.Errorf("client size = %d", f.Size())
 	}
 	// Written blocks are resident: an immediate read-back stays local.
-	ops := c.RemoteOps()
+	ops := tr.rpcs
 	f.Read(0, 128<<10, nil)
 	w.k.Run()
-	if c.RemoteOps() != ops {
+	if tr.rpcs != ops {
 		t.Error("read-after-write went remote")
 	}
 }
@@ -263,7 +288,7 @@ func TestClientSerializesRPCs(t *testing.T) {
 
 func TestCacheEvictionBounded(t *testing.T) {
 	w := newWorld(t, false)
-	tr, _ := NewNetTransport(w.net, "client", "server", w.server)
+	tr := w.dial(t)
 	cfg := Config{Rsize: 32 << 10, Prefetch: 32 << 10, CacheBytes: 128 << 10} // 4 blocks
 	c, _ := NewClient(w.k, tr, cfg)
 	f := c.Open("data", 1<<30)
@@ -272,10 +297,10 @@ func TestCacheEvictionBounded(t *testing.T) {
 	}
 	w.k.Run()
 	// Re-reading the first block must be a miss again.
-	ops := c.RemoteOps()
+	ops := tr.rpcs
 	f.Read(0, 32<<10, nil)
 	w.k.Run()
-	if c.RemoteOps() == ops {
+	if tr.rpcs == ops {
 		t.Error("evicted block served from cache")
 	}
 }

@@ -127,7 +127,7 @@ func protocolStream(t *testing.T, call func(op string, params, out any) error) [
 // protocolDigest is the SHA-256 of the scripted stream. It pins every
 // response byte, error text and error code of the protocol: a change
 // that moves it changes what clients see.
-const protocolDigest = "5760f63a4e27f5f1961370b461f77784fc985a680abbb8dade87382987701ffa"
+const protocolDigest = "d05e37db68eee9a614d9b08ca040c3262e7be2ae2c0b32d0a47c4ed905f4f7b1"
 
 // TestProtocolStreamPinned runs the same script in process and over
 // TCP against two seed-1 servers. The two response streams must be

@@ -785,7 +785,6 @@ func (s *Server) top() TopInfo {
 		row.Epoch = sess.Epoch()
 		v := sess.VFSCounters()
 		row.VFSHitRate, _ = v.HitRate()
-		row.VFSRetries = v.Retries
 		info.Sessions = append(info.Sessions, row)
 	}
 	if p := s.grid.ChunkPlane(); p != nil {

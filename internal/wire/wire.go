@@ -194,7 +194,6 @@ type TopSession struct {
 	Node        string  `json:"node,omitempty"`
 	Slowdown    float64 `json:"slowdown,omitempty"`
 	VFSHitRate  float64 `json:"vfsHitRate,omitempty"`
-	VFSRetries  uint64  `json:"vfsRetries,omitempty"`
 	GuestSec    float64 `json:"guestSec,omitempty"`
 	WallSeconds float64 `json:"wallSeconds,omitempty"`
 	Epoch       int64   `json:"epoch,omitempty"` // fencing epoch (0 until first failover)
