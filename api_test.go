@@ -43,6 +43,9 @@ var deletedNames = []struct {
 	{"the GIS gossip-round count and replica home accessor", `\b(GossipRounds|gossipRounds)\b|\bHome\(\)`, nil},
 	{"the lottery's win counts and the share helper", `\bsched\.Shares\b|\bWins\(\)`, nil},
 	{"the retry policy's timeout and zero test", `\b(Timeout|IsZero)\b`, []string{"internal/retry"}},
+	{"the registry's gauges and histograms", `\b(Gauge|Histogram|GaugePoint|HistogramPoint|histBucket|histBuckets|gWS|hRPC|mErrs)\b`, nil},
+	{"the registry copies of facts another store counts",
+		`vfs\.rpc-latency|vmm\.worldswitch-hz|"core\.(checkpoints|lease-expiries|zombies-fenced|recoveries|fenced-results|balancer-migrations)"|telemetry\.alerts\.|Counter\("vfs\.transport_errors"\)`, nil},
 }
 
 // TestDeletedNamesStayDeleted fails on the first file and line under

@@ -35,7 +35,7 @@ func TestTraceAndTelemetryDigests(t *testing.T) {
 			args: []string{"-exp", "table2", "-samples", "2"},
 			files: []file{
 				{"-trace", "f46f58d69f92fddc4bd2b5fc270c7bd0305d354177160ba89906cb5815b835c1"},
-				{"-telemetry", "02c85207bd4eb9a7c1f331cfc563b4bab6d0745517f887b023e3b0ccd52ca0e5"},
+				{"-telemetry", "ff0891935a27abfb3461449919be0a4a4924651f15ee6c40095e3ee9164b5e0c"},
 			},
 		},
 		{

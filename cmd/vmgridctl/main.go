@@ -31,9 +31,14 @@
 //	top        [-n FRAMES] [-every SECONDS]
 //	alerts
 //
+// metrics prints the daemon's counter registry, one name and count a
+// line.
+//
 // top renders a live text dashboard of the served grid: one frame per
 // node/session table plus the firing alerts, streamed -n times with
-// -every virtual seconds between frames (one frame by default).
+// -every virtual seconds between frames (one frame by default). A
+// session row shows its failed data RPCs (vfs-transport-errors=N) once
+// there is one.
 //
 // trace prints one session's causal span tree (client RPC spans nested
 // under the phases that issued them, server-side handler spans under
@@ -492,6 +497,9 @@ func printTop(info wire.TopInfo) {
 		if s.VFSHitRate > 0 {
 			line += fmt.Sprintf(" vfs-hit=%.1f%%", s.VFSHitRate*100)
 		}
+		if s.VFSTransportErrors > 0 {
+			line += fmt.Sprintf(" vfs-transport-errors=%d", s.VFSTransportErrors)
+		}
 		if s.Epoch > 0 {
 			line += fmt.Sprintf(" epoch=%d", s.Epoch)
 		}
@@ -598,18 +606,6 @@ func printMetrics(snap obs.Snapshot) {
 		fmt.Println("counters:")
 		for _, c := range snap.Counters {
 			fmt.Printf("  %-28s %g\n", c.Name, c.Value)
-		}
-	}
-	if len(snap.Gauges) > 0 {
-		fmt.Println("gauges:")
-		for _, g := range snap.Gauges {
-			fmt.Printf("  %-28s %g\n", g.Name, g.Value)
-		}
-	}
-	if len(snap.Histograms) > 0 {
-		fmt.Println("histograms:")
-		for _, h := range snap.Histograms {
-			fmt.Printf("  %-28s n=%-6d mean=%.6fs max=%.6fs\n", h.Name, h.Count, h.MeanSec, h.MaxSec)
 		}
 	}
 }

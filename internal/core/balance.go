@@ -65,7 +65,6 @@ func (f *gridFabric) Migrate(sess, target string, done func(error)) error {
 	if s == nil {
 		return ErrBadSession
 	}
-	f.g.tracer.Metrics().Counter("core.balancer-migrations").Inc()
 	return s.MigrateFenced(target, done)
 }
 

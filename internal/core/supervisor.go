@@ -448,7 +448,6 @@ func (sup *Supervisor) checkpoint(c *charge, done func(error)) {
 					c.tasks[i].ckptSec = snap[i]
 				}
 				sup.stats.Checkpoints++
-				sup.g.tracer.Metrics().Counter("core.checkpoints").Inc()
 			}
 			return err
 		}
@@ -530,7 +529,6 @@ func (sup *Supervisor) failover(c *charge) {
 	if !c.lossAccounted {
 		c.lossAccounted = true
 		sup.stats.Crashes++
-		sup.g.tracer.Metrics().Counter("core.lease-expiries").Inc()
 		for _, t := range c.tasks {
 			if t.finished {
 				continue
@@ -656,7 +654,6 @@ func (sup *Supervisor) fenceZombie(c *charge, epoch int64) {
 	c.zombies = slices.Delete(c.zombies, i, i+1)
 	c.s.mark("fenced")
 	sup.stats.ZombiesFenced++
-	sup.g.tracer.Metrics().Counter("core.zombies-fenced").Inc()
 	sup.g.incidentNow("fence", c.s.name)
 }
 
@@ -745,7 +742,6 @@ func (sup *Supervisor) resume(c *charge, o *op) {
 	now := sup.g.k.Now()
 	sup.stats.Recoveries++
 	sup.stats.RepairSec += now.Sub(s.crashedAt).Seconds()
-	sup.g.tracer.Metrics().Counter("core.recoveries").Inc()
 	c.failSpan.End()
 	for _, t := range c.tasks {
 		if t.finished {
@@ -790,7 +786,6 @@ func (sup *Supervisor) resume(c *charge, o *op) {
 func (sup *Supervisor) taskDone(c *charge, t *supTask, epoch int64, res guest.TaskResult) {
 	if epoch < c.since {
 		sup.stats.FencedResults++
-		sup.g.tracer.Metrics().Counter("core.fenced-results").Inc()
 		sup.fenceZombie(c, epoch)
 		return
 	}

@@ -12,8 +12,8 @@ import (
 // scrape records per-node gauges (runnable processes, load average,
 // free slots, crash state, and — once StartMonitor runs — the RPS
 // predicted load), per-session gauges (VM slowdown, VFS cache hit
-// rate, retry and transport-error counters), and supervisor lease ages,
-// plus the grid tracer's metrics registry when a tracer is set. The
+// rate, and the transport-error count), and supervisor lease ages,
+// plus the grid tracer's counter registry when a tracer is set. The
 // standard SLO rules (see DefaultAlertRules) are installed, and alert
 // firings are mirrored into GIS soft state as KindAlert entries so
 // middleware discovers SLO violations the way it discovers hosts.

@@ -107,13 +107,6 @@ func keyedScrapes(g *Grid, reg *obs.Registry) []telemetry.Source {
 		for _, p := range snap.Counters {
 			r.Record(p.Name, p.Value, lbl)
 		}
-		for _, p := range snap.Gauges {
-			r.Record(p.Name, p.Value, lbl)
-		}
-		for _, p := range snap.Histograms {
-			r.Record(p.Name+".count", float64(p.Count), lbl)
-			r.Record(p.Name+".mean_sec", p.MeanSec, lbl)
-		}
 	}
 	return []telemetry.Source{nodes, sessions, leases, registry, staging, feed}
 }
@@ -241,8 +234,7 @@ func TestHandleScrapesMatchKeyedRecord(t *testing.T) {
 		"lease.age{sess=",
 		"session.slowdown{sess=",
 		"vfs.transport_errors{sess=",
-		".count{src=grid}",
-		".mean_sec{src=grid}",
+		"core.sessions.ready{src=grid}",
 		"gis.replica.lag{replica=images}",
 		"gis.minority_writes",
 		"staging.chunk.hits",

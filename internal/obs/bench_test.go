@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"testing"
-
-	"vmgrid/internal/sim"
-)
+import "testing"
 
 // The nil-sink benchmarks guard the off-by-default contract: a disabled
 // tracer must cost one pointer test per call site, so instrumented hot
@@ -35,15 +31,6 @@ func BenchmarkNilCounterInc(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-func BenchmarkNilHistogramObserve(b *testing.B) {
-	var tr *Tracer
-	h := tr.Metrics().Histogram("lat")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(sim.Duration(i))
 	}
 }
 

@@ -214,9 +214,8 @@ func (ts *TraceSet) PhaseStats() []PhaseStat {
 	return rows
 }
 
-// MergedMetrics sums every entry's registry into one snapshot: counters
-// and histogram contents add; gauges keep the last value set (in entry
-// order). Deterministic because Snapshot sorts by name.
+// MergedMetrics sums every entry's counters into one snapshot.
+// Deterministic because Snapshot sorts by name.
 func (ts *TraceSet) MergedMetrics() Snapshot {
 	if ts == nil {
 		return Snapshot{}
@@ -229,22 +228,6 @@ func (ts *TraceSet) MergedMetrics() Snapshot {
 		}
 		for name, c := range reg.counters {
 			merged.Counter(name).Add(c.v)
-		}
-		for name, g := range reg.gauges {
-			if g.set {
-				merged.Gauge(name).Set(g.v)
-			}
-		}
-		for name, h := range reg.hists {
-			m := merged.Histogram(name)
-			for i, n := range h.buckets {
-				m.buckets[i] += n
-			}
-			m.count += h.count
-			m.sum += h.sum
-			if h.max > m.max {
-				m.max = h.max
-			}
 		}
 	}
 	return merged.Snapshot()

@@ -1,5 +1,5 @@
 // Package obs is the middleware's observability layer: hierarchical
-// causal spans, a metrics registry, and a bounded flight recorder, all
+// causal spans, a counter registry, and a bounded flight recorder, all
 // keyed on the deterministic sim clock. The paper's evaluation is
 // entirely about where time goes — Figure 1's virtualization slowdown,
 // Table 1's VFS overhead, Table 2's per-step startup latency — and obs
@@ -18,7 +18,7 @@
 //     at any -parallel worker count.
 //
 //   - Nil-sink fast path. Tracing is off by default: a nil *Tracer (and
-//     the nil *Counter/*Gauge/*Histogram handles it hands out) is fully
+//     the nil *Counter handles it hands out) is fully
 //     usable — every method is a nil-receiver no-op — so instrumented
 //     hot paths pay one pointer test when disabled, nothing more.
 //
@@ -109,7 +109,7 @@ func (r SpanRecord) Context() SpanContext {
 const defaultIDSeed = 0x766d677269640a5d // "vmgrid"
 
 // Tracer records spans and instants against one sim clock and owns a
-// metrics Registry. A nil Tracer is the disabled state; every method
+// counter Registry. A nil Tracer is the disabled state; every method
 // (and Metrics(), which returns a nil Registry) is safe and free on it.
 // Tracers are not goroutine-safe by design: like the kernel they
 // observe, each belongs to exactly one simulation goroutine.
@@ -188,7 +188,7 @@ func (t *Tracer) SetFlightRecorder(r *FlightRecorder) {
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Metrics returns the tracer's registry; nil for a nil tracer (the nil
-// registry still hands out working no-op instruments).
+// registry still hands out working no-op counters).
 func (t *Tracer) Metrics() *Registry {
 	if t == nil {
 		return nil

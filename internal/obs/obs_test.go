@@ -30,13 +30,11 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	reg := tr.Metrics()
 	reg.Counter("x").Inc()
-	reg.Gauge("y").Set(2)
-	reg.Histogram("z").Observe(sim.Second)
 	if got := reg.Counter("x").Value(); got != 0 {
 		t.Fatalf("nil counter value = %v", got)
 	}
 	snap := reg.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+	if len(snap.Counters) != 0 || reg.Len() != 0 || reg.Names() != nil {
 		t.Fatal("nil registry snapshot not empty")
 	}
 }
@@ -70,26 +68,13 @@ func TestRegistrySnapshotSortedAndAggregated(t *testing.T) {
 	reg.Counter("b.count").Add(2)
 	reg.Counter("a.count").Inc()
 	reg.Counter("b.count").Inc()
-	reg.Gauge("g").Set(7.5)
-	h := reg.Histogram("lat")
-	h.Observe(5)                    // <10µs bucket
-	h.Observe(3 * sim.Millisecond)  // <10ms bucket
-	h.Observe(90 * sim.Millisecond) // <100ms bucket
 
 	s := reg.Snapshot()
 	if len(s.Counters) != 2 || s.Counters[0].Name != "a.count" || s.Counters[1].Value != 3 {
 		t.Errorf("counters = %+v", s.Counters)
 	}
-	if len(s.Gauges) != 1 || s.Gauges[0].Value != 7.5 {
-		t.Errorf("gauges = %+v", s.Gauges)
-	}
-	if len(s.Histograms) != 1 {
-		t.Fatalf("histograms = %+v", s.Histograms)
-	}
-	hp := s.Histograms[0]
-	wantSum := (5*sim.Microsecond + 3*sim.Millisecond + 90*sim.Millisecond).Seconds()
-	if hp.Count != 3 || hp.SumSec != wantSum || hp.MaxSec != (90*sim.Millisecond).Seconds() {
-		t.Errorf("histogram point = %+v", hp)
+	if names := reg.Names(); len(names) != 2 || names[0] != "a.count" || names[1] != "b.count" || reg.Len() != 2 {
+		t.Errorf("names = %v, len = %d", names, reg.Len())
 	}
 }
 
@@ -190,7 +175,6 @@ func TestMergedMetrics(t *testing.T) {
 	mk := func(n float64) *Tracer {
 		tr := New(&fakeClock{})
 		tr.Metrics().Counter("ops").Add(n)
-		tr.Metrics().Histogram("lat").Observe(sim.Duration(n) * sim.Millisecond)
 		return tr
 	}
 	ts := NewTraceSet()
@@ -199,67 +183,5 @@ func TestMergedMetrics(t *testing.T) {
 	s := ts.MergedMetrics()
 	if len(s.Counters) != 1 || s.Counters[0].Value != 5 {
 		t.Errorf("merged counters = %+v", s.Counters)
-	}
-	if len(s.Histograms) != 1 || s.Histograms[0].Count != 2 {
-		t.Errorf("merged histograms = %+v", s.Histograms)
-	}
-}
-
-func TestHistBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		d    sim.Duration
-		want int
-	}{
-		{0, 0}, {9, 0}, {10, 1}, {99, 1}, {100, 2},
-		{sim.Millisecond, 3}, {sim.Second, 6}, {10 * sim.Second, 7},
-		{100 * sim.Second, 8}, {sim.Hour, 8},
-	}
-	for _, c := range cases {
-		if got := histBucket(c.d); got != c.want {
-			t.Errorf("histBucket(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-}
-
-// Regression: zero-duration spans and sub-decade values must land in
-// bucket 0 and keep count/sum consistent — they used to be able to skew
-// the mean when negative durations slipped through.
-func TestHistogramEdgeObservations(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("edge")
-	h.Observe(0)                   // zero-duration span
-	h.Observe(sim.Duration(1))     // below the first decade bound
-	h.Observe(-sim.Second)         // negative: clamped to zero, not dropped
-	h.Observe(5 * sim.Microsecond) // still bucket 0
-
-	if h.buckets[0] != 4 {
-		t.Fatalf("bucket 0 = %d, want 4 (all edge values)", h.buckets[0])
-	}
-	s := reg.Snapshot()
-	if len(s.Histograms) != 1 {
-		t.Fatalf("histograms = %+v", s.Histograms)
-	}
-	hp := s.Histograms[0]
-	if hp.Count != 4 {
-		t.Fatalf("count = %d, want 4", hp.Count)
-	}
-	wantSum := (sim.Duration(1) + 5*sim.Microsecond).Seconds()
-	if hp.SumSec != wantSum {
-		t.Fatalf("sum = %g, want %g (negative must clamp to 0)", hp.SumSec, wantSum)
-	}
-	if hp.MeanSec < 0 {
-		t.Fatalf("mean = %g, want >= 0", hp.MeanSec)
-	}
-	if hp.MaxSec != (5 * sim.Microsecond).Seconds() {
-		t.Fatalf("max = %g", hp.MaxSec)
-	}
-}
-
-func TestHistBucketZeroAndNegative(t *testing.T) {
-	if got := histBucket(0); got != 0 {
-		t.Errorf("histBucket(0) = %d, want 0", got)
-	}
-	if got := histBucket(sim.Duration(9)); got != 0 {
-		t.Errorf("histBucket(9us) = %d, want 0", got)
 	}
 }

@@ -40,11 +40,10 @@ func (r *Recorder) Handle(name string, labels ...Label) *Handle {
 // Put is Record through a handle from this recorder's collector.
 func (r *Recorder) Put(h *Handle, v float64) { h.add(r.at, v) }
 
-// registryFeed is one attached obs registry. Its instruments and their
+// registryFeed is one attached obs registry. Its counters and their
 // series handles are resolved once, again only when the registry gains
-// an instrument, and each scrape reads the instruments through them in
-// the order a name-sorted Registry.Snapshot lists them: counters,
-// gauges, then histograms, each by name. A sample of a family no one
+// a counter, and each scrape reads the counters through them in name
+// order, as a Registry.Snapshot lists them. A sample of a family no one
 // wants costs its handle's one test, so a feed no one reads stores and
 // allocates nothing.
 type registryFeed struct {
@@ -52,8 +51,6 @@ type registryFeed struct {
 	reg      *obs.Registry
 	resolved int // reg.Len() when the entries below were resolved
 	counters []counterEntry
-	gauges   []gaugeEntry
-	hists    []histEntry
 	handles  map[string]*Handle // by series name
 }
 
@@ -62,65 +59,29 @@ type counterEntry struct {
 	h *Handle
 }
 
-type gaugeEntry struct {
-	g *obs.Gauge
-	h *Handle
-}
-
-// histEntry is a histogram with its .count and .mean_sec handles.
-type histEntry struct {
-	hist *obs.Histogram
-	h    [2]*Handle
-}
-
-// resolve lists the registry's instruments in snapshot order. A
-// series name seen before keeps its handle, and so the series the
-// handle has bound.
+// resolve lists the registry's counters in snapshot order. A series
+// name seen before keeps its handle, and so the series the handle has
+// bound.
 func (f *registryFeed) resolve(db *DB) {
-	counters, gauges, hists := f.reg.Names()
 	f.counters = f.counters[:0]
-	for _, name := range counters {
-		f.counters = append(f.counters, counterEntry{f.reg.Counter(name), f.handle(db, name)})
-	}
-	f.gauges = f.gauges[:0]
-	for _, name := range gauges {
-		f.gauges = append(f.gauges, gaugeEntry{f.reg.Gauge(name), f.handle(db, name)})
-	}
-	f.hists = f.hists[:0]
-	for _, name := range hists {
-		hs := [2]*Handle{f.handle(db, name+".count"), f.handle(db, name+".mean_sec")}
-		f.hists = append(f.hists, histEntry{f.reg.Histogram(name), hs})
+	for _, name := range f.reg.Names() {
+		h := f.handles[name]
+		if h == nil {
+			h = db.handle(name, L("src", f.src))
+			f.handles[name] = h
+		}
+		f.counters = append(f.counters, counterEntry{f.reg.Counter(name), h})
 	}
 	f.resolved = f.reg.Len()
 }
 
-// handle returns the feed's handle for the series name.
-func (f *registryFeed) handle(db *DB, name string) *Handle {
-	h := f.handles[name]
-	if h == nil {
-		h = db.handle(name, L("src", f.src))
-		f.handles[name] = h
-	}
-	return h
-}
-
-// scrape records the feed's instruments: counters, set gauges, then
-// each histogram's count and mean.
+// scrape records the feed's counters.
 func (f *registryFeed) scrape(db *DB, r *Recorder) {
 	if f.reg.Len() != f.resolved {
 		f.resolve(db)
 	}
 	for _, e := range f.counters {
 		r.Put(e.h, e.c.Value())
-	}
-	for _, e := range f.gauges {
-		if e.g.IsSet() {
-			r.Put(e.h, e.g.Value())
-		}
-	}
-	for _, e := range f.hists {
-		r.Put(e.h[0], float64(e.hist.Count()))
-		r.Put(e.h[1], e.hist.MeanSec())
 	}
 }
 
@@ -155,9 +116,9 @@ type Collector struct {
 }
 
 // NewCollector creates an enabled collector on the kernel's clock. A
-// non-nil tr receives alert firings as instant events on an "alerts"
-// track and counts them in its metrics registry, so alerts land in the
-// Chrome trace next to the spans they explain.
+// non-nil tr receives alert firings and resolutions as instant events
+// on an "alerts" track, so alerts land in the Chrome trace next to the
+// spans they explain; Firings is where they are counted.
 func NewCollector(k *sim.Kernel, tr *obs.Tracer) (*Collector, error) {
 	if k == nil {
 		return nil, fmt.Errorf("telemetry: collector without a kernel")
@@ -228,11 +189,10 @@ func (c *Collector) AddSource(fn Source) {
 	c.sources = append(c.sources, fn)
 }
 
-// AttachRegistry scrapes an obs metrics registry on every round:
-// counters and gauges become series named after the instrument with a
-// src label; histograms contribute <name>.count and <name>.mean_sec.
-// Instruments are read in name-sorted snapshot order, so the resulting
-// series set is deterministic.
+// AttachRegistry scrapes an obs counter registry on every round: each
+// counter becomes a series named after it with a src label. Counters
+// are read in name-sorted snapshot order, so the resulting series set
+// is deterministic.
 func (c *Collector) AttachRegistry(src string, reg *obs.Registry) {
 	if c == nil || reg == nil {
 		return

@@ -223,7 +223,6 @@ func (e *Engine) fire(r *rule, s *Series, st *alertState, now sim.Time, v float6
 	e.firings = append(e.firings, f)
 	if tr := e.c.trace; tr != nil {
 		tr.Instant("alerts", "alert", "fire: "+r.name+" "+f.Series)
-		tr.Metrics().Counter("telemetry.alerts.fired").Inc()
 	}
 	for _, fn := range e.onFire {
 		fn(f)
@@ -241,7 +240,6 @@ func (e *Engine) clear(r *rule, s *Series, now sim.Time) {
 		f := e.firings[st.firingIdx]
 		if tr := e.c.trace; tr != nil {
 			tr.Instant("alerts", "alert", "resolve: "+f.Rule+" "+f.Series)
-			tr.Metrics().Counter("telemetry.alerts.resolved").Inc()
 		}
 		for _, fn := range e.onResolve {
 			fn(f)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"vmgrid/internal/obs"
@@ -171,8 +172,7 @@ func TestAttachRegistry(t *testing.T) {
 	tr := obs.New(k)
 	reg := tr.Metrics()
 	reg.Counter("ops").Add(7)
-	reg.Gauge("depth").Set(3)
-	reg.Histogram("lat").Observe(2 * sim.Millisecond)
+	reg.Counter("idle")
 
 	c := newTestCollector(t, k, nil)
 	c.WantAll()
@@ -182,14 +182,11 @@ func TestAttachRegistry(t *testing.T) {
 	if s := c.DB().Lookup("ops{src=grid}"); s == nil || s.Last().V != 7 {
 		t.Fatalf("counter series: %+v", s)
 	}
-	if s := c.DB().Lookup("depth{src=grid}"); s == nil || s.Last().V != 3 {
-		t.Fatalf("gauge series: %+v", s)
+	if s := c.DB().Lookup("idle{src=grid}"); s == nil || s.Last().V != 0 {
+		t.Fatalf("zero counter series: %+v", s)
 	}
-	if s := c.DB().Lookup("lat.count{src=grid}"); s == nil || s.Last().V != 1 {
-		t.Fatalf("hist count series: %+v", s)
-	}
-	if s := c.DB().Lookup("lat.mean_sec{src=grid}"); s == nil || s.Last().V != 0.002 {
-		t.Fatalf("hist mean series: %+v", s)
+	if n := c.DB().Len(); n != 2 {
+		t.Fatalf("%d series, want one per counter: %v", n, c.DB().Keys())
 	}
 }
 
@@ -380,14 +377,18 @@ func TestRuleFiringLifecycle(t *testing.T) {
 	if len(c.Active()) != 0 {
 		t.Fatalf("Active = %+v", c.Active())
 	}
-	// Trace got fire + resolve instants and counters.
-	snap := tr.Metrics().Snapshot()
-	counts := map[string]float64{}
-	for _, p := range snap.Counters {
-		counts[p.Name] = p.Value
+	// Trace got fire + resolve instants; Firings is their one count.
+	var instants []string
+	for _, sp := range tr.Spans() {
+		if sp.Instant && sp.Track == "alerts" {
+			instants = append(instants, sp.Name)
+		}
 	}
-	if counts["telemetry.alerts.fired"] != 1 || counts["telemetry.alerts.resolved"] != 1 {
-		t.Fatalf("alert counters = %v", counts)
+	if want := []string{"fire: hot load{node=c1}", "resolve: hot load{node=c1}"}; !reflect.DeepEqual(instants, want) {
+		t.Fatalf("alert instants = %q, want %q", instants, want)
+	}
+	if n := len(tr.Metrics().Snapshot().Counters); n != 0 {
+		t.Fatalf("alerts wrote %d registry counters, want 0", n)
 	}
 }
 

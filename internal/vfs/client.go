@@ -107,11 +107,9 @@ type Client struct {
 	bytesFetched  uint64
 	transportErrs uint64
 
-	// Cached instruments; the nil instruments of a nil Trace make every
-	// recording below a single pointer test.
+	// Cached counter; the nil counter of a nil Trace makes every
+	// recording a single pointer test.
 	mRPCs *obs.Counter
-	mErrs *obs.Counter
-	hRPC  *obs.Histogram
 
 	// freelists and scratch buffers for the zero-alloc read path
 	freeCalls      *call
@@ -125,15 +123,12 @@ func NewClient(k *sim.Kernel, t Transport, cfg Config) (*Client, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	reg := cfg.Trace.Metrics()
 	return &Client{
 		k:      k,
 		t:      t,
 		cfg:    cfg,
 		blocks: lru.NewBlocks(int(cfg.CacheBytes / cfg.Rsize)),
-		mRPCs:  reg.Counter("vfs.rpcs"),
-		mErrs:  reg.Counter("vfs.transport_errors"),
-		hRPC:   reg.Histogram("vfs.rpc-latency"),
+		mRPCs:  cfg.Trace.Metrics().Counter("vfs.rpcs"),
 	}, nil
 }
 
@@ -164,8 +159,7 @@ type call struct {
 	owner *readOp // read span: countdown on the owning read
 	wdone func()  // write ack
 
-	sp    obs.Span
-	began sim.Time
+	sp obs.Span
 
 	replyFn  func(error) // bound to reply: the transport's completion
 	startFn  func()      // bound to start; what the queue runs
@@ -191,7 +185,6 @@ func (c *Client) putCall(l *call) {
 	l.owner = nil
 	l.wdone = nil
 	l.sp = obs.Span{}
-	l.began = 0
 	l.nextFree = c.freeCalls
 	c.freeCalls = l
 }
@@ -208,7 +201,6 @@ func (l *call) start() {
 	}
 	c.mRPCs.Inc()
 	l.sp = c.cfg.Trace.BeginChild(c.cfg.Ctx, "vfs", "rpc", l.op)
-	l.began = c.k.Now()
 	if l.op == "read" {
 		c.bytesFetched += uint64(l.bytes)
 		c.t.Read(l.file, l.off, l.bytes, l.replyFn)
@@ -219,9 +211,7 @@ func (l *call) start() {
 
 // reply ends the RPC with the server's answer.
 func (l *call) reply(err error) {
-	c := l.c
 	l.sp.EndErr(err)
-	c.hRPC.Observe(c.k.Now().Sub(l.began))
 	l.settle(err)
 }
 
@@ -289,7 +279,6 @@ func (o *readOp) afterCost() { o.c.readAfterClientCost(o) }
 func (c *Client) noteErr(err error) {
 	if err != nil {
 		c.transportErrs++
-		c.mErrs.Inc()
 	}
 }
 

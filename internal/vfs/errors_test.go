@@ -28,11 +28,8 @@ func TestTransportErrorsCountedOnUnknownFile(t *testing.T) {
 	if !completed {
 		t.Fatal("read hung on server error")
 	}
-	if c.TransportErrors() == 0 {
-		t.Error("server error not counted")
-	}
-	if got := cfg.Trace.Metrics().Counter("vfs.transport_errors").Value(); got != 1 {
-		t.Errorf("vfs.transport_errors = %v, want 1", got)
+	if got := c.TransportErrors(); got != 1 {
+		t.Errorf("transport errors = %d, want 1 (the server error)", got)
 	}
 	var notes []string
 	for _, sp := range cfg.Trace.Spans() {

@@ -158,10 +158,6 @@ type VM struct {
 	sink  func(rate float64)
 	rate  float64
 
-	// gWS tracks the modeled world-switch rate (Hz) while the host
-	// contends with the monitor; nil (free) when tracing is off.
-	gWS *obs.Gauge
-
 	// imagePrimed is set once a Suspend has written the full memory
 	// image to cfg.MemImage — only then can later suspends write dirty
 	// deltas on top of a known-complete base.
@@ -190,7 +186,6 @@ func New(host *hostos.Host, cfg Config) (*VM, error) {
 		cfg:   cfg,
 		cost:  cfg.Cost,
 		state: StateCreated,
-		gWS:   cfg.Trace.Metrics().Gauge("vmm.worldswitch-hz:" + cfg.Name),
 	}
 	vm.proc = host.Spawn("vmm:" + cfg.Name)
 	vm.proc.OnRate(func(float64) { vm.recompute() })
@@ -297,9 +292,6 @@ func (vm *VM) recompute() {
 			// and back.
 			wsRate := share / hostos.DefaultQuantum.Seconds()
 			wall += wsRate * vm.cost.WorldSwitch.Seconds()
-			vm.gWS.Set(wsRate)
-		} else {
-			vm.gWS.Set(0)
 		}
 		if vm.act.Contenders() > 1 {
 			// Guest context switches at quantum granularity, each one a

@@ -127,7 +127,7 @@ func protocolStream(t *testing.T, call func(op string, params, out any) error) [
 // protocolDigest is the SHA-256 of the scripted stream. It pins every
 // response byte, error text and error code of the protocol: a change
 // that moves it changes what clients see.
-const protocolDigest = "d05e37db68eee9a614d9b08ca040c3262e7be2ae2c0b32d0a47c4ed905f4f7b1"
+const protocolDigest = "fb5cbd062decc52d790cf0033b650f73c5dbeb2fbc5afc798f8a3c7758428e99"
 
 // TestProtocolStreamPinned runs the same script in process and over
 // TCP against two seed-1 servers. The two response streams must be

@@ -43,23 +43,21 @@ type Server struct {
 }
 
 // NewServer creates a server around a fresh grid seeded with seed. The
-// grid is traced and telemetered from birth so the "metrics", "spans",
-// "top", and "alerts" ops always have data to report. The collector is
-// scraped manually after each dispatched operation (never self-ticked:
-// a standing tick would keep the kernel's queue non-empty and break the
-// "simulation idle" detection in await).
+// grid is traced from birth so the "metrics", "spans" and "trace" ops
+// always have data to report. Its collector keeps only the series the
+// default alert rules read: "top" reads fabric state directly, and
+// "alerts" reads the rules' firings. The collector is scraped manually
+// after each dispatched operation (never self-ticked: a standing tick
+// would keep the kernel's queue non-empty and break the "simulation
+// idle" detection in await).
 func NewServer(seed uint64) *Server {
 	grid := core.NewGrid(seed)
 	tr := obs.New(grid.Kernel())
 	grid.SetTracer(tr)
 	grid.EnableFlightRecorder()
-	col, err := grid.EnableTelemetry()
-	if err != nil {
+	if _, err := grid.EnableTelemetry(); err != nil {
 		panic(err) // fresh grid: cannot happen
 	}
-	// The daemon keeps every series, as an export does, so top finds
-	// the nodes' predicted load among them.
-	col.WantAll()
 	if err := grid.DefaultAlertRules(); err != nil {
 		panic(err)
 	}
@@ -785,6 +783,7 @@ func (s *Server) top() TopInfo {
 		row.Epoch = sess.Epoch()
 		v := sess.VFSCounters()
 		row.VFSHitRate, _ = v.HitRate()
+		row.VFSTransportErrors = v.TransportErrors
 		info.Sessions = append(info.Sessions, row)
 	}
 	if p := s.grid.ChunkPlane(); p != nil {

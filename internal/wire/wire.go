@@ -189,14 +189,15 @@ type TopNode struct {
 
 // TopSession is one session row of a top snapshot.
 type TopSession struct {
-	Name        string  `json:"name"`
-	State       string  `json:"state"`
-	Node        string  `json:"node,omitempty"`
-	Slowdown    float64 `json:"slowdown,omitempty"`
-	VFSHitRate  float64 `json:"vfsHitRate,omitempty"`
-	GuestSec    float64 `json:"guestSec,omitempty"`
-	WallSeconds float64 `json:"wallSeconds,omitempty"`
-	Epoch       int64   `json:"epoch,omitempty"` // fencing epoch (0 until first failover)
+	Name               string  `json:"name"`
+	State              string  `json:"state"`
+	Node               string  `json:"node,omitempty"`
+	Slowdown           float64 `json:"slowdown,omitempty"`
+	VFSHitRate         float64 `json:"vfsHitRate,omitempty"`
+	VFSTransportErrors uint64  `json:"vfsTransportErrors,omitempty"` // failed grid file system RPCs
+	GuestSec           float64 `json:"guestSec,omitempty"`
+	WallSeconds        float64 `json:"wallSeconds,omitempty"`
+	Epoch              int64   `json:"epoch,omitempty"` // fencing epoch (0 until first failover)
 }
 
 // TopStaging is the chunked staging plane's grid-wide dedup summary
