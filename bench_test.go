@@ -135,8 +135,10 @@ func BenchmarkPlacement(b *testing.B) {
 // BenchmarkChunkedStage measures the content-addressed staging hot
 // path: one op stages a 256 MB image cold (every chunk crosses the
 // wire) and then re-stages it warm (every chunk hits the destination
-// cache) between two LAN nodes sharing a chunk plane.
+// cache) between two LAN nodes sharing a chunk plane. B/op is what the
+// two stages allocate.
 func BenchmarkChunkedStage(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel(uint64(i + 1))
 		net := netsim.New(k)

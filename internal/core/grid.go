@@ -187,6 +187,10 @@ type Node struct {
 	adRetry  bool
 	series   *nodeSeries // telemetry handles, resolved on the first scrape
 	forecast *forecast   // the monitor's load forecast; nil when unwatched
+	// The VM-future attributes that never change (site, speed, memory,
+	// disk), boxed once for a compute node so a refresh allocates at
+	// most its load's box.
+	adSite, adSpeed, adMem, adDisk any
 }
 
 // NodeConfig describes a node to attach.
@@ -240,6 +244,8 @@ func (g *Grid) AddNode(cfg NodeConfig) (*Node, error) {
 		if n.capacity <= 0 {
 			n.capacity = 1
 		}
+		n.adSite, n.adSpeed = cfg.Site, spec.CPU.Speed
+		n.adMem, n.adDisk = spec.MemBytes/2, spec.Disk.CapacityBytes
 	}
 	if cfg.DHCPPrefix != "" {
 		size := cfg.DHCPSize
@@ -301,13 +307,12 @@ func (n *Node) advertise() {
 	if n.role&RoleCompute == 0 || n.crashed {
 		return
 	}
-	spec := n.host.Spec()
 	err := n.grid.info.RegisterFrom(n.name, gis.KindVMFuture, n.name, map[string]any{
-		gis.AttrSite:      n.site,
+		gis.AttrSite:      n.adSite,
 		gis.AttrSlots:     int64(n.Slots()),
-		gis.AttrSpeed:     spec.CPU.Speed,
-		gis.AttrMemBytes:  spec.MemBytes / 2,
-		gis.AttrDiskBytes: spec.Disk.CapacityBytes,
+		gis.AttrSpeed:     n.adSpeed,
+		gis.AttrMemBytes:  n.adMem,
+		gis.AttrDiskBytes: n.adDisk,
 		gis.AttrLoad:      n.grid.predictedLoad(n),
 	}, 0)
 	if err == nil || n.adRetry {

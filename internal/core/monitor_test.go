@@ -252,3 +252,34 @@ func TestSlotChangeKeepsForecastBetweenTicks(t *testing.T) {
 	in.retire()
 	advertised("retire")
 }
+
+// TestAdvertiseAllocs guards the per-second VM-future refresh of a
+// monitored node against the standalone registry: the record's map is
+// updated in place and the node's constant attributes are boxed once,
+// so a refresh allocates nothing at load 0 and at most the load's box
+// otherwise.
+func TestAdvertiseAllocs(t *testing.T) {
+	g := testbed(t)
+	m, err := g.StartMonitor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	n := g.Node("compute1")
+	if load := m.PredictedLoad("compute1"); load != 0 {
+		t.Fatalf("idle node forecasts load %v, want 0", load)
+	}
+	if got := testing.AllocsPerRun(100, n.advertise); got != 0 {
+		t.Errorf("advertise at load 0 allocates %v times, want 0", got)
+	}
+
+	bg := &trace.Trace{Step: sim.Second, Loads: []float64{2.0}}
+	hostos.NewLoadProcess(n.Host(), "bg", bg).Start()
+	_ = g.Kernel().RunUntil(sim.Time(2 * sim.Minute))
+	if load := m.PredictedLoad("compute1"); load == 0 {
+		t.Fatal("loaded node forecasts load 0")
+	}
+	if got := testing.AllocsPerRun(100, n.advertise); got > 1 {
+		t.Errorf("advertise under load allocates %v times, want at most the load's box", got)
+	}
+}

@@ -116,6 +116,7 @@ type charge struct {
 	ckptPages []int64
 
 	hbNext   sim.EventID
+	beat     func() // heartbeat(c), bound once so rearming allocates nothing
 	ckNext   sim.EventID
 	failSpan obs.Span
 	// lossAccounted marks that the current crash's lost work has been
@@ -224,6 +225,7 @@ func (sup *Supervisor) Adopt(s *Session, done func(error)) error {
 		return fmt.Errorf("core: session %q already supervised", s.name)
 	}
 	c := &charge{s: s, sup: sup, slot: -1, lastRenew: -1}
+	c.beat = func() { sup.heartbeat(c) }
 	s.charge = c
 	i, _ := slices.BinarySearchFunc(sup.charges, s.name, func(c *charge, name string) int {
 		return strings.Compare(c.s.name, name)
@@ -308,7 +310,7 @@ func (sup *Supervisor) renewLease(c *charge) bool {
 }
 
 func (sup *Supervisor) scheduleHeartbeat(c *charge) {
-	c.hbNext = sup.g.k.After(heartbeatInterval, func() { sup.heartbeat(c) })
+	c.hbNext = sup.g.k.After(heartbeatInterval, c.beat)
 }
 
 func (sup *Supervisor) scheduleCheckpoint(c *charge) {

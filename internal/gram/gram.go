@@ -363,7 +363,9 @@ func (t *Transfer) Stage(net *netsim.Network, srcNode string, src *storage.Store
 
 // stageChunked is the content-addressed staging path: manifest
 // negotiation, dedup against the destination's chunk cache, then a
-// double-buffered pipeline over the missing chunks.
+// double-buffered pipeline over the missing chunks. Beyond the source
+// snapshot and the destination manifest, sized once from it, a stage
+// keeps one flag per chunk: whether it must cross the wire.
 func (t *Transfer) stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.Store, file string,
 	to *netsim.Node, dst *storage.Store, asName string, size int64, done func(error)) error {
 	plane := src.ChunkPlane()
@@ -372,7 +374,7 @@ func (t *Transfer) stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.S
 	// image's identity even if the guest resumes and keeps dirtying the
 	// file while chunks move (a COW-protected checkpoint image).
 	keys := src.ChunkKeys(file)
-	if err := dst.Create(asName, 0); err != nil {
+	if err := dst.CreateChunked(asName, len(keys)); err != nil {
 		return err
 	}
 	srcFile, err := src.Open(file)
@@ -407,13 +409,13 @@ func (t *Transfer) stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.S
 		// At the destination: chunks already in the cache materialize by
 		// reference; the rest are requested back as a needed-chunk
 		// bitmap.
-		var missing []int
+		need := make([]bool, len(keys))
 		for i, k := range keys {
 			off, n := plane.Span(size, i)
 			if cache.Lookup(k, n) {
 				dst.AdoptChunk(asName, i, k, off, n)
 			} else {
-				missing = append(missing, i)
+				need[i] = true
 			}
 		}
 		replyBytes := int64(len(keys)+7)/8 + ControlMsgBytes
@@ -421,7 +423,7 @@ func (t *Transfer) stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.S
 			if t.halted(dstFile, finish) {
 				return
 			}
-			t.stagePipeline(from, to, srcFile, dstFile, plane, size, keys, missing, finish)
+			t.stagePipeline(from, to, srcFile, dstFile, plane, size, keys, need, finish)
 		})
 		if sendErr != nil {
 			finish(sendErr)
@@ -435,16 +437,16 @@ func (t *Transfer) stageChunked(k *sim.Kernel, from *netsim.Node, src *storage.S
 	return nil
 }
 
-// stagePipeline moves the missing chunks with stageWindow of them in
+// stagePipeline moves the chunks need marks with stageWindow of them in
 // flight at once: read chunk i+1 from the source disk while chunk i is
 // on the wire or being written — the copy stays busy end to end instead
 // of serializing read, send, write.
 func (t *Transfer) stagePipeline(from, to *netsim.Node,
 	srcFile, dstFile *storage.LocalFile, plane *chunk.Plane, size int64,
-	keys []chunk.Key, missing []int, finish func(error)) {
+	keys []chunk.Key, need []bool, finish func(error)) {
 	p := &pipeline{t: t, from: from, to: to,
 		srcFile: srcFile, dstFile: dstFile, plane: plane, size: size,
-		keys: keys, missing: missing, finish: finish,
+		keys: keys, need: need, finish: finish,
 		free: make([]*stageSlot, 0, stageWindow)}
 	for j := range p.slots {
 		sl := &p.slots[j]
@@ -477,10 +479,10 @@ type pipeline struct {
 	plane            *chunk.Plane
 	size             int64
 	keys             []chunk.Key
-	missing          []int
+	need             []bool // need[i]: chunk i must cross the wire
 	finish           func(error)
 
-	next   int // index into missing of the next chunk to launch
+	next   int // the next chunk to consider launching
 	failed bool
 	slots  [stageWindow]stageSlot
 	free   []*stageSlot // slots with no chunk in flight
@@ -518,17 +520,18 @@ func (p *pipeline) pump() {
 	if p.halted() {
 		return
 	}
-	if p.next >= len(p.missing) && len(p.free) == stageWindow {
-		p.finish(nil)
-		return
-	}
-	for len(p.free) > 0 && p.next < len(p.missing) {
+	for ; len(p.free) > 0 && p.next < len(p.need); p.next++ {
+		if !p.need[p.next] {
+			continue
+		}
 		sl := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
-		sl.i = p.missing[p.next]
-		p.next++
+		sl.i = p.next
 		sl.off, sl.n = p.plane.Span(p.size, sl.i)
 		sl.key = p.keys[sl.i]
 		p.srcFile.ReadSequential(sl.off, sl.n, sl.read)
+	}
+	if p.next == len(p.need) && len(p.free) == stageWindow {
+		p.finish(nil)
 	}
 }

@@ -166,6 +166,8 @@ func (s *Store) touchChunks(f *file, off, n int64) {
 // elsewhere keeps its identity instead of minting a new one. The file
 // grows to cover the chunk. Used by the staging paths both for
 // transferred chunks and for dedup hits materialized by reference.
+// Within the capacity CreateChunked reserved, the manifest grows in
+// place.
 func (s *Store) adoptChunk(f *file, i int, key chunk.Key, off, n int64) {
 	f.size = max(f.size, off+n)
 	for len(f.keys) <= i {
@@ -203,6 +205,20 @@ func (s *Store) CreateWithChunks(name string, size int64, keys []chunk.Key) erro
 	for i, k := range f.keys {
 		_, n := s.plane.Span(size, i)
 		s.cache.Add(k, n)
+	}
+	return nil
+}
+
+// CreateChunked creates an empty file, as Create(name, 0) does, whose
+// manifest has room for chunks keys: a stage landing a known number of
+// chunks sizes it once instead of regrowing it as they arrive. The
+// manifest's length still follows the chunks adopted.
+func (s *Store) CreateChunked(name string, chunks int) error {
+	if err := s.Create(name, 0); err != nil {
+		return err
+	}
+	if s.plane != nil {
+		s.files[name].keys = make([]chunk.Key, 0, chunks)
 	}
 	return nil
 }
